@@ -31,6 +31,33 @@ fn bench_strip(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two shapes the distributor actually runs, one chunk per call: PL3's
+/// 4 KiB chunks at the max-privacy rate, and PL1's 64 KiB chunks at a light
+/// rate. The 1 MiB sweep above amortises per-call costs (seeding, the
+/// position bitmap, two allocations) that these pay every time.
+const DISTRIBUTOR_SHAPES: [(&str, usize, f64); 2] = [
+    ("4KiB_x_0.08", 4 << 10, 0.08),
+    ("64KiB_x_0.02", 64 << 10, 0.02),
+];
+
+fn bench_distributor_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mislead_chunk");
+    for (name, len, rate) in DISTRIBUTOR_SHAPES {
+        let data: Vec<u8> = (0..len).map(|i| (i * 131 + 17) as u8).collect();
+        let (stored, positions) = mislead::inject(&data, rate, 7);
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::new("inject", name), &data, |b, d| {
+            b.iter(|| mislead::inject(d, rate, 7))
+        });
+        group.bench_with_input(
+            BenchmarkId::new("strip", name),
+            &(stored, positions),
+            |b, (stored, positions)| b.iter(|| mislead::strip(stored, positions)),
+        );
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     // Short windows keep the full-workspace bench run tractable;
@@ -39,6 +66,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_inject, bench_strip
+    targets = bench_inject, bench_strip, bench_distributor_shapes
 }
 criterion_main!(benches);

@@ -346,9 +346,7 @@ impl DistributorConfig {
         if self.stripe_width < 1 {
             return fail("stripe_width must be >= 1");
         }
-        if !(0.0..0.5).contains(&self.mislead_rate) {
-            return fail("mislead_rate must be in [0, 0.5)");
-        }
+        crate::mislead::validate_rate(self.mislead_rate)?;
         if !self.chunk_sizes.sizes.iter().all(|&s| s > 0) {
             return fail("chunk sizes must be positive");
         }

@@ -896,6 +896,7 @@ impl CloudDataDistributor {
         geo.validate()?;
         let raid = geo.level();
         let rate = opts.mislead_rate.unwrap_or(self.config.mislead_rate);
+        mislead::validate_rate(rate)?;
 
         // Phase B (no lock): fragment, allocate ids, encode.
         // 1. Chunk geometry only — no chunk bytes are materialized here.
@@ -1153,6 +1154,7 @@ impl CloudDataDistributor {
         geo.validate()?;
         let raid = geo.level();
         let rate = opts.mislead_rate.unwrap_or(self.config.mislead_rate);
+        mislead::validate_rate(rate)?;
 
         // Phase B (no lock): derive the chunk plan from the *declared*
         // length and allocate every data vid upfront — the exact sequence
@@ -2692,9 +2694,17 @@ impl CloudDataDistributor {
                 if let Some((spi, svid)) = sp {
                     let _ = st.providers[spi].delete(svid); // fraglint: allow(lock-order) — atomic object+table commit under the shard guard
                 }
-                st.chunks[m].removed = true;
-                st.chunks[m].stored_len = 0;
-                st.chunks[m].logical_len = 0;
+                // The tombstone names nothing that still exists: a kept
+                // snapshot vid would read as referenced, and the position
+                // lists would be rewritten into every checkpoint.
+                let e = &mut st.chunks[m];
+                e.removed = true;
+                e.stored_len = 0;
+                e.logical_len = 0;
+                e.snapshot_provider_idx = None;
+                e.snapshot_vid = None;
+                e.snapshot_mislead = Vec::new();
+                e.mislead_positions = Vec::new();
                 self.touch_chunk(jctx, shard, m);
             }
         }
@@ -4515,6 +4525,90 @@ mod tests {
             let s2 = recovered.session("Bob", "Ty7e").unwrap();
             assert_eq!(s2.get_file(&format!("f{t}")).unwrap().data, data(96));
         }
+    }
+
+    #[test]
+    fn per_put_mislead_rate_is_validated_before_any_side_effect() {
+        // Regression: only the config-level rate was checked, so a bad
+        // per-put override reached inject's assert on a pool worker, after
+        // vids were allocated and journaled, and left the op dangling.
+        use crate::journal::{Journal, OpStatus};
+        let d = distributor();
+        let journal = Arc::new(Journal::new());
+        d.attach_journal(Arc::clone(&journal));
+        let s = high_session(&d);
+        let body = data(500);
+        for (i, rate) in [0.5, 0.8, -0.1, f64::NAN].into_iter().enumerate() {
+            let opts = || PutOptions::new().mislead_rate(rate);
+            let vids_before = d.vids_allocated();
+            let buffered = s.put_file(&format!("b{i}"), &body, PrivacyLevel::High, opts());
+            let streamed = s.put_stream(
+                &format!("s{i}"),
+                &mut body.as_slice(),
+                body.len(),
+                PrivacyLevel::High,
+                opts(),
+            );
+            for res in [buffered, streamed] {
+                match res {
+                    Err(CoreError::InvalidConfig { detail }) => {
+                        assert!(detail.contains("mislead_rate"), "{detail}")
+                    }
+                    other => panic!("rate {rate}: expected InvalidConfig, got {other:?}"),
+                }
+            }
+            assert_eq!(d.vids_allocated(), vids_before, "rate {rate}");
+        }
+        let ops = journal.ops();
+        assert_eq!(ops.len(), 8);
+        assert!(ops
+            .iter()
+            .all(|o| o.status == OpStatus::Aborted && o.fresh.is_empty()));
+        assert!(d.providers().iter().all(|p| p.chunk_count() == 0));
+        // The same session still works with a legal override.
+        s.put_file(
+            "ok",
+            &body,
+            PrivacyLevel::High,
+            PutOptions::new().mislead_rate(0.49),
+        )
+        .unwrap();
+        assert_eq!(s.get_file("ok").unwrap().data, body);
+    }
+
+    #[test]
+    fn remove_file_tombstones_reference_nothing() {
+        // Regression: the tombstone kept `snapshot_vid` (object already
+        // deleted) and both position lists, so `referenced_vids` named a
+        // vid no provider holds and every checkpoint re-wrote dead rows.
+        let mut config = small_config();
+        config.mislead_rate = 0.1;
+        let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), config);
+        d.register_client("Bob").unwrap();
+        d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
+        let s = high_session(&d);
+        for name in ["keep", "gone"] {
+            s.put_file(name, &data(100), PrivacyLevel::High, PutOptions::new())
+                .unwrap();
+            s.update_chunk(name, 1, &[7u8; 8]).unwrap();
+        }
+        s.remove_file("gone").unwrap();
+
+        let held: HashSet<VirtualId> = d
+            .providers()
+            .iter()
+            .flat_map(|p| p.virtual_id_list())
+            .collect();
+        let mut referenced = HashSet::new();
+        for st in d.lock_all_read().iter() {
+            referenced.extend(st.referenced_vids());
+            for e in st.chunks.iter().filter(|e| e.removed) {
+                assert!(e.snapshot_vid.is_none() && e.snapshot_provider_idx.is_none());
+                assert!(e.snapshot_mislead.is_empty() && e.mislead_positions.is_empty());
+            }
+        }
+        assert_eq!(referenced, held);
+        assert_eq!(s.get_file("keep").unwrap().data[8..16], [7u8; 8]);
     }
 
     #[test]

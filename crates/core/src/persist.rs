@@ -215,6 +215,23 @@ pub(crate) fn parse_chunk_fields(f: &[&str], line_no: usize) -> Result<ChunkEntr
         None if f[10] == "removed" => (true, Vec::new()),
         _ => return Err(bad(line_no, "bad liveness tag")),
     };
+    // `get_file` hands these positions to `mislead::strip`, which asserts
+    // them; a damaged artifact must fail here, typed, not there.
+    let ascending = |p: &[usize]| p.windows(2).all(|w| w[0] < w[1]);
+    if !ascending(&snapshot_mislead) || !ascending(&mislead_positions) {
+        return Err(bad(line_no, "mislead positions not strictly ascending"));
+    }
+    if !removed {
+        if mislead_positions.last().is_some_and(|&p| p >= stored_len) {
+            return Err(bad(line_no, "mislead position beyond stored length"));
+        }
+        if stored_len.checked_sub(mislead_positions.len()) != Some(logical_len) {
+            return Err(bad(
+                line_no,
+                "stored length minus mislead count is not the logical length",
+            ));
+        }
+    }
     Ok(ChunkEntry {
         vid,
         pl,
@@ -699,6 +716,60 @@ mod tests {
             "{err:?}"
         );
         assert!(err.to_string().contains("corrupt state at line 1"));
+    }
+
+    #[test]
+    fn import_rejects_tampered_mislead_positions() {
+        // Regression: positions were parsed unchecked, so a damaged row
+        // imported fine and the next get_file panicked inside strip.
+        let providers = fleet();
+        let d = CloudDataDistributor::new(providers.clone(), config());
+        d.register_client("c").unwrap();
+        d.add_password("c", "p", PrivacyLevel::High).unwrap();
+        d.session("c", "p")
+            .unwrap()
+            .put_file("f", &body(64), PrivacyLevel::Low, PutOptions::default())
+            .unwrap();
+        let snapshot = export_state(&d);
+        assert!(import_state(&snapshot, providers.clone(), config()).is_ok());
+
+        // The one data chunk: 64 logical + ⌈64·0.05⌉ = 4 decoys = 68 stored.
+        let (row_no, row) = snapshot
+            .lines()
+            .enumerate()
+            .find(|(_, l)| l.starts_with("chunk|") && l.contains("|68|64|"))
+            .expect("data chunk row");
+        let fields: Vec<&str> = row.split('|').collect();
+        let positions: Vec<usize> = fields[6].split(',').map(|p| p.parse().unwrap()).collect();
+        assert_eq!(positions.len(), 4);
+        let join = |p: &[usize]| {
+            p.iter()
+                .map(|x| x.to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let mut beyond = positions.clone();
+        beyond[3] = 68;
+        let mut unsorted = positions.clone();
+        unsorted[3] = unsorted[2];
+        let dropped = &positions[..3];
+        for (bad_positions, why) in [
+            (join(&beyond), "beyond stored length"),
+            (join(&unsorted), "ascending"),
+            (join(dropped), "logical length"),
+        ] {
+            let mut tampered = fields.clone();
+            tampered[6] = &bad_positions;
+            let tampered = snapshot.replace(row, &tampered.join("|"));
+            match import_state(&tampered, providers.clone(), config()) {
+                Err(CoreError::CorruptState { line, why: got }) => {
+                    assert_eq!(line, row_no + 1);
+                    assert!(got.contains(why), "{got:?} should mention {why:?}");
+                }
+                Err(other) => panic!("expected CorruptState, got {other:?}"),
+                Ok(_) => panic!("tampered snapshot ({why}) must not import"),
+            }
+        }
     }
 
     #[test]
