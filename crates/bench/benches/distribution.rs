@@ -141,27 +141,6 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     }
 }
 
-fn bench_get_parallel(c: &mut Criterion) {
-    // Serial loop vs crossbeam per-provider fan-out on the same file.
-    let mut group = c.benchmark_group("get_file_serial_vs_parallel");
-    group.sample_size(20);
-    let size = 4 << 20;
-    let body = files::random_file(size, 7);
-    let d = make_distributor(8, RaidLevel::Raid5);
-    let session = d.session("c", "p").expect("valid pair");
-    session
-        .put_file("f", &body, PrivacyLevel::Low, PutOptions::new())
-        .expect("upload");
-    group.throughput(Throughput::Bytes(size as u64));
-    group.bench_function("serial/4MiB", |b| {
-        b.iter(|| session.get_file("f").expect("retrieve"))
-    });
-    group.bench_function("parallel/4MiB", |b| {
-        b.iter(|| session.get_file_parallel("f").expect("retrieve"))
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     // Short windows keep the full-workspace bench run tractable;
@@ -172,7 +151,6 @@ criterion_group! {
         .sample_size(10);
     targets = bench_put,
     bench_get,
-    bench_get_parallel,
     bench_get_degraded,
     bench_telemetry_overhead
 }

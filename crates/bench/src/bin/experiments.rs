@@ -55,7 +55,7 @@ const NAMES: &[(&str, &str)] = &[
     ),
     (
         "put_throughput",
-        "E19: put-path throughput, serial vs pipelined upload",
+        "E19: put-path throughput, 1 vs 4 transfer workers",
     ),
     (
         "recovery",

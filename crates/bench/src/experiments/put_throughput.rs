@@ -1,14 +1,14 @@
-//! E19 — put-path throughput: serial vs pipelined upload.
+//! E19 — put-path throughput: 1 vs 4 transfer workers on the one pipeline.
 //!
-//! The pipelined put path overlaps stripe encoding (misleading-byte
-//! injection + RAID parity, running on the distributor's transfer pool)
-//! with the provider uploads of the previous stripe. This experiment
-//! measures real wall-clock time of `Session::put_file` over a
-//! multi-stripe file in both modes on the same fleet geometry.
+//! The put pipeline overlaps stripe encoding (misleading-byte injection +
+//! RAID parity, running on the distributor's transfer pool) with the
+//! provider uploads of earlier stripes. This experiment measures real
+//! wall-clock time of `Session::put_file` over a multi-stripe file at both
+//! pool widths on the same fleet geometry; one worker is the serial put.
 //!
 //! The speedup is hardware-dependent: overlap needs at least two cores
 //! (the report records how many the host offers), so CI asserts on the
-//! summary's *structure* (both modes complete, pool tasks were issued),
+//! summary's *structure* (both widths complete, pool tasks were issued),
 //! not on the ratio.
 
 use super::uniform_fleet;
@@ -25,36 +25,37 @@ const FILE_LEN: usize = 2 << 20; // 2 MiB → 256 chunks → 64 stripes
 const CHUNK: usize = 8 << 10;
 const TRIALS: usize = 3;
 
-/// One measured mode: serial (`pipelined_put = false`) or pipelined.
+/// Pool widths compared: the serial put and the default.
+const WORKERS: [usize; 2] = [1, 4];
+
+/// One measured pool width.
 #[derive(Debug, Clone)]
 pub struct PutThroughputPoint {
-    /// `true` for the pipelined put path.
-    pub pipelined: bool,
+    /// Transfer-pool worker threads the put ran with.
+    pub workers: usize,
     /// Best-of-trials wall-clock milliseconds for one `put_file`.
     pub wall_ms: f64,
     /// Corresponding payload throughput in MiB/s.
     pub mib_per_s: f64,
 }
 
-fn config(pipelined: bool) -> DistributorConfig {
+fn config(workers: usize) -> DistributorConfig {
     DistributorConfig {
         chunk_sizes: ChunkSizeSchedule::uniform(CHUNK),
         stripe_width: 4,
         raid_level: RaidLevel::Raid6,
         mislead_rate: 0.08,
-        durability: fragcloud_core::DurabilityConfig::default()
-            .with_transfer_workers(4)
-            .with_pipelined_put(pipelined),
+        durability: fragcloud_core::DurabilityConfig::default().with_transfer_workers(workers),
         ..Default::default()
     }
 }
 
-fn measure(pipelined: bool, body: &[u8], tel: &TelemetryHandle) -> PutThroughputPoint {
+fn measure(workers: usize, body: &[u8], tel: &TelemetryHandle) -> PutThroughputPoint {
     // Best of TRIALS fresh distributors: each put must write a fresh
     // namespace, and best-of filters scheduler noise.
     let mut best = f64::INFINITY;
     for t in 0..TRIALS {
-        let d = CloudDataDistributor::new(uniform_fleet(FLEET), config(pipelined));
+        let d = CloudDataDistributor::new(uniform_fleet(FLEET), config(workers));
         d.set_telemetry(tel.clone());
         d.register_client("c").expect("fresh");
         d.add_password("c", "pw", PrivacyLevel::High)
@@ -75,13 +76,13 @@ fn measure(pipelined: bool, body: &[u8], tel: &TelemetryHandle) -> PutThroughput
         }
     }
     PutThroughputPoint {
-        pipelined,
+        workers,
         wall_ms: best,
         mib_per_s: (FILE_LEN as f64 / (1 << 20) as f64) / (best / 1e3),
     }
 }
 
-/// Runs both modes and renders the comparison.
+/// Runs both pool widths and renders the comparison.
 pub fn run() -> (Vec<PutThroughputPoint>, String) {
     run_with(&TelemetryHandle::disabled())
 }
@@ -97,36 +98,29 @@ pub fn run_instrumented() -> (Vec<PutThroughputPoint>, String, TelemetryHandle) 
 
 fn run_with(tel: &TelemetryHandle) -> (Vec<PutThroughputPoint>, String) {
     let body: Vec<u8> = (0..FILE_LEN).map(|i| ((i * 131 + 7) % 251) as u8).collect();
-    let serial = measure(false, &body, tel);
-    let pipelined = measure(true, &body, tel);
-    let ratio = serial.wall_ms / pipelined.wall_ms;
+    let points: Vec<PutThroughputPoint> =
+        WORKERS.iter().map(|&w| measure(w, &body, tel)).collect();
+    let ratio = points[0].wall_ms / points[1].wall_ms;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let rows: Vec<Vec<String>> = [&serial, &pipelined]
+    let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|pt| {
-            vec![
-                if pt.pipelined { "pipelined" } else { "serial" }.to_string(),
-                fnum(pt.wall_ms),
-                fnum(pt.mib_per_s),
-            ]
-        })
+        .map(|pt| vec![pt.workers.to_string(), fnum(pt.wall_ms), fnum(pt.mib_per_s)])
         .collect();
     let mut report = format!(
-        "E19 — put throughput: serial vs pipelined upload path\n\
+        "E19 — put throughput: 1 vs 4 transfer workers on the one put pipeline\n\
          ({FLEET} providers, {} MiB file, {CHUNK}-byte chunks, RAID-6 stripes of 4,\n\
-         mislead rate 0.08, 4 transfer workers, best of {TRIALS} trials, {cores} host core(s))\n\n",
+         mislead rate 0.08, best of {TRIALS} trials, {cores} host core(s))\n\n",
         FILE_LEN / (1 << 20),
     );
-    report.push_str(&render_table(&["mode", "wall ms", "MiB/s"], &rows));
+    report.push_str(&render_table(&["workers", "wall ms", "MiB/s"], &rows));
     report.push_str(&format!(
-        "\npipelined/serial speedup: {ratio:.2}x on {cores} core(s)\n\
-         conclusion: the pipelined path overlaps stripe encoding with the\n\
-         previous stripe's uploads; the overlap needs >= 2 cores to pay off,\n\
-         and on a single core it degrades gracefully to serial-equivalent\n\
-         work (identical provider state either way).\n"
+        "\n4-worker/1-worker speedup: {ratio:.2}x on {cores} core(s)\n\
+         conclusion: the pipeline overlaps stripe encoding with earlier\n\
+         stripes' uploads; the overlap needs >= 2 cores to pay off, and on a\n\
+         single core (or with one worker) it degrades gracefully to\n\
+         serial-equivalent work (identical provider state either way).\n"
     ));
-    let points = vec![serial, pipelined];
     (points, report)
 }
 
@@ -135,10 +129,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_modes_complete_and_pool_is_exercised() {
+    fn both_widths_complete_and_pool_is_exercised() {
         let (points, report, tel) = run_instrumented();
         assert_eq!(points.len(), 2);
-        assert!(!points[0].pipelined && points[1].pipelined);
+        assert_eq!((points[0].workers, points[1].workers), (1, 4));
         for pt in &points {
             assert!(pt.wall_ms > 0.0, "{pt:?}");
             assert!(pt.mib_per_s > 0.0, "{pt:?}");
@@ -146,10 +140,10 @@ mod tests {
         assert!(report.contains("E19"));
         assert!(report.contains("speedup"));
         let reg = tel.registry().expect("instrumented run is enabled");
-        // Pipelined trials routed every stripe encode through the pool.
-        assert!(reg.counter_total("pool_tasks_total") > 0);
-        assert_eq!(reg.counter_total("puts_pipelined"), TRIALS as u64);
-        assert!(reg.counter_total("stripe_encodes") > 0);
+        // Every stripe encode of every trial went through the pool.
+        let stripes = (FILE_LEN / CHUNK / 4 * WORKERS.len() * TRIALS) as u64;
+        assert_eq!(reg.counter_total("pool_tasks_total"), stripes);
+        assert_eq!(reg.counter_total("stripe_encodes"), stripes);
         assert!(reg.histogram("stripe_store_ns", "").count() > 0);
         assert!(reg.spans_balanced());
     }

@@ -48,10 +48,9 @@ pub fn run() -> (String, String) {
             )
             .expect("upload against a healthy fleet");
     }
-    // Healthy reads: one sequential, one through the parallel fan-out so
-    // the trace shows pooled per-provider child spans.
+    // Healthy reads.
     session.get_file("f0").expect("healthy read");
-    session.get_file_parallel("f1").expect("healthy fan-out read");
+    session.get_file("f1").expect("healthy read");
 
     // Kill a provider, read through the degraded path, then heal.
     fleet[0].set_online(false);

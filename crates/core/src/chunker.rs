@@ -33,8 +33,11 @@ pub fn split(data: &[u8], pl: PrivacyLevel, schedule: &ChunkSizeSchedule) -> Vec
 
 /// Borrowed variant of [`split`]: the same chunk boundaries, but as slices
 /// into `data` with **no per-chunk copies or allocations** beyond the outer
-/// vector. This is what the serial put path routes through — the mislead
-/// injector reads straight from the caller's buffer.
+/// vector.
+///
+/// No longer called by the put pipeline (which stripes through
+/// [`StripeFeeder`]); kept `pub` only because the `fragperf` replay still
+/// times it, until a benchmark change drops that row.
 ///
 /// An empty file yields one empty slice, mirroring [`split`].
 pub fn split_borrowed<'a>(
@@ -50,10 +53,13 @@ pub fn split_borrowed<'a>(
     data.chunks(schedule.size_for(pl)).collect()
 }
 
-/// Shared-buffer variant of [`split`] for the pipelined put: each chunk is
-/// a cheap ref-counted [`Bytes`] slice of the one shared file buffer, so
-/// stripe groups can move onto transfer-pool workers (`'static`) without
-/// copying any chunk bytes.
+/// Shared-buffer variant of [`split`]: each chunk is a cheap ref-counted
+/// [`Bytes`] slice of the one shared file buffer.
+///
+/// No longer called by the put pipeline ([`StripeFeeder::shared`] yields
+/// the same slices a stripe at a time); kept `pub` only because the
+/// `fragperf` replay still times it, until a benchmark change drops that
+/// row.
 ///
 /// An empty file yields one empty chunk, mirroring [`split`].
 pub fn split_shared(data: &Bytes, pl: PrivacyLevel, schedule: &ChunkSizeSchedule) -> Vec<Bytes> {
@@ -71,17 +77,27 @@ pub fn split_shared(data: &Bytes, pl: PrivacyLevel, schedule: &ChunkSizeSchedule
     out
 }
 
-/// Incremental striper over a [`Read`]-like source: yields one stripe of up
-/// to `stripe_k` chunks (each `chunk_size` bytes, the final chunk possibly
-/// short) per call, so the put path can encode and upload multi-GB files
-/// while holding only a bounded number of stripes in memory.
+/// Where a [`StripeFeeder`] takes its bytes from.
+enum Source<R> {
+    /// Pulled from a reader, one stripe-sized block per stripe.
+    Reader(R),
+    /// One shared in-memory copy of the whole file, sliced by reference.
+    Shared(Bytes),
+}
+
+/// The put pipeline's stripe source: yields one stripe of up to `stripe_k`
+/// chunks (each `chunk_size` bytes, the final chunk possibly short) per
+/// call, as ref-counted [`Bytes`] slices that can move onto transfer-pool
+/// workers without copying. Over a [`Read`] it holds one stripe-sized
+/// block at a time, so multi-GB files upload at bounded memory; over a
+/// shared buffer ([`StripeFeeder::shared`]) it copies nothing at all.
 ///
 /// Chunk boundaries are **identical** to [`split`] over the concatenated
 /// source bytes — including the empty-source case, which yields exactly one
 /// stripe containing one empty chunk so every file keeps at least one
 /// addressable serial.
 pub struct StripeFeeder<R> {
-    reader: R,
+    source: Source<R>,
     chunk_size: usize,
     stripe_k: usize,
     bytes_read: u64,
@@ -92,8 +108,18 @@ pub struct StripeFeeder<R> {
 impl<R: Read> StripeFeeder<R> {
     /// Wraps `reader`; `chunk_size` and `stripe_k` are clamped to ≥ 1.
     pub fn new(reader: R, chunk_size: usize, stripe_k: usize) -> Self {
+        Self::over(Source::Reader(reader), chunk_size, stripe_k)
+    }
+
+    /// Stripes an in-memory file: every chunk is a slice of `data`'s one
+    /// allocation. `chunk_size` and `stripe_k` are clamped to ≥ 1.
+    pub fn shared(data: Bytes, chunk_size: usize, stripe_k: usize) -> Self {
+        Self::over(Source::Shared(data), chunk_size, stripe_k)
+    }
+
+    fn over(source: Source<R>, chunk_size: usize, stripe_k: usize) -> Self {
         StripeFeeder {
-            reader,
+            source,
             chunk_size: chunk_size.max(1),
             stripe_k: stripe_k.max(1),
             bytes_read: 0,
@@ -107,51 +133,38 @@ impl<R: Read> StripeFeeder<R> {
         self.bytes_read
     }
 
-    /// Reads one chunk, filling up to `chunk_size` bytes (short reads are
-    /// retried until the chunk is full or the source ends).
-    fn next_chunk(&mut self) -> std::io::Result<Option<Vec<u8>>> {
-        let mut chunk = vec![0u8; self.chunk_size];
-        let mut filled = 0;
-        while filled < chunk.len() {
-            let n = self.reader.read(&mut chunk[filled..])?;
-            if n == 0 {
-                self.eof = true;
-                break;
-            }
-            filled += n;
-        }
-        self.bytes_read += filled as u64;
-        if filled == 0 {
-            return Ok(None);
-        }
-        chunk.truncate(filled);
-        // Short tail: release the rounded-up slack so held stripes cost
-        // exactly their byte length (same invariant as `split`).
-        chunk.shrink_to_fit();
-        Ok(Some(chunk))
-    }
-
     /// Yields the next stripe, or `None` once the source is exhausted.
-    pub fn next_stripe(&mut self) -> std::io::Result<Option<Vec<Vec<u8>>>> {
+    pub fn next_stripe(&mut self) -> std::io::Result<Option<Vec<Bytes>>> {
         if self.eof {
             return Ok(None);
         }
-        let mut stripe = Vec::with_capacity(self.stripe_k);
-        while stripe.len() < self.stripe_k {
-            match self.next_chunk()? {
-                Some(c) => stripe.push(c),
-                None => break,
+        // The stripe's bytes as one block, short only at the source's end.
+        let want = self.stripe_k.saturating_mul(self.chunk_size);
+        let block = match &mut self.source {
+            Source::Reader(reader) => {
+                // `take` + `read_to_end` retries short reads until the block
+                // is full or the source ends, without zeroing the buffer.
+                let mut block = Vec::with_capacity(want);
+                reader.by_ref().take(want as u64).read_to_end(&mut block)?;
+                Bytes::from(block)
             }
-        }
-        if stripe.is_empty() {
+            Source::Shared(data) => {
+                let start = (self.bytes_read as usize).min(data.len());
+                data.slice(start..data.len().min(start.saturating_add(want)))
+            }
+        };
+        self.bytes_read += block.len() as u64;
+        self.eof = block.len() < want;
+        if block.is_empty() {
             // Empty source: one empty chunk, exactly once.
-            if !self.yielded_any {
-                self.yielded_any = true;
-                return Ok(Some(vec![Vec::new()]));
-            }
-            return Ok(None);
+            let first = !std::mem::replace(&mut self.yielded_any, true);
+            return Ok(first.then(|| vec![Bytes::new()]));
         }
         self.yielded_any = true;
+        let stripe = (0..block.len())
+            .step_by(self.chunk_size)
+            .map(|off| block.slice(off..block.len().min(off + self.chunk_size)))
+            .collect();
         Ok(Some(stripe))
     }
 }
@@ -296,6 +309,16 @@ mod tests {
         assert!(e[0].is_empty());
     }
 
+    /// Drains a feeder into owned chunks, checking no stripe overfills.
+    fn drain<R: Read>(feeder: &mut StripeFeeder<R>, k: usize) -> Vec<Vec<u8>> {
+        let mut got = Vec::new();
+        while let Some(stripe) = feeder.next_stripe().expect("in-memory read") {
+            assert!(stripe.len() <= k, "stripe overfilled");
+            got.extend(stripe.iter().map(|c| c.to_vec()));
+        }
+        got
+    }
+
     #[test]
     fn feeder_matches_split_boundaries() {
         let s = sched();
@@ -304,16 +327,18 @@ mod tests {
             for pl in PrivacyLevel::ALL {
                 for k in [1usize, 2, 3, 5] {
                     let expect = split(&data, pl, &s);
-                    let mut feeder = StripeFeeder::new(&data[..], s.size_for(pl), k);
-                    let mut got: Vec<Vec<u8>> = Vec::new();
-                    while let Some(stripe) = feeder.next_stripe().expect("in-memory read") {
-                        assert!(stripe.len() <= k, "stripe overfilled");
-                        got.extend(stripe);
+                    let mut reader = StripeFeeder::new(&data[..], s.size_for(pl), k);
+                    let mut shared = StripeFeeder::<&[u8]>::shared(
+                        Bytes::copy_from_slice(&data),
+                        s.size_for(pl),
+                        k,
+                    );
+                    for feeder in [&mut reader, &mut shared] {
+                        assert_eq!(drain(feeder, k), expect, "n={n} pl={pl} k={k}");
+                        assert_eq!(feeder.bytes_read(), n as u64);
+                        // Exhausted feeder stays exhausted.
+                        assert!(feeder.next_stripe().expect("eof").is_none());
                     }
-                    assert_eq!(got, expect, "n={n} pl={pl} k={k}");
-                    assert_eq!(feeder.bytes_read(), n as u64);
-                    // Exhausted feeder stays exhausted.
-                    assert!(feeder.next_stripe().expect("eof").is_none());
                 }
             }
         }
@@ -337,21 +362,22 @@ mod tests {
         let s = sched();
         let data: Vec<u8> = (0..25).map(|i| i as u8).collect();
         let mut feeder = StripeFeeder::new(OneByte(&data), s.size_for(PrivacyLevel::Low), 2);
-        let mut got = Vec::new();
-        while let Some(stripe) = feeder.next_stripe().expect("read") {
-            got.extend(stripe);
-        }
-        assert_eq!(got, split(&data, PrivacyLevel::Low, &s));
+        assert_eq!(drain(&mut feeder, 2), split(&data, PrivacyLevel::Low, &s));
     }
 
     #[test]
-    fn feeder_holds_exact_capacity_chunks() {
+    fn shared_feeder_slices_one_buffer() {
+        // Pointer identity: every chunk lies inside the one shared buffer.
         let s = sched();
-        let data = [9u8; 21]; // Low → 8-byte chunks, 5-byte tail
-        let mut feeder = StripeFeeder::new(&data[..], s.size_for(PrivacyLevel::Low), 4);
-        let stripe = feeder.next_stripe().expect("read").expect("stripe");
-        for c in &stripe {
-            assert_eq!(c.capacity(), c.len(), "feeder chunk over-allocated");
+        let buf = Bytes::from((0..37).map(|i| i as u8).collect::<Vec<u8>>());
+        let base = buf.as_ptr() as usize;
+        let mut feeder =
+            StripeFeeder::<&[u8]>::shared(buf.clone(), s.size_for(PrivacyLevel::Low), 3);
+        while let Some(stripe) = feeder.next_stripe().expect("in-memory") {
+            for c in &stripe {
+                let p = c.as_ptr() as usize;
+                assert!((base..base + buf.len()).contains(&p), "chunk was copied");
+            }
         }
     }
 

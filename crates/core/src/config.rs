@@ -156,15 +156,12 @@ pub struct DurabilityConfig {
     /// snapshot's shard layout.
     pub table_shards: usize,
     /// Worker threads in the distributor's persistent transfer pool
-    /// (shared by every [`Session`](crate::Session) on it); parallel gets
-    /// and pipelined-put encoding run on these. Must be in `1..=64`.
+    /// (shared by every [`Session`](crate::Session) on it); the put
+    /// pipeline's stripe encodes run on these, and it keeps at least this
+    /// many stripes in flight. `1` is the serial put. Provider state is
+    /// byte-identical at every width; this only changes wall-clock time.
+    /// Must be in `1..=64`.
     pub transfer_workers: usize,
-    /// Enables the pipelined put fast path: stripe encoding (mislead
-    /// injection + parity) runs on the transfer pool *before* the table
-    /// shard is locked, overlapping encodes across stripes and across
-    /// concurrent operations. Provider state is byte-identical either
-    /// way; this only changes wall-clock time.
-    pub pipelined_put: bool,
 }
 
 impl Default for DurabilityConfig {
@@ -174,7 +171,6 @@ impl Default for DurabilityConfig {
             checkpoint_interval: 16,
             table_shards: 4,
             transfer_workers: 4,
-            pipelined_put: true,
         }
     }
 }
@@ -201,12 +197,6 @@ impl DurabilityConfig {
     /// Sets the transfer-pool worker count.
     pub fn with_transfer_workers(mut self, workers: usize) -> Self {
         self.transfer_workers = workers;
-        self
-    }
-
-    /// Enables or disables the pipelined put fast path.
-    pub fn with_pipelined_put(mut self, pipelined: bool) -> Self {
-        self.pipelined_put = pipelined;
         self
     }
 
@@ -260,23 +250,10 @@ pub struct DistributorConfig {
     /// Durability and concurrency knobs: journal group commit, checkpoint
     /// interval, table sharding, transfer pool; see [`DurabilityConfig`].
     pub durability: DurabilityConfig,
-    /// Deprecated alias for
-    /// [`durability.transfer_workers`](DurabilityConfig::transfer_workers);
-    /// when set to a non-default value it still wins for one release.
-    #[deprecated(since = "0.6.0", note = "use `durability.transfer_workers`")]
-    pub transfer_workers: usize,
-    /// Deprecated alias for
-    /// [`durability.pipelined_put`](DurabilityConfig::pipelined_put); when
-    /// set to a non-default value it still wins for one release.
-    #[deprecated(since = "0.6.0", note = "use `durability.pipelined_put`")]
-    pub pipelined_put: bool,
 }
 
 impl Default for DistributorConfig {
     fn default() -> Self {
-        // fraglint: allow(no-deprecated-string-api) — the one-release
-        // compat shim must still initialize its own deprecated fields.
-        #[allow(deprecated)]
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::paper_default(),
             stripe_width: 4,
@@ -287,8 +264,6 @@ impl Default for DistributorConfig {
             seed: 0x0D15_7B17,
             resilience: ResilienceConfig::default(),
             durability: DurabilityConfig::default(),
-            transfer_workers: 4,
-            pipelined_put: true,
         }
     }
 }
@@ -302,34 +277,6 @@ impl DistributorConfig {
         match &self.geometry {
             Some(s) => s.for_pl(pl),
             None => Geometry::new(self.stripe_width, self.raid_level.parity_shards()),
-        }
-    }
-
-    /// Transfer-pool width after resolving the one-release compat shim: a
-    /// deprecated `transfer_workers` set away from its old default (4)
-    /// wins; otherwise [`DurabilityConfig::transfer_workers`] applies.
-    pub fn effective_transfer_workers(&self) -> usize {
-        // fraglint: allow(no-deprecated-string-api) — reads the deprecated
-        // field to honor old callers during the one-release shim window.
-        #[allow(deprecated)]
-        if self.transfer_workers != 4 {
-            self.transfer_workers
-        } else {
-            self.durability.transfer_workers
-        }
-    }
-
-    /// Pipelined-put switch after resolving the one-release compat shim: a
-    /// deprecated `pipelined_put` set away from its old default (true)
-    /// wins; otherwise [`DurabilityConfig::pipelined_put`] applies.
-    pub fn effective_pipelined_put(&self) -> bool {
-        // fraglint: allow(no-deprecated-string-api) — reads the deprecated
-        // field to honor old callers during the one-release shim window.
-        #[allow(deprecated)]
-        if !self.pipelined_put {
-            false
-        } else {
-            self.durability.pipelined_put
         }
     }
 
@@ -349,9 +296,6 @@ impl DistributorConfig {
         crate::mislead::validate_rate(self.mislead_rate)?;
         if !self.chunk_sizes.sizes.iter().all(|&s| s > 0) {
             return fail("chunk sizes must be positive");
-        }
-        if !(1..=64).contains(&self.effective_transfer_workers()) {
-            return fail("transfer_workers must be in 1..=64");
         }
         if let Some(schedule) = &self.geometry {
             schedule.validate()?;
@@ -395,6 +339,10 @@ mod tests {
         assert_eq!(c.raid_level, RaidLevel::Raid5);
         assert_eq!(c.placement, PlacementStrategy::CheapestEligible);
         assert_eq!(c.mislead_rate, 0.0);
+        assert_eq!(c.durability.transfer_workers, 4);
+        assert_eq!(c.durability.checkpoint_interval, 16);
+        assert_eq!(c.durability.table_shards, 4);
+        assert_eq!(c.durability.group_commit_window, Duration::ZERO);
     }
 
     #[test]
@@ -454,12 +402,11 @@ mod tests {
         DistributorConfig {
             durability: DurabilityConfig::default()
                 .with_transfer_workers(1)
-                .with_pipelined_put(false)
                 .with_table_shards(1),
             ..Default::default()
         }
         .validate()
-        .expect("1 worker, 1 shard, serial put is valid");
+        .expect("1 worker (the serial put), 1 shard is valid");
     }
 
     #[test]
@@ -501,36 +448,5 @@ mod tests {
         };
         let err = c.validate().expect_err("zero data shards");
         assert!(err.to_string().contains("geometry"));
-    }
-
-    #[test]
-    fn deprecated_knobs_still_win_when_explicitly_set() {
-        // One-release shim: an old caller writing the loose fields gets the
-        // old behavior; new callers drive everything through `durability`.
-        // fraglint: allow(no-deprecated-string-api) — shim regression test.
-        #[allow(deprecated)]
-        let old_style = DistributorConfig {
-            transfer_workers: 2,
-            pipelined_put: false,
-            ..Default::default()
-        };
-        assert_eq!(old_style.effective_transfer_workers(), 2);
-        assert!(!old_style.effective_pipelined_put());
-
-        let new_style = DistributorConfig {
-            durability: DurabilityConfig::default()
-                .with_transfer_workers(8)
-                .with_pipelined_put(false),
-            ..Default::default()
-        };
-        assert_eq!(new_style.effective_transfer_workers(), 8);
-        assert!(!new_style.effective_pipelined_put());
-
-        let defaults = DistributorConfig::default();
-        assert_eq!(defaults.effective_transfer_workers(), 4);
-        assert!(defaults.effective_pipelined_put());
-        assert_eq!(defaults.durability.checkpoint_interval, 16);
-        assert_eq!(defaults.durability.table_shards, 4);
-        assert_eq!(defaults.durability.group_commit_window, Duration::ZERO);
     }
 }

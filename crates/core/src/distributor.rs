@@ -164,23 +164,19 @@ struct ChunkFetch {
     retries: u64,
 }
 
-/// Pairs pre-allocated virtual ids with their logical chunks (any byte
-/// container) and packs them into stripe groups of `k_max`, preserving
-/// chunk order. The vid sequence is fixed by the caller, so the grouping
-/// itself cannot perturb provider state.
-fn group_chunks<B>(vids: &[VirtualId], chunks: Vec<B>, k_max: usize) -> Vec<Vec<(VirtualId, B)>> {
-    debug_assert_eq!(vids.len(), chunks.len());
-    let k_max = k_max.max(1);
-    let mut groups = Vec::with_capacity(chunks.len().div_ceil(k_max));
-    let mut it = vids.iter().copied().zip(chunks);
-    loop {
-        let g: Vec<_> = it.by_ref().take(k_max).collect();
-        if g.is_empty() {
-            break;
-        }
-        groups.push(g);
-    }
-    groups
+/// Minimum source bytes the put pipeline keeps in flight (read but not yet
+/// stored), however small the stripes: the window is this many bytes or
+/// [`transfer_workers`](crate::config::DurabilityConfig::transfer_workers)
+/// stripes, whichever is more. A constant, not a knob — it only has to be
+/// large enough that pool workers never wait on the storing thread.
+pub const PUT_WINDOW_BYTES: usize = 1 << 20;
+
+/// Where the put pipeline reads a file from.
+enum PutSource<'a> {
+    /// The caller's whole-file buffer (`put_file`).
+    Buffer(&'a [u8]),
+    /// A reader of declared length (`put_stream`).
+    Stream(&'a mut dyn std::io::Read),
 }
 
 /// Deferred parity writes computed by `plan_parity`.
@@ -221,8 +217,8 @@ pub struct CloudDataDistributor {
     /// shared distributor.
     telemetry: RwLock<TelemetryHandle>,
     /// Persistent transfer pool shared by every [`crate::Session`] on this
-    /// distributor, created lazily on the first parallel get or pipelined
-    /// put (so purely serial workloads never spawn a thread).
+    /// distributor, created lazily on the first multi-stripe put (so
+    /// single-stripe workloads never spawn a thread).
     pool: OnceLock<TransferPool>,
     /// Optional write-ahead op journal (see [`Self::attach_journal`]).
     /// Behind its own lock, never the table lock: journal records are
@@ -259,8 +255,8 @@ struct DirtyRows {
 }
 
 /// One stripe's worth of encoded shards, produced by
-/// [`CloudDataDistributor::encode_stripe_group`] either inline (serial
-/// put) or on a transfer-pool worker (pipelined put).
+/// [`CloudDataDistributor::encode_stripe_group`] either inline (a
+/// single-stripe put) or on a transfer-pool worker.
 struct EncodedGroup {
     /// Per data chunk: virtual id, stored bytes (mislead-injected),
     /// mislead positions, logical length.
@@ -273,14 +269,33 @@ struct EncodedGroup {
     parity: Vec<Vec<u8>>,
 }
 
-/// Mutable accumulators threaded through
-/// [`CloudDataDistributor::store_stripe`] — the pieces of the final
-/// [`PutReceipt`] and table bookkeeping that grow stripe by stripe.
-struct PutProgress {
+/// One put as [`CloudDataDistributor::store_stripe`] sees it: the plan
+/// resolved once per put, then the pieces of the final [`PutReceipt`] and
+/// table bookkeeping that grow stripe by stripe.
+struct PutProgress<'a> {
+    shard: usize,
+    pl: PrivacyLevel,
+    raid: RaidLevel,
+    k_max: usize,
+    replicas: usize,
+    jctx: &'a Option<JournalCtx>,
     chunk_indices: Vec<usize>,
     stripe_ids: Vec<usize>,
     bytes_stored: usize,
     per_provider_time: Vec<Duration>,
+}
+
+/// One stripe's degraded-write bookkeeping, threaded through
+/// [`CloudDataDistributor::store_slot`].
+struct StripeSlots<'a> {
+    /// Intended provider per shard slot.
+    placement: &'a [usize],
+    /// Provider actually hosting each slot so far.
+    hosting: Vec<usize>,
+    /// Slots whose shard could not land anywhere.
+    missing: usize,
+    /// Missing slots the stripe's parity still covers.
+    tolerance: usize,
 }
 
 impl CloudDataDistributor {
@@ -418,14 +433,14 @@ impl CloudDataDistributor {
     }
 
     /// The shared transfer pool, created on first use with
-    /// [`DurabilityConfig::transfer_workers`] worker threads. Parallel
-    /// gets and pipelined puts run their overlappable stages here instead
-    /// of spawning fresh threads per call.
+    /// [`DurabilityConfig::transfer_workers`] worker threads. Multi-stripe
+    /// puts run their stripe encodes here instead of spawning fresh
+    /// threads per call.
     ///
     /// [`DurabilityConfig::transfer_workers`]: crate::config::DurabilityConfig::transfer_workers
     pub fn transfer_pool(&self) -> &TransferPool {
         self.pool
-            .get_or_init(|| TransferPool::new(self.config.effective_transfer_workers()))
+            .get_or_init(|| TransferPool::new(self.config.durability.transfer_workers))
     }
 
     /// The current telemetry handle (a cheap clone; disabled by default).
@@ -850,23 +865,70 @@ impl CloudDataDistributor {
         opts: PutOptions,
     ) -> Result<PutReceipt> {
         let jctx = self.journal_begin(OpKind::Put, client, filename);
-        let res = self.put_file_inner(client, password, filename, data, pl, opts, &jctx);
+        let source = PutSource::Buffer(data);
+        let res =
+            self.put_pipeline(client, password, filename, source, data.len(), pl, opts, &jctx);
         self.journal_finish(jctx, res)
     }
 
+    /// Streaming upload: the same pipeline as
+    /// [`put_file`](crate::session::Session::put_file), fed from a
+    /// [`Read`](std::io::Read) of declared length `len`, so peak memory is
+    /// bounded by the pipeline window instead of the file size.
+    ///
+    /// A source that produces more or fewer bytes than `len` fails the put
+    /// with [`CoreError::StreamLengthMismatch`]; the journal rolls the
+    /// partial upload back like any other failed operation.
     #[allow(clippy::too_many_arguments)]
-    fn put_file_inner(
+    pub(crate) fn put_stream_impl(
         &self,
         client: &str,
         password: &str,
         filename: &str,
-        data: &[u8],
+        reader: &mut dyn std::io::Read,
+        len: usize,
+        pl: PrivacyLevel,
+        opts: PutOptions,
+    ) -> Result<PutReceipt> {
+        let jctx = self.journal_begin(OpKind::Put, client, filename);
+        let source = PutSource::Stream(reader);
+        let res = self.put_pipeline(client, password, filename, source, len, pl, opts, &jctx);
+        self.journal_finish(jctx, res)
+    }
+
+    /// The one upload path (§VI `split` → assign virtual ids → stripe →
+    /// place): authorize, resolve geometry, allocate the data vids, then a
+    /// single windowed loop — refill the window from the stripe source,
+    /// encode on the transfer pool, consume in stripe order, store — and
+    /// commit the file row.
+    ///
+    /// Provider state is a function of the inputs alone, whatever the
+    /// source, the worker count or the order encodes finish in: virtual
+    /// ids are allocated upfront from the declared chunk count,
+    /// [`chunker::StripeFeeder`] reproduces [`chunker::split`]'s boundaries,
+    /// stripe encode is a pure function of ⟨chunk, rate, seed ⊕ vid⟩, and
+    /// stores run in stripe order on this thread (placement rng draws and
+    /// parity/replica vid allocations therefore interleave identically).
+    #[allow(clippy::too_many_arguments)]
+    fn put_pipeline(
+        &self,
+        client: &str,
+        password: &str,
+        filename: &str,
+        source: PutSource<'_>,
+        len: usize,
         pl: PrivacyLevel,
         opts: PutOptions,
         jctx: &Option<JournalCtx>,
     ) -> Result<PutReceipt> {
         let tel = self.telemetry();
-        let _op = span!(tel, "put", file = filename, pl = pl);
+        let streaming = matches!(source, PutSource::Stream(_));
+        let _op = span!(
+            tel,
+            if streaming { "put_stream" } else { "put" },
+            file = filename,
+            pl = pl
+        );
         let shard = self.shard_for(client, filename);
 
         // Phase A (shard read lock): authorize + duplicate pre-check.
@@ -898,267 +960,11 @@ impl CloudDataDistributor {
         let rate = opts.mislead_rate.unwrap_or(self.config.mislead_rate);
         mislead::validate_rate(rate)?;
 
-        // Phase B (no lock): fragment, allocate ids, encode.
-        // 1. Chunk geometry only — no chunk bytes are materialized here.
-        //    Both put paths below walk the caller's buffer zero-copy: the
-        //    serial path through borrowed slices, the pipelined path
-        //    through ref-counted `Bytes` slices of one shared buffer.
-        let chunk_count = chunker::chunk_count(data.len(), pl, &self.config.chunk_sizes);
-
-        // 2. Allocate virtual ids upfront, in chunk order — identical ids
-        // regardless of which thread later encodes the stripe, so the
-        // serial, pipelined, and streaming paths write byte-identical
-        // provider state.
-        let data_vids: Vec<VirtualId> = (0..chunk_count).map(|_| self.vids.allocate()).collect();
-        // Intent is durable before any provider sees a byte: from here on
-        // a crash leaves only objects the journal can enumerate.
-        self.journal_alloc(jctx, &data_vids);
-        self.crash_point()?;
-
-        // 3. Stripe shape.
-        let k_max = geo.data.max(1);
-        let n_groups = chunk_count.div_ceil(k_max);
-
-        let mut progress = PutProgress {
-            chunk_indices: Vec::with_capacity(chunk_count),
-            stripe_ids: Vec::new(),
-            bytes_stored: 0,
-            per_provider_time: vec![Duration::ZERO; fleet_size],
-        };
-
-        // Phase C (shard write lock): provider stores + table pushes, in
-        // stripe order. Only this file's shard is locked — puts routed to
-        // other shards proceed concurrently, and encode work (pipelined
-        // path) runs on pool workers without any lock.
-        let mut st = self.shard_write(shard);
-        // Re-check under the write lock: a racing put may have created
-        // the file between phase A and now. Losing the race wastes only
-        // encode work — nothing has been uploaded yet.
-        if st.client(client)?.files.contains_key(filename) {
-            return Err(CoreError::FileExists(filename.to_string()));
-        }
-        let st = &mut *st;
-
-        if self.config.effective_pipelined_put() && n_groups >= 2 {
-            // Pipelined put: stripe encoding (mislead injection + parity)
-            // runs on transfer-pool workers while the caller uploads the
-            // previous stripe, so encode of stripe N overlaps store of
-            // stripe N-1. All provider interaction and table mutation stay
-            // on this thread, in exact serial order.
-            //
-            // Chunks cross to the workers as ref-counted `Bytes` slices of
-            // one shared copy of the file — no per-chunk copies.
-            tel.incr("puts_pipelined");
-            let file_bytes = Bytes::copy_from_slice(data);
-            let logical = chunker::split_shared(&file_bytes, pl, &self.config.chunk_sizes);
-            let groups = group_chunks(&data_vids, logical, k_max);
-            let pool = self.transfer_pool();
-            let (res_tx, res_rx) = crossbeam::channel::unbounded::<(
-                usize,
-                std::result::Result<EncodedGroup, fragcloud_raid::RaidError>,
-            )>();
-            // Shard-buffer recycling: stored stripes send their parity
-            // buffers back for later encode tasks to reuse.
-            let (recycle_tx, recycle_rx) = crossbeam::channel::unbounded::<Vec<Vec<u8>>>();
-            let seed = self.config.seed;
-            for (stripe_no, group) in groups.into_iter().enumerate() {
-                let res_tx = res_tx.clone();
-                let recycle_rx = recycle_rx.clone();
-                let wtel = tel.clone();
-                pool.submit_observed(&tel, move || {
-                    let scratch = recycle_rx.try_recv().unwrap_or_default();
-                    let enc = wtel.time("stripe_encode_ns", || {
-                        Self::encode_stripe_group(group, rate, seed, raid, scratch)
-                    });
-                    let _ = res_tx.send((stripe_no, enc));
-                });
-            }
-            drop(res_tx);
-
-            // Consume in stripe order; workers finish in any order, so
-            // buffer out-of-order arrivals.
-            let mut pending: BTreeMap<
-                usize,
-                std::result::Result<EncodedGroup, fragcloud_raid::RaidError>,
-            > = BTreeMap::new();
-            for next in 0..n_groups {
-                let enc = loop {
-                    if let Some(e) = pending.remove(&next) {
-                        break e;
-                    }
-                    match res_rx.recv() {
-                        Ok((no, e)) if no == next => break e,
-                        Ok((no, e)) => {
-                            pending.insert(no, e);
-                        }
-                        // Every sender gone before our stripe arrived: an
-                        // encode task panicked and was swallowed by the
-                        // pool. Surface it instead of hanging.
-                        // fraglint: allow(no-unwrap-in-lib) — re-raises a
-                        // worker panic; there is no Result to return it in.
-                        Err(_) => panic!("pipelined-put encode task panicked"),
-                    }
-                }?;
-                if raid != RaidLevel::None {
-                    tel.incr("stripe_encodes");
-                }
-                let recycled = tel.time("stripe_store_ns", || {
-                    self.store_stripe(
-                        st,
-                        shard,
-                        pl,
-                        &opts,
-                        raid,
-                        k_max,
-                        next,
-                        enc,
-                        jctx,
-                        &mut progress,
-                    )
-                })?;
-                let _ = recycle_tx.send(recycled);
-            }
-        } else {
-            // Serial put: encode on the caller thread, reading chunk bytes
-            // straight out of the caller's buffer (borrowed, zero-copy).
-            let logical = chunker::split_borrowed(data, pl, &self.config.chunk_sizes);
-            let groups = group_chunks(&data_vids, logical, k_max);
-            for (stripe_no, group) in groups.into_iter().enumerate() {
-                let enc = tel.time("stripe_encode_ns", || {
-                    Self::encode_stripe_group(group, rate, self.config.seed, raid, Vec::new())
-                })?;
-                if raid != RaidLevel::None {
-                    tel.incr("stripe_encodes");
-                }
-                tel.time("stripe_store_ns", || {
-                    self.store_stripe(
-                        st,
-                        shard,
-                        pl,
-                        &opts,
-                        raid,
-                        k_max,
-                        stripe_no,
-                        enc,
-                        jctx,
-                        &mut progress,
-                    )
-                })?;
-            }
-        }
-
-        let PutProgress {
-            chunk_indices,
-            stripe_ids,
-            bytes_stored,
-            per_provider_time,
-        } = progress;
-        let stripe_count = stripe_ids.len();
-        let entry = st.client_mut(client)?;
-        entry.files.insert(
-            filename.to_string(),
-            FileEntry {
-                pl,
-                chunk_indices,
-                stripe_ids,
-                total_len: data.len(),
-            },
-        );
-        self.touch_file(jctx, shard, client, filename);
-
-        // Last crash window: tables updated, commit record not yet
-        // written — recovery must roll the whole put back.
-        self.crash_point()?;
-
-        let sim_time = per_provider_time.into_iter().max().unwrap_or_default();
-        tel.incr("puts_total");
-        tel.add("put_bytes", data.len() as u64);
-        tel.add("put_chunks", chunk_count as u64);
-        tel.observe_micros("put_sim_us", sim_time);
-        Ok(PutReceipt {
-            chunk_count,
-            stripe_count,
-            bytes_stored,
-            sim_time,
-            peak_buffer_bytes: data.len(),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn put_stream_impl(
-        &self,
-        client: &str,
-        password: &str,
-        filename: &str,
-        reader: &mut dyn std::io::Read,
-        len: usize,
-        pl: PrivacyLevel,
-        opts: PutOptions,
-    ) -> Result<PutReceipt> {
-        let jctx = self.journal_begin(OpKind::Put, client, filename);
-        let res = self.put_stream_inner(client, password, filename, reader, len, pl, opts, &jctx);
-        self.journal_finish(jctx, res)
-    }
-
-    /// Streaming upload: identical provider state to the buffered
-    /// [`put_file`](crate::session::Session::put_file), but the source is a
-    /// [`Read`](std::io::Read) of declared length `len` and peak memory is
-    /// bounded by the pipeline window instead of the file size.
-    ///
-    /// Byte-identity with the buffered path holds because every input to
-    /// provider state is position-determined, not path-determined: virtual
-    /// ids are allocated upfront from the declared chunk count (same
-    /// sequence as the buffered path), [`chunker::StripeFeeder`] reproduces
-    /// [`chunker::split`]'s chunk boundaries exactly, stripe encode is a
-    /// pure function of ⟨chunk, rate, seed ⊕ vid⟩, and stores run in
-    /// stripe order on this thread (placement rng draws and parity/replica
-    /// vid allocations therefore interleave identically).
-    ///
-    /// A source that produces more or fewer bytes than `len` fails the put
-    /// with [`CoreError::StreamLengthMismatch`]; the journal rolls the
-    /// partial upload back like any other failed operation.
-    #[allow(clippy::too_many_arguments)]
-    fn put_stream_inner(
-        &self,
-        client: &str,
-        password: &str,
-        filename: &str,
-        reader: &mut dyn std::io::Read,
-        len: usize,
-        pl: PrivacyLevel,
-        opts: PutOptions,
-        jctx: &Option<JournalCtx>,
-    ) -> Result<PutReceipt> {
-        let tel = self.telemetry();
-        let _op = span!(tel, "put_stream", file = filename, pl = pl);
-        let shard = self.shard_for(client, filename);
-
-        // Phase A (shard read lock): authorize + duplicate pre-check.
-        let fleet_size = {
-            let st = self.shard_read(shard);
-            access::authorize(st.client(client)?, password, pl)?;
-            if st.client(client)?.files.contains_key(filename) {
-                return Err(CoreError::FileExists(filename.to_string()));
-            }
-            st.providers.len()
-        };
-
-        // Geometry resolution: same precedence as the buffered path.
-        let geo = match (opts.geometry, opts.raid_level) {
-            (Some(g), _) => g,
-            (None, Some(level)) => {
-                Geometry::new(self.config.geometry_for(pl).data, level.parity_shards())
-            }
-            (None, None) => self.config.geometry_for(pl),
-        };
-        geo.validate()?;
-        let raid = geo.level();
-        let rate = opts.mislead_rate.unwrap_or(self.config.mislead_rate);
-        mislead::validate_rate(rate)?;
-
-        // Phase B (no lock): derive the chunk plan from the *declared*
-        // length and allocate every data vid upfront — the exact sequence
-        // the buffered path would allocate. No chunk bytes are read yet.
+        // Phase B (no lock): derive the chunk plan from the declared
+        // length and allocate every data vid upfront, in chunk order — no
+        // chunk bytes are read yet. Intent is durable before any provider
+        // sees a byte: from here on a crash leaves only objects the
+        // journal can enumerate.
         let chunk_size = self.config.chunk_sizes.size_for(pl);
         let chunk_count = chunker::chunk_count(len, pl, &self.config.chunk_sizes);
         let data_vids: Vec<VirtualId> = (0..chunk_count).map(|_| self.vids.allocate()).collect();
@@ -1167,212 +973,186 @@ impl CloudDataDistributor {
 
         let k_max = geo.data.max(1);
         let n_groups = chunk_count.div_ceil(k_max);
+        // Stripes in flight (read but not yet stored). Sized in bytes, not
+        // stripes: at PL3 a stripe is 16 KiB and encodes faster than one
+        // pool round trip, so a window of `transfer_workers` stripes
+        // starves the workers (see DESIGN.md §5c).
+        let stripe_bytes = chunk_size.saturating_mul(k_max).max(1);
+        let window = self
+            .config
+            .durability
+            .transfer_workers
+            .max(PUT_WINDOW_BYTES.div_ceil(stripe_bytes));
+        let mismatch = |read: u64| CoreError::StreamLengthMismatch {
+            declared: len as u64,
+            read,
+        };
         let io_err = |e: std::io::Error| CoreError::StreamIo { why: e.to_string() };
 
-        let mut feeder = chunker::StripeFeeder::new(reader, chunk_size, k_max);
         let mut progress = PutProgress {
+            shard,
+            pl,
+            raid,
+            k_max,
+            replicas: opts.replicas,
+            jctx,
             chunk_indices: Vec::with_capacity(chunk_count),
             stripe_ids: Vec::new(),
             bytes_stored: 0,
             per_provider_time: vec![Duration::ZERO; fleet_size],
         };
-        // Explicit buffer accounting: logical bytes of every stripe group
-        // between its read-from-source and the completion of its store.
+        // Explicit buffer accounting: a stripe's logical bytes are in
+        // flight from its read-from-source to the completion of its store.
         // This brackets the lifetime of both the raw chunk buffers and the
         // encoded copies derived from them.
-        let mut in_flight_bytes = 0usize;
-        let mut peak_buffer_bytes = 0usize;
-        let mut chunk_cursor = 0usize;
+        let mut stored_logical_bytes = 0usize;
+        let mut peak_in_flight_bytes = 0usize;
+        let mut submitted = 0usize;
+        let mut pending: BTreeMap<usize, Result<EncodedGroup>> = BTreeMap::new();
 
-        // Phase C (shard write lock): encode + store, stripe order.
+        let seed = self.config.seed;
+        let encode = move |group, scratch, tel: &TelemetryHandle| {
+            tel.time("stripe_encode_ns", || {
+                Self::encode_stripe_group(group, rate, seed, raid, scratch)
+            })
+        };
+        // A single stripe is encoded inline; anything longer overlaps
+        // encode of stripe N+1.. with the store of stripe N on the pool.
+        // Stored stripes send their parity buffers back for later encode
+        // tasks to reuse.
+        let pool = (n_groups > 1).then(|| self.transfer_pool());
+        let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Result<EncodedGroup>)>();
+        let (recycle_tx, recycle_rx) = crossbeam::channel::unbounded::<Vec<Vec<u8>>>();
+
+        // Phase C (shard write lock): provider stores + table pushes, in
+        // stripe order. Only this file's shard is locked — puts routed to
+        // other shards proceed concurrently, and encode work runs on pool
+        // workers without any lock.
         let mut st = self.shard_write(shard);
+        // Re-check under the write lock: a racing put may have created
+        // the file between phase A and now. Nothing has been uploaded yet.
         if st.client(client)?.files.contains_key(filename) {
             return Err(CoreError::FileExists(filename.to_string()));
         }
         let st = &mut *st;
 
-        if self.config.effective_pipelined_put() && n_groups >= 2 {
-            // Windowed pipeline: at most `window` stripes are in flight
-            // (read but not yet stored), so peak memory is bounded by the
-            // window — not the file. Reads and submissions happen on this
-            // thread, interleaved with the in-order stores.
-            tel.incr("puts_pipelined");
-            tel.incr("puts_streaming");
-            let pool = self.transfer_pool();
-            let window = self.config.effective_transfer_workers().max(1);
-            let (res_tx, res_rx) = crossbeam::channel::unbounded::<(
-                usize,
-                std::result::Result<EncodedGroup, fragcloud_raid::RaidError>,
-            )>();
-            let (recycle_tx, recycle_rx) = crossbeam::channel::unbounded::<Vec<Vec<u8>>>();
-            let seed = self.config.seed;
-            let mut res_tx = Some(res_tx);
-            let mut submitted = 0usize;
-            let mut group_bytes: BTreeMap<usize, usize> = BTreeMap::new();
-            let mut pending: BTreeMap<
-                usize,
-                std::result::Result<EncodedGroup, fragcloud_raid::RaidError>,
-            > = BTreeMap::new();
-
-            for next in 0..n_groups {
-                // Refill the window (primes it on the first iteration).
-                while submitted < n_groups && submitted < next + window {
-                    let Some(stripe) = feeder.next_stripe().map_err(io_err)? else {
-                        return Err(CoreError::StreamLengthMismatch {
-                            declared: len as u64,
-                            read: feeder.bytes_read(),
-                        });
-                    };
-                    let sbytes: usize = stripe.iter().map(Vec::len).sum();
-                    in_flight_bytes += sbytes;
-                    peak_buffer_bytes = peak_buffer_bytes.max(in_flight_bytes);
-                    group_bytes.insert(submitted, sbytes);
-                    let vids = &data_vids[chunk_cursor..chunk_cursor + stripe.len()];
-                    chunk_cursor += stripe.len();
-                    let group: Vec<(VirtualId, Vec<u8>)> =
-                        vids.iter().copied().zip(stripe).collect();
-                    let tx = res_tx.clone().expect("sender alive while submitting"); // fraglint: allow(no-unwrap-in-lib)
-                    let recycle_rx = recycle_rx.clone();
-                    let wtel = tel.clone();
-                    let stripe_no = submitted;
-                    pool.submit_observed(&tel, move || {
-                        // A panicking encode must still send — the caller
-                        // holds a sender of its own while the stream is
-                        // live, so channel disconnect cannot signal it.
-                        let enc = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let scratch = recycle_rx.try_recv().unwrap_or_default();
-                            wtel.time("stripe_encode_ns", || {
-                                Self::encode_stripe_group(group, rate, seed, raid, scratch)
-                            })
-                        }))
-                        .unwrap_or_else(|_| {
-                            Err(fragcloud_raid::RaidError::BadGeometry {
-                                detail: "stripe encode task panicked".to_string(),
-                            })
-                        });
-                        let _ = tx.send((stripe_no, enc));
-                    });
-                    submitted += 1;
-                }
-                if submitted == n_groups {
-                    res_tx = None; // all submissions done; allow disconnect
-                }
-
-                // Consume stripe `next`, buffering out-of-order arrivals.
-                let enc = loop {
-                    if let Some(e) = pending.remove(&next) {
-                        break e;
-                    }
-                    match res_rx.recv() {
-                        Ok((no, e)) if no == next => break e,
-                        Ok((no, e)) => {
-                            pending.insert(no, e);
-                        }
-                        // fraglint: allow(no-unwrap-in-lib) — re-raises a
-                        // worker panic; there is no Result to return it in.
-                        Err(_) => panic!("streaming-put encode task panicked"),
-                    }
-                }?;
-                if raid != RaidLevel::None {
-                    tel.incr("stripe_encodes");
-                }
-                let recycled = tel.time("stripe_store_ns", || {
-                    self.store_stripe(
-                        st,
-                        shard,
-                        pl,
-                        &opts,
-                        raid,
-                        k_max,
-                        next,
-                        enc,
-                        jctx,
-                        &mut progress,
-                    )
-                })?;
-                let _ = recycle_tx.send(recycled);
-                in_flight_bytes -= group_bytes.remove(&next).unwrap_or(0);
+        // The stripe source is opened under the lock, as the buffered path
+        // always did: the shared copy of an 8 MiB buffer takes ~1 ms, and
+        // with it outside the lock a concurrent reader's throughput hangs
+        // on how many gets fit into that gap (DESIGN.md §5c, "Lock scope").
+        let mut feeder = match source {
+            // One shared copy of the caller's buffer; every chunk crosses
+            // to the workers as a ref-counted slice of it.
+            PutSource::Buffer(data) => {
+                chunker::StripeFeeder::shared(Bytes::copy_from_slice(data), chunk_size, k_max)
             }
-        } else {
-            // Serial streaming: one stripe resident at a time.
-            tel.incr("puts_streaming");
-            for stripe_no in 0..n_groups {
-                let Some(stripe) = feeder.next_stripe().map_err(io_err)? else {
-                    return Err(CoreError::StreamLengthMismatch {
-                        declared: len as u64,
-                        read: feeder.bytes_read(),
-                    });
-                };
-                let sbytes: usize = stripe.iter().map(Vec::len).sum();
-                peak_buffer_bytes = peak_buffer_bytes.max(sbytes);
-                let vids = &data_vids[chunk_cursor..chunk_cursor + stripe.len()];
-                chunk_cursor += stripe.len();
-                let group: Vec<(VirtualId, Vec<u8>)> = vids.iter().copied().zip(stripe).collect();
-                let enc = tel.time("stripe_encode_ns", || {
-                    Self::encode_stripe_group(group, rate, self.config.seed, raid, Vec::new())
-                })?;
-                if raid != RaidLevel::None {
-                    tel.incr("stripe_encodes");
+            PutSource::Stream(reader) => chunker::StripeFeeder::new(reader, chunk_size, k_max),
+        };
+
+        for next in 0..n_groups {
+            // Refill the window (primes it on the first iteration). Reads
+            // and submissions happen on this thread, interleaved with the
+            // in-order stores.
+            while submitted < n_groups && submitted < next + window {
+                let stripe = feeder
+                    .next_stripe()
+                    .map_err(io_err)?
+                    .ok_or_else(|| mismatch(feeder.bytes_read()))?;
+                // Every stripe before the source's last is full, so stripe
+                // `submitted` starts at chunk `submitted * k_max`.
+                let first = submitted * k_max;
+                let vids = data_vids
+                    .get(first..first + stripe.len())
+                    .ok_or_else(|| mismatch(feeder.bytes_read()))?;
+                let in_flight_bytes = feeder.bytes_read() as usize - stored_logical_bytes;
+                peak_in_flight_bytes = peak_in_flight_bytes.max(in_flight_bytes);
+                let group: Vec<(VirtualId, Bytes)> = vids.iter().copied().zip(stripe).collect();
+                let stripe_no = submitted;
+                match pool {
+                    None => {
+                        pending.insert(stripe_no, encode(group, Vec::new(), &tel));
+                    }
+                    Some(pool) => {
+                        let (res_tx, recycle_rx) = (res_tx.clone(), recycle_rx.clone());
+                        let wtel = tel.clone();
+                        pool.submit_observed(&tel, move || {
+                            // A panicking encode must still send — the
+                            // caller holds a sender of its own, so channel
+                            // disconnect cannot signal it.
+                            let enc = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                let scratch = recycle_rx.try_recv().unwrap_or_default();
+                                encode(group, scratch, &wtel)
+                            }))
+                            .unwrap_or(Err(CoreError::EncodeTaskPanicked));
+                            let _ = res_tx.send((stripe_no, enc));
+                        });
+                    }
                 }
-                tel.time("stripe_store_ns", || {
-                    self.store_stripe(
-                        st,
-                        shard,
-                        pl,
-                        &opts,
-                        raid,
-                        k_max,
-                        stripe_no,
-                        enc,
-                        jctx,
-                        &mut progress,
-                    )
-                })?;
+                submitted += 1;
             }
+
+            // Consume stripe `next`; workers finish in any order, so
+            // buffer out-of-order arrivals. (An inline encode is already
+            // pending, so only pool results are ever waited for.)
+            let enc = loop {
+                if let Some(e) = pending.remove(&next) {
+                    break e;
+                }
+                let (no, e) = res_rx.recv().map_err(|_| CoreError::EncodeTaskPanicked)?;
+                pending.insert(no, e);
+            }?;
+            if raid != RaidLevel::None {
+                tel.incr("stripe_encodes");
+            }
+            let logical_bytes: usize = enc.chunks.iter().map(|c| c.3).sum();
+            let recycled = tel.time("stripe_store_ns", || {
+                self.store_stripe(st, &mut progress, next, enc)
+            })?;
+            let _ = recycle_tx.send(recycled);
+            stored_logical_bytes += logical_bytes;
         }
 
-        // The source must be exactly `len` bytes: drained in full (no
-        // trailing stripe) and chunk-complete.
-        if feeder.bytes_read() != len as u64
-            || chunk_cursor != chunk_count
-            || feeder.next_stripe().map_err(io_err)?.is_some()
-        {
-            return Err(CoreError::StreamLengthMismatch {
-                declared: len as u64,
-                read: feeder.bytes_read(),
-            });
+        // The source must be exactly `len` bytes, drained in full (no
+        // trailing stripe).
+        if feeder.bytes_read() != len as u64 || feeder.next_stripe().map_err(io_err)?.is_some() {
+            return Err(mismatch(feeder.bytes_read()));
         }
 
-        let PutProgress {
-            chunk_indices,
-            stripe_ids,
-            bytes_stored,
-            per_provider_time,
-        } = progress;
-        let stripe_count = stripe_ids.len();
+        let stripe_count = progress.stripe_ids.len();
         let entry = st.client_mut(client)?;
         entry.files.insert(
             filename.to_string(),
             FileEntry {
                 pl,
-                chunk_indices,
-                stripe_ids,
+                chunk_indices: progress.chunk_indices,
+                stripe_ids: progress.stripe_ids,
                 total_len: len,
             },
         );
         self.touch_file(jctx, shard, client, filename);
+
+        // Last crash window: tables updated, commit record not yet
+        // written — recovery must roll the whole put back.
         self.crash_point()?;
 
-        let sim_time = per_provider_time.into_iter().max().unwrap_or_default();
+        let sim_time = progress.per_provider_time.into_iter().max().unwrap_or_default();
         tel.incr("puts_total");
         tel.add("put_bytes", len as u64);
         tel.add("put_chunks", chunk_count as u64);
         tel.observe_micros("put_sim_us", sim_time);
-        tel.observe("put_stream_peak_buffer_bytes", peak_buffer_bytes as u64);
+        // A buffered put keeps its shared copy of the whole file resident;
+        // a streaming put only ever holds the measured window.
+        let peak_buffer_bytes = if streaming {
+            tel.incr("puts_streaming");
+            tel.observe("put_stream_peak_buffer_bytes", peak_in_flight_bytes as u64);
+            peak_in_flight_bytes
+        } else {
+            len
+        };
         Ok(PutReceipt {
             chunk_count,
             stripe_count,
-            bytes_stored,
+            bytes_stored: progress.bytes_stored,
             sim_time,
             peak_buffer_bytes,
         })
@@ -1382,24 +1162,24 @@ impl CloudDataDistributor {
     /// computes parity over the (logically zero-padded) stored chunks.
     ///
     /// An associated function on purpose — it borrows nothing from the
-    /// distributor, so the pipelined put can run it on a transfer-pool
+    /// distributor, so the put pipeline can run it on a transfer-pool
     /// worker. Determinism comes from the inputs alone: virtual ids were
     /// allocated in chunk order by the caller, and `mislead::inject` is a
     /// pure function of ⟨chunk, rate, seed ⊕ vid⟩.
     ///
     /// `scratch` recycles parity buffers from already-stored stripes
     /// (popped as needed; missing entries just allocate).
-    fn encode_stripe_group<B: AsRef<[u8]>>(
-        group: Vec<(VirtualId, B)>,
+    fn encode_stripe_group(
+        group: Vec<(VirtualId, Bytes)>,
         rate: f64,
         seed: u64,
         raid: RaidLevel,
         mut scratch: Vec<Vec<u8>>,
-    ) -> std::result::Result<EncodedGroup, fragcloud_raid::RaidError> {
+    ) -> Result<EncodedGroup> {
         let chunks: Vec<(VirtualId, Vec<u8>, Vec<usize>, usize)> = group
             .into_iter()
             .map(|(vid, logical)| {
-                let logical = logical.as_ref();
+                let logical: &[u8] = &logical;
                 let logical_len = logical.len();
                 let (stored, positions) = mislead::inject(logical, rate, seed ^ vid.0);
                 (vid, stored, positions, logical_len)
@@ -1441,24 +1221,18 @@ impl CloudDataDistributor {
     /// Places and stores one encoded stripe: provider placement, resilient
     /// data/replica/parity writes, and the chunk/stripe table pushes. Runs
     /// on the caller thread only (it mutates tables and drives provider
-    /// I/O), in stripe order, for both the serial and pipelined put paths.
+    /// I/O), in stripe order.
     ///
-    /// Returns the stripe's parity buffers so the pipelined path can
-    /// recycle them into later encode tasks.
-    #[allow(clippy::too_many_arguments)]
+    /// Returns the stripe's parity buffers so the pipeline can recycle
+    /// them into later encode tasks.
     fn store_stripe(
         &self,
         st: &mut Tables,
-        shard: usize,
-        pl: PrivacyLevel,
-        opts: &PutOptions,
-        raid: RaidLevel,
-        k_max: usize,
+        progress: &mut PutProgress<'_>,
         stripe_no: usize,
         enc: EncodedGroup,
-        jctx: &Option<JournalCtx>,
-        progress: &mut PutProgress,
     ) -> Result<Vec<Vec<u8>>> {
+        let (shard, pl, raid, jctx) = (progress.shard, progress.pl, progress.raid, progress.jctx);
         let EncodedGroup {
             chunks: group,
             width,
@@ -1496,9 +1270,12 @@ impl CloudDataDistributor {
         // Degraded-write bookkeeping: shards the engine could not land
         // anywhere are skipped (the parity already covers them) as long
         // as the stripe stays within its fault tolerance.
-        let tolerance = raid.fault_tolerance();
-        let mut hosting = placement.clone(); // actual provider per shard slot
-        let mut missing = 0usize;
+        let mut slots = StripeSlots {
+            placement: &placement,
+            hosting: placement.clone(), // actual provider per shard slot
+            missing: 0,
+            tolerance: raid.fault_tolerance(),
+        };
 
         // Replica placement pool: eligible providers not used by this
         // stripe, cycled per chunk so copies spread out.
@@ -1511,37 +1288,11 @@ impl CloudDataDistributor {
 
         // Store data shards.
         for (i, (vid, stored, positions, logical_len)) in group.iter().enumerate() {
-            self.crash_point()?;
-            let provider_idx = match self.store_shard_resilient(
-                st,
-                placement[i],
-                &hosting,
-                pl,
-                *vid,
-                stored,
-                &mut progress.per_provider_time,
-            ) {
-                Some(p) => {
-                    hosting[i] = p;
-                    progress.bytes_stored += stored.len();
-                    p
-                }
-                None => {
-                    missing += 1;
-                    if missing > tolerance {
-                        return Err(CoreError::RetriesExhausted {
-                            attempts: self.config.resilience.retry.max_attempts,
-                        });
-                    }
-                    // Entry keeps the intended placement; the object is
-                    // simply absent until `repair` rebuilds it.
-                    placement[i]
-                }
-            };
+            let provider_idx = self.store_slot(st, &mut slots, i, *vid, stored, progress)?;
 
             // Extra copies (§VI client-demanded assurance).
-            let mut replicas = Vec::with_capacity(opts.replicas);
-            for r in 0..opts.replicas {
+            let mut replicas = Vec::with_capacity(progress.replicas);
+            for r in 0..progress.replicas {
                 // Prefer providers outside the stripe; fall back to other
                 // stripe members (still a distinct provider per copy).
                 let candidates: Vec<usize> = replica_pool
@@ -1561,7 +1312,7 @@ impl CloudDataDistributor {
                 self.crash_point()?;
                 // Replicas are best-effort extra assurance: a copy that
                 // cannot land is dropped, not fatal.
-                let (res, t, _) = self.put_with_retry(st, rp, rvid, Bytes::from(stored.clone()));
+                let (res, t, _) = self.put_with_retry(st, rp, rvid, stored);
                 progress.per_provider_time[rp] += t;
                 if res.is_ok() {
                     progress.bytes_stored += stored.len();
@@ -1570,7 +1321,7 @@ impl CloudDataDistributor {
             }
 
             let chunk_idx = st.chunks.len();
-            let serial = (stripe_no * k_max + i) as u32;
+            let serial = (stripe_no * progress.k_max + i) as u32;
             st.chunks.push(ChunkEntry {
                 vid: *vid,
                 pl,
@@ -1598,32 +1349,7 @@ impl CloudDataDistributor {
         for (pi, blob) in parity_blobs.into_iter().enumerate() {
             let vid = self.vids.allocate();
             self.journal_alloc(jctx, &[vid]);
-            self.crash_point()?;
-            let slot = k + pi;
-            let provider_idx = match self.store_shard_resilient(
-                st,
-                placement[slot],
-                &hosting,
-                pl,
-                vid,
-                &blob,
-                &mut progress.per_provider_time,
-            ) {
-                Some(p) => {
-                    hosting[slot] = p;
-                    progress.bytes_stored += blob.len();
-                    p
-                }
-                None => {
-                    missing += 1;
-                    if missing > tolerance {
-                        return Err(CoreError::RetriesExhausted {
-                            attempts: self.config.resilience.retry.max_attempts,
-                        });
-                    }
-                    placement[slot]
-                }
-            };
+            let provider_idx = self.store_slot(st, &mut slots, k + pi, vid, &blob, progress)?;
             let chunk_idx = st.chunks.len();
             st.chunks.push(ChunkEntry {
                 vid,
@@ -1653,11 +1379,91 @@ impl CloudDataDistributor {
             level: raid,
             members,
             shard_width: width,
-            degraded: missing > 0,
+            degraded: slots.missing > 0,
         });
         self.touch_stripe(jctx, shard, stripe_id);
         progress.stripe_ids.push(stripe_id);
         Ok(recycled)
+    }
+
+    /// Stores one stripe member (data or parity) into its slot: a crash
+    /// point, then a retried store on the intended provider; on failure the
+    /// shard is re-placed on an alternative eligible provider outside the
+    /// stripe (preserving anti-affinity). Returns the provider the chunk
+    /// row should name — the one that took the shard, or the intended
+    /// placement when every option failed (the object is simply absent
+    /// until `repair` rebuilds it, and the stripe goes degraded), which is
+    /// an error once the stripe has lost more members than its parity
+    /// covers.
+    fn store_slot(
+        &self,
+        st: &Tables,
+        slots: &mut StripeSlots<'_>,
+        slot: usize,
+        vid: VirtualId,
+        bytes: &[u8],
+        progress: &mut PutProgress<'_>,
+    ) -> Result<usize> {
+        self.crash_point()?;
+        let (preferred, pl) = (slots.placement[slot], progress.pl);
+        // A preferred provider whose breaker is Open is shed up front (the
+        // shard goes straight to an alternative); if no alternative can
+        // take it, the quarantined preferred is still tried last — a
+        // suspect provider beats a lost shard.
+        let shed_preferred = self.health.should_shed(preferred, &self.telemetry());
+        let mut lands_on = |idx: usize| {
+            let (res, t, _) = self.put_with_retry(st, idx, vid, bytes);
+            progress.per_provider_time[idx] += t;
+            res.is_ok()
+        };
+        let landed = if !shed_preferred && lands_on(preferred) {
+            Some(preferred)
+        } else {
+            // Alternatives: eligible, not already hosting this stripe;
+            // healthy breakers first, then cheapest, with reputation as
+            // tiebreak.
+            let mut alts: Vec<usize> = policy::eligible_providers(&st.providers, pl)
+                .into_iter()
+                .filter(|i| !slots.hosting.contains(i))
+                .collect();
+            alts.sort_by(|&a, &b| {
+                let breaker = self
+                    .health
+                    .penalty(a)
+                    .partial_cmp(&self.health.penalty(b))
+                    .unwrap_or(std::cmp::Ordering::Equal);
+                let cost = st.providers[a]
+                    .profile()
+                    .cost_level
+                    .cmp(&st.providers[b].profile().cost_level);
+                let rep = self
+                    .reputation
+                    .score(b)
+                    .partial_cmp(&self.reputation.score(a))
+                    .unwrap_or(std::cmp::Ordering::Equal);
+                breaker.then(cost).then(rep).then(a.cmp(&b))
+            });
+            match alts.into_iter().find(|&alt| lands_on(alt)) {
+                None if shed_preferred && lands_on(preferred) => Some(preferred),
+                landed => landed,
+            }
+        };
+        match landed {
+            Some(p) => {
+                slots.hosting[slot] = p;
+                progress.bytes_stored += bytes.len();
+                Ok(p)
+            }
+            None => {
+                slots.missing += 1;
+                if slots.missing > slots.tolerance {
+                    return Err(CoreError::RetriesExhausted {
+                        attempts: self.config.resilience.retry.max_attempts,
+                    });
+                }
+                Ok(preferred)
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1753,14 +1559,14 @@ impl CloudDataDistributor {
         st: &Tables,
         provider_idx: usize,
         vid: VirtualId,
-        bytes: Bytes,
+        bytes: &[u8],
     ) -> (Result<()>, Duration, u64) {
         let provider = &st.providers[provider_idx];
         let tel = self.telemetry();
         // Stamp the integrity frame at the write chokepoint: every object
         // the engine stores carries a vid-seeded checksum (`bytes` stays
         // the payload — table `stored_len` never includes framing).
-        let framed = integrity::frame(vid, &bytes);
+        let framed = integrity::frame(vid, bytes);
         let len = framed.len();
         let run = self.config.resilience.retry.execute(
             self.retry_seed(vid, provider_idx),
@@ -1791,74 +1597,6 @@ impl CloudDataDistributor {
             time += provider.simulate_transfer(len);
         }
         (run.result, time, run.retries)
-    }
-
-    /// Stores one shard with retry; on failure re-places it on an
-    /// alternative eligible provider outside the stripe (preserving
-    /// anti-affinity). Returns the provider that took the shard, or `None`
-    /// when every option failed — the caller then skips the shard and the
-    /// stripe goes degraded.
-    #[allow(clippy::too_many_arguments)]
-    fn store_shard_resilient(
-        &self,
-        st: &Tables,
-        preferred: usize,
-        stripe_providers: &[usize],
-        pl: PrivacyLevel,
-        vid: VirtualId,
-        bytes: &[u8],
-        per_provider_time: &mut [Duration],
-    ) -> Option<usize> {
-        // A preferred provider whose breaker is Open is shed up front (the
-        // shard goes straight to an alternative); if no alternative can
-        // take it, the quarantined preferred is still tried last — a
-        // suspect provider beats a lost shard.
-        let shed_preferred = self.health.should_shed(preferred, &self.telemetry());
-        if !shed_preferred {
-            let (res, t, _) = self.put_with_retry(st, preferred, vid, Bytes::from(bytes.to_vec()));
-            per_provider_time[preferred] += t;
-            if res.is_ok() {
-                return Some(preferred);
-            }
-        }
-        // Alternatives: eligible, not already hosting this stripe; healthy
-        // breakers first, then cheapest, with reputation as tiebreak.
-        let mut alts: Vec<usize> = policy::eligible_providers(&st.providers, pl)
-            .into_iter()
-            .filter(|i| !stripe_providers.contains(i))
-            .collect();
-        alts.sort_by(|&a, &b| {
-            let breaker = self
-                .health
-                .penalty(a)
-                .partial_cmp(&self.health.penalty(b))
-                .unwrap_or(std::cmp::Ordering::Equal);
-            let cost = st.providers[a]
-                .profile()
-                .cost_level
-                .cmp(&st.providers[b].profile().cost_level);
-            let rep = self
-                .reputation
-                .score(b)
-                .partial_cmp(&self.reputation.score(a))
-                .unwrap_or(std::cmp::Ordering::Equal);
-            breaker.then(cost).then(rep).then(a.cmp(&b))
-        });
-        for alt in alts {
-            let (res, t, _) = self.put_with_retry(st, alt, vid, Bytes::from(bytes.to_vec()));
-            per_provider_time[alt] += t;
-            if res.is_ok() {
-                return Some(alt);
-            }
-        }
-        if shed_preferred {
-            let (res, t, _) = self.put_with_retry(st, preferred, vid, Bytes::from(bytes.to_vec()));
-            per_provider_time[preferred] += t;
-            if res.is_ok() {
-                return Some(preferred);
-            }
-        }
-        None
     }
 
     // ------------------------------------------------------------------
@@ -1914,130 +1652,10 @@ impl CloudDataDistributor {
             hedged_chunks: hedged,
             retries,
         };
-        self.record_get(&tel, &receipt);
-        Ok(receipt)
-    }
-
-    /// Shared get-side accounting for the serial and parallel paths.
-    fn record_get(&self, tel: &TelemetryHandle, receipt: &GetReceipt) {
         tel.incr("gets_total");
         tel.add("get_bytes", receipt.data.len() as u64);
         tel.add("degraded_chunk_reads", receipt.degraded_chunks as u64);
         tel.observe_micros("get_sim_us", receipt.sim_time);
-    }
-
-    pub(crate) fn get_file_parallel_impl(
-        &self,
-        client: &str,
-        password: &str,
-        filename: &str,
-    ) -> Result<GetReceipt> {
-        let tel = self.telemetry();
-        let _op = span!(tel, "get_parallel", file = filename);
-        let st = self.read_shard_for(client, filename);
-        let file = st.file(client, filename)?;
-        access::authorize(st.client(client)?, password, file.pl)?;
-        let chunk_indices = file.chunk_indices.clone();
-
-        // Group fetch jobs by provider.
-        let mut jobs_by_provider: Vec<Vec<usize>> = vec![Vec::new(); st.providers.len()];
-        for &ci in &chunk_indices {
-            let e = &st.chunks[ci];
-            if e.removed {
-                return Err(CoreError::UnknownChunk {
-                    filename: filename.to_string(),
-                    serial: 0,
-                });
-            }
-            jobs_by_provider[e.provider_idx].push(ci);
-        }
-
-        // Parallel phase: one transfer-pool task per provider fetches that
-        // provider's chunks. The pool is persistent and shared across
-        // sessions — no threads are spawned per call.
-        let mut fetched: Vec<Option<Vec<u8>>> = vec![None; st.chunks.len()];
-        {
-            let pool = self.transfer_pool();
-            let (tx, rx) = crossbeam::channel::unbounded::<Vec<(usize, Vec<u8>)>>();
-            for (pidx, jobs) in jobs_by_provider.iter().enumerate() {
-                if jobs.is_empty() {
-                    continue;
-                }
-                let provider = Arc::clone(&st.providers[pidx]);
-                let items: Vec<(usize, VirtualId, usize)> = jobs
-                    .iter()
-                    .map(|&ci| (ci, st.chunks[ci].vid, st.chunks[ci].stored_len))
-                    .collect();
-                let tx = tx.clone();
-                let task_tel = tel.clone();
-                pool.submit_observed(&tel, move || {
-                    let mut local: Vec<(usize, Vec<u8>)> = Vec::with_capacity(items.len());
-                    for (ci, vid, stored_len) in items {
-                        // Verify-before-use even on the fan-out fast path:
-                        // a chunk whose frame fails stays `None` and falls
-                        // through to the degraded read (which re-detects
-                        // the corruption and feeds the breaker).
-                        if let Ok(bytes) = provider.get(vid) {
-                            if let Ok((payload, framed)) =
-                                integrity::unframe_expecting(vid, bytes, stored_len)
-                            {
-                                if !framed {
-                                    task_tel.incr("unframed_reads_total");
-                                }
-                                local.push((ci, payload.to_vec()));
-                            }
-                        }
-                    }
-                    let _ = tx.send(local);
-                });
-            }
-            drop(tx);
-            // Drain until every task's sender is gone. A panicked task just
-            // drops its sender; its chunks stay `None` and fall through to
-            // the degraded read path below.
-            while let Ok(local) = rx.recv() {
-                for (ci, bytes) in local {
-                    fetched[ci] = Some(bytes);
-                }
-            }
-        }
-
-        // Serial phase: strip mislead bytes; chunks the fan-out missed go
-        // through the full degraded read path (retry → replicas → parity).
-        let mut out = Vec::with_capacity(file.total_len);
-        let (mut reconstructed, mut degraded, mut hedged) = (0usize, 0usize, 0usize);
-        let mut retries = 0u64;
-        let mut per_provider_time: Vec<Duration> = vec![Duration::ZERO; st.providers.len()];
-        for &ci in &chunk_indices {
-            let e = &st.chunks[ci];
-            match fetched[ci].take() {
-                Some(bytes) => {
-                    self.reputation
-                        .record(e.provider_idx, ReputationEvent::Success);
-                    per_provider_time[e.provider_idx] +=
-                        st.providers[e.provider_idx].simulate_transfer(e.stored_len);
-                    out.extend_from_slice(&mislead::strip(&bytes, &e.mislead_positions));
-                }
-                None => {
-                    let fetch = self.fetch_logical_chunk(&st, ci)?;
-                    per_provider_time[fetch.charged_provider] += fetch.time;
-                    reconstructed += usize::from(fetch.reconstructed);
-                    degraded += usize::from(fetch.degraded);
-                    hedged += usize::from(fetch.hedged);
-                    retries += fetch.retries;
-                    out.extend_from_slice(&fetch.logical);
-                }
-            }
-        }
-        let receipt = GetReceipt {
-            data: out,
-            sim_time: per_provider_time.into_iter().max().unwrap_or_default(),
-            reconstructed_chunks: reconstructed,
-            degraded_chunks: degraded,
-            hedged_chunks: hedged,
-            retries,
-        };
-        self.record_get(&tel, &receipt);
         Ok(receipt)
     }
 
@@ -2373,8 +1991,9 @@ impl CloudDataDistributor {
         for (rp, rvid) in st.chunks[chunk_idx].replicas.clone() {
             st.providers[rp].put(rvid, integrity::frame(rvid, &stored))?; // fraglint: allow(lock-order) — atomic object+table commit under the shard guard
         }
-        {
+        let superseded = {
             let entry = &mut st.chunks[chunk_idx];
+            let superseded = entry.snapshot_provider_idx.zip(entry.snapshot_vid);
             entry.snapshot_provider_idx = Some(snapshot_idx);
             entry.snapshot_vid = Some(snapshot_vid);
             // The snapshot object holds the pre-state's STORED form; keep its
@@ -2383,11 +2002,16 @@ impl CloudDataDistributor {
             entry.mislead_positions = positions;
             entry.stored_len = stored.len();
             entry.logical_len = new_data.len();
+            superseded.map(|(p, vid)| (Arc::clone(&st.providers[p]), vid))
+        };
+        let res = plan.map_or(Ok(()), |plan| self.apply_parity_plan(&mut st, plan));
+        drop(st);
+        // Nothing names the superseded snapshot any more: delete it with
+        // the shard lock released, best-effort like replica deletes.
+        if let Some((provider, vid)) = superseded {
+            let _ = provider.delete(vid);
         }
-        if let Some(plan) = plan {
-            self.apply_parity_plan(&mut st, plan)?;
-        }
-        Ok(())
+        res
     }
 
     pub(crate) fn restore_snapshot_impl(
@@ -2450,10 +2074,13 @@ impl CloudDataDistributor {
             entry.snapshot_provider_idx = None;
             entry.snapshot_vid = None;
         }
-        if let Some(plan) = plan {
-            self.apply_parity_plan(&mut st, plan)?;
-        }
-        Ok(())
+        let snapshot_provider = Arc::clone(&st.providers[sp]);
+        let res = plan.map_or(Ok(()), |plan| self.apply_parity_plan(&mut st, plan));
+        drop(st);
+        // The row no longer names the consumed snapshot: delete it with the
+        // shard lock released, best-effort like replica deletes.
+        let _ = snapshot_provider.delete(svid);
+        res
     }
 
     /// Computes the parity writes a mutation of `chunk_idx` will require,
@@ -2997,8 +2624,8 @@ impl CloudDataDistributor {
             self.journal_alloc(jctx, &[new_vid]);
             self.journal_doom(jctx, &[old_vid]);
             self.crash_point()?;
-            let payload = Bytes::from(shard[..stored_len].to_vec());
-            let (res, t, _) = self.put_with_retry(st, target, new_vid, payload);
+            let (res, t, _) =
+                self.put_with_retry(st, target, new_vid, &shard[..stored_len]);
             per_provider_time[target] += t;
             res?;
             let e = &mut st.chunks[m];
@@ -3661,55 +3288,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_get_matches_serial_get() {
-        let d = distributor();
-        let s = high_session(&d);
-        let body = data(5000);
-        s.put_file("f", &body, PrivacyLevel::High, PutOptions::default())
-            .unwrap();
-        let serial = s.get_file("f").unwrap();
-        let parallel = s.get_file_parallel("f").unwrap();
-        assert_eq!(serial.data, parallel.data);
-        assert_eq!(parallel.data, body);
-        assert_eq!(serial.sim_time, parallel.sim_time);
-    }
-
-    #[test]
-    fn parallel_get_reconstructs_under_outage() {
-        let d = distributor();
-        let s = high_session(&d);
-        let body = data(2000);
-        s.put_file("f", &body, PrivacyLevel::Moderate, PutOptions::default())
-            .unwrap();
-        let victim = d
-            .client_chunks_per_provider("Bob")
-            .unwrap()
-            .iter()
-            .position(|&n| n > 0)
-            .unwrap();
-        d.providers()[victim].set_online(false);
-        let got = s.get_file_parallel("f").unwrap();
-        assert_eq!(got.data, body);
-        assert!(got.reconstructed_chunks > 0);
-        d.providers()[victim].set_online(true);
-    }
-
-    #[test]
-    fn parallel_get_access_control() {
-        let d = distributor();
-        high_session(&d)
-            .put_file("f", &data(100), PrivacyLevel::High, PutOptions::default())
-            .unwrap();
-        assert_eq!(
-            d.session("Bob", "aB1c")
-                .unwrap()
-                .get_file_parallel("f")
-                .unwrap_err(),
-            CoreError::AccessDenied
-        );
-    }
-
-    #[test]
     fn replicas_stored_and_served_on_primary_outage() {
         let d = distributor();
         let s = high_session(&d);
@@ -4098,8 +3676,6 @@ mod tests {
         assert!(scrub.is_healthy());
     }
 
-    // --- transfer pool / pipelined put ------------------------------
-
     /// Every ⟨vid, payload⟩ each provider ever observed, sorted — the
     /// attacker-visible ground truth two puts must agree on to count as
     /// byte-identical.
@@ -4117,105 +3693,6 @@ mod tests {
                 objs
             })
             .collect()
-    }
-
-    #[test]
-    fn pipelined_put_writes_byte_identical_provider_state() {
-        let build = |pipelined: bool| {
-            let mut config = small_config();
-            config.mislead_rate = 0.1;
-            config.raid_level = RaidLevel::Raid6;
-            config.durability = config.durability.with_pipelined_put(pipelined);
-            let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), config);
-            d.register_client("Bob").unwrap();
-            d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
-            d
-        };
-        let body = data(400); // High → 8-byte chunks → many stripes
-        let serial = build(false);
-        let pipelined = build(true);
-        let rs = high_session(&serial)
-            .put_file(
-                "f",
-                &body,
-                PrivacyLevel::High,
-                PutOptions::new().replicas(1),
-            )
-            .unwrap();
-        let rp = high_session(&pipelined)
-            .put_file(
-                "f",
-                &body,
-                PrivacyLevel::High,
-                PutOptions::new().replicas(1),
-            )
-            .unwrap();
-        assert_eq!(rs, rp, "receipts must match");
-        assert_eq!(
-            provider_state(&serial),
-            provider_state(&pipelined),
-            "provider state must be byte-identical"
-        );
-        // Both read back fine, and the pipelined distributor actually
-        // used its pool.
-        assert_eq!(high_session(&pipelined).get_file("f").unwrap().data, body);
-        assert!(pipelined.transfer_pool().panicked_tasks() == 0);
-    }
-
-    #[test]
-    fn streaming_put_matches_buffered_provider_state() {
-        // Same invariant as the serial/pipelined identity test, extended
-        // to the bounded-memory streaming path — in both pool modes.
-        for pipelined in [false, true] {
-            let build = || {
-                let mut config = small_config();
-                config.mislead_rate = 0.1;
-                config.raid_level = RaidLevel::Raid6;
-                config.durability = config.durability.with_pipelined_put(pipelined);
-                let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), config);
-                d.register_client("Bob").unwrap();
-                d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
-                d
-            };
-            let body = data(4096); // High → 8-byte chunks → many stripes
-            let buffered = build();
-            let streaming = build();
-            let rb = high_session(&buffered)
-                .put_file("f", &body, PrivacyLevel::High, PutOptions::new().replicas(1))
-                .unwrap();
-            let rs = high_session(&streaming)
-                .put_stream(
-                    "f",
-                    &mut &body[..],
-                    body.len(),
-                    PrivacyLevel::High,
-                    PutOptions::new().replicas(1),
-                )
-                .unwrap();
-            assert_eq!(rb.chunk_count, rs.chunk_count);
-            assert_eq!(rb.stripe_count, rs.stripe_count);
-            assert_eq!(rb.bytes_stored, rs.bytes_stored);
-            assert_eq!(rb.sim_time, rs.sim_time);
-            assert_eq!(
-                provider_state(&buffered),
-                provider_state(&streaming),
-                "streaming put must write byte-identical provider state (pipelined={pipelined})"
-            );
-            // Peak memory: the buffered path holds the whole file; the
-            // streaming path holds at most ~2 pipeline windows of chunks.
-            let cfg = small_config();
-            let window_stripes = cfg.effective_transfer_workers().max(1);
-            let stripe_bytes = cfg.stripe_width * cfg.chunk_sizes.size_for(PrivacyLevel::High);
-            assert_eq!(rb.peak_buffer_bytes, body.len());
-            assert!(
-                rs.peak_buffer_bytes <= 2 * window_stripes * stripe_bytes,
-                "streaming peak {} exceeds 2 windows ({})",
-                rs.peak_buffer_bytes,
-                2 * window_stripes * stripe_bytes
-            );
-            assert!(rs.peak_buffer_bytes < body.len());
-            assert_eq!(high_session(&streaming).get_file("f").unwrap().data, body);
-        }
     }
 
     #[test]
@@ -4388,62 +3865,6 @@ mod tests {
             .all(|s| s.level == RaidLevel::Rs { parity: 3 }));
         drop(st);
         assert_eq!(high_session(&d2).get_file("f").unwrap().data, body);
-    }
-
-    #[test]
-    fn pipelined_put_records_pool_telemetry() {
-        let mut config = small_config();
-        config.raid_level = RaidLevel::Raid5;
-        let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), config);
-        d.register_client("Bob").unwrap();
-        d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
-        let tel = d.enable_telemetry();
-        high_session(&d)
-            .put_file("f", &data(100), PrivacyLevel::High, PutOptions::new())
-            .unwrap();
-        let reg = tel.registry().expect("enabled");
-        assert_eq!(reg.counter_total("puts_pipelined"), 1);
-        // 13 chunks / stripe_width 3 → 5 encode tasks through the pool.
-        assert_eq!(reg.counter_total("pool_tasks_total"), 5);
-        assert_eq!(reg.counter_total("stripe_encodes"), 5);
-        assert!(reg.histogram("stripe_store_ns", "").count() == 5);
-    }
-
-    #[test]
-    fn parallel_get_uses_pool_not_fresh_threads() {
-        let d = distributor();
-        let tel = d.enable_telemetry();
-        let s = high_session(&d);
-        let body = data(5000);
-        s.put_file("f", &body, PrivacyLevel::High, PutOptions::default())
-            .unwrap();
-        let tasks_before = tel
-            .registry()
-            .expect("enabled")
-            .counter_total("pool_tasks_total");
-        let got = s.get_file_parallel("f").unwrap();
-        assert_eq!(got.data, body);
-        let tasks_after = tel
-            .registry()
-            .expect("enabled")
-            .counter_total("pool_tasks_total");
-        assert!(
-            tasks_after > tasks_before,
-            "parallel get must route through the transfer pool"
-        );
-        // The pool is persistent: worker count pinned by config, reused
-        // across calls.
-        assert_eq!(
-            d.transfer_pool().worker_count(),
-            d.config().durability.transfer_workers
-        );
-        let before_second = d.transfer_pool() as *const TransferPool;
-        s.get_file_parallel("f").unwrap();
-        assert_eq!(
-            before_second,
-            d.transfer_pool() as *const TransferPool,
-            "same pool instance across calls"
-        );
     }
 
     // --- sharded tables + group commit -------------------------------

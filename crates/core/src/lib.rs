@@ -26,7 +26,7 @@
 //!   `put_file`, `get_file`, `get_chunk`, `remove_file`, `remove_chunk`,
 //!   `update_chunk` with snapshots (§VI);
 //! - [`pool`] — the persistent bounded transfer pool shared by sessions:
-//!   parallel gets and pipelined-put encoding run on its workers;
+//!   the put pipeline's stripe encodes run on its workers;
 //! - [`multi`] — multiple distributors, primary/secondary (§IV-C, Fig. 2);
 //! - [`client_side`] — the CHORD-based client-side distributor (§IV-C);
 //! - [`persist`] — versioned text snapshots of the table state, so a
@@ -77,7 +77,9 @@ pub use config::{
     ChunkSizeSchedule, DistributorConfig, DurabilityConfig, Geometry, GeometrySchedule,
     PlacementStrategy,
 };
-pub use distributor::{CloudDataDistributor, GetReceipt, PutOptions, PutReceipt};
+pub use distributor::{
+    CloudDataDistributor, GetReceipt, PutOptions, PutReceipt, PUT_WINDOW_BYTES,
+};
 pub use fragcloud_sim::{CostLevel, PrivacyLevel, VirtualId};
 pub use health::{BreakerConfig, BreakerState, FailureKind, HealthTracker};
 pub use integrity::{frame, unframe, FRAME_OVERHEAD, FRAME_VERSION};
@@ -202,6 +204,11 @@ pub enum CoreError {
         /// `Clone + PartialEq`).
         why: String,
     },
+    /// A stripe-encode task of the put pipeline panicked on its
+    /// transfer-pool worker. The put fails (and is rolled back by the
+    /// journal like any other failed operation) instead of re-raising the
+    /// panic on the caller's thread.
+    EncodeTaskPanicked,
     /// A stored shard failed integrity verification (see
     /// [`integrity`]): the provider returned bytes whose framing
     /// checksum does not match what was stamped at `put` time. Treated
@@ -266,6 +273,7 @@ impl std::fmt::Display for CoreError {
             CoreError::StreamIo { why } => {
                 write!(f, "stream read failed: {why}")
             }
+            CoreError::EncodeTaskPanicked => write!(f, "stripe encode task panicked"),
             CoreError::ShardCorrupt { vid, why } => {
                 write!(f, "stored shard {vid} failed integrity verification: {why}")
             }

@@ -3,9 +3,9 @@
 //! A [`TransferPool`] owns a fixed set of worker threads fed from one MPMC
 //! channel (the vendored `crossbeam::channel`). The distributor creates it
 //! lazily on first use and shares it across every
-//! [`Session`](crate::Session): parallel gets and pipelined-put encoding
-//! submit closures here instead of spawning fresh threads per call, which
-//! is what keeps the hot I/O paths free of thread-creation cost.
+//! [`Session`](crate::Session): the put pipeline submits its stripe
+//! encodes here instead of spawning fresh threads per call, which is what
+//! keeps the hot I/O path free of thread-creation cost.
 //!
 //! Panics inside a task are caught per task, so one poisoned job can never
 //! wedge the queue or kill a worker. Dropping the pool closes the channel

@@ -216,13 +216,13 @@ impl<'d> Session<'d> {
         )
     }
 
-    /// [`get_file`](Self::get_file) with a parallel per-provider fan-out.
+    /// Alias of [`get_file`](Self::get_file), kept for callers of the
+    /// removed per-provider fan-out path (which was slower than the one
+    /// get on in-memory providers and bypassed retry and breaker
+    /// accounting). Real fan-out, when a provider that costs wall time
+    /// exists, lands inside `get_file`.
     pub fn get_file_parallel(&self, filename: &str) -> Result<GetReceipt> {
-        self.distributor.get_file_parallel_impl(
-            self.credentials.client(),
-            self.credentials.password(),
-            filename,
-        )
+        self.get_file(filename)
     }
 
     /// Fetches one chunk by serial number (§VI `get chunk`).

@@ -5,6 +5,7 @@
 use fragcloud::core::config::{ChunkSizeSchedule, DistributorConfig};
 use fragcloud::core::{CloudDataDistributor, PrivacyLevel, PutOptions};
 use fragcloud::sim::{CloudProvider, CostLevel, ObjectStore, ProviderProfile};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn distributor(n_providers: usize) -> CloudDataDistributor {
@@ -118,6 +119,40 @@ fn update_then_read_sees_new_data_and_snapshot_restores() {
 
     session.restore_snapshot("doc", 2).unwrap();
     assert_eq!(session.get_file("doc").unwrap().data, data);
+}
+
+/// Snapshots must not leak: a second update supersedes the first snapshot
+/// object and a restore consumes the current one, so after every step the
+/// providers hold exactly the objects the tables reference.
+#[test]
+fn snapshot_objects_are_never_orphaned() {
+    let d = distributor(6);
+    d.register_client("c").unwrap();
+    d.add_password("c", "pw", PrivacyLevel::High).unwrap();
+    let session = d.session("c", "pw").unwrap();
+    let data = body(7, 4096);
+    let no_orphans = |step: &str| {
+        let held: HashSet<_> = d
+            .providers()
+            .iter()
+            .flat_map(|p| p.virtual_id_list())
+            .collect();
+        assert_eq!(held, d.referenced_vids(), "after {step}");
+    };
+    session
+        .put_file("doc", &data, PrivacyLevel::Low, PutOptions::new())
+        .unwrap();
+    no_orphans("put");
+    session.update_chunk("doc", 1, &[0xA1; 1024]).unwrap();
+    no_orphans("first update");
+    session.update_chunk("doc", 1, &[0xA2; 1024]).unwrap();
+    no_orphans("second update");
+    session.restore_snapshot("doc", 1).unwrap();
+    no_orphans("restore");
+    session.update_chunk("doc", 1, &[0xA3; 1024]).unwrap();
+    no_orphans("update after restore");
+    let got = session.get_file("doc").unwrap().data;
+    assert_eq!(&got[1024..2048], &[0xA3; 1024]);
 }
 
 #[test]

@@ -1,0 +1,382 @@
+//! The one put pipeline and the one get path, pinned from the outside.
+//!
+//! `put_file` and `put_stream` are two entry points over a single windowed
+//! pipeline; what lands on the providers must not depend on which one was
+//! called, on how many transfer workers encode, or on how the window
+//! happened to refill. The golden digests below were computed at the last
+//! commit that still had four put paths, so they also prove the collapse
+//! changed no stored byte.
+
+use fragcloud::core::config::{ChunkSizeSchedule, DistributorConfig};
+use fragcloud::core::{
+    CloudDataDistributor, CoreError, Journal, PrivacyLevel, PutOptions, PutReceipt,
+    PUT_WINDOW_BYTES,
+};
+use fragcloud::raid::RaidLevel;
+use fragcloud::sim::{CloudProvider, CostLevel, ProviderProfile};
+use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::Arc;
+
+const CHUNK: usize = 1 << 10;
+
+fn fleet(n: usize) -> Vec<Arc<CloudProvider>> {
+    (0..n)
+        .map(|i| {
+            Arc::new(CloudProvider::new(ProviderProfile::new(
+                format!("cp{i}"),
+                PrivacyLevel::High,
+                CostLevel::new((i % 4) as u8),
+            )))
+        })
+        .collect()
+}
+
+fn config(mislead_rate: f64) -> DistributorConfig {
+    DistributorConfig {
+        chunk_sizes: ChunkSizeSchedule::uniform(CHUNK),
+        stripe_width: 4,
+        raid_level: RaidLevel::Raid5,
+        mislead_rate,
+        ..Default::default()
+    }
+}
+
+fn distributor(n_providers: usize, config: DistributorConfig) -> CloudDataDistributor {
+    let d = CloudDataDistributor::new(fleet(n_providers), config);
+    d.register_client("c").expect("fresh");
+    d.add_password("c", "pw", PrivacyLevel::High)
+        .expect("client");
+    d
+}
+
+fn body(seed: usize, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i * 31 + i / 253 + seed * 131) as u8)
+        .collect()
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Entry {
+    File,
+    Stream,
+}
+
+fn put(
+    d: &CloudDataDistributor,
+    entry: Entry,
+    name: &str,
+    data: &[u8],
+    opts: PutOptions,
+) -> PutReceipt {
+    let session = d.session("c", "pw").expect("valid pair");
+    match entry {
+        Entry::File => session.put_file(name, data, PrivacyLevel::High, opts),
+        Entry::Stream => {
+            session.put_stream(name, &mut &data[..], data.len(), PrivacyLevel::High, opts)
+        }
+    }
+    .expect("upload")
+}
+
+/// Per provider, its sorted ⟨vid, bytes⟩ objects.
+type ProviderState = Vec<Vec<(u64, Vec<u8>)>>;
+
+/// Every ⟨vid, bytes⟩ each provider ever observed, sorted per provider —
+/// the attacker-visible ground truth two puts must agree on.
+fn provider_state(d: &CloudDataDistributor) -> ProviderState {
+    d.providers()
+        .iter()
+        .map(|p| {
+            let mut objs: Vec<(u64, Vec<u8>)> = p
+                .observer()
+                .snapshot()
+                .into_iter()
+                .map(|o| (o.key.0, o.data.to_vec()))
+                .collect();
+            objs.sort();
+            objs
+        })
+        .collect()
+}
+
+/// FNV-1a over the provider state, self-contained so the golden values
+/// cannot drift with any library checksum.
+fn digest(state: &ProviderState) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (i, objs) in state.iter().enumerate() {
+        eat(&(i as u64).to_le_bytes());
+        eat(&(objs.len() as u64).to_le_bytes());
+        for (vid, bytes) in objs {
+            eat(&vid.to_le_bytes());
+            eat(&(bytes.len() as u64).to_le_bytes());
+            eat(bytes);
+        }
+    }
+    h
+}
+
+/// The files of one golden scenario: many stripes ending mid-chunk (longer
+/// than one pipeline window, so the window refills), exactly one chunk,
+/// and the empty file.
+fn golden_files() -> Vec<(&'static str, Vec<u8>)> {
+    vec![
+        ("windowed", body(1, (1 << 20) + 300 * CHUNK + 5)),
+        ("mid-chunk", body(2, 37 * CHUNK + 211)),
+        ("one-chunk", body(3, CHUNK)),
+        ("empty", Vec::new()),
+    ]
+}
+
+fn golden_state(opts: PutOptions, mislead_rate: f64, entry: Entry) -> ProviderState {
+    let d = distributor(14, config(mislead_rate));
+    for (name, data) in golden_files() {
+        put(&d, entry, name, &data, opts);
+        let got = d.session("c", "pw").expect("valid pair").get_file(name);
+        assert_eq!(got.expect("read").data, data, "{name} reads back");
+    }
+    provider_state(&d)
+}
+
+#[test]
+fn provider_state_matches_golden_digests_from_the_four_path_tree() {
+    // Computed at commit 45f3d2e, where serial/pipelined × buffered/streaming
+    // all agreed. Geometry-major, then mislead {0, 0.08}, then replicas {0, 1}.
+    const GOLDEN: [u64; 12] = [
+        0x029a_84b1_0dfb_b108,
+        0x140d_04bb_d9ca_740d,
+        0xc30f_bcdf_084d_1a20,
+        0x49de_4d7a_f7f2_dc9f,
+        0x6946_5881_54f3_3ed2,
+        0x09d0_0eb5_6606_318b,
+        0x1747_2454_7c94_7f49,
+        0x1139_85a5_bdb4_cec9,
+        0xbb31_d876_0de7_df69,
+        0x9fd0_f150_8928_fa91,
+        0xe3e1_f5a9_9b13_c6be,
+        0xbdcd_b4a8_e47b_ce9b,
+    ];
+    let geometries = [
+        ("raid5", PutOptions::new().raid(RaidLevel::Raid5)),
+        ("raid6", PutOptions::new().raid(RaidLevel::Raid6)),
+        ("rs(8,3)", PutOptions::new().geometry(8, 3)),
+    ];
+    let mut want = GOLDEN.iter();
+    let mut mismatches = Vec::new();
+    for (geometry, opts) in geometries {
+        for rate in [0.0, 0.08] {
+            for replicas in [0, 1] {
+                let want = *want.next().expect("one digest per scenario");
+                for entry in [Entry::File, Entry::Stream] {
+                    let got = digest(&golden_state(opts.replicas(replicas), rate, entry));
+                    if got != want {
+                        mismatches.push(format!(
+                            "{geometry} mislead={rate} replicas={replicas} {entry:?}: \
+                             got {got:#018x}, want {want:#018x}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// What one put leaves behind, as seen from outside: provider objects, the
+/// receipt (minus `peak_buffer_bytes`, which reports the entry point's
+/// memory shape on purpose) and the journal's durable records.
+fn put_outcome(
+    config: DistributorConfig,
+    entry: Entry,
+    data: &[u8],
+    opts: PutOptions,
+) -> (ProviderState, PutReceipt, String) {
+    let d = distributor(14, config);
+    let journal = Arc::new(Journal::new());
+    d.attach_journal(Arc::clone(&journal));
+    let mut receipt = put(&d, entry, "f", data, opts);
+    receipt.peak_buffer_bytes = 0;
+    (provider_state(&d), receipt, journal.export())
+}
+
+/// The outcome of a put must not depend on the pool width or on which
+/// entry point fed the pipeline.
+fn assert_outcome_independent_of_workers_and_entry(
+    config: DistributorConfig,
+    data: &[u8],
+    opts: PutOptions,
+) {
+    let with_workers = |w| DistributorConfig {
+        durability: config.durability.with_transfer_workers(w),
+        ..config
+    };
+    let reference = put_outcome(with_workers(1), Entry::File, data, opts);
+    for workers in [1, 2, 4, 8] {
+        for entry in [Entry::File, Entry::Stream] {
+            let got = put_outcome(with_workers(workers), entry, data, opts);
+            assert!(
+                got == reference,
+                "outcome differs at transfer_workers={workers}, {entry:?}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn outcome_is_independent_of_workers_and_entry_point(
+        len in 0usize..6000,
+        seed in 0usize..1000,
+        geometry in prop_oneof![Just((4usize, 1usize)), Just((3, 2)), Just((8, 3))],
+        rate in prop_oneof![Just(0.0), Just(0.08)],
+        replicas in 0usize..2,
+    ) {
+        let config = DistributorConfig {
+            chunk_sizes: ChunkSizeSchedule::uniform(64),
+            ..config(rate)
+        };
+        let opts = PutOptions::new().geometry(geometry.0, geometry.1).replicas(replicas);
+        assert_outcome_independent_of_workers_and_entry(config, &body(seed, len), opts);
+    }
+}
+
+/// With stripes of `PUT_WINDOW_BYTES` the window is `transfer_workers`
+/// stripes wide, so every width refills differently — the outcome still
+/// must not move.
+#[test]
+fn outcome_is_independent_of_the_window_refill_pattern() {
+    let config = DistributorConfig {
+        chunk_sizes: ChunkSizeSchedule::uniform(PUT_WINDOW_BYTES / 4),
+        ..config(0.0)
+    };
+    let data = body(9, 6 * PUT_WINDOW_BYTES + PUT_WINDOW_BYTES / 3);
+    assert_outcome_independent_of_workers_and_entry(config, &data, PutOptions::new());
+}
+
+#[test]
+fn put_stream_holds_at_most_two_windows() {
+    // ⟨chunk size, file length⟩: stripes of a quarter window (the window is
+    // `transfer_workers` = 4 stripes) and tiny 4 KiB stripes (the window
+    // is the byte floor).
+    for (chunk, len) in [(PUT_WINDOW_BYTES / 16, 8 << 20), (CHUNK, 3 << 20)] {
+        let config = DistributorConfig {
+            chunk_sizes: ChunkSizeSchedule::uniform(chunk),
+            ..config(0.0)
+        };
+        let window = PUT_WINDOW_BYTES.max(config.durability.transfer_workers * 4 * chunk);
+        let d = distributor(6, config);
+        let data = body(4, len);
+        let receipt = put(&d, Entry::Stream, "big", &data, PutOptions::new());
+        assert!(
+            receipt.peak_buffer_bytes <= 2 * window,
+            "peak {} exceeds two windows of {window}",
+            receipt.peak_buffer_bytes
+        );
+        assert!(receipt.peak_buffer_bytes < len);
+        // The buffered entry point reports its resident whole-file copy.
+        let receipt = put(&d, Entry::File, "copy", &data, PutOptions::new());
+        assert_eq!(receipt.peak_buffer_bytes, len);
+    }
+}
+
+#[test]
+fn put_stream_rejects_a_wrong_length_and_leaves_nothing_behind() {
+    let d = distributor(6, config(0.08));
+    d.attach_journal(Arc::new(Journal::new()));
+    let session = d.session("c", "pw").expect("valid pair");
+    let data = body(5, 12 * CHUNK);
+    // Short source, long source, and a long source whose extra chunks
+    // overfill the last declared stripe (10 declared chunks, k = 4).
+    for declared in [13 * CHUNK, 11 * CHUNK + 7, 10 * CHUNK] {
+        let err = session
+            .put_stream(
+                "f",
+                &mut &data[..],
+                declared,
+                PrivacyLevel::High,
+                PutOptions::new(),
+            )
+            .expect_err("length mismatch");
+        assert!(
+            matches!(err, CoreError::StreamLengthMismatch { declared: n, .. } if n == declared as u64),
+            "{err:?}"
+        );
+        assert!(session.get_file("f").is_err(), "no file after {declared}");
+        let held: HashSet<_> = d
+            .providers()
+            .iter()
+            .flat_map(|p| p.virtual_id_list())
+            .collect();
+        assert_eq!(held, d.referenced_vids(), "no orphan after {declared}");
+    }
+    // The name is still free for an exact-length retry.
+    put(&d, Entry::Stream, "f", &data, PutOptions::new());
+    assert_eq!(session.get_file("f").expect("read").data, data);
+}
+
+#[test]
+fn multi_stripe_puts_encode_on_the_pool_single_stripe_puts_inline() {
+    let d = distributor(6, config(0.0));
+    let tel = d.enable_telemetry();
+    let tasks = || {
+        tel.registry()
+            .expect("enabled")
+            .counter_total("pool_tasks_total")
+    };
+    put(&d, Entry::File, "one", &body(6, 3 * CHUNK), PutOptions::new());
+    assert_eq!(tasks(), 0, "a single stripe never touches the pool");
+    // 17 chunks / stripe width 4 → 5 encode tasks.
+    put(&d, Entry::File, "five", &body(6, 17 * CHUNK), PutOptions::new());
+    assert_eq!(tasks(), 5);
+    let reg = tel.registry().expect("enabled");
+    assert_eq!(reg.counter_total("stripe_encodes"), 6);
+    assert_eq!(reg.histogram("stripe_store_ns", "").count(), 6);
+    assert_eq!(
+        d.transfer_pool().worker_count(),
+        d.config().durability.transfer_workers
+    );
+    assert_eq!(d.transfer_pool().panicked_tasks(), 0);
+}
+
+/// `get_file_parallel` is `get_file`: same receipt — data, `sim_time`,
+/// reconstruction and retry counts — healthy and degraded, and the same
+/// access check.
+#[test]
+fn get_file_parallel_is_get_file() {
+    let data = body(8, 23 * CHUNK + 99);
+    for victim in [None, Some(0usize)] {
+        let build = || {
+            let d = distributor(6, config(0.08));
+            d.add_password("c", "public", PrivacyLevel::Public)
+                .expect("client");
+            put(&d, Entry::File, "f", &data, PutOptions::new().replicas(1));
+            if let Some(v) = victim {
+                d.providers()[v].set_online(false);
+            }
+            d
+        };
+        let (a, b) = (build(), build());
+        let plain = a.session("c", "pw").expect("valid pair").get_file("f");
+        let alias = b
+            .session("c", "pw")
+            .expect("valid pair")
+            .get_file_parallel("f");
+        let (plain, alias) = (plain.expect("read"), alias.expect("read"));
+        assert_eq!(plain.data, data);
+        assert_eq!(plain, alias, "victim={victim:?}");
+        assert_eq!(victim.is_some(), plain.degraded_chunks > 0);
+        let denied = a
+            .session("c", "public")
+            .expect("valid pair")
+            .get_file_parallel("f");
+        assert_eq!(denied.expect_err("PL too low"), CoreError::AccessDenied);
+    }
+}
