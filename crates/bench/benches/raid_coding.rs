@@ -1,9 +1,9 @@
 //! RAID coding-layer bench: parity generation and reconstruction
-//! throughput for RAID-5 and RAID-6 stripes (the assurance cost behind
-//! E4/E9).
+//! throughput for RAID-5 and RAID-6 stripes — geometries (k,1) and (k,2)
+//! of the one RS engine (the assurance cost behind E4/E9).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fragcloud_raid::{raid5, raid6, RaidLevel, StripeCodec};
+use fragcloud_raid::{RaidLevel, RsCodec, StripeCodec};
 
 fn shards(k: usize, width: usize) -> Vec<Vec<u8>> {
     (0..k)
@@ -18,15 +18,17 @@ fn shards(k: usize, width: usize) -> Vec<Vec<u8>> {
 fn bench_parity(c: &mut Criterion) {
     let mut group = c.benchmark_group("parity_encode");
     let k = 4;
+    let raid5 = RsCodec::new(k, 1).expect("valid geometry");
+    let raid6 = RsCodec::new(k, 2).expect("valid geometry");
     for &width in &[4 << 10, 64 << 10, 1 << 20] {
         let data = shards(k, width);
         let refs: Vec<&[u8]> = data.iter().map(|s| s.as_slice()).collect();
         group.throughput(Throughput::Bytes((k * width) as u64));
         group.bench_with_input(BenchmarkId::new("raid5", width), &refs, |b, refs| {
-            b.iter(|| raid5::parity(refs).expect("valid stripe"))
+            b.iter(|| raid5.parity(refs).expect("valid stripe"))
         });
         group.bench_with_input(BenchmarkId::new("raid6", width), &refs, |b, refs| {
-            b.iter(|| raid6::parity(refs).expect("valid stripe"))
+            b.iter(|| raid6.parity(refs).expect("valid stripe"))
         });
     }
     group.finish();
@@ -91,12 +93,13 @@ fn bench_wide_vs_scalar(c: &mut Criterion) {
     let data = shards(k, width);
     let refs: Vec<&[u8]> = data.iter().map(|s| s.as_slice()).collect();
 
+    let raid5 = RsCodec::new(k, 1).expect("valid geometry");
     group.throughput(Throughput::Bytes((k * width) as u64));
     group.bench_function("raid5_parity_wide_64KiB", |b| {
-        b.iter(|| raid5::parity(&refs).expect("valid stripe"))
+        b.iter(|| raid5.parity(&refs).expect("valid stripe"))
     });
     group.bench_function("raid5_parity_scalar_64KiB", |b| {
-        b.iter(|| raid5::parity_scalar(&refs).expect("valid stripe"))
+        b.iter(|| raid5.parity_scalar(&refs).expect("valid stripe"))
     });
 
     let src: Vec<u8> = (0..width).map(|i| (i * 131 + 17) as u8).collect();

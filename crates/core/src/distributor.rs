@@ -1011,9 +1011,12 @@ impl CloudDataDistributor {
         let mut pending: BTreeMap<usize, Result<EncodedGroup>> = BTreeMap::new();
 
         let seed = self.config.seed;
+        // Resolved once per put, at the first stripe's width: every full
+        // stripe encodes on its tables.
+        let codec = StripeCodec::new(chunk_count.clamp(1, k_max), raid)?;
         let encode = move |group, scratch, tel: &TelemetryHandle| {
             tel.time("stripe_encode_ns", || {
-                Self::encode_stripe_group(group, rate, seed, raid, scratch)
+                Self::encode_stripe_group(group, rate, seed, &codec, scratch)
             })
         };
         // A single stripe is encoded inline; anything longer overlaps
@@ -1074,6 +1077,7 @@ impl CloudDataDistributor {
                     }
                     Some(pool) => {
                         let (res_tx, recycle_rx) = (res_tx.clone(), recycle_rx.clone());
+                        let encode = encode.clone();
                         let wtel = tel.clone();
                         pool.submit_observed(&tel, move || {
                             // A panicking encode must still send — the
@@ -1168,12 +1172,13 @@ impl CloudDataDistributor {
     /// pure function of ⟨chunk, rate, seed ⊕ vid⟩.
     ///
     /// `scratch` recycles parity buffers from already-stored stripes
-    /// (popped as needed; missing entries just allocate).
+    /// (popped as needed; missing entries just allocate). `codec` is
+    /// resolved once per put; a short final stripe resolves its own.
     fn encode_stripe_group(
         group: Vec<(VirtualId, Bytes)>,
         rate: f64,
         seed: u64,
-        raid: RaidLevel,
+        codec: &StripeCodec,
         mut scratch: Vec<Vec<u8>>,
     ) -> Result<EncodedGroup> {
         let chunks: Vec<(VirtualId, Vec<u8>, Vec<usize>, usize)> = group
@@ -1187,30 +1192,17 @@ impl CloudDataDistributor {
             .collect();
         let width = chunks.iter().map(|(_, s, _, _)| s.len()).max().unwrap_or(0);
         let refs: Vec<&[u8]> = chunks.iter().map(|(_, s, _, _)| s.as_slice()).collect();
-        let parity = match raid {
-            RaidLevel::None => Vec::new(),
-            RaidLevel::Raid5 => {
-                let mut p = scratch.pop().unwrap_or_default();
-                fragcloud_raid::raid5::parity_padded_into(&refs, width, &mut p)?;
-                vec![p]
-            }
-            RaidLevel::Raid6 => {
-                let mut q = scratch.pop().unwrap_or_default();
-                let mut p = scratch.pop().unwrap_or_default();
-                fragcloud_raid::raid6::parity_padded_into(&refs, width, &mut p, &mut q)?;
-                vec![p, q]
-            }
-            RaidLevel::Rs { parity } => {
-                let m = parity as usize;
-                let codec = fragcloud_raid::RsCodec::new(refs.len(), m)?;
-                let mut rows: Vec<Vec<u8>> = Vec::with_capacity(m);
-                for _ in 0..m {
-                    rows.push(scratch.pop().unwrap_or_default());
-                }
-                codec.parity_padded_into(&refs, width, &mut rows)?;
-                rows
-            }
+        let tail;
+        let codec = if refs.len() == codec.data_shards() {
+            codec
+        } else {
+            tail = StripeCodec::new(refs.len(), codec.level())?;
+            &tail
         };
+        let mut parity: Vec<Vec<u8>> = (0..codec.level().parity_shards())
+            .map(|_| scratch.pop().unwrap_or_default())
+            .collect();
+        codec.parity_padded_into(&refs, width, &mut parity)?;
         Ok(EncodedGroup {
             chunks,
             width,
@@ -1494,17 +1486,11 @@ impl CloudDataDistributor {
             &tel,
             |_| match provider.get(vid) {
                 // Every read crosses the integrity check before its bytes
-                // reach any caller (decode included): a frame that fails
-                // verification is an erasure, never payload. The table's
-                // stored length backstops legacy-looking blobs, closing
-                // the corrupted-magic hole.
+                // reach any caller (decode included): an object that fails
+                // verification — or carries no frame at all — is an
+                // erasure, never payload.
                 Ok(bytes) => match integrity::unframe_expecting(vid, bytes, expected_len) {
-                    Ok((payload, framed)) => {
-                        if !framed {
-                            // Pre-framing ("v1") object: verified by
-                            // reconstruction-time length checks only.
-                            tel.incr("unframed_reads_total");
-                        }
+                    Ok(payload) => {
                         self.reputation
                             .record(provider_idx, ReputationEvent::Success);
                         self.health.record_success(provider_idx, &tel);
@@ -1899,7 +1885,7 @@ impl CloudDataDistributor {
     }
 
     /// Re-uploads a parity-reconstructed shard to its primary provider
-    /// under its original virtual id (freshly framed), so a corrupted or
+    /// under its original virtual id (in a fresh frame), so a corrupted or
     /// lost object is healed by the very read that detected it instead of
     /// waiting for an operator [`repair`](Self::repair) pass. Best-effort:
     /// an offline primary or failed write leaves the stripe degraded, and
@@ -1945,7 +1931,7 @@ impl CloudDataDistributor {
         new_data: &[u8],
     ) -> Result<()> {
         let mut st = self.shard_write(self.shard_for(client, filename));
-        let chunk_idx = st.chunk_index(client, filename, serial)?;
+        let chunk_idx = st.live_chunk_index(client, filename, serial)?;
         access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
         let pl = st.chunks[chunk_idx].pl;
 
@@ -1956,7 +1942,7 @@ impl CloudDataDistributor {
             .get(st.chunks[chunk_idx].vid)?; // fraglint: allow(lock-order) — read under the guard: vid must match the locked table entry
         // Verify the pre-state before snapshotting it (its frame is seeded
         // by the data vid; the snapshot gets its own frame below).
-        let (current, _) = integrity::unframe_expecting(
+        let current = integrity::unframe_expecting(
             st.chunks[chunk_idx].vid,
             current,
             st.chunks[chunk_idx].stored_len,
@@ -2036,7 +2022,7 @@ impl CloudDataDistributor {
         serial: u32,
     ) -> Result<()> {
         let mut st = self.shard_write(self.shard_for(client, filename));
-        let chunk_idx = st.chunk_index(client, filename, serial)?;
+        let chunk_idx = st.live_chunk_index(client, filename, serial)?;
         access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
         let (sp, svid) = match (
             st.chunks[chunk_idx].snapshot_provider_idx,
@@ -2051,7 +2037,7 @@ impl CloudDataDistributor {
             }
         };
         let pre_state = st.providers[sp].get(svid)?; // fraglint: allow(lock-order) — read under the guard: vid must match the locked table entry
-        let (pre_state, _) = integrity::unframe(svid, pre_state)?;
+        let pre_state = integrity::unframe(svid, pre_state)?;
         // The snapshot holds the pre-state's *stored* bytes; the matching
         // mislead positions were preserved in `snapshot_mislead` at update
         // time and are reinstated below so reads strip correctly.
@@ -2104,7 +2090,8 @@ impl CloudDataDistributor {
         if level == RaidLevel::None {
             return Ok(None);
         }
-        // Gather all data shards (zero for removed ones) at the new width.
+        // Gather all data shards (empty for removed ones); parity treats
+        // them as zero-padded to the new width.
         let mut datas: Vec<Vec<u8>> = Vec::with_capacity(k);
         let mut width = 0usize;
         for &m in &members[..k] {
@@ -2117,27 +2104,14 @@ impl CloudDataDistributor {
                 let raw = st.providers[e.provider_idx].get(e.vid)?;
                 // Verify before the parity math: corrupt peer bytes would
                 // otherwise be folded into the new parity permanently.
-                integrity::unframe_expecting(e.vid, raw, e.stored_len)?.0.to_vec()
+                integrity::unframe_expecting(e.vid, raw, e.stored_len)?.to_vec()
             };
             width = width.max(bytes.len());
             datas.push(bytes);
         }
-        for d in &mut datas {
-            d.resize(width, 0);
-        }
         let refs: Vec<&[u8]> = datas.iter().map(|d| d.as_slice()).collect();
-        let blobs: Vec<Vec<u8>> = match level {
-            RaidLevel::None => unreachable!("handled above"),
-            RaidLevel::Raid5 => vec![fragcloud_raid::raid5::parity(&refs)?],
-            RaidLevel::Raid6 => {
-                let pq = fragcloud_raid::raid6::parity(&refs)?;
-                vec![pq.p, pq.q]
-            }
-            RaidLevel::Rs { parity } => {
-                let codec = fragcloud_raid::RsCodec::new(refs.len(), parity as usize)?;
-                codec.parity(&refs)?
-            }
-        };
+        let mut blobs: Vec<Vec<u8>> = vec![Vec::new(); level.parity_shards()];
+        StripeCodec::new(k, level)?.parity_padded_into(&refs, width, &mut blobs)?;
         let writes: Vec<(usize, Vec<u8>)> = blobs
             .into_iter()
             .enumerate()
@@ -2201,14 +2175,8 @@ impl CloudDataDistributor {
         serial: u32,
     ) -> Result<()> {
         let mut st = self.shard_write(self.shard_for(client, filename));
-        let chunk_idx = st.chunk_index(client, filename, serial)?;
+        let chunk_idx = st.live_chunk_index(client, filename, serial)?;
         access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
-        if st.chunks[chunk_idx].removed {
-            return Err(CoreError::UnknownChunk {
-                filename: filename.to_string(),
-                serial,
-            });
-        }
         let (vid, provider_idx, replicas) = {
             let e = &st.chunks[chunk_idx];
             (e.vid, e.provider_idx, e.replicas.clone())
@@ -2221,14 +2189,26 @@ impl CloudDataDistributor {
             // Replica removal is best-effort: a missing copy is already gone.
             let _ = st.providers[rp].delete(rvid); // fraglint: allow(lock-order) — atomic object+table commit under the shard guard
         }
-        st.chunks[chunk_idx].removed = true;
-        st.chunks[chunk_idx].stored_len = 0;
-        st.chunks[chunk_idx].logical_len = 0;
-        st.chunks[chunk_idx].replicas.clear();
-        if let Some(plan) = plan {
-            self.apply_parity_plan(&mut st, plan)?;
+        // The tombstone names nothing that still exists — its snapshot
+        // goes with the chunk, like `remove_file`'s do.
+        let snapshot = {
+            let e = &mut st.chunks[chunk_idx];
+            e.removed = true;
+            e.stored_len = 0;
+            e.logical_len = 0;
+            e.replicas.clear();
+            e.snapshot_mislead = Vec::new();
+            e.mislead_positions = Vec::new();
+            e.snapshot_provider_idx.take().zip(e.snapshot_vid.take())
+        };
+        let snapshot = snapshot.map(|(p, svid)| (Arc::clone(&st.providers[p]), svid));
+        let res = plan.map_or(Ok(()), |plan| self.apply_parity_plan(&mut st, plan));
+        drop(st);
+        // Deleted with the shard lock released, best-effort like replicas.
+        if let Some((provider, svid)) = snapshot {
+            let _ = provider.delete(svid);
         }
-        Ok(())
+        res
     }
 
     /// Removes a whole file (§VI `remove file`): data chunks, parity

@@ -19,24 +19,16 @@
 //! erasure: the shard routes into parity reconstruction and read-repair
 //! rather than ever reaching decode as bad bytes.
 //!
-//! ## Versioning
-//!
-//! Frames carry version [`FRAME_VERSION`]; objects written before this
-//! framing existed ("v1", unframed) carry no magic and are passed
-//! through unverified — callers count them under `unframed_reads_total`
-//! and rely on reconstruction-time length checks instead, so a fleet
-//! with pre-framing objects keeps reading. (A legacy payload could
-//! start with the 5 magic+version bytes only by a 2⁻⁴⁰ accident; even
-//! then the failure mode is a checksum mismatch, i.e. a spurious
-//! erasure that parity absorbs — never silent corruption.)
+//! Every stored object is framed: bytes too short to hold a frame, or
+//! not starting with the magic, are a `ShardCorrupt` erasure like any
+//! other damage — parity heals them and read-repair re-frames them.
 
 use crate::{CoreError, Result};
 use bytes::Bytes;
 use fragcloud_crypto::checksum64;
 use fragcloud_sim::VirtualId;
 
-/// Frame format version stamped after the magic. Version 1 is the
-/// retroactive name for unframed pre-framing objects.
+/// Frame format version stamped after the magic.
 pub const FRAME_VERSION: u8 = 2;
 
 /// Frame magic: "FraGcloud Integrity".
@@ -58,54 +50,42 @@ pub fn frame(vid: VirtualId, payload: &[u8]) -> Bytes {
 
 /// Verifies and strips the frame from bytes read back for `vid`.
 ///
-/// Returns `(payload, framed)`: `framed` is `false` for legacy v1
-/// objects (no magic), which pass through unverified. A present frame
-/// whose version is unknown or whose checksum does not match the
-/// vid-seeded payload sum fails with [`CoreError::ShardCorrupt`].
-pub fn unframe(vid: VirtualId, bytes: Bytes) -> Result<(Bytes, bool)> {
+/// Bytes without a frame (too short, or no magic), a frame whose version
+/// is unknown, and a checksum that does not match the vid-seeded payload
+/// sum all fail with [`CoreError::ShardCorrupt`].
+pub fn unframe(vid: VirtualId, bytes: Bytes) -> Result<Bytes> {
+    let corrupt = |why: String| CoreError::ShardCorrupt { vid, why };
     if bytes.len() < FRAME_OVERHEAD || bytes[..MAGIC.len()] != MAGIC {
-        return Ok((bytes, false));
+        return Err(corrupt("no integrity frame".to_string()));
     }
     let version = bytes[MAGIC.len()];
     if version != FRAME_VERSION {
-        return Err(CoreError::ShardCorrupt {
-            vid,
-            why: format!("unsupported frame version {version}"),
-        });
+        return Err(corrupt(format!("unsupported frame version {version}")));
     }
     let mut sum = [0u8; 8];
     sum.copy_from_slice(&bytes[MAGIC.len() + 1..FRAME_OVERHEAD]);
-    let stamped = u64::from_le_bytes(sum);
     let payload = bytes.slice(FRAME_OVERHEAD..);
-    if checksum64(&payload, vid.0) != stamped {
-        return Err(CoreError::ShardCorrupt {
-            vid,
-            why: "checksum mismatch".to_string(),
-        });
+    if checksum64(&payload, vid.0) != u64::from_le_bytes(sum) {
+        return Err(corrupt("checksum mismatch".to_string()));
     }
-    Ok((payload, true))
+    Ok(payload)
 }
 
-/// [`unframe`] plus a table-length cross-check that closes the magic-flip
-/// hole: corruption inside the 4-byte magic makes a framed object look
-/// like a legacy unframed one, and `unframe` alone would pass the whole
-/// damaged blob through as payload. The chunk tables record every
-/// shard's payload length out-of-band, so a "legacy" blob whose length
-/// differs from `expected_len` cannot be a real v1 object — it is a
-/// framed object with a corrupted header (or a grown/shrunk legacy one),
-/// and either way it must not reach decode.
-pub fn unframe_expecting(vid: VirtualId, bytes: Bytes, expected_len: usize) -> Result<(Bytes, bool)> {
-    let (payload, framed) = unframe(vid, bytes)?;
-    if !framed && payload.len() != expected_len {
+/// [`unframe`] plus a cross-check against the payload length the chunk
+/// tables record out-of-band: an intact frame of another length is a
+/// stale object replayed under the same vid, and must not reach decode.
+pub fn unframe_expecting(vid: VirtualId, bytes: Bytes, expected_len: usize) -> Result<Bytes> {
+    let payload = unframe(vid, bytes)?;
+    if payload.len() != expected_len {
         return Err(CoreError::ShardCorrupt {
             vid,
             why: format!(
-                "unframed object is {} bytes, table says {expected_len}",
+                "object is {} bytes, table says {expected_len}",
                 payload.len()
             ),
         });
     }
-    Ok((payload, framed))
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -116,15 +96,12 @@ mod tests {
     fn roundtrip_and_overhead() {
         let vid = VirtualId(1234);
         let payload = Bytes::from((0u16..700).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
-        let framed = frame(vid, &payload);
-        assert_eq!(framed.len(), payload.len() + FRAME_OVERHEAD);
-        let (back, was_framed) = unframe(vid, framed).expect("clean frame verifies");
-        assert!(was_framed);
+        let object = frame(vid, &payload);
+        assert_eq!(object.len(), payload.len() + FRAME_OVERHEAD);
+        let back = unframe(vid, object).expect("clean frame verifies");
         assert_eq!(back, payload);
         // Empty payloads frame too.
-        let (empty, was_framed) = unframe(vid, frame(vid, b"")).unwrap();
-        assert!(was_framed);
-        assert!(empty.is_empty());
+        assert!(unframe(vid, frame(vid, b"")).unwrap().is_empty());
     }
 
     #[test]
@@ -136,18 +113,13 @@ mod tests {
             for bit in 0..8 {
                 let mut bad = framed.to_vec();
                 bad[byte] ^= 1 << bit;
+                // Magic, version, checksum or payload: every flip is a
+                // typed corruption.
                 let outcome = unframe(vid, Bytes::from(bad));
-                // A flip in the magic demotes the object to legacy
-                // pass-through (indistinguishable from an unframed v1
-                // object); any other flip must be a typed corruption.
-                if byte < MAGIC.len() {
-                    assert!(matches!(outcome, Ok((_, false))), "byte={byte} bit={bit}");
-                } else {
-                    assert!(
-                        matches!(outcome, Err(CoreError::ShardCorrupt { .. })),
-                        "byte={byte} bit={bit}: {outcome:?}"
-                    );
-                }
+                assert!(
+                    matches!(outcome, Err(CoreError::ShardCorrupt { .. })),
+                    "byte={byte} bit={bit}: {outcome:?}"
+                );
             }
         }
     }
@@ -181,54 +153,41 @@ mod tests {
     }
 
     #[test]
-    fn legacy_unframed_objects_pass_through() {
+    fn unframed_objects_are_corrupt() {
         let vid = VirtualId(5);
         for raw in [&b""[..], b"short", &[0u8; 64][..]] {
-            let (back, framed) = unframe(vid, Bytes::copy_from_slice(raw)).unwrap();
-            assert!(!framed);
-            assert_eq!(back, Bytes::copy_from_slice(raw));
+            assert!(matches!(
+                unframe(vid, Bytes::copy_from_slice(raw)),
+                Err(CoreError::ShardCorrupt { why, .. }) if why.contains("no integrity frame")
+            ));
         }
     }
 
     #[test]
-    fn magic_flip_is_caught_by_length_cross_check() {
+    fn length_cross_check_catches_same_vid_stale_replay() {
         let vid = VirtualId(11);
         let payload: Vec<u8> = (0..100).map(|i| (i * 7) as u8).collect();
-        let framed = frame(vid, &payload);
-        // Damage every bit of the magic: plain unframe demotes to legacy,
-        // but the length cross-check (payload.len() + FRAME_OVERHEAD ≠
-        // payload.len()) turns every one into a typed corruption.
-        for byte in 0..MAGIC.len() {
-            for bit in 0..8 {
-                let mut bad = framed.to_vec();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    matches!(
-                        unframe_expecting(vid, Bytes::from(bad), payload.len()),
-                        Err(CoreError::ShardCorrupt { .. })
-                    ),
-                    "byte={byte} bit={bit}"
-                );
-            }
+        // An intact frame passes the cross-check at the recorded length…
+        let back = unframe_expecting(vid, frame(vid, &payload), payload.len()).unwrap();
+        assert_eq!(back, Bytes::copy_from_slice(&payload));
+        // …but an older object under the same vid verifies its own
+        // checksum and is caught only by the table's length.
+        for stale in [&payload[..60], &[][..]] {
+            assert!(unframe(vid, frame(vid, stale)).is_ok());
+            assert!(matches!(
+                unframe_expecting(vid, frame(vid, stale), payload.len()),
+                Err(CoreError::ShardCorrupt { why, .. }) if why.contains("table says 100")
+            ));
         }
-        // A genuine legacy object of the right length still passes.
-        let (back, framed_flag) =
-            unframe_expecting(vid, Bytes::copy_from_slice(&payload), payload.len()).unwrap();
-        assert!(!framed_flag);
-        assert_eq!(back, Bytes::copy_from_slice(&payload));
-        // And an intact frame is unaffected by the cross-check.
-        let (back, framed_flag) = unframe_expecting(vid, frame(vid, &payload), payload.len()).unwrap();
-        assert!(framed_flag);
-        assert_eq!(back, Bytes::copy_from_slice(&payload));
     }
 
     #[test]
     fn unknown_frame_version_is_corrupt_not_garbage() {
         let vid = VirtualId(3);
-        let mut framed = frame(vid, b"hello").to_vec();
-        framed[MAGIC.len()] = 99;
+        let mut object = frame(vid, b"hello").to_vec();
+        object[MAGIC.len()] = 99;
         assert!(matches!(
-            unframe(vid, Bytes::from(framed)),
+            unframe(vid, Bytes::from(object)),
             Err(CoreError::ShardCorrupt { why, .. }) if why.contains("version 99")
         ));
     }

@@ -117,7 +117,7 @@ impl CloudDataDistributor {
         let bytes = st.providers[source_provider].get(old_vid)?; // fraglint: allow(lock-order) — read under the guard: vid must match the locked table entry
         // Verify under the old id, re-frame under the new one: migration
         // must not launder a corrupted object into a fresh valid frame.
-        let (payload, _) = crate::integrity::unframe(old_vid, bytes)?;
+        let payload = crate::integrity::unframe(old_vid, bytes)?;
         st.providers[target_provider].put(new_vid, crate::integrity::frame(new_vid, &payload))?; // fraglint: allow(lock-order) — atomic object+table commit under the shard guard
         self.crash_point()?;
         st.chunks[chunk_idx].vid = new_vid;

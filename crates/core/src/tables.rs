@@ -181,10 +181,25 @@ impl Tables {
             })
     }
 
+    /// [`chunk_index`](Self::chunk_index) for the verbs that rewrite a
+    /// chunk's object (update, restore, remove): a tombstoned row is as
+    /// unknown as a serial past the end — nothing may be folded back into
+    /// its stripe's parity.
+    pub fn live_chunk_index(&self, client: &str, filename: &str, serial: u32) -> Result<usize> {
+        let idx = self.chunk_index(client, filename, serial)?;
+        if self.chunks[idx].removed {
+            return Err(CoreError::UnknownChunk {
+                filename: filename.to_string(),
+                serial,
+            });
+        }
+        Ok(idx)
+    }
+
     /// Every virtual id the tables still reference: live chunks' primary
-    /// ids and replicas, plus any snapshot ids (snapshots can outlive a
-    /// chunk tombstone until `remove_file` sweeps them). The complement —
-    /// an id a provider holds that is *not* in this set — is an orphan.
+    /// ids and replicas, plus any snapshot ids (`remove_chunk` and
+    /// `remove_file` drop a row's snapshot with the chunk). The complement
+    /// — an id a provider holds that is *not* in this set — is an orphan.
     pub fn referenced_vids(&self) -> std::collections::HashSet<VirtualId> {
         let mut set = std::collections::HashSet::new();
         for e in &self.chunks {

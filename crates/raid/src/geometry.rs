@@ -1,10 +1,8 @@
 //! Shared stripe-geometry validation.
 //!
-//! Historically `raid5`, `raid6` and `stripe` each re-validated shard
-//! counts with slightly different wording and limits; `rs` would have made
-//! it a fourth copy. Every codec now funnels through [`check_geometry`],
-//! so a geometry accepted at codec construction is accepted by every
-//! encode/reconstruct entry point with the same error text.
+//! Codec construction and every encode/reconstruct entry point funnel
+//! through [`check_geometry`], so a geometry accepted once is accepted
+//! everywhere with the same error text.
 
 use crate::{RaidError, Result};
 

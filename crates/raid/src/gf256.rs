@@ -4,8 +4,8 @@
 //! Reed–Solomon / RAID-6 polynomial, under which `g = 2` is primitive.
 //!
 //! Multiplication and inversion are table-driven (exp/log tables built at
-//! first use from generator 2), which keeps the hot Reed–Solomon paths in
-//! `raid6` branch-free per byte.
+//! first use from generator 2), which keeps the Reed–Solomon matrix
+//! construction and decode in `rs` branch-free per byte.
 
 use std::sync::OnceLock;
 

@@ -1,7 +1,7 @@
-//! Word-parallel inner kernels behind the RAID-5/6 hot paths.
+//! Word-parallel inner kernels behind the parity hot paths.
 //!
-//! Everything public in [`raid5`](crate::raid5), [`raid6`](crate::raid6)
-//! and [`gf256`](crate::gf256) dispatches through this module; the
+//! [`RsCodec`](crate::RsCodec) and the slice operations of
+//! [`gf256`](crate::gf256) dispatch through this module; the
 //! byte-at-a-time reference implementations are kept alongside as
 //! `*_scalar` functions so proptests and criterion benches can pin the
 //! wide kernels against them.

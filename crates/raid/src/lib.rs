@@ -8,24 +8,26 @@
 //! RACS (Abu-Libdeh et al., SoCC'10) in treating **each cloud provider as a
 //! separate disk**.
 //!
-//! This crate implements the coding layer from scratch:
+//! This crate implements the coding layer from scratch, around **one**
+//! erasure code:
 //!
-//! - [`gf256`] — arithmetic in GF(2⁸) with the AES polynomial `0x11B`,
-//! - [`raid5`] — single-parity XOR striping (tolerates one lost provider),
-//! - [`raid6`] — P+Q Reed–Solomon striping (tolerates any two lost
-//!   providers),
-//! - [`rs`] — general RS(k, m) striping with a systematic
-//!   Vandermonde/Cauchy matrix and cached split-nibble kernel tables
-//!   (tolerates any `m` lost providers),
-//! - [`geometry`] — the shared [`geometry::check_geometry`] validation all
-//!   codecs funnel through,
-//! - [`stripe`] — a level-agnostic [`stripe::StripeCodec`] facade used by the
-//!   distributor.
+//! - [`gf256`] — arithmetic in GF(2⁸) with the Reed–Solomon polynomial
+//!   `0x11D`,
+//! - [`rs`] — systematic RS(k, m): the only parity engine. `m = 1` is
+//!   XOR parity (the paper's RAID-5, one lost provider), `m = 2` is P+Q
+//!   (RAID-6, any two), `m ≥ 3` a Cauchy block (any `m`); coefficient
+//!   blocks are expanded once into cached split-nibble kernel tables,
+//! - [`geometry`] — the shared [`geometry::check_geometry`] validation,
+//! - [`stripe`] — the [`stripe::StripeCodec`] facade the distributor
+//!   talks to; a [`stripe::RaidLevel`] names a parity-shard count and
+//!   nothing else,
+//! - [`raid5`], [`raid6`] — no code, only the two `parity_padded_into`
+//!   delegations the benchmark's replay row still calls.
 //!
 //! The hot loops dispatch through an internal `kernel` module: u64
-//! word-wide SWAR XOR for parity and split-nibble lookup tables for
+//! word-wide SWAR XOR for coefficient 1 and split-nibble lookup tables for
 //! GF(2⁸) slice multiplication. Byte-at-a-time references survive as
-//! `*_scalar` functions ([`raid5::parity_scalar`],
+//! `*_scalar` functions ([`RsCodec::parity_scalar`],
 //! [`gf256::mul_acc_scalar`], [`gf256::mul_slice_scalar`]) so tests and
 //! benches can pin the wide kernels against them.
 

@@ -1,96 +1,37 @@
-//! RAID-5: single XOR parity across `k` data shards.
+//! RAID-5 — the paper's default assurance level (§IV-A): one XOR parity
+//! shard `P = D₀ ⊕ D₁ ⊕ … ⊕ D_{k−1}`, any one lost shard rebuilt.
 //!
-//! Encoding produces one parity shard `P = D₀ ⊕ D₁ ⊕ … ⊕ D_{k−1}`; any one
-//! missing shard (data or parity) can be reconstructed. The paper uses this
-//! as the default assurance level for distributed chunks (§IV-A).
+//! There is no RAID-5 implementation here: the level is geometry `(k, 1)`
+//! of [`RsCodec`], reached through
+//! [`StripeCodec`](crate::StripeCodec) with
+//! [`RaidLevel::Raid5`](crate::RaidLevel::Raid5).
 
-use crate::geometry::{check_equal_lengths, check_geometry, check_within_width};
-use crate::kernel;
-use crate::Result;
+use crate::{Result, RsCodec};
 
-/// Computes the parity shard for a slice of equal-length data shards
-/// through the u64 word-wide XOR kernel ([`parity_scalar`] is the
-/// byte-at-a-time reference).
-///
-/// Returns [`RaidError::BadGeometry`](crate::RaidError::BadGeometry) for an
-/// empty input and
-/// [`RaidError::ShardLengthMismatch`](crate::RaidError::ShardLengthMismatch)
-/// when lengths differ.
-pub fn parity(shards: &[&[u8]]) -> Result<Vec<u8>> {
-    check_geometry(shards.len(), 1)?;
-    check_equal_lengths(shards)?;
-    let mut p = shards[0].to_vec();
-    for s in &shards[1..] {
-        kernel::xor_acc(&mut p, s);
-    }
-    Ok(p)
-}
-
-/// Byte-at-a-time reference implementation of [`parity`], written in
-/// definition order: parity byte `i` is the XOR of byte `i` of every
-/// shard. Kept for proptests and benches that pin the wide kernel
-/// against it.
-pub fn parity_scalar(shards: &[&[u8]]) -> Result<Vec<u8>> {
-    check_geometry(shards.len(), 1)?;
-    let len = check_equal_lengths(shards)?;
-    let mut p = vec![0u8; len];
-    for idx in 0..len {
-        let mut b = 0u8;
-        for s in shards {
-            b ^= s[idx];
-        }
-        p[idx] = b;
-    }
-    Ok(p)
-}
-
-/// Parity of shards that are logically zero-padded to `width`: each shard
-/// may be shorter than `width`, and the missing suffix contributes
-/// nothing to the XOR. Lets stripe encoders skip materializing padded
-/// copies of the final (short) shard.
-///
-/// Returns [`RaidError::BadGeometry`](crate::RaidError::BadGeometry) for an
-/// empty input or when a shard exceeds `width`.
-pub fn parity_padded(shards: &[&[u8]], width: usize) -> Result<Vec<u8>> {
-    let mut p = Vec::new();
-    parity_padded_into(shards, width, &mut p)?;
-    Ok(p)
-}
-
-/// [`parity_padded`] writing into a caller-provided buffer (cleared and
-/// resized to `width`), so pipelined encoders can recycle parity
-/// allocations across stripes.
+/// [`RsCodec::parity_padded_into`] at `(shards.len(), 1)`. Kept only
+/// because the benchmark's replay row calls it; a later `benchmark` PR
+/// drops it.
 pub fn parity_padded_into(shards: &[&[u8]], width: usize, out: &mut Vec<u8>) -> Result<()> {
-    check_geometry(shards.len(), 1)?;
-    check_within_width(shards, width)?;
-    out.clear();
-    out.resize(width, 0);
-    for s in shards {
-        kernel::xor_acc(out, s);
-    }
-    Ok(())
-}
-
-/// Reconstructs one missing shard given all the others plus parity.
-///
-/// `present` holds the `k` surviving shards (data and/or parity, order
-/// irrelevant because XOR is commutative): the missing shard is simply the
-/// XOR of everything that survived.
-pub fn reconstruct(present: &[&[u8]]) -> Result<Vec<u8>> {
-    // XOR of all surviving shards = the missing one (data or parity alike).
-    parity(present)
-}
-
-/// Verifies that data shards and parity are consistent.
-pub fn verify(shards: &[&[u8]], parity_shard: &[u8]) -> Result<bool> {
-    let p = parity(shards)?;
-    Ok(p == parity_shard)
+    RsCodec::new(shards.len(), 1)?.parity_padded_into(shards, width, std::slice::from_mut(out))
 }
 
 #[cfg(test)]
 mod tests {
+    //! The behaviours the dedicated RAID-5 code was tested for, now
+    //! asserted of geometry `(k, 1)` on the one engine.
+
     use super::*;
     use crate::RaidError;
+
+    fn parity(shards: &[&[u8]]) -> Result<Vec<u8>> {
+        Ok(RsCodec::new(shards.len(), 1)?.parity(shards)?.remove(0))
+    }
+
+    fn parity_padded(shards: &[&[u8]], width: usize) -> Result<Vec<u8>> {
+        let mut p = vec![0xAA; 3]; // stale contents must be overwritten
+        parity_padded_into(shards, width, &mut p)?;
+        Ok(p)
+    }
 
     #[test]
     fn parity_of_single_shard_is_shard() {
@@ -103,6 +44,7 @@ mod tests {
         let a = [0b1010u8];
         let b = [0b0110u8];
         assert_eq!(parity(&[&a, &b]).unwrap(), vec![0b1100u8]);
+        assert_eq!(parity_padded(&[&a, &b], 1).unwrap(), vec![0b1100u8]);
     }
 
     #[test]
@@ -110,38 +52,40 @@ mod tests {
         let shards: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]];
         let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
         let p = parity(&refs).unwrap();
+        let codec = RsCodec::new(3, 1).unwrap();
         for missing in 0..shards.len() {
-            let mut present: Vec<&[u8]> = Vec::new();
-            for (i, s) in shards.iter().enumerate() {
-                if i != missing {
-                    present.push(s);
-                }
-            }
-            present.push(&p);
-            let rec = reconstruct(&present).unwrap();
-            assert_eq!(rec, shards[missing], "failed for shard {missing}");
+            let mut present: Vec<(usize, &[u8])> = refs.iter().copied().enumerate().collect();
+            present.push((3, &p));
+            present.remove(missing);
+            assert_eq!(
+                codec.reconstruct(&present).unwrap(),
+                shards,
+                "failed for shard {missing}"
+            );
         }
     }
 
     #[test]
     fn reconstruct_parity_shard() {
         let shards: Vec<Vec<u8>> = vec![vec![10, 20], vec![30, 40]];
-        let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-        let p = parity(&refs).unwrap();
+        let present: Vec<(usize, &[u8])> =
+            shards.iter().map(|s| s.as_slice()).enumerate().collect();
+        let p = parity(&[&shards[0], &shards[1]]).unwrap();
         // Parity lost: recompute from data alone.
-        let rec = reconstruct(&refs).unwrap();
-        assert_eq!(rec, p);
+        let codec = RsCodec::new(2, 1).unwrap();
+        assert_eq!(codec.reconstruct_shard(&present, 2).unwrap(), p);
     }
 
     #[test]
     fn verify_detects_corruption() {
         let a = [1u8, 2];
         let b = [3u8, 4];
-        let p = parity(&[&a, &b]).unwrap();
-        assert!(verify(&[&a, &b], &p).unwrap());
+        let codec = RsCodec::new(2, 1).unwrap();
+        let p = codec.parity(&[&a, &b]).unwrap();
+        assert!(codec.verify(&[&a, &b], &p).unwrap());
         let mut bad = p.clone();
-        bad[0] ^= 0xFF;
-        assert!(!verify(&[&a, &b], &bad).unwrap());
+        bad[0][0] ^= 0xFF;
+        assert!(!codec.verify(&[&a, &b], &bad).unwrap());
     }
 
     #[test]
@@ -158,8 +102,8 @@ mod tests {
     #[test]
     fn empty_width_shards_ok() {
         let a: [u8; 0] = [];
-        let p = parity(&[&a[..], &a[..]]).unwrap();
-        assert!(p.is_empty());
+        assert!(parity(&[&a[..], &a[..]]).unwrap().is_empty());
+        assert!(parity_padded(&[&a[..], &a[..]], 0).unwrap().is_empty());
     }
 
     #[test]
@@ -174,9 +118,10 @@ mod tests {
                 })
                 .collect();
             let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
+            let codec = RsCodec::new(5, 1).unwrap();
             assert_eq!(
-                parity(&refs).unwrap(),
-                parity_scalar(&refs).unwrap(),
+                codec.parity(&refs).unwrap(),
+                codec.parity_scalar(&refs).unwrap(),
                 "len={len}"
             );
         }

@@ -1,228 +1,36 @@
-//! RAID-6: dual parity (P, Q) over GF(2⁸), tolerating any two erasures.
+//! RAID-6 — the paper's "higher assurance" level (§IV-A): dual parity
+//! `P = ⊕ᵢ Dᵢ`, `Q = ⊕ᵢ gⁱ·Dᵢ` over GF(2⁸), any two lost shards rebuilt.
 //!
-//! With data shards `D₀..D_{k−1}`:
-//!
-//! - `P = ⊕ᵢ Dᵢ` (plain XOR, same as RAID-5),
-//! - `Q = ⊕ᵢ gⁱ·Dᵢ` with `g` the primitive generator of the field.
-//!
-//! Any two missing shards — two data, one data + P, one data + Q, or both
-//! parities — are reconstructed by solving the corresponding linear system
-//! in GF(2⁸). The paper selects this level "in case of higher assurance"
-//! (§IV-A).
+//! There is no RAID-6 implementation here: the level is geometry `(k, 2)`
+//! of [`RsCodec`], reached through
+//! [`StripeCodec`](crate::StripeCodec) with
+//! [`RaidLevel::Raid6`](crate::RaidLevel::Raid6).
 
-use crate::geometry::{check_equal_lengths, check_geometry, check_within_width};
-use crate::gf256;
-use crate::kernel;
-use crate::{RaidError, Result};
+use crate::{Result, RsCodec};
 
-/// Both parity shards for a stripe of equal-length data shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Parity {
-    /// XOR parity.
-    pub p: Vec<u8>,
-    /// Reed–Solomon parity with coefficients `gⁱ`.
-    pub q: Vec<u8>,
-}
-
-/// Maximum number of data shards (coefficients `gⁱ` must stay distinct).
-pub const MAX_DATA_SHARDS: usize = crate::geometry::MAX_POWER_DATA_SHARDS;
-
-/// Computes P and Q parity for the given data shards.
-pub fn parity(shards: &[&[u8]]) -> Result<Parity> {
-    check_geometry(shards.len(), 2)?;
-    let len = check_equal_lengths(shards)?;
-    let mut p = vec![0u8; len];
-    let mut q = vec![0u8; len];
-    for (i, s) in shards.iter().enumerate() {
-        kernel::xor_acc(&mut p, s);
-        gf256::mul_acc(&mut q, s, gf256::pow(gf256::GENERATOR, i as u32));
-    }
-    Ok(Parity { p, q })
-}
-
-/// P and Q parity of shards that are logically zero-padded to `width`:
-/// shards may be shorter than `width` and the missing suffix contributes
-/// nothing (zero is additive identity and annihilates products), so stripe
-/// encoders can skip materializing padded copies of the final short shard.
-///
-/// Returns [`RaidError::BadGeometry`] for an empty input, too many shards,
-/// or a shard longer than `width`.
-pub fn parity_padded(shards: &[&[u8]], width: usize) -> Result<Parity> {
-    let mut p = Vec::new();
-    let mut q = Vec::new();
-    parity_padded_into(shards, width, &mut p, &mut q)?;
-    Ok(Parity { p, q })
-}
-
-/// [`parity_padded`] writing into caller-provided P and Q buffers (cleared
-/// and resized to `width`), so pipelined encoders can recycle parity
-/// allocations across stripes.
+/// [`RsCodec::parity_padded_into`] at `(shards.len(), 2)` with P and Q in
+/// separate buffers. Kept only because the benchmark's replay row calls
+/// it; a later `benchmark` PR drops it.
 pub fn parity_padded_into(
     shards: &[&[u8]],
     width: usize,
     p: &mut Vec<u8>,
     q: &mut Vec<u8>,
 ) -> Result<()> {
-    check_geometry(shards.len(), 2)?;
-    check_within_width(shards, width)?;
-    p.clear();
-    p.resize(width, 0);
-    q.clear();
-    q.resize(width, 0);
-    for (i, s) in shards.iter().enumerate() {
-        kernel::xor_acc(p, s);
-        gf256::mul_acc(&mut q[..s.len()], s, gf256::pow(gf256::GENERATOR, i as u32));
-    }
-    Ok(())
-}
-
-/// Identifies a shard within a RAID-6 stripe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardId {
-    /// Data shard at the given stripe index.
-    Data(usize),
-    /// The XOR parity shard.
-    P,
-    /// The Reed–Solomon parity shard.
-    Q,
-}
-
-/// A surviving or reconstructed stripe member.
-#[derive(Debug, Clone)]
-pub struct Shard<'a> {
-    /// Which stripe slot this shard occupies.
-    pub id: ShardId,
-    /// The shard payload.
-    pub data: &'a [u8],
-}
-
-/// Reconstructs the full data stripe (`k` data shards, in order) from any
-/// `≥ k` surviving stripe members out of `k + 2`.
-///
-/// `k` is the stripe's data-shard count; `survivors` may contain data
-/// shards, P and Q in any order. At most two members may be missing.
-pub fn reconstruct(k: usize, survivors: &[Shard<'_>]) -> Result<Vec<Vec<u8>>> {
-    check_geometry(k, 2)?;
-    if survivors.is_empty() {
-        return Err(RaidError::TooManyErasures {
-            missing: k + 2,
-            tolerable: 2,
-        });
-    }
-    check_equal_lengths(&survivors.iter().map(|s| s.data).collect::<Vec<_>>())?;
-
-    let mut data: Vec<Option<Vec<u8>>> = vec![None; k];
-    let mut p: Option<Vec<u8>> = None;
-    let mut q: Option<Vec<u8>> = None;
-    for s in survivors {
-        match s.id {
-            ShardId::Data(i) => {
-                if i >= k {
-                    return Err(RaidError::BadGeometry {
-                        detail: format!("data index {i} out of range for k={k}"),
-                    });
-                }
-                data[i] = Some(s.data.to_vec());
-            }
-            ShardId::P => p = Some(s.data.to_vec()),
-            ShardId::Q => q = Some(s.data.to_vec()),
-        }
-    }
-
-    let missing: Vec<usize> = (0..k).filter(|&i| data[i].is_none()).collect();
-    let missing_total = missing.len() + usize::from(p.is_none()) + usize::from(q.is_none());
-    if missing_total > 2 {
-        return Err(RaidError::TooManyErasures {
-            missing: missing_total,
-            tolerable: 2,
-        });
-    }
-
-    match (missing.as_slice(), &p, &q) {
-        // All data present — nothing to do.
-        ([], _, _) => {}
-        // One data shard missing, P available: XOR repair.
-        ([i], Some(pv), _) => {
-            let mut x = pv.clone();
-            // Shard i is the only `None`, so the surviving shards are
-            // exactly the flattened rest.
-            for d in data.iter().flatten() {
-                kernel::xor_acc(&mut x, d);
-            }
-            data[*i] = Some(x);
-        }
-        // One data shard missing, P lost but Q available: RS repair.
-        ([i], None, Some(qv)) => {
-            // Q = Σ g^j d_j  =>  g^i d_i = Q ⊕ Σ_{j≠i} g^j d_j
-            let mut acc = qv.clone();
-            // Shard i is the only `None`; enumerate keeps each survivor's
-            // coefficient g^j while skipping the missing slot.
-            for (j, d) in data.iter().enumerate() {
-                if let Some(d) = d {
-                    gf256::mul_acc(&mut acc, d, gf256::pow(gf256::GENERATOR, j as u32));
-                }
-            }
-            let gi_inv = gf256::inv(gf256::pow(gf256::GENERATOR, *i as u32));
-            gf256::mul_slice(&mut acc, gi_inv);
-            data[*i] = Some(acc);
-        }
-        // Two data shards missing: need both parities.
-        ([i, j], Some(pv), Some(qv)) => {
-            let (i, j) = (*i, *j);
-            // A = P ⊕ Σ surviving d  (= d_i ⊕ d_j)
-            let mut a = pv.clone();
-            // B = Q ⊕ Σ surviving g^m d_m (= g^i d_i ⊕ g^j d_j)
-            let mut b = qv.clone();
-            for (m, d) in data.iter().enumerate() {
-                if let Some(d) = d {
-                    kernel::xor_acc(&mut a, d);
-                    gf256::mul_acc(&mut b, d, gf256::pow(gf256::GENERATOR, m as u32));
-                }
-            }
-            // Solve d_i ⊕ d_j = A ; g^i d_i ⊕ g^j d_j = B:
-            //   d_i = (B ⊕ g^j·A) / (g^i ⊕ g^j),  d_j = A ⊕ d_i,
-            // evaluated slice-at-a-time through the wide kernels.
-            let gi = gf256::pow(gf256::GENERATOR, i as u32);
-            let gj = gf256::pow(gf256::GENERATOR, j as u32);
-            let denom_inv = gf256::inv(gi ^ gj);
-            let mut di = b;
-            gf256::mul_acc(&mut di, &a, gj);
-            gf256::mul_slice(&mut di, denom_inv);
-            let mut dj = a;
-            kernel::xor_acc(&mut dj, &di);
-            data[i] = Some(di);
-            data[j] = Some(dj);
-        }
-        // One data missing but no parity at all survives — unreachable
-        // (missing_total would exceed 2 only if k>… ) actually possible when
-        // both parities lost AND a data shard lost = 3 missing, caught above.
-        ([_], None, None) => unreachable!("guarded by missing_total check"),
-        (ms, _, _) => {
-            return Err(RaidError::TooManyErasures {
-                missing: ms.len(),
-                tolerable: 2,
-            })
-        }
-    }
-
-    Ok(data
-        .into_iter()
-        // fraglint: allow(no-unwrap-in-lib) — every arm above either
-        // restores the missing slots or returns an error, so all k
-        // shards are Some here.
-        .map(|d| d.expect("all data reconstructed"))
-        .collect())
-}
-
-/// Verifies stripe consistency: recomputed (P, Q) match the stored ones.
-pub fn verify(shards: &[&[u8]], stored: &Parity) -> Result<bool> {
-    let computed = parity(shards)?;
-    Ok(computed == *stored)
+    let codec = RsCodec::new(shards.len(), 2)?;
+    let mut rows = [std::mem::take(p), std::mem::take(q)];
+    let res = codec.parity_padded_into(shards, width, &mut rows);
+    [*p, *q] = rows;
+    res
 }
 
 #[cfg(test)]
 mod tests {
+    //! The behaviours the dedicated RAID-6 code was tested for, now
+    //! asserted of geometry `(k, 2)` on the one engine.
+
     use super::*;
+    use crate::RaidError;
 
     fn stripe(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -238,93 +46,60 @@ mod tests {
         v.iter().map(|s| s.as_slice()).collect()
     }
 
+    /// `[P, Q]` for `data`.
+    fn parity(data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
+        RsCodec::new(data.len(), 2)?.parity(&refs(data))
+    }
+
+    /// Reconstructs the data stripe with the members in `lost` (stripe
+    /// indices: data `0..k`, P = `k`, Q = `k + 1`) erased.
+    fn reconstruct_without(data: &[Vec<u8>], lost: &[usize]) -> Result<Vec<Vec<u8>>> {
+        let pq = parity(data)?;
+        let survivors: Vec<(usize, &[u8])> = data
+            .iter()
+            .chain(&pq)
+            .map(|s| s.as_slice())
+            .enumerate()
+            .filter(|(i, _)| !lost.contains(i))
+            .collect();
+        RsCodec::new(data.len(), 2)?.reconstruct(&survivors)
+    }
+
     #[test]
     fn p_matches_raid5_parity() {
         let data = stripe(4, 64);
-        let pq = parity(&refs(&data)).unwrap();
-        let p5 = crate::raid5::parity(&refs(&data)).unwrap();
-        assert_eq!(pq.p, p5);
+        let p5 = RsCodec::new(4, 1).unwrap().parity(&refs(&data)).unwrap();
+        assert_eq!(parity(&data).unwrap()[0], p5[0]);
     }
 
     #[test]
     fn reconstruct_nothing_missing() {
         let data = stripe(3, 16);
-        let pq = parity(&refs(&data)).unwrap();
-        let survivors: Vec<Shard> = data
-            .iter()
-            .enumerate()
-            .map(|(i, d)| Shard {
-                id: ShardId::Data(i),
-                data: d,
-            })
-            .chain([
-                Shard {
-                    id: ShardId::P,
-                    data: &pq.p,
-                },
-                Shard {
-                    id: ShardId::Q,
-                    data: &pq.q,
-                },
-            ])
-            .collect();
-        assert_eq!(reconstruct(3, &survivors).unwrap(), data);
+        assert_eq!(reconstruct_without(&data, &[]).unwrap(), data);
     }
 
     #[test]
     fn reconstruct_every_single_data_loss() {
         let data = stripe(5, 32);
-        let pq = parity(&refs(&data)).unwrap();
         for lost in 0..5 {
-            let survivors: Vec<Shard> = data
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != lost)
-                .map(|(i, d)| Shard {
-                    id: ShardId::Data(i),
-                    data: d,
-                })
-                .chain([
-                    Shard {
-                        id: ShardId::P,
-                        data: &pq.p,
-                    },
-                    Shard {
-                        id: ShardId::Q,
-                        data: &pq.q,
-                    },
-                ])
-                .collect();
-            assert_eq!(reconstruct(5, &survivors).unwrap(), data, "lost={lost}");
+            assert_eq!(
+                reconstruct_without(&data, &[lost]).unwrap(),
+                data,
+                "lost={lost}"
+            );
         }
     }
 
     #[test]
     fn reconstruct_every_pair_of_data_losses() {
         let data = stripe(6, 24);
-        let pq = parity(&refs(&data)).unwrap();
         for a in 0..6 {
             for b in (a + 1)..6 {
-                let survivors: Vec<Shard> = data
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != a && *i != b)
-                    .map(|(i, d)| Shard {
-                        id: ShardId::Data(i),
-                        data: d,
-                    })
-                    .chain([
-                        Shard {
-                            id: ShardId::P,
-                            data: &pq.p,
-                        },
-                        Shard {
-                            id: ShardId::Q,
-                            data: &pq.q,
-                        },
-                    ])
-                    .collect();
-                assert_eq!(reconstruct(6, &survivors).unwrap(), data, "lost {a},{b}");
+                assert_eq!(
+                    reconstruct_without(&data, &[a, b]).unwrap(),
+                    data,
+                    "lost {a},{b}"
+                );
             }
         }
     }
@@ -332,86 +107,38 @@ mod tests {
     #[test]
     fn reconstruct_data_plus_p_lost() {
         let data = stripe(4, 16);
-        let pq = parity(&refs(&data)).unwrap();
         for lost in 0..4 {
-            let survivors: Vec<Shard> = data
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != lost)
-                .map(|(i, d)| Shard {
-                    id: ShardId::Data(i),
-                    data: d,
-                })
-                .chain([Shard {
-                    id: ShardId::Q,
-                    data: &pq.q,
-                }])
-                .collect();
-            assert_eq!(reconstruct(4, &survivors).unwrap(), data, "lost={lost}+P");
+            assert_eq!(
+                reconstruct_without(&data, &[lost, 4]).unwrap(),
+                data,
+                "lost={lost}+P"
+            );
         }
     }
 
     #[test]
     fn reconstruct_data_plus_q_lost() {
         let data = stripe(4, 16);
-        let pq = parity(&refs(&data)).unwrap();
         for lost in 0..4 {
-            let survivors: Vec<Shard> = data
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != lost)
-                .map(|(i, d)| Shard {
-                    id: ShardId::Data(i),
-                    data: d,
-                })
-                .chain([Shard {
-                    id: ShardId::P,
-                    data: &pq.p,
-                }])
-                .collect();
-            assert_eq!(reconstruct(4, &survivors).unwrap(), data, "lost={lost}+Q");
+            assert_eq!(
+                reconstruct_without(&data, &[lost, 5]).unwrap(),
+                data,
+                "lost={lost}+Q"
+            );
         }
     }
 
     #[test]
     fn both_parities_lost_is_fine() {
         let data = stripe(3, 8);
-        let survivors: Vec<Shard> = data
-            .iter()
-            .enumerate()
-            .map(|(i, d)| Shard {
-                id: ShardId::Data(i),
-                data: d,
-            })
-            .collect();
-        assert_eq!(reconstruct(3, &survivors).unwrap(), data);
+        assert_eq!(reconstruct_without(&data, &[3, 4]).unwrap(), data);
     }
 
     #[test]
     fn three_losses_rejected() {
         let data = stripe(5, 8);
-        let pq = parity(&refs(&data)).unwrap();
-        let survivors: Vec<Shard> = data
-            .iter()
-            .enumerate()
-            .skip(3) // lose data 0,1,2
-            .map(|(i, d)| Shard {
-                id: ShardId::Data(i),
-                data: d,
-            })
-            .chain([
-                Shard {
-                    id: ShardId::P,
-                    data: &pq.p,
-                },
-                Shard {
-                    id: ShardId::Q,
-                    data: &pq.q,
-                },
-            ])
-            .collect();
         assert!(matches!(
-            reconstruct(5, &survivors),
+            reconstruct_without(&data, &[0, 1, 2]),
             Err(RaidError::TooManyErasures { missing: 3, .. })
         ));
     }
@@ -419,34 +146,31 @@ mod tests {
     #[test]
     fn verify_detects_corruption() {
         let data = stripe(4, 16);
-        let pq = parity(&refs(&data)).unwrap();
-        assert!(verify(&refs(&data), &pq).unwrap());
+        let codec = RsCodec::new(4, 2).unwrap();
+        let pq = parity(&data).unwrap();
+        assert!(codec.verify(&refs(&data), &pq).unwrap());
         let mut bad = data.clone();
         bad[2][5] ^= 1;
-        assert!(!verify(&refs(&bad), &pq).unwrap());
+        assert!(!codec.verify(&refs(&bad), &pq).unwrap());
     }
 
     #[test]
     fn geometry_errors() {
         assert!(matches!(parity(&[]), Err(RaidError::BadGeometry { .. })));
-        let a = [1u8, 2];
-        let b = [3u8];
         assert_eq!(
-            parity(&[&a, &b]).unwrap_err(),
+            parity(&[vec![1, 2], vec![3]]).unwrap_err(),
             RaidError::ShardLengthMismatch
         );
+        // Distinct powers gʲ cap dual parity at 255 data shards.
+        assert!(RsCodec::new(255, 2).is_ok());
         assert!(matches!(
-            reconstruct(0, &[]),
+            RsCodec::new(256, 2),
             Err(RaidError::BadGeometry { .. })
         ));
-        // Data index out of range.
+        // Shard index out of range.
         let d = [1u8];
-        let s = [Shard {
-            id: ShardId::Data(7),
-            data: &d,
-        }];
         assert!(matches!(
-            reconstruct(2, &s),
+            RsCodec::new(2, 2).unwrap().reconstruct(&[(7, &d)]),
             Err(RaidError::BadGeometry { .. })
         ));
     }
@@ -457,16 +181,17 @@ mod tests {
         data[3].truncate(9); // logically zero-padded final shard
         let mut full = data.clone();
         full[3].resize(33, 0);
-        let pq_padded = parity_padded(&refs(&data), 33).unwrap();
-        let pq_full = parity(&refs(&full)).unwrap();
-        assert_eq!(pq_padded, pq_full);
+        let (mut p, mut q) = (vec![0xAA; 3], Vec::new());
+        parity_padded_into(&refs(&data), 33, &mut p, &mut q).unwrap();
+        assert_eq!(vec![p, q], parity(&full).unwrap());
         // Geometry errors.
+        let (mut p, mut q) = (Vec::new(), Vec::new());
         assert!(matches!(
-            parity_padded(&[], 8),
+            parity_padded_into(&[], 8, &mut p, &mut q),
             Err(RaidError::BadGeometry { .. })
         ));
         assert!(matches!(
-            parity_padded(&refs(&data), 8),
+            parity_padded_into(&refs(&data), 8, &mut p, &mut q),
             Err(RaidError::BadGeometry { .. })
         ));
     }
@@ -474,26 +199,6 @@ mod tests {
     #[test]
     fn large_stripe_double_loss() {
         let data = stripe(32, 128);
-        let pq = parity(&refs(&data)).unwrap();
-        let survivors: Vec<Shard> = data
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != 0 && *i != 31)
-            .map(|(i, d)| Shard {
-                id: ShardId::Data(i),
-                data: d,
-            })
-            .chain([
-                Shard {
-                    id: ShardId::P,
-                    data: &pq.p,
-                },
-                Shard {
-                    id: ShardId::Q,
-                    data: &pq.q,
-                },
-            ])
-            .collect();
-        assert_eq!(reconstruct(32, &survivors).unwrap(), data);
+        assert_eq!(reconstruct_without(&data, &[0, 31]).unwrap(), data);
     }
 }

@@ -1,12 +1,13 @@
-//! General RS(k, m) erasure coding: `k` data shards, `m` parity shards,
-//! any `m` losses tolerated.
+//! RS(k, m) erasure coding — the crate's one parity engine: `k` data
+//! shards, `m` parity shards, any `m` losses tolerated.
 //!
 //! The encode matrix is systematic — `[Iₖ ; C]` with `C` an `m × k`
-//! coefficient block — chosen per parity count so the small geometries
-//! stay bit-identical to the dedicated codes:
+//! coefficient block — chosen per parity count so the paper's two
+//! assurance levels (§IV-A) are the small geometries of the same code,
+//! with the parity bytes RAID-5 and RAID-6 define:
 //!
-//! - `m = 1`: the all-ones row (parity ≡ [`raid5::parity`](crate::raid5)),
-//! - `m = 2`: rows `[1 … 1]` and `[g⁰ … g^{k−1}]` (≡ RAID-6 P and Q);
+//! - `m = 1`: the all-ones row — XOR parity, i.e. RAID-5's `P`,
+//! - `m = 2`: rows `[1 … 1]` and `[g⁰ … g^{k−1}]` — RAID-6's `P` and `Q`;
 //!   every 2×2 minor is `gʲ¹ ⊕ gʲ²` ≠ 0 for distinct powers, so the code
 //!   is MDS for `k ≤ 255`,
 //! - `m ≥ 3`: a Cauchy block `C[r][j] = (xᵣ ⊕ yⱼ)⁻¹` with `xᵣ = k + r`,
@@ -16,8 +17,8 @@
 //! Each geometry's coefficient block is expanded **once** into split-nibble
 //! multiplication tables (one `NibbleTables` per `(row, column)` cell,
 //! 32 bytes each) and cached process-wide, so the encode hot loop is a
-//! single pass per parity row through the same SSSE3/`pshufb` kernels the
-//! RAID-6 path uses — no per-call table builds, no log/exp walks.
+//! single pass per parity row through the SWAR-XOR and SSSE3/`pshufb`
+//! kernels — no per-call table builds, no log/exp walks.
 //!
 //! Decode picks any `k` surviving rows of `[Iₖ ; C]`, inverts that
 //! submatrix exactly with [`fragcloud_linalg::FieldLu`] over GF(2⁸), and
@@ -261,19 +262,15 @@ impl RsCodec {
             &available.iter().map(|(_, s)| *s).collect::<Vec<_>>(),
         )?;
 
-        let mut data: Vec<Option<Vec<u8>>> = vec![None; k];
+        let mut data: Vec<Vec<u8>> = vec![Vec::new(); k];
         for (idx, s) in available {
             if *idx < k {
-                data[*idx] = Some(s.to_vec());
+                data[*idx] = s.to_vec();
             }
         }
-        let missing: Vec<usize> = (0..k).filter(|&i| data[i].is_none()).collect();
+        let missing: Vec<usize> = (0..k).filter(|&i| !seen[i]).collect();
         if missing.is_empty() {
-            return Ok(data
-                .into_iter()
-                // fraglint: allow(no-unwrap-in-lib) — no index is missing.
-                .map(|d| d.expect("all data present"))
-                .collect());
+            return Ok(data);
         }
         if available.len() < k {
             return Err(RaidError::TooManyErasures {
@@ -319,14 +316,9 @@ impl RsCodec {
             for (i, payload) in sel_payload.iter().enumerate() {
                 gf256::mul_acc(&mut acc, payload, inv[j][i].0);
             }
-            data[j] = Some(acc);
+            data[j] = acc;
         }
-        Ok(data
-            .into_iter()
-            // fraglint: allow(no-unwrap-in-lib) — every missing slot was
-            // just solved.
-            .map(|d| d.expect("all data reconstructed"))
-            .collect())
+        Ok(data)
     }
 
     /// Rebuilds **one** shard (data `0..k`, parity `k..k+m`) from the
@@ -411,33 +403,49 @@ mod tests {
         }
     }
 
+    // On-disk compatibility of every RAID-5/6 stripe ever written rests on
+    // these two coefficient pins (plus the kernel ≡ `parity_scalar` tests
+    // and the definition proptest in `tests/prop.rs`).
+
     #[test]
     fn rs_k1_matches_raid5_parity() {
-        for k in [1usize, 3, 7] {
-            let data = stripe(k, 97);
+        // RAID-5's P is the XOR of the column: an all-ones row, every k.
+        for k in 1..=255usize {
             let c = RsCodec::new(k, 1).unwrap();
-            let p = c.parity(&refs(&data)).unwrap();
-            assert_eq!(p.len(), 1);
-            assert_eq!(p[0], crate::raid5::parity(&refs(&data)).unwrap(), "k={k}");
+            assert!((0..k).all(|j| c.coefficient(0, j) == 1), "k={k}");
         }
     }
 
     #[test]
     fn rs_k2_matches_raid6_pq() {
-        for k in [1usize, 4, 9] {
-            let data = stripe(k, 64);
+        // RAID-6's P is the XOR row and its Q row is g⁰ … g^{k−1}.
+        for k in 1..=255usize {
             let c = RsCodec::new(k, 2).unwrap();
-            let p = c.parity(&refs(&data)).unwrap();
-            let pq = crate::raid6::parity(&refs(&data)).unwrap();
-            assert_eq!(p[0], pq.p, "k={k} P");
-            assert_eq!(p[1], pq.q, "k={k} Q");
+            for j in 0..k {
+                assert_eq!(c.coefficient(0, j), 1, "k={k} P[{j}]");
+                assert_eq!(
+                    c.coefficient(1, j),
+                    gf256::pow(gf256::GENERATOR, j as u32),
+                    "k={k} Q[{j}]"
+                );
+            }
         }
     }
 
     #[test]
     fn survives_every_m_loss_pattern_small_geometries() {
-        // Exhaustive loss patterns for small (k, m): choose(k+m, m) cases.
-        for (k, m) in [(2usize, 3usize), (4, 2), (3, 3), (5, 4)] {
+        // Exhaustive loss patterns for small (k, m): choose(k+m, m) cases —
+        // for m ≤ 2 that is every data/P/Q combination RAID-5/6 tolerate.
+        for (k, m) in [
+            (1usize, 1usize),
+            (4, 1),
+            (1, 2),
+            (4, 2),
+            (5, 2),
+            (2, 3),
+            (3, 3),
+            (5, 4),
+        ] {
             let data = stripe(k, 33);
             let c = RsCodec::new(k, m).unwrap();
             let parity = c.parity(&refs(&data)).unwrap();
@@ -543,13 +551,17 @@ mod tests {
         data[3].truncate(9);
         let mut full = data.clone();
         full[3].resize(33, 0);
-        let c = RsCodec::new(4, 3).unwrap();
-        let mut padded: Vec<Vec<u8>> = (0..3).map(|_| Vec::new()).collect();
-        c.parity_padded_into(&refs(&data), 33, &mut padded).unwrap();
-        assert_eq!(padded, c.parity(&refs(&full)).unwrap());
-        // Wrong buffer count rejected.
-        let mut two: Vec<Vec<u8>> = (0..2).map(|_| Vec::new()).collect();
-        assert!(c.parity_padded_into(&refs(&data), 33, &mut two).is_err());
+        for m in 1..=4usize {
+            let c = RsCodec::new(4, m).unwrap();
+            let mut padded: Vec<Vec<u8>> = (0..m).map(|_| vec![0xAA; 3]).collect();
+            c.parity_padded_into(&refs(&data), 33, &mut padded).unwrap();
+            assert_eq!(padded, c.parity(&refs(&full)).unwrap(), "m={m}");
+            // Wrong buffer count and over-wide shards rejected.
+            padded.pop();
+            assert!(c.parity_padded_into(&refs(&data), 33, &mut padded).is_err());
+            let mut out: Vec<Vec<u8>> = (0..m).map(|_| Vec::new()).collect();
+            assert!(c.parity_padded_into(&refs(&data), 8, &mut out).is_err());
+        }
     }
 
     #[test]

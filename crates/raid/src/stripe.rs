@@ -1,12 +1,13 @@
-//! Level-agnostic striping facade used by the Cloud Data Distributor.
+//! The striping facade the Cloud Data Distributor talks to.
 //!
 //! A [`StripeCodec`] slices a byte blob into `k` equal-width data shards
 //! (zero-padded), appends the parity shards demanded by the configured
 //! [`RaidLevel`], and can rebuild the original blob from any sufficient
-//! subset of shards.
+//! subset of shards. A level only names a parity-shard count: every
+//! `(k, m)` — `m = 0` included — runs on the one [`RsCodec`] engine.
 
-use crate::geometry::check_geometry;
-use crate::{raid5, raid6, rs, RaidError, Result};
+use crate::rs::RsCodec;
+use crate::{RaidError, Result};
 use fragcloud_telemetry::TelemetryHandle;
 
 /// Assurance level for a stripe, mirroring the paper's §IV-A choices plus
@@ -22,9 +23,9 @@ pub enum RaidLevel {
     /// "higher assurance" choice.
     Raid6,
     /// General Reed–Solomon with `parity` parity shards; tolerates any
-    /// `parity` lost providers. `Rs { parity: 1 }` produces byte-identical
-    /// parity to [`Raid5`](RaidLevel::Raid5), `Rs { parity: 2 }` to
-    /// [`Raid6`](RaidLevel::Raid6).
+    /// `parity` lost providers. `Rs { parity: 1 }` is the same code as
+    /// [`Raid5`](RaidLevel::Raid5), `Rs { parity: 2 }` as
+    /// [`Raid6`](RaidLevel::Raid6) — only the name differs.
     Rs {
         /// Number of parity shards (`m`).
         parity: u8,
@@ -48,8 +49,8 @@ impl RaidLevel {
     }
 
     /// The level for a given parity-shard count, canonicalizing the small
-    /// geometries onto the dedicated codes: 0 → `None`, 1 → `Raid5`,
-    /// 2 → `Raid6`, m ≥ 3 → `Rs { parity: m }`.
+    /// geometries onto the paper's names (and their persist/journal tags):
+    /// 0 → `None`, 1 → `Raid5`, 2 → `Raid6`, m ≥ 3 → `Rs { parity: m }`.
     pub fn for_parity_shards(m: usize) -> Self {
         match m {
             0 => RaidLevel::None,
@@ -84,27 +85,37 @@ pub struct EncodedStripe {
     pub level: RaidLevel,
 }
 
-/// Stripe encoder/decoder with a fixed geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Stripe encoder/decoder with a fixed geometry. Holds its engine's
+/// coefficient tables, so build one per put (or per stripe read) rather
+/// than per call; clones share the tables.
+#[derive(Debug, Clone)]
 pub struct StripeCodec {
-    /// Number of data shards per stripe.
-    pub data_shards: usize,
-    /// Assurance level.
-    pub level: RaidLevel,
+    level: RaidLevel,
+    engine: RsCodec,
 }
 
 impl StripeCodec {
     /// Creates a codec; the `(data_shards, parity_shards)` pair must pass
-    /// the shared [`check_geometry`] validation (`data_shards ≥ 1`,
-    /// field-size caps per parity count).
+    /// the shared [`check_geometry`](crate::check_geometry) validation
+    /// (`data_shards ≥ 1`, field-size caps per parity count).
     pub fn new(data_shards: usize, level: RaidLevel) -> Result<Self> {
-        check_geometry(data_shards, level.parity_shards())?;
-        Ok(StripeCodec { data_shards, level })
+        let engine = RsCodec::new(data_shards, level.parity_shards())?;
+        Ok(StripeCodec { level, engine })
+    }
+
+    /// Number of data shards per stripe.
+    pub fn data_shards(&self) -> usize {
+        self.engine.data_shards()
+    }
+
+    /// Assurance level.
+    pub fn level(&self) -> RaidLevel {
+        self.level
     }
 
     /// Total shards per stripe (data + parity).
     pub fn total_shards(&self) -> usize {
-        self.data_shards + self.level.parity_shards()
+        self.engine.total_shards()
     }
 
     /// Encodes a blob into an [`EncodedStripe`].
@@ -112,7 +123,7 @@ impl StripeCodec {
     /// The blob is split into `data_shards` equal slices, the last one
     /// zero-padded. An empty blob yields zero-width shards.
     pub fn encode(&self, blob: &[u8]) -> Result<EncodedStripe> {
-        let k = self.data_shards;
+        let k = self.data_shards();
         let width = blob.len().div_ceil(k);
         let mut shards: Vec<Vec<u8>> = Vec::with_capacity(self.total_shards());
         for i in 0..k {
@@ -124,22 +135,7 @@ impl StripeCodec {
             shards.push(s);
         }
         let data_refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-        match self.level {
-            RaidLevel::None => {}
-            RaidLevel::Raid5 => {
-                let p = raid5::parity(&data_refs)?;
-                shards.push(p);
-            }
-            RaidLevel::Raid6 => {
-                let pq = raid6::parity(&data_refs)?;
-                shards.push(pq.p);
-                shards.push(pq.q);
-            }
-            RaidLevel::Rs { parity } => {
-                let codec = rs::RsCodec::new(k, parity as usize)?;
-                shards.extend(codec.parity(&data_refs)?);
-            }
-        }
+        shards.extend(self.engine.parity(&data_refs)?);
         Ok(EncodedStripe {
             shards,
             k,
@@ -148,140 +144,42 @@ impl StripeCodec {
         })
     }
 
+    /// Parity of `k` shards logically zero-padded to `width`, written into
+    /// `out` (exactly [`parity_shards`](RaidLevel::parity_shards) buffers,
+    /// each cleared and resized to `width`) so the put pipeline can
+    /// recycle parity allocations across stripes.
+    pub fn parity_padded_into(
+        &self,
+        shards: &[&[u8]],
+        width: usize,
+        out: &mut [Vec<u8>],
+    ) -> Result<()> {
+        self.engine.parity_padded_into(shards, width, out)
+    }
+
     /// Rebuilds the original blob from the available shards.
     ///
     /// `available` pairs each surviving shard with its stripe index
-    /// (`0..k` = data, `k` = P, `k+1` = Q). `original_len` is the
-    /// pre-padding blob length recorded at encode time.
+    /// (`0..k` = data, `k` = P, `k+1` = Q, …); all must share one width.
+    /// `original_len` is the pre-padding blob length recorded at encode
+    /// time.
     pub fn decode(&self, available: &[(usize, &[u8])], original_len: usize) -> Result<Vec<u8>> {
-        let k = self.data_shards;
-        let total = self.total_shards();
-        let mut seen = vec![false; total];
-        for (idx, _) in available {
-            if *idx >= total {
-                return Err(RaidError::BadGeometry {
-                    detail: format!("shard index {idx} out of range (total {total})"),
-                });
-            }
-            if seen[*idx] {
-                return Err(RaidError::BadGeometry {
-                    detail: format!("duplicate shard index {idx}"),
-                });
-            }
-            seen[*idx] = true;
-        }
-        let have_data: Vec<&(usize, &[u8])> = available.iter().filter(|(i, _)| *i < k).collect();
-        let missing_data = k - have_data.len();
-
-        let data: Vec<Vec<u8>> = if missing_data == 0 {
-            // Fast path: sort data shards by index, no parity math.
-            let mut slots: Vec<Option<&[u8]>> = vec![None; k];
-            for (i, s) in &have_data {
-                slots[*i] = Some(s);
-            }
-            slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    s.map(<[u8]>::to_vec).ok_or_else(|| RaidError::BadGeometry {
-                        detail: format!("data shard {i} unfilled despite full count"),
-                    })
-                })
-                .collect::<Result<_>>()?
-        } else {
-            match self.level {
-                RaidLevel::None => {
-                    return Err(RaidError::TooManyErasures {
-                        missing: missing_data,
-                        tolerable: 0,
-                    })
-                }
-                RaidLevel::Raid5 => {
-                    if missing_data > 1 {
-                        return Err(RaidError::TooManyErasures {
-                            missing: missing_data,
-                            tolerable: 1,
-                        });
-                    }
-                    let p = available
-                        .iter()
-                        .find(|(i, _)| *i == k)
-                        .map(|(_, s)| *s)
-                        .ok_or(RaidError::TooManyErasures {
-                            missing: 2,
-                            tolerable: 1,
-                        })?;
-                    let missing_idx = (0..k)
-                        .find(|i| !have_data.iter().any(|(j, _)| j == i))
-                        .ok_or_else(|| RaidError::BadGeometry {
-                            detail: "no missing data index despite erasure count".into(),
-                        })?;
-                    let mut present: Vec<&[u8]> = have_data.iter().map(|(_, s)| *s).collect();
-                    present.push(p);
-                    let rec = raid5::reconstruct(&present)?;
-                    let mut slots: Vec<Option<Vec<u8>>> = vec![None; k];
-                    for (i, s) in &have_data {
-                        slots[*i] = Some(s.to_vec());
-                    }
-                    slots[missing_idx] = Some(rec);
-                    slots
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, s)| {
-                            s.ok_or_else(|| RaidError::BadGeometry {
-                                detail: format!("data shard {i} not reconstructed"),
-                            })
-                        })
-                        .collect::<Result<_>>()?
-                }
-                RaidLevel::Raid6 => {
-                    let survivors: Vec<raid6::Shard<'_>> = available
-                        .iter()
-                        .map(|(i, s)| raid6::Shard {
-                            id: if *i < k {
-                                raid6::ShardId::Data(*i)
-                            } else if *i == k {
-                                raid6::ShardId::P
-                            } else {
-                                raid6::ShardId::Q
-                            },
-                            data: s,
-                        })
-                        .collect();
-                    raid6::reconstruct(k, &survivors)?
-                }
-                RaidLevel::Rs { parity } => {
-                    let codec = rs::RsCodec::new(k, parity as usize)?;
-                    codec.reconstruct(available)?
-                }
-            }
-        };
-
-        // Concatenate and trim padding.
-        let width = data.first().map_or(0, |d| d.len());
-        let mut blob = Vec::with_capacity(width * k);
-        for d in &data {
-            if d.len() != width {
-                return Err(RaidError::ShardLengthMismatch);
-            }
-            blob.extend_from_slice(d);
-        }
-        if original_len > blob.len() {
+        let data = self.engine.reconstruct(available)?;
+        let capacity: usize = data.iter().map(Vec::len).sum();
+        if original_len > capacity {
             return Err(RaidError::BadGeometry {
-                detail: format!(
-                    "original_len {original_len} exceeds stripe capacity {}",
-                    blob.len()
-                ),
+                detail: format!("original_len {original_len} exceeds stripe capacity {capacity}"),
             });
         }
+        let mut blob = data.concat();
         blob.truncate(original_len);
         Ok(blob)
     }
 
-    /// Rebuilds **one** shard (data `0..k`, parity `k` = P, `k+1` = Q) from
-    /// the surviving shards — the repair path's workhorse: a scrubber that
-    /// found a single lost shard re-materializes exactly that shard instead
-    /// of decoding and re-encoding the whole stripe.
+    /// Rebuilds **one** shard (data `0..k`, parity `k` = P, `k+1` = Q, …)
+    /// from the surviving shards — the repair path's workhorse: a scrubber
+    /// that found a single lost shard re-materializes exactly that shard
+    /// instead of decoding and re-encoding the whole stripe.
     ///
     /// All shards in `available` must share one width; the returned shard
     /// has that width (parity shards always do; data shards may need the
@@ -291,53 +189,12 @@ impl StripeCodec {
         available: &[(usize, &[u8])],
         target: usize,
     ) -> Result<Vec<u8>> {
-        let k = self.data_shards;
-        let total = self.total_shards();
-        if target >= total {
-            return Err(RaidError::BadGeometry {
-                detail: format!("target shard {target} out of range (total {total})"),
-            });
-        }
-        // A surviving copy of the target needs no math.
-        if let Some((_, s)) = available.iter().find(|(i, _)| *i == target) {
-            return Ok(s.to_vec());
-        }
-        let width = available.first().map_or(0, |(_, s)| s.len());
-        // Rebuild the full data section (decode already handles every
-        // erasure pattern the level tolerates), then either slice out the
-        // missing data shard or recompute the missing parity from it.
-        let others: Vec<(usize, &[u8])> = available
-            .iter()
-            .filter(|(i, _)| *i != target)
-            .copied()
-            .collect();
-        let blob = self.decode(&others, k * width)?;
-        if target < k {
-            return Ok(blob[target * width..(target + 1) * width].to_vec());
-        }
-        let data: Vec<&[u8]> = blob.chunks(width.max(1)).take(k).collect();
-        let data = if width == 0 {
-            vec![&[] as &[u8]; k]
-        } else {
-            data
-        };
-        match (self.level, target - k) {
-            (RaidLevel::Raid5, 0) => raid5::parity(&data),
-            (RaidLevel::Raid6, 0) => Ok(raid6::parity(&data)?.p),
-            (RaidLevel::Raid6, 1) => Ok(raid6::parity(&data)?.q),
-            (RaidLevel::Rs { parity }, r) if r < parity as usize => {
-                let codec = rs::RsCodec::new(k, parity as usize)?;
-                Ok(codec.parity(&data)?.swap_remove(r))
-            }
-            _ => Err(RaidError::BadGeometry {
-                detail: format!("level {} has no parity shard {target}", self.level),
-            }),
-        }
+        self.engine.reconstruct_shard(available, target)
     }
 
     // Observed variants: identical semantics to the plain methods, but
     // count the operation and record its CPU time into `tel`. The codec
-    // itself carries no handle (it stays `Copy`); callers thread one in.
+    // itself carries no handle; callers thread one in.
 
     /// [`encode`](Self::encode), recording `raid_encodes` and a
     /// `raid_encode_ns` timing into `tel`.

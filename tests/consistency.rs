@@ -3,7 +3,7 @@
 //! uploads/retrievals/removals, update+snapshot semantics.
 
 use fragcloud::core::config::{ChunkSizeSchedule, DistributorConfig};
-use fragcloud::core::{CloudDataDistributor, PrivacyLevel, PutOptions};
+use fragcloud::core::{CloudDataDistributor, CoreError, PrivacyLevel, PutOptions};
 use fragcloud::sim::{CloudProvider, CostLevel, ObjectStore, ProviderProfile};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -153,6 +153,68 @@ fn snapshot_objects_are_never_orphaned() {
     no_orphans("update after restore");
     let got = session.get_file("doc").unwrap().data;
     assert_eq!(&got[1024..2048], &[0xA3; 1024]);
+}
+
+/// A removed chunk stays removed: no verb may re-upload bytes under its
+/// vid or fold them into the stripe's parity while the row is a
+/// tombstone (reads treat tombstones as zero shards — a resurrected
+/// object would make every degraded read of a peer return wrong bytes).
+#[test]
+fn removed_chunk_cannot_be_resurrected_into_its_stripe() {
+    let d = distributor(6);
+    d.register_client("c").unwrap();
+    d.add_password("c", "pw", PrivacyLevel::High).unwrap();
+    let session = d.session("c", "pw").unwrap();
+    let data = body(9, 4096); // one RAID-5 stripe: 4 x 1 KiB chunks + P
+    let no_orphans = |step: &str| {
+        let held: HashSet<_> = d
+            .providers()
+            .iter()
+            .flat_map(|p| p.virtual_id_list())
+            .collect();
+        assert_eq!(held, d.referenced_vids(), "after {step}");
+    };
+    let unknown = |res: fragcloud::core::Result<()>, step: &str| {
+        assert!(
+            matches!(res, Err(CoreError::UnknownChunk { serial: 1, .. })),
+            "{step}: {res:?}"
+        );
+    };
+    session
+        .put_file("doc", &data, PrivacyLevel::Low, PutOptions::new())
+        .unwrap();
+    no_orphans("put");
+    session.update_chunk("doc", 1, &[0xB1; 1024]).unwrap();
+    no_orphans("update");
+    session.remove_chunk("doc", 1).unwrap();
+    no_orphans("remove");
+    // Whatever the verbs below answer, the invariants come first: no
+    // provider holds an object the tables do not name…
+    let restored = session.restore_snapshot("doc", 1);
+    no_orphans("restore of a removed chunk");
+    let updated = session.update_chunk("doc", 1, &[0xB2; 1024]);
+    no_orphans("update of a removed chunk");
+    // …and whichever provider is down, every surviving chunk still reads
+    // byte-identical (through parity where it must).
+    for p in d.providers() {
+        p.set_online(false);
+        for serial in [0usize, 2, 3] {
+            assert_eq!(
+                session.get_chunk("doc", serial as u32).unwrap(),
+                &data[serial * 1024..(serial + 1) * 1024],
+                "chunk {serial} with {} offline",
+                p.name()
+            );
+        }
+        p.set_online(true);
+    }
+    unknown(restored, "restore of a removed chunk");
+    unknown(updated, "update of a removed chunk");
+    unknown(session.remove_chunk("doc", 1), "second remove");
+    unknown(
+        session.get_chunk("doc", 1).map(drop),
+        "read of a removed chunk",
+    );
 }
 
 #[test]

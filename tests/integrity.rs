@@ -168,12 +168,12 @@ proptest! {
     }
 }
 
-/// Regression: objects written by the pre-framing distributor (raw
-/// payloads, no checksum frame) still round-trip through the verifying
-/// read path, counted under `unframed_reads_total` and never flagged as
-/// corrupt by `scrub_verify`.
+/// Every stored object is framed or the read is an erasure: an object
+/// whose frame was stripped (magic and checksum gone, payload intact) is
+/// never passed through — parity rebuilds it and read-repair re-frames
+/// it, so the next read is clean.
 #[test]
-fn legacy_unframed_objects_still_round_trip() {
+fn unframed_objects_heal_through_parity_and_read_repair() {
     let d = distributor_with(fleet(6), 4, 1);
     d.register_client("c").unwrap();
     d.add_password("c", "pw", PrivacyLevel::High).unwrap();
@@ -183,32 +183,38 @@ fn legacy_unframed_objects_still_round_trip() {
         .put_file("doc", &data, PrivacyLevel::Low, PutOptions::new())
         .unwrap();
 
-    // Strip the integrity frame from every stored object, simulating a
-    // fleet populated before framing existed.
-    let mut stripped = 0;
-    for p in d.providers() {
-        for vid in p.virtual_id_list() {
-            let raw = p.get(vid).expect("object readable");
-            let (payload, framed) = integrity::unframe(vid, raw).expect("fresh frame verifies");
-            assert!(framed, "freshly written objects must be framed");
-            p.put(vid, payload).expect("overwrite accepted");
-            stripped += 1;
-        }
+    // Strip the integrity frame from every object one provider holds.
+    let victim = &d.providers()[0];
+    let vids = victim.virtual_id_list();
+    assert!(!vids.is_empty());
+    for &vid in &vids {
+        let raw = victim.get(vid).expect("object readable");
+        let payload = integrity::unframe(vid, raw).expect("fresh frame verifies");
+        victim.put(vid, payload).expect("overwrite accepted");
     }
-    assert!(stripped > 0);
 
     let tel = d.enable_telemetry();
     let got = session.get_file("doc").unwrap();
     assert_eq!(got.data, data);
-    assert_eq!(got.reconstructed_chunks, 0, "legacy objects are not erasures");
+    assert!(
+        got.reconstructed_chunks > 0,
+        "unframed objects are erasures"
+    );
     let reg = tel.registry().unwrap();
-    assert!(reg.counter_total("unframed_reads_total") > 0);
-    assert_eq!(reg.counter_total("corruption_detected_total"), 0);
+    assert!(reg.counter_total("corruption_detected_total") > 0);
+    assert!(reg.counter_total("read_repair_total") > 0);
 
-    // Integrity scrub treats unframed objects as legacy, not as rot.
-    let report = d.scrub_verify();
-    assert_eq!(report.corrupt_shards, 0);
-    assert!(report.is_healthy());
+    // Read-repair re-framed what the first read touched.
+    let again = session.get_file("doc").unwrap();
+    assert_eq!(again.data, data);
+    assert_eq!(again.reconstructed_chunks, 0);
+    // What it did not touch (parity) scrub reports and repair heals.
+    d.scrub_verify();
+    d.repair();
+    assert!(d.scrub_verify().is_healthy());
+    for vid in vids {
+        integrity::unframe(vid, victim.get(vid).unwrap()).expect("re-framed");
+    }
 }
 
 /// A provider serving corrupt bytes on every read trips its circuit

@@ -160,11 +160,7 @@ fn provider_state_at_max_privacy_matches_oracle() {
     let mut held: Vec<Vec<u8>> = providers
         .iter()
         .flat_map(|p| p.observer().snapshot())
-        .map(|o| {
-            let (payload, framed) = unframe(o.key, o.data).expect("intact frame");
-            assert!(framed);
-            payload.to_vec()
-        })
+        .map(|o| unframe(o.key, o.data).expect("intact frame").to_vec())
         .collect();
     expected.sort();
     held.sort();
