@@ -152,8 +152,10 @@ pub struct GetReceipt {
 
 /// Internal outcome of fetching one logical chunk on the degraded-mode
 /// read path.
+#[derive(Default)]
 struct ChunkFetch {
-    logical: Vec<u8>,
+    /// The chunk as stored (misleading bytes still in), frame-verified.
+    stored: Bytes,
     /// Provider whose link the simulated clock charges for this chunk.
     charged_provider: usize,
     /// Simulated time on this chunk's critical path (transfer + backoff).
@@ -162,6 +164,55 @@ struct ChunkFetch {
     degraded: bool,
     hedged: bool,
     retries: u64,
+}
+
+/// What one get knows about one stripe member.
+#[derive(Clone)]
+enum Member {
+    Untried,
+    /// The member's stored payload, as `get_with_retry` returned it.
+    Verified(Bytes),
+    /// The member's primary could not be read.
+    Lost,
+}
+
+/// The per-get stripe read set: one [`Member`] slot per member of the
+/// stripe the get is in, so no member is fetched from its provider twice —
+/// a chunk read directly is a survivor for a later rebuild, and a peer
+/// read for a rebuild serves that peer's own fetch with no provider op.
+/// A file's chunks are in stripe order, so one stripe is resident at a
+/// time: `k + m` ref-counted handles, no payload copy. Invariants:
+///
+/// - a slot holds only a payload that came back `Ok` from
+///   `get_with_retry`: it has passed `integrity::unframe_expecting`, and
+///   its read fed retry, reputation, breaker and corruption accounting;
+/// - the set lives inside one shard read guard — the rows it mirrors
+///   cannot change under it;
+/// - `Lost` only stops a rebuild's peer loop asking that member's primary
+///   again; the chunk's own fetch still tries every candidate and replica.
+#[derive(Default)]
+struct StripeReadSet {
+    stripe_id: Option<usize>,
+    members: Vec<Member>,
+}
+
+impl StripeReadSet {
+    /// The slots of stripe `stripe_id` (`len` members), forgetting the
+    /// previous stripe's when the get has moved on.
+    fn stripe(&mut self, stripe_id: usize, len: usize) -> &mut [Member] {
+        if self.stripe_id != Some(stripe_id) {
+            self.stripe_id = Some(stripe_id);
+            self.members.clear();
+            self.members.resize(len, Member::Untried);
+        }
+        &mut self.members
+    }
+
+    /// `entry`'s own slot; `None` for a chunk outside any stripe.
+    fn slot(&mut self, st: &Tables, entry: &ChunkEntry) -> Option<&mut Member> {
+        let at = entry.stripe?;
+        Some(&mut self.stripe(at.stripe_id, st.stripes[at.stripe_id].members.len())[at.index])
+    }
 }
 
 /// Minimum source bytes the put pipeline keeps in flight (read but not yet
@@ -1477,13 +1528,13 @@ impl CloudDataDistributor {
         provider_idx: usize,
         vid: VirtualId,
         expected_len: usize,
+        tel: &TelemetryHandle,
     ) -> (Result<Bytes>, Duration, u64) {
         let provider = &st.providers[provider_idx];
-        let tel = self.telemetry();
         let run = self.config.resilience.retry.execute(
             self.retry_seed(vid, provider_idx),
             provider.name(),
-            &tel,
+            tel,
             |_| match provider.get(vid) {
                 // Every read crosses the integrity check before its bytes
                 // reach any caller (decode included): an object that fails
@@ -1493,7 +1544,7 @@ impl CloudDataDistributor {
                     Ok(payload) => {
                         self.reputation
                             .record(provider_idx, ReputationEvent::Success);
-                        self.health.record_success(provider_idx, &tel);
+                        self.health.record_success(provider_idx, tel);
                         AttemptOutcome::Success(payload)
                     }
                     Err(e) => {
@@ -1505,7 +1556,7 @@ impl CloudDataDistributor {
                         self.reputation
                             .record(provider_idx, ReputationEvent::Failure);
                         self.health
-                            .record_failure(provider_idx, FailureKind::Corruption, &tel);
+                            .record_failure(provider_idx, FailureKind::Corruption, tel);
                         AttemptOutcome::Fatal(e)
                     }
                 },
@@ -1515,14 +1566,14 @@ impl CloudDataDistributor {
                     self.reputation
                         .record(provider_idx, ReputationEvent::Failure);
                     self.health
-                        .record_failure(provider_idx, FailureKind::Error, &tel);
+                        .record_failure(provider_idx, FailureKind::Error, tel);
                     AttemptOutcome::Fatal(e.into())
                 }
                 Err(e) => {
                     self.reputation
                         .record(provider_idx, ReputationEvent::Failure);
                     self.health
-                        .record_failure(provider_idx, FailureKind::Error, &tel);
+                        .record_failure(provider_idx, FailureKind::Error, tel);
                     AttemptOutcome::Transient(e.into())
                 }
             },
@@ -1530,7 +1581,7 @@ impl CloudDataDistributor {
         let mut time = run.sim_time;
         if let Err(CoreError::Timeout { .. }) = &run.result {
             self.health
-                .record_failure(provider_idx, FailureKind::Timeout, &tel);
+                .record_failure(provider_idx, FailureKind::Timeout, tel);
         }
         if let Ok(bytes) = &run.result {
             time += provider.simulate_transfer(bytes.len());
@@ -1600,9 +1651,12 @@ impl CloudDataDistributor {
         let _op = span!(tel, "get_chunk", file = filename, serial = serial);
         let st = self.read_shard_for(client, filename);
         let chunk_idx = st.chunk_index(client, filename, serial)?;
-        access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
+        let entry = &st.chunks[chunk_idx];
+        access::authorize(st.client(client)?, password, entry.pl)?;
         tel.incr("chunk_gets_total");
-        Ok(self.fetch_logical_chunk(&st, chunk_idx)?.logical)
+        let fetch =
+            self.fetch_logical_chunk(&st, chunk_idx, &mut StripeReadSet::default(), &tel)?;
+        Ok(mislead::strip(&fetch.stored, &entry.mislead_positions))
     }
 
     pub(crate) fn get_file_impl(
@@ -1621,14 +1675,19 @@ impl CloudDataDistributor {
         let mut per_provider_time: Vec<Duration> = vec![Duration::ZERO; st.providers.len()];
         let (mut reconstructed, mut degraded, mut hedged) = (0usize, 0usize, 0usize);
         let mut retries = 0u64;
+        let mut set = StripeReadSet::default();
         for &chunk_idx in &file.chunk_indices {
-            let fetch = self.fetch_logical_chunk(&st, chunk_idx)?;
+            let fetch = self.fetch_logical_chunk(&st, chunk_idx, &mut set, &tel)?;
             per_provider_time[fetch.charged_provider] += fetch.time;
             reconstructed += usize::from(fetch.reconstructed);
             degraded += usize::from(fetch.degraded);
             hedged += usize::from(fetch.hedged);
             retries += fetch.retries;
-            out.extend_from_slice(&fetch.logical);
+            mislead::strip_into(
+                &fetch.stored,
+                &st.chunks[chunk_idx].mislead_positions,
+                &mut out,
+            );
         }
         let receipt = GetReceipt {
             data: out,
@@ -1645,11 +1704,18 @@ impl CloudDataDistributor {
         Ok(receipt)
     }
 
-    /// Fetches a logical chunk through the degraded-mode read path:
-    /// optional hedge against a straggling primary, then retried reads over
-    /// reputation-ordered candidates (primary + replicas), then inline RAID
-    /// reconstruction from the stripe.
-    fn fetch_logical_chunk(&self, st: &Tables, chunk_idx: usize) -> Result<ChunkFetch> {
+    /// Fetches a chunk's stored bytes through the degraded-mode read path:
+    /// the get's stripe read set first, then an optional hedge against a
+    /// straggling primary, then retried reads over reputation-ordered
+    /// candidates (primary + replicas), then inline RAID reconstruction
+    /// from the stripe.
+    fn fetch_logical_chunk(
+        &self,
+        st: &Tables,
+        chunk_idx: usize,
+        set: &mut StripeReadSet,
+        tel: &TelemetryHandle,
+    ) -> Result<ChunkFetch> {
         let entry = &st.chunks[chunk_idx];
         if entry.removed {
             let serial = match entry.role {
@@ -1662,6 +1728,16 @@ impl CloudDataDistributor {
             });
         }
 
+        // Already read and verified as a peer of an earlier rebuild in
+        // this get: its transfer was charged there, nothing is left to do.
+        if let Some(Member::Verified(stored)) = set.slot(st, entry) {
+            return Ok(ChunkFetch {
+                stored: stored.clone(),
+                charged_provider: entry.provider_idx,
+                ..Default::default()
+            });
+        }
+
         // Hedge: when the primary looks like a straggler and the parity
         // path is predicted faster, take the reconstruction instead of
         // waiting out the slow link — the winner of the race is the only
@@ -1669,14 +1745,15 @@ impl CloudDataDistributor {
         if let Some(threshold) = self.config.resilience.hedge_threshold {
             let direct_est = st.providers[entry.provider_idx].estimate_transfer(entry.stored_len);
             if direct_est > threshold {
-                self.telemetry().incr("hedges_considered");
+                tel.incr("hedges_considered");
                 if let Some(parity_est) = self.estimate_reconstruct(st, chunk_idx) {
                     if parity_est < direct_est {
-                        if let Ok((stored, time, retries)) = self.reconstruct_stored(st, chunk_idx)
+                        if let Ok((stored, time, retries)) =
+                            self.reconstruct_stored(st, chunk_idx, set, tel)
                         {
-                            self.telemetry().incr("reads_hedged");
+                            tel.incr("reads_hedged");
                             return Ok(ChunkFetch {
-                                logical: mislead::strip(&stored, &entry.mislead_positions),
+                                stored,
                                 charged_provider: entry.provider_idx,
                                 time,
                                 reconstructed: true,
@@ -1733,7 +1810,7 @@ impl CloudDataDistributor {
         let mut attempts_made = 0u32;
         let mut timed_out: Option<CoreError> = None;
         for (rank, &(pidx, vid)) in candidates.iter().enumerate() {
-            let (res, t, r) = self.get_with_retry(st, pidx, vid, entry.stored_len);
+            let (res, t, r) = self.get_with_retry(st, pidx, vid, entry.stored_len, tel);
             time += t;
             retries += r;
             attempts_made += r as u32 + 1;
@@ -1742,10 +1819,13 @@ impl CloudDataDistributor {
             }
             if let Ok(stored) = res {
                 if rank > 0 {
-                    self.telemetry().incr("failovers_total");
+                    tel.incr("failovers_total");
+                }
+                if let Some(slot) = set.slot(st, entry) {
+                    *slot = Member::Verified(stored.clone());
                 }
                 return Ok(ChunkFetch {
-                    logical: mislead::strip(&stored, &entry.mislead_positions),
+                    stored,
                     charged_provider: pidx,
                     time,
                     reconstructed: false,
@@ -1759,7 +1839,10 @@ impl CloudDataDistributor {
         }
 
         // Last resort: RAID reconstruction from the stripe.
-        match self.reconstruct_stored(st, chunk_idx) {
+        if let Some(slot) = set.slot(st, entry) {
+            *slot = Member::Lost;
+        }
+        match self.reconstruct_stored(st, chunk_idx, set, tel) {
             Ok((stored, rtime, rretries)) => {
                 // Read-repair: every candidate failed (missing or corrupt)
                 // but parity could rebuild the shard — re-upload the
@@ -1767,9 +1850,9 @@ impl CloudDataDistributor {
                 // is clean again. Best-effort and off the read's critical
                 // path (repair traffic is charged to telemetry, not to
                 // this fetch's simulated time).
-                self.read_repair(st, entry.provider_idx, entry.vid, &stored);
+                self.read_repair(st, entry.provider_idx, entry.vid, &stored, tel);
                 Ok(ChunkFetch {
-                    logical: mislead::strip(&stored, &entry.mislead_positions),
+                    stored,
                     charged_provider: entry.provider_idx,
                     time: time + rtime,
                     reconstructed: true,
@@ -1823,65 +1906,84 @@ impl CloudDataDistributor {
         (live >= stripe.k).then_some(worst)
     }
 
-    /// Reconstructs a chunk's *stored* bytes from its stripe peers.
-    /// Returns the bytes plus the simulated cost of the peer fan-out (max
-    /// across peers — they are read in parallel) and retries consumed.
+    /// Reconstructs a chunk's *stored* bytes from its stripe peers: walks
+    /// the members in slot order, reads only those `set` has not tried,
+    /// stops at `k` survivors and rebuilds the one lost row. Returns the
+    /// bytes plus the simulated cost of the peer fan-out (max across the
+    /// peers read — they are read in parallel) and retries consumed.
     fn reconstruct_stored(
         &self,
         st: &Tables,
         chunk_idx: usize,
-    ) -> Result<(Vec<u8>, Duration, u64)> {
-        let tel = self.telemetry();
+        set: &mut StripeReadSet,
+        tel: &TelemetryHandle,
+    ) -> Result<(Bytes, Duration, u64)> {
         let _op = span!(tel, "chunk.reconstruct", chunk = chunk_idx);
         let entry = &st.chunks[chunk_idx];
-        let stripe_ref = entry.stripe.ok_or(CoreError::Raid(
-            fragcloud_raid::RaidError::TooManyErasures {
-                missing: 1,
-                tolerable: 0,
-            },
-        ))?;
-        let stripe = &st.stripes[stripe_ref.stripe_id];
+        // No stripe or no parity, nothing a peer could tell us: fail before
+        // any read.
+        let at = entry
+            .stripe
+            .filter(|at| st.stripes[at.stripe_id].level.parity_shards() > 0)
+            .ok_or(CoreError::Raid(
+                fragcloud_raid::RaidError::TooManyErasures {
+                    missing: 1,
+                    tolerable: 0,
+                },
+            ))?;
+        let stripe = &st.stripes[at.stripe_id];
         let width = stripe.shard_width;
+        let slots = set.stripe(at.stripe_id, stripe.members.len());
 
-        let mut available: Vec<(usize, Vec<u8>)> = Vec::with_capacity(stripe.members.len());
+        let mut survivors: Vec<(usize, Bytes)> = Vec::with_capacity(stripe.k);
         let mut worst = Duration::ZERO;
         let mut retries = 0u64;
-        for (shard_index, &member_idx) in stripe.members.iter().enumerate() {
+        for (slot, &member_idx) in stripe.members.iter().enumerate() {
+            if survivors.len() == stripe.k {
+                break;
+            }
             if member_idx == chunk_idx {
                 continue;
             }
             let member = &st.chunks[member_idx];
             if member.removed {
                 // Tombstoned member: contributes a zero shard by contract.
-                available.push((shard_index, vec![0u8; width]));
+                survivors.push((slot, Bytes::from(vec![0u8; width])));
                 continue;
             }
-            let (res, t, r) =
-                self.get_with_retry(st, member.provider_idx, member.vid, member.stored_len);
-            // Peers are fanned out in parallel; even a failed peer's
-            // retries sit on the critical path.
-            worst = worst.max(t);
-            retries += r;
-            match res {
-                Ok(bytes) => {
-                    let mut padded = bytes.to_vec();
+            if let Member::Untried = slots[slot] {
+                let (res, t, r) = self.get_with_retry(
+                    st,
+                    member.provider_idx,
+                    member.vid,
+                    member.stored_len,
+                    tel,
+                );
+                // Peers are fanned out in parallel; even a failed peer's
+                // retries sit on the critical path.
+                worst = worst.max(t);
+                retries += r;
+                slots[slot] = res.map_or(Member::Lost, Member::Verified);
+            }
+            if let Member::Verified(stored) = &slots[slot] {
+                // A full-width survivor is shared; only a short one (tail
+                // chunk, updated chunk) is copied, to zero-pad it.
+                let mut shard = stored.clone();
+                if shard.len() < width {
+                    let mut padded = shard.to_vec();
                     padded.resize(width, 0);
-                    available.push((shard_index, padded));
+                    shard = padded.into();
                 }
-                Err(_) => continue, // that shard is also lost
+                survivors.push((slot, shard));
             }
         }
 
         let codec = StripeCodec::new(stripe.k, stripe.level)?;
-        let refs: Vec<(usize, &[u8])> = available.iter().map(|(i, b)| (*i, b.as_slice())).collect();
-        let blob = codec.decode_observed(&refs, stripe.k * width, &tel)?;
+        let refs: Vec<(usize, &[u8])> = survivors.iter().map(|(i, b)| (*i, &b[..])).collect();
+        let mut stored = codec.reconstruct_shard_observed(&refs, at.index, tel)?;
+        stored.truncate(entry.stored_len);
         tel.incr("parity_reconstructions");
-        let start = stripe_ref.index * width;
-        Ok((
-            blob[start..start + entry.stored_len].to_vec(),
-            worst,
-            retries,
-        ))
+        Ok((Bytes::from(stored), worst, retries))
     }
 
     /// Re-uploads a parity-reconstructed shard to its primary provider
@@ -1891,12 +1993,18 @@ impl CloudDataDistributor {
     /// an offline primary or failed write leaves the stripe degraded, and
     /// the tables are untouched either way (same vid, same provider — no
     /// journal entry needed: the id is already referenced).
-    fn read_repair(&self, st: &Tables, provider_idx: usize, vid: VirtualId, stored: &[u8]) {
+    fn read_repair(
+        &self,
+        st: &Tables,
+        provider_idx: usize,
+        vid: VirtualId,
+        stored: &[u8],
+        tel: &TelemetryHandle,
+    ) {
         let provider = &st.providers[provider_idx];
         if !provider.is_online() {
             return;
         }
-        let tel = self.telemetry();
         match provider.put(vid, integrity::frame(vid, stored)) {
             Ok(()) => tel.incr("read_repair_total"),
             Err(_) => tel.incr("read_repair_failed_total"),
@@ -2485,7 +2593,7 @@ impl CloudDataDistributor {
                 if !st.stripes[sid].degraded {
                     continue;
                 }
-                match self.repair_stripe(&mut st, sid, jctx, &mut per_provider_time) {
+                match self.repair_stripe(&mut st, sid, jctx, &mut per_provider_time, &tel) {
                     Ok(n) => {
                         report.stripes_repaired += 1;
                         report.shards_rebuilt += n;
@@ -2516,6 +2624,7 @@ impl CloudDataDistributor {
         sid: usize,
         jctx: &Option<JournalCtx>,
         per_provider_time: &mut [Duration],
+        tel: &TelemetryHandle,
     ) -> Result<usize> {
         let stripe = st.stripes[sid].clone();
         let width = stripe.shard_width;
@@ -2542,7 +2651,7 @@ impl CloudDataDistributor {
                 missing.push((slot, m));
                 continue;
             }
-            let (res, t, _) = self.get_with_retry(st, provider_idx, vid, stored_len);
+            let (res, t, _) = self.get_with_retry(st, provider_idx, vid, stored_len, tel);
             per_provider_time[provider_idx] += t;
             match res {
                 Ok(bytes) => {
@@ -2562,9 +2671,8 @@ impl CloudDataDistributor {
         let codec = StripeCodec::new(stripe.k, stripe.level)?;
         let refs: Vec<(usize, &[u8])> = available.iter().map(|(i, b)| (*i, b.as_slice())).collect();
         let mut rebuilt: Vec<(usize, Vec<u8>)> = Vec::with_capacity(missing.len());
-        let tel = self.telemetry();
         for &(slot, m) in &missing {
-            rebuilt.push((m, codec.reconstruct_shard_observed(&refs, slot, &tel)?));
+            rebuilt.push((m, codec.reconstruct_shard_observed(&refs, slot, tel)?));
         }
 
         // Phase 2b: re-place each rebuilt shard.
@@ -3549,11 +3657,20 @@ mod tests {
             st.chunks[0].provider_idx
         };
         d.providers()[victim].set_online(false);
+        let gets = || -> Vec<u64> {
+            use std::sync::atomic::Ordering::Relaxed;
+            let fleet = d.providers();
+            fleet.iter().map(|p| p.stats().gets.load(Relaxed)).collect()
+        };
+        let before = gets();
         let err = s.get_file("f").unwrap_err();
         assert!(
             matches!(err, CoreError::RetriesExhausted { attempts } if attempts >= 3),
             "expected RetriesExhausted, got {err:?}"
         );
+        // With no parity there is nothing to rebuild from: the loss of
+        // chunk 0 is reported without reading a single surviving peer.
+        assert_eq!(gets(), before);
     }
 
     #[test]

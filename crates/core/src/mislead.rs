@@ -128,8 +128,20 @@ pub fn inject(chunk: &[u8], rate: f64, seed: u64) -> (Vec<u8>, Vec<usize>) {
 /// # Panics
 /// Panics when positions are out of bounds or unsorted.
 pub fn strip(stored: &[u8], positions: &[usize]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(stored.len().saturating_sub(positions.len()));
+    strip_into(stored, positions, &mut out);
+    out
+}
+
+/// [`strip`], appending the original chunk to `out` — the get path
+/// assembles a file by stripping each chunk straight into its output.
+///
+/// # Panics
+/// Panics when positions are out of bounds or unsorted.
+pub fn strip_into(stored: &[u8], positions: &[usize], out: &mut Vec<u8>) {
     let Some(&last) = positions.last() else {
-        return stored.to_vec();
+        out.extend_from_slice(stored);
+        return;
     };
     assert!(
         positions.windows(2).all(|w| w[0] < w[1]),
@@ -138,14 +150,15 @@ pub fn strip(stored: &[u8], positions: &[usize]) -> Vec<u8> {
     assert!(last < stored.len(), "position out of bounds");
     // The real bytes are the runs between consecutive positions; the run
     // before the k-th position lands k bytes earlier than it was stored.
-    let mut out = vec![0u8; stored.len() - positions.len()];
+    let base = out.len();
+    out.resize(base + stored.len() - positions.len(), 0);
+    let dst = &mut out[base..];
     let mut run_start = 0usize;
     for (k, &p) in positions.iter().enumerate() {
-        copy_run(&mut out, run_start - k, stored, run_start, p - run_start);
+        copy_run(dst, run_start - k, stored, run_start, p - run_start);
         run_start = p + 1;
     }
-    out[run_start - positions.len()..].copy_from_slice(&stored[run_start..]);
-    out
+    dst[run_start - positions.len()..].copy_from_slice(&stored[run_start..]);
 }
 
 #[cfg(test)]

@@ -286,13 +286,36 @@ fn unwrap_in_lib(tokens: &[Token], code: &[usize]) -> Vec<Hit> {
 
 fn safety_comment(tokens: &[Token], code: &[usize]) -> Vec<Hit> {
     let mut hits = Vec::new();
-    for &ti in code {
-        if !tokens[ti].is_ident("unsafe") {
+    // Brace depths of the bodies of justified `unsafe impl` blocks we are
+    // inside: an `unsafe fn` directly in one implements a method whose
+    // contract the trait states, and the impl's SAFETY comment says how
+    // every method meets it — there is nothing more for the fn to record.
+    let mut depth = 0usize;
+    let mut justified_impls: Vec<usize> = Vec::new();
+    let mut impl_body_pending = false;
+    for (i, &ti) in code.iter().enumerate() {
+        let t = &tokens[ti];
+        if t.is_punct('{') {
+            depth += 1;
+            if std::mem::take(&mut impl_body_pending) {
+                justified_impls.push(depth);
+            }
+        } else if t.is_punct('}') {
+            if justified_impls.last() == Some(&depth) {
+                justified_impls.pop();
+            }
+            depth = depth.saturating_sub(1);
+        }
+        if !t.is_ident("unsafe") {
             continue;
         }
-        if !has_safety_justification(tokens, code, ti) {
+        let followed_by = |word: &str| code.get(i + 1).is_some_and(|&n| tokens[n].is_ident(word));
+        let justified = has_safety_justification(tokens, code, ti);
+        impl_body_pending |= justified && followed_by("impl");
+        let trait_method = justified_impls.last() == Some(&depth) && followed_by("fn");
+        if !justified && !trait_method {
             hits.push(Hit {
-                line: tokens[ti].line,
+                line: t.line,
                 message: "`unsafe` without an adjacent `// SAFETY:` (or `# Safety` doc) \
                           justification"
                     .into(),
@@ -795,6 +818,17 @@ mod tests {
             .len(),
             1
         );
+        // Methods of a justified `unsafe impl` take their contract from
+        // the trait; their own unsafe blocks still need a justification,
+        // and an unjustified impl covers nothing.
+        let methods = "unsafe impl T for X {\n unsafe fn a(&self) {\n // SAFETY: ok\n unsafe { f() }\n }\n unsafe fn b(&self) {\n unsafe { g() }\n }\n}\nunsafe fn h() {}";
+        assert_eq!(run("safety-comment", methods).len(), 5);
+        let justified = format!("// SAFETY: forwards unchanged\n{methods}");
+        let lines: Vec<u32> = run("safety-comment", &justified)
+            .iter()
+            .map(|h| h.line)
+            .collect();
+        assert_eq!(lines, [8, 11]);
     }
 
     #[test]

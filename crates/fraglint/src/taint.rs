@@ -151,7 +151,7 @@ pub fn specs(config: &Config) -> Vec<FlowSpec> {
                 TaintRole::Sanitizer,
                 "verify-before-decode",
             ),
-            sink_fns: pats(&["decode_observed", "reconstruct_shard_observed", "stripe::decode"]),
+            sink_fns: pats(&["reconstruct_shard_observed", "stripe::decode"]),
             sink_methods: &[],
             what: "provider-read bytes may reach the stripe decode unverified",
             fix: "route every fetched shard through integrity::unframe_expecting \
@@ -599,7 +599,7 @@ mod tests {
             "impl D {
                 fn reconstruct_stored(&self, st: &Tables, idx: usize) -> Result<Vec<u8>> {
                     let raw = st.store.get(vid);
-                    codec.decode_observed(&refs, want, &tel)
+                    codec.reconstruct_shard_observed(&refs, slot, &tel)
                 }
             }",
         )]);
@@ -612,7 +612,7 @@ mod tests {
                 fn reconstruct_stored(&self, st: &Tables, idx: usize) -> Result<Vec<u8>> {
                     let raw = st.store.get(vid);
                     let (payload, framed) = integrity::unframe_expecting(vid, raw, want);
-                    codec.decode_observed(&refs, want, &tel)
+                    codec.reconstruct_shard_observed(&refs, slot, &tel)
                 }
             }",
         )]);

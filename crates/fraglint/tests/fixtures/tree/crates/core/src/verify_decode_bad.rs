@@ -16,5 +16,5 @@ pub fn reconstruct_stored(st: &Tables, chunk_idx: usize) -> Result<Vec<u8>> {
         .iter()
         .map(|(slot, bytes)| (*slot, bytes.as_slice()))
         .collect();
-    st.codec.decode_observed(&refs, entry.stored_len, &st.tel)
+    st.codec.reconstruct_shard_observed(&refs, entry.slot, &st.tel)
 }

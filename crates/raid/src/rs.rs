@@ -124,6 +124,31 @@ pub struct RsCodec {
     matrix: Arc<RsMatrix>,
 }
 
+/// A validated survivor set, solved for its missing data shards by
+/// [`RsCodec::solve`].
+struct Solved<'a> {
+    /// Which stripe indices the survivor set holds.
+    seen: Vec<bool>,
+    /// The survivors' common width.
+    width: usize,
+    /// The `k` survivors chosen to solve from, in row order, and the
+    /// inverse of their rows of `[Iₖ ; C]` — both empty when every data
+    /// shard survived.
+    survivors: Vec<&'a [u8]>,
+    inverse: Vec<Vec<Gf>>,
+}
+
+impl Solved<'_> {
+    /// A missing data shard: `data_j = Σᵢ inverse[j][i] · survivorᵢ`.
+    fn data_shard(&self, j: usize) -> Vec<u8> {
+        let mut acc = vec![0u8; self.width];
+        for (payload, coef) in self.survivors.iter().zip(&self.inverse[j]) {
+            gf256::mul_acc(&mut acc, payload, coef.0);
+        }
+        acc
+    }
+}
+
 impl RsCodec {
     /// Creates a codec for `data_shards` data and `parity_shards` parity
     /// shards; the geometry must pass
@@ -231,16 +256,13 @@ impl RsCodec {
         Ok(out)
     }
 
-    /// Rebuilds the full data stripe (`k` shards, in order) from any `≥ k`
-    /// surviving stripe members.
-    ///
-    /// `available` pairs each survivor with its stripe index (`0..k` =
-    /// data, `k..k+m` = parity row `idx − k`); all survivors must share
-    /// one width. Surviving data shards are passed through verbatim;
-    /// missing ones are solved by inverting the surviving-row submatrix of
-    /// `[Iₖ ; C]` with an exact GF(2⁸) LU and applying only the rows for
-    /// the lost shards through the kernels.
-    pub fn reconstruct(&self, available: &[(usize, &[u8])]) -> Result<Vec<Vec<u8>>> {
+    /// Validates `available`, and — when a data shard is missing — picks
+    /// the `k` survivor rows of `[Iₖ ; C]` to solve it from and inverts
+    /// that submatrix with an exact GF(2⁸) LU. The one place survivor
+    /// indices are checked and rows chosen, shared by
+    /// [`reconstruct`](Self::reconstruct) and
+    /// [`reconstruct_shard`](Self::reconstruct_shard).
+    fn solve<'a>(&self, available: &[(usize, &'a [u8])]) -> Result<Solved<'a>> {
         let k = self.matrix.k;
         let m = self.matrix.m;
         let total = k + m;
@@ -261,16 +283,14 @@ impl RsCodec {
         let width = check_equal_lengths(
             &available.iter().map(|(_, s)| *s).collect::<Vec<_>>(),
         )?;
-
-        let mut data: Vec<Vec<u8>> = vec![Vec::new(); k];
-        for (idx, s) in available {
-            if *idx < k {
-                data[*idx] = s.to_vec();
-            }
-        }
-        let missing: Vec<usize> = (0..k).filter(|&i| !seen[i]).collect();
-        if missing.is_empty() {
-            return Ok(data);
+        let mut solved = Solved {
+            seen,
+            width,
+            survivors: Vec::new(),
+            inverse: Vec::new(),
+        };
+        if solved.seen[..k].iter().all(|&s| s) {
+            return Ok(solved);
         }
         if available.len() < k {
             return Err(RaidError::TooManyErasures {
@@ -282,47 +302,61 @@ impl RsCodec {
         // Select k surviving rows of [I_k ; C]: all surviving data rows
         // first, then parity rows until the square system is full.
         let mut sel_rows: Vec<Vec<Gf>> = Vec::with_capacity(k);
-        let mut sel_payload: Vec<&[u8]> = Vec::with_capacity(k);
         let mut sorted = available.to_vec();
         sorted.sort_by_key(|(i, _)| *i);
-        for (idx, s) in &sorted {
-            if sel_rows.len() == k {
-                break;
-            }
+        for (idx, s) in sorted.into_iter().take(k) {
             let mut row = vec![Gf::ZERO; k];
-            if *idx < k {
-                row[*idx] = Gf::ONE;
+            if idx < k {
+                row[idx] = Gf::ONE;
             } else {
                 for (j, cell) in row.iter_mut().enumerate() {
-                    *cell = Gf(self.matrix.rows[*idx - k][j]);
+                    *cell = Gf(self.matrix.rows[idx - k][j]);
                 }
             }
             sel_rows.push(row);
-            sel_payload.push(s);
+            solved.survivors.push(s);
         }
 
         // The code is MDS, so this submatrix is invertible; Singular here
         // would indicate a construction bug, surfaced as BadGeometry.
-        let lu = FieldLu::decompose(&sel_rows).map_err(|e| RaidError::BadGeometry {
+        let not_invertible = |e| RaidError::BadGeometry {
             detail: format!("survivor submatrix not invertible: {e}"),
-        })?;
-        let inv = lu.inverse().map_err(|e| RaidError::BadGeometry {
-            detail: format!("survivor submatrix not invertible: {e}"),
-        })?;
+        };
+        solved.inverse = FieldLu::decompose(&sel_rows)
+            .and_then(|lu| lu.inverse())
+            .map_err(not_invertible)?;
+        Ok(solved)
+    }
 
-        // data_j = Σ_i inv[j][i] · survivor_i — only for the lost shards.
-        for &j in &missing {
-            let mut acc = vec![0u8; width];
-            for (i, payload) in sel_payload.iter().enumerate() {
-                gf256::mul_acc(&mut acc, payload, inv[j][i].0);
+    /// Rebuilds the full data stripe (`k` shards, in order) from any `≥ k`
+    /// surviving stripe members.
+    ///
+    /// `available` pairs each survivor with its stripe index (`0..k` =
+    /// data, `k..k+m` = parity row `idx − k`); all survivors must share
+    /// one width. Surviving data shards are passed through verbatim;
+    /// missing ones are solved by inverting the surviving-row submatrix of
+    /// `[Iₖ ; C]` with an exact GF(2⁸) LU and applying only the rows for
+    /// the lost shards through the kernels.
+    pub fn reconstruct(&self, available: &[(usize, &[u8])]) -> Result<Vec<Vec<u8>>> {
+        let solved = self.solve(available)?;
+        let mut data: Vec<Vec<u8>> = vec![Vec::new(); self.matrix.k];
+        for (idx, s) in available {
+            if *idx < self.matrix.k {
+                data[*idx] = s.to_vec();
             }
-            data[j] = acc;
+        }
+        for (j, shard) in data.iter_mut().enumerate() {
+            if !solved.seen[j] {
+                *shard = solved.data_shard(j);
+            }
         }
         Ok(data)
     }
 
     /// Rebuilds **one** shard (data `0..k`, parity `k..k+m`) from the
-    /// survivors — the repair path's workhorse.
+    /// survivors — the degraded read's and the repair path's workhorse. A
+    /// lost data shard is its one row of the inverse applied to the
+    /// survivors, written once; no other shard is copied or solved.
     pub fn reconstruct_shard(
         &self,
         available: &[(usize, &[u8])],
@@ -338,15 +372,10 @@ impl RsCodec {
         if let Some((_, s)) = available.iter().find(|(i, _)| *i == target) {
             return Ok(s.to_vec());
         }
-        let others: Vec<(usize, &[u8])> = available
-            .iter()
-            .filter(|(i, _)| *i != target)
-            .copied()
-            .collect();
-        let data = self.reconstruct(&others)?;
         if target < k {
-            return Ok(data[target].to_vec());
+            return Ok(self.solve(available)?.data_shard(target));
         }
+        let data = self.reconstruct(available)?;
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let width = refs.first().map_or(0, |s| s.len());
         let mut out: Vec<Vec<u8>> = (0..self.matrix.m).map(|_| Vec::new()).collect();
@@ -434,8 +463,9 @@ mod tests {
 
     #[test]
     fn survives_every_m_loss_pattern_small_geometries() {
-        // Exhaustive loss patterns for small (k, m): choose(k+m, m) cases —
-        // for m ≤ 2 that is every data/P/Q combination RAID-5/6 tolerate.
+        // Exhaustive loss patterns for small (k, m): every way to lose at
+        // most m of k+m shards — for m ≤ 2 that is every data/P/Q
+        // combination RAID-5/6 tolerate.
         for (k, m) in [
             (1usize, 1usize),
             (4, 1),
@@ -450,9 +480,10 @@ mod tests {
             let c = RsCodec::new(k, m).unwrap();
             let parity = c.parity(&refs(&data)).unwrap();
             let total = k + m;
-            // Iterate all subsets of size `total - m` (the survivors).
+            // Iterate all survivor subsets of size `≥ total - m`; each must
+            // rebuild the stripe, and every single member on its own.
             for mask in 0u32..(1 << total) {
-                if mask.count_ones() as usize != total - m {
+                if (mask.count_ones() as usize) < total - m {
                     continue;
                 }
                 let avail: Vec<(usize, &[u8])> = full_avail(&data, &parity)
@@ -461,6 +492,14 @@ mod tests {
                     .collect();
                 let rec = c.reconstruct(&avail).unwrap();
                 assert_eq!(rec, data, "k={k} m={m} mask={mask:b}");
+                for t in 0..total {
+                    let want = if t < k { &rec[t] } else { &parity[t - k] };
+                    assert_eq!(
+                        &c.reconstruct_shard(&avail, t).unwrap(),
+                        want,
+                        "k={k} m={m} mask={mask:b} target={t}"
+                    );
+                }
             }
         }
     }

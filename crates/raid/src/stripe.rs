@@ -192,31 +192,9 @@ impl StripeCodec {
         self.engine.reconstruct_shard(available, target)
     }
 
-    // Observed variants: identical semantics to the plain methods, but
-    // count the operation and record its CPU time into `tel`. The codec
-    // itself carries no handle; callers thread one in.
-
-    /// [`encode`](Self::encode), recording `raid_encodes` and a
-    /// `raid_encode_ns` timing into `tel`.
-    pub fn encode_observed(&self, blob: &[u8], tel: &TelemetryHandle) -> Result<EncodedStripe> {
-        tel.incr("raid_encodes");
-        tel.time("raid_encode_ns", || self.encode(blob))
-    }
-
-    /// [`decode`](Self::decode), recording `raid_decodes` and a
-    /// `raid_decode_ns` timing into `tel`.
-    pub fn decode_observed(
-        &self,
-        available: &[(usize, &[u8])],
-        original_len: usize,
-        tel: &TelemetryHandle,
-    ) -> Result<Vec<u8>> {
-        tel.incr("raid_decodes");
-        tel.time("raid_decode_ns", || self.decode(available, original_len))
-    }
-
     /// [`reconstruct_shard`](Self::reconstruct_shard), recording
-    /// `raid_shard_rebuilds` and a `raid_reconstruct_ns` timing into `tel`.
+    /// `raid_shard_rebuilds` and a `raid_reconstruct_ns` timing into `tel`
+    /// (the codec carries no handle; callers thread one in).
     pub fn reconstruct_shard_observed(
         &self,
         available: &[(usize, &[u8])],
@@ -498,23 +476,21 @@ mod tests {
     fn observed_variants_match_plain_and_record() {
         let tel = TelemetryHandle::enabled();
         let codec = StripeCodec::new(4, RaidLevel::Raid5).unwrap();
-        let b = blob(77);
-        let enc = codec.encode_observed(&b, &tel).unwrap();
-        assert_eq!(enc, codec.encode(&b).unwrap());
+        let enc = codec.encode(&blob(77)).unwrap();
         let a: Vec<(usize, &[u8])> = avail(&enc).into_iter().filter(|(i, _)| *i != 1).collect();
-        assert_eq!(codec.decode_observed(&a, 77, &tel).unwrap(), b);
         assert_eq!(
             codec.reconstruct_shard_observed(&a, 1, &tel).unwrap(),
             enc.shards[1]
         );
         let reg = tel.registry().unwrap();
-        assert_eq!(reg.counter_total("raid_encodes"), 1);
-        assert_eq!(reg.counter_total("raid_decodes"), 1);
         assert_eq!(reg.counter_total("raid_shard_rebuilds"), 1);
-        assert_eq!(reg.histogram("raid_encode_ns", "").count(), 1);
+        assert_eq!(reg.histogram("raid_reconstruct_ns", "").count(), 1);
         // A disabled handle records nothing but behaves identically.
         let off = TelemetryHandle::disabled();
-        assert_eq!(codec.decode_observed(&a, 77, &off).unwrap(), b);
+        assert_eq!(
+            codec.reconstruct_shard_observed(&a, 1, &off).unwrap(),
+            enc.shards[1]
+        );
     }
 
     #[test]

@@ -9,12 +9,28 @@ use fragcloud::{
     ChunkSizeSchedule, CloudDataDistributor, DistributorConfig, PrivacyLevel, PutOptions, RaidLevel,
 };
 use proptest::prelude::*;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 const FLEET: usize = 16;
 
 fn world(level: RaidLevel) -> (CloudDataDistributor, Vec<Arc<CloudProvider>>) {
-    let fleet: Vec<Arc<CloudProvider>> = (0..FLEET)
+    world_with(
+        FLEET,
+        DistributorConfig {
+            chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
+            stripe_width: 4,
+            raid_level: level,
+            ..Default::default()
+        },
+    )
+}
+
+fn world_with(
+    providers: usize,
+    config: DistributorConfig,
+) -> (CloudDataDistributor, Vec<Arc<CloudProvider>>) {
+    let fleet: Vec<Arc<CloudProvider>> = (0..providers)
         .map(|i| {
             Arc::new(CloudProvider::new(ProviderProfile::new(
                 format!("cp{i}"),
@@ -23,15 +39,7 @@ fn world(level: RaidLevel) -> (CloudDataDistributor, Vec<Arc<CloudProvider>>) {
             )))
         })
         .collect();
-    let d = CloudDataDistributor::new(
-        fleet.clone(),
-        DistributorConfig {
-            chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
-            stripe_width: 4,
-            raid_level: level,
-            ..Default::default()
-        },
-    );
+    let d = CloudDataDistributor::new(fleet.clone(), config);
     d.register_client("c").unwrap();
     d.add_password("c", "pw", PrivacyLevel::High).unwrap();
     (d, fleet)
@@ -126,6 +134,157 @@ fn scrub_sees_the_outage_and_repair_clears_it() {
     // Health is restored even though the victim never came back.
     assert!(d.scrub().is_healthy());
     assert_eq!(session.get_file("f").unwrap().data, data);
+}
+
+/// A degraded `get_file` fetches no stripe member twice: what it reads
+/// directly serves the rebuilds, what a rebuild reads serves the chunks
+/// after it, and a rebuild stops at `k` survivors.
+#[test]
+fn degraded_get_reads_each_stripe_member_at_most_once() {
+    const CHUNK: usize = 64 << 10;
+    let (d, fleet) = world_with(
+        12,
+        DistributorConfig {
+            chunk_sizes: ChunkSizeSchedule::uniform(CHUNK),
+            ..Default::default()
+        },
+    );
+    // Three full RS(8,3) stripes and a three-chunk tail ending mid-chunk.
+    let chunks = 3 * 8 + 3;
+    let data = body((chunks - 1) * CHUNK + 1000);
+    let session = d.session("c", "pw").unwrap();
+    session
+        .put_file(
+            "f",
+            &data,
+            PrivacyLevel::Low,
+            PutOptions::new().geometry(8, 3),
+        )
+        .unwrap();
+    assert_eq!(session.file_chunk_count("f").unwrap(), chunks);
+
+    let offline = top_holders(&d, 2);
+    let held = d.client_chunks_per_provider("c").unwrap();
+    for &p in &offline {
+        fleet[p].set_online(false);
+    }
+    let served = || -> Vec<u64> {
+        fleet
+            .iter()
+            .map(|p| p.stats().gets.load(Ordering::Relaxed))
+            .collect()
+    };
+    let before = served();
+    let got = session.get_file("f").unwrap();
+    assert_eq!(got.data, data);
+    assert_eq!(
+        got.reconstructed_chunks,
+        held[offline[0]] + held[offline[1]]
+    );
+
+    let served: Vec<u64> = served().iter().zip(&before).map(|(a, b)| a - b).collect();
+    // A provider holds one member of a stripe at most, so it cannot serve
+    // more objects than it holds without serving one of them twice …
+    for (p, &n) in served.iter().enumerate() {
+        assert!(
+            n <= fleet[p].chunk_count() as u64,
+            "provider {p} served {n}"
+        );
+    }
+    // … and in total the get is served exactly what no read of the file
+    // can do without — every live data chunk, plus one parity shard per
+    // lost one — which leaves no room for a second fetch of anything.
+    assert_eq!(served.iter().sum::<u64>(), chunks as u64);
+}
+
+/// Every way to take `n` of `fleet` providers offline.
+fn subsets(fleet: usize, n: usize) -> Vec<Vec<usize>> {
+    (0u32..1 << fleet)
+        .filter(|mask| mask.count_ones() as usize == n)
+        .map(|mask| (0..fleet).filter(|i| mask & (1 << i) != 0).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any RS(k, m) file — tail stripe, misleading bytes, a chunk updated
+    /// to a shorter or longer one (so a stripe peer needs zero-padding), a
+    /// chunk removed (a zero shard) — reads back exactly, whole and chunk
+    /// by chunk, with every set of at most `m` providers offline; one more
+    /// loss is an error or the right bytes, never wrong ones.
+    #[test]
+    fn reads_match_oracle_under_every_tolerable_outage(
+        k in 1usize..=8,
+        m in 1usize..=3,
+        len in 1usize..1_500,
+        mislead in any::<bool>(),
+        update in proptest::collection::vec((any::<usize>(), 1usize..130), 0..=1),
+        remove in proptest::collection::vec(any::<usize>(), 0..=1),
+    ) {
+        const CHUNK: usize = 64;
+        // Exactly k + m providers: every full stripe has a member on each.
+        let (d, fleet) = world_with(
+            k + m,
+            DistributorConfig {
+                chunk_sizes: ChunkSizeSchedule::uniform(CHUNK),
+                mislead_rate: if mislead { 0.1 } else { 0.0 },
+                ..Default::default()
+            },
+        );
+        let data = body(len);
+        let session = d.session("c", "pw").unwrap();
+        session
+            .put_file("f", &data, PrivacyLevel::Low, PutOptions::new().geometry(k, m))
+            .unwrap();
+        let mut oracle: Vec<Option<Vec<u8>>> =
+            data.chunks(CHUNK).map(|c| Some(c.to_vec())).collect();
+        if let Some(&(at, new_len)) = update.first() {
+            let at = at % oracle.len();
+            let new = body(new_len + 7)[7..].to_vec();
+            session.update_chunk("f", at as u32, &new).unwrap();
+            oracle[at] = Some(new);
+        }
+        if let Some(&at) = remove.first() {
+            let at = at % oracle.len();
+            session.remove_chunk("f", at as u32).unwrap();
+            oracle[at] = None;
+        }
+        let whole: Option<Vec<u8>> = oracle.iter().cloned().collect::<Option<Vec<_>>>()
+            .map(|chunks| chunks.concat());
+
+        for offline in (0..=m + 1).flat_map(|n| subsets(k + m, n)) {
+            for &p in &offline {
+                fleet[p].set_online(false);
+            }
+            let tolerable = offline.len() <= m;
+            if let Some(whole) = &whole {
+                match session.get_file("f") {
+                    Ok(got) => {
+                        // With no tombstone to stand in for a shard, stripe 0
+                        // of a file that fills it cannot survive m + 1 losses.
+                        prop_assert!(tolerable || oracle.len() < k, "offline {:?}", &offline);
+                        prop_assert_eq!(&got.data, whole, "offline {:?}", &offline)
+                    }
+                    Err(e) => prop_assert!(!tolerable, "offline {:?}: {}", &offline, e),
+                }
+            }
+            for (i, want) in oracle.iter().enumerate() {
+                match (session.get_chunk("f", i as u32), want) {
+                    (Ok(got), Some(want)) => {
+                        prop_assert_eq!(&got, want, "chunk {} offline {:?}", i, &offline)
+                    }
+                    (Err(e), Some(_)) => {
+                        prop_assert!(!tolerable, "chunk {} offline {:?}: {}", i, &offline, e)
+                    }
+                    (got, None) => prop_assert!(got.is_err(), "chunk {} was removed", i),
+                }
+            }
+            for &p in &offline {
+                fleet[p].set_online(true);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -194,7 +194,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (stored, positions) = mislead::inject(&data, rate, seed);
-        prop_assert_eq!(mislead::strip(&stored, &positions), data);
+        prop_assert_eq!(&mislead::strip(&stored, &positions), &data);
+        // `strip_into` appends: what the buffer already held stays put.
+        let held = vec![0xA5u8; 1 + (seed % 40) as usize];
+        let mut out = held.clone();
+        mislead::strip_into(&stored, &positions, &mut out);
+        prop_assert_eq!(out, [held, data].concat());
     }
 
     /// The rewritten kernels return the oracle's bytes and positions for
