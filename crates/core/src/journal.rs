@@ -4,7 +4,8 @@
 //! [`persist`](crate::persist) gives durability of *quiescent* table
 //! state; this module makes the mutating operations themselves
 //! crash-consistent. Every state-mutating operation (`put_file`,
-//! `remove_file`, `repair`, rebalance moves) brackets its work with
+//! `remove_file`, `repair`, rebalance moves, `update_chunk`,
+//! `restore_snapshot`, `remove_chunk`) brackets its work with
 //! intent/commit/abort records, and — critically — logs every virtual id
 //! it allocates *before* the corresponding provider upload. A distributor
 //! that dies mid-operation therefore leaves a journal whose dangling op
@@ -31,7 +32,8 @@
 //! checkpoint|<escaped full persist snapshot>
 //! begin|<op>|<kind>|<client>|<target>
 //! alloc|<op>|<vid>,<vid>,...     # fresh ids, logged BEFORE upload
-//! doom|<op>|<vid>,<vid>,...      # ids this op intends to delete
+//! doom|<op>|<vid>,<vid>,...      # ids this op deletes (chunk-level
+//!                                # verbs: only after their commit)
 //! commit|<op>|<escaped delta>
 //! abort|<op>|<escaped delta>
 //! end
@@ -87,8 +89,14 @@ impl std::fmt::Display for OpId {
 }
 
 /// Which mutation path an op belongs to — determines how recovery treats
-/// a dangling instance (roll back for `Put`/`Repair`/`Migrate`, roll
-/// *forward* for `Remove`).
+/// a dangling instance: roll **back** for `Put` / `Repair` / `Migrate`
+/// (collect the fresh uploads) and `Update` (the fresh snapshot object is
+/// the undo record: its payload is written back over the chunk), roll
+/// **forward** for `Remove`, `Restore` and `RemoveChunk` (their doomed
+/// objects are deleted last, so the verb can always be finished).
+///
+/// Chunk-level kinds (`Migrate`, `Update`, `Restore`, `RemoveChunk`) name
+/// their target `"{filename}#{serial}"`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// `put_file`: new file upload.
@@ -99,15 +107,26 @@ pub enum OpKind {
     Repair,
     /// A rebalance move (`migrate_chunk`).
     Migrate,
+    /// `update_chunk`: in-place chunk rewrite behind a fresh snapshot.
+    Update,
+    /// `restore_snapshot`: the snapshot's bytes written back, the
+    /// snapshot consumed.
+    Restore,
+    /// `remove_chunk`: one chunk tombstoned, its stripe's parity re-planned.
+    RemoveChunk,
 }
 
 impl OpKind {
-    fn tag(self) -> &'static str {
+    /// The kind's tag in the journal text (also its telemetry label).
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             OpKind::Put => "put",
             OpKind::Remove => "remove",
             OpKind::Repair => "repair",
             OpKind::Migrate => "migrate",
+            OpKind::Update => "update",
+            OpKind::Restore => "restore",
+            OpKind::RemoveChunk => "rmchunk",
         }
     }
 
@@ -117,6 +136,9 @@ impl OpKind {
             "remove" => Ok(OpKind::Remove),
             "repair" => Ok(OpKind::Repair),
             "migrate" => Ok(OpKind::Migrate),
+            "update" => Ok(OpKind::Update),
+            "restore" => Ok(OpKind::Restore),
+            "rmchunk" => Ok(OpKind::RemoveChunk),
             other => Err(bad(line_no, &format!("unknown op kind {other:?}"))),
         }
     }
@@ -151,8 +173,9 @@ pub struct OpView {
     pub kind: OpKind,
     /// Client the op acted for (empty for client-less ops like `repair`).
     pub client: String,
-    /// Target of the op — a filename, or a descriptive tag for
-    /// repair/migrate ops.
+    /// Target of the op — a filename (`put`, `remove`),
+    /// `"{filename}#{serial}"` for the chunk-level kinds, or a
+    /// descriptive tag (`repair`).
     pub target: String,
     /// Freshly allocated vids, in allocation order.
     pub fresh: Vec<VirtualId>,
@@ -441,7 +464,8 @@ impl Journal {
     }
 
     /// Logs vids `op` intends to delete (roll-forward set for removals,
-    /// doomed source copies for migrations).
+    /// restores and chunk removals; doomed source copies for migrations;
+    /// the superseded snapshot of an update).
     pub fn log_doom(&self, op: OpId, vids: &[VirtualId]) {
         if vids.is_empty() {
             return;
@@ -598,7 +622,8 @@ impl Journal {
     }
 
     /// Replaces the checkpoint without touching the record stream — used
-    /// after mutations that are snapshot-only (e.g. client registration).
+    /// when a journal is attached and after the only mutations that are
+    /// not journaled ops: client registration and password changes.
     pub fn set_checkpoint(&self, checkpoint: String) {
         self.inner.lock().checkpoint = checkpoint;
     }
@@ -944,6 +969,27 @@ mod tests {
         // A re-parsed journal keeps allocating fresh op ids.
         let c = back.begin(OpKind::Repair, "", "stripes");
         assert!(c.0 > b.0);
+    }
+
+    #[test]
+    fn chunk_level_kinds_roundtrip_under_their_tags() {
+        let j = Journal::new();
+        let kinds = [
+            (OpKind::Update, "update"),
+            (OpKind::Restore, "restore"),
+            (OpKind::RemoveChunk, "rmchunk"),
+        ];
+        for (kind, _) in kinds {
+            j.begin(kind, "c", "some#file#3");
+        }
+        let text = j.export();
+        assert!(text.starts_with("fragcloud-journal|v2\n"), "still v2");
+        for (_, tag) in kinds {
+            assert!(text.contains(&format!("|{tag}|c|some#file#3\n")), "{tag}");
+        }
+        let back = Journal::parse(&text).unwrap();
+        let parsed: Vec<OpKind> = back.ops().iter().map(|o| o.kind).collect();
+        assert_eq!(parsed, kinds.map(|(kind, _)| kind));
     }
 
     #[test]

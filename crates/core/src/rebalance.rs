@@ -14,12 +14,13 @@
 //!   migrate it to the eligible provider with the lowest link latency,
 //!   respecting stripe anti-affinity.
 
-use crate::distributor::{CloudDataDistributor, JournalCtx};
+use crate::distributor::{chunk_target, CloudDataDistributor, Doomed, JournalCtx};
 use crate::journal::OpKind;
 use crate::policy;
 use crate::tables::ChunkRole;
 use crate::{CoreError, Result};
-use fragcloud_sim::{ObjectStore, VirtualId};
+use fragcloud_sim::ObjectStore;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Report of one rebalancing pass.
@@ -52,24 +53,15 @@ impl CloudDataDistributor {
         serial: u32,
         target_provider: usize,
     ) -> Result<()> {
-        let jctx = self.journal_begin(OpKind::Migrate, client, &format!("{filename}#{serial}"));
+        let jctx = self.journal_begin(OpKind::Migrate, client, &chunk_target(filename, serial));
         let res =
             self.migrate_chunk_inner(client, password, filename, serial, target_provider, &jctx);
-        match self.journal_finish(jctx, res)? {
-            Some((source_provider, old_vid)) => {
-                self.crash_point()?;
-                // Best-effort: the object is already doomed in the journal.
-                let providers = self.providers();
-                let _ = providers[source_provider].delete(old_vid);
-                Ok(())
-            }
-            None => Ok(()), // already at the target
-        }
+        self.journal_finish_doomed(jctx, res)
     }
 
     /// The journaled body of [`migrate_chunk`](Self::migrate_chunk):
-    /// returns the doomed source copy to delete after commit, or `None`
-    /// for a same-provider no-op.
+    /// returns the doomed source copy to delete after commit (nothing for
+    /// a same-provider no-op).
     fn migrate_chunk_inner(
         &self,
         client: &str,
@@ -78,7 +70,7 @@ impl CloudDataDistributor {
         serial: u32,
         target_provider: usize,
         jctx: &Option<JournalCtx>,
-    ) -> Result<Option<(usize, VirtualId)>> {
+    ) -> Result<Doomed> {
         let shard = self.shard_for(client, filename);
         let mut st = self.shard_write(shard);
         let chunk_idx = st.chunk_index(client, filename, serial)?;
@@ -93,7 +85,7 @@ impl CloudDataDistributor {
         }
         let source_provider = st.chunks[chunk_idx].provider_idx;
         if source_provider == target_provider {
-            return Ok(None); // already there
+            return Ok(Doomed::new()); // already there
         }
         // Anti-affinity within the stripe.
         if let Some(stripe_ref) = st.chunks[chunk_idx].stripe {
@@ -123,7 +115,7 @@ impl CloudDataDistributor {
         st.chunks[chunk_idx].vid = new_vid;
         st.chunks[chunk_idx].provider_idx = target_provider;
         self.touch_chunk(jctx, shard, chunk_idx);
-        Ok(Some((source_provider, old_vid)))
+        Ok(vec![(Arc::clone(&st.providers[source_provider]), old_vid)])
     }
 
     /// Greedy locality pass: migrate every data chunk of the client that

@@ -21,13 +21,24 @@
 //!      freshly allocated virtual ids (logged *before* the uploads) are
 //!      garbage-collected from every provider still holding them, so no
 //!      orphan objects survive;
+//!    - a dangling `update` **rolls back** too, and its fresh id is more
+//!      than garbage: the snapshot object is stored before anything is
+//!      overwritten, so while a provider holds it its payload *is* the
+//!      chunk's pre-op stored bytes — they are written back under the
+//!      data and replica ids and the stripe's parity is re-planned from
+//!      the objects its peers hold now, then the snapshot is collected;
 //!    - dangling `remove` ops **roll forward**: some doomed objects are
 //!      already gone, so the only consistent direction is to finish the
 //!      deletes and complete the table removal;
+//!    - dangling `restore` / `rmchunk` ops **roll forward** as well:
+//!      their doomed objects are deleted only after the commit, so the
+//!      verb's table-and-parity half can be re-run on the recovered
+//!      state, after which the doom list is collected;
 //!    - committed ops are verified present (their files must still be
 //!      readable within RAID fault tolerance) and their doomed
-//!      stragglers — e.g. a migration's source copy whose post-commit
-//!      delete never ran — are collected.
+//!      stragglers — a migration's source copy, an update's superseded
+//!      snapshot, a removed chunk's objects whose post-commit delete
+//!      never ran — are collected.
 //!
 //! Everything is best-effort and telemetry-counted; what cannot be fixed
 //! (an orphan on an offline provider, a committed file that does not
@@ -35,7 +46,7 @@
 //! [`RecoveryReport::unrecoverable`] instead of aborting the recovery.
 
 use crate::config::DistributorConfig;
-use crate::distributor::CloudDataDistributor;
+use crate::distributor::{parse_chunk_target, CloudDataDistributor};
 use crate::journal::{Journal, OpKind, OpStatus, OpView};
 use crate::persist;
 use crate::tables::{ChunkEntry, ChunkRole, StripeInfo};
@@ -55,17 +66,20 @@ pub struct RecoveryReport {
     /// Committed ops verified (plus dangling ops whose effects turned out
     /// fully captured by a later checkpoint).
     pub replayed: usize,
-    /// Dangling put/repair/migrate ops rolled back.
+    /// Dangling put/repair/migrate/update ops rolled back.
     pub rolled_back: usize,
-    /// Dangling remove ops rolled forward to completion.
+    /// Dangling remove/restore/rmchunk ops rolled forward to completion.
     pub rolled_forward: usize,
     /// Ops the live distributor had already aborted and rolled back.
     pub aborted: usize,
     /// Orphan objects garbage-collected from providers.
     pub orphans_collected: usize,
     /// Failures recovery could not repair: orphan deletes that failed
-    /// (offline provider), committed files that no longer verify, and
-    /// delta rows that would not parse or apply.
+    /// (offline provider), committed files that no longer verify, delta
+    /// rows that would not parse or apply, and chunk-level ops whose undo
+    /// or roll-forward could not complete (a needed provider is offline;
+    /// such an op stays dangling in the journal and is retried by the
+    /// next recovery).
     pub unrecoverable: usize,
 }
 
@@ -77,6 +91,10 @@ enum Resolution {
     RolledBack,
     RolledForward,
     Aborted,
+    /// A chunk-level op whose undo or roll-forward could not complete (a
+    /// provider it needs is offline): counted unrecoverable and left
+    /// dangling, its snapshot in place, for the next recovery to retry.
+    Unresolved,
 }
 
 /// Rebuilds a distributor from `journal` (checkpoint + delta records)
@@ -97,8 +115,9 @@ pub fn recover(
 }
 
 /// [`recover`] with a telemetry handle: the run is spanned (`recover`)
-/// and counted (`recovery_runs_total`, `recovery_ops_*`,
-/// `recovery_orphans_collected`, `recovery_unrecoverable`).
+/// and counted (`recovery_runs_total`, `recovery_ops_replayed`,
+/// `recovery_ops_rolled_back` / `recovery_ops_rolled_forward` labeled by
+/// op kind, `recovery_orphans_collected`, `recovery_unrecoverable`).
 pub fn recover_with(
     journal: Arc<Journal>,
     providers: Vec<Arc<CloudProvider>>,
@@ -189,7 +208,18 @@ pub fn recover_with(
                     gc_vids(&d, &op.doomed, &mut report, tel);
                     Resolution::RolledForward
                 }
-                OpKind::Put | OpKind::Repair | OpKind::Migrate => {
+                OpKind::Restore | OpKind::RemoveChunk => {
+                    // Same order as `Remove`: the table-and-parity half
+                    // first (the verb is idempotent while its doomed
+                    // objects exist), then the doom list.
+                    if redo_chunk_op(&d, &op).is_ok() {
+                        gc_vids(&d, &op.doomed, &mut report, tel);
+                        Resolution::RolledForward
+                    } else {
+                        Resolution::Unresolved
+                    }
+                }
+                OpKind::Put | OpKind::Repair | OpKind::Migrate | OpKind::Update => {
                     let referenced = d.referenced_vids();
                     if !op.fresh.is_empty() && op.fresh.iter().all(|v| referenced.contains(v)) {
                         // Every upload is table-referenced: a concurrent
@@ -201,17 +231,30 @@ pub fn recover_with(
                         if op.kind == OpKind::Put {
                             strip_put(&d, &op);
                         }
-                        gc_vids(&d, &op.fresh, &mut report, tel);
-                        Resolution::RolledBack
+                        if op.kind == OpKind::Update && undo_update(&d, &op).is_err() {
+                            // The snapshot is the only copy of the
+                            // pre-state: it stays where it is.
+                            Resolution::Unresolved
+                        } else {
+                            gc_vids(&d, &op.fresh, &mut report, tel);
+                            Resolution::RolledBack
+                        }
                     }
                 }
             },
         };
         match resolution {
             Resolution::Replayed => report.replayed += 1,
-            Resolution::RolledBack => report.rolled_back += 1,
-            Resolution::RolledForward => report.rolled_forward += 1,
+            Resolution::RolledBack => {
+                report.rolled_back += 1;
+                tel.add_labeled("recovery_ops_rolled_back", op.kind.tag(), 1);
+            }
+            Resolution::RolledForward => {
+                report.rolled_forward += 1;
+                tel.add_labeled("recovery_ops_rolled_forward", op.kind.tag(), 1);
+            }
             Resolution::Aborted => report.aborted += 1,
+            Resolution::Unresolved => report.unrecoverable += 1,
         }
         resolutions.push((op, resolution));
     }
@@ -221,13 +264,16 @@ pub fn recover_with(
     // Close out the dangling ops (with empty deltas — their effects are
     // already in the compaction snapshot below) and compact: the
     // journal's new baseline is the post-recovery snapshot, and
-    // journaling resumes on the recovered distributor.
+    // journaling resumes on the recovered distributor. An unresolved op
+    // stays open: compaction keeps dangling ops, so the next recovery
+    // finds its records and tries again.
     for (op, resolution) in &resolutions {
         if op.status == OpStatus::Dangling {
             match resolution {
                 Resolution::RolledForward | Resolution::Replayed => {
                     journal.commit(op.id, String::new());
                 }
+                Resolution::Unresolved => {}
                 _ => journal.abort(op.id, String::new()),
             }
         }
@@ -237,8 +283,6 @@ pub fn recover_with(
 
     tel.incr("recovery_runs_total");
     tel.add("recovery_ops_replayed", report.replayed as u64);
-    tel.add("recovery_ops_rolled_back", report.rolled_back as u64);
-    tel.add("recovery_ops_rolled_forward", report.rolled_forward as u64);
     tel.add("recovery_unrecoverable", report.unrecoverable as u64);
     Ok((d, report))
 }
@@ -419,6 +463,36 @@ fn complete_remove(d: &CloudDataDistributor, client: &str, target: &str) {
     }
 }
 
+/// Rolls a dangling `update` back: the op's one fresh vid is its snapshot
+/// object, the first doomed vid (if any) the snapshot it superseded — see
+/// [`CloudDataDistributor::undo_update`]. An op that never logged its
+/// alloc stored nothing.
+fn undo_update(d: &CloudDataDistributor, op: &OpView) -> Result<()> {
+    let (Some(&snapshot_vid), Some((filename, serial))) =
+        (op.fresh.first(), parse_chunk_target(&op.target))
+    else {
+        return Ok(());
+    };
+    let superseded = op.doomed.first().copied();
+    d.undo_update(&op.client, filename, serial, snapshot_vid, superseded)
+}
+
+/// Rolls a dangling `restore` / `rmchunk` forward at the table-and-parity
+/// level (the objects are handled by [`gc_vids`] on the doom list). An op
+/// that never logged its doom record changed nothing.
+fn redo_chunk_op(d: &CloudDataDistributor, op: &OpView) -> Result<()> {
+    let (Some(&first), Some((filename, serial))) =
+        (op.doomed.first(), parse_chunk_target(&op.target))
+    else {
+        return Ok(());
+    };
+    if op.kind == OpKind::Restore {
+        d.redo_restore(&op.client, filename, serial, first)
+    } else {
+        d.redo_remove_chunk(&op.client, filename, serial, &op.doomed)
+    }
+}
+
 /// Strips whatever table rows a dangling put left in the replayed state
 /// (only possible when a concurrent op's close delta captured mid-put
 /// rows): tombstones its chunk entries and drops its file entry. A put's
@@ -482,8 +556,9 @@ fn verify_expectations(
             (OpKind::Remove, Resolution::Replayed | Resolution::RolledForward) => {
                 expect.insert(key, false);
             }
-            // Aborted ops restored the prior state; repair/migrate ops
-            // never change which files exist.
+            // Aborted ops restored the prior state; repair ops and the
+            // chunk-level kinds (whose targets are `file#serial`, not
+            // file names) never change which files exist.
             _ => {}
         }
     }

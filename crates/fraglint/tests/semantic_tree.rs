@@ -1,8 +1,9 @@
-//! Mutation test for the plaintext-escape analysis against the *real*
-//! distributor sources (not fixtures): the unmodified put path must
-//! scan clean, and surgically bypassing the mislead sanitizer must make
-//! the taint engine fire. This is the acceptance proof that the
-//! analysis tracks the actual tree, not just hand-built examples.
+//! Mutation tests for the flow analyses against the *real* distributor
+//! sources (not fixtures): the unmodified tree must scan clean, and a
+//! surgical mutation — bypassing the mislead sanitizer, or storing an
+//! update's snapshot before its `journal_alloc` — must make the taint
+//! engine fire. This is the acceptance proof that the analyses track the
+//! actual tree, not just hand-built examples.
 
 use fraglint::{scan_files, Config};
 use std::path::Path;
@@ -82,4 +83,48 @@ fn bypassing_the_mislead_sanitizer_is_caught() {
             v.message
         );
     }
+}
+
+#[test]
+fn storing_the_snapshot_before_its_alloc_is_caught() {
+    // The chunk-level verbs (update, restore, remove_chunk) share one
+    // provider half; move the undo record's `journal_alloc` below the
+    // snapshot `put` — a crash between the two would leave an object no
+    // journal record names.
+    let original = real_source(DISTRIBUTOR);
+    let ordering = |source: String| -> Vec<String> {
+        scan_files(&[(DISTRIBUTOR.into(), source)], &workspace_config())
+            .violations
+            .iter()
+            .filter(|v| v.rule == "journal-ordering")
+            .map(|v| v.message.clone())
+            .collect()
+    };
+    assert_eq!(ordering(original.clone()), Vec::<String>::new());
+
+    let alloc_first = "        if let Some((_, snapshot_vid, _)) = rewrite.undo {
+            self.journal_alloc(jctx, &[snapshot_vid]);
+        }
+";
+    let put = "                .put(snapshot_vid, integrity::frame(snapshot_vid, pre_state))?;
+";
+    let mutated = original.replace(alloc_first, "").replace(
+        put,
+        &format!("{put}            self.journal_alloc(jctx, &[snapshot_vid]);\n"),
+    );
+    assert_eq!(
+        mutated.len(),
+        original.len() - alloc_first.len()
+            + "            self.journal_alloc(jctx, &[snapshot_vid]);\n".len(),
+        "mutation site moved; update this test"
+    );
+
+    let hits = ordering(mutated);
+    assert!(
+        hits.iter().any(
+            |m| m.contains("provider upload precedes the journal alloc intent")
+                && m.contains("`update_chunk_impl`")
+        ),
+        "alloc-after-upload must surface on the update verb; got {hits:?}"
+    );
 }

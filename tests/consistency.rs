@@ -256,3 +256,179 @@ fn bytes_conserved_across_providers() {
     let client_bytes: u64 = d.client_bytes_per_provider("c").unwrap().iter().sum();
     assert_eq!(client_bytes, data.len() as u64);
 }
+
+/// What the three invariants of a chunk-level verb look like from outside,
+/// with every provider back online. `expect` lists the file's chunks by
+/// serial (`None`: removed). The file reads back straight off its
+/// primaries, the providers hold exactly the objects the tables name, and
+/// parity agrees with data (each provider offline in turn).
+fn assert_untorn(d: &CloudDataDistributor, expect: &[Option<Vec<u8>>], tag: &str) {
+    assert_untorn_but(d, expect, tag, None);
+}
+
+/// [`assert_untorn`], except that provider `died` went down *during* a
+/// verb that succeeded: the post-commit delete of a doomed object is
+/// best-effort, so that provider (and only it) may still hold objects the
+/// tables no longer name — with a journal attached they are on the op's
+/// doom list and recovery collects them.
+fn assert_untorn_but(
+    d: &CloudDataDistributor,
+    expect: &[Option<Vec<u8>>],
+    tag: &str,
+    died: Option<usize>,
+) {
+    let session = d.session("c", "pw").unwrap();
+    if expect.iter().all(Option::is_some) {
+        let got = session.get_file("doc").unwrap();
+        let whole: Vec<u8> = expect.iter().flatten().flatten().copied().collect();
+        assert_eq!(got.data, whole, "{tag}: bytes");
+        assert_eq!(got.reconstructed_chunks, 0, "{tag}: served by parity");
+        assert_eq!(got.degraded_chunks, 0, "{tag}: served by a replica");
+    }
+    let held: HashSet<_> = d
+        .providers()
+        .iter()
+        .flat_map(|p| p.virtual_id_list())
+        .collect();
+    let referenced = d.referenced_vids();
+    match died {
+        None => assert_eq!(held, referenced, "{tag}: orphans or lost objects"),
+        Some(died) => {
+            assert!(referenced.is_subset(&held), "{tag}: lost objects");
+            for vid in held.difference(&referenced) {
+                assert!(d.providers()[died].contains(*vid), "{tag}: orphan {vid}");
+            }
+        }
+    }
+    let check_chunks = |tag: &str| {
+        for (serial, chunk) in expect.iter().enumerate() {
+            let got = session.get_chunk("doc", serial as u32);
+            match chunk {
+                Some(bytes) => assert_eq!(&got.unwrap(), bytes, "{tag}: chunk {serial}"),
+                None => assert!(
+                    matches!(got, Err(CoreError::UnknownChunk { .. })),
+                    "{tag}: removed chunk {serial} reads {got:?}"
+                ),
+            }
+        }
+    };
+    check_chunks(tag);
+    for p in d.providers() {
+        p.set_online(false);
+        check_chunks(&format!("{tag}: parity vs data, {} offline", p.name()));
+        p.set_online(true);
+    }
+}
+
+fn chunks_of(data: &[u8]) -> Vec<Option<Vec<u8>>> {
+    data.chunks(1024).map(|c| Some(c.to_vec())).collect()
+}
+
+fn replicated_doc(d: &CloudDataDistributor) -> Vec<Option<Vec<u8>>> {
+    d.register_client("c").unwrap();
+    d.add_password("c", "pw", PrivacyLevel::High).unwrap();
+    let data = body(11, 4096); // one RAID-5 stripe: 4 x 1 KiB chunks + P
+    d.session("c", "pw")
+        .unwrap()
+        .put_file(
+            "doc",
+            &data,
+            PrivacyLevel::Low,
+            PutOptions::new().replicas(1),
+        )
+        .unwrap();
+    chunks_of(&data)
+}
+
+/// An `update_chunk` that reports failure changed nothing: every provider
+/// the mutation writes (primary, replica, snapshot target, parity) is
+/// checked before the first store, so with any one of them offline the
+/// chunk, its replica and its parity keep the pre-update bytes and no
+/// snapshot object is left behind.
+#[test]
+fn failed_update_leaves_the_chunk_untouched() {
+    let patch = vec![0xC3u8; 1024];
+    let (mut failed, mut succeeded) = (0, 0);
+    for victim in 0..8 {
+        let d = distributor(8);
+        let data = replicated_doc(&d);
+        let mut updated = data.clone();
+        updated[1] = Some(patch.clone());
+
+        d.providers()[victim].set_online(false);
+        let res = d.session("c", "pw").unwrap().update_chunk("doc", 1, &patch);
+        d.providers()[victim].set_online(true);
+        let expect = match res {
+            Ok(()) => {
+                succeeded += 1;
+                &updated
+            }
+            Err(CoreError::Store(_)) => {
+                failed += 1;
+                &data
+            }
+            Err(e) => panic!("cp{victim} offline: unexpected {e}"),
+        };
+        assert_untorn(&d, expect, &format!("cp{victim} offline"));
+    }
+    // Primary, replica, snapshot target, parity and the three peers read
+    // for the parity plan are seven distinct providers of the eight.
+    assert!(failed >= 4, "only {failed} outages failed the update");
+    assert!(succeeded >= 1, "no outage left the update alone");
+}
+
+/// A provider that dies *between* the pre-check and its store (a scripted
+/// mid-stream death) still cannot tear the chunk: the live abort puts the
+/// pre-op bytes back, re-syncs parity and deletes the snapshot it stored.
+/// Same for `restore_snapshot` and `remove_chunk`.
+#[test]
+fn mid_flight_provider_death_is_undone() {
+    let patch = vec![0x5Au8; 1000]; // a shorter chunk: the stripe width moves too
+    for verb in ["update", "restore", "remove_chunk"] {
+        let mut undone = 0;
+        for victim in 0..8 {
+            for ops_before_death in 0..6 {
+                let d = distributor(8);
+                let data = replicated_doc(&d);
+                let session = d.session("c", "pw").unwrap();
+                let mut patched = data.clone();
+                patched[1] = Some(patch.clone());
+                // restore / remove_chunk act on an already-updated chunk.
+                let (before, after) = match verb {
+                    "update" => (data, patched),
+                    _ => {
+                        session.update_chunk("doc", 1, &patch).unwrap();
+                        let mut after = if verb == "restore" {
+                            data
+                        } else {
+                            patched.clone()
+                        };
+                        if verb == "remove_chunk" {
+                            after[1] = None;
+                        }
+                        (patched, after)
+                    }
+                };
+
+                d.providers()[victim].fail_after_ops(ops_before_death);
+                let res = match verb {
+                    "update" => session.update_chunk("doc", 1, &patch),
+                    "restore" => session.restore_snapshot("doc", 1),
+                    _ => session.remove_chunk("doc", 1),
+                };
+                let died = (!d.providers()[victim].is_online()).then_some(victim);
+                d.providers()[victim].set_online(true);
+                let tag = format!("{verb}: cp{victim} dies after {ops_before_death} ops");
+                match res {
+                    Ok(()) => assert_untorn_but(&d, &after, &tag, died),
+                    Err(CoreError::Store(_)) => {
+                        undone += 1;
+                        assert_untorn(&d, &before, &tag);
+                    }
+                    Err(e) => panic!("{tag}: unexpected {e}"),
+                }
+            }
+        }
+        assert!(undone >= 4, "{verb}: only {undone} deaths hit the verb");
+    }
+}

@@ -4,17 +4,25 @@
 //! snapshot and close deltas with [`recover`], and assert the recovery
 //! contract:
 //!
-//! 1. every acknowledged file reads back byte-identical;
+//! 1. every acknowledged file reads back byte-identical, chunk by chunk;
 //! 2. a file's post-recovery presence matches the journal's last word:
 //!    a put whose commit record survived the group fsync is durable even
 //!    when the crash beat the ack; a put that never reached the fsync
 //!    rolls back; a remove rolls forward whether or not it was
 //!    acknowledged;
-//! 3. no provider holds an orphan object (every live key is
+//! 3. the chunk a crashed `update_chunk` / `restore_snapshot` /
+//!    `remove_chunk` was working on reads back as exactly its pre-op **or**
+//!    its post-op bytes (post-op once the commit is durable), and parity
+//!    agrees with data: after a repair pass every chunk still reads the
+//!    same with each provider offline in turn;
+//! 4. no provider holds an orphan object (every live key is
 //!    table-referenced);
-//! 4. the [`RecoveryReport`] totals match the journal's op statuses
+//! 5. the [`RecoveryReport`] totals match the journal's op statuses
 //!    exactly, with nothing unrecoverable;
-//! 5. the recovered distributor accepts new traffic.
+//! 6. recovering a second time from the same crashed journal gives the
+//!    same report and the same state;
+//! 7. the recovered distributor accepts new traffic — another update of
+//!    the very chunk the crash interrupted included.
 
 use fragcloud::core::journal::{OpKind, OpStatus};
 use fragcloud::sim::{CloudProvider, CostLevel, ObjectStore, ProviderProfile};
@@ -23,17 +31,21 @@ use fragcloud::{
     Journal, PrivacyLevel, PutOptions, RaidLevel, RecoveryReport,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 const FLEET: usize = 8;
+const CHUNK: usize = 512;
 
 fn config() -> DistributorConfig {
     DistributorConfig {
-        chunk_sizes: ChunkSizeSchedule::uniform(512),
+        chunk_sizes: ChunkSizeSchedule::uniform(CHUNK),
         stripe_width: 3,
         raid_level: RaidLevel::Raid5,
+        // Misleading bytes on: a rolled-back or rolled-forward chunk must
+        // also get its position list right to read back byte-identical.
+        mislead_rate: 0.05,
         ..Default::default()
     }
 }
@@ -124,55 +136,169 @@ fn migrate_somewhere(w: &World, filename: &str) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// The fixed matrix workload: puts, a remove, induced shard loss + repair,
-/// migrations, and a final put. Every acknowledged mutation updates
-/// `acked`; every *attempted* put logs its bytes in `attempted` (the
-/// reference for a put whose commit outran its ack); the first simulated
-/// crash aborts the run.
-fn run_workload(
-    w: &World,
-    acked: &mut BTreeMap<String, Vec<u8>>,
-    attempted: &mut BTreeMap<String, Vec<u8>>,
-) -> Result<(), CoreError> {
-    let s = w.d.session("c", "pw")?;
+/// A file as the client sees it: its chunks by serial, `None` once
+/// removed.
+type Chunks = Vec<Option<Vec<u8>>>;
 
-    let f0 = body(5000, 1);
-    attempted.insert("f0".into(), f0.clone());
-    s.put_file("f0", &f0, PrivacyLevel::Low, PutOptions::new())?;
-    acked.insert("f0".into(), f0);
+fn chunks_of(data: &[u8]) -> Chunks {
+    data.chunks(CHUNK).map(|c| Some(c.to_vec())).collect()
+}
 
-    let f1 = body(3100, 2);
-    attempted.insert("f1".into(), f1.clone());
-    s.put_file("f1", &f1, PrivacyLevel::Moderate, PutOptions::new())?;
-    acked.insert("f1".into(), f1);
+/// A chunk-level verb of the workload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChunkVerb {
+    Update,
+    Restore,
+    RemoveChunk,
+}
 
-    // A remove rolls FORWARD on crash: whether or not it was acknowledged,
-    // the file is gone after recovery.
-    let rm = s.remove_file("f0");
-    acked.remove("f0");
-    rm?;
+/// The oracle. Every acknowledged mutation updates `acked`; every
+/// *attempted* put logs its chunks in `attempted` (the reference for a put
+/// whose commit outran its ack); `snapshots` models what a restore yields;
+/// `in_flight` is the chunk-level verb the crash interrupted, with the
+/// chunk's post-op bytes.
+#[derive(Default)]
+struct Ledger {
+    acked: BTreeMap<String, Chunks>,
+    attempted: BTreeMap<String, Chunks>,
+    snapshots: BTreeMap<(String, usize), Vec<u8>>,
+    in_flight: Option<(String, usize, Option<Vec<u8>>)>,
+}
 
-    let f2 = body(2048, 3);
-    attempted.insert("f2".into(), f2.clone());
-    s.put_file("f2", &f2, PrivacyLevel::Low, PutOptions::new())?;
-    acked.insert("f2".into(), f2);
+impl Ledger {
+    /// One `put_file`. Duplicate names abort inside the journaled body — a
+    /// legitimate aborted op, not an ack; only a crash propagates.
+    fn put(
+        &mut self,
+        w: &World,
+        name: &str,
+        data: &[u8],
+        pl: PrivacyLevel,
+        opts: PutOptions,
+    ) -> Result<(), CoreError> {
+        self.attempted.insert(name.into(), chunks_of(data));
+        match w.d.session("c", "pw")?.put_file(name, data, pl, opts) {
+            Ok(_) => {
+                self.acked.insert(name.into(), chunks_of(data));
+                Ok(())
+            }
+            Err(e @ CoreError::SimulatedCrash { .. }) => Err(e),
+            Err(_) => Ok(()),
+        }
+    }
+
+    /// One `remove_file`: rolls FORWARD on crash, so whether or not it was
+    /// acknowledged the file is gone after recovery.
+    fn remove(&mut self, w: &World, name: &str) -> Result<(), CoreError> {
+        let res = w.d.session("c", "pw")?.remove_file(name);
+        if !matches!(res, Err(ref e) if !matches!(e, CoreError::SimulatedCrash { .. })) {
+            self.acked.remove(name);
+            self.snapshots.retain(|(file, _), _| file != name);
+        }
+        match res {
+            Err(e @ CoreError::SimulatedCrash { .. }) => Err(e),
+            _ => Ok(()),
+        }
+    }
+
+    /// One chunk-level verb on ⟨`name`, `serial`⟩. A verb the tables refuse
+    /// (unknown file, removed chunk, no snapshot) is an aborted journal op
+    /// and changes nothing.
+    fn chunk_op(
+        &mut self,
+        w: &World,
+        verb: ChunkVerb,
+        name: &str,
+        serial: usize,
+        patch: &[u8],
+    ) -> Result<(), CoreError> {
+        let key = (name.to_string(), serial);
+        let current = self
+            .acked
+            .get(name)
+            .and_then(|chunks| chunks.get(serial).cloned().flatten());
+        let post = match verb {
+            ChunkVerb::Update => Some(patch.to_vec()),
+            ChunkVerb::Restore => self.snapshots.get(&key).cloned(),
+            ChunkVerb::RemoveChunk => None,
+        };
+        self.in_flight = Some((name.into(), serial, post.clone()));
+        let s = w.d.session("c", "pw")?;
+        let res = match verb {
+            ChunkVerb::Update => s.update_chunk(name, serial as u32, patch),
+            ChunkVerb::Restore => s.restore_snapshot(name, serial as u32),
+            ChunkVerb::RemoveChunk => s.remove_chunk(name, serial as u32),
+        };
+        match res {
+            Ok(()) => {
+                let chunks = self
+                    .acked
+                    .get_mut(name)
+                    .expect("acked verb on a known file");
+                chunks[serial] = post;
+                match (verb, current) {
+                    (ChunkVerb::Update, Some(old)) => {
+                        self.snapshots.insert(key, old);
+                    }
+                    _ => {
+                        self.snapshots.remove(&key);
+                    }
+                }
+            }
+            Err(e @ CoreError::SimulatedCrash { .. }) => return Err(e),
+            Err(_) => {}
+        }
+        self.in_flight = None;
+        Ok(())
+    }
+}
+
+/// The fixed matrix workload: puts (one replicated), a remove, a first and
+/// a second update of one chunk, restores, a chunk removal, induced shard
+/// loss + repair, migrations, and a final put. The first simulated crash
+/// aborts the run.
+fn run_workload(w: &World, l: &mut Ledger) -> Result<(), CoreError> {
+    use ChunkVerb::*;
+    let plain = PutOptions::new();
+    l.put(w, "f0", &body(5000, 1), PrivacyLevel::Low, plain)?;
+    l.put(w, "f1", &body(3100, 2), PrivacyLevel::Moderate, plain)?;
+    l.remove(w, "f0")?;
+    l.put(
+        w,
+        "f2",
+        &body(2048, 3),
+        PrivacyLevel::Low,
+        plain.replicas(1),
+    )?;
+
+    // First update, second update (supersedes the first snapshot), restore.
+    l.chunk_op(w, Update, "f1", 1, &body(CHUNK, 11))?;
+    l.chunk_op(w, Update, "f1", 1, &body(400, 12))?;
+    l.chunk_op(w, Restore, "f1", 1, &[])?;
+    // The same on a replicated file; its chunk 0 keeps a snapshot through
+    // the repair and the migrations below.
+    l.chunk_op(w, Update, "f2", 1, &body(300, 13))?;
+    l.chunk_op(w, Restore, "f2", 1, &[])?;
+    l.chunk_op(w, Update, "f2", 0, &body(CHUNK, 14))?;
+    // Removals: a chunk with a snapshot and a replica, and the ragged tail.
+    l.chunk_op(w, Update, "f2", 3, &body(100, 15))?;
+    l.chunk_op(w, RemoveChunk, "f2", 3, &[])?;
+    l.chunk_op(w, RemoveChunk, "f1", 6, &[])?;
 
     damage(w);
     w.d.try_repair()?;
 
     migrate_somewhere(w, "f2")?;
 
-    let f3 = body(1300, 4);
-    attempted.insert("f3".into(), f3.clone());
-    s.put_file("f3", &f3, PrivacyLevel::Low, PutOptions::new())?;
-    acked.insert("f3".into(), f3);
+    l.put(w, "f3", &body(1300, 4), PrivacyLevel::Low, plain)?;
     Ok(())
 }
 
 /// Expected report totals, derived from the journal's op statuses *before*
-/// recovery runs: committed ops replay, dangling removes roll forward,
-/// every other dangling op rolls back (serial workloads never leave a
-/// dangling op's uploads checkpoint-referenced), aborted ops just count.
+/// recovery runs: committed ops replay; dangling removes, restores and
+/// chunk removals roll forward; every other dangling op rolls back (serial
+/// workloads never leave a dangling op's uploads checkpoint-referenced);
+/// aborted ops just count.
 fn expected_report(journal: &Journal) -> RecoveryReport {
     let ops = journal.ops();
     let mut want = RecoveryReport {
@@ -183,22 +309,76 @@ fn expected_report(journal: &Journal) -> RecoveryReport {
         match (op.status, op.kind) {
             (OpStatus::Committed, _) => want.replayed += 1,
             (OpStatus::Aborted, _) => want.aborted += 1,
-            (OpStatus::Dangling, OpKind::Remove) => want.rolled_forward += 1,
+            (OpStatus::Dangling, OpKind::Remove | OpKind::Restore | OpKind::RemoveChunk) => {
+                want.rolled_forward += 1
+            }
             (OpStatus::Dangling, _) => want.rolled_back += 1,
         }
     }
     want
 }
 
-/// Recovers the crashed world and asserts the full contract (see the
-/// module doc). `tag` labels assertion failures with the crash point.
-fn recover_and_check(
-    w: &World,
-    acked: &BTreeMap<String, Vec<u8>>,
-    attempted: &BTreeMap<String, Vec<u8>>,
+fn assert_report(got: &RecoveryReport, want: &RecoveryReport, tag: &str) {
+    assert_eq!(got.ops_seen, want.ops_seen, "{tag}: ops_seen");
+    assert_eq!(got.replayed, want.replayed, "{tag}: replayed");
+    assert_eq!(got.rolled_back, want.rolled_back, "{tag}: rolled_back");
+    assert_eq!(
+        got.rolled_forward, want.rolled_forward,
+        "{tag}: rolled_forward"
+    );
+    assert_eq!(got.aborted, want.aborted, "{tag}: aborted");
+    assert_eq!(got.unrecoverable, 0, "{tag}: unrecoverable");
+}
+
+/// Zero orphans: every object any provider still holds is referenced by
+/// the recovered tables (the sim observer's view of live keys). The
+/// converse is not asserted: the workload's induced damage deletes a
+/// referenced object on purpose, and repair re-creates stripe members
+/// only, not a lost snapshot or replica.
+fn assert_no_orphans(w: &World, d: &CloudDataDistributor, tag: &str) {
+    let held: HashSet<_> = w.fleet.iter().flat_map(|p| p.virtual_id_list()).collect();
+    let referenced = d.referenced_vids();
+    let orphans: Vec<_> = held.difference(&referenced).collect();
+    assert!(orphans.is_empty(), "{tag}: orphans {orphans:?}");
+}
+
+/// Reads every chunk of every expected file and compares it with
+/// `expect`; `alt` is the one chunk that may instead read as these bytes.
+fn assert_chunks(
+    d: &CloudDataDistributor,
+    expect: &BTreeMap<String, Chunks>,
+    alt: &Option<(String, usize, Option<Vec<u8>>)>,
     tag: &str,
 ) {
+    let s = d.session("c", "pw").unwrap();
+    for (name, chunks) in expect {
+        for (serial, want) in chunks.iter().enumerate() {
+            let got = match s.get_chunk(name, serial as u32) {
+                Ok(bytes) => Some(bytes),
+                Err(CoreError::UnknownChunk { .. }) => None,
+                Err(e) => panic!("{tag}: {name}#{serial} unreadable: {e}"),
+            };
+            let alt_ok =
+                matches!(alt, Some((f, sl, post)) if f == name && *sl == serial && *post == got);
+            assert!(
+                got == *want || alt_ok,
+                "{tag}: {name}#{serial} is neither its pre-op nor its post-op bytes"
+            );
+        }
+        if chunks.iter().all(Option::is_some) && alt.as_ref().is_none_or(|(f, ..)| f != name) {
+            let whole: Vec<u8> = chunks.iter().flatten().flatten().copied().collect();
+            assert_eq!(s.get_file(name).unwrap().data, whole, "{tag}: {name}");
+        }
+    }
+}
+
+/// Recovers the crashed world and asserts the full contract (see the
+/// module doc). `tag` labels assertion failures with the crash point.
+fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
     let want = expected_report(&w.journal);
+    // What durable storage holds at the crash — the second recovery below
+    // starts from the same text.
+    let crashed_journal = w.journal.export();
 
     // Journal-derived presence: with group commit, "un-acked" no longer
     // implies "absent" — a put whose commit record made the group fsync is
@@ -207,7 +387,8 @@ fn recover_and_check(
     // diverge from its ack still has its records in the journal: an op is
     // only compacted away after it returned to the caller.)
     let mut expect_present: BTreeMap<String, bool> =
-        acked.keys().map(|k| (k.clone(), true)).collect();
+        l.acked.keys().map(|k| (k.clone(), true)).collect();
+    let mut in_flight = l.in_flight.clone();
     for op in w.journal.ops() {
         match (op.kind, op.status) {
             (OpKind::Put, OpStatus::Committed) => {
@@ -223,67 +404,113 @@ fn recover_and_check(
                 expect_present.insert(op.target.clone(), false);
             }
             // Aborted ops restored the prior state; repair/migrate ops
-            // never change which files exist.
+            // never change which files exist; chunk-level ops never do
+            // either, they only decide which bytes the chunk holds.
             _ => {}
+        }
+    }
+    // Bytes from the ack ledger, falling back to the attempt log for a put
+    // whose commit outran its ack.
+    let mut expect: BTreeMap<String, Chunks> = BTreeMap::new();
+    for (name, present) in &expect_present {
+        if *present {
+            let reference = l
+                .acked
+                .get(name)
+                .or_else(|| l.attempted.get(name))
+                .unwrap_or_else(|| panic!("{tag}: no reference bytes for {name}"));
+            expect.insert(name.clone(), reference.clone());
+        }
+    }
+    // A chunk-level verb whose commit made the group fsync is durable even
+    // though the crash beat the ack: post-op bytes are then required.
+    if let Some((name, serial, post)) = &in_flight {
+        let durable = w.journal.ops().last().is_some_and(|op| {
+            op.status == OpStatus::Committed && op.target == format!("{name}#{serial}")
+        });
+        if durable {
+            expect.get_mut(name).expect("in-flight verb on a live file")[*serial] = post.clone();
+            in_flight = None;
         }
     }
 
     let (d, report) = recover(Arc::clone(&w.journal), w.fleet.clone(), w.cfg)
         .unwrap_or_else(|e| panic!("{tag}: recovery failed: {e}"));
-
-    assert_eq!(report.ops_seen, want.ops_seen, "{tag}: ops_seen");
-    assert_eq!(report.replayed, want.replayed, "{tag}: replayed");
-    assert_eq!(report.rolled_back, want.rolled_back, "{tag}: rolled_back");
-    assert_eq!(
-        report.rolled_forward, want.rolled_forward,
-        "{tag}: rolled_forward"
-    );
-    assert_eq!(report.aborted, want.aborted, "{tag}: aborted");
-    assert_eq!(report.unrecoverable, 0, "{tag}: unrecoverable");
-
-    // Presence per the journal overlay; bytes from the ack ledger, falling
-    // back to the attempt log for a put whose commit outran its ack.
+    assert_report(&report, &want, tag);
     let s = d.session("c", "pw").unwrap();
-    for (name, present) in &expect_present {
-        if *present {
-            let got = s
-                .get_file(name)
-                .unwrap_or_else(|e| panic!("{tag}: durable file {name} unreadable: {e}"));
-            let reference = acked
-                .get(name)
-                .or_else(|| attempted.get(name))
-                .unwrap_or_else(|| panic!("{tag}: no reference bytes for {name}"));
-            assert_eq!(&got.data, reference, "{tag}: {name} bytes");
-        } else {
-            assert!(
-                s.get_file(name).is_err(),
-                "{tag}: {name} should be absent (a put that missed the group fsync rolls back, a crashed remove rolls forward)"
-            );
-        }
+    // Present files are read chunk by chunk below; absent ones must be gone.
+    for name in expect_present
+        .keys()
+        .filter(|name| !expect.contains_key(*name))
+    {
+        assert!(
+            matches!(s.get_file(name), Err(CoreError::UnknownFile { .. })),
+            "{tag}: {name} should be absent (a put that missed the group fsync rolls back, a crashed remove rolls forward)"
+        );
     }
+    assert_chunks(&d, &expect, &in_flight, tag);
+    assert_no_orphans(w, &d, tag);
+    assert!(w.journal.ops().is_empty(), "{tag}: journal not settled");
 
-    // Zero orphans: every object any provider still holds is referenced by
-    // the recovered tables (the sim observer's view of live keys).
+    // Recover twice ≡ recover once: the same crashed journal against the
+    // fleet the first recovery left behind gives the same report and the
+    // same state. Whichever state the interrupted chunk took, it keeps.
+    let state: BTreeMap<String, Chunks> = expect
+        .iter()
+        .map(|(name, chunks)| {
+            let read = |sl| s.get_chunk(name, sl as u32).ok();
+            (name.clone(), (0..chunks.len()).map(read).collect())
+        })
+        .collect();
+    drop(s);
     let referenced = d.referenced_vids();
-    for (i, p) in w.fleet.iter().enumerate() {
-        for vid in p.virtual_id_list() {
-            assert!(
-                referenced.contains(&vid),
-                "{tag}: orphan {vid} on provider {i}"
-            );
-        }
+    drop(d);
+    let again = Arc::new(Journal::parse(&crashed_journal).unwrap());
+    let (d, report) = recover(Arc::clone(&again), w.fleet.clone(), w.cfg)
+        .unwrap_or_else(|e| panic!("{tag}: second recovery failed: {e}"));
+    let tag = &format!("{tag}, recovered twice");
+    assert_report(&report, &want, tag);
+    assert_eq!(d.referenced_vids(), referenced, "{tag}: tables diverged");
+    assert_chunks(&d, &state, &None, tag);
+    assert_no_orphans(w, &d, tag);
+
+    // Parity agrees with data: heal whatever shard the workload's induced
+    // damage (or a crashed repair) left missing, then every chunk must
+    // read the same with each provider offline in turn.
+    d.try_repair()
+        .unwrap_or_else(|e| panic!("{tag}: post-recovery repair failed: {e}"));
+    assert_no_orphans(w, &d, tag);
+    for p in &w.fleet {
+        p.set_online(false);
+        assert_chunks(&d, &state, &None, &format!("{tag}, {} offline", p.name()));
+        p.set_online(true);
     }
 
     // The journal is settled (recovery closed every dangling op and
-    // compacted) and the distributor takes new, journaled traffic.
-    assert!(w.journal.ops().is_empty(), "{tag}: journal not settled");
+    // compacted; the repair above may have journaled one op) and the
+    // distributor takes new, journaled traffic — first of all another
+    // update of the chunk the crash interrupted.
+    let s = d.session("c", "pw").unwrap();
+    if let Some((name, serial, _)) = &l.in_flight {
+        if state
+            .get(name)
+            .is_some_and(|chunks| chunks[*serial].is_some())
+        {
+            let patch = body(333, 21);
+            s.update_chunk(name, *serial as u32, &patch)
+                .unwrap_or_else(|e| panic!("{tag}: update of {name}#{serial} failed: {e}"));
+            assert_eq!(s.get_chunk(name, *serial as u32).unwrap(), patch, "{tag}");
+            assert_no_orphans(w, &d, tag);
+        }
+    }
+    let before = again.ops().len();
     let post = body(700, 9);
     s.put_file("post", &post, PrivacyLevel::Low, PutOptions::new())
         .unwrap_or_else(|e| panic!("{tag}: post-recovery put failed: {e}"));
     assert_eq!(s.get_file("post").unwrap().data, post, "{tag}: post bytes");
     assert_eq!(
-        w.journal.ops().len(),
-        1,
+        again.ops().len(),
+        before + 1,
         "{tag}: post-recovery op journaled"
     );
 }
@@ -293,21 +520,20 @@ fn crash_matrix_every_point_recovers() {
     // Dry run enumerates the crash surface.
     let counter = Arc::new(CrashPlan::count_only());
     let w = world(Arc::clone(&counter));
-    let (mut acked, mut attempted) = (BTreeMap::new(), BTreeMap::new());
-    run_workload(&w, &mut acked, &mut attempted).expect("dry run must not crash");
+    run_workload(&w, &mut Ledger::default()).expect("dry run must not crash");
     let points = counter.points_seen();
-    assert!(points >= 20, "crash surface too small: {points} points");
+    assert!(points >= 100, "crash surface too small: {points} points");
 
     // Kill the distributor at every single point and recover.
     for k in 1..=points {
         let plan = Arc::new(CrashPlan::at_point(k));
         let w = world(Arc::clone(&plan));
-        let (mut acked, mut attempted) = (BTreeMap::new(), BTreeMap::new());
-        match run_workload(&w, &mut acked, &mut attempted) {
+        let mut ledger = Ledger::default();
+        match run_workload(&w, &mut ledger) {
             Err(CoreError::SimulatedCrash { point }) => assert_eq!(point, k),
             other => panic!("point {k}: expected a crash, got {other:?}"),
         }
-        recover_and_check(&w, &acked, &attempted, &format!("point {k}"));
+        recover_and_check(&w, &ledger, &format!("point {k}"));
     }
 }
 
@@ -316,23 +542,114 @@ fn journal_survives_a_quiet_workload() {
     // No crash: every op commits, the journal compacts down to nothing at
     // recovery, and the report is all replays/aborts.
     let w = world(Arc::new(CrashPlan::count_only()));
-    let (mut acked, mut attempted) = (BTreeMap::new(), BTreeMap::new());
-    run_workload(&w, &mut acked, &mut attempted).unwrap();
-    recover_and_check(&w, &acked, &attempted, "no crash");
+    let mut ledger = Ledger::default();
+    run_workload(&w, &mut ledger).unwrap();
+    recover_and_check(&w, &ledger, "no crash");
+}
+
+/// An acknowledged chunk-level verb survives a crash while its file's own
+/// put delta is still un-compacted: its rows are journaled as a delta
+/// that replays *after* the put's (the checkpoint rewrite it replaces was
+/// replayed *under* them — the update was lost, wrong bytes read back with
+/// misleading bytes on, and its snapshot object was orphaned).
+#[test]
+fn acked_chunk_verbs_survive_a_crash_before_compaction() {
+    use ChunkVerb::*;
+    let mut cfg = config();
+    cfg.mislead_rate = 0.08;
+    let data = body(4 * CHUNK, 6);
+    let scripts: [&[(ChunkVerb, usize)]; 4] = [
+        &[(Update, CHUNK)],
+        // The second update dooms the first one's snapshot.
+        &[(Update, CHUNK), (Update, 200)],
+        &[(Update, CHUNK), (RemoveChunk, 0)],
+        &[(Update, CHUNK), (Restore, 0)],
+    ];
+    for script in scripts {
+        let tag = &format!("{script:?}");
+        let w = world_with(Arc::new(CrashPlan::count_only()), cfg);
+        let mut l = Ledger::default();
+        l.put(&w, "doc", &data, PrivacyLevel::High, PutOptions::new())
+            .unwrap();
+        for (i, &(verb, len)) in script.iter().enumerate() {
+            l.chunk_op(&w, verb, "doc", 2, &body(len, 7 + i as u64))
+                .unwrap();
+        }
+
+        // Crash: all that survives is the exported journal and the fleet.
+        let journal = Arc::new(Journal::parse(&w.journal.export()).unwrap());
+        let (d, report) = recover(journal, w.fleet.clone(), cfg).unwrap();
+        assert_eq!(report.unrecoverable, 0, "{tag}");
+        assert_eq!(
+            report.replayed, report.ops_seen,
+            "{tag}: every op was acked"
+        );
+        assert_chunks(&d, &l.acked, &None, tag);
+        let held: HashSet<_> = w.fleet.iter().flat_map(|p| p.virtual_id_list()).collect();
+        assert_eq!(held, d.referenced_vids(), "{tag}: provider keys vs tables");
+
+        // The snapshot came through as well: the recovered distributor
+        // can still take the last update back.
+        if script.last() == Some(&(Update, CHUNK)) {
+            let s = d.session("c", "pw").unwrap();
+            s.restore_snapshot("doc", 2).unwrap();
+            assert_eq!(s.get_file("doc").unwrap().data, data, "{tag}: restored");
+        }
+    }
+}
+
+/// An undo that cannot complete is reported, not faked: with the snapshot
+/// provider offline, recovery counts the dangling update unrecoverable,
+/// keeps its snapshot object (the only copy of the pre-state) and leaves
+/// the op open in the journal; once the provider is back the next
+/// recovery finishes the rollback.
+#[test]
+fn unfinished_undo_is_retried_by_the_next_recovery() {
+    let data = body(4 * CHUNK, 6);
+    let put = |w: &World, l: &mut Ledger| {
+        l.put(w, "doc", &data, PrivacyLevel::High, PutOptions::new())
+            .unwrap()
+    };
+    let counter = Arc::new(CrashPlan::count_only());
+    put(&world(Arc::clone(&counter)), &mut Ledger::default());
+    // The update's second window: snapshot stored, data object overwritten.
+    let w = world(Arc::new(CrashPlan::at_point(counter.points_seen() + 2)));
+    let mut l = Ledger::default();
+    put(&w, &mut l);
+    let crashed = l.chunk_op(&w, ChunkVerb::Update, "doc", 1, &body(CHUNK, 8));
+    assert!(matches!(crashed, Err(CoreError::SimulatedCrash { .. })));
+
+    let snapshot_vid = w.journal.ops().last().unwrap().fresh[0];
+    let holder = w.fleet.iter().find(|p| p.contains(snapshot_vid)).unwrap();
+    holder.set_online(false);
+    let (d, report) = recover(Arc::clone(&w.journal), w.fleet.clone(), w.cfg).unwrap();
+    assert_eq!((report.unrecoverable, report.rolled_back), (1, 0));
+    assert!(
+        holder.contains(snapshot_vid),
+        "the undo record must survive"
+    );
+    let open: Vec<_> = w.journal.ops().iter().map(|o| (o.kind, o.status)).collect();
+    assert_eq!(open, [(OpKind::Update, OpStatus::Dangling)]);
+    drop(d);
+
+    holder.set_online(true);
+    let (d, report) = recover(Arc::clone(&w.journal), w.fleet.clone(), w.cfg).unwrap();
+    assert_eq!((report.unrecoverable, report.rolled_back), (0, 1));
+    assert_chunks(&d, &l.acked, &None, "second recovery");
+    let held: HashSet<_> = w.fleet.iter().flat_map(|p| p.virtual_id_list()).collect();
+    assert_eq!(held, d.referenced_vids());
+    assert!(w.journal.ops().is_empty());
 }
 
 /// One journaled put under a real group-commit window.
-fn one_windowed_put(
-    w: &World,
-    acked: &mut BTreeMap<String, Vec<u8>>,
-    attempted: &mut BTreeMap<String, Vec<u8>>,
-) -> Result<(), CoreError> {
-    let s = w.d.session("c", "pw")?;
-    let data = body(900, 5);
-    attempted.insert("solo".into(), data.clone());
-    s.put_file("solo", &data, PrivacyLevel::Low, PutOptions::new())?;
-    acked.insert("solo".into(), data);
-    Ok(())
+fn one_windowed_put(w: &World, l: &mut Ledger) -> Result<(), CoreError> {
+    l.put(
+        w,
+        "solo",
+        &body(900, 5),
+        PrivacyLevel::Low,
+        PutOptions::new(),
+    )
 }
 
 #[test]
@@ -340,8 +657,7 @@ fn group_commit_window_crash_semantics() {
     // Size the crash surface of a single journaled put.
     let counter = Arc::new(CrashPlan::count_only());
     let w = world_with(Arc::clone(&counter), windowed_config());
-    let (mut acked, mut attempted) = (BTreeMap::new(), BTreeMap::new());
-    one_windowed_put(&w, &mut acked, &mut attempted).unwrap();
+    one_windowed_put(&w, &mut Ledger::default()).unwrap();
     let points = counter.points_seen();
     assert!(points >= 3, "crash surface too small: {points}");
 
@@ -357,12 +673,15 @@ fn group_commit_window_crash_semantics() {
         let k = points - back;
         let plan = Arc::new(CrashPlan::at_point(k));
         let w = world_with(Arc::clone(&plan), windowed_config());
-        let (mut acked, mut attempted) = (BTreeMap::new(), BTreeMap::new());
-        match one_windowed_put(&w, &mut acked, &mut attempted) {
+        let mut ledger = Ledger::default();
+        match one_windowed_put(&w, &mut ledger) {
             Err(CoreError::SimulatedCrash { point }) => assert_eq!(point, k),
             other => panic!("point {k}: expected a crash, got {other:?}"),
         }
-        assert!(acked.is_empty(), "point {k}: the crashed put must not ack");
+        assert!(
+            ledger.acked.is_empty(),
+            "point {k}: the crashed put must not ack"
+        );
         // The journal's pre-recovery view must match the window semantics.
         let committed = w
             .journal
@@ -373,7 +692,7 @@ fn group_commit_window_crash_semantics() {
             committed, present,
             "point {k}: journal status vs window semantics"
         );
-        recover_and_check(&w, &acked, &attempted, &format!("window point {k}"));
+        recover_and_check(&w, &ledger, &format!("window point {k}"));
     }
 }
 
@@ -386,6 +705,15 @@ enum Step {
     /// accumulate more missing shards per stripe than RAID-5 tolerates.
     DamageAndRepair,
     Migrate(u8),
+    /// A chunk-level verb on ⟨file, serial modulo the file's chunk count⟩;
+    /// the last field is the patch length of an update. Serials are drawn
+    /// from a small range so second updates, restores after an update and
+    /// verbs on a removed chunk all come up.
+    Chunk(ChunkVerb, u8, u8, usize),
+}
+
+fn chunk_step(verb: ChunkVerb) -> impl Strategy<Value = Step> {
+    (0u8..4, 0u8..3, 1usize..=CHUNK).prop_map(move |(i, sl, len)| Step::Chunk(verb, i, sl, len))
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -394,6 +722,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         2 => (0u8..4).prop_map(Step::Remove),
         1 => Just(Step::DamageAndRepair),
         1 => (0u8..4).prop_map(Step::Migrate),
+        4 => chunk_step(ChunkVerb::Update),
+        2 => chunk_step(ChunkVerb::Restore),
+        1 => chunk_step(ChunkVerb::RemoveChunk),
     ]
 }
 
@@ -408,55 +739,43 @@ fn shard_agnostic_step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn apply_steps(
-    w: &World,
-    steps: &[Step],
-    acked: &mut BTreeMap<String, Vec<u8>>,
-    attempted: &mut BTreeMap<String, Vec<u8>>,
-) -> Result<(), CoreError> {
-    let s = w.d.session("c", "pw")?;
+fn apply_steps(w: &World, steps: &[Step], l: &mut Ledger) -> Result<(), CoreError> {
     for (i, step) in steps.iter().enumerate() {
         match step {
             Step::Put(idx, len) => {
-                let name = format!("f{idx}");
+                // Odd-numbered files carry a replica per chunk.
+                let opts = PutOptions::new().replicas((idx % 2) as usize);
                 let data = body(*len, i as u64 + 1);
-                attempted.insert(name.clone(), data.clone());
-                // Duplicate names abort inside the journaled body — a
-                // legitimate aborted op, not an ack.
-                match s.put_file(&name, &data, PrivacyLevel::Low, PutOptions::new()) {
-                    Ok(_) => {
-                        acked.insert(name, data);
-                    }
-                    Err(e @ CoreError::SimulatedCrash { .. }) => return Err(e),
-                    Err(_) => {}
-                }
+                l.put(w, &format!("f{idx}"), &data, PrivacyLevel::Low, opts)?;
             }
-            Step::Remove(idx) => {
-                let name = format!("f{idx}");
-                match s.remove_file(&name) {
-                    Ok(()) => {
-                        acked.remove(&name);
-                    }
-                    // A crashed remove still rolls forward at recovery.
-                    Err(e @ CoreError::SimulatedCrash { .. }) => {
-                        acked.remove(&name);
-                        return Err(e);
-                    }
-                    Err(_) => {}
-                }
-            }
+            Step::Remove(idx) => l.remove(w, &format!("f{idx}"))?,
             Step::DamageAndRepair => {
                 damage(w);
                 w.d.try_repair()?;
             }
             Step::Migrate(idx) => migrate_somewhere(w, &format!("f{idx}"))?,
+            Step::Chunk(verb, idx, sl, len) => {
+                let name = format!("f{idx}");
+                let chunks = l.acked.get(&name).map_or(1, Vec::len);
+                let serial = *sl as usize % chunks;
+                l.chunk_op(w, *verb, &name, serial, &body(*len, i as u64 + 31))?;
+            }
         }
     }
     Ok(())
 }
 
+/// Proptest case count: 12 under tier-1; CI's wider sweep sets
+/// `PROPTEST_CASES` (an explicit `with_cases` would otherwise win over it).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(12)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The recovery contract holds for arbitrary workloads crashed at an
     /// arbitrary point of their crash surface.
@@ -468,21 +787,19 @@ proptest! {
         // Dry run to size this workload's crash surface.
         let counter = Arc::new(CrashPlan::count_only());
         let dry = world(Arc::clone(&counter));
-        let (mut dry_acked, mut dry_attempted) = (BTreeMap::new(), BTreeMap::new());
-        apply_steps(&dry, &steps, &mut dry_acked, &mut dry_attempted)
-            .expect("dry run must not crash");
+        apply_steps(&dry, &steps, &mut Ledger::default()).expect("dry run must not crash");
         let points = counter.points_seen();
         prop_assume!(points > 0);
 
         let k = 1 + point_sel % points;
         let plan = Arc::new(CrashPlan::at_point(k));
         let w = world(Arc::clone(&plan));
-        let (mut acked, mut attempted) = (BTreeMap::new(), BTreeMap::new());
-        match apply_steps(&w, &steps, &mut acked, &mut attempted) {
+        let mut ledger = Ledger::default();
+        match apply_steps(&w, &steps, &mut ledger) {
             Err(CoreError::SimulatedCrash { point }) => prop_assert_eq!(point, k),
             other => prop_assert!(false, "expected a crash at {}, got {:?}", k, other),
         }
-        recover_and_check(&w, &acked, &attempted, &format!("proptest point {k}"));
+        recover_and_check(&w, &ledger, &format!("proptest point {k}"));
     }
 
     /// The sharded tables are an invisible optimization: the same serial
@@ -498,14 +815,11 @@ proptest! {
             let mut cfg = config();
             cfg.durability = cfg.durability.with_table_shards(shards);
             let w = world_with(Arc::new(CrashPlan::count_only()), cfg);
-            let (mut acked, mut attempted) = (BTreeMap::new(), BTreeMap::new());
-            apply_steps(&w, &steps, &mut acked, &mut attempted)
-                .expect("no crash planned");
+            let mut ledger = Ledger::default();
+            apply_steps(&w, &steps, &mut ledger).expect("no crash planned");
             // Readback sanity on this side before comparing.
-            let s = w.d.session("c", "pw").unwrap();
-            for (name, data) in &acked {
-                prop_assert_eq!(&s.get_file(name).unwrap().data, data);
-            }
+            assert_chunks(&w.d, &ledger.acked, &None, "sharding reference");
+            let acked = ledger.acked;
             let contents: Vec<Vec<_>> = w
                 .fleet
                 .iter()

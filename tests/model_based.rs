@@ -2,10 +2,15 @@
 //! distributor, checked after every step against a trivial in-memory
 //! reference model (`HashMap<filename, bytes>`). Whatever RAID, placement,
 //! misleading-byte or snapshot machinery does internally, the client-visible
-//! semantics must match the model exactly.
+//! semantics must match the model exactly. The distributor runs with a
+//! write-ahead journal attached, and the run ends with a crash: the
+//! exported journal, recovered over the same fleet, must serve the model
+//! too (every acknowledged mutation — updates included — is durable).
 
 use fragcloud::core::config::{ChunkSizeSchedule, DistributorConfig};
-use fragcloud::core::{CloudDataDistributor, CoreError, PrivacyLevel, PutOptions};
+use fragcloud::core::{
+    recover, CloudDataDistributor, CoreError, Journal, PrivacyLevel, PutOptions,
+};
 use fragcloud::raid::RaidLevel;
 use fragcloud::sim::{CloudProvider, CostLevel, ProviderProfile};
 use proptest::prelude::*;
@@ -62,18 +67,18 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..60),
     ) {
         let providers = fleet();
-        let d = CloudDataDistributor::new(
-            providers.clone(),
-            DistributorConfig {
-                chunk_sizes: ChunkSizeSchedule { sizes: [512, 256, 128, 64] },
-                stripe_width: 3,
-                raid_level: RaidLevel::Raid5,
-                mislead_rate: 0.03,
-                ..Default::default()
-            },
-        );
+        let config = DistributorConfig {
+            chunk_sizes: ChunkSizeSchedule { sizes: [512, 256, 128, 64] },
+            stripe_width: 3,
+            raid_level: RaidLevel::Raid5,
+            mislead_rate: 0.03,
+            ..Default::default()
+        };
+        let d = CloudDataDistributor::new(providers.clone(), config);
         d.register_client("c").expect("fresh");
         d.add_password("c", "pw", PrivacyLevel::High).expect("client");
+        let journal = Arc::new(Journal::new());
+        d.attach_journal(Arc::clone(&journal));
         let session = d.session("c", "pw").expect("valid pair");
 
         // The reference model: filename -> logical chunk list. Chunks are
@@ -217,6 +222,24 @@ proptest! {
                 .get_file_parallel(&format!("f{file}"))
                 .expect("final parallel read");
             prop_assert_eq!(&got.data, &expected);
+        }
+
+        // Crash: all that survives is the exported journal and the fleet.
+        // No op was in flight, so recovery has nothing to roll either way
+        // and the recovered distributor serves exactly the model.
+        let text = journal.export();
+        drop(session);
+        drop(d);
+        let parsed = Arc::new(Journal::parse(&text).expect("exported journal parses"));
+        let (recovered, report) = recover(parsed, providers, config).expect("recovers");
+        prop_assert_eq!(report.rolled_back + report.rolled_forward, 0);
+        let session = recovered.session("c", "pw").expect("valid pair");
+        for (file, chunks) in &model {
+            let got = session.get_file(&format!("f{file}")).expect("recovered read");
+            prop_assert_eq!(&got.data, &flat(chunks), "recovered state mismatch for f{}", file);
+        }
+        for file in (0u8..4).filter(|f| !model.contains_key(f)) {
+            prop_assert!(session.get_file(&format!("f{file}")).is_err());
         }
     }
 }

@@ -209,3 +209,74 @@ fn parallel_sessions_keep_counters_exact_and_spans_balanced() {
     // Every put records its simulated latency exactly once.
     assert_eq!(snap.histogram("put_sim_us", "").unwrap().count(), n);
 }
+
+/// Every mutating verb shows up by name: a span per verb, `journal_ops_total`
+/// labeled by op kind, and recovery's roll counters labeled the same way.
+#[test]
+fn mutating_verbs_are_spanned_and_journal_ops_are_labeled_by_kind() {
+    use fragcloud::core::recover_with;
+    use fragcloud::{CoreError, CrashPlan, Journal};
+
+    let (d, fleet) = world(RaidLevel::Raid5);
+    let tel = d.enable_telemetry();
+    let journal = Arc::new(Journal::new());
+    d.attach_journal(Arc::clone(&journal));
+    let session = d.session("c", "pw").unwrap();
+    let data = body(8 << 10);
+    session
+        .put_file("f", &data, PrivacyLevel::Low, PutOptions::new())
+        .unwrap();
+    session
+        .put_file("g", &data, PrivacyLevel::Low, PutOptions::new())
+        .unwrap();
+    session.update_chunk("f", 1, &body(700)).unwrap();
+    session.restore_snapshot("f", 1).unwrap();
+    session.remove_chunk("f", 2).unwrap();
+    session.remove_file("g").unwrap();
+
+    let reg = tel.registry().unwrap();
+    for (span, kind, count) in [
+        ("put", "put", 2),
+        ("update", "update", 1),
+        ("restore", "restore", 1),
+        ("remove_chunk", "rmchunk", 1),
+        ("remove", "remove", 1),
+    ] {
+        assert_eq!(reg.span_count(span), count, "span {span}");
+        assert_eq!(
+            reg.counter_value("journal_ops_total", kind),
+            count,
+            "journal_ops_total{{{kind}}}"
+        );
+    }
+    assert_eq!(reg.counter_total("journal_ops_total"), 6);
+    assert_eq!(reg.counter_total("journal_commits_total"), 6);
+    assert!(reg.spans_balanced());
+
+    // Crash an update after its snapshot is stored and a remove_chunk
+    // after its doom record: recovery rolls one back, the other forward.
+    for (verb, point) in [("update", 1), ("rmchunk", 1)] {
+        d.set_crash_plan(Some(Arc::new(CrashPlan::at_point(point))));
+        let res = match verb {
+            "update" => session.update_chunk("f", 0, &body(300)),
+            _ => session.remove_chunk("f", 3),
+        };
+        assert!(
+            matches!(res, Err(CoreError::SimulatedCrash { .. })),
+            "{verb}"
+        );
+    }
+    let config = *d.config();
+    drop(session);
+    drop(d);
+    let (_recovered, report) = recover_with(journal, fleet, config, &tel).unwrap();
+    assert_eq!((report.rolled_back, report.rolled_forward), (1, 1));
+    assert_eq!(report.unrecoverable, 0);
+    assert_eq!(reg.counter_value("recovery_ops_rolled_back", "update"), 1);
+    assert_eq!(
+        reg.counter_value("recovery_ops_rolled_forward", "rmchunk"),
+        1
+    );
+    assert_eq!(reg.counter_total("recovery_ops_rolled_back"), 1);
+    assert_eq!(reg.counter_total("recovery_ops_rolled_forward"), 1);
+}
