@@ -1,6 +1,6 @@
 //! Criterion bench for the degraded-mode engine: healthy reads vs reads
 //! that must reconstruct from parity (RAID-5 one provider down, RAID-6
-//! two down), plus the cost of a full `repair()` pass.
+//! two down), plus the cost of a full `try_repair()` pass.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fragcloud_bench::experiments::uniform_fleet;
@@ -94,7 +94,7 @@ fn bench_repair(c: &mut Criterion) {
                 .put_file("f", &body, PrivacyLevel::Low, PutOptions::new())
                 .expect("upload");
             d.providers()[top_holders(&d, 1)[0]].set_online(false);
-            let report = d.repair();
+            let report = d.try_repair().expect("no crash plan armed");
             assert!(report.is_complete());
             report
         })

@@ -111,14 +111,6 @@ fn bench_wide_vs_scalar(c: &mut Criterion) {
     group.bench_function("mul_acc_scalar_64KiB", |b| {
         b.iter(|| gf256::mul_acc_scalar(&mut acc, &src, 0x57))
     });
-
-    let mut buf = src.clone();
-    group.bench_function("mul_slice_wide_64KiB", |b| {
-        b.iter(|| gf256::mul_slice(&mut buf, 0x57))
-    });
-    group.bench_function("mul_slice_scalar_64KiB", |b| {
-        b.iter(|| gf256::mul_slice_scalar(&mut buf, 0x57))
-    });
     group.finish();
 }
 

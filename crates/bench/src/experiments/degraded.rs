@@ -1,6 +1,6 @@
 //! E18 — degraded-mode engine: whole-file availability vs provider
 //! failure rate, driven end-to-end through the resilient read path
-//! (retry → replica → parity reconstruction) and the `repair()` loop.
+//! (retry → replica → parity reconstruction) and the `try_repair()` loop.
 //!
 //! Unlike E9's closed-form stripe geometry, this experiment exercises the
 //! real engine: a 16-provider fleet, files uploaded through a
@@ -38,7 +38,7 @@ pub struct DegradedPoint {
     pub raid5: f64,
     /// RAID-6 read success fraction.
     pub raid6: f64,
-    /// Fraction of RAID-5 trials in which `repair()` restored every
+    /// Fraction of RAID-5 trials in which `try_repair()` restored every
     /// degraded stripe onto the surviving providers.
     pub raid5_repaired: f64,
 }
@@ -75,7 +75,7 @@ fn trial(level: RaidLevel, dead: &[bool], tel: &TelemetryHandle) -> (bool, bool,
         .filter(|r| r.data == data)
         .map(|r| r.sim_time);
     let repaired = {
-        d.repair();
+        d.try_repair().expect("no crash plan armed");
         d.scrub().is_healthy()
     };
     (read.is_some(), repaired, read)

@@ -59,7 +59,7 @@ pub fn run() -> (String, String) {
             .get_file(&format!("f{i}"))
             .expect("degraded read must reconstruct through parity");
     }
-    d.repair();
+    d.try_repair().expect("no crash plan armed");
     let health = d.scrub();
 
     let trace = session

@@ -244,8 +244,8 @@ pub struct DistributorConfig {
     pub placement: PlacementStrategy,
     /// Seed for placement randomization and misleading-byte positions.
     pub seed: u64,
-    /// Degraded-mode I/O engine knobs (retry, hedging, reputation
-    /// ordering); see [`crate::resilience`].
+    /// Degraded-mode I/O engine knobs (retry, hedging); see
+    /// [`crate::resilience`].
     pub resilience: ResilienceConfig,
     /// Durability and concurrency knobs: journal group commit, checkpoint
     /// interval, table sharding, transfer pool; see [`DurabilityConfig`].

@@ -8,11 +8,11 @@
 //! Since the degraded-mode engine landed, every provider operation on the
 //! upload and retrieval paths runs under the configured
 //! [`RetryPolicy`](crate::resilience::RetryPolicy), reads fail over
-//! reputation-ordered replicas into inline parity reconstruction (and can
+//! health-ordered replicas into inline parity reconstruction (and can
 //! *hedge* stragglers by racing that parity path), writes re-place or skip
 //! shards lost to dead providers within the stripe's fault tolerance, and
 //! [`scrub`](CloudDataDistributor::scrub) /
-//! [`repair`](CloudDataDistributor::repair) walk and heal what's left.
+//! [`try_repair`](CloudDataDistributor::try_repair) walk and heal what's left.
 //! The client surface is the typed [`crate::session::Session`] API (the
 //! old ⟨client, password, …⟩ string wrappers have been removed).
 //!
@@ -23,7 +23,7 @@
 use crate::access;
 use crate::chunker;
 use crate::config::{DistributorConfig, Geometry};
-use crate::health::{BreakerState, FailureKind, HealthTracker};
+use crate::health::{self, FailureKind, HealthTracker};
 use crate::integrity;
 use crate::journal::{Journal, OpId, OpKind};
 use crate::mislead;
@@ -36,7 +36,6 @@ use crate::vid::VidAllocator;
 use crate::{CoreError, Result};
 use bytes::Bytes;
 use fragcloud_raid::{RaidLevel, StripeCodec};
-use fragcloud_sim::reputation::{ReputationConfig, ReputationEvent, ReputationTracker};
 use fragcloud_sim::{CloudProvider, CrashPlan, ObjectStore, PrivacyLevel, StoreError, VirtualId};
 use fragcloud_telemetry::{clock, span, TelemetryHandle};
 use parking_lot::{Mutex, RwLock};
@@ -185,7 +184,7 @@ enum Member {
 ///
 /// - a slot holds only a payload that came back `Ok` from
 ///   `get_with_retry`: it has passed `integrity::unframe_expecting`, and
-///   its read fed retry, reputation, breaker and corruption accounting;
+///   its read fed retry, health and corruption accounting;
 /// - the set lives inside one shard read guard — the rows it mirrors
 ///   cannot change under it;
 /// - `Lost` only stops a rebuild's peer loop asking that member's primary
@@ -316,16 +315,11 @@ pub struct CloudDataDistributor {
     vids: VidAllocator,
     config: DistributorConfig,
     rng: Mutex<StdRng>,
-    /// Live per-provider reputation, fed by every engine-issued operation
-    /// (§IV-A "reliability of a cloud provider is defined in terms of its
-    /// reputation"); orders read candidates when
-    /// [`ResilienceConfig::reputation_ordering`](crate::resilience::ResilienceConfig)
-    /// is on.
-    reputation: ReputationTracker,
     /// Per-provider EWMA health scores and circuit breakers (see
-    /// [`crate::health`]), fed by every engine-issued operation: detected
-    /// corruptions and timeouts trip a provider's breaker, which placement
-    /// then sheds and read ordering deprioritizes.
+    /// [`crate::health`]), fed once by every engine-issued operation:
+    /// detected corruptions, timeouts and errors raise a provider's score
+    /// and trip its breaker, which placement then sheds; the score orders
+    /// read candidates, degraded-write alternates and repair targets.
     health: HealthTracker,
     /// Runtime observability handle (disabled by default — see
     /// [`Self::enable_telemetry`]). Kept outside `config` (which is
@@ -395,6 +389,8 @@ struct PutProgress<'a> {
     k_max: usize,
     replicas: usize,
     jctx: &'a Option<JournalCtx>,
+    /// The put's telemetry handle, resolved once in `put_pipeline`.
+    tel: &'a TelemetryHandle,
     chunk_indices: Vec<usize>,
     stripe_ids: Vec<usize>,
     bytes_stored: usize,
@@ -468,8 +464,7 @@ impl CloudDataDistributor {
             vids: VidAllocator::resume(config.seed, already_allocated),
             config,
             rng: Mutex::new(StdRng::seed_from_u64(config.seed ^ already_allocated)),
-            reputation: ReputationTracker::new(fleet_size, ReputationConfig::default()),
-            health: HealthTracker::new(fleet_size, config.resilience.breaker),
+            health: HealthTracker::new(fleet_size),
             telemetry: RwLock::new(TelemetryHandle::disabled()),
             pool: OnceLock::new(),
             journal: RwLock::new(None),
@@ -1149,6 +1144,7 @@ impl CloudDataDistributor {
             k_max,
             replicas: opts.replicas,
             jctx,
+            tel: &tel,
             chunk_indices: Vec::with_capacity(chunk_count),
             stripe_ids: Vec::new(),
             bytes_stored: 0,
@@ -1395,7 +1391,7 @@ impl CloudDataDistributor {
             .health
             .open_providers()
             .into_iter()
-            .filter(|&i| self.health.should_shed(i, &self.telemetry()))
+            .filter(|&i| self.health.should_shed(i, progress.tel))
             .collect();
         let placement = {
             let mut rng = self.rng.lock();
@@ -1457,7 +1453,7 @@ impl CloudDataDistributor {
                 self.crash_point()?;
                 // Replicas are best-effort extra assurance: a copy that
                 // cannot land is dropped, not fatal.
-                let (res, t, _) = self.put_with_retry(st, rp, rvid, stored);
+                let (res, t, _) = self.put_with_retry(st, rp, rvid, stored, progress.tel);
                 progress.per_provider_time[rp] += t;
                 if res.is_ok() {
                     progress.bytes_stored += stored.len();
@@ -1555,9 +1551,9 @@ impl CloudDataDistributor {
         // shard goes straight to an alternative); if no alternative can
         // take it, the quarantined preferred is still tried last — a
         // suspect provider beats a lost shard.
-        let shed_preferred = self.health.should_shed(preferred, &self.telemetry());
+        let shed_preferred = self.health.should_shed(preferred, progress.tel);
         let mut lands_on = |idx: usize| {
-            let (res, t, _) = self.put_with_retry(st, idx, vid, bytes);
+            let (res, t, _) = self.put_with_retry(st, idx, vid, bytes, progress.tel);
             progress.per_provider_time[idx] += t;
             res.is_ok()
         };
@@ -1565,28 +1561,18 @@ impl CloudDataDistributor {
             Some(preferred)
         } else {
             // Alternatives: eligible, not already hosting this stripe;
-            // healthy breakers first, then cheapest, with reputation as
-            // tiebreak.
+            // healthiest first, then cheapest.
             let mut alts: Vec<usize> = policy::eligible_providers(&st.providers, pl)
                 .into_iter()
                 .filter(|i| !slots.hosting.contains(i))
                 .collect();
             alts.sort_by(|&a, &b| {
-                let breaker = self
-                    .health
+                let cost = |i: usize| st.providers[i].profile().cost_level;
+                self.health
                     .penalty(a)
-                    .partial_cmp(&self.health.penalty(b))
-                    .unwrap_or(std::cmp::Ordering::Equal);
-                let cost = st.providers[a]
-                    .profile()
-                    .cost_level
-                    .cmp(&st.providers[b].profile().cost_level);
-                let rep = self
-                    .reputation
-                    .score(b)
-                    .partial_cmp(&self.reputation.score(a))
-                    .unwrap_or(std::cmp::Ordering::Equal);
-                breaker.then(cost).then(rep).then(a.cmp(&b))
+                    .total_cmp(&self.health.penalty(b))
+                    .then(cost(a).cmp(&cost(b)))
+                    .then(a.cmp(&b))
             });
             match alts.into_iter().find(|&alt| lands_on(alt)) {
                 None if shed_preferred && lands_on(preferred) => Some(preferred),
@@ -1644,8 +1630,6 @@ impl CloudDataDistributor {
                 // erasure, never payload.
                 Ok(bytes) => match integrity::unframe_expecting(vid, bytes, expected_len) {
                     Ok(payload) => {
-                        self.reputation
-                            .record(provider_idx, ReputationEvent::Success);
                         self.health.record_success(provider_idx, tel);
                         AttemptOutcome::Success(payload)
                     }
@@ -1655,8 +1639,6 @@ impl CloudDataDistributor {
                         // same stored object cannot un-corrupt it. The
                         // caller routes to replicas/parity instead.
                         tel.incr("corruption_detected_total");
-                        self.reputation
-                            .record(provider_idx, ReputationEvent::Failure);
                         self.health
                             .record_failure(provider_idx, FailureKind::Corruption, tel);
                         AttemptOutcome::Fatal(e)
@@ -1665,15 +1647,11 @@ impl CloudDataDistributor {
                 Err(e @ StoreError::NotFound(_)) => {
                     // The object is gone, not the provider: retrying the
                     // same request cannot help.
-                    self.reputation
-                        .record(provider_idx, ReputationEvent::Failure);
                     self.health
                         .record_failure(provider_idx, FailureKind::Error, tel);
                     AttemptOutcome::Fatal(e.into())
                 }
                 Err(e) => {
-                    self.reputation
-                        .record(provider_idx, ReputationEvent::Failure);
                     self.health
                         .record_failure(provider_idx, FailureKind::Error, tel);
                     AttemptOutcome::Transient(e.into())
@@ -1699,9 +1677,9 @@ impl CloudDataDistributor {
         provider_idx: usize,
         vid: VirtualId,
         bytes: &[u8],
+        tel: &TelemetryHandle,
     ) -> (Result<()>, Duration, u64) {
         let provider = &st.providers[provider_idx];
-        let tel = self.telemetry();
         // Stamp the integrity frame at the write chokepoint: every object
         // the engine stores carries a vid-seeded checksum (`bytes` stays
         // the payload — table `stored_len` never includes framing).
@@ -1710,19 +1688,15 @@ impl CloudDataDistributor {
         let run = self.config.resilience.retry.execute(
             self.retry_seed(vid, provider_idx),
             provider.name(),
-            &tel,
+            tel,
             |_| match provider.put(vid, framed.clone()) {
                 Ok(()) => {
-                    self.reputation
-                        .record(provider_idx, ReputationEvent::Success);
-                    self.health.record_success(provider_idx, &tel);
+                    self.health.record_success(provider_idx, tel);
                     AttemptOutcome::Success(())
                 }
                 Err(e) => {
-                    self.reputation
-                        .record(provider_idx, ReputationEvent::Failure);
                     self.health
-                        .record_failure(provider_idx, FailureKind::Error, &tel);
+                        .record_failure(provider_idx, FailureKind::Error, tel);
                     AttemptOutcome::Transient(e.into())
                 }
             },
@@ -1730,7 +1704,7 @@ impl CloudDataDistributor {
         let mut time = run.sim_time;
         if let Err(CoreError::Timeout { .. }) = &run.result {
             self.health
-                .record_failure(provider_idx, FailureKind::Timeout, &tel);
+                .record_failure(provider_idx, FailureKind::Timeout, tel);
         }
         if run.result.is_ok() {
             time += provider.simulate_transfer(len);
@@ -1808,7 +1782,7 @@ impl CloudDataDistributor {
 
     /// Fetches a chunk's stored bytes through the degraded-mode read path:
     /// the get's stripe read set first, then an optional hedge against a
-    /// straggling primary, then retried reads over reputation-ordered
+    /// straggling primary, then retried reads over health-ordered
     /// candidates (primary + replicas), then inline RAID reconstruction
     /// from the stripe.
     fn fetch_logical_chunk(
@@ -1869,42 +1843,22 @@ impl CloudDataDistributor {
             }
         }
 
-        // Candidate sources: primary then replicas. Quarantined providers
-        // (breaker HalfOpen/Open) are deprioritized — never dropped: an
-        // Open provider holding the only live copy must still be readable
-        // — then optionally ordered by live reputation within the same
-        // breaker tier (stable sort, so ties keep stored order).
+        // Candidate sources: primary then replicas, healthiest first. A
+        // quarantined provider (breaker HalfOpen/Open) sorts last but is
+        // never dropped: an Open provider holding the only live copy must
+        // still be readable. The sort is stable, so providers that have
+        // never failed keep stored order. Each key is read once, so the
+        // order is consistent while other threads record outcomes.
         let mut candidates: Vec<(usize, VirtualId)> = Vec::with_capacity(1 + entry.replicas.len());
         candidates.push((entry.provider_idx, entry.vid));
         candidates.extend(entry.replicas.iter().copied());
         if candidates.len() > 1 {
-            let mut order: Vec<usize> = (0..candidates.len()).collect();
-            let penalties: Vec<f64> = candidates
+            let mut keyed: Vec<(f64, (usize, VirtualId))> = candidates
                 .iter()
-                .map(|&(p, _)| self.health.penalty(p))
+                .map(|&c| (self.health.penalty(c.0), c))
                 .collect();
-            let scores: Vec<f64> = candidates
-                .iter()
-                .map(|&(p, _)| {
-                    if self.config.resilience.reputation_ordering {
-                        self.reputation.score(p)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            order.sort_by(|&a, &b| {
-                penalties[a]
-                    .partial_cmp(&penalties[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(
-                        scores[b]
-                            .partial_cmp(&scores[a])
-                            .unwrap_or(std::cmp::Ordering::Equal),
-                    )
-                    .then(a.cmp(&b))
-            });
-            candidates = order.into_iter().map(|i| candidates[i]).collect();
+            keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+            candidates = keyed.into_iter().map(|(_, c)| c).collect();
         }
 
         let mut time = Duration::ZERO;
@@ -1932,7 +1886,7 @@ impl CloudDataDistributor {
                     time,
                     reconstructed: false,
                     // Falling past the first-choice source is a failover;
-                    // reputation *reordering* alone is not.
+                    // health *reordering* alone is not.
                     degraded: rank > 0,
                     hedged: false,
                     retries,
@@ -2091,7 +2045,7 @@ impl CloudDataDistributor {
     /// Re-uploads a parity-reconstructed shard to its primary provider
     /// under its original virtual id (in a fresh frame), so a corrupted or
     /// lost object is healed by the very read that detected it instead of
-    /// waiting for an operator [`repair`](Self::repair) pass. Best-effort:
+    /// waiting for an operator [`try_repair`](Self::try_repair) pass. Best-effort:
     /// an offline primary or failed write leaves the stripe degraded, and
     /// the tables are untouched either way (same vid, same provider — no
     /// journal entry needed: the id is already referenced).
@@ -2831,7 +2785,8 @@ impl CloudDataDistributor {
     /// rest is caught before a client read trips over it. Shards that fail
     /// verification are counted in [`ScrubReport::corrupt_shards`], their
     /// stripes marked degraded, and the providers' breakers fed — a
-    /// following [`repair`](Self::repair) rebuilds them from parity.
+    /// following [`try_repair_verify`](Self::try_repair_verify) rebuilds
+    /// them from parity.
     pub fn scrub_verify(&self) -> ScrubReport {
         self.scrub_impl(true)
     }
@@ -2918,25 +2873,10 @@ impl CloudDataDistributor {
     /// back and holds no sibling shard; anti-affinity preserved otherwise).
     /// Rebuilt objects get fresh virtual ids so they cannot be correlated
     /// with the lost ones. Stripes beyond their fault tolerance are
-    /// reported in [`RepairReport::failed`].
+    /// reported in [`RepairReport::failed`], never returned as errors.
     ///
-    /// # Panics
-    /// Panics when an armed [`CrashPlan`] fires mid-repair — impossible
-    /// outside the crash-injection harness; harnesses use
-    /// [`try_repair`](Self::try_repair).
-    pub fn repair(&self) -> RepairReport {
-        // fraglint: allow(no-unwrap-in-lib) — documented panicking
-        // convenience form; the only possible error is a simulated crash,
-        // which real deployments never see. `try_repair` is the fallible
-        // form.
-        self.try_repair().expect("simulated crash during repair")
-    }
-
-    /// Fallible form of [`repair`](Self::repair): journaled when a
-    /// journal is attached, and surfaces a fired [`CrashPlan`] as
-    /// [`CoreError::SimulatedCrash`] instead of panicking. Per-stripe
-    /// repair failures are still folded into [`RepairReport::failed`],
-    /// never returned as errors.
+    /// Journaled when a journal is attached. The only error is a fired
+    /// [`CrashPlan`], surfaced as [`CoreError::SimulatedCrash`].
     pub fn try_repair(&self) -> Result<RepairReport> {
         let jctx = self.journal_begin(OpKind::Repair, "", "stripes");
         let res = self.repair_inner(&jctx, false);
@@ -3073,16 +3013,11 @@ impl CloudDataDistributor {
                     .into_iter()
                     .filter(|i| !hosting.contains(i))
                     .min_by(|&a, &b| {
-                        let cost = st.providers[a]
-                            .profile()
-                            .cost_level
-                            .cmp(&st.providers[b].profile().cost_level);
-                        let rep = self
-                            .reputation
-                            .score(b)
-                            .partial_cmp(&self.reputation.score(a))
-                            .unwrap_or(std::cmp::Ordering::Equal);
-                        cost.then(rep).then(a.cmp(&b))
+                        let cost = |i: usize| st.providers[i].profile().cost_level;
+                        cost(a)
+                            .cmp(&cost(b))
+                            .then(self.health.penalty(a).total_cmp(&self.health.penalty(b)))
+                            .then(a.cmp(&b))
                     })
             };
             let Some(target) = target else {
@@ -3096,8 +3031,7 @@ impl CloudDataDistributor {
             self.journal_alloc(jctx, &[new_vid]);
             self.journal_doom(jctx, &[old_vid]);
             self.crash_point()?;
-            let (res, t, _) =
-                self.put_with_retry(st, target, new_vid, &shard[..stored_len]);
+            let (res, t, _) = self.put_with_retry(st, target, new_vid, &shard[..stored_len], tel);
             per_provider_time[target] += t;
             res?;
             let e = &mut st.chunks[m];
@@ -3125,11 +3059,6 @@ impl CloudDataDistributor {
     /// states), for operator dashboards and harness assertions.
     pub fn health(&self) -> &HealthTracker {
         &self.health
-    }
-
-    /// Current breaker state of provider `idx` (see [`crate::health`]).
-    pub fn breaker_state(&self, idx: usize) -> BreakerState {
-        self.health.state(idx)
     }
 
     /// Every virtual id the tables still reference: live chunks' primary
@@ -3279,37 +3208,26 @@ impl CloudDataDistributor {
     /// statistics — the operator-side audit behind §IV-A's "reliability of
     /// a cloud provider is defined in terms of its reputation". Returns
     /// `(per-provider score, indices whose earned level is below their
-    /// assigned PL)`.
+    /// assigned PL)`; see [`health::lifetime_score`] and
+    /// [`health::earned_level`].
     pub fn reputation_report(&self) -> (Vec<f64>, Vec<usize>) {
-        use fragcloud_sim::reputation::{ReputationConfig, ReputationEvent, ReputationTracker};
         use std::sync::atomic::Ordering;
         let st = self.shard_read(0);
-        let tracker = ReputationTracker::new(
-            st.providers.len(),
-            ReputationConfig {
-                decay: 1.0, // lifetime counters carry no timestamps to decay by
-                ..Default::default()
-            },
-        );
-        for (i, p) in st.providers.iter().enumerate() {
-            let stats = p.stats();
-            let ok = stats.puts.load(Ordering::Relaxed)
-                + stats.gets.load(Ordering::Relaxed)
-                + stats.deletes.load(Ordering::Relaxed);
-            let bad = stats.rejected.load(Ordering::Relaxed);
-            for _ in 0..ok.min(10_000) {
-                tracker.record(i, ReputationEvent::Success);
-            }
-            for _ in 0..bad.min(10_000) {
-                tracker.record(i, ReputationEvent::Failure);
-            }
-        }
-        let assigned: Vec<PrivacyLevel> = st
+        let scores: Vec<f64> = st
             .providers
             .iter()
-            .map(|p| p.profile().privacy_level)
+            .map(|p| {
+                let stats = p.stats();
+                let ok = stats.puts.load(Ordering::Relaxed)
+                    + stats.gets.load(Ordering::Relaxed)
+                    + stats.deletes.load(Ordering::Relaxed);
+                health::lifetime_score(ok, stats.rejected.load(Ordering::Relaxed))
+            })
             .collect();
-        (tracker.scores(), tracker.downgrade_candidates(&assigned))
+        let downgrades = (0..scores.len())
+            .filter(|&i| health::earned_level(scores[i]) < st.providers[i].profile().privacy_level)
+            .collect();
+        (scores, downgrades)
     }
 }
 
@@ -3990,12 +3908,12 @@ mod tests {
 
         // While the provider is still down and every peer hosts a sibling,
         // repair has nowhere to put the rebuilt shard.
-        let failed = d.repair();
+        let failed = d.try_repair().unwrap();
         assert!(!failed.is_complete(), "{failed:?}");
 
         // Provider back (fail_after cleared by set_online) → full heal.
         d.providers()[1].set_online(true);
-        let report = d.repair();
+        let report = d.try_repair().unwrap();
         assert!(report.is_complete(), "{report:?}");
         assert_eq!(report.shards_rebuilt, 1);
         assert!(d.scrub().is_healthy());
@@ -4021,7 +3939,7 @@ mod tests {
 
         let scrub = d.scrub();
         assert!(!scrub.is_healthy());
-        let report = d.repair();
+        let report = d.try_repair().unwrap();
         assert!(report.is_complete(), "{report:?}");
         assert!(report.shards_rebuilt >= 1);
         // Rebuilt shards moved to healthy providers under fresh vids, so
@@ -4159,7 +4077,7 @@ mod tests {
     }
 
     #[test]
-    fn reputation_reorders_candidates_after_failures() {
+    fn health_reorders_candidates_after_one_failed_read() {
         let d = distributor();
         let s = d.session("Bob", "Ty7e").unwrap();
         s.put_file(
@@ -4174,14 +4092,12 @@ mod tests {
             st.chunks[0].provider_idx
         };
         d.providers()[primary].set_online(false);
-        // First read with equal scores tries the primary first: retries.
+        // With both candidates clean the primary is tried first: retries.
         assert!(s.get_file("f").unwrap().retries > 0);
-        // The recorded failures push the primary behind the replica; once
-        // reordered, reads go straight to the replica — no retries — even
-        // though the primary is still dark.
-        for _ in 0..6 {
-            s.get_file("f").unwrap();
-        }
+        // Those failed attempts are on the primary's score (its breaker
+        // still Closed), so the very next read goes straight to the
+        // replica — no retries — even though the primary is still dark.
+        assert_eq!(d.health().state(primary), health::BreakerState::Closed);
         let receipt = s.get_file("f").unwrap();
         assert_eq!(receipt.data, data(8));
         assert_eq!(receipt.retries, 0, "{receipt:?}");

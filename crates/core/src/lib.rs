@@ -44,9 +44,10 @@
 //!   at `put`, verified on every read, turning silent provider corruption
 //!   into typed [`CoreError::ShardCorrupt`] erasures the parity machinery
 //!   heals (and read-repair re-uploads);
-//! - [`health`] — per-provider EWMA health tracking driving a
-//!   closed→open→half-open circuit breaker consulted by placement and
-//!   read-candidate ordering;
+//! - [`health`] — the one scorer of observed provider behaviour: an EWMA
+//!   failure score and closed→open→half-open circuit breaker consulted
+//!   by placement, read-candidate, degraded-write and repair-target
+//!   ordering, plus the paper's earned-level audit in closed form;
 //! - [`rebalance`] — §VII-E locality migration of hot chunks;
 //! - [`envelope`] — client-side full/partial encryption composed with
 //!   fragmentation (§VII-E: "encryption is not an alternative to
@@ -81,7 +82,7 @@ pub use distributor::{
     CloudDataDistributor, GetReceipt, PutOptions, PutReceipt, PUT_WINDOW_BYTES,
 };
 pub use fragcloud_sim::{CostLevel, PrivacyLevel, VirtualId};
-pub use health::{BreakerConfig, BreakerState, FailureKind, HealthTracker};
+pub use health::{BreakerState, FailureKind, HealthTracker};
 pub use integrity::{frame, unframe, FRAME_OVERHEAD, FRAME_VERSION};
 pub use fragcloud_telemetry::TelemetryHandle;
 pub use journal::{

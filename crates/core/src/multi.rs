@@ -56,16 +56,6 @@ impl DistributorGroup {
         })
     }
 
-    /// Creates a group of `n` distributor nodes over shared state.
-    ///
-    /// # Panics
-    /// Panics when `n == 0`; [`DistributorGroup::try_new`] is the fallible
-    /// form.
-    pub fn new(shared: Arc<CloudDataDistributor>, n: usize) -> Self {
-        // fraglint: allow(no-unwrap-in-lib) — documented panicking convenience form; try_new is the fallible variant.
-        Self::try_new(shared, n).expect("a distributor group needs at least one node")
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -184,7 +174,7 @@ impl DistributorGroup {
     /// `via`.
     pub fn repair(&self, via: usize) -> Result<RepairReport> {
         self.check_up(via)?;
-        Ok(self.shared.repair())
+        self.shared.try_repair()
     }
 
     fn check_up(&self, idx: usize) -> Result<()> {
@@ -220,7 +210,7 @@ mod tests {
                 ..Default::default()
             },
         ));
-        DistributorGroup::new(shared, n)
+        DistributorGroup::try_new(shared, n).expect("non-empty group")
     }
 
     fn body() -> Vec<u8> {
@@ -335,13 +325,6 @@ mod tests {
             g.primary_of("nobody"),
             Err(CoreError::UnknownClient(_))
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn empty_group_panics() {
-        let g = group(1);
-        let _ = DistributorGroup::new(Arc::clone(&g.shared), 0);
     }
 
     #[test]

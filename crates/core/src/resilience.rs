@@ -7,7 +7,8 @@
 //! half: what the distributor does when a provider misbehaves mid-request —
 //! how often it retries, how long it (virtually) waits, when a slow read is
 //! hedged by racing the parity path, and how an operator walks and heals
-//! the degraded stripes left behind by failures.
+//! the degraded stripes left behind by failures. Which provider is tried
+//! first, and when one stops being tried, is [`crate::health`]'s half.
 //!
 //! Everything here is deterministic under a fixed seed: backoff jitter is
 //! hashed from `(seed, attempt)`, not sampled from a shared RNG, and all
@@ -202,8 +203,10 @@ pub struct RetryExecution<T> {
     pub retries: u64,
 }
 
-/// Degraded-mode knobs for the distributor's I/O engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Degraded-mode knobs for the distributor's I/O engine. Which provider
+/// is tried first is not one of them: that is [`crate::health`]'s ordering
+/// key, with nothing to tune.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResilienceConfig {
     /// Retry budget applied to every provider `get`/`put` the engine issues.
     pub retry: RetryPolicy,
@@ -212,31 +215,12 @@ pub struct ResilienceConfig {
     /// faster, the read races the reconstruction against the straggler and
     /// the simulated clock is charged the winner. `None` disables hedging.
     pub hedge_threshold: Option<Duration>,
-    /// Order a chunk's candidate sources (primary + replicas) by live
-    /// reputation score instead of stored order.
-    pub reputation_ordering: bool,
-    /// Per-provider circuit breaker driven by observed corruptions,
-    /// timeouts, errors, and slow responses (see [`crate::health`]).
-    /// Enabled by default — behavior-neutral for a healthy fleet.
-    pub breaker: crate::health::BreakerConfig,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            retry: RetryPolicy::default(),
-            hedge_threshold: None,
-            reputation_ordering: true,
-            breaker: crate::health::BreakerConfig::default(),
-        }
-    }
 }
 
 impl ResilienceConfig {
     /// Check the configuration's invariants.
     pub fn validate(&self) -> Result<(), CoreError> {
-        self.retry.validate()?;
-        self.breaker.validate()
+        self.retry.validate()
     }
 }
 
@@ -268,7 +252,7 @@ impl ScrubReport {
     }
 }
 
-/// Outcome of a [`repair`](crate::CloudDataDistributor::repair) pass.
+/// Outcome of a [`try_repair`](crate::CloudDataDistributor::try_repair) pass.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RepairReport {
     /// Stripes restored to full health.

@@ -141,38 +141,6 @@ pub fn mul_acc_scalar(acc: &mut [u8], data: &[u8], c: u8) {
     }
 }
 
-/// Multiplies every byte of `data` in place by `c` through the
-/// word-parallel split-nibble kernel ([`mul_slice_scalar`] is the
-/// reference).
-pub fn mul_slice(data: &mut [u8], c: u8) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        data.fill(0);
-        return;
-    }
-    crate::kernel::mul_slice_wide(data, &crate::kernel::NibbleTables::new(c));
-}
-
-/// Byte-at-a-time reference implementation of [`mul_slice`].
-pub fn mul_slice_scalar(data: &mut [u8], c: u8) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        data.fill(0);
-        return;
-    }
-    let t = tables();
-    let lc = t.log[c as usize];
-    for d in data.iter_mut() {
-        if *d != 0 {
-            *d = t.exp[(lc + t.log[*d as usize]) as usize];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,18 +263,6 @@ mod tests {
         for ((a2, a), d) in acc2.iter().zip(&acc).zip(&data) {
             assert_eq!(*a2, a ^ d);
         }
-        // mul_slice matches elementwise mul
-        let mut s = data;
-        mul_slice(&mut s, 0x83);
-        for (x, &d) in s.iter().zip(&data) {
-            assert_eq!(*x, mul(d, 0x83));
-        }
-        let mut z = data;
-        mul_slice(&mut z, 0);
-        assert_eq!(z, [0u8; 5]);
-        let mut one = data;
-        mul_slice(&mut one, 1);
-        assert_eq!(one, data);
     }
 
     #[test]

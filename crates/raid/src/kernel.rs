@@ -1,10 +1,9 @@
 //! Word-parallel inner kernels behind the parity hot paths.
 //!
-//! [`RsCodec`](crate::RsCodec) and the slice operations of
-//! [`gf256`](crate::gf256) dispatch through this module; the
-//! byte-at-a-time reference implementations are kept alongside as
-//! `*_scalar` functions so proptests and criterion benches can pin the
-//! wide kernels against them.
+//! [`RsCodec`](crate::RsCodec) and [`gf256::mul_acc`](crate::gf256::mul_acc)
+//! dispatch through this module; the byte-at-a-time reference
+//! implementations are kept alongside as `*_scalar` functions so
+//! proptests and criterion benches can pin the wide kernels against them.
 //!
 //! Two techniques carry the speedup:
 //!
@@ -122,32 +121,6 @@ fn mul_acc_portable(acc: &mut [u8], data: &[u8], t: &NibbleTables) {
     }
 }
 
-/// `data[i] = c · data[i]` in place; same dispatch as [`mul_acc_wide`].
-pub(crate) fn mul_slice_wide(data: &mut [u8], t: &NibbleTables) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("ssse3") {
-        // SAFETY: SSSE3 availability was just verified at runtime.
-        unsafe { x86::mul_slice_ssse3(data, t) };
-        return;
-    }
-    mul_slice_portable(data, t);
-}
-
-/// Portable word-wise body of [`mul_slice_wide`].
-fn mul_slice_portable(data: &mut [u8], t: &NibbleTables) {
-    let mut dw = data.chunks_exact_mut(8);
-    for dc in &mut dw {
-        let mut prod = [0u8; 8];
-        for i in 0..8 {
-            prod[i] = t.mul(dc[i]);
-        }
-        dc.copy_from_slice(&prod);
-    }
-    for db in dw.into_remainder() {
-        *db = t.mul(*db);
-    }
-}
-
 /// SSSE3 bodies: the same two 16-entry nibble tables, applied to 16 lanes
 /// per iteration with `pshufb` (each table register *is* the 16-entry
 /// table; the data nibbles are the shuffle indices).
@@ -190,24 +163,6 @@ mod x86 {
         }
         for (ab, &db) in aw.into_remainder().iter_mut().zip(dw.remainder()) {
             *ab ^= t.mul(db);
-        }
-    }
-
-    /// # Safety
-    /// Requires SSSE3.
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn mul_slice_ssse3(data: &mut [u8], t: &NibbleTables) {
-        let lo = _mm_loadu_si128(t.lo.as_ptr().cast());
-        let hi = _mm_loadu_si128(t.hi.as_ptr().cast());
-        let mask = _mm_set1_epi8(0x0F);
-        let mut dw = data.chunks_exact_mut(16);
-        for dc in &mut dw {
-            let v = _mm_loadu_si128(dc.as_ptr().cast());
-            let prod = mul16(v, lo, hi, mask);
-            _mm_storeu_si128(dc.as_mut_ptr().cast(), prod);
-        }
-        for db in dw.into_remainder() {
-            *db = t.mul(*db);
         }
     }
 }
@@ -255,12 +210,6 @@ mod tests {
             mul_acc_wide(&mut a1, &data, &t);
             mul_acc_portable(&mut a2, &data, &t);
             assert_eq!(a1, a2, "mul_acc len={len}");
-
-            let mut s1 = data.clone();
-            let mut s2 = data.clone();
-            mul_slice_wide(&mut s1, &t);
-            mul_slice_portable(&mut s2, &t);
-            assert_eq!(s1, s2, "mul_slice len={len}");
         }
     }
 }

@@ -28,8 +28,8 @@
 //! word-wide SWAR XOR for coefficient 1 and split-nibble lookup tables for
 //! GF(2⁸) slice multiplication. Byte-at-a-time references survive as
 //! `*_scalar` functions ([`RsCodec::parity_scalar`],
-//! [`gf256::mul_acc_scalar`], [`gf256::mul_slice_scalar`]) so tests and
-//! benches can pin the wide kernels against them.
+//! [`gf256::mul_acc_scalar`]) so tests and benches can pin the wide
+//! kernels against them.
 
 pub mod geometry;
 pub mod gf256;

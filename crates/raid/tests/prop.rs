@@ -136,22 +136,6 @@ proptest! {
         prop_assert_eq!(codec.parity(&refs).expect("wide"), codec.parity_scalar(&refs).expect("scalar"));
     }
 
-    /// Wide `mul_slice` ≡ scalar reference across lengths 0..257 and
-    /// misaligned sub-slices.
-    #[test]
-    fn wide_mul_slice_matches_scalar_reference(
-        data in proptest::collection::vec(any::<u8>(), 0..257),
-        c: u8,
-        offset in 0usize..8,
-    ) {
-        let off = offset.min(data.len());
-        let mut wide = data[off..].to_vec();
-        let mut scalar = wide.clone();
-        gf256::mul_slice(&mut wide, c);
-        gf256::mul_slice_scalar(&mut scalar, c);
-        prop_assert_eq!(wide, scalar);
-    }
-
     /// Wide `mul_acc` ≡ scalar reference across lengths (including the
     /// c == 0 and c == 1 special-cased dispatch arms) and misaligned
     /// sub-slices.

@@ -69,17 +69,6 @@ impl OutageScript {
         }
         Ok(())
     }
-
-    /// [`try_arm`](Self::try_arm) for test scripts that know the indices
-    /// are valid.
-    ///
-    /// # Panics
-    /// Panics when an event's provider index is out of range.
-    pub fn arm(&self, fleet: &[Arc<CloudProvider>]) {
-        self.try_arm(fleet)
-            // fraglint: allow(no-unwrap-in-lib) — documented panicking convenience form; try_arm is the fallible variant.
-            .expect("outage script provider index out of range for this fleet");
-    }
 }
 
 /// Independent per-provider availability model.
@@ -275,13 +264,6 @@ mod tests {
         );
         assert!(fleet[0].is_online());
         assert!(fleet[1].is_online());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn arm_panics_on_bad_index() {
-        let fleet: Vec<Arc<CloudProvider>> = Vec::new();
-        OutageScript::new().kill_after(0, 1).arm(&fleet);
     }
 
     #[test]

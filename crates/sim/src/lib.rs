@@ -20,8 +20,6 @@
 //! - [`fault`] — Byzantine/gray-failure injection: seeded per-provider
 //!   corruption (bit-flip, truncation, stale replay, wrong-object swap)
 //!   and degraded-latency "limping" links;
-//! - [`reputation`] — earned reliability scores behind the paper's
-//!   "reliability … defined in terms of its reputation" levels;
 //! - [`observer`] — the honest-but-curious observer: records everything a
 //!   provider sees so the attack experiments (§III) can replay a malicious
 //!   employee or a compromise of `k` providers.
@@ -32,7 +30,6 @@ pub mod fault;
 pub mod net;
 pub mod observer;
 pub mod provider;
-pub mod reputation;
 pub mod store;
 pub mod types;
 

@@ -142,17 +142,6 @@ impl CloudProvider {
         Ok(())
     }
 
-    /// [`try_set_flaky`](Self::try_set_flaky) for test scripts that know
-    /// `p` is valid.
-    ///
-    /// # Panics
-    /// Panics when `p` is outside `[0, 1]`.
-    pub fn set_flaky(&self, p: f64, seed: u64) {
-        self.try_set_flaky(p, seed)
-            // fraglint: allow(no-unwrap-in-lib) — documented panicking convenience form; try_set_flaky is the fallible variant.
-            .expect("failure probability out of range");
-    }
-
     /// Installs a Byzantine corruption script — reads are corrupted in
     /// `mode` with probability `rate` (hash-gated per object, see
     /// [`crate::fault`]). Callers arm through
@@ -465,7 +454,7 @@ mod tests {
     fn flaky_provider_fails_probabilistically() {
         let p = provider();
         p.put(VirtualId(1), Bytes::from_static(b"x")).unwrap();
-        p.set_flaky(0.5, 42);
+        p.try_set_flaky(0.5, 42).unwrap();
         let mut ok = 0;
         let mut fail = 0;
         for _ in 0..200 {
@@ -477,16 +466,10 @@ mod tests {
         }
         assert!(ok > 50 && fail > 50, "ok={ok} fail={fail}");
         // Restore reliability.
-        p.set_flaky(0.0, 0);
+        p.try_set_flaky(0.0, 0).unwrap();
         for _ in 0..50 {
             p.get(VirtualId(1)).unwrap();
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "probability out of range")]
-    fn flaky_bad_probability_panics() {
-        provider().set_flaky(1.5, 0);
     }
 
     #[test]

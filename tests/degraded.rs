@@ -1,10 +1,11 @@
 //! Integration test: the degraded-mode I/O engine end to end — retrying
 //! reads survive providers that die *mid-stream* (§I's EC2-outage
-//! motivation), and `scrub()`/`repair()` restore full-stripe health after a
+//! motivation), and `scrub()`/`try_repair()` restore full-stripe health after a
 //! provider is lost outright.
 
 use fragcloud::sim::failure::OutageScript;
 use fragcloud::sim::{CloudProvider, CostLevel, ProviderProfile};
+use fragcloud::core::BreakerState;
 use fragcloud::{
     ChunkSizeSchedule, CloudDataDistributor, DistributorConfig, PrivacyLevel, PutOptions, RaidLevel,
 };
@@ -128,12 +129,111 @@ fn scrub_sees_the_outage_and_repair_clears_it() {
     assert!(report.missing_shards > 0);
     assert_eq!(report.unreadable, Vec::<usize>::new());
 
-    let repaired = d.repair();
+    let repaired = d.try_repair().unwrap();
     assert!(repaired.is_complete(), "failed: {:?}", repaired.failed);
     assert_eq!(repaired.shards_rebuilt, report.missing_shards);
     // Health is restored even though the victim never came back.
     assert!(d.scrub().is_healthy());
     assert_eq!(session.get_file("f").unwrap().data, data);
+}
+
+/// Providers 0–2 are cheap and take every (3-wide, parity-less) stripe;
+/// providers 3 and 4 cost more, so they only ever hold a shard that was
+/// re-homed off a dying stripe member — as its two equal-cost alternates.
+fn rehoming_world() -> (CloudDataDistributor, Vec<Arc<CloudProvider>>) {
+    let fleet: Vec<Arc<CloudProvider>> = (0..5)
+        .map(|i| {
+            Arc::new(CloudProvider::new(ProviderProfile::new(
+                format!("cp{i}"),
+                PrivacyLevel::High,
+                CostLevel::new(u8::from(i >= 3)),
+            )))
+        })
+        .collect();
+    let config = DistributorConfig {
+        chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
+        stripe_width: 3,
+        raid_level: RaidLevel::None,
+        ..Default::default()
+    };
+    let d = CloudDataDistributor::new(fleet.clone(), config);
+    d.register_client("c").unwrap();
+    d.add_password("c", "pw", PrivacyLevel::High).unwrap();
+    (d, fleet)
+}
+
+/// Puts a one-stripe file while each of `dying` fails its store (placed,
+/// then dead on its next request), and brings them back afterwards.
+fn put_while_dying(
+    d: &CloudDataDistributor,
+    fleet: &[Arc<CloudProvider>],
+    name: &str,
+    dying: &[usize],
+) {
+    for &p in dying {
+        fleet[p].fail_after_ops(0);
+    }
+    d.session("c", "pw")
+        .unwrap()
+        .put_file(name, &body(3 << 10), PrivacyLevel::Low, PutOptions::new())
+        .unwrap();
+    for &p in dying {
+        fleet[p].set_online(true);
+    }
+}
+
+/// A re-homed shard goes to the alternate with the lower health score:
+/// failures on record count even while the breaker is still Closed.
+#[test]
+fn rehomed_shard_prefers_the_alternate_with_no_failures_on_record() {
+    let (d, fleet) = rehoming_world();
+    let holdings = || d.client_chunks_per_provider("c").unwrap();
+    // Two clean equal-cost alternates tie; the lower index takes the shard.
+    put_while_dying(&d, &fleet, "g", &[0]);
+    assert_eq!(holdings(), [0, 1, 1, 1, 0]);
+
+    // Provider 3 then fails a read — three attempts, three errors: on its
+    // score, not enough to open its breaker.
+    fleet[3].set_online(false);
+    assert!(d.session("c", "pw").unwrap().get_file("g").is_err());
+    fleet[3].set_online(true);
+    assert_eq!(d.health().state(3), BreakerState::Closed);
+    assert!(d.health().score(3) > 0.0);
+
+    // The next re-homed shard passes it over for the clean provider 4.
+    put_while_dying(&d, &fleet, "f", &[1]);
+    assert_eq!(holdings(), [1, 1, 2, 1, 1]);
+}
+
+/// How many operations an alternate has *served* decides nothing: two
+/// worlds that differ only in 200 extra clean reads from the higher-index
+/// alternate re-home a shard onto the same provider. (A score that rises
+/// with every success would move it to the busiest one.)
+#[test]
+fn past_successes_do_not_move_a_rehomed_shard() {
+    let holdings_after = |extra_reads: usize| {
+        let (d, fleet) = rehoming_world();
+        let s = d.session("c", "pw").unwrap();
+        // Both alternates end up holding one chunk of `g`.
+        put_while_dying(&d, &fleet, "g", &[0, 1]);
+        assert_eq!(d.client_chunks_per_provider("c").unwrap(), [0, 0, 1, 1, 1]);
+        let gets = || fleet[4].stats().gets.load(Ordering::Relaxed);
+        let on_4 = (0..3)
+            .find(|&serial| {
+                let before = gets();
+                s.get_chunk("g", serial).unwrap();
+                gets() > before
+            })
+            .expect("provider 4 holds a chunk of g");
+        for _ in 0..extra_reads {
+            s.get_chunk("g", on_4).unwrap();
+        }
+        put_while_dying(&d, &fleet, "f", &[2]);
+        d.client_chunks_per_provider("c").unwrap()
+    };
+    let quiet = holdings_after(0);
+    assert_eq!(quiet, [1, 1, 1, 2, 1], "lowest-index alternate takes the shard");
+    assert_eq!(holdings_after(200), quiet);
 }
 
 /// A degraded `get_file` fetches no stripe member twice: what it reads
@@ -291,7 +391,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Losing ANY single provider leaves RAID-5 stripes repairable: after
-    /// `repair()`, a fresh `scrub()` reports full health with the victim
+    /// `try_repair()`, a fresh `scrub()` reports full health with the victim
     /// still gone.
     #[test]
     fn repair_restores_health_after_any_single_loss(
@@ -307,7 +407,7 @@ proptest! {
 
         fleet[victim].set_online(false);
         let before = d.scrub();
-        let repaired = d.repair();
+        let repaired = d.try_repair().unwrap();
         prop_assert!(repaired.is_complete(), "failed: {:?}", repaired.failed);
         prop_assert_eq!(repaired.shards_rebuilt, before.missing_shards);
         prop_assert!(d.scrub().is_healthy());

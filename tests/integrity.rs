@@ -210,7 +210,7 @@ fn unframed_objects_heal_through_parity_and_read_repair() {
     assert_eq!(again.reconstructed_chunks, 0);
     // What it did not touch (parity) scrub reports and repair heals.
     d.scrub_verify();
-    d.repair();
+    d.try_repair().unwrap();
     assert!(d.scrub_verify().is_healthy());
     for vid in vids {
         integrity::unframe(vid, victim.get(vid).unwrap()).expect("re-framed");
@@ -249,7 +249,7 @@ fn byzantine_provider_trips_breaker_and_is_quarantined() {
         let got = session.get_file("hot").unwrap();
         assert_eq!(got.data, data, "reads stay byte-identical under corruption");
     }
-    assert_eq!(d.breaker_state(victim), BreakerState::Open);
+    assert_eq!(d.health().state(victim), BreakerState::Open);
     let reg = tel.registry().unwrap();
     assert!(reg.counter_value("breaker_transitions_total", "open") >= 1);
     assert!(reg.counter_total("corruption_detected_total") >= 1);

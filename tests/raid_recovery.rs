@@ -143,7 +143,7 @@ fn grey_failures_are_absorbed_by_replicas_and_parity() {
         .put_file("f", &data, PrivacyLevel::Low, PutOptions::new().replicas(1))
         .unwrap();
     for (i, p) in fleet.iter().enumerate() {
-        p.set_flaky(0.05, 1000 + i as u64);
+        p.try_set_flaky(0.05, 1000 + i as u64).unwrap();
     }
     let mut successes = 0;
     for _ in 0..10 {
@@ -154,7 +154,7 @@ fn grey_failures_are_absorbed_by_replicas_and_parity() {
     }
     assert!(successes >= 8, "only {successes}/10 flaky reads succeeded");
     for p in &fleet {
-        p.set_flaky(0.0, 0);
+        p.try_set_flaky(0.0, 0).unwrap();
     }
     assert_eq!(session.get_file("f").unwrap().data, data);
 }
