@@ -5,12 +5,13 @@
 //! `remove` on deletion — plus snapshotting on update (§IV-A) and RAID
 //! reconstruction when providers are down (§III-B availability).
 //!
-//! Since the degraded-mode engine landed, every provider operation on the
-//! upload and retrieval paths runs under the configured
-//! [`RetryPolicy`](crate::resilience::RetryPolicy), reads fail over
-//! health-ordered replicas into inline parity reconstruction (and can
-//! *hedge* stragglers by racing that parity path), writes re-place or skip
-//! shards lost to dead providers within the stripe's fault tolerance, and
+//! Every provider read and write any verb here issues crosses the one
+//! boundary in [`crate::objectio`] — framed or verified, retried under the
+//! configured [`RetryPolicy`](crate::resilience::RetryPolicy), scored once
+//! per attempt. Reads fail over health-ordered replicas into inline parity
+//! reconstruction (and can *hedge* stragglers by racing that parity path),
+//! writes re-place or skip shards lost to dead providers within the
+//! stripe's fault tolerance, and
 //! [`scrub`](CloudDataDistributor::scrub) /
 //! [`try_repair`](CloudDataDistributor::try_repair) walk and heal what's left.
 //! The client surface is the typed [`crate::session::Session`] API (the
@@ -23,14 +24,15 @@
 use crate::access;
 use crate::chunker;
 use crate::config::{DistributorConfig, Geometry};
-use crate::health::{self, FailureKind, HealthTracker};
-use crate::integrity;
+use crate::health::{self, HealthTracker};
 use crate::journal::{Journal, OpId, OpKind};
 use crate::mislead;
+use crate::objectio::{pad_shard, Member, StripeReadSet};
 use crate::persist;
 use crate::policy;
 use crate::pool::TransferPool;
-use crate::resilience::{AttemptOutcome, RepairReport, ScrubReport};
+use crate::recovery;
+use crate::resilience::{RepairReport, ScrubReport};
 use crate::tables::{ChunkEntry, ChunkRole, ClientEntry, FileEntry, StripeInfo, StripeRef, Tables};
 use crate::vid::VidAllocator;
 use crate::{CoreError, Result};
@@ -49,8 +51,7 @@ use std::time::Duration;
 ///
 /// ```
 /// use fragcloud_core::PutOptions;
-/// use fragcloud_raid::RaidLevel;
-/// let opts = PutOptions::new().raid(RaidLevel::Raid6).mislead_rate(0.02);
+/// let opts = PutOptions::new().geometry(4, 2).mislead_rate(0.02);
 /// ```
 ///
 /// `#[non_exhaustive]`: construct through [`PutOptions::new`] /
@@ -59,11 +60,9 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[non_exhaustive]
 pub struct PutOptions {
-    /// Override the distributor's default RAID level for this file.
-    pub raid_level: Option<RaidLevel>,
-    /// Override the full erasure geometry (data + parity shard counts) for
-    /// this file. Takes precedence over both [`PutOptions::raid_level`] and
-    /// the distributor's [`GeometrySchedule`](crate::GeometrySchedule).
+    /// Override the erasure geometry (data + parity shard counts) for
+    /// this file. Takes precedence over the distributor's
+    /// [`GeometrySchedule`](crate::GeometrySchedule).
     pub geometry: Option<Geometry>,
     /// Override the misleading-byte rate for this file (§VII-D: "depending
     /// on the demand of clients").
@@ -76,16 +75,10 @@ pub struct PutOptions {
 }
 
 impl PutOptions {
-    /// Defaults: distributor-level RAID, distributor-level mislead rate,
-    /// no replicas.
+    /// Defaults: distributor-level geometry, distributor-level mislead
+    /// rate, no replicas.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides the RAID level for this file.
-    pub fn raid(mut self, level: RaidLevel) -> Self {
-        self.raid_level = Some(level);
-        self
     }
 
     /// Overrides the erasure geometry — `data` data shards plus `parity`
@@ -163,55 +156,6 @@ struct ChunkFetch {
     degraded: bool,
     hedged: bool,
     retries: u64,
-}
-
-/// What one get knows about one stripe member.
-#[derive(Clone)]
-enum Member {
-    Untried,
-    /// The member's stored payload, as `get_with_retry` returned it.
-    Verified(Bytes),
-    /// The member's primary could not be read.
-    Lost,
-}
-
-/// The per-get stripe read set: one [`Member`] slot per member of the
-/// stripe the get is in, so no member is fetched from its provider twice —
-/// a chunk read directly is a survivor for a later rebuild, and a peer
-/// read for a rebuild serves that peer's own fetch with no provider op.
-/// A file's chunks are in stripe order, so one stripe is resident at a
-/// time: `k + m` ref-counted handles, no payload copy. Invariants:
-///
-/// - a slot holds only a payload that came back `Ok` from
-///   `get_with_retry`: it has passed `integrity::unframe_expecting`, and
-///   its read fed retry, health and corruption accounting;
-/// - the set lives inside one shard read guard — the rows it mirrors
-///   cannot change under it;
-/// - `Lost` only stops a rebuild's peer loop asking that member's primary
-///   again; the chunk's own fetch still tries every candidate and replica.
-#[derive(Default)]
-struct StripeReadSet {
-    stripe_id: Option<usize>,
-    members: Vec<Member>,
-}
-
-impl StripeReadSet {
-    /// The slots of stripe `stripe_id` (`len` members), forgetting the
-    /// previous stripe's when the get has moved on.
-    fn stripe(&mut self, stripe_id: usize, len: usize) -> &mut [Member] {
-        if self.stripe_id != Some(stripe_id) {
-            self.stripe_id = Some(stripe_id);
-            self.members.clear();
-            self.members.resize(len, Member::Untried);
-        }
-        &mut self.members
-    }
-
-    /// `entry`'s own slot; `None` for a chunk outside any stripe.
-    fn slot(&mut self, st: &Tables, entry: &ChunkEntry) -> Option<&mut Member> {
-        let at = entry.stripe?;
-        Some(&mut self.stripe(at.stripe_id, st.stripes[at.stripe_id].members.len())[at.index])
-    }
 }
 
 /// Minimum source bytes the put pipeline keeps in flight (read but not yet
@@ -884,78 +828,18 @@ impl CloudDataDistributor {
     }
 
     /// Inline rollback of a failed (but still live — not crashed)
-    /// journaled op: strips the op's table rows where it left any (a
-    /// failed put's chunk entries and file entry), then deletes every
-    /// fresh upload the tables no longer reference. Returns
+    /// journaled op, with recovery's own two tools: a failed put's rows
+    /// are stripped from its file's shard, then every fresh upload the
+    /// tables no longer reference is deleted. Returns
     /// `(objects collected, delete failures)`.
     fn rollback_op(&self, jctx: &JournalCtx) -> (u64, u64) {
         let Some(view) = jctx.journal.ops().into_iter().find(|o| o.id == jctx.op) else {
             return (0, 0);
         };
-        let fresh: HashSet<VirtualId> = view.fresh.iter().copied().collect();
-        // Rollback is a rare path; take every shard (ascending) rather
-        // than tracking which shards the op reached before failing.
-        let mut shards = self.lock_all_write();
         if view.kind == OpKind::Put {
-            for st in shards.iter_mut() {
-                for e in st.chunks.iter_mut() {
-                    if fresh.contains(&e.vid) && !e.removed {
-                        e.removed = true;
-                        e.stored_len = 0;
-                        e.logical_len = 0;
-                        e.replicas.clear();
-                        e.snapshot_provider_idx = None;
-                        e.snapshot_vid = None;
-                    }
-                }
-            }
-            // Drop the file entry only when it belongs to THIS put (its
-            // stripes reference the op's fresh vids): a duplicate upload
-            // aborts with FileExists while the name still maps to the
-            // earlier committed file, which must survive the rollback.
-            let home = self.shard_for(&view.client, &view.target);
-            let st = &mut shards[home];
-            let owned = st
-                .client(&view.client)
-                .ok()
-                .and_then(|c| c.files.get(&view.target))
-                .is_some_and(|f| {
-                    f.stripe_ids.iter().any(|&sid| {
-                        st.stripes[sid]
-                            .members
-                            .iter()
-                            .any(|&m| fresh.contains(&st.chunks[m].vid))
-                    })
-                });
-            if owned {
-                if let Ok(entry) = st.client_mut(&view.client) {
-                    entry.files.remove(&view.target);
-                }
-            }
+            recovery::strip_put(self, &view);
         }
-        // GC uploads the tables do not reference. Referenced fresh vids
-        // (a repair's already re-placed shards, say) are live data and
-        // stay. Reference sets are unioned across shards.
-        let mut referenced: HashSet<VirtualId> = HashSet::new();
-        for st in shards.iter() {
-            referenced.extend(st.referenced_vids());
-        }
-        let mut collected = 0u64;
-        let mut failed = 0u64;
-        for vid in fresh {
-            if referenced.contains(&vid) {
-                continue;
-            }
-            for p in &shards[0].providers {
-                if p.contains(vid) {
-                    match p.delete(vid) {
-                        Ok(()) => collected += 1,
-                        Err(_) => failed += 1,
-                    }
-                }
-            }
-        }
-        (collected, failed)
+        recovery::collect_orphans(self, &view.fresh)
     }
 
     /// Refreshes the journal checkpoint after the two mutations that are
@@ -1092,17 +976,9 @@ impl CloudDataDistributor {
         };
 
         // Effective erasure geometry, resolved once per put: an explicit
-        // per-put geometry wins; a per-put RAID-level override keeps the
-        // configured data-shard count but swaps the parity count; otherwise
-        // the distributor's per-PL schedule (or its (stripe_width,
-        // raid_level) defaults) applies.
-        let geo = match (opts.geometry, opts.raid_level) {
-            (Some(g), _) => g,
-            (None, Some(level)) => {
-                Geometry::new(self.config.geometry_for(pl).data, level.parity_shards())
-            }
-            (None, None) => self.config.geometry_for(pl),
-        };
+        // per-put geometry wins; otherwise the distributor's per-PL
+        // schedule (or its (stripe_width, raid_level) defaults) applies.
+        let geo = opts.geometry.unwrap_or(self.config.geometry_for(pl));
         geo.validate()?;
         let raid = geo.level();
         let rate = opts.mislead_rate.unwrap_or(self.config.mislead_rate);
@@ -1598,121 +1474,6 @@ impl CloudDataDistributor {
     }
 
     // ------------------------------------------------------------------
-    // Degraded-mode engine: retried provider ops, resilient shard stores
-    // ------------------------------------------------------------------
-
-    /// Deterministic backoff-jitter seed for one ⟨object, provider⟩ pair.
-    fn retry_seed(&self, vid: VirtualId, provider_idx: usize) -> u64 {
-        self.config.seed ^ vid.0 ^ (provider_idx as u64).rotate_left(17)
-    }
-
-    /// One provider read under the retry policy (the shared loop lives in
-    /// [`crate::resilience::RetryPolicy::execute`]). Returns the outcome
-    /// plus the simulated time spent (transfer + backoff waits) and the
-    /// number of retries consumed — failures cost simulated time too.
-    fn get_with_retry(
-        &self,
-        st: &Tables,
-        provider_idx: usize,
-        vid: VirtualId,
-        expected_len: usize,
-        tel: &TelemetryHandle,
-    ) -> (Result<Bytes>, Duration, u64) {
-        let provider = &st.providers[provider_idx];
-        let run = self.config.resilience.retry.execute(
-            self.retry_seed(vid, provider_idx),
-            provider.name(),
-            tel,
-            |_| match provider.get(vid) {
-                // Every read crosses the integrity check before its bytes
-                // reach any caller (decode included): an object that fails
-                // verification — or carries no frame at all — is an
-                // erasure, never payload.
-                Ok(bytes) => match integrity::unframe_expecting(vid, bytes, expected_len) {
-                    Ok(payload) => {
-                        self.health.record_success(provider_idx, tel);
-                        AttemptOutcome::Success(payload)
-                    }
-                    Err(e) => {
-                        // The provider answered with damaged or swapped
-                        // bytes — Byzantine, not transient: retrying the
-                        // same stored object cannot un-corrupt it. The
-                        // caller routes to replicas/parity instead.
-                        tel.incr("corruption_detected_total");
-                        self.health
-                            .record_failure(provider_idx, FailureKind::Corruption, tel);
-                        AttemptOutcome::Fatal(e)
-                    }
-                },
-                Err(e @ StoreError::NotFound(_)) => {
-                    // The object is gone, not the provider: retrying the
-                    // same request cannot help.
-                    self.health
-                        .record_failure(provider_idx, FailureKind::Error, tel);
-                    AttemptOutcome::Fatal(e.into())
-                }
-                Err(e) => {
-                    self.health
-                        .record_failure(provider_idx, FailureKind::Error, tel);
-                    AttemptOutcome::Transient(e.into())
-                }
-            },
-        );
-        let mut time = run.sim_time;
-        if let Err(CoreError::Timeout { .. }) = &run.result {
-            self.health
-                .record_failure(provider_idx, FailureKind::Timeout, tel);
-        }
-        if let Ok(bytes) = &run.result {
-            time += provider.simulate_transfer(bytes.len());
-        }
-        (run.result, time, run.retries)
-    }
-
-    /// One provider write under the retry policy; same accounting contract
-    /// as [`Self::get_with_retry`].
-    fn put_with_retry(
-        &self,
-        st: &Tables,
-        provider_idx: usize,
-        vid: VirtualId,
-        bytes: &[u8],
-        tel: &TelemetryHandle,
-    ) -> (Result<()>, Duration, u64) {
-        let provider = &st.providers[provider_idx];
-        // Stamp the integrity frame at the write chokepoint: every object
-        // the engine stores carries a vid-seeded checksum (`bytes` stays
-        // the payload — table `stored_len` never includes framing).
-        let framed = integrity::frame(vid, bytes);
-        let len = framed.len();
-        let run = self.config.resilience.retry.execute(
-            self.retry_seed(vid, provider_idx),
-            provider.name(),
-            tel,
-            |_| match provider.put(vid, framed.clone()) {
-                Ok(()) => {
-                    self.health.record_success(provider_idx, tel);
-                    AttemptOutcome::Success(())
-                }
-                Err(e) => {
-                    self.health
-                        .record_failure(provider_idx, FailureKind::Error, tel);
-                    AttemptOutcome::Transient(e.into())
-                }
-            },
-        );
-        let mut time = run.sim_time;
-        if let Err(CoreError::Timeout { .. }) = &run.result {
-            self.health
-                .record_failure(provider_idx, FailureKind::Timeout, tel);
-        }
-        if run.result.is_ok() {
-            time += provider.simulate_transfer(len);
-        }
-        (run.result, time, run.retries)
-    }
-
-    // ------------------------------------------------------------------
     // Retrieval
     // ------------------------------------------------------------------
 
@@ -1866,7 +1627,7 @@ impl CloudDataDistributor {
         let mut attempts_made = 0u32;
         let mut timed_out: Option<CoreError> = None;
         for (rank, &(pidx, vid)) in candidates.iter().enumerate() {
-            let (res, t, r) = self.get_with_retry(st, pidx, vid, entry.stored_len, tel);
+            let (res, t, r) = self.get_with_retry(st, pidx, vid, Some(entry.stored_len), tel);
             time += t;
             retries += r;
             attempts_made += r as u32 + 1;
@@ -1988,49 +1749,21 @@ impl CloudDataDistributor {
                 },
             ))?;
         let stripe = &st.stripes[at.stripe_id];
-        let width = stripe.shard_width;
-        let slots = set.stripe(at.stripe_id, stripe.members.len());
 
         let mut survivors: Vec<(usize, Bytes)> = Vec::with_capacity(stripe.k);
         let mut worst = Duration::ZERO;
         let mut retries = 0u64;
-        for (slot, &member_idx) in stripe.members.iter().enumerate() {
+        for slot in (0..stripe.members.len()).filter(|&slot| slot != at.index) {
             if survivors.len() == stripe.k {
                 break;
             }
-            if member_idx == chunk_idx {
-                continue;
-            }
-            let member = &st.chunks[member_idx];
-            if member.removed {
-                // Tombstoned member: contributes a zero shard by contract.
-                survivors.push((slot, Bytes::from(vec![0u8; width])));
-                continue;
-            }
-            if let Member::Untried = slots[slot] {
-                let (res, t, r) = self.get_with_retry(
-                    st,
-                    member.provider_idx,
-                    member.vid,
-                    member.stored_len,
-                    tel,
-                );
-                // Peers are fanned out in parallel; even a failed peer's
-                // retries sit on the critical path.
-                worst = worst.max(t);
-                retries += r;
-                slots[slot] = res.map_or(Member::Lost, Member::Verified);
-            }
-            if let Member::Verified(stored) = &slots[slot] {
-                // A full-width survivor is shared; only a short one (tail
-                // chunk, updated chunk) is copied, to zero-pad it.
-                let mut shard = stored.clone();
-                if shard.len() < width {
-                    let mut padded = shard.to_vec();
-                    padded.resize(width, 0);
-                    shard = padded.into();
-                }
-                survivors.push((slot, shard));
+            let (res, t, r) = self.read_member(st, set, at.stripe_id, slot, tel);
+            // Peers are fanned out in parallel; even a failed peer's
+            // retries sit on the critical path.
+            worst = worst.max(t);
+            retries += r;
+            if let Ok(shard) = res {
+                survivors.push((slot, pad_shard(shard, stripe.shard_width)));
             }
         }
 
@@ -2057,11 +1790,10 @@ impl CloudDataDistributor {
         stored: &[u8],
         tel: &TelemetryHandle,
     ) {
-        let provider = &st.providers[provider_idx];
-        if !provider.is_online() {
+        if !st.providers[provider_idx].is_online() {
             return;
         }
-        match provider.put(vid, integrity::frame(vid, stored)) {
+        match self.put_with_retry(st, provider_idx, vid, stored, tel).0 {
             Ok(()) => tel.incr("read_repair_total"),
             Err(_) => tel.incr("read_repair_failed_total"),
         }
@@ -2111,19 +1843,17 @@ impl CloudDataDistributor {
         let chunk_idx = st.live_chunk_index(client, filename, serial)?;
         access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
         let pl = st.chunks[chunk_idx].pl;
+        let tel = self.telemetry();
 
         // 1. Read the pre-state and compute everything BEFORE mutating, so
         //    an unavailable peer/parity provider aborts cleanly (no torn
-        //    stripe: data and parity always change together).
-        let current = st.providers[st.chunks[chunk_idx].provider_idx]
-            .get(st.chunks[chunk_idx].vid)?; // fraglint: allow(lock-order) — read under the guard: vid must match the locked table entry
-        // Verify the pre-state before snapshotting it (its frame is seeded
-        // by the data vid; the snapshot gets its own frame below).
-        let current = integrity::unframe_expecting(
-            st.chunks[chunk_idx].vid,
-            current,
-            st.chunks[chunk_idx].stored_len,
-        )?;
+        //    stripe: data and parity always change together). The
+        //    pre-state is verified under the data vid before it is
+        //    snapshotted; the snapshot gets its own frame below.
+        let e = &st.chunks[chunk_idx];
+        let current = self
+            .get_with_retry(&st, e.provider_idx, e.vid, Some(e.stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+            .0?;
         let eligible = policy::eligible_providers(&st.providers, pl);
         let snapshot_idx = eligible
             .iter()
@@ -2234,7 +1964,8 @@ impl CloudDataDistributor {
         // The snapshot holds the pre-state's *stored* bytes; the matching
         // mislead positions were preserved in `snapshot_mislead` at update
         // time and are reinstated below so reads strip correctly.
-        let pre_state = integrity::unframe(svid, st.providers[sp].get(svid)?)?;
+        let tel = self.telemetry();
+        let pre_state = self.get_with_retry(st, sp, svid, None, &tel).0?;
         // Plan parity first (clean abort on unavailable peers), then mutate.
         let plan = self.plan_parity(st, chunk_idx, Some(&pre_state))?;
         ensure_online(st, chunk_providers(&st.chunks[chunk_idx]))?;
@@ -2242,10 +1973,9 @@ impl CloudDataDistributor {
         // no reason to refuse the restore that would heal it.
         let current = {
             let e = &st.chunks[chunk_idx];
-            st.providers[e.provider_idx]
-                .get(e.vid)
+            self.get_with_retry(st, e.provider_idx, e.vid, Some(e.stored_len), &tel)
+                .0
                 .ok()
-                .and_then(|raw| integrity::unframe_expecting(e.vid, raw, e.stored_len).ok())
         };
         let doomed: Doomed = {
             let e = &st.chunks[chunk_idx];
@@ -2293,30 +2023,25 @@ impl CloudDataDistributor {
         };
         let stripe_id = stripe_ref.stripe_id;
         let s = &st.stripes[stripe_id];
-        let (k, level, members) = (s.k, s.level, s.members.clone());
+        let (k, level, members) = (s.k, s.level, &s.members);
         if level == RaidLevel::None {
             return Ok(None);
         }
         // Gather all data shards (empty for removed ones); parity treats
-        // them as zero-padded to the new width.
-        let mut datas: Vec<Vec<u8>> = Vec::with_capacity(k);
-        let mut width = 0usize;
-        for &m in &members[..k] {
-            let e = &st.chunks[m];
-            let bytes = match override_bytes {
-                Some(bytes) if m == chunk_idx => bytes.to_vec(),
-                _ if e.removed => Vec::new(),
-                _ => {
-                    let raw = st.providers[e.provider_idx].get(e.vid)?;
-                    // Verify before the parity math: corrupt peer bytes would
-                    // otherwise be folded into the new parity permanently.
-                    integrity::unframe_expecting(e.vid, raw, e.stored_len)?.to_vec()
-                }
-            };
-            width = width.max(bytes.len());
-            datas.push(bytes);
+        // them as zero-padded to the new width. Every peer is verified
+        // before the parity math: corrupt bytes would otherwise be folded
+        // into the new parity permanently.
+        let tel = self.telemetry();
+        let mut set = StripeReadSet::default();
+        let mut datas: Vec<Bytes> = Vec::with_capacity(k);
+        for (slot, &m) in members[..k].iter().enumerate() {
+            datas.push(match override_bytes {
+                Some(bytes) if m == chunk_idx => Bytes::copy_from_slice(bytes),
+                _ => self.read_member(st, &mut set, stripe_id, slot, &tel).0?,
+            });
         }
-        let refs: Vec<&[u8]> = datas.iter().map(|d| d.as_slice()).collect();
+        let width = datas.iter().map(Bytes::len).max().unwrap_or(0);
+        let refs: Vec<&[u8]> = datas.iter().map(|d| &d[..]).collect();
         let mut blobs: Vec<Vec<u8>> = vec![Vec::new(); level.parity_shards()];
         StripeCodec::new(k, level)?.parity_padded_into(&refs, width, &mut blobs)?;
         let writes: Vec<(usize, Vec<u8>)> = blobs
@@ -2344,12 +2069,11 @@ impl CloudDataDistributor {
         plan: ParityPlan,
         jctx: &Option<JournalCtx>,
     ) -> Result<()> {
+        let tel = self.telemetry();
         for (member_idx, blob) in plan.writes {
-            let (vid, provider_idx) = {
-                let e = &st.chunks[member_idx];
-                (e.vid, e.provider_idx)
-            };
-            st.providers[provider_idx].put(vid, integrity::frame(vid, &blob))?;
+            let e = &st.chunks[member_idx];
+            self.put_with_retry(st, e.provider_idx, e.vid, &blob, &tel)
+                .0?;
             let e = &mut st.chunks[member_idx];
             e.stored_len = plan.width;
             e.logical_len = plan.width;
@@ -2418,8 +2142,9 @@ impl CloudDataDistributor {
         let doomed: Vec<VirtualId> = rewrite.doomed.iter().map(|(_, vid)| *vid).collect();
         self.journal_doom(jctx, &doomed);
         if let Some((snapshot_idx, snapshot_vid, pre_state)) = rewrite.undo {
-            st.providers[snapshot_idx]
-                .put(snapshot_vid, integrity::frame(snapshot_vid, pre_state))?;
+            let tel = self.telemetry();
+            self.put_with_retry(st, snapshot_idx, snapshot_vid, pre_state, &tel)
+                .0?;
         }
         self.crash_point()?;
         if let Some(stored) = rewrite.stored {
@@ -2433,11 +2158,10 @@ impl CloudDataDistributor {
 
     /// Overwrites a chunk's data object and every replica with `stored`.
     fn store_chunk_copies(&self, st: &Tables, chunk_idx: usize, stored: &[u8]) -> Result<()> {
+        let tel = self.telemetry();
         let e = &st.chunks[chunk_idx];
-        st.providers[e.provider_idx].put(e.vid, integrity::frame(e.vid, stored))?;
-        self.crash_point()?;
-        for &(rp, rvid) in &e.replicas {
-            st.providers[rp].put(rvid, integrity::frame(rvid, stored))?;
+        for &(provider_idx, vid) in std::iter::once(&(e.provider_idx, e.vid)).chain(&e.replicas) {
+            self.put_with_retry(st, provider_idx, vid, stored, &tel).0?;
             self.crash_point()?;
         }
         Ok(())
@@ -2512,7 +2236,9 @@ impl CloudDataDistributor {
         source: (usize, VirtualId),
     ) -> Result<()> {
         let (holder, vid) = source;
-        let pre_state = integrity::unframe(vid, st.providers[holder].get(vid)?)?;
+        let pre_state = self
+            .get_with_retry(st, holder, vid, None, &self.telemetry())
+            .0?;
         self.revert_chunk(st, shard, chunk_idx, Some(&pre_state), &None)
     }
 
@@ -2617,17 +2343,7 @@ impl CloudDataDistributor {
             plan,
         };
         self.rewrite_chunk_objects(st, shard, chunk_idx, rewrite, jctx)?;
-        // The tombstone names nothing that still exists — its snapshot
-        // goes with the chunk, like `remove_file`'s do.
-        let e = &mut st.chunks[chunk_idx];
-        e.removed = true;
-        e.stored_len = 0;
-        e.logical_len = 0;
-        e.replicas.clear();
-        e.snapshot_mislead = Vec::new();
-        e.mislead_positions = Vec::new();
-        e.snapshot_provider_idx = None;
-        e.snapshot_vid = None;
+        st.chunks[chunk_idx].tombstone();
         self.touch_chunk(jctx, shard, chunk_idx);
         self.crash_point()?;
         Ok(doomed)
@@ -2747,17 +2463,7 @@ impl CloudDataDistributor {
                 if let Some((spi, svid)) = sp {
                     let _ = st.providers[spi].delete(svid); // fraglint: allow(lock-order) — atomic object+table commit under the shard guard
                 }
-                // The tombstone names nothing that still exists: a kept
-                // snapshot vid would read as referenced, and the position
-                // lists would be rewritten into every checkpoint.
-                let e = &mut st.chunks[m];
-                e.removed = true;
-                e.stored_len = 0;
-                e.logical_len = 0;
-                e.snapshot_provider_idx = None;
-                e.snapshot_vid = None;
-                e.snapshot_mislead = Vec::new();
-                e.mislead_positions = Vec::new();
+                st.chunks[m].tombstone();
                 self.touch_chunk(jctx, shard, m);
             }
         }
@@ -2821,18 +2527,14 @@ impl CloudDataDistributor {
                         continue;
                     }
                     if verify {
-                        match p.get(e.vid) {
-                            Ok(raw) => {
-                                if integrity::unframe_expecting(e.vid, raw, e.stored_len).is_err() {
-                                    corrupt += 1;
-                                    tel.incr("corruption_detected_total");
-                                    self.health.record_failure(
-                                        e.provider_idx,
-                                        FailureKind::Corruption,
-                                        &tel,
-                                    );
-                                }
-                            }
+                        // The boundary counts the corruption and feeds the
+                        // provider's breaker; scrub only classifies.
+                        match self
+                            .get_with_retry(&st, e.provider_idx, e.vid, Some(e.stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                            .0
+                        {
+                            Ok(_) => {}
+                            Err(CoreError::ShardCorrupt { .. }) => corrupt += 1,
                             Err(_) => missing += 1,
                         }
                     }
@@ -2951,38 +2653,29 @@ impl CloudDataDistributor {
         tel: &TelemetryHandle,
     ) -> Result<usize> {
         let stripe = st.stripes[sid].clone();
-        let width = stripe.shard_width;
 
         // Phase 1: gather surviving shards, spot the missing ones.
-        let mut available: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut set = StripeReadSet::default();
+        let mut available: Vec<(usize, Bytes)> = Vec::new();
         let mut missing: Vec<(usize, usize)> = Vec::new(); // (slot, member idx)
         let mut hosting: Vec<usize> = Vec::new(); // providers of live shards
         for (slot, &m) in stripe.members.iter().enumerate() {
-            let (removed, provider_idx, vid, stored_len) = {
-                let e = &st.chunks[m];
-                (e.removed, e.provider_idx, e.vid, e.stored_len)
-            };
-            if removed {
-                // Tombstoned member: contributes a zero shard by contract.
-                available.push((slot, vec![0u8; width]));
-                continue;
-            }
-            let reachable = {
-                let p = &st.providers[provider_idx];
-                p.is_online() && p.contains(vid)
-            };
-            if !reachable {
+            let e = &st.chunks[m];
+            // An object already known gone costs no read (and no retries).
+            let p = &st.providers[e.provider_idx];
+            let held = e.removed || (p.is_online() && p.contains(e.vid));
+            if !held {
                 missing.push((slot, m));
                 continue;
             }
-            let (res, t, _) = self.get_with_retry(st, provider_idx, vid, stored_len, tel);
-            per_provider_time[provider_idx] += t;
+            let (res, t, _) = self.read_member(st, &mut set, sid, slot, tel);
+            per_provider_time[e.provider_idx] += t;
             match res {
-                Ok(bytes) => {
-                    let mut padded = bytes.to_vec();
-                    padded.resize(width, 0);
-                    available.push((slot, padded));
-                    hosting.push(provider_idx);
+                Ok(shard) => {
+                    available.push((slot, pad_shard(shard, stripe.shard_width)));
+                    if !e.removed {
+                        hosting.push(e.provider_idx);
+                    }
                 }
                 Err(_) => missing.push((slot, m)),
             }
@@ -2993,7 +2686,7 @@ impl CloudDataDistributor {
 
         // Phase 2a: re-encode the lost shards from the survivors.
         let codec = StripeCodec::new(stripe.k, stripe.level)?;
-        let refs: Vec<(usize, &[u8])> = available.iter().map(|(i, b)| (*i, b.as_slice())).collect();
+        let refs: Vec<(usize, &[u8])> = available.iter().map(|(i, b)| (*i, &b[..])).collect();
         let mut rebuilt: Vec<(usize, Vec<u8>)> = Vec::with_capacity(missing.len());
         for &(slot, m) in &missing {
             rebuilt.push((m, codec.reconstruct_shard_observed(&refs, slot, tel)?));
@@ -3390,10 +3083,7 @@ mod tests {
             "f",
             &body,
             PrivacyLevel::Moderate,
-            PutOptions {
-                raid_level: Some(RaidLevel::Raid6),
-                ..Default::default()
-            },
+            PutOptions::new().geometry(3, 2),
         )
         .unwrap();
         let providers = d.providers();
@@ -3746,11 +3436,7 @@ mod tests {
                 "f",
                 &body,
                 PrivacyLevel::Public,
-                PutOptions {
-                    raid_level: Some(RaidLevel::None),
-                    replicas: 1,
-                    ..Default::default()
-                },
+                PutOptions::new().geometry(3, 0).replicas(1),
             )
             .unwrap();
         // Each chunk stored twice (no parity).
@@ -3778,11 +3464,7 @@ mod tests {
             "f",
             &body,
             PrivacyLevel::Public,
-            PutOptions {
-                raid_level: Some(RaidLevel::None),
-                replicas: 2,
-                ..Default::default()
-            },
+            PutOptions::new().geometry(3, 0).replicas(2),
         )
         .unwrap();
         let new_chunk = vec![0x11; 64];
@@ -4243,8 +3925,7 @@ mod tests {
     #[test]
     fn geometry_resolution_precedence() {
         // Config-level schedule applies when options are silent; a per-put
-        // raid override keeps the schedule's data count; a per-put geometry
-        // wins outright.
+        // geometry wins outright.
         let mut config = small_config();
         config.geometry = Some(crate::GeometrySchedule::uniform(crate::Geometry::new(4, 2)));
         let d = CloudDataDistributor::new(fleet(8, PrivacyLevel::High), config);
@@ -4254,13 +3935,6 @@ mod tests {
         let body = data(200);
         s.put_file("schedule", &body, PrivacyLevel::High, PutOptions::new())
             .unwrap();
-        s.put_file(
-            "raid-override",
-            &body,
-            PrivacyLevel::High,
-            PutOptions::new().raid(RaidLevel::Raid5),
-        )
-        .unwrap();
         s.put_file(
             "geometry-override",
             &body,
@@ -4286,8 +3960,6 @@ mod tests {
         let sched = stripe_levels("schedule");
         assert!(!sched.is_empty());
         assert!(sched.iter().all(|&(k, l)| k <= 4 && l == RaidLevel::Raid6));
-        let raid_over = stripe_levels("raid-override");
-        assert!(raid_over.iter().all(|&(k, l)| k <= 4 && l == RaidLevel::Raid5));
         let geo_over = stripe_levels("geometry-override");
         assert!(geo_over
             .iter()
@@ -4457,19 +4129,35 @@ mod tests {
     fn remove_file_tombstones_reference_nothing() {
         // Regression: the tombstone kept `snapshot_vid` (object already
         // deleted) and both position lists, so `referenced_vids` named a
-        // vid no provider holds and every checkpoint re-wrote dead rows.
+        // vid no provider holds and every checkpoint re-wrote dead rows —
+        // and `remove_file` kept the replica list, a rolled-back put both
+        // position lists. Every route to a dead row is the one
+        // `ChunkEntry::tombstone`.
         let mut config = small_config();
         config.mislead_rate = 0.1;
         let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), config);
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
+        d.attach_journal(Arc::new(Journal::new()));
         let s = high_session(&d);
+        let opts = PutOptions::new().replicas(1);
         for name in ["keep", "gone"] {
-            s.put_file(name, &data(100), PrivacyLevel::High, PutOptions::new())
+            s.put_file(name, &data(100), PrivacyLevel::High, opts)
                 .unwrap();
             s.update_chunk(name, 1, &[7u8; 8]).unwrap();
         }
         s.remove_file("gone").unwrap();
+        let dead_rows = || -> usize {
+            let shards = d.lock_all_read();
+            shards.iter().flat_map(|st| &st.chunks).filter(|e| e.removed).count()
+        };
+        let removed_by_remove_file = dead_rows();
+        assert!(removed_by_remove_file > 0);
+        // A put that fails after its stripes were stored is rolled back
+        // live: its rows die the same way.
+        s.put_stream("aborted", &mut &data(100)[..], 90, PrivacyLevel::High, opts)
+            .unwrap_err();
+        assert!(dead_rows() > removed_by_remove_file);
 
         let held: HashSet<VirtualId> = d
             .providers()
@@ -4480,8 +4168,9 @@ mod tests {
         for st in d.lock_all_read().iter() {
             referenced.extend(st.referenced_vids());
             for e in st.chunks.iter().filter(|e| e.removed) {
-                assert!(e.snapshot_vid.is_none() && e.snapshot_provider_idx.is_none());
-                assert!(e.snapshot_mislead.is_empty() && e.mislead_positions.is_empty());
+                let mut fresh = e.clone();
+                fresh.tombstone();
+                assert_eq!(format!("{e:?}"), format!("{fresh:?}"));
             }
         }
         assert_eq!(referenced, held);

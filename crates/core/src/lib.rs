@@ -44,6 +44,9 @@
 //!   at `put`, verified on every read, turning silent provider corruption
 //!   into typed [`CoreError::ShardCorrupt`] erasures the parity machinery
 //!   heals (and read-repair re-uploads);
+//! - [`objectio`] — the provider-object boundary: the one framed, retried,
+//!   health-scored read/write pair every object the distributor moves
+//!   crosses;
 //! - [`health`] — the one scorer of observed provider behaviour: an EWMA
 //!   failure score and closed→open→half-open circuit breaker consulted
 //!   by placement, read-candidate, degraded-write and repair-target
@@ -64,6 +67,7 @@ pub mod integrity;
 pub mod journal;
 pub mod mislead;
 pub mod multi;
+pub mod objectio;
 pub mod persist;
 pub mod policy;
 pub mod pool;

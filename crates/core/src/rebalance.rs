@@ -19,7 +19,6 @@ use crate::journal::OpKind;
 use crate::policy;
 use crate::tables::ChunkRole;
 use crate::{CoreError, Result};
-use fragcloud_sim::ObjectStore;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -106,11 +105,16 @@ impl CloudDataDistributor {
         self.journal_alloc(jctx, &[new_vid]);
         self.journal_doom(jctx, &[old_vid]);
         self.crash_point()?;
-        let bytes = st.providers[source_provider].get(old_vid)?; // fraglint: allow(lock-order) — read under the guard: vid must match the locked table entry
-        // Verify under the old id, re-frame under the new one: migration
-        // must not launder a corrupted object into a fresh valid frame.
-        let payload = crate::integrity::unframe(old_vid, bytes)?;
-        st.providers[target_provider].put(new_vid, crate::integrity::frame(new_vid, &payload))?; // fraglint: allow(lock-order) — atomic object+table commit under the shard guard
+        // Verified under the old id (and against the row's length),
+        // re-framed under the new one: migration must not launder a
+        // corrupted or stale object into a fresh valid frame.
+        let tel = self.telemetry();
+        let stored_len = st.chunks[chunk_idx].stored_len;
+        let payload = self
+            .get_with_retry(&st, source_provider, old_vid, Some(stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+            .0?;
+        self.put_with_retry(&st, target_provider, new_vid, &payload, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+            .0?;
         self.crash_point()?;
         st.chunks[chunk_idx].vid = new_vid;
         st.chunks[chunk_idx].provider_idx = target_provider;

@@ -400,22 +400,20 @@ fn apply_delta_line(d: &CloudDataDistributor, line: &str) -> Option<()> {
     Some(())
 }
 
-/// Deletes `vids` from every provider still holding them, skipping any
-/// id the tables reference (live data is never collected). Successful
-/// deletes count as orphans collected; failed ones (offline provider) as
-/// unrecoverable.
-fn gc_vids(
-    d: &CloudDataDistributor,
-    vids: &[VirtualId],
-    report: &mut RecoveryReport,
-    tel: &TelemetryHandle,
-) {
+/// The one orphan collector: deletes `vids` from every provider still
+/// holding them, skipping any id the tables reference (live data — a
+/// repair's already re-placed shards, say — is never collected). Returns
+/// `(objects collected, delete failures)`. Recovery runs it over a
+/// dangling op's fresh ids and a closed op's doom list; the live abort of
+/// a failed op runs it over the op's fresh ids.
+pub(crate) fn collect_orphans(d: &CloudDataDistributor, vids: &[VirtualId]) -> (u64, u64) {
     if vids.is_empty() {
-        return;
+        return (0, 0);
     }
     let referenced = d.referenced_vids();
     let providers = d.providers();
     let mut seen = HashSet::new();
+    let (mut collected, mut failed) = (0u64, 0u64);
     for &vid in vids {
         if referenced.contains(&vid) || !seen.insert(vid) {
             continue;
@@ -423,14 +421,28 @@ fn gc_vids(
         for p in &providers {
             if p.contains(vid) {
                 match p.delete(vid) {
-                    Ok(()) => {
-                        report.orphans_collected += 1;
-                        tel.incr("recovery_orphans_collected");
-                    }
-                    Err(_) => report.unrecoverable += 1,
+                    Ok(()) => collected += 1,
+                    Err(_) => failed += 1,
                 }
             }
         }
+    }
+    (collected, failed)
+}
+
+/// [`collect_orphans`] for recovery's report: successful deletes count as
+/// orphans collected, failed ones (offline provider) as unrecoverable.
+fn gc_vids(
+    d: &CloudDataDistributor,
+    vids: &[VirtualId],
+    report: &mut RecoveryReport,
+    tel: &TelemetryHandle,
+) {
+    let (collected, failed) = collect_orphans(d, vids);
+    report.orphans_collected += collected as usize;
+    report.unrecoverable += failed as usize;
+    if collected > 0 {
+        tel.add("recovery_orphans_collected", collected);
     }
 }
 
@@ -449,13 +461,7 @@ fn complete_remove(d: &CloudDataDistributor, client: &str, target: &str) {
     for &sid in &file.stripe_ids {
         let members = st.stripes[sid].members.clone();
         for m in members {
-            let e = &mut st.chunks[m];
-            e.removed = true;
-            e.stored_len = 0;
-            e.logical_len = 0;
-            e.replicas.clear();
-            e.snapshot_provider_idx = None;
-            e.snapshot_vid = None;
+            st.chunks[m].tombstone();
         }
     }
     if let Ok(entry) = st.client_mut(client) {
@@ -493,22 +499,19 @@ fn redo_chunk_op(d: &CloudDataDistributor, op: &OpView) -> Result<()> {
     }
 }
 
-/// Strips whatever table rows a dangling put left in the replayed state
-/// (only possible when a concurrent op's close delta captured mid-put
-/// rows): tombstones its chunk entries and drops its file entry. A put's
-/// rows land wholly in its file's shard, so one shard lock suffices.
-fn strip_put(d: &CloudDataDistributor, op: &OpView) {
+/// The one undo of a put's table half: tombstones the chunk entries
+/// stored under the op's fresh ids and drops its file entry. Recovery
+/// runs it for a dangling put (rows are left in the replayed state only
+/// when a concurrent op's close delta captured them mid-put), the live
+/// abort for a put that failed. A put's rows land wholly in its file's
+/// shard, so one shard lock suffices.
+pub(crate) fn strip_put(d: &CloudDataDistributor, op: &OpView) {
     let fresh: HashSet<VirtualId> = op.fresh.iter().copied().collect();
     let shard = d.shard_for(&op.client, &op.target);
     let mut st = d.shard_write(shard);
     for e in st.chunks.iter_mut() {
         if fresh.contains(&e.vid) && !e.removed {
-            e.removed = true;
-            e.stored_len = 0;
-            e.logical_len = 0;
-            e.replicas.clear();
-            e.snapshot_provider_idx = None;
-            e.snapshot_vid = None;
+            e.tombstone();
         }
     }
     // Drop the file entry only when it belongs to THIS put (its stripes

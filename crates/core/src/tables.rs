@@ -75,6 +75,25 @@ pub struct ChunkEntry {
     pub replicas: Vec<(usize, VirtualId)>,
 }
 
+impl ChunkEntry {
+    /// Turns the row into a tombstone — the one definition of a dead
+    /// chunk row. It names nothing that still exists: no replica or
+    /// snapshot id (either would read as referenced), no lengths, and no
+    /// position lists (they would be rewritten into every checkpoint).
+    /// `vid`, `provider_idx`, `stripe` and `role` stay: the stripe still
+    /// counts the slot, as zeros.
+    pub fn tombstone(&mut self) {
+        self.removed = true;
+        self.stored_len = 0;
+        self.logical_len = 0;
+        self.replicas.clear();
+        self.mislead_positions = Vec::new();
+        self.snapshot_mislead = Vec::new();
+        self.snapshot_provider_idx = None;
+        self.snapshot_vid = None;
+    }
+}
+
 /// Geometry and membership of one RAID stripe.
 #[derive(Debug, Clone)]
 pub struct StripeInfo {

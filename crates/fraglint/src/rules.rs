@@ -79,7 +79,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "provider-boundary",
-        summary: "provider put/get/delete outside distributor/resilience/rebalance",
+        summary: "provider put/get/delete outside the distributor and its object boundary",
         invariant: "provider I/O flows only through the distributor, so the paper's \
                     PL >= chunk-PL placement check (Dev et al. SIII) cannot be bypassed",
         applies_to_tests: false,
@@ -141,9 +141,11 @@ pub fn built_in_allowed_paths(rule_id: &str) -> &'static [&'static str] {
         "no-raw-spawn" => &["crates/core/src/pool.rs"],
         "no-wall-clock" => &["crates/telemetry/src/clock.rs"],
         "provider-boundary" => &[
+            // The framed, retried, health-scored read/write pair — the
+            // only `get`/`put` callers in `crates/core` — and the verbs'
+            // best-effort deletes.
+            "crates/core/src/objectio.rs",
             "crates/core/src/distributor.rs",
-            "crates/core/src/resilience.rs",
-            "crates/core/src/rebalance.rs",
             // The providers' own crate: stores, failure injection and the
             // provider implementation itself necessarily touch the ops.
             "crates/sim/src/",
@@ -496,6 +498,10 @@ const LOCK_ALL_FNS: &[&str] = &["lock_all_read", "lock_all_write"];
 /// Provider methods that count as I/O for the held-across check.
 const PROVIDER_IO_METHODS: &[&str] = &["put", "get", "delete", "store"];
 
+/// The provider-object boundary (`core::objectio`): a call to either is
+/// provider I/O whatever its receiver is called.
+const BOUNDARY_FNS: &[&str] = &["get_with_retry", "put_with_retry"];
+
 /// A shard-lock guard believed live at the current token.
 struct LockGuard {
     /// Binding name, when the acquisition was `let name = …` — enables
@@ -513,8 +519,10 @@ struct LockGuard {
 /// Within each function body (approximated by brace scoping), flags
 /// (a) a second shard acquisition with a smaller-or-equal literal index
 /// than one already held — the ascending-order deadlock convention —
-/// and (b) any provider I/O or `JournalSink::persist` call made while a
-/// shard guard is live.
+/// and (b) any provider I/O — a provider method or a call to the
+/// provider-object boundary — or `JournalSink::persist` call made while a
+/// shard guard is live. Lexical: a guard passed to a callee as a
+/// parameter is not followed.
 fn lock_order(tokens: &[Token], code: &[usize]) -> Vec<Hit> {
     let mut hits = Vec::new();
     let mut guards: Vec<LockGuard> = Vec::new();
@@ -644,8 +652,9 @@ fn lock_order(tokens: &[Token], code: &[usize]) -> Vec<Hit> {
                     held.line
                 ),
             });
-        } else if PROVIDER_IO_METHODS.contains(&name)
-            && receiver_names_a_provider(tokens, code, i - 1)
+        } else if BOUNDARY_FNS.contains(&name)
+            || (PROVIDER_IO_METHODS.contains(&name)
+                && receiver_names_a_provider(tokens, code, i - 1))
         {
             hits.push(Hit {
                 line: t.line,
@@ -938,6 +947,12 @@ mod tests {
             self.sink.persist(batch);
         }";
         assert_eq!(run("lock-order", fsync).len(), 1);
+        // The boundary pair is provider I/O by name, whatever the receiver.
+        let boundary = "fn f(&self) {
+            let st = self.shard_write(0);
+            self.get_with_retry(&st, p, vid, Some(n), &tel);
+        }";
+        assert_eq!(run("lock-order", boundary).len(), 1);
         // Non-provider receivers under a lock are fine.
         let ok = "fn f(&self) {
             let st = self.shard_read(0);

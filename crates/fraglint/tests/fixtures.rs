@@ -43,6 +43,12 @@ const CASES: &[(&str, &str, &str)] = &[
         "journal_order_good.rs",
     ),
     ("lock-order", "lock_order_bad.rs", "lock_order_good.rs"),
+    // The provider-object boundary is provider I/O by name.
+    (
+        "lock-order",
+        "lock_order_objectio_bad.rs",
+        "lock_order_objectio_good.rs",
+    ),
     (
         "verify-before-decode",
         "verify_decode_bad.rs",

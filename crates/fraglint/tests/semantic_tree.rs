@@ -106,7 +106,8 @@ fn storing_the_snapshot_before_its_alloc_is_caught() {
             self.journal_alloc(jctx, &[snapshot_vid]);
         }
 ";
-    let put = "                .put(snapshot_vid, integrity::frame(snapshot_vid, pre_state))?;
+    let put = "            self.put_with_retry(st, snapshot_idx, snapshot_vid, pre_state, &tel)
+                .0?;
 ";
     let mutated = original.replace(alloc_first, "").replace(
         put,

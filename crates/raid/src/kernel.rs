@@ -8,7 +8,7 @@
 //! Two techniques carry the speedup:
 //!
 //! - **SWAR XOR**: parity accumulation works on `u64` words via
-//!   `chunks_exact(8)` (eight bytes per op) with a scalar tail, instead of
+//!   `as_chunks::<8>()` (eight bytes per op) with a scalar tail, instead of
 //!   one byte per iteration.
 //! - **Split-nibble GF(2⁸) multiply**: a constant coefficient `c` is
 //!   expanded once into two 16-entry product tables (`lo[n] = c·n`,
@@ -31,17 +31,12 @@ pub(crate) fn xor_acc(acc: &mut [u8], data: &[u8]) {
         data.len() <= acc.len(),
         "kernel::xor_acc: data longer than accumulator"
     );
-    let acc = &mut acc[..data.len()];
-    let mut aw = acc.chunks_exact_mut(8);
-    let mut dw = data.chunks_exact(8);
-    for (ac, dc) in (&mut aw).zip(&mut dw) {
-        // fraglint: allow(no-unwrap-in-lib) — `chunks_exact(8)` guarantees
-        // both slices are exactly 8 bytes.
-        let x = u64::from_ne_bytes((&*ac).try_into().expect("8-byte chunk"))
-            ^ u64::from_ne_bytes(dc.try_into().expect("8-byte chunk")); // fraglint: allow(no-unwrap-in-lib)
-        ac.copy_from_slice(&x.to_ne_bytes());
+    let (aw, at) = acc[..data.len()].as_chunks_mut::<8>();
+    let (dw, dt) = data.as_chunks::<8>();
+    for (ac, dc) in aw.iter_mut().zip(dw) {
+        *ac = (u64::from_ne_bytes(*ac) ^ u64::from_ne_bytes(*dc)).to_ne_bytes();
     }
-    for (ab, &db) in aw.into_remainder().iter_mut().zip(dw.remainder()) {
+    for (ab, &db) in at.iter_mut().zip(dt) {
         *ab ^= db;
     }
 }
@@ -103,20 +98,16 @@ pub(crate) fn mul_acc_wide(acc: &mut [u8], data: &[u8], t: &NibbleTables) {
 /// applied to eight lanes per iteration, product word folded in with one
 /// `u64` XOR.
 fn mul_acc_portable(acc: &mut [u8], data: &[u8], t: &NibbleTables) {
-    let mut aw = acc.chunks_exact_mut(8);
-    let mut dw = data.chunks_exact(8);
-    for (ac, dc) in (&mut aw).zip(&mut dw) {
+    let (aw, at) = acc.as_chunks_mut::<8>();
+    let (dw, dt) = data.as_chunks::<8>();
+    for (ac, dc) in aw.iter_mut().zip(dw) {
         let mut prod = [0u8; 8];
         for i in 0..8 {
             prod[i] = t.mul(dc[i]);
         }
-        // fraglint: allow(no-unwrap-in-lib) — `chunks_exact(8)` guarantees
-        // an 8-byte slice.
-        let a = u64::from_ne_bytes((&*ac).try_into().expect("8-byte chunk"));
-        let x = a ^ u64::from_ne_bytes(prod);
-        ac.copy_from_slice(&x.to_ne_bytes());
+        *ac = (u64::from_ne_bytes(*ac) ^ u64::from_ne_bytes(prod)).to_ne_bytes();
     }
-    for (ab, &db) in aw.into_remainder().iter_mut().zip(dw.remainder()) {
+    for (ab, &db) in at.iter_mut().zip(dt) {
         *ab ^= t.mul(db);
     }
 }

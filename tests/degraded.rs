@@ -5,7 +5,7 @@
 
 use fragcloud::sim::failure::OutageScript;
 use fragcloud::sim::{CloudProvider, CostLevel, ProviderProfile};
-use fragcloud::core::BreakerState;
+use fragcloud::core::{BreakerState, CoreError};
 use fragcloud::{
     ChunkSizeSchedule, CloudDataDistributor, DistributorConfig, PrivacyLevel, PutOptions, RaidLevel,
 };
@@ -295,6 +295,69 @@ fn degraded_get_reads_each_stripe_member_at_most_once() {
     // can do without — every live data chunk, plus one parity shard per
     // lost one — which leaves no room for a second fetch of anything.
     assert_eq!(served.iter().sum::<u64>(), chunks as u64);
+}
+
+/// Every verb that moves an object retries a transient provider error,
+/// not only `put_file` and `get_file`: with every provider rejecting 5 %
+/// of its operations, the chunk-level verbs and a migration all go
+/// through, and what they wrote reads back byte-identical. (Three attempts
+/// per operation leave about 10⁻⁴ per op; the seeds are fixed.)
+#[test]
+fn chunk_verbs_and_migration_ride_through_a_flaky_fleet() {
+    const CHUNK: usize = 1 << 10;
+    for seed in [1u64, 2, 4, 5, 8] {
+        let (d, fleet) = world_with(
+            FLEET,
+            DistributorConfig {
+                chunk_sizes: ChunkSizeSchedule::uniform(CHUNK),
+                ..Default::default()
+            },
+        );
+        for (i, p) in fleet.iter().enumerate() {
+            p.try_set_flaky(0.05, seed * 1000 + i as u64).unwrap();
+        }
+        let tel = d.enable_telemetry();
+        let session = d.session("c", "pw").unwrap();
+        let mut want: Vec<Vec<u8>> = body(8 * CHUNK).chunks(CHUNK).map(<[u8]>::to_vec).collect();
+        let opts = PutOptions::new().geometry(4, 2).replicas(1);
+        session
+            .put_file("f", &want.concat(), PrivacyLevel::Low, opts)
+            .unwrap_or_else(|e| panic!("seed {seed}: put: {e}"));
+
+        let kept = vec![0xA5u8; 700];
+        session
+            .update_chunk("f", 0, &kept)
+            .unwrap_or_else(|e| panic!("seed {seed}: update: {e}"));
+        session
+            .update_chunk("f", 0, &[0x5A; CHUNK])
+            .unwrap_or_else(|e| panic!("seed {seed}: second update: {e}"));
+        session
+            .restore_snapshot("f", 0)
+            .unwrap_or_else(|e| panic!("seed {seed}: restore: {e}"));
+        want[0] = kept;
+        assert_eq!(session.get_file("f").unwrap().data, want.concat());
+
+        session
+            .remove_chunk("f", 1)
+            .unwrap_or_else(|e| panic!("seed {seed}: remove_chunk: {e}"));
+        // Anti-affinity vetoes some targets; nothing else may fail.
+        for target in 0..FLEET {
+            match d.migrate_chunk("c", "pw", "f", 2, target) {
+                Ok(()) | Err(CoreError::InsufficientProviders { .. }) => {}
+                Err(e) => panic!("seed {seed}: migrate to {target}: {e}"),
+            }
+        }
+        for (serial, chunk) in want.iter().enumerate() {
+            let got = session.get_chunk("f", serial as u32);
+            if serial == 1 {
+                assert!(got.is_err(), "seed {seed}: removed chunk still reads");
+            } else {
+                assert_eq!(&got.unwrap(), chunk, "seed {seed}: chunk {serial}");
+            }
+        }
+        let retries = tel.registry().unwrap().counter_total("retries_total");
+        assert!(retries > 0, "seed {seed}: the fleet was never flaky");
+    }
 }
 
 /// Every way to take `n` of `fleet` providers offline.

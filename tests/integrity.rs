@@ -9,6 +9,7 @@
 //! — never silently wrong bytes.
 
 use fragcloud::core::config::{ChunkSizeSchedule, DistributorConfig, Geometry, GeometrySchedule};
+use fragcloud::core::health::EWMA_ALPHA;
 use fragcloud::core::{integrity, BreakerState, CloudDataDistributor, CoreError, PutOptions};
 use fragcloud::sim::{
     Bytes, CloudProvider, CostLevel, FaultMode, FaultPlan, ObjectStore, PrivacyLevel,
@@ -283,10 +284,11 @@ fn scrub_verify_catches_bit_rot_and_repair_heals_it() {
 
     // Rot one byte of one object, somewhere in the payload.
     let providers = d.providers();
-    let p = providers
+    let rotted = providers
         .iter()
-        .find(|p| p.chunk_count() > 0)
+        .position(|p| p.chunk_count() > 0)
         .expect("fleet holds objects");
+    let p = &providers[rotted];
     let vid = p.virtual_id_list()[0];
     let mut raw = p.get(vid).unwrap().to_vec();
     let last = raw.len() - 1;
@@ -304,7 +306,12 @@ fn scrub_verify_catches_bit_rot_and_repair_heals_it() {
     assert!(!deep.is_healthy());
     let reg = tel.registry().unwrap();
     assert_eq!(reg.counter_total("scrub_corrupt_shards"), 1);
-    assert!(reg.counter_total("corruption_detected_total") >= 1);
+    // Counted and scored once, by the read that detected it: a second
+    // feed of the same corruption would trip the breaker on its own.
+    assert_eq!(reg.counter_total("corruption_detected_total"), 1);
+    let score = d.health().score(rotted);
+    assert!(0.0 < score && score <= EWMA_ALPHA, "score {score}");
+    assert_eq!(d.health().state(rotted), BreakerState::Closed);
 
     // Repair with verification rebuilds the rotted shard from parity.
     let report = d.try_repair_verify().unwrap();
@@ -314,4 +321,92 @@ fn scrub_verify_catches_bit_rot_and_repair_heals_it() {
     assert_eq!(after.corrupt_shards, 0);
     assert!(after.is_healthy());
     assert_eq!(session.get_file("cold").unwrap().data, data);
+}
+
+/// A one-chunk RS(4,1) file — one data object, one parity object — and
+/// the index of the provider holding the data object.
+fn one_chunk_file(d: &CloudDataDistributor, data: &[u8]) -> usize {
+    d.register_client("c").unwrap();
+    d.add_password("c", "pw", PrivacyLevel::High).unwrap();
+    d.session("c", "pw")
+        .unwrap()
+        .put_file("one", data, PrivacyLevel::Low, PutOptions::new())
+        .unwrap();
+    let held = d.client_chunks_per_provider("c").unwrap();
+    held.iter().position(|&n| n == 1).expect("a data holder")
+}
+
+/// What every provider holds, byte for byte.
+fn fleet_state(fleet: &[Arc<CloudProvider>]) -> Vec<Vec<(u64, Bytes)>> {
+    fleet
+        .iter()
+        .map(|p| {
+            let mut held: Vec<(u64, Bytes)> = p
+                .virtual_id_list()
+                .into_iter()
+                .map(|vid| (vid.0, p.get(vid).unwrap()))
+                .collect();
+            held.sort_by_key(|(vid, _)| *vid);
+            held
+        })
+        .collect()
+}
+
+/// `update_chunk` reads the chunk's pre-state through the same boundary
+/// as a get: a provider that serves it corrupt fails the verb with the
+/// typed error, changes nothing — and is counted and scored for it.
+#[test]
+fn corrupt_pre_state_fails_the_update_and_scores_the_provider() {
+    let fleet = fleet(8);
+    let d = distributor_with(fleet.clone(), 4, 1);
+    let data = body(3, 900);
+    let holder = one_chunk_file(&d, &data);
+    let session = d.session("c", "pw").unwrap();
+    let tel = d.enable_telemetry();
+    FaultPlan::new(0xF11B)
+        .corrupt(holder, FaultMode::BitFlip, 1.0)
+        .try_arm(&fleet)
+        .expect("holder index is in range");
+
+    let err = session.update_chunk("one", 0, &body(4, 900)).unwrap_err();
+    assert!(matches!(err, CoreError::ShardCorrupt { .. }), "{err}");
+    let reg = tel.registry().unwrap();
+    assert_eq!(reg.counter_total("corruption_detected_total"), 1);
+    assert!(d.health().penalty(holder) > 0.0);
+    // Untouched: no snapshot exists, and the chunk still reads as put
+    // (rebuilt from parity — the rot is at rest now).
+    assert!(session.restore_snapshot("one", 0).is_err());
+    assert_eq!(session.get_file("one").unwrap().data, data);
+}
+
+/// `migrate_chunk` checks the source object against the row's length like
+/// every other read: a provider replaying the pre-update version under the
+/// same vid must not have it re-framed under a fresh vid as if it were
+/// good.
+#[test]
+fn migration_refuses_a_stale_source_object() {
+    let fleet = fleet(8);
+    let d = distributor_with(fleet.clone(), 4, 1);
+    let holder = one_chunk_file(&d, &body(5, 900));
+    let session = d.session("c", "pw").unwrap();
+    // Armed before the update: the overwrite is what makes a stale
+    // version exist.
+    FaultPlan::new(0x57A1)
+        .corrupt(holder, FaultMode::StaleReplay, 1.0)
+        .try_arm(&fleet)
+        .expect("holder index is in range");
+    let updated = body(6, 500);
+    session.update_chunk("one", 0, &updated).unwrap();
+
+    let target = fleet
+        .iter()
+        .position(|p| p.chunk_count() == 0)
+        .expect("an empty provider");
+    let before = fleet_state(&fleet);
+    let err = d.migrate_chunk("c", "pw", "one", 0, target).unwrap_err();
+    assert!(matches!(err, CoreError::ShardCorrupt { .. }), "{err}");
+    // Nothing under a fresh vid, nothing moved, nothing rewritten.
+    assert_eq!(fleet_state(&fleet), before);
+    assert_eq!(d.client_chunks_per_provider("c").unwrap()[holder], 1);
+    assert_eq!(session.get_file("one").unwrap().data, updated);
 }

@@ -163,8 +163,8 @@ fn provider_state_matches_golden_digests_from_the_four_path_tree() {
         0xbdcd_b4a8_e47b_ce9b,
     ];
     let geometries = [
-        ("raid5", PutOptions::new().raid(RaidLevel::Raid5)),
-        ("raid6", PutOptions::new().raid(RaidLevel::Raid6)),
+        ("raid5", PutOptions::new().geometry(4, 1)),
+        ("raid6", PutOptions::new().geometry(4, 2)),
         ("rs(8,3)", PutOptions::new().geometry(8, 3)),
     ];
     let mut want = GOLDEN.iter();
