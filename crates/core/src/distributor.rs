@@ -25,13 +25,13 @@ use crate::access;
 use crate::chunker;
 use crate::config::{DistributorConfig, Geometry};
 use crate::health::{self, HealthTracker};
-use crate::journal::{Journal, OpId, OpKind};
+use crate::journal::{Journal, OpKind};
 use crate::mislead;
+use crate::mutation::{doom, Doomed, JournalCtx};
 use crate::objectio::{pad_shard, Member, StripeReadSet};
 use crate::persist;
 use crate::policy;
 use crate::pool::TransferPool;
-use crate::recovery;
 use crate::resilience::{RepairReport, ScrubReport};
 use crate::tables::{ChunkEntry, ChunkRole, ClientEntry, FileEntry, StripeInfo, StripeRef, Tables};
 use crate::vid::VidAllocator;
@@ -180,11 +180,6 @@ struct ParityPlan {
     writes: Vec<(usize, Vec<u8>)>,
 }
 
-/// Objects a chunk-level verb has doomed, with the provider holding each:
-/// deleted (best-effort) only once the op's commit is durable, so a verb
-/// that rolls back never finds a row naming a deleted object.
-pub(crate) type Doomed = Vec<(Arc<CloudProvider>, VirtualId)>;
-
 /// What a chunk-level verb hands to
 /// [`CloudDataDistributor::rewrite_chunk_objects`].
 struct ChunkRewrite<'a> {
@@ -213,21 +208,6 @@ pub(crate) fn chunk_target(filename: &str, serial: u32) -> String {
 pub(crate) fn parse_chunk_target(target: &str) -> Option<(&str, u32)> {
     let (filename, serial) = target.rsplit_once('#')?;
     Some((filename, serial.parse().ok()?))
-}
-
-/// Post-commit delete of a verb's doomed objects. Best-effort: they are
-/// already doomed in the journal, so recovery collects any straggler.
-fn delete_doomed(doomed: &Doomed) {
-    for (provider, vid) in doomed {
-        let _ = provider.delete(*vid);
-    }
-}
-
-/// Providers holding a chunk's objects: primary, replicas, snapshot.
-fn chunk_providers(e: &ChunkEntry) -> impl Iterator<Item = usize> + '_ {
-    std::iter::once(e.provider_idx)
-        .chain(e.replicas.iter().map(|&(rp, _)| rp))
-        .chain(e.snapshot_provider_idx)
 }
 
 /// Pre-check of a mutation's write set: every provider it will store to
@@ -282,32 +262,6 @@ pub struct CloudDataDistributor {
     crash: RwLock<Option<Arc<CrashPlan>>>,
 }
 
-/// An open journaled operation: the journal it lives in, this op's id, and
-/// the set of table rows the op has dirtied (the commit/abort record's
-/// delta is serialized from exactly these rows). Threaded as
-/// `&Option<JournalCtx>` through the mutation paths so a journal-less
-/// distributor pays only an `Option` check.
-pub(crate) struct JournalCtx {
-    journal: Arc<Journal>,
-    op: OpId,
-    dirty: Mutex<DirtyRows>,
-}
-
-/// Rows an op touched, keyed by (shard, arena index) — ordered sets so the
-/// captured delta is deterministic and shard locks are taken ascending.
-#[derive(Default)]
-struct DirtyRows {
-    chunks: std::collections::BTreeSet<(usize, usize)>,
-    stripes: std::collections::BTreeSet<(usize, usize)>,
-    /// File entries touched: (shard, client, filename). Capture emits a
-    /// `file` row when the entry exists and a `filedel` tombstone when it
-    /// does not (removed, or rolled back).
-    files: std::collections::BTreeSet<(usize, String, String)>,
-    /// Escape hatch for structure-wide ops (repair): the delta degrades to
-    /// an inline full snapshot instead of row tracking.
-    full: bool,
-}
-
 /// One stripe's worth of encoded shards, produced by
 /// [`CloudDataDistributor::encode_stripe_group`] either inline (a
 /// single-stripe put) or on a transfer-pool worker.
@@ -352,6 +306,15 @@ struct StripeSlots<'a> {
     missing: usize,
     /// Missing slots the stripe's parity still covers.
     tolerance: usize,
+}
+
+/// What a repair pass accumulates stripe by stripe.
+struct RepairPass<'a> {
+    jctx: &'a Option<JournalCtx>,
+    tel: &'a TelemetryHandle,
+    /// Replaced objects still reachable at their provider.
+    doomed: Doomed,
+    per_provider_time: Vec<Duration>,
 }
 
 impl CloudDataDistributor {
@@ -540,13 +503,14 @@ impl CloudDataDistributor {
 
     /// Attaches a write-ahead op [`Journal`]: every subsequent mutating
     /// operation — `put_file` / `put_stream`, `remove_file`, `repair`,
-    /// rebalance moves, `update_chunk`, `restore_snapshot` and
-    /// `remove_chunk` — brackets itself with intent/commit/abort records,
-    /// with virtual ids logged *before* their provider uploads and doomed
-    /// objects logged before (and deleted only after) the commit. Commit records carry a
-    /// *delta* (just the rows the op touched) instead of a full snapshot;
-    /// the journal is periodically compacted back onto a fresh checkpoint
-    /// (see [`DurabilityConfig::checkpoint_interval`]). The checkpoint is
+    /// rebalance moves, `update_chunk`, `restore_snapshot`, `remove_chunk`,
+    /// `register_client` and `add_password` — runs in the one bracket of
+    /// [`crate::mutation`]: virtual ids logged *before* their provider
+    /// uploads, doomed objects logged before (and deleted only after) the
+    /// commit. Commit records carry a *delta* (just the rows the op
+    /// touched) instead of a full snapshot; the journal is periodically
+    /// compacted back onto a fresh checkpoint (see
+    /// [`DurabilityConfig::checkpoint_interval`]). The checkpoint is
     /// seeded with the current state snapshot, so
     /// [`recover`](crate::recovery::recover) can rebuild this distributor
     /// from the journal alone.
@@ -594,269 +558,12 @@ impl CloudDataDistributor {
         Ok(())
     }
 
-    /// Opens a journaled op; `None` (a no-op context) when no journal is
-    /// attached.
-    pub(crate) fn journal_begin(
-        &self,
-        kind: OpKind,
-        client: &str,
-        target: &str,
-    ) -> Option<JournalCtx> {
-        let journal = self.journal.read().clone()?;
-        let op = journal.begin(kind, client, target);
-        self.telemetry()
-            .add_labeled("journal_ops_total", kind.tag(), 1);
-        Some(JournalCtx {
-            journal,
-            op,
-            dirty: Mutex::new(DirtyRows::default()),
-        })
-    }
-
-    /// Marks one chunk-arena row dirty for the open op's delta.
-    pub(crate) fn touch_chunk(&self, jctx: &Option<JournalCtx>, shard: usize, idx: usize) {
-        if let Some(j) = jctx {
-            j.dirty.lock().chunks.insert((shard, idx));
-        }
-    }
-
-    /// Marks one stripe-arena row dirty for the open op's delta.
-    pub(crate) fn touch_stripe(&self, jctx: &Option<JournalCtx>, shard: usize, idx: usize) {
-        if let Some(j) = jctx {
-            j.dirty.lock().stripes.insert((shard, idx));
-        }
-    }
-
-    /// Marks one file entry dirty for the open op's delta (present at
-    /// capture time → `file` row; absent → `filedel` tombstone).
-    pub(crate) fn touch_file(
-        &self,
-        jctx: &Option<JournalCtx>,
-        shard: usize,
-        client: &str,
-        name: &str,
-    ) {
-        if let Some(j) = jctx {
-            j.dirty
-                .lock()
-                .files
-                .insert((shard, client.to_string(), name.to_string()));
-        }
-    }
-
-    /// Degrades the open op's delta to an inline full snapshot — used by
-    /// structure-wide ops (repair) where row tracking isn't worth it.
-    pub(crate) fn touch_full(&self, jctx: &Option<JournalCtx>) {
-        if let Some(j) = jctx {
-            j.dirty.lock().full = true;
-        }
-    }
-
-    /// Serializes the open op's delta from the *current* state of its
-    /// dirty rows. Called at op close with all table locks released
-    /// (capture takes shard read locks, ascending). The same routine
-    /// serves commits (post-op state) and aborts (post-rollback state:
-    /// tombstoned chunks serialize as removed, a stripped file entry as
-    /// `filedel`), because deltas describe *state*, not intent.
-    fn capture_delta(&self, jctx: &JournalCtx) -> String {
-        use std::fmt::Write as _;
-        let dirty = jctx.dirty.lock();
-        let mut out = format!("vids|{}\n", self.vids.allocated());
-        if dirty.full {
-            let _ = writeln!(out, "full|{}", persist::esc(&persist::export_state(self)));
-            return out;
-        }
-        for shard in 0..self.state.len() {
-            let has = dirty.chunks.range((shard, 0)..=(shard, usize::MAX)).count() > 0
-                || dirty
-                    .stripes
-                    .range((shard, 0)..=(shard, usize::MAX))
-                    .count()
-                    > 0
-                || dirty.files.iter().any(|(s, _, _)| *s == shard);
-            if !has {
-                continue;
-            }
-            let st = self.shard_read(shard);
-            for &(_, idx) in dirty.chunks.range((shard, 0)..=(shard, usize::MAX)) {
-                let _ = write!(out, "chunk|{shard}|{idx}|");
-                persist::chunk_row_into(&mut out, &st.chunks[idx]);
-                out.push('\n');
-            }
-            for &(_, idx) in dirty.stripes.range((shard, 0)..=(shard, usize::MAX)) {
-                let _ = write!(out, "stripe|{shard}|{idx}|");
-                persist::stripe_row_into(&mut out, &st.stripes[idx]);
-                out.push('\n');
-            }
-            for (s, client, name) in dirty.files.iter().filter(|(s, _, _)| *s == shard) {
-                let _ = s;
-                let entry = st
-                    .clients
-                    .get(client)
-                    .and_then(|c| c.files.get(name.as_str()));
-                match entry {
-                    Some(fe) => {
-                        let _ = write!(
-                            out,
-                            "file|{shard}|{}|{}|",
-                            persist::esc(client),
-                            persist::esc(name)
-                        );
-                        persist::file_row_into(&mut out, fe);
-                        out.push('\n');
-                    }
-                    None => {
-                        let _ = writeln!(
-                            out,
-                            "filedel|{shard}|{}|{}",
-                            persist::esc(client),
-                            persist::esc(name)
-                        );
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Logs freshly allocated vids for the open op — always *before* the
-    /// uploads that use them.
-    pub(crate) fn journal_alloc(&self, jctx: &Option<JournalCtx>, vids: &[VirtualId]) {
-        if let Some(j) = jctx {
-            j.journal.log_alloc(j.op, vids);
-        }
-    }
-
-    /// Logs vids the open op intends to delete.
-    pub(crate) fn journal_doom(&self, jctx: &Option<JournalCtx>, vids: &[VirtualId]) {
-        if let Some(j) = jctx {
-            j.journal.log_doom(j.op, vids);
-        }
-    }
-
-    /// Closes a journaled op that dooms nothing (or deletes as it goes:
-    /// `remove_file`, `repair`); see
-    /// [`journal_finish_with`](Self::journal_finish_with).
-    pub(crate) fn journal_finish<T>(&self, jctx: Option<JournalCtx>, res: Result<T>) -> Result<T> {
-        self.journal_finish_with(jctx, res, |_| {})
-    }
-
-    /// Closes a journaled op whose body returned the objects it doomed:
-    /// they are deleted once the commit is durable, not before; see
-    /// [`journal_finish_with`](Self::journal_finish_with).
-    pub(crate) fn journal_finish_doomed(
-        &self,
-        jctx: Option<JournalCtx>,
-        res: Result<Doomed>,
-    ) -> Result<()> {
-        self.journal_finish_with(jctx, res, delete_doomed).map(drop)
-    }
-
-    /// Closes a journaled op according to `res`. On success the op
-    /// commits with a *delta record* (just the rows it dirtied) and joins
-    /// the journal's group-commit flush; `after_commit` then runs — this
-    /// is where a verb deletes the objects it doomed, never earlier — and
-    /// when the checkpoint interval has elapsed, a fresh snapshot is
-    /// exported and the journal compacted onto it (after the doomed
-    /// deletes: compaction drops the op's doom record). A
-    /// [`CoreError::SimulatedCrash`] passes through untouched —
-    /// the "process" is dead, so no abort record and no rollback, leaving
-    /// the op dangling for recovery. Any other error triggers an inline
-    /// rollback (this op's unreferenced uploads are garbage-collected)
-    /// followed by an abort record carrying the post-rollback delta.
-    /// Without a journal, `after_commit` runs as soon as `res` is `Ok`.
-    ///
-    /// Three crash windows bracket the commit (numbered crash points, see
-    /// DESIGN.md §5d): before the commit record exists (op dangles and is
-    /// resolved by kind), after the record is appended but before the
-    /// group fsync (op is *not* durable — recovery discards the unflushed
-    /// close), and after the fsync but before `after_commit` and
-    /// checkpoint compaction (op is durable though never acked —
-    /// recovery replays it and collects its doom list).
-    ///
-    /// Must be called *after* the inner operation has released its shard
-    /// locks: delta capture and checkpoint export take their own locks.
-    fn journal_finish_with<T>(
-        &self,
-        jctx: Option<JournalCtx>,
-        res: Result<T>,
-        after_commit: impl FnOnce(&T),
-    ) -> Result<T> {
-        let Some(jctx) = jctx else {
-            if let Ok(v) = &res {
-                after_commit(v);
-            }
-            return res;
-        };
-        match res {
-            Ok(v) => {
-                // Window: tables mutated, commit record not yet written.
-                self.crash_point()?;
-                let delta = self.capture_delta(&jctx);
-                let (seq, checkpoint_due) = jctx.journal.commit_prepare(jctx.op, delta);
-                // Window: commit record appended but unflushed — the op
-                // must NOT survive a crash here (ack ⟺ flushed).
-                self.crash_point()?;
-                jctx.journal.sync(seq);
-                self.telemetry().incr("journal_commits_total");
-                // Window: durable but not yet compacted/acked.
-                self.crash_point()?;
-                after_commit(&v);
-                if checkpoint_due {
-                    // Snapshot the record watermark BEFORE exporting: ops
-                    // that close between the export and the compaction
-                    // keep their delta records (compact_upto only drops
-                    // closes below the watermark), so nothing newer than
-                    // the snapshot is ever lost.
-                    let upto = jctx.journal.record_len();
-                    let snapshot = persist::export_state(self);
-                    jctx.journal.compact_upto(snapshot, upto);
-                }
-                Ok(v)
-            }
-            Err(e @ CoreError::SimulatedCrash { .. }) => Err(e),
-            Err(e) => {
-                let (collected, _) = self.rollback_op(&jctx);
-                let tel = self.telemetry();
-                tel.add("journal_rollback_objects", collected);
-                let delta = self.capture_delta(&jctx);
-                jctx.journal.abort(jctx.op, delta);
-                tel.incr("journal_aborts_total");
-                Err(e)
-            }
-        }
-    }
-
-    /// Inline rollback of a failed (but still live — not crashed)
-    /// journaled op, with recovery's own two tools: a failed put's rows
-    /// are stripped from its file's shard, then every fresh upload the
-    /// tables no longer reference is deleted. Returns
-    /// `(objects collected, delete failures)`.
-    fn rollback_op(&self, jctx: &JournalCtx) -> (u64, u64) {
-        let Some(view) = jctx.journal.ops().into_iter().find(|o| o.id == jctx.op) else {
-            return (0, 0);
-        };
-        if view.kind == OpKind::Put {
-            recovery::strip_put(self, &view);
-        }
-        recovery::collect_orphans(self, &view.fresh)
-    }
-
-    /// Refreshes the journal checkpoint after the two mutations that are
-    /// not journaled op-by-op — client registration and password changes:
-    /// the change must not be lost if the next crash happens before the
-    /// next journaled commit. Call only with the table lock released.
-    pub(crate) fn refresh_journal_checkpoint(&self) {
-        if let Some(j) = self.journal.read().clone() {
-            j.set_checkpoint(persist::export_state(self));
-        }
-    }
-
     /// Registers a new client. The client directory (names + passwords)
     /// is replicated into every table shard, so any shard can authorize
-    /// any op without cross-shard locking.
+    /// any op without cross-shard locking. Journaled as a `client` op whose
+    /// delta is the one directory row.
     pub fn register_client(&self, name: &str) -> Result<()> {
-        {
+        self.journaled(OpKind::Client, name, "register", |jctx| {
             let mut shards = self.lock_all_write();
             if shards[0].clients.contains_key(name) {
                 return Err(CoreError::ClientExists(name.to_string()));
@@ -864,23 +571,23 @@ impl CloudDataDistributor {
             for st in shards.iter_mut() {
                 st.clients.insert(name.to_string(), ClientEntry::default());
             }
-        }
-        self.refresh_journal_checkpoint();
-        Ok(())
+            self.touch_client(jctx, name);
+            Ok(((), Doomed::new()))
+        })
     }
 
     /// Adds a ⟨password, PL⟩ pair for a client (§V access control),
     /// replicated into every shard's client directory.
     pub fn add_password(&self, client: &str, password: &str, pl: PrivacyLevel) -> Result<()> {
-        {
+        self.journaled(OpKind::Client, client, "password", |jctx| {
             let mut shards = self.lock_all_write();
             for st in shards.iter_mut() {
                 let entry = st.client_mut(client)?;
                 entry.passwords.push((password.to_string(), pl));
             }
-        }
-        self.refresh_journal_checkpoint();
-        Ok(())
+            self.touch_client(jctx, client);
+            Ok(((), Doomed::new()))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -896,11 +603,12 @@ impl CloudDataDistributor {
         pl: PrivacyLevel,
         opts: PutOptions,
     ) -> Result<PutReceipt> {
-        let jctx = self.journal_begin(OpKind::Put, client, filename);
-        let source = PutSource::Buffer(data);
-        let res =
-            self.put_pipeline(client, password, filename, source, data.len(), pl, opts, &jctx);
-        self.journal_finish(jctx, res)
+        self.journaled(OpKind::Put, client, filename, |jctx| {
+            let (source, len) = (PutSource::Buffer(data), data.len());
+            let receipt =
+                self.put_pipeline(client, password, filename, source, len, pl, opts, jctx)?;
+            Ok((receipt, Doomed::new()))
+        })
     }
 
     /// Streaming upload: the same pipeline as
@@ -922,10 +630,12 @@ impl CloudDataDistributor {
         pl: PrivacyLevel,
         opts: PutOptions,
     ) -> Result<PutReceipt> {
-        let jctx = self.journal_begin(OpKind::Put, client, filename);
-        let source = PutSource::Stream(reader);
-        let res = self.put_pipeline(client, password, filename, source, len, pl, opts, &jctx);
-        self.journal_finish(jctx, res)
+        self.journaled(OpKind::Put, client, filename, |jctx| {
+            let source = PutSource::Stream(reader);
+            let receipt =
+                self.put_pipeline(client, password, filename, source, len, pl, opts, jctx)?;
+            Ok((receipt, Doomed::new()))
+        })
     }
 
     /// The one upload path (§VI `split` → assign virtual ids → stripe →
@@ -1811,8 +1521,8 @@ impl CloudDataDistributor {
     // and mutate the data row last — so an
     // error return always finds the row in its pre-op state and
     // `revert_chunk` only has objects to put back. The objects a verb
-    // dooms are returned to its `*_impl`, which deletes them once the
-    // commit is durable.
+    // dooms are returned to the bracket (`journaled`), which deletes them
+    // once the commit is durable.
 
     pub(crate) fn update_chunk_impl(
         &self,
@@ -1824,91 +1534,71 @@ impl CloudDataDistributor {
     ) -> Result<()> {
         let tel = self.telemetry();
         let _op = span!(tel, "update", file = filename, serial = serial);
-        let jctx = self.journal_begin(OpKind::Update, client, &chunk_target(filename, serial));
-        let res = self.update_chunk_inner(client, password, filename, serial, new_data, &jctx);
-        self.journal_finish_doomed(jctx, res)
-    }
+        let target = chunk_target(filename, serial);
+        self.journaled(OpKind::Update, client, &target, |jctx| {
+            let shard = self.shard_for(client, filename);
+            let mut st = self.shard_write(shard);
+            let chunk_idx = st.live_chunk_index(client, filename, serial)?;
+            access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
+            let pl = st.chunks[chunk_idx].pl;
 
-    fn update_chunk_inner(
-        &self,
-        client: &str,
-        password: &str,
-        filename: &str,
-        serial: u32,
-        new_data: &[u8],
-        jctx: &Option<JournalCtx>,
-    ) -> Result<Doomed> {
-        let shard = self.shard_for(client, filename);
-        let mut st = self.shard_write(shard);
-        let chunk_idx = st.live_chunk_index(client, filename, serial)?;
-        access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
-        let pl = st.chunks[chunk_idx].pl;
-        let tel = self.telemetry();
-
-        // 1. Read the pre-state and compute everything BEFORE mutating, so
-        //    an unavailable peer/parity provider aborts cleanly (no torn
-        //    stripe: data and parity always change together). The
-        //    pre-state is verified under the data vid before it is
-        //    snapshotted; the snapshot gets its own frame below.
-        let e = &st.chunks[chunk_idx];
-        let current = self
-            .get_with_retry(&st, e.provider_idx, e.vid, Some(e.stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
-            .0?;
-        let eligible = policy::eligible_providers(&st.providers, pl);
-        let snapshot_idx = eligible
-            .iter()
-            .copied()
-            .find(|&i| i != st.chunks[chunk_idx].provider_idx)
-            .or_else(|| eligible.first().copied())
-            .ok_or(CoreError::NoEligibleProvider { pl })?;
-        let snapshot_vid = self.vids.allocate();
-        let rate = if st.chunks[chunk_idx].mislead_positions.is_empty() {
-            0.0
-        } else {
-            self.config.mislead_rate
-        };
-        let (stored, positions) =
-            mislead::inject(new_data, rate, self.config.seed ^ snapshot_vid.0);
-        let plan = self.plan_parity(&st, chunk_idx, Some(&stored))?;
-        let superseded = {
+            // 1. Read the pre-state and compute everything BEFORE mutating,
+            //    so an unavailable peer/parity provider aborts cleanly (no
+            //    torn stripe: data and parity always change together). The
+            //    pre-state is verified under the data vid before it is
+            //    snapshotted; the snapshot gets its own frame below.
             let e = &st.chunks[chunk_idx];
-            e.snapshot_provider_idx.zip(e.snapshot_vid)
-        };
-        ensure_online(
-            &st,
-            chunk_providers(&st.chunks[chunk_idx]).chain([snapshot_idx]),
-        )?;
+            let current = self
+                .get_with_retry(&st, e.provider_idx, e.vid, Some(e.stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                .0?;
+            let eligible = policy::eligible_providers(&st.providers, pl);
+            let snapshot_idx = eligible
+                .iter()
+                .copied()
+                .find(|&i| i != st.chunks[chunk_idx].provider_idx)
+                .or_else(|| eligible.first().copied())
+                .ok_or(CoreError::NoEligibleProvider { pl })?;
+            let snapshot_vid = self.vids.allocate();
+            let rate = if st.chunks[chunk_idx].mislead_positions.is_empty() {
+                0.0
+            } else {
+                self.config.mislead_rate
+            };
+            let (stored, positions) =
+                mislead::inject(new_data, rate, self.config.seed ^ snapshot_vid.0);
+            let plan = self.plan_parity(&st, chunk_idx, Some(&stored))?;
+            let e = &st.chunks[chunk_idx];
+            let superseded = e.snapshot_provider_idx.zip(e.snapshot_vid);
+            ensure_online(&st, e.objects().map(|(p, _)| p).chain([snapshot_idx]))?;
 
-        // 2. The provider half: snapshot (the undo record), new data,
-        //    replicas, parity. A failure that slips past the pre-checks
-        //    puts the pre-state back from `current`.
-        let doomed: Doomed = superseded
-            .map(|(p, vid)| (Arc::clone(&st.providers[p]), vid))
-            .into_iter()
-            .collect();
-        let rewrite = ChunkRewrite {
-            undo: Some((snapshot_idx, snapshot_vid, &current)),
-            doomed: &doomed,
-            stored: Some(&stored),
-            revert_to: Some(&current),
-            plan,
-        };
-        self.rewrite_chunk_objects(&mut st, shard, chunk_idx, rewrite, jctx)?;
+            // 2. The provider half: snapshot (the undo record), new data,
+            //    replicas, parity. A failure that slips past the pre-checks
+            //    puts the pre-state back from `current`.
+            let doomed = doom(&st, superseded);
+            let rewrite = ChunkRewrite {
+                undo: Some((snapshot_idx, snapshot_vid, &current)),
+                doomed: &doomed,
+                stored: Some(&stored),
+                revert_to: Some(&current),
+                plan,
+            };
+            self.rewrite_chunk_objects(&mut st, shard, chunk_idx, rewrite, jctx)?;
 
-        // 3. The row: it names the new snapshot, nothing names the
-        //    superseded one any more.
-        let entry = &mut st.chunks[chunk_idx];
-        entry.snapshot_provider_idx = Some(snapshot_idx);
-        entry.snapshot_vid = Some(snapshot_vid);
-        // The snapshot object holds the pre-state's STORED form; keep its
-        // mislead positions so restore can strip it correctly.
-        entry.snapshot_mislead = std::mem::take(&mut entry.mislead_positions);
-        entry.mislead_positions = positions;
-        entry.stored_len = stored.len();
-        entry.logical_len = new_data.len();
-        self.touch_chunk(jctx, shard, chunk_idx);
-        self.crash_point()?;
-        Ok(doomed)
+            // 3. The row: it names the new snapshot, nothing names the
+            //    superseded one any more.
+            let entry = &mut st.chunks[chunk_idx];
+            entry.snapshot_provider_idx = Some(snapshot_idx);
+            entry.snapshot_vid = Some(snapshot_vid);
+            // The snapshot object holds the pre-state's STORED form; keep
+            // its mislead positions so restore can strip it correctly.
+            entry.snapshot_mislead = std::mem::take(&mut entry.mislead_positions);
+            entry.mislead_positions = positions;
+            entry.stored_len = stored.len();
+            entry.logical_len = new_data.len();
+            self.touch_chunk(jctx, shard, chunk_idx);
+            self.crash_point()?;
+            Ok(((), doomed))
+        })
     }
 
     pub(crate) fn restore_snapshot_impl(
@@ -1920,31 +1610,22 @@ impl CloudDataDistributor {
     ) -> Result<()> {
         let tel = self.telemetry();
         let _op = span!(tel, "restore", file = filename, serial = serial);
-        let jctx = self.journal_begin(OpKind::Restore, client, &chunk_target(filename, serial));
-        let res = self.restore_snapshot_inner(client, password, filename, serial, &jctx);
-        self.journal_finish_doomed(jctx, res)
-    }
-
-    fn restore_snapshot_inner(
-        &self,
-        client: &str,
-        password: &str,
-        filename: &str,
-        serial: u32,
-        jctx: &Option<JournalCtx>,
-    ) -> Result<Doomed> {
-        let shard = self.shard_for(client, filename);
-        let mut st = self.shard_write(shard);
-        let chunk_idx = st.live_chunk_index(client, filename, serial)?;
-        access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
-        let e = &st.chunks[chunk_idx];
-        let Some(snapshot) = e.snapshot_provider_idx.zip(e.snapshot_vid) else {
-            return Err(CoreError::UnknownChunk {
-                filename: filename.to_string(),
-                serial,
-            });
-        };
-        self.restore_chunk(&mut st, shard, chunk_idx, snapshot, jctx)
+        let target = chunk_target(filename, serial);
+        self.journaled(OpKind::Restore, client, &target, |jctx| {
+            let shard = self.shard_for(client, filename);
+            let mut st = self.shard_write(shard);
+            let chunk_idx = st.live_chunk_index(client, filename, serial)?;
+            access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
+            let e = &st.chunks[chunk_idx];
+            let Some(snapshot) = e.snapshot_provider_idx.zip(e.snapshot_vid) else {
+                return Err(CoreError::UnknownChunk {
+                    filename: filename.to_string(),
+                    serial,
+                });
+            };
+            let doomed = self.restore_chunk(&mut st, shard, chunk_idx, snapshot, jctx)?;
+            Ok(((), doomed))
+        })
     }
 
     /// The body of a restore, shared with recovery's roll-forward: writes
@@ -1968,7 +1649,7 @@ impl CloudDataDistributor {
         let pre_state = self.get_with_retry(st, sp, svid, None, &tel).0?;
         // Plan parity first (clean abort on unavailable peers), then mutate.
         let plan = self.plan_parity(st, chunk_idx, Some(&pre_state))?;
-        ensure_online(st, chunk_providers(&st.chunks[chunk_idx]))?;
+        ensure_online(st, st.chunks[chunk_idx].objects().map(|(p, _)| p))?;
         // What the live abort puts back; a primary that does not verify is
         // no reason to refuse the restore that would heal it.
         let current = {
@@ -1977,14 +1658,8 @@ impl CloudDataDistributor {
                 .0
                 .ok()
         };
-        let doomed: Doomed = {
-            let e = &st.chunks[chunk_idx];
-            e.snapshot_provider_idx
-                .zip(e.snapshot_vid)
-                .map(|(p, vid)| (Arc::clone(&st.providers[p]), vid))
-                .into_iter()
-                .collect()
-        };
+        let e = &st.chunks[chunk_idx];
+        let doomed = doom(st, e.snapshot_provider_idx.zip(e.snapshot_vid));
         let rewrite = ChunkRewrite {
             undo: None,
             doomed: &doomed,
@@ -2139,8 +1814,7 @@ impl CloudDataDistributor {
         if let Some((_, snapshot_vid, _)) = rewrite.undo {
             self.journal_alloc(jctx, &[snapshot_vid]);
         }
-        let doomed: Vec<VirtualId> = rewrite.doomed.iter().map(|(_, vid)| *vid).collect();
-        self.journal_doom(jctx, &doomed);
+        self.journal_doom(jctx, rewrite.doomed.iter().map(|(_, vid)| *vid));
         if let Some((snapshot_idx, snapshot_vid, pre_state)) = rewrite.undo {
             let tel = self.telemetry();
             self.put_with_retry(st, snapshot_idx, snapshot_vid, pre_state, &tel)
@@ -2290,24 +1964,14 @@ impl CloudDataDistributor {
         let tel = self.telemetry();
         let _op = span!(tel, "remove_chunk", file = filename, serial = serial);
         let target = chunk_target(filename, serial);
-        let jctx = self.journal_begin(OpKind::RemoveChunk, client, &target);
-        let res = self.remove_chunk_inner(client, password, filename, serial, &jctx);
-        self.journal_finish_doomed(jctx, res)
-    }
-
-    fn remove_chunk_inner(
-        &self,
-        client: &str,
-        password: &str,
-        filename: &str,
-        serial: u32,
-        jctx: &Option<JournalCtx>,
-    ) -> Result<Doomed> {
-        let shard = self.shard_for(client, filename);
-        let mut st = self.shard_write(shard);
-        let chunk_idx = st.live_chunk_index(client, filename, serial)?;
-        access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
-        self.tombstone_chunk(&mut st, shard, chunk_idx, jctx)
+        self.journaled(OpKind::RemoveChunk, client, &target, |jctx| {
+            let shard = self.shard_for(client, filename);
+            let mut st = self.shard_write(shard);
+            let chunk_idx = st.live_chunk_index(client, filename, serial)?;
+            access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
+            let doomed = self.tombstone_chunk(&mut st, shard, chunk_idx, jctx)?;
+            Ok(((), doomed))
+        })
     }
 
     /// The body of a chunk removal, shared with recovery's roll-forward:
@@ -2326,15 +1990,8 @@ impl CloudDataDistributor {
         // Plan parity with this slot zeroed BEFORE mutating anything, so an
         // unavailable peer aborts cleanly with the chunk intact.
         let plan = self.plan_parity(st, chunk_idx, Some(&[]))?;
-        ensure_online(st, chunk_providers(&st.chunks[chunk_idx]))?;
-        let doomed: Doomed = {
-            let e = &st.chunks[chunk_idx];
-            std::iter::once((e.provider_idx, e.vid))
-                .chain(e.replicas.iter().copied())
-                .chain(e.snapshot_provider_idx.zip(e.snapshot_vid))
-                .map(|(p, vid)| (Arc::clone(&st.providers[p]), vid))
-                .collect()
-        };
+        ensure_online(st, st.chunks[chunk_idx].objects().map(|(p, _)| p))?;
+        let doomed = doom(st, st.chunks[chunk_idx].objects());
         let rewrite = ChunkRewrite {
             undo: None,
             doomed: &doomed,
@@ -2374,12 +2031,13 @@ impl CloudDataDistributor {
     /// Removes a whole file (§VI `remove file`): data chunks, parity
     /// chunks, snapshots and all table entries.
     ///
-    /// Atomicity: the involved providers are checked for availability
-    /// *before* any mutation, so an outage yields a clean error with the
-    /// file untouched. If a provider goes down mid-deletion (a race only
-    /// possible with external outage injection), removal still completes
-    /// logically and the unreachable objects are leaked at that provider —
-    /// they are addressed only by their virtual ids, which are forgotten.
+    /// Atomicity: every provider holding an object of the file is checked
+    /// for availability *before* any mutation, so an outage yields a clean
+    /// error with the file untouched. Under the shard guard only rows
+    /// change; the objects are deleted once the commit is durable. If a
+    /// provider goes down before that delete (a race only possible with
+    /// external outage injection), the removal is still committed and the
+    /// unreachable objects stay doomed in the journal for recovery's GC.
     pub(crate) fn remove_file_impl(
         &self,
         client: &str,
@@ -2388,90 +2046,33 @@ impl CloudDataDistributor {
     ) -> Result<()> {
         let tel = self.telemetry();
         let _op = span!(tel, "remove", file = filename);
-        let jctx = self.journal_begin(OpKind::Remove, client, filename);
-        let res = self.remove_file_inner(client, password, filename, &jctx);
-        self.journal_finish(jctx, res)
-    }
+        self.journaled(OpKind::Remove, client, filename, |jctx| {
+            let shard = self.shard_for(client, filename);
+            let mut st = self.shard_write(shard);
+            let file = st.file(client, filename)?;
+            access::authorize(st.client(client)?, password, file.pl)?;
+            let objects: Vec<(usize, VirtualId)> = st
+                .file_members(file)
+                .into_iter()
+                .flat_map(|m| st.chunks[m].objects())
+                .collect();
+            ensure_online(&st, objects.iter().map(|&(p, _)| p))?;
 
-    fn remove_file_inner(
-        &self,
-        client: &str,
-        password: &str,
-        filename: &str,
-        jctx: &Option<JournalCtx>,
-    ) -> Result<()> {
-        let shard = self.shard_for(client, filename);
-        let mut st = self.shard_write(shard);
-        let file = st.file(client, filename)?.clone();
-        access::authorize(st.client(client)?, password, file.pl)?;
+            // Doom list: every object of the file, logged before a row
+            // changes — from here a crash rolls the removal *forward*
+            // (recovery finishes the table half, then collects the list).
+            self.journal_doom(jctx, objects.iter().map(|&(_, vid)| vid));
+            let doomed = doom(&st, objects);
+            self.crash_point()?;
 
-        // Phase 1: no provider holding live state may be offline.
-        for &sid in &file.stripe_ids {
-            for &m in &st.stripes[sid].members {
-                let e = &st.chunks[m];
-                if !e.removed && !st.providers[e.provider_idx].is_online() {
-                    return Err(CoreError::Store(StoreError::Unavailable {
-                        provider: st.providers[e.provider_idx].name().to_string(),
-                    }));
-                }
-            }
-        }
-
-        // Doom list: every object this removal will delete, logged before
-        // the first delete — a crash mid-removal is rolled *forward* by
-        // recovery (finish the deletes), never backward (some objects are
-        // already gone).
-        let mut doomed: Vec<VirtualId> = Vec::new();
-        for &sid in &file.stripe_ids {
-            for &m in &st.stripes[sid].members {
-                let e = &st.chunks[m];
-                if !e.removed {
-                    doomed.push(e.vid);
-                }
-                doomed.extend(e.replicas.iter().map(|&(_, rv)| rv));
-                if let Some(sv) = e.snapshot_vid {
-                    doomed.push(sv);
-                }
-            }
-        }
-        self.journal_doom(jctx, &doomed);
-        self.crash_point()?;
-
-        // Phase 2: delete every member (data + parity), best-effort.
-        for &sid in &file.stripe_ids {
-            let members = st.stripes[sid].members.clone();
-            for m in members {
-                self.crash_point()?;
-                let (vid, provider_idx, removed, sp, replicas) = {
-                    let e = &st.chunks[m];
-                    (
-                        e.vid,
-                        e.provider_idx,
-                        e.removed,
-                        e.snapshot_provider_idx.zip(e.snapshot_vid),
-                        e.replicas.clone(),
-                    )
-                };
-                if !removed {
-                    // Missing objects (prior removal) and mid-flight
-                    // outages (leak, see doc) are both tolerable here.
-                    let _ = st.providers[provider_idx].delete(vid); // fraglint: allow(lock-order) — atomic object+table commit under the shard guard
-                }
-                for (rp, rvid) in replicas {
-                    let _ = st.providers[rp].delete(rvid); // fraglint: allow(lock-order) — atomic object+table commit under the shard guard
-                }
-                if let Some((spi, svid)) = sp {
-                    let _ = st.providers[spi].delete(svid); // fraglint: allow(lock-order) — atomic object+table commit under the shard guard
-                }
-                st.chunks[m].tombstone();
+            for m in st.drop_file(client, filename)? {
                 self.touch_chunk(jctx, shard, m);
             }
-        }
-        st.client_mut(client)?.files.remove(filename);
-        self.touch_file(jctx, shard, client, filename);
-        // Last crash window: tables updated, commit record pending.
-        self.crash_point()?;
-        Ok(())
+            self.touch_file(jctx, shard, client, filename);
+            // Last crash window: tables updated, commit record pending.
+            self.crash_point()?;
+            Ok(((), doomed))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -2483,7 +2084,7 @@ impl CloudDataDistributor {
     /// refreshing the stripes' degraded markers. Operator-side: no client
     /// credentials involved, and no provider payloads are read.
     pub fn scrub(&self) -> ScrubReport {
-        self.scrub_impl(false)
+        self.scrub_impl(false, &None)
     }
 
     /// Deep scrub: like [`scrub`](Self::scrub), but additionally *reads*
@@ -2494,10 +2095,12 @@ impl CloudDataDistributor {
     /// following [`try_repair_verify`](Self::try_repair_verify) rebuilds
     /// them from parity.
     pub fn scrub_verify(&self) -> ScrubReport {
-        self.scrub_impl(true)
+        self.scrub_impl(true, &None)
     }
 
-    fn scrub_impl(&self, verify: bool) -> ScrubReport {
+    /// `jctx` is the repair op a scrub runs inside, when it does: every
+    /// degraded marker it flips is a row of that op's delta.
+    fn scrub_impl(&self, verify: bool, jctx: &Option<JournalCtx>) -> ScrubReport {
         let tel = self.telemetry();
         let _op = span!(tel, "scrub");
         let wall = clock::monotonic_now();
@@ -2539,18 +2142,20 @@ impl CloudDataDistributor {
                         }
                     }
                 }
+                // A corrupt shard is an erasure like a missing one: the
+                // degraded marker routes it into `repair`. A fully removed
+                // stripe has nothing left to protect.
+                let bad = missing + corrupt;
+                if st.stripes[sid].degraded != (bad > 0) {
+                    st.stripes[sid].degraded = bad > 0;
+                    self.touch_stripe(jctx, shard, sid);
+                }
                 if live == 0 {
-                    // Fully removed stripe: nothing left to protect.
-                    st.stripes[sid].degraded = false;
                     continue;
                 }
                 report.stripes_checked += 1;
                 report.missing_shards += missing;
                 report.corrupt_shards += corrupt;
-                // A corrupt shard is an erasure like a missing one: the
-                // degraded marker routes it into `repair`.
-                let bad = missing + corrupt;
-                st.stripes[sid].degraded = bad > 0;
                 if bad == 0 {
                     continue;
                 }
@@ -2580,9 +2185,7 @@ impl CloudDataDistributor {
     /// Journaled when a journal is attached. The only error is a fired
     /// [`CrashPlan`], surfaced as [`CoreError::SimulatedCrash`].
     pub fn try_repair(&self) -> Result<RepairReport> {
-        let jctx = self.journal_begin(OpKind::Repair, "", "stripes");
-        let res = self.repair_inner(&jctx, false);
-        self.journal_finish(jctx, res)
+        self.repair(false)
     }
 
     /// [`try_repair`](Self::try_repair) preceded by a *deep* scrub
@@ -2591,67 +2194,73 @@ impl CloudDataDistributor {
     /// parity alongside the missing ones. This is the heal half of the
     /// bit-rot story — `scrub_verify` finds rot at rest, this rebuilds it.
     pub fn try_repair_verify(&self) -> Result<RepairReport> {
-        let jctx = self.journal_begin(OpKind::Repair, "", "stripes");
-        let res = self.repair_inner(&jctx, true);
-        self.journal_finish(jctx, res)
+        self.repair(true)
     }
 
-    fn repair_inner(&self, jctx: &Option<JournalCtx>, verify: bool) -> Result<RepairReport> {
+    fn repair(&self, verify: bool) -> Result<RepairReport> {
         let tel = self.telemetry();
         let _op = span!(tel, "repair");
         let wall = clock::monotonic_now();
-        // Repair rewrites structure across every shard; its journal delta
-        // degrades to an inline full snapshot rather than row tracking.
-        self.touch_full(jctx);
-        // Refresh every stripe's degraded marker (and the scrub counters);
-        // the deep form also flags shards whose frames fail verification.
-        let _ = self.scrub_impl(verify);
-        let mut report = RepairReport::default();
-        let fleet_size = self.shard_read(0).providers.len();
-        let mut per_provider_time: Vec<Duration> = vec![Duration::ZERO; fleet_size];
-        // Then heal shard by shard, scanning each shard's own stripe arena
-        // for the markers scrub just set (report ids offset-encoded to
-        // match `scrub`).
-        let mut offset = 0usize;
-        for shard in 0..self.state.len() {
-            let mut st = self.shard_write(shard);
-            for sid in 0..st.stripes.len() {
-                if !st.stripes[sid].degraded {
-                    continue;
-                }
-                match self.repair_stripe(&mut st, sid, jctx, &mut per_provider_time, &tel) {
-                    Ok(n) => {
-                        report.stripes_repaired += 1;
-                        report.shards_rebuilt += n;
-                        st.stripes[sid].degraded = false;
+        self.journaled(OpKind::Repair, "", "stripes", |jctx| {
+            // Refresh every stripe's degraded marker (and the scrub
+            // counters); the deep form also flags shards whose frames fail
+            // verification.
+            let _ = self.scrub_impl(verify, jctx);
+            let mut report = RepairReport::default();
+            let mut pass = RepairPass {
+                jctx,
+                tel: &tel,
+                doomed: Doomed::new(),
+                per_provider_time: vec![Duration::ZERO; self.shard_read(0).providers.len()],
+            };
+            // Then heal shard by shard, scanning each shard's own stripe
+            // arena for the markers scrub just set (report ids
+            // offset-encoded to match `scrub`).
+            let mut offset = 0usize;
+            for shard in 0..self.state.len() {
+                let mut st = self.shard_write(shard);
+                for sid in 0..st.stripes.len() {
+                    if !st.stripes[sid].degraded {
+                        continue;
                     }
-                    // The crash plan fired: the "process" is dead, stop here.
-                    Err(e @ CoreError::SimulatedCrash { .. }) => return Err(e),
-                    Err(_) => report.failed.push(offset + sid),
+                    match self.repair_stripe(&mut st, shard, sid, &mut pass) {
+                        Ok(n) => {
+                            report.stripes_repaired += 1;
+                            report.shards_rebuilt += n;
+                            st.stripes[sid].degraded = false;
+                            self.touch_stripe(jctx, shard, sid);
+                        }
+                        // The crash plan fired: the "process" is dead, stop here.
+                        Err(e @ CoreError::SimulatedCrash { .. }) => return Err(e),
+                        Err(_) => report.failed.push(offset + sid),
+                    }
                 }
+                offset += st.stripes.len();
             }
-            offset += st.stripes.len();
-        }
-        report.failed.sort_unstable();
-        report.sim_time = per_provider_time.into_iter().max().unwrap_or_default();
-        tel.incr("repairs_total");
-        tel.add("shards_rebuilt", report.shards_rebuilt as u64);
-        tel.add("repair_failures", report.failed.len() as u64);
-        tel.observe_micros("repair_wall_us", wall.elapsed());
-        Ok(report)
+            report.failed.sort_unstable();
+            report.sim_time = pass.per_provider_time.into_iter().max().unwrap_or_default();
+            tel.incr("repairs_total");
+            tel.add("shards_rebuilt", report.shards_rebuilt as u64);
+            tel.add("repair_failures", report.failed.len() as u64);
+            tel.observe_micros("repair_wall_us", wall.elapsed());
+            Ok((report, pass.doomed))
+        })
     }
 
     /// Rebuilds every lost shard of one stripe. Phase 1 reads survivors
     /// (read-only), phase 2 re-encodes and re-places; an error leaves the
-    /// tables untouched for the shards not yet re-placed.
+    /// tables untouched for the shards not yet re-placed. Each re-homed
+    /// row is marked dirty, and the object it named before is doomed when
+    /// its provider can still be reached (corrupt at rest, or back online).
     fn repair_stripe(
         &self,
         st: &mut Tables,
+        shard: usize,
         sid: usize,
-        jctx: &Option<JournalCtx>,
-        per_provider_time: &mut [Duration],
-        tel: &TelemetryHandle,
+        pass: &mut RepairPass<'_>,
     ) -> Result<usize> {
+        let (jctx, tel) = (pass.jctx, pass.tel);
+        let per_provider_time = &mut pass.per_provider_time;
         let stripe = st.stripes[sid].clone();
 
         // Phase 1: gather surviving shards, spot the missing ones.
@@ -2694,7 +2303,7 @@ impl CloudDataDistributor {
 
         // Phase 2b: re-place each rebuilt shard.
         let mut count = 0usize;
-        for (m, shard) in rebuilt {
+        for (m, bytes) in rebuilt {
             let (orig, pl, stored_len, old_vid) = {
                 let e = &st.chunks[m];
                 (e.provider_idx, e.pl, e.stored_len, e.vid)
@@ -2718,18 +2327,22 @@ impl CloudDataDistributor {
             };
             // Fresh virtual id: the rebuilt object must not be correlatable
             // with the lost one (§IV-A identity concealment). The lost id
-            // is doomed — if its object ever resurfaces (provider back
-            // online), recovery garbage-collects it.
+            // is doomed: deleted after the commit when its provider is
+            // reachable, else left to recovery's GC should it resurface.
             let new_vid = self.vids.allocate();
             self.journal_alloc(jctx, &[new_vid]);
-            self.journal_doom(jctx, &[old_vid]);
+            self.journal_doom(jctx, [old_vid]);
             self.crash_point()?;
-            let (res, t, _) = self.put_with_retry(st, target, new_vid, &shard[..stored_len], tel);
+            let (res, t, _) = self.put_with_retry(st, target, new_vid, &bytes[..stored_len], tel);
             per_provider_time[target] += t;
             res?;
             let e = &mut st.chunks[m];
             e.provider_idx = target;
             e.vid = new_vid;
+            self.touch_chunk(jctx, shard, m);
+            if st.providers[orig].is_online() {
+                pass.doomed.push((Arc::clone(&st.providers[orig]), old_vid));
+            }
             hosting.push(target);
             count += 1;
         }
@@ -3239,6 +2852,55 @@ mod tests {
                 many.abs_diff(few) <= 16,
                 "{few} B with 10 files, {many} B with 200"
             );
+        }
+    }
+
+    /// Registering a client journals its one directory row — begin +
+    /// commit, the checkpoint untouched — with no file resident and with
+    /// 200.
+    #[test]
+    fn client_ops_journal_one_row_whatever_the_resident_state() {
+        let measure = |files: usize| -> Vec<(usize, usize)> {
+            let d = distributor();
+            let journal = Arc::new(Journal::new());
+            d.attach_journal(Arc::clone(&journal));
+            let s = high_session(&d);
+            for i in 0..files {
+                let name = format!("f{i}");
+                s.put_file(&name, &data(96), PrivacyLevel::Public, PutOptions::new())
+                    .unwrap();
+            }
+            let (who, pw) = ("Late|comer", "p,w:1%2C");
+            let register = || d.register_client(who);
+            let add_password = || d.add_password(who, pw, PrivacyLevel::Low);
+            let verbs: [&dyn Fn() -> Result<()>; 2] = [&register, &add_password];
+            let counts = verbs
+                .iter()
+                .map(|verb| {
+                    let checkpoint = journal.checkpoint();
+                    let (records, bytes) = (journal.record_len(), journal.export().len());
+                    verb().unwrap();
+                    assert_eq!(journal.checkpoint(), checkpoint, "checkpoint rewritten");
+                    (
+                        journal.record_len() - records,
+                        journal.export().len() - bytes,
+                    )
+                })
+                .collect();
+            // The row replays: a crash now loses neither verb.
+            let crashed = Arc::new(Journal::parse(&journal.export()).unwrap());
+            let (r, report) =
+                crate::recovery::recover(crashed, d.providers(), *d.config()).unwrap();
+            assert_eq!(report.unrecoverable, 0);
+            r.session(who, pw).unwrap();
+            counts
+        };
+        let (empty, full) = (measure(0), measure(200));
+        assert_eq!(empty.iter().map(|&(r, _)| r).collect::<Vec<_>>(), [2, 2]);
+        for (&(records, few), &(many_records, many)) in empty.iter().zip(&full) {
+            assert_eq!(records, many_records);
+            // Digits of the op id and the vid watermark, nothing else.
+            assert!(many.abs_diff(few) <= 16, "{few} B empty, {many} B full");
         }
     }
 

@@ -5,9 +5,10 @@
 //! state; this module makes the mutating operations themselves
 //! crash-consistent. Every state-mutating operation (`put_file`,
 //! `remove_file`, `repair`, rebalance moves, `update_chunk`,
-//! `restore_snapshot`, `remove_chunk`) brackets its work with
-//! intent/commit/abort records, and — critically — logs every virtual id
-//! it allocates *before* the corresponding provider upload. A distributor
+//! `restore_snapshot`, `remove_chunk`, client registration and password
+//! changes) runs in the one bracket of [`mutation`](crate::mutation):
+//! intent/commit/abort records, with — critically — every virtual id it
+//! allocates logged *before* the corresponding provider upload. A distributor
 //! that dies mid-operation therefore leaves a journal whose dangling op
 //! names exactly the objects that may exist on providers without being
 //! acknowledged in any snapshot; [`recovery`](crate::recovery) uses that
@@ -32,8 +33,8 @@
 //! checkpoint|<escaped full persist snapshot>
 //! begin|<op>|<kind>|<client>|<target>
 //! alloc|<op>|<vid>,<vid>,...     # fresh ids, logged BEFORE upload
-//! doom|<op>|<vid>,<vid>,...      # ids this op deletes (chunk-level
-//!                                # verbs: only after their commit)
+//! doom|<op>|<vid>,<vid>,...      # ids this op deletes, only after
+//!                                # its commit is durable
 //! commit|<op>|<escaped delta>
 //! abort|<op>|<escaped delta>
 //! end
@@ -93,7 +94,9 @@ impl std::fmt::Display for OpId {
 /// (collect the fresh uploads) and `Update` (the fresh snapshot object is
 /// the undo record: its payload is written back over the chunk), roll
 /// **forward** for `Remove`, `Restore` and `RemoveChunk` (their doomed
-/// objects are deleted last, so the verb can always be finished).
+/// objects are deleted last, so the verb can always be finished). A
+/// dangling `Client` op stored nothing and committed no row: it rolls back
+/// by doing nothing.
 ///
 /// Chunk-level kinds (`Migrate`, `Update`, `Restore`, `RemoveChunk`) name
 /// their target `"{filename}#{serial}"`.
@@ -114,6 +117,8 @@ pub enum OpKind {
     Restore,
     /// `remove_chunk`: one chunk tombstoned, its stripe's parity re-planned.
     RemoveChunk,
+    /// `register_client` / `add_password`: one client-directory entry.
+    Client,
 }
 
 impl OpKind {
@@ -127,6 +132,7 @@ impl OpKind {
             OpKind::Update => "update",
             OpKind::Restore => "restore",
             OpKind::RemoveChunk => "rmchunk",
+            OpKind::Client => "client",
         }
     }
 
@@ -139,6 +145,7 @@ impl OpKind {
             "update" => Ok(OpKind::Update),
             "restore" => Ok(OpKind::Restore),
             "rmchunk" => Ok(OpKind::RemoveChunk),
+            "client" => Ok(OpKind::Client),
             other => Err(bad(line_no, &format!("unknown op kind {other:?}"))),
         }
     }
@@ -175,7 +182,7 @@ pub struct OpView {
     pub client: String,
     /// Target of the op — a filename (`put`, `remove`),
     /// `"{filename}#{serial}"` for the chunk-level kinds, or a
-    /// descriptive tag (`repair`).
+    /// descriptive tag (`repair`, `client`).
     pub target: String,
     /// Freshly allocated vids, in allocation order.
     pub fresh: Vec<VirtualId>,
@@ -621,10 +628,9 @@ impl Journal {
         self.sync(seq);
     }
 
-    /// Replaces the checkpoint without touching the record stream — used
-    /// when a journal is attached and after the only mutations that are
-    /// not journaled ops: client registration and password changes.
-    pub fn set_checkpoint(&self, checkpoint: String) {
+    /// Seeds the checkpoint of a journal being attached. Every later
+    /// checkpoint is written by compaction.
+    pub(crate) fn set_checkpoint(&self, checkpoint: String) {
         self.inner.lock().checkpoint = checkpoint;
     }
 

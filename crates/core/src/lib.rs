@@ -37,6 +37,9 @@
 //!   their provider uploads), commit/abort **delta records** against the
 //!   last checkpoint, cross-operation group commit, and periodic
 //!   checkpoint compaction;
+//! - [`mutation`] — the one bracket every mutating verb runs in: intents
+//!   → stores → touched rows → one row-delta commit → doomed objects
+//!   deleted after it;
 //! - [`recovery`] — replays a journal (checkpoint + close deltas) on
 //!   restart, rolling dangling ops back (or forward, for removals) and
 //!   garbage-collecting orphan objects from providers;
@@ -67,6 +70,7 @@ pub mod integrity;
 pub mod journal;
 pub mod mislead;
 pub mod multi;
+pub mod mutation;
 pub mod objectio;
 pub mod persist;
 pub mod policy;

@@ -1,0 +1,326 @@
+//! The mutation protocol: the one bracket every state-mutating verb runs
+//! in.
+//!
+//! §IV-C names the distributor as the single point of failure and §VI
+//! asks that what a client removes is actually removed. Both come down to
+//! ordering, so the order is written once — `journaled(kind, client,
+//! target, body)`, the only caller of `journal_begin`:
+//!
+//! 1. **Intents.** The body journals every fresh vid (`journal_alloc`)
+//!    before the upload that uses it and every object it will delete
+//!    (`journal_doom`) before it changes anything.
+//! 2. **Stores**, through the provider-object boundary
+//!    ([`crate::objectio`]).
+//! 3. **Rows.** Each table row is marked dirty as it is written
+//!    (`touch_chunk` / `touch_stripe` / `touch_file` / `touch_client`).
+//! 4. **One commit.** The body returns — its shard guards dropped — with
+//!    its value and the objects it doomed; the bracket serializes the
+//!    dirty rows into one delta record and joins the group fsync.
+//! 5. **Deletes.** Only now, with the commit durable, are the doomed
+//!    objects deleted: no provider `delete` runs under a shard guard, and
+//!    a verb that fails or crashes never finds a row naming an object
+//!    that is gone.
+//! 6. **Compaction**, when the checkpoint interval has elapsed — after
+//!    the deletes, because compaction drops the op's doom record.
+//!
+//! A body that fails is rolled back inline and closed with an abort
+//! record; a simulated crash passes through untouched and leaves the op
+//! dangling for [`crate::recovery`]. Without a journal the bracket is the
+//! body plus step 5.
+
+use crate::distributor::CloudDataDistributor;
+use crate::journal::{Journal, OpId, OpKind};
+use crate::persist;
+use crate::recovery;
+use crate::tables::Tables;
+use crate::{CoreError, Result};
+use fragcloud_sim::{CloudProvider, ObjectStore, VirtualId};
+use parking_lot::Mutex;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// Objects a verb has doomed, with the provider holding each: what its
+/// body hands back to [`CloudDataDistributor::journaled`].
+pub(crate) type Doomed = Vec<(Arc<CloudProvider>, VirtualId)>;
+
+/// Binds the ⟨provider index, vid⟩ pairs a row names
+/// ([`ChunkEntry::objects`](crate::tables::ChunkEntry::objects)) to their
+/// provider handles.
+pub(crate) fn doom(st: &Tables, objects: impl IntoIterator<Item = (usize, VirtualId)>) -> Doomed {
+    objects
+        .into_iter()
+        .map(|(p, vid)| (Arc::clone(&st.providers[p]), vid))
+        .collect()
+}
+
+/// Step 5. Best-effort: the objects are doomed in the journal, so
+/// recovery collects any straggler.
+fn delete_doomed(doomed: &Doomed) {
+    for (provider, vid) in doomed {
+        let _ = provider.delete(*vid);
+    }
+}
+
+/// An open journaled operation: the journal it lives in, this op's id, and
+/// the set of table rows the op has dirtied (the commit/abort record's
+/// delta is serialized from exactly these rows). Threaded as
+/// `&Option<JournalCtx>` through the mutation paths so a journal-less
+/// distributor pays only an `Option` check.
+pub(crate) struct JournalCtx {
+    journal: Arc<Journal>,
+    op: OpId,
+    dirty: Mutex<DirtyRows>,
+}
+
+/// Rows an op touched, keyed by (shard, arena index) — ordered sets so the
+/// captured delta is deterministic and shard locks are taken ascending.
+#[derive(Default)]
+struct DirtyRows {
+    chunks: BTreeSet<(usize, usize)>,
+    stripes: BTreeSet<(usize, usize)>,
+    /// File entries touched: (shard, client, filename). Capture emits a
+    /// `file` row when the entry exists and a `filedel` tombstone when it
+    /// does not (removed, or rolled back).
+    files: BTreeSet<(usize, String, String)>,
+    /// Client-directory entries touched, by name. The directory is
+    /// replicated: capture reads shard 0, replay writes every shard.
+    clients: BTreeSet<String>,
+}
+
+impl CloudDataDistributor {
+    /// Runs one mutating verb under the protocol in the module doc. On
+    /// success the op commits with a *delta record* (just the rows `body`
+    /// dirtied) and joins the journal's group-commit flush; the objects
+    /// `body` doomed are then deleted, and a due checkpoint compaction
+    /// runs. A [`CoreError::SimulatedCrash`] passes through untouched —
+    /// the "process" is dead, so no abort record and no rollback, leaving
+    /// the op dangling for recovery. Any other error triggers an inline
+    /// rollback (this op's unreferenced uploads are garbage-collected)
+    /// followed by an abort record carrying the post-rollback delta.
+    ///
+    /// Three crash windows bracket the commit (numbered crash points, see
+    /// DESIGN.md §5d): before the commit record exists (op dangles and is
+    /// resolved by kind), after the record is appended but before the
+    /// group fsync (op is *not* durable — recovery discards the unflushed
+    /// close), and after the fsync but before the deletes and checkpoint
+    /// compaction (op is durable though never acked — recovery replays it
+    /// and collects its doom list).
+    ///
+    /// `body` must hold no shard guard when it returns: delta capture and
+    /// checkpoint export take their own locks.
+    pub(crate) fn journaled<T>(
+        &self,
+        kind: OpKind,
+        client: &str,
+        target: &str,
+        body: impl FnOnce(&Option<JournalCtx>) -> Result<(T, Doomed)>,
+    ) -> Result<T> {
+        let jctx = self.journal_begin(kind, client, target);
+        let res = body(&jctx);
+        let Some(jctx) = jctx else {
+            let (v, doomed) = res?;
+            delete_doomed(&doomed);
+            return Ok(v);
+        };
+        match res {
+            Ok((v, doomed)) => {
+                // Window: tables mutated, commit record not yet written.
+                self.crash_point()?;
+                let delta = self.capture_delta(&jctx);
+                let (seq, checkpoint_due) = jctx.journal.commit_prepare(jctx.op, delta);
+                // Window: commit record appended but unflushed — the op
+                // must NOT survive a crash here (ack ⟺ flushed).
+                self.crash_point()?;
+                jctx.journal.sync(seq);
+                self.telemetry().incr("journal_commits_total");
+                // Window: durable but not yet compacted/acked.
+                self.crash_point()?;
+                delete_doomed(&doomed);
+                if checkpoint_due {
+                    // Snapshot the record watermark BEFORE exporting: ops
+                    // that close between the export and the compaction
+                    // keep their delta records (compact_upto only drops
+                    // closes below the watermark), so nothing newer than
+                    // the snapshot is ever lost.
+                    let upto = jctx.journal.record_len();
+                    let snapshot = persist::export_state(self);
+                    jctx.journal.compact_upto(snapshot, upto);
+                }
+                Ok(v)
+            }
+            Err(e @ CoreError::SimulatedCrash { .. }) => Err(e),
+            Err(e) => {
+                let (collected, _) = self.rollback_op(&jctx);
+                let tel = self.telemetry();
+                tel.add("journal_rollback_objects", collected);
+                let delta = self.capture_delta(&jctx);
+                jctx.journal.abort(jctx.op, delta);
+                tel.incr("journal_aborts_total");
+                Err(e)
+            }
+        }
+    }
+
+    /// Opens a journaled op; `None` (a no-op context) when no journal is
+    /// attached.
+    fn journal_begin(&self, kind: OpKind, client: &str, target: &str) -> Option<JournalCtx> {
+        let journal = self.journal()?;
+        let op = journal.begin(kind, client, target);
+        self.telemetry()
+            .add_labeled("journal_ops_total", kind.tag(), 1);
+        Some(JournalCtx {
+            journal,
+            op,
+            dirty: Mutex::new(DirtyRows::default()),
+        })
+    }
+
+    /// Logs freshly allocated vids for the open op — always *before* the
+    /// uploads that use them.
+    pub(crate) fn journal_alloc(&self, jctx: &Option<JournalCtx>, vids: &[VirtualId]) {
+        if let Some(j) = jctx {
+            j.journal.log_alloc(j.op, vids);
+        }
+    }
+
+    /// Logs vids the open op intends to delete.
+    pub(crate) fn journal_doom(
+        &self,
+        jctx: &Option<JournalCtx>,
+        vids: impl IntoIterator<Item = VirtualId>,
+    ) {
+        if let Some(j) = jctx {
+            j.journal
+                .log_doom(j.op, &vids.into_iter().collect::<Vec<_>>());
+        }
+    }
+
+    /// Marks one chunk-arena row dirty for the open op's delta.
+    pub(crate) fn touch_chunk(&self, jctx: &Option<JournalCtx>, shard: usize, idx: usize) {
+        if let Some(j) = jctx {
+            j.dirty.lock().chunks.insert((shard, idx));
+        }
+    }
+
+    /// Marks one stripe-arena row dirty for the open op's delta.
+    pub(crate) fn touch_stripe(&self, jctx: &Option<JournalCtx>, shard: usize, idx: usize) {
+        if let Some(j) = jctx {
+            j.dirty.lock().stripes.insert((shard, idx));
+        }
+    }
+
+    /// Marks one file entry dirty for the open op's delta (present at
+    /// capture time → `file` row; absent → `filedel` tombstone).
+    pub(crate) fn touch_file(
+        &self,
+        jctx: &Option<JournalCtx>,
+        shard: usize,
+        client: &str,
+        name: &str,
+    ) {
+        if let Some(j) = jctx {
+            j.dirty
+                .lock()
+                .files
+                .insert((shard, client.to_string(), name.to_string()));
+        }
+    }
+
+    /// Marks one client-directory entry (name + passwords) dirty for the
+    /// open op's delta.
+    pub(crate) fn touch_client(&self, jctx: &Option<JournalCtx>, name: &str) {
+        if let Some(j) = jctx {
+            j.dirty.lock().clients.insert(name.to_string());
+        }
+    }
+
+    /// Serializes the open op's delta from the *current* state of its
+    /// dirty rows. Called at op close with all table locks released
+    /// (capture takes shard read locks, ascending). The same routine
+    /// serves commits (post-op state) and aborts (post-rollback state:
+    /// tombstoned chunks serialize as removed, a stripped file entry as
+    /// `filedel`), because deltas describe *state*, not intent.
+    fn capture_delta(&self, jctx: &JournalCtx) -> String {
+        use std::fmt::Write as _;
+        let dirty = jctx.dirty.lock();
+        let mut out = format!("vids|{}\n", self.vids_allocated());
+        if !dirty.clients.is_empty() {
+            let st = self.shard_read(0);
+            for (name, entry) in dirty
+                .clients
+                .iter()
+                .filter_map(|name| Some((name, st.clients.get(name)?)))
+            {
+                let _ = write!(out, "client|{}|", persist::esc(name));
+                persist::passwords_into(&mut out, &entry.passwords);
+                out.push('\n');
+            }
+        }
+        for shard in 0..self.shard_count() {
+            let has = dirty.chunks.range((shard, 0)..=(shard, usize::MAX)).count() > 0
+                || dirty
+                    .stripes
+                    .range((shard, 0)..=(shard, usize::MAX))
+                    .count()
+                    > 0
+                || dirty.files.iter().any(|(s, _, _)| *s == shard);
+            if !has {
+                continue;
+            }
+            let st = self.shard_read(shard);
+            for &(_, idx) in dirty.chunks.range((shard, 0)..=(shard, usize::MAX)) {
+                let _ = write!(out, "chunk|{shard}|{idx}|");
+                persist::chunk_row_into(&mut out, &st.chunks[idx]);
+                out.push('\n');
+            }
+            for &(_, idx) in dirty.stripes.range((shard, 0)..=(shard, usize::MAX)) {
+                let _ = write!(out, "stripe|{shard}|{idx}|");
+                persist::stripe_row_into(&mut out, &st.stripes[idx]);
+                out.push('\n');
+            }
+            for (s, client, name) in dirty.files.iter().filter(|(s, _, _)| *s == shard) {
+                let _ = s;
+                let entry = st
+                    .clients
+                    .get(client)
+                    .and_then(|c| c.files.get(name.as_str()));
+                match entry {
+                    Some(fe) => {
+                        let _ = write!(
+                            out,
+                            "file|{shard}|{}|{}|",
+                            persist::esc(client),
+                            persist::esc(name)
+                        );
+                        persist::file_row_into(&mut out, fe);
+                        out.push('\n');
+                    }
+                    None => {
+                        let _ = writeln!(
+                            out,
+                            "filedel|{shard}|{}|{}",
+                            persist::esc(client),
+                            persist::esc(name)
+                        );
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Inline rollback of a failed (but still live — not crashed)
+    /// journaled op, with recovery's own two tools: a failed put's rows
+    /// are stripped from its file's shard, then every fresh upload the
+    /// tables no longer reference is deleted. Returns
+    /// `(objects collected, delete failures)`.
+    fn rollback_op(&self, jctx: &JournalCtx) -> (u64, u64) {
+        let Some(view) = jctx.journal.ops().into_iter().find(|o| o.id == jctx.op) else {
+            return (0, 0);
+        };
+        if view.kind == OpKind::Put {
+            recovery::strip_put(self, &view);
+        }
+        recovery::collect_orphans(self, &view.fresh)
+    }
+}

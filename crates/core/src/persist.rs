@@ -317,6 +317,29 @@ pub(crate) fn parse_file_fields(f: &[&str], line_no: usize) -> Result<FileEntry>
     })
 }
 
+/// Appends a client's ⟨password, PL⟩ pairs as `<password>:<pl>,…` — the
+/// payload of a journal delta's `client|<name>|…` row. A password is
+/// escaped like any name, plus `%2C` for the list separator; the PL is
+/// what follows the last `:`.
+pub(crate) fn passwords_into(out: &mut String, passwords: &[(String, PrivacyLevel)]) {
+    push_list(
+        out,
+        passwords
+            .iter()
+            .map(|(pass, pl)| format!("{}:{}", esc(pass).replace(',', "%2C"), pl.as_u8())),
+    );
+}
+
+/// Parses the list [`passwords_into`] wrote.
+pub(crate) fn parse_passwords(s: &str, line_no: usize) -> Result<Vec<(String, PrivacyLevel)>> {
+    parse_list(s, line_no, |item, line_no| {
+        let (pass, pl) = item
+            .rsplit_once(':')
+            .ok_or_else(|| bad(line_no, "expected password:pl"))?;
+        Ok((unesc(&pass.replace("%2C", ",")), parse_pl(pl, line_no)?))
+    })
+}
+
 /// Serializes the distributor's table state to the snapshot text format.
 pub fn export_state(d: &CloudDataDistributor) -> String {
     let shards = d.lock_all_read();

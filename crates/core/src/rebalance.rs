@@ -14,12 +14,12 @@
 //!   migrate it to the eligible provider with the lowest link latency,
 //!   respecting stripe anti-affinity.
 
-use crate::distributor::{chunk_target, CloudDataDistributor, Doomed, JournalCtx};
+use crate::distributor::{chunk_target, CloudDataDistributor};
 use crate::journal::OpKind;
+use crate::mutation::{doom, Doomed};
 use crate::policy;
 use crate::tables::ChunkRole;
 use crate::{CoreError, Result};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Report of one rebalancing pass.
@@ -52,74 +52,59 @@ impl CloudDataDistributor {
         serial: u32,
         target_provider: usize,
     ) -> Result<()> {
-        let jctx = self.journal_begin(OpKind::Migrate, client, &chunk_target(filename, serial));
-        let res =
-            self.migrate_chunk_inner(client, password, filename, serial, target_provider, &jctx);
-        self.journal_finish_doomed(jctx, res)
-    }
-
-    /// The journaled body of [`migrate_chunk`](Self::migrate_chunk):
-    /// returns the doomed source copy to delete after commit (nothing for
-    /// a same-provider no-op).
-    fn migrate_chunk_inner(
-        &self,
-        client: &str,
-        password: &str,
-        filename: &str,
-        serial: u32,
-        target_provider: usize,
-        jctx: &Option<JournalCtx>,
-    ) -> Result<Doomed> {
-        let shard = self.shard_for(client, filename);
-        let mut st = self.shard_write(shard);
-        let chunk_idx = st.chunk_index(client, filename, serial)?;
-        crate::access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
-        let pl = st.chunks[chunk_idx].pl;
-        if target_provider >= st.providers.len() {
-            return Err(CoreError::NoEligibleProvider { pl });
-        }
-        let target = &st.providers[target_provider];
-        if !target.is_online() || target.profile().privacy_level < pl {
-            return Err(CoreError::NoEligibleProvider { pl });
-        }
-        let source_provider = st.chunks[chunk_idx].provider_idx;
-        if source_provider == target_provider {
-            return Ok(Doomed::new()); // already there
-        }
-        // Anti-affinity within the stripe.
-        if let Some(stripe_ref) = st.chunks[chunk_idx].stripe {
-            let stripe = &st.stripes[stripe_ref.stripe_id];
-            for &m in &stripe.members {
-                if m != chunk_idx && st.chunks[m].provider_idx == target_provider {
-                    return Err(CoreError::InsufficientProviders {
-                        needed: stripe.members.len(),
-                        available: stripe.members.len() - 1,
-                    });
+        let target = chunk_target(filename, serial);
+        self.journaled(OpKind::Migrate, client, &target, |jctx| {
+            let shard = self.shard_for(client, filename);
+            let mut st = self.shard_write(shard);
+            let chunk_idx = st.chunk_index(client, filename, serial)?;
+            crate::access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
+            let pl = st.chunks[chunk_idx].pl;
+            if target_provider >= st.providers.len() {
+                return Err(CoreError::NoEligibleProvider { pl });
+            }
+            let target = &st.providers[target_provider];
+            if !target.is_online() || target.profile().privacy_level < pl {
+                return Err(CoreError::NoEligibleProvider { pl });
+            }
+            let source_provider = st.chunks[chunk_idx].provider_idx;
+            if source_provider == target_provider {
+                return Ok(((), Doomed::new())); // already there
+            }
+            // Anti-affinity within the stripe.
+            if let Some(stripe_ref) = st.chunks[chunk_idx].stripe {
+                let stripe = &st.stripes[stripe_ref.stripe_id];
+                for &m in &stripe.members {
+                    if m != chunk_idx && st.chunks[m].provider_idx == target_provider {
+                        return Err(CoreError::InsufficientProviders {
+                            needed: stripe.members.len(),
+                            available: stripe.members.len() - 1,
+                        });
+                    }
                 }
             }
-        }
-        // Copy (under a fresh id), switch the table, and leave the doomed
-        // source copy to the post-commit step.
-        let old_vid = st.chunks[chunk_idx].vid;
-        let new_vid = self.allocate_vid();
-        self.journal_alloc(jctx, &[new_vid]);
-        self.journal_doom(jctx, &[old_vid]);
-        self.crash_point()?;
-        // Verified under the old id (and against the row's length),
-        // re-framed under the new one: migration must not launder a
-        // corrupted or stale object into a fresh valid frame.
-        let tel = self.telemetry();
-        let stored_len = st.chunks[chunk_idx].stored_len;
-        let payload = self
-            .get_with_retry(&st, source_provider, old_vid, Some(stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
-            .0?;
-        self.put_with_retry(&st, target_provider, new_vid, &payload, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
-            .0?;
-        self.crash_point()?;
-        st.chunks[chunk_idx].vid = new_vid;
-        st.chunks[chunk_idx].provider_idx = target_provider;
-        self.touch_chunk(jctx, shard, chunk_idx);
-        Ok(vec![(Arc::clone(&st.providers[source_provider]), old_vid)])
+            // Copy (under a fresh id), switch the table, and leave the doomed
+            // source copy to the post-commit step.
+            let old_vid = st.chunks[chunk_idx].vid;
+            let new_vid = self.allocate_vid();
+            self.journal_alloc(jctx, &[new_vid]);
+            self.journal_doom(jctx, [old_vid]);
+            self.crash_point()?;
+            // Verified under the old id (and against the row's length),
+            // re-framed under the new one: migration must not launder a
+            // corrupted or stale object into a fresh valid frame.
+            let tel = self.telemetry();
+            let stored_len = st.chunks[chunk_idx].stored_len;
+            let payload = self
+                .get_with_retry(&st, source_provider, old_vid, Some(stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                .0?;
+            self.put_with_retry(&st, target_provider, new_vid, &payload, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                .0?;
+            self.crash_point()?;
+            st.chunks[chunk_idx].vid = new_vid;
+            st.chunks[chunk_idx].provider_idx = target_provider;
+            self.touch_chunk(jctx, shard, chunk_idx);
+            Ok(((), doom(&st, [(source_provider, old_vid)])))
+        })
     }
 
     /// Greedy locality pass: migrate every data chunk of the client that

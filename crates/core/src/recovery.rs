@@ -10,11 +10,10 @@
 //! passes:
 //!
 //! 1. **Delta replay.** Unflushed close records are discarded (what never
-//!    reached the sink does not exist), the checkpoint is imported — or
-//!    the last inline `full|` snapshot delta, if one postdates it — and
-//!    every durable close delta after the base is applied row-by-row:
-//!    chunk/stripe arena upserts, file upserts and deletions, and a
-//!    virtual-id watermark fast-forward so the recovered allocator can
+//!    reached the sink does not exist), the checkpoint is imported and
+//!    every durable close delta is applied row-by-row: chunk/stripe arena
+//!    upserts, file upserts and deletions, client-directory upserts, and
+//!    a virtual-id watermark fast-forward so the recovered allocator can
 //!    never re-issue a journaled id.
 //! 2. **Dangling resolution.**
 //!    - dangling `put` / `repair` / `migrate` ops **roll back**: their
@@ -27,13 +26,12 @@
 //!      chunk's pre-op stored bytes — they are written back under the
 //!      data and replica ids and the stripe's parity is re-planned from
 //!      the objects its peers hold now, then the snapshot is collected;
-//!    - dangling `remove` ops **roll forward**: some doomed objects are
-//!      already gone, so the only consistent direction is to finish the
-//!      deletes and complete the table removal;
-//!    - dangling `restore` / `rmchunk` ops **roll forward** as well:
+//!    - dangling `remove` / `restore` / `rmchunk` ops **roll forward**:
 //!      their doomed objects are deleted only after the commit, so the
-//!      verb's table-and-parity half can be re-run on the recovered
+//!      verb's table (and parity) half can be re-run on the recovered
 //!      state, after which the doom list is collected;
+//!    - a dangling `client` op **rolls back** by doing nothing: its one
+//!      directory row was never committed and it stored no object;
 //!    - committed ops are verified present (their files must still be
 //!      readable within RAID fault tolerance) and their doomed
 //!      stragglers — a migration's source copy, an update's superseded
@@ -44,13 +42,16 @@
 //! (an orphan on an offline provider, a committed file that does not
 //! verify, a corrupt delta row) lands in
 //! [`RecoveryReport::unrecoverable`] instead of aborting the recovery.
+//! The one delta row that does abort it is `full|` — an inline snapshot
+//! earlier versions wrote for `repair`: skipping it would replay every
+//! later row onto the wrong base.
 
 use crate::config::DistributorConfig;
 use crate::distributor::{parse_chunk_target, CloudDataDistributor};
 use crate::journal::{Journal, OpKind, OpStatus, OpView};
 use crate::persist;
 use crate::tables::{ChunkEntry, ChunkRole, StripeInfo};
-use crate::Result;
+use crate::{CoreError, Result};
 use fragcloud_raid::RaidLevel;
 use fragcloud_sim::{CloudProvider, ObjectStore, PrivacyLevel, VirtualId};
 use fragcloud_telemetry::{span, TelemetryHandle};
@@ -66,7 +67,7 @@ pub struct RecoveryReport {
     /// Committed ops verified (plus dangling ops whose effects turned out
     /// fully captured by a later checkpoint).
     pub replayed: usize,
-    /// Dangling put/repair/migrate/update ops rolled back.
+    /// Dangling put/repair/migrate/update/client ops rolled back.
     pub rolled_back: usize,
     /// Dangling remove/restore/rmchunk ops rolled forward to completion.
     pub rolled_forward: usize,
@@ -104,8 +105,8 @@ enum Resolution {
 /// resume.
 ///
 /// Fails only when the base snapshot itself cannot be imported (corrupt
-/// snapshot, missing provider, invalid config); per-op and per-row
-/// trouble is reported, not raised.
+/// snapshot, missing provider, invalid config) or a delta carries a
+/// `full|` row; per-op and other per-row trouble is reported, not raised.
 pub fn recover(
     journal: Arc<Journal>,
     providers: Vec<Arc<CloudProvider>>,
@@ -131,17 +132,16 @@ pub fn recover_with(
     // dangling so they resolve below.
     journal.discard_unflushed();
 
-    // Pick the replay base: the compacted checkpoint, unless a later
-    // close carried an inline `full|` snapshot (the repair escape hatch),
-    // which supersedes both the checkpoint and every delta row before it.
-    let mut base = journal.checkpoint();
+    let base = journal.checkpoint();
     let mut pending: Vec<String> = Vec::new();
     let mut watermark: u64 = 0;
-    for (_, _, delta) in journal.closed_deltas() {
-        for line in delta.lines() {
-            if let Some(rest) = line.strip_prefix("full|") {
-                base = persist::unesc(rest);
-                pending.clear();
+    for (op, _, delta) in journal.closed_deltas() {
+        for (i, line) in delta.lines().enumerate() {
+            if line.starts_with("full|") {
+                return Err(CoreError::CorruptState {
+                    line: i + 1,
+                    why: format!("{op}: `full|` delta rows are not replayable"),
+                });
             } else if let Some(w) = line.strip_prefix("vids|") {
                 watermark = watermark.max(w.parse().unwrap_or(0));
             } else if !line.is_empty() {
@@ -203,8 +203,10 @@ pub fn recover_with(
                 OpKind::Remove => {
                     // Table removal first: until the entries are
                     // tombstoned, the doomed vids look referenced and the
-                    // GC would (correctly) refuse to collect them.
-                    complete_remove(&d, &op.client, &op.target);
+                    // GC would (correctly) refuse to collect them. A no-op
+                    // when a later close captured the removal.
+                    let shard = d.shard_for(&op.client, &op.target);
+                    let _ = d.shard_write(shard).drop_file(&op.client, &op.target);
                     gc_vids(&d, &op.doomed, &mut report, tel);
                     Resolution::RolledForward
                 }
@@ -219,13 +221,16 @@ pub fn recover_with(
                         Resolution::Unresolved
                     }
                 }
-                OpKind::Put | OpKind::Repair | OpKind::Migrate | OpKind::Update => {
+                OpKind::Put
+                | OpKind::Repair
+                | OpKind::Migrate
+                | OpKind::Update
+                | OpKind::Client => {
                     let referenced = d.referenced_vids();
                     if !op.fresh.is_empty() && op.fresh.iter().all(|v| referenced.contains(v)) {
                         // Every upload is table-referenced: a concurrent
-                        // later commit's delta (or full snapshot) captured
-                        // this op's effects, so it is effectively
-                        // committed.
+                        // later commit's delta captured this op's effects,
+                        // so it is effectively committed.
                         Resolution::Replayed
                     } else {
                         if op.kind == OpKind::Put {
@@ -380,6 +385,18 @@ fn apply_delta_line(d: &CloudDataDistributor, line: &str) -> Option<()> {
                 .files
                 .insert(name, entry);
         }
+        "client" => {
+            if f.len() != 3 {
+                return None;
+            }
+            let name = persist::unesc(f[1]);
+            let passwords = persist::parse_passwords(f[2], 0).ok()?;
+            // The directory is replicated: the row lands in every shard.
+            for shard in 0..d.shard_count() {
+                let mut st = d.shard_write(shard);
+                st.clients.entry(name.clone()).or_default().passwords = passwords.clone();
+            }
+        }
         "filedel" => {
             if f.len() != 4 {
                 return None;
@@ -443,29 +460,6 @@ fn gc_vids(
     report.unrecoverable += failed as usize;
     if collected > 0 {
         tel.add("recovery_orphans_collected", collected);
-    }
-}
-
-/// Rolls a dangling removal forward at the table level: tombstones every
-/// member of the file's stripes and drops the file entry (the objects
-/// themselves were handled by [`gc_vids`] on the doom list). A no-op when
-/// the crash already passed the table update. The file — and all its
-/// stripes and chunks — live wholly in one shard, so one shard lock
-/// suffices.
-fn complete_remove(d: &CloudDataDistributor, client: &str, target: &str) {
-    let shard = d.shard_for(client, target);
-    let mut st = d.shard_write(shard);
-    let Ok(file) = st.file(client, target).cloned() else {
-        return;
-    };
-    for &sid in &file.stripe_ids {
-        let members = st.stripes[sid].members.clone();
-        for m in members {
-            st.chunks[m].tombstone();
-        }
-    }
-    if let Ok(entry) = st.client_mut(client) {
-        entry.files.remove(target);
     }
 }
 

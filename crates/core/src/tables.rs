@@ -92,6 +92,18 @@ impl ChunkEntry {
         self.snapshot_provider_idx = None;
         self.snapshot_vid = None;
     }
+
+    /// Every provider object the row names, as ⟨provider index, vid⟩: the
+    /// primary while the row is live, each replica, the snapshot. The one
+    /// enumeration behind a verb's doom list, its online pre-check and
+    /// [`Tables::referenced_vids`].
+    pub fn objects(&self) -> impl Iterator<Item = (usize, VirtualId)> + '_ {
+        (!self.removed)
+            .then_some((self.provider_idx, self.vid))
+            .into_iter()
+            .chain(self.replicas.iter().copied())
+            .chain(self.snapshot_provider_idx.zip(self.snapshot_vid))
+    }
 }
 
 /// Geometry and membership of one RAID stripe.
@@ -215,24 +227,37 @@ impl Tables {
         Ok(idx)
     }
 
-    /// Every virtual id the tables still reference: live chunks' primary
-    /// ids and replicas, plus any snapshot ids (`remove_chunk` and
-    /// `remove_file` drop a row's snapshot with the chunk). The complement
-    /// — an id a provider holds that is *not* in this set — is an orphan.
-    pub fn referenced_vids(&self) -> std::collections::HashSet<VirtualId> {
-        let mut set = std::collections::HashSet::new();
-        for e in &self.chunks {
-            if !e.removed {
-                set.insert(e.vid);
-                for &(_, rv) in &e.replicas {
-                    set.insert(rv);
-                }
-            }
-            if let Some(sv) = e.snapshot_vid {
-                set.insert(sv);
-            }
+    /// Chunk-table rows of every member (data and parity) of a file's
+    /// stripes.
+    pub fn file_members(&self, file: &FileEntry) -> Vec<usize> {
+        file.stripe_ids
+            .iter()
+            .flat_map(|&sid| self.stripes[sid].members.iter().copied())
+            .collect()
+    }
+
+    /// Removes a file at the table level — the file entry goes, every
+    /// member of its stripes becomes a tombstone — and returns the rows it
+    /// tombstoned. `remove_file` runs it under its shard guard, recovery to
+    /// roll a dangling removal forward; the file's objects are the
+    /// caller's to delete.
+    pub fn drop_file(&mut self, client: &str, filename: &str) -> Result<Vec<usize>> {
+        let members = self.file_members(self.file(client, filename)?);
+        self.client_mut(client)?.files.remove(filename);
+        for &m in &members {
+            self.chunks[m].tombstone();
         }
-        set
+        Ok(members)
+    }
+
+    /// Every virtual id the tables still reference
+    /// ([`ChunkEntry::objects`] over every row). The complement — an id a
+    /// provider holds that is *not* in this set — is an orphan.
+    pub fn referenced_vids(&self) -> std::collections::HashSet<VirtualId> {
+        self.chunks
+            .iter()
+            .flat_map(|e| e.objects().map(|(_, vid)| vid))
+            .collect()
     }
 
     /// Renders the Cloud Provider Table like the paper's Table I.

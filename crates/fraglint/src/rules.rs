@@ -142,9 +142,11 @@ pub fn built_in_allowed_paths(rule_id: &str) -> &'static [&'static str] {
         "no-wall-clock" => &["crates/telemetry/src/clock.rs"],
         "provider-boundary" => &[
             // The framed, retried, health-scored read/write pair — the
-            // only `get`/`put` callers in `crates/core` — and the verbs'
-            // best-effort deletes.
+            // only `get`/`put` callers in `crates/core` — the mutation
+            // bracket's post-commit delete step, and a failed verb's
+            // undo-record cleanup.
             "crates/core/src/objectio.rs",
+            "crates/core/src/mutation.rs",
             "crates/core/src/distributor.rs",
             // The providers' own crate: stores, failure injection and the
             // provider implementation itself necessarily touch the ops.
@@ -498,9 +500,11 @@ const LOCK_ALL_FNS: &[&str] = &["lock_all_read", "lock_all_write"];
 /// Provider methods that count as I/O for the held-across check.
 const PROVIDER_IO_METHODS: &[&str] = &["put", "get", "delete", "store"];
 
-/// The provider-object boundary (`core::objectio`): a call to either is
-/// provider I/O whatever its receiver is called.
-const BOUNDARY_FNS: &[&str] = &["get_with_retry", "put_with_retry"];
+/// Provider I/O by name, whatever the receiver (or none): the
+/// provider-object boundary (`core::objectio`) and the delete step of the
+/// mutation bracket (`core::mutation`), which runs after the commit and
+/// never under a guard.
+const BOUNDARY_FNS: &[&str] = &["get_with_retry", "put_with_retry", "delete_doomed"];
 
 /// A shard-lock guard believed live at the current token.
 struct LockGuard {
@@ -519,9 +523,9 @@ struct LockGuard {
 /// Within each function body (approximated by brace scoping), flags
 /// (a) a second shard acquisition with a smaller-or-equal literal index
 /// than one already held — the ascending-order deadlock convention —
-/// and (b) any provider I/O — a provider method or a call to the
-/// provider-object boundary — or `JournalSink::persist` call made while a
-/// shard guard is live. Lexical: a guard passed to a callee as a
+/// and (b) any provider I/O — a provider method, a call to the
+/// provider-object boundary or the bracket's delete step — or
+/// `JournalSink::persist` call made while a shard guard is live. Lexical: a guard passed to a callee as a
 /// parameter is not followed.
 fn lock_order(tokens: &[Token], code: &[usize]) -> Vec<Hit> {
     let mut hits = Vec::new();
@@ -638,7 +642,7 @@ fn lock_order(tokens: &[Token], code: &[usize]) -> Vec<Hit> {
             .checked_sub(1)
             .map(|p| tokens[code[p]].is_punct('.'))
             .unwrap_or(false);
-        if !prev_is_dot {
+        if !prev_is_dot && !BOUNDARY_FNS.contains(&name) {
             continue;
         }
         let held = &guards[0];
@@ -953,6 +957,12 @@ mod tests {
             self.get_with_retry(&st, p, vid, Some(n), &tel);
         }";
         assert_eq!(run("lock-order", boundary).len(), 1);
+
+        let delete_step = "fn f(&self) {
+            let st = self.shard_write(shard);
+            delete_doomed(&doomed);
+        }";
+        assert_eq!(run("lock-order", delete_step).len(), 1);
         // Non-provider receivers under a lock are fine.
         let ok = "fn f(&self) {
             let st = self.shard_read(0);

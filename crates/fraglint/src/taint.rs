@@ -36,7 +36,11 @@ pub struct FlowSpec {
     /// Fn-definition patterns whose bodies start `RAW`.
     pub sources: Vec<Vec<String>>,
     /// A fn is also a source when its body calls one of these (used by
-    /// journal-ordering: every fn that opens a journal context).
+    /// journal-ordering: every verb that runs in the mutation bracket,
+    /// `journaled(kind, client, target, |jctx| …)`). The closure it hands
+    /// the bracket is part of its body and is walked with it; the bracket
+    /// call itself carries no effect — what it deletes after the commit is
+    /// what the closure doomed.
     pub source_markers: Vec<Vec<String>>,
     /// Call/definition patterns that flip the state to `CLEAN`.
     pub sanitizers: Vec<Vec<String>>,
@@ -83,7 +87,7 @@ pub fn specs(config: &Config) -> Vec<FlowSpec> {
                     "put_stream",
                     "put_file_impl",
                     "put_stream_impl",
-                    "update_chunk_inner",
+                    "update_chunk_impl",
                     "chunker::split",
                     "chunker::split_borrowed",
                     "chunker::split_shared",
@@ -116,7 +120,7 @@ pub fn specs(config: &Config) -> Vec<FlowSpec> {
         FlowSpec {
             rule: "journal-ordering",
             sources: Vec::new(),
-            source_markers: pats(&["journal_begin"]),
+            source_markers: pats(&["journaled"]),
             sanitizers: pats(&["journal_alloc"]),
             sink_fns: pats(&["put_with_retry", "store_slot"]),
             sink_methods: &["put"],
@@ -127,7 +131,7 @@ pub fn specs(config: &Config) -> Vec<FlowSpec> {
         FlowSpec {
             rule: "journal-ordering",
             sources: Vec::new(),
-            source_markers: pats(&["journal_begin"]),
+            source_markers: pats(&["journaled"]),
             sanitizers: pats(&["journal_doom"]),
             sink_fns: Vec::new(),
             sink_methods: &["delete"],
@@ -339,6 +343,13 @@ fn sink_witness(
     spec: &FlowSpec,
     raw: &HashMap<(usize, usize), Option<String>>,
 ) -> Option<String> {
+    if spec
+        .source_markers
+        .iter()
+        .any(|p| callgraph::call_matches(site, p))
+    {
+        return None;
+    }
     let here = &ws.files[file_idx].rel_path;
     // Structural: a provider-receiver method call.
     if site.kind == CallKind::Method && spec.sink_methods.contains(&site.name()) {
@@ -542,9 +553,10 @@ mod tests {
             "crates/core/src/d.rs",
             "impl D {
                 fn append_impl(&self, data: Bytes) {
-                    let jctx = self.journal_begin(op, c, f);
-                    self.put_with_retry(st, 0, vid, data);
-                    self.journal_alloc(&jctx, &[vid]);
+                    self.journaled(op, c, f, |jctx| {
+                        self.put_with_retry(st, 0, vid, data);
+                        self.journal_alloc(jctx, &[vid]);
+                    })
                 }
             }",
         )]);
@@ -555,9 +567,10 @@ mod tests {
             "crates/core/src/d.rs",
             "impl D {
                 fn append_impl(&self, data: Bytes) {
-                    let jctx = self.journal_begin(op, c, f);
-                    self.journal_alloc(&jctx, &[vid]);
-                    self.put_with_retry(st, 0, vid, data);
+                    self.journaled(op, c, f, |jctx| {
+                        self.journal_alloc(jctx, &[vid]);
+                        self.put_with_retry(st, 0, vid, data);
+                    })
                 }
             }",
         )]);
@@ -570,9 +583,10 @@ mod tests {
             "crates/core/src/d.rs",
             "impl D {
                 fn remove_impl(&self) {
-                    let jctx = self.journal_begin(op, c, f);
-                    st.providers[i].delete(vid);
-                    self.journal_doom(&jctx, &[vid]);
+                    self.journaled(op, c, f, |jctx| {
+                        st.providers[i].delete(vid);
+                        self.journal_doom(jctx, &[vid]);
+                    })
                 }
             }",
         )]);
@@ -583,13 +597,41 @@ mod tests {
             "crates/core/src/d.rs",
             "impl D {
                 fn remove_impl(&self) {
-                    let jctx = self.journal_begin(op, c, f);
-                    self.journal_doom(&jctx, &[vid]);
-                    st.providers[i].delete(vid);
+                    self.journaled(op, c, f, |jctx| {
+                        self.journal_doom(jctx, &[vid]);
+                        st.providers[i].delete(vid);
+                    })
                 }
             }",
         )]);
         assert!(good.is_empty(), "{good:?}");
+
+        // The bracket deletes what the closure doomed, after the commit:
+        // its own delete is not charged to the verbs that call it.
+        let bracket = run(&[
+            (
+                "crates/core/src/d.rs",
+                "impl D {
+                    fn remove_impl(&self) {
+                        self.journaled(op, c, f, |jctx| {
+                            self.journal_doom(jctx, &[vid]);
+                            Ok(((), doomed))
+                        })
+                    }
+                }",
+            ),
+            (
+                "crates/core/src/m.rs",
+                "impl D {
+                    fn journaled(&self, body: impl FnOnce()) {
+                        let (v, doomed) = body(&jctx)?;
+                        self.commit(jctx);
+                        for (provider, vid) in &doomed { provider.delete(*vid); }
+                    }
+                }",
+            ),
+        ]);
+        assert!(bracket.is_empty(), "{bracket:?}");
     }
 
     #[test]

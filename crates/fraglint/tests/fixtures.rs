@@ -49,6 +49,13 @@ const CASES: &[(&str, &str, &str)] = &[
         "lock_order_objectio_bad.rs",
         "lock_order_objectio_good.rs",
     ),
+    // So is the mutation bracket's delete step: it runs after the commit,
+    // never under a guard.
+    (
+        "lock-order",
+        "lock_order_delete_bad.rs",
+        "lock_order_delete_good.rs",
+    ),
     (
         "verify-before-decode",
         "verify_decode_bad.rs",

@@ -3,10 +3,11 @@
 //! recording the alloc intent — a crash between the two leaks an
 //! orphan no recovery pass can enumerate.
 
-pub fn migrate_chunk(tables: &mut Tables, jctx: &mut JournalCtx) -> Result<()> {
-    let new_vid = tables.vids.allocate();
-    journal_begin(jctx, "migrate");
-    put_with_retry(tables, new_vid, tables.staged_bytes(new_vid))?;
-    journal_alloc(jctx, &[new_vid]);
-    Ok(())
+pub fn migrate_chunk(d: &Distributor, tables: &mut Tables) -> Result<()> {
+    d.journaled(OpKind::Migrate, "c", "f#0", |jctx| {
+        let new_vid = tables.vids.allocate();
+        put_with_retry(tables, new_vid, tables.staged_bytes(new_vid))?;
+        journal_alloc(jctx, &[new_vid]);
+        Ok(((), Doomed::new()))
+    })
 }

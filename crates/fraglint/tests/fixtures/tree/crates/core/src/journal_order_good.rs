@@ -2,10 +2,11 @@
 //! order — alloc is durable before the upload, so recovery can always
 //! enumerate (and if needed collect) the new vid.
 
-pub fn migrate_chunk(tables: &mut Tables, jctx: &mut JournalCtx) -> Result<()> {
-    let new_vid = tables.vids.allocate();
-    journal_begin(jctx, "migrate");
-    journal_alloc(jctx, &[new_vid]);
-    put_with_retry(tables, new_vid, tables.staged_bytes(new_vid))?;
-    Ok(())
+pub fn migrate_chunk(d: &Distributor, tables: &mut Tables) -> Result<()> {
+    d.journaled(OpKind::Migrate, "c", "f#0", |jctx| {
+        let new_vid = tables.vids.allocate();
+        journal_alloc(jctx, &[new_vid]);
+        put_with_retry(tables, new_vid, tables.staged_bytes(new_vid))?;
+        Ok(((), Doomed::new()))
+    })
 }

@@ -22,7 +22,11 @@
 //! 6. recovering a second time from the same crashed journal gives the
 //!    same report and the same state;
 //! 7. the recovered distributor accepts new traffic — another update of
-//!    the very chunk the crash interrupted included.
+//!    the very chunk the crash interrupted included;
+//! 8. a client registered (or given a password) after the journal was
+//!    attached is known in every table shard once the verb was
+//!    acknowledged — or its commit reached the group fsync — and unknown
+//!    when the crash beat its commit.
 
 use fragcloud::core::journal::{OpKind, OpStatus};
 use fragcloud::sim::{CloudProvider, CostLevel, ObjectStore, ProviderProfile};
@@ -163,6 +167,11 @@ struct Ledger {
     attempted: BTreeMap<String, Chunks>,
     snapshots: BTreeMap<(String, usize), Vec<u8>>,
     in_flight: Option<(String, usize, Option<Vec<u8>>)>,
+    /// Acknowledged `client` ops: ⟨client, its passwords⟩.
+    clients: BTreeMap<String, Vec<String>>,
+    /// The `client` op the crash interrupted: the client, and the
+    /// password being added (`None`: the registration itself).
+    client_in_flight: Option<(String, Option<String>)>,
 }
 
 impl Ledger {
@@ -199,6 +208,21 @@ impl Ledger {
             Err(e @ CoreError::SimulatedCrash { .. }) => Err(e),
             _ => Ok(()),
         }
+    }
+
+    /// Registers `name` (a duplicate is an aborted journal op) and gives
+    /// it the password `pw`: two `client` ops.
+    fn client(&mut self, w: &World, name: &str, pw: &str) -> Result<(), CoreError> {
+        self.client_in_flight = Some((name.into(), None));
+        match w.d.register_client(name) {
+            Err(e @ CoreError::SimulatedCrash { .. }) => return Err(e),
+            _ => self.clients.entry(name.into()).or_default(),
+        };
+        self.client_in_flight = Some((name.into(), Some(pw.into())));
+        w.d.add_password(name, pw, PrivacyLevel::Low)?;
+        self.clients.entry(name.into()).or_default().push(pw.into());
+        self.client_in_flight = None;
+        Ok(())
     }
 
     /// One chunk-level verb on ⟨`name`, `serial`⟩. A verb the tables refuse
@@ -253,8 +277,9 @@ impl Ledger {
     }
 }
 
-/// The fixed matrix workload: puts (one replicated), a remove, a first and
-/// a second update of one chunk, restores, a chunk removal, induced shard
+/// The fixed matrix workload: puts (one replicated), a remove, a client
+/// registered after the journal was attached, a first and a second update
+/// of one chunk, restores, a chunk removal, induced shard
 /// loss + repair, migrations, and a final put. The first simulated crash
 /// aborts the run.
 fn run_workload(w: &World, l: &mut Ledger) -> Result<(), CoreError> {
@@ -263,6 +288,7 @@ fn run_workload(w: &World, l: &mut Ledger) -> Result<(), CoreError> {
     l.put(w, "f0", &body(5000, 1), PrivacyLevel::Low, plain)?;
     l.put(w, "f1", &body(3100, 2), PrivacyLevel::Moderate, plain)?;
     l.remove(w, "f0")?;
+    l.client(w, "late", "pw2")?;
     l.put(
         w,
         "f2",
@@ -372,6 +398,34 @@ fn assert_chunks(
     }
 }
 
+/// Every acknowledged `client` op survived — the client is known in every
+/// table shard and each password opens a session — and the one the crash
+/// interrupted took effect iff its commit was `durable`.
+fn assert_clients(d: &CloudDataDistributor, l: &Ledger, durable: bool, tag: &str) {
+    for (name, passwords) in &l.clients {
+        assert!(
+            d.client_chunks_per_provider(name).is_ok(),
+            "{tag}: acked client {name} unknown"
+        );
+        for pw in passwords {
+            assert!(d.session(name, pw).is_ok(), "{tag}: {name}/{pw} lost");
+        }
+    }
+    match &l.client_in_flight {
+        Some((name, None)) if !l.clients.contains_key(name) => assert_eq!(
+            d.client_chunks_per_provider(name).is_ok(),
+            durable,
+            "{tag}: interrupted registration of {name}"
+        ),
+        Some((name, Some(pw))) => assert_eq!(
+            d.session(name, pw).is_ok(),
+            durable,
+            "{tag}: interrupted password of {name}"
+        ),
+        _ => {}
+    }
+}
+
 /// Recovers the crashed world and asserts the full contract (see the
 /// module doc). `tag` labels assertion failures with the crash point.
 fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
@@ -403,9 +457,9 @@ fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
             (OpKind::Remove, OpStatus::Committed | OpStatus::Dangling) => {
                 expect_present.insert(op.target.clone(), false);
             }
-            // Aborted ops restored the prior state; repair/migrate ops
-            // never change which files exist; chunk-level ops never do
-            // either, they only decide which bytes the chunk holds.
+            // Aborted ops restored the prior state; repair/migrate/client
+            // ops never change which files exist; chunk-level ops never
+            // do either, they only decide which bytes the chunk holds.
             _ => {}
         }
     }
@@ -434,6 +488,13 @@ fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
         }
     }
 
+    // Likewise a `client` op: known iff its commit made the group fsync.
+    let client_op_durable = w
+        .journal
+        .ops()
+        .last()
+        .is_some_and(|op| op.kind == OpKind::Client && op.status == OpStatus::Committed);
+
     let (d, report) = recover(Arc::clone(&w.journal), w.fleet.clone(), w.cfg)
         .unwrap_or_else(|e| panic!("{tag}: recovery failed: {e}"));
     assert_report(&report, &want, tag);
@@ -449,6 +510,7 @@ fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
         );
     }
     assert_chunks(&d, &expect, &in_flight, tag);
+    assert_clients(&d, l, client_op_durable, tag);
     assert_no_orphans(w, &d, tag);
     assert!(w.journal.ops().is_empty(), "{tag}: journal not settled");
 
@@ -472,6 +534,7 @@ fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
     assert_report(&report, &want, tag);
     assert_eq!(d.referenced_vids(), referenced, "{tag}: tables diverged");
     assert_chunks(&d, &state, &None, tag);
+    assert_clients(&d, l, client_op_durable, tag);
     assert_no_orphans(w, &d, tag);
 
     // Parity agrees with data: heal whatever shard the workload's induced
@@ -641,6 +704,82 @@ fn unfinished_undo_is_retried_by_the_next_recovery() {
     assert!(w.journal.ops().is_empty());
 }
 
+/// Deleted ⇒ commit durable: `remove_file` changes only table rows
+/// before its commit, so at every crash point up to and including the
+/// window where the commit record is appended but unflushed, every
+/// provider still holds every object of the file — data, parity, replica
+/// and snapshot.
+#[test]
+fn remove_file_deletes_nothing_before_its_commit_is_durable() {
+    let setup = |w: &World| {
+        let mut l = Ledger::default();
+        let (data, replicated) = (body(4 * CHUNK, 6), PutOptions::new().replicas(1));
+        l.put(w, "doc", &data, PrivacyLevel::High, replicated)
+            .unwrap();
+        l.chunk_op(w, ChunkVerb::Update, "doc", 1, &body(CHUNK, 7))
+            .unwrap();
+        l
+    };
+    let held = |w: &World| -> HashSet<_> {
+        let providers = w.fleet.iter().enumerate();
+        providers
+            .flat_map(|(i, p)| p.virtual_id_list().into_iter().map(move |v| (i, v)))
+            .collect()
+    };
+    let counter = Arc::new(CrashPlan::count_only());
+    let dry = world(Arc::clone(&counter));
+    let mut l = setup(&dry);
+    let before = counter.points_seen();
+    l.remove(&dry, "doc").unwrap();
+    let points = counter.points_seen() - before;
+    assert!(held(&dry).is_empty(), "an acked removal leaves nothing");
+    assert!(points >= 5, "crash surface too small: {points}");
+
+    for k in 1..=points {
+        let w = world(Arc::new(CrashPlan::at_point(before + k)));
+        let mut l = setup(&w);
+        let file = held(&w);
+        assert!(matches!(
+            l.remove(&w, "doc"),
+            Err(CoreError::SimulatedCrash { .. })
+        ));
+        let op = w.journal.ops().pop().unwrap();
+        assert_eq!(op.kind, OpKind::Remove);
+        if op.status != OpStatus::Committed {
+            assert_eq!(held(&w), file, "point {k}: deleted before the commit");
+        }
+        recover_and_check(&w, &l, &format!("remove point {k}"));
+    }
+}
+
+/// A delta that carries a `full|` row (the inline snapshot `repair` once
+/// journaled) is refused with a typed error: skipping the row would
+/// replay every later delta onto the wrong base.
+#[test]
+fn a_full_snapshot_delta_row_fails_recovery_with_corrupt_state() {
+    let w = world(Arc::new(CrashPlan::count_only()));
+    one_windowed_put(&w, &mut Ledger::default()).unwrap();
+    let text = w.journal.export();
+    let commit = text
+        .lines()
+        .find(|line| line.starts_with("commit|"))
+        .expect("the put's commit record");
+    // A well-formed row: the checkpoint itself, escaped once as the row's
+    // payload and once more with the delta it joins.
+    let esc = |s: &str| {
+        s.replace('%', "%25")
+            .replace('|', "%7C")
+            .replace('\n', "%0A")
+    };
+    let row = format!("full|{}\n", esc(&w.journal.checkpoint()));
+    let inline = format!("{commit}{}", esc(&row));
+    let journal = Arc::new(Journal::parse(&text.replace(commit, &inline)).unwrap());
+    assert!(matches!(
+        recover(journal, w.fleet.clone(), w.cfg),
+        Err(CoreError::CorruptState { .. })
+    ));
+}
+
 /// One journaled put under a real group-commit window.
 fn one_windowed_put(w: &World, l: &mut Ledger) -> Result<(), CoreError> {
     l.put(
@@ -710,6 +849,8 @@ enum Step {
     /// from a small range so second updates, restores after an update and
     /// verbs on a removed chunk all come up.
     Chunk(ChunkVerb, u8, u8, usize),
+    /// Registers client `u{n}` (again, sometimes) and adds a password.
+    Client(u8),
 }
 
 fn chunk_step(verb: ChunkVerb) -> impl Strategy<Value = Step> {
@@ -725,6 +866,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         4 => chunk_step(ChunkVerb::Update),
         2 => chunk_step(ChunkVerb::Restore),
         1 => chunk_step(ChunkVerb::RemoveChunk),
+        1 => (0u8..2).prop_map(Step::Client),
     ]
 }
 
@@ -760,6 +902,7 @@ fn apply_steps(w: &World, steps: &[Step], l: &mut Ledger) -> Result<(), CoreErro
                 let serial = *sl as usize % chunks;
                 l.chunk_op(w, *verb, &name, serial, &body(*len, i as u64 + 31))?;
             }
+            Step::Client(idx) => l.client(w, &format!("u{idx}"), &format!("pw{i}"))?,
         }
     }
     Ok(())

@@ -16,6 +16,7 @@ use fragcloud::sim::{
     ProviderProfile,
 };
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn fleet(n: usize) -> Vec<Arc<CloudProvider>> {
@@ -321,6 +322,10 @@ fn scrub_verify_catches_bit_rot_and_repair_heals_it() {
     assert_eq!(after.corrupt_shards, 0);
     assert!(after.is_healthy());
     assert_eq!(session.get_file("cold").unwrap().data, data);
+    // The rotted object was replaced under a fresh id — and deleted: no
+    // provider holds an object the tables no longer name.
+    let held: HashSet<_> = providers.iter().flat_map(|p| p.virtual_id_list()).collect();
+    assert_eq!(held, d.referenced_vids());
 }
 
 /// A one-chunk RS(4,1) file — one data object, one parity object — and
