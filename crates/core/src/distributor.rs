@@ -508,12 +508,12 @@ impl CloudDataDistributor {
     /// [`crate::mutation`]: virtual ids logged *before* their provider
     /// uploads, doomed objects logged before (and deleted only after) the
     /// commit. Commit records carry a *delta* (just the rows the op
-    /// touched) instead of a full snapshot; the journal is periodically
-    /// compacted back onto a fresh checkpoint (see
-    /// [`DurabilityConfig::checkpoint_interval`]). The checkpoint is
-    /// seeded with the current state snapshot, so
-    /// [`recover`](crate::recovery::recover) can rebuild this distributor
-    /// from the journal alone.
+    /// touched) instead of a full snapshot; every
+    /// [`DurabilityConfig::checkpoint_interval`] commits the journal folds
+    /// the closed deltas into its checkpoint. The checkpoint is seeded
+    /// here with the current state, row by row — the one time the tables
+    /// are read for it — so [`recover`](crate::recovery::recover) can
+    /// rebuild this distributor from the journal alone.
     ///
     /// The journal inherits this distributor's
     /// [`DurabilityConfig`](crate::config::DurabilityConfig) (group-commit
@@ -523,7 +523,7 @@ impl CloudDataDistributor {
     pub fn attach_journal(&self, journal: Arc<Journal>) {
         journal.configure(&self.config.durability);
         journal.set_telemetry(self.telemetry());
-        journal.set_checkpoint(persist::export_state(self));
+        journal.set_checkpoint(persist::StateImage::of(self));
         *self.journal.write() = Some(journal);
     }
 
@@ -2083,8 +2083,12 @@ impl CloudDataDistributor {
     /// the Chunk Table says (provider online and holding the virtual id),
     /// refreshing the stripes' degraded markers. Operator-side: no client
     /// credentials involved, and no provider payloads are read.
+    ///
+    /// Journaled when a journal is attached (a `repair` op targeting
+    /// `scrub`): the markers it flips are rows of the op's delta, like
+    /// those of the scrub inside a repair.
     pub fn scrub(&self) -> ScrubReport {
-        self.scrub_impl(false, &None)
+        self.journaled_scrub(false)
     }
 
     /// Deep scrub: like [`scrub`](Self::scrub), but additionally *reads*
@@ -2095,11 +2099,24 @@ impl CloudDataDistributor {
     /// following [`try_repair_verify`](Self::try_repair_verify) rebuilds
     /// them from parity.
     pub fn scrub_verify(&self) -> ScrubReport {
-        self.scrub_impl(true, &None)
+        self.journaled_scrub(true)
     }
 
-    /// `jctx` is the repair op a scrub runs inside, when it does: every
-    /// degraded marker it flips is a row of that op's delta.
+    /// A standalone scrub in the mutation bracket. It stores and dooms
+    /// nothing, so the only error the bracket can raise is a fired
+    /// [`CrashPlan`] at the op's close — the scrub itself has run by then,
+    /// and its report stands.
+    fn journaled_scrub(&self, verify: bool) -> ScrubReport {
+        let mut report = ScrubReport::default();
+        let _ = self.journaled(OpKind::Repair, "", "scrub", |jctx| {
+            report = self.scrub_impl(verify, jctx);
+            Ok(((), Doomed::new()))
+        });
+        report
+    }
+
+    /// `jctx` is the op the scrub runs inside: every degraded marker it
+    /// flips is a row of that op's delta.
     fn scrub_impl(&self, verify: bool, jctx: &Option<JournalCtx>) -> ScrubReport {
         let tel = self.telemetry();
         let _op = span!(tel, "scrub");
@@ -2853,6 +2870,102 @@ mod tests {
                 "{few} B with 10 files, {many} B with 200"
             );
         }
+    }
+
+    /// A compaction folds the deltas of the ops that closed since the last
+    /// one — it never reads the tables — so what it costs cannot grow with
+    /// the state the distributor holds. Pinned by counts: the same 17 puts
+    /// (the 16th commit compacts, the 17th stays a record) fold the same
+    /// number of rows and leave the same number of records behind with no
+    /// file resident and with 400.
+    #[test]
+    fn compaction_folds_the_same_rows_whatever_the_resident_state() {
+        // (compactions, rows folded, records left, checkpoint == export).
+        let measure = |files: usize| -> (u64, u64, usize, bool) {
+            let d = distributor();
+            let s = high_session(&d);
+            for i in 0..files {
+                let name = format!("f{i}");
+                s.put_file(&name, &data(96), PrivacyLevel::Public, PutOptions::new())
+                    .unwrap();
+            }
+            let tel = d.enable_telemetry();
+            let journal = Arc::new(Journal::new());
+            d.attach_journal(Arc::clone(&journal));
+            for i in 0..16 {
+                let name = format!("n{i}");
+                s.put_file(&name, &data(96), PrivacyLevel::Public, PutOptions::new())
+                    .unwrap();
+            }
+            let folded = journal.checkpoint() == persist::export_state(&d);
+            assert_eq!(journal.record_len(), 0, "the 16th commit folds all 16");
+            s.put_file("n16", &data(96), PrivacyLevel::Public, PutOptions::new())
+                .unwrap();
+            let reg = tel.registry().expect("enabled");
+            assert_eq!(
+                reg.histogram("journal_compaction_us", "").count(),
+                reg.counter_total("journal_compactions_total")
+            );
+            (
+                reg.counter_total("journal_compactions_total"),
+                reg.counter_total("journal_compaction_rows_total"),
+                journal.record_len(),
+                folded,
+            )
+        };
+        let (empty, full) = (measure(0), measure(400));
+        assert_eq!(empty, full);
+        let (compactions, rows, records, folded) = empty;
+        // Per put: `vids|`, 2 data + 1 parity chunk rows, 1 stripe row, 1
+        // file row; begin + 2 allocs + commit for the 17th.
+        assert_eq!((compactions, rows, records), (1, 16 * 6, 4));
+        assert!(folded, "the folded checkpoint is the exported state");
+    }
+
+    /// A standalone scrub runs in the mutation bracket: the degraded
+    /// markers it flips are delta rows, durable with the scrub's own
+    /// commit — not whenever a later compaction happens to notice them.
+    #[test]
+    fn a_standalone_scrub_journals_the_markers_it_flips() {
+        let d = distributor();
+        let journal = Arc::new(Journal::new());
+        d.attach_journal(Arc::clone(&journal));
+        let s = high_session(&d);
+        for name in ["f0", "f1"] {
+            s.put_file(name, &data(200), PrivacyLevel::High, PutOptions::new())
+                .unwrap();
+        }
+        let holdings = d.client_chunks_per_provider("Bob").unwrap();
+        let victim = holdings.iter().position(|&c| c > 0).unwrap();
+        d.providers()[victim].set_online(false);
+        let report = d.scrub();
+        assert!(!report.degraded.is_empty());
+
+        // Crash before any compaction: the journal text is what survives.
+        let stripe_rows = |d: &CloudDataDistributor| -> Vec<String> {
+            let state = persist::export_state(d);
+            let rows = state.lines().filter(|l| l.starts_with("stripe|"));
+            rows.map(str::to_string).collect()
+        };
+        let crashed = Arc::new(Journal::parse(&journal.export()).unwrap());
+        let scrub_op = crashed.ops().pop().unwrap();
+        assert_eq!(
+            (scrub_op.kind, scrub_op.target.as_str(), scrub_op.status),
+            (OpKind::Repair, "scrub", crate::journal::OpStatus::Committed)
+        );
+        let (recovered, _) = crate::recovery::recover(crashed, d.providers(), *d.config()).unwrap();
+        let marked = stripe_rows(&recovered);
+        assert_eq!(marked, stripe_rows(&d));
+        assert!(marked.iter().any(|row| row.ends_with("|degraded")));
+
+        // The way back is journaled the same way.
+        d.providers()[victim].set_online(true);
+        assert!(d.scrub_verify().degraded.is_empty());
+        let crashed = Arc::new(Journal::parse(&journal.export()).unwrap());
+        let (recovered, _) = crate::recovery::recover(crashed, d.providers(), *d.config()).unwrap();
+        assert!(stripe_rows(&recovered)
+            .iter()
+            .all(|row| row.ends_with("|healthy")));
     }
 
     /// Registering a client journals its one directory row — begin +

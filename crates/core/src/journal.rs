@@ -20,10 +20,29 @@
 //! ~1.9× put-path tax E20 measured. v2 closes an op with a small **delta**
 //! against the last checkpoint: just the table rows the op touched
 //! (serialized by the distributor; the journal treats the payload as
-//! opaque text). The checkpoint is refreshed only every
+//! opaque text).
+//!
+//! ## Compaction is a fold
+//!
+//! The checkpoint is held as a row-keyed image of the snapshot text
+//! ([`persist`]'s `StateImage`, which owns the format). Every
 //! [`checkpoint_interval`](crate::config::DurabilityConfig::checkpoint_interval)
-//! commits, when the accumulated deltas are folded in and the closed
-//! records dropped ([`compact_upto`](Journal::compact_upto)).
+//! commits the bracket calls `compact`: under the journal's own mutex,
+//! each **released** op's delta lines are copied over the image rows they
+//! name, in close order, and the op's records are dropped. Nothing is
+//! exported, no table shard is locked, and the cost is that of the rows
+//! the folded ops touched — not of the state the distributor holds.
+//! [`checkpoint`](Journal::checkpoint) and [`export`](Journal::export)
+//! render the image to the `v2` snapshot text on demand.
+//!
+//! An op is *released* by its bracket once its doomed objects are deleted
+//! (step 5 of [`mutation`](crate::mutation); an aborted op once it is
+//! rolled back). Until then its records stay whoever compacts: its `doom`
+//! record is all that names those objects should the process die before
+//! the deletes — and the closes behind it wait with it, because rows are
+//! state and must fold in the order they closed. Recovery replays with the
+//! same fold — every durable close, each line validated first — and
+//! imports the image once.
 //!
 //! Record grammar (one record per line, `|`-separated, the same `%xx`
 //! escaping as `persist`):
@@ -57,7 +76,8 @@
 //!
 //! A close record that was appended but **not yet flushed** is not
 //! durable: [`ops`](Journal::ops) reports its op as dangling,
-//! [`export`](Journal::export) omits it, and recovery begins by
+//! [`export`](Journal::export) omits it, compaction leaves it alone, and
+//! recovery begins by
 //! [`discard_unflushed`](Journal::discard_unflushed) — exactly the "crash
 //! between batch intent and group fsync" window of the crash matrix. An
 //! operation is only acknowledged to its caller after its record is
@@ -68,11 +88,12 @@
 //! [`persist`]: crate::persist
 
 use crate::config::DurabilityConfig;
-use crate::persist::{esc, unesc};
+use crate::persist::{esc, esc_into, unesc, StateImage};
 use crate::{CoreError, Result};
 use fragcloud_sim::VirtualId;
-use fragcloud_telemetry::{clock, TelemetryHandle};
+use fragcloud_telemetry::{clock, span, TelemetryHandle};
 use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::Duration;
 
@@ -106,7 +127,9 @@ pub enum OpKind {
     Put,
     /// `remove_file`: file deletion.
     Remove,
-    /// `repair`: stripe re-placement after provider loss.
+    /// `repair`: stripe re-placement after provider loss — and a
+    /// standalone `scrub` / `scrub_verify` (target `scrub`), whose only
+    /// rows are the degraded markers it flips.
     Repair,
     /// A rebalance move (`migrate_chunk`).
     Migrate,
@@ -307,6 +330,19 @@ impl<S: JournalSink> JournalSink for FaultySink<S> {
     }
 }
 
+/// How far a close record has come.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stage {
+    /// Appended, not yet covered by a group flush: not durable.
+    Appended,
+    /// Flushed: the op is committed (or aborted) for good.
+    Durable,
+    /// Durable, and the op's bracket has run its post-commit deletes (or
+    /// its rollback): nothing needs the op's records any more, so
+    /// compaction may fold its delta and drop them.
+    Released,
+}
+
 #[derive(Debug, Clone)]
 enum Record {
     Begin {
@@ -323,15 +359,12 @@ enum Record {
         op: OpId,
         vids: Vec<VirtualId>,
     },
-    Commit {
+    /// A `commit` (`committed`) or `abort` record.
+    Close {
         op: OpId,
+        committed: bool,
         delta: String,
-        flushed: bool,
-    },
-    Abort {
-        op: OpId,
-        delta: String,
-        flushed: bool,
+        stage: Stage,
     },
 }
 
@@ -341,21 +374,53 @@ impl Record {
             Record::Begin { op, .. }
             | Record::Alloc { op, .. }
             | Record::Doom { op, .. }
-            | Record::Commit { op, .. }
-            | Record::Abort { op, .. } => *op,
+            | Record::Close { op, .. } => *op,
         }
     }
+
+    /// The op and stage of a close record.
+    fn close(&self) -> Option<(OpId, Stage)> {
+        match self {
+            Record::Close { op, stage, .. } => Some((*op, *stage)),
+            _ => None,
+        }
+    }
+}
+
+/// Appends a close record's text form: `commit|<op>|<escaped delta>`.
+fn close_line(out: &mut String, op: OpId, committed: bool, delta: &str) {
+    let tag = if committed { "commit" } else { "abort" };
+    out.push_str(&format!("{tag}|{}|{}\n", op.0, esc(delta)));
 }
 
 #[derive(Default)]
 struct JournalInner {
     next_op: u64,
-    checkpoint: String,
+    /// The checkpoint, row by row (empty until a distributor attaches).
+    image: StateImage,
     records: Vec<Record>,
     /// Close records appended so far — the group-commit sequence space.
     closes_appended: u64,
     /// Commits since the last checkpoint compaction.
     commits_since_checkpoint: u32,
+}
+
+impl JournalInner {
+    fn append_close(&mut self, op: OpId, committed: bool, delta: String) -> u64 {
+        self.records.push(Record::Close {
+            op,
+            committed,
+            delta,
+            stage: Stage::Appended,
+        });
+        self.closes_appended += 1;
+        self.closes_appended
+    }
+
+    /// Drops every record of the ops in `gone`.
+    fn drop_ops(&mut self, gone: &HashSet<OpId>) {
+        self.records.retain(|r| !gone.contains(&r.op()));
+    }
 }
 
 /// Group-commit flush progress, guarded by a std mutex so the leader's
@@ -495,13 +560,7 @@ impl Journal {
     pub fn commit_prepare(&self, op: OpId, delta: String) -> (u64, bool) {
         let interval = *self.checkpoint_interval.lock();
         let mut inner = self.inner.lock();
-        inner.records.push(Record::Commit {
-            op,
-            delta,
-            flushed: false,
-        });
-        inner.closes_appended += 1;
-        let seq = inner.closes_appended;
+        let seq = inner.append_close(op, true, delta);
         inner.commits_since_checkpoint += 1;
         let due = inner.commits_since_checkpoint >= interval;
         if due {
@@ -568,18 +627,16 @@ impl Journal {
                 let mut batch = String::new();
                 let mut n = 0u64;
                 for r in inner.records.iter_mut() {
-                    match r {
-                        Record::Commit { op, delta, flushed } if !*flushed => {
-                            *flushed = true;
-                            batch.push_str(&format!("commit|{}|{}\n", op.0, esc(delta)));
-                            n += 1;
-                        }
-                        Record::Abort { op, delta, flushed } if !*flushed => {
-                            *flushed = true;
-                            batch.push_str(&format!("abort|{}|{}\n", op.0, esc(delta)));
-                            n += 1;
-                        }
-                        _ => {}
+                    if let Record::Close {
+                        op,
+                        committed,
+                        delta,
+                        stage: stage @ Stage::Appended,
+                    } = r
+                    {
+                        *stage = Stage::Durable;
+                        close_line(&mut batch, *op, *committed, delta);
+                        n += 1;
                     }
                 }
                 (batch, n, inner.closes_appended)
@@ -614,104 +671,158 @@ impl Journal {
 
     /// Closes `op` as aborted (the live distributor already rolled it
     /// back), carrying the post-rollback delta, and flushes immediately.
+    /// With the rollback behind it the op is released at once.
     pub fn abort(&self, op: OpId, delta: String) {
-        let seq = {
-            let mut inner = self.inner.lock();
-            inner.records.push(Record::Abort {
-                op,
-                delta,
-                flushed: false,
-            });
-            inner.closes_appended += 1;
-            inner.closes_appended
-        };
+        let seq = self.inner.lock().append_close(op, false, delta);
         self.sync(seq);
+        self.release(op);
+    }
+
+    /// Marks `op` — durably closed — as done with its records: its bracket
+    /// has deleted what the op doomed, so the next compaction may fold its
+    /// delta and drop them. Until then they survive every compaction: the
+    /// `doom` record is all that names those objects if the process dies
+    /// before the deletes.
+    pub(crate) fn release(&self, op: OpId) {
+        let mut inner = self.inner.lock();
+        // The op has just closed: its record is at the tail.
+        let close = inner.records.iter_mut().rev().find_map(|r| match r {
+            Record::Close { op: o, stage, .. } if *o == op => Some(stage),
+            _ => None,
+        });
+        if let Some(stage @ Stage::Durable) = close {
+            *stage = Stage::Released;
+        }
     }
 
     /// Seeds the checkpoint of a journal being attached. Every later
-    /// checkpoint is written by compaction.
-    pub(crate) fn set_checkpoint(&self, checkpoint: String) {
-        self.inner.lock().checkpoint = checkpoint;
+    /// change to it is a fold.
+    pub(crate) fn set_checkpoint(&self, image: StateImage) {
+        self.inner.lock().image = image;
     }
 
-    /// The latest committed state snapshot (empty string if none yet).
+    /// Runs `f` on the checkpoint image.
+    pub(crate) fn with_checkpoint<T>(&self, f: impl FnOnce(&StateImage) -> T) -> T {
+        f(&self.inner.lock().image)
+    }
+
+    /// The checkpoint as snapshot text (empty string if none yet).
     pub fn checkpoint(&self) -> String {
-        self.inner.lock().checkpoint.clone()
+        self.with_checkpoint(StateImage::render)
     }
 
-    /// Current record count — the watermark to pass to
-    /// [`compact_upto`](Self::compact_upto): a snapshot exported *after*
-    /// reading this covers every close record below it.
+    /// Current record count.
     pub fn record_len(&self) -> usize {
         self.inner.lock().records.len()
     }
 
-    /// Drops all records of ops whose durable close record sits below
-    /// index `upto`, installing `checkpoint` as the new baseline. Ops
-    /// closed *after* the watermark keep their records (their deltas may
-    /// postdate the snapshot); dangling ops always survive. Delta replay
-    /// is idempotent, so a checkpoint that already contains a surviving
-    /// delta's rows is harmless.
-    pub fn compact_upto(&self, checkpoint: String, upto: usize) {
-        let mut inner = self.inner.lock();
-        let closed: std::collections::HashSet<OpId> = inner
-            .records
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| match r {
-                Record::Commit { op, flushed, .. } | Record::Abort { op, flushed, .. }
-                    if *flushed && i < upto =>
-                {
-                    Some(*op)
+    /// Checkpoint compaction: folds the deltas of released ops into the
+    /// checkpoint image and drops those ops' records. Runs under the
+    /// journal's own mutex and touches nothing else — no table, no shard
+    /// lock — so it costs what the folded rows cost.
+    ///
+    /// Deltas are state, so they fold in close order and never out of it:
+    /// the fold stops at the first close record that is not yet released
+    /// (unflushed, or its bracket still deleting). Folding a later op's
+    /// rows past it would let its older rows overwrite them at the next
+    /// compaction. Ops without a close record — dangling, still running —
+    /// hold nothing up. Returns the number of delta rows folded
+    /// (`journal_compaction_rows_total`).
+    pub(crate) fn compact(&self) -> u64 {
+        let tel = self.tel.lock().clone();
+        let _fold = span!(tel, "journal.compact");
+        let started = clock::monotonic_now();
+        let rows = {
+            let mut inner = self.inner.lock();
+            let JournalInner { image, records, .. } = &mut *inner;
+            let mut folded = HashSet::new();
+            let mut rows = 0u64;
+            for r in records.iter() {
+                let Record::Close {
+                    op, delta, stage, ..
+                } = r
+                else {
+                    continue;
+                };
+                if *stage != Stage::Released {
+                    break;
                 }
-                _ => None,
-            })
-            .collect();
-        inner.records.retain(|r| !closed.contains(&r.op()));
-        inner.checkpoint = checkpoint;
+                for line in delta.lines().filter(|l| !l.is_empty()) {
+                    let placed = image.fold_line(line).is_some();
+                    debug_assert!(placed, "a live delta row the image cannot place: {line}");
+                    rows += u64::from(placed);
+                }
+                folded.insert(*op);
+            }
+            inner.drop_ops(&folded);
+            rows
+        };
+        tel.incr("journal_compactions_total");
+        tel.add("journal_compaction_rows_total", rows);
+        tel.observe_micros("journal_compaction_us", started.elapsed());
+        rows
     }
 
-    /// Drops all records of closed (durably committed or aborted) ops,
-    /// installing `checkpoint` as the new baseline. Recovery calls this
-    /// once the journal has been fully resolved.
-    pub fn compact(&self, checkpoint: String) {
-        self.compact_upto(checkpoint, usize::MAX);
+    /// Recovery's delta replay: folds every durable close record's delta
+    /// into the checkpoint image, in record order, each line validated
+    /// first (it was read back from storage). Records are kept — recovery
+    /// still needs the ops' doom lists, and a recovery that fails later
+    /// must leave the journal replayable (folding twice is harmless: rows
+    /// are state, applied in the same order). Returns how many lines were
+    /// refused; a `full|` row — an inline snapshot earlier versions
+    /// journaled — is an error: skipping it would fold every later row
+    /// onto the wrong base.
+    pub(crate) fn fold_durable(&self) -> Result<usize> {
+        let mut inner = self.inner.lock();
+        let JournalInner { image, records, .. } = &mut *inner;
+        let mut refused = 0;
+        for r in records.iter() {
+            let Record::Close {
+                op, delta, stage, ..
+            } = r
+            else {
+                continue;
+            };
+            if *stage < Stage::Durable {
+                continue;
+            }
+            for (i, line) in delta.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
+                if line.starts_with("full|") {
+                    return Err(bad(
+                        i + 1,
+                        &format!("{op}: `full|` delta rows are not replayable"),
+                    ));
+                }
+                if image
+                    .admits(line)
+                    .and_then(|()| image.fold_line(line))
+                    .is_none()
+                {
+                    refused += 1;
+                }
+            }
+        }
+        Ok(refused)
+    }
+
+    /// Drops all records of durably closed ops, released or not. Recovery
+    /// calls this once it has resolved the journal — every closed op's
+    /// effects are in the recovered tables, which re-seed the checkpoint
+    /// when the journal is attached to them.
+    pub(crate) fn drop_closed(&self) {
+        let mut inner = self.inner.lock();
+        let closed = (inner.records.iter())
+            .filter_map(Record::close)
+            .filter_map(|(op, stage)| (stage >= Stage::Durable).then_some(op))
+            .collect();
+        inner.drop_ops(&closed);
     }
 
     /// Removes close records that were appended but never covered by a
     /// group flush — after a crash, what never reached the sink is gone.
     /// Recovery calls this first; the affected ops read as dangling.
     pub fn discard_unflushed(&self) {
-        self.inner.lock().records.retain(|r| {
-            !matches!(
-                r,
-                Record::Commit { flushed: false, .. } | Record::Abort { flushed: false, .. }
-            )
-        });
-    }
-
-    /// The durable close records in record order:
-    /// ⟨op, status, delta⟩ for every flushed commit/abort. Recovery
-    /// replays these against the checkpoint.
-    pub fn closed_deltas(&self) -> Vec<(OpId, OpStatus, String)> {
-        self.inner
-            .lock()
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                Record::Commit {
-                    op,
-                    delta,
-                    flushed: true,
-                } => Some((*op, OpStatus::Committed, delta.clone())),
-                Record::Abort {
-                    op,
-                    delta,
-                    flushed: true,
-                } => Some((*op, OpStatus::Aborted, delta.clone())),
-                _ => None,
-            })
-            .collect()
+        (self.inner.lock().records).retain(|r| !matches!(r.close(), Some((_, Stage::Appended))));
     }
 
     /// Folds the record stream into per-op views, in `begin` order.
@@ -745,17 +856,19 @@ impl Journal {
                         v.doomed.extend_from_slice(vids);
                     }
                 }
-                Record::Commit { op, flushed, .. } => {
-                    if *flushed {
+                Record::Close {
+                    op,
+                    committed,
+                    stage,
+                    ..
+                } => {
+                    if *stage >= Stage::Durable {
                         if let Some(v) = views.iter_mut().find(|v| v.id == *op) {
-                            v.status = OpStatus::Committed;
-                        }
-                    }
-                }
-                Record::Abort { op, flushed, .. } => {
-                    if *flushed {
-                        if let Some(v) = views.iter_mut().find(|v| v.id == *op) {
-                            v.status = OpStatus::Aborted;
+                            v.status = if *committed {
+                                OpStatus::Committed
+                            } else {
+                                OpStatus::Aborted
+                            };
                         }
                     }
                 }
@@ -771,7 +884,9 @@ impl Journal {
         let inner = self.inner.lock();
         let mut out = String::new();
         out.push_str(&format!("fragcloud-journal|v{VERSION}\n"));
-        out.push_str(&format!("checkpoint|{}\n", esc(&inner.checkpoint)));
+        out.push_str("checkpoint|");
+        esc_into(&mut out, &inner.image.render());
+        out.push('\n');
         for r in &inner.records {
             match r {
                 Record::Begin {
@@ -792,17 +907,16 @@ impl Journal {
                 Record::Doom { op, vids } => {
                     out.push_str(&format!("doom|{}|{}\n", op.0, join_vids(vids)))
                 }
-                Record::Commit {
+                Record::Close {
                     op,
+                    committed,
                     delta,
-                    flushed: true,
-                } => out.push_str(&format!("commit|{}|{}\n", op.0, esc(delta))),
-                Record::Abort {
-                    op,
-                    delta,
-                    flushed: true,
-                } => out.push_str(&format!("abort|{}|{}\n", op.0, esc(delta))),
-                Record::Commit { .. } | Record::Abort { .. } => {}
+                    stage,
+                } => {
+                    if *stage >= Stage::Durable {
+                        close_line(&mut out, *op, *committed, delta);
+                    }
+                }
             }
         }
         out.push_str("end\n");
@@ -818,11 +932,15 @@ impl Journal {
             return Err(bad(ln + 1, "bad journal header/version"));
         }
         let (ln, cline) = lines.next().ok_or_else(|| bad(0, "truncated journal"))?;
-        let checkpoint = unesc(
-            cline
-                .strip_prefix("checkpoint|")
-                .ok_or_else(|| bad(ln + 1, "expected checkpoint"))?,
-        );
+        let checkpoint = cline
+            .strip_prefix("checkpoint|")
+            .ok_or_else(|| bad(ln + 1, "expected checkpoint"))?;
+        // An empty checkpoint is a journal no distributor ever attached.
+        let image = if checkpoint.is_empty() {
+            StateImage::default()
+        } else {
+            StateImage::parse(&unesc(checkpoint))?
+        };
 
         let mut records = Vec::new();
         let mut next_op = 0u64;
@@ -870,22 +988,14 @@ impl Journal {
                     if f.len() != 3 {
                         return Err(bad(line_no, "expected op-close record"));
                     }
-                    let op = op_of(f[1])?;
-                    let delta = unesc(f[2]);
                     closes += 1;
-                    // Parsed records were durable by definition.
-                    records.push(if f[0] == "commit" {
-                        Record::Commit {
-                            op,
-                            delta,
-                            flushed: true,
-                        }
-                    } else {
-                        Record::Abort {
-                            op,
-                            delta,
-                            flushed: true,
-                        }
+                    // Parsed records were durable by definition; whether
+                    // their ops' deletes ran is not on record.
+                    records.push(Record::Close {
+                        op: op_of(f[1])?,
+                        committed: f[0] == "commit",
+                        delta: unesc(f[2]),
+                        stage: Stage::Durable,
                     });
                 }
                 other => return Err(bad(line_no, &format!("unexpected record {other:?}"))),
@@ -897,7 +1007,7 @@ impl Journal {
         Ok(Journal {
             inner: Mutex::new(JournalInner {
                 next_op,
-                checkpoint,
+                image,
                 records,
                 closes_appended: closes,
                 commits_since_checkpoint: 0,
@@ -939,10 +1049,20 @@ mod tests {
         xs.iter().map(|&x| VirtualId(x)).collect()
     }
 
+    /// A one-shard, one-client snapshot with nothing stored.
+    const SNAPSHOT: &str = "fragcloud-state|v2\nvids|3\nshards|1\nproviders|1\nprovider|cp0\n\
+        clients|1\nclient|c\npassword|pw|3\nshard|0\nchunks|0\nstripes|0\nfiles|0\nend\n";
+    const CHUNK_ROW: &str = "7|1|0|-|||10|10|-|d0|live";
+
+    fn attached() -> Journal {
+        let j = Journal::new();
+        j.set_checkpoint(StateImage::parse(SNAPSHOT).unwrap());
+        j
+    }
+
     #[test]
     fn export_parse_roundtrip() {
-        let j = Journal::new();
-        j.set_checkpoint("fake|snapshot\nwith lines\n".to_string());
+        let j = attached();
         let a = j.begin(OpKind::Put, "cli|ent", "fi%le");
         j.log_alloc(a, &vids(&[10, 11]));
         j.log_alloc(a, &vids(&[12]));
@@ -955,7 +1075,7 @@ mod tests {
         assert!(text.starts_with("fragcloud-journal|v2\n"));
         assert!(text.ends_with("end\n"));
         let back = Journal::parse(&text).unwrap();
-        assert_eq!(back.checkpoint(), "fake|snapshot\nwith lines\n");
+        assert_eq!(back.checkpoint(), SNAPSHOT);
         let ops = back.ops();
         assert_eq!(ops.len(), 2);
         assert_eq!(ops[0].id, a);
@@ -967,10 +1087,8 @@ mod tests {
         assert_eq!(ops[1].status, OpStatus::Dangling);
         assert_eq!(ops[1].doomed, vids(&[10]));
         // The delta survives the roundtrip verbatim.
-        let deltas = back.closed_deltas();
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].0, a);
-        assert_eq!(deltas[0].2, "chunk|0|0|some|row\nvids|12\n");
+        assert!(text.contains("commit|1|chunk%7C0%7C0%7Csome%7Crow%0Avids%7C12%0A\n"));
+        assert_eq!(back.export(), text);
 
         // A re-parsed journal keeps allocating fresh op ids.
         let c = back.begin(OpKind::Repair, "", "stripes");
@@ -1005,42 +1123,92 @@ mod tests {
         j.log_alloc(a, &vids(&[7]));
         j.abort(a, "chunk|0|3|rolled|back".to_string());
         assert_eq!(j.ops()[0].status, OpStatus::Aborted);
-        let deltas = j.closed_deltas();
-        assert_eq!(deltas[0].1, OpStatus::Aborted);
-        assert_eq!(deltas[0].2, "chunk|0|3|rolled|back");
+        assert!(j
+            .export()
+            .contains("abort|1|chunk%7C0%7C3%7Crolled%7Cback\n"));
     }
 
     #[test]
     fn compact_drops_closed_ops_keeps_dangling() {
-        let j = Journal::new();
+        let j = attached();
         let a = j.begin(OpKind::Put, "c", "f1");
-        j.commit(a, "d1".to_string());
+        j.commit(a, format!("vids|9\nchunk|0|0|{CHUNK_ROW}\n"));
+        j.release(a);
         let b = j.begin(OpKind::Put, "c", "f2");
         j.log_alloc(b, &vids(&[5]));
-        j.compact("ck2".to_string());
+        assert_eq!(j.compact(), 2, "two delta rows folded");
         let ops = j.ops();
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].id, b);
         assert_eq!(ops[0].status, OpStatus::Dangling);
-        assert_eq!(j.checkpoint(), "ck2");
-        assert!(j.closed_deltas().is_empty());
+        assert!(!j.export().contains("commit|"));
+        // a's rows are the checkpoint's now.
+        let folded = SNAPSHOT
+            .replace("vids|3", "vids|9")
+            .replace("chunks|0\n", &format!("chunks|1\nchunk|{CHUNK_ROW}\n"));
+        assert_eq!(j.checkpoint(), folded);
     }
 
+    /// Release before fold: an op whose commit is durable but whose
+    /// bracket has not yet deleted what it doomed keeps every record — the
+    /// doom list above all — through a compaction another op runs; only
+    /// once released is it folded. (A compaction that dropped it here
+    /// would leave the doomed objects with no row and no record if the
+    /// process died before the deletes.)
     #[test]
-    fn compact_upto_spares_late_closes() {
-        let j = Journal::new();
+    fn compaction_spares_a_committed_op_until_it_is_released() {
+        let j = attached();
         let a = j.begin(OpKind::Put, "c", "f1");
-        j.commit(a, "da".to_string());
-        let watermark = j.record_len();
+        j.commit(a, "vids|4\n".to_string());
+        j.release(a);
+        let b = j.begin(OpKind::Remove, "c", "f0");
+        j.log_doom(b, &vids(&[10, 11]));
+        j.commit(b, "vids|8\nfiledel|0|c|f0\n".to_string());
+        // b: committed and synced, its deletes still ahead. c closes after
+        // it and is done; its bracket compacts.
+        let c = j.begin(OpKind::Client, "zed", "register");
+        j.commit(c, "vids|8\nclient|zed|\n".to_string());
+        j.release(c);
+        assert_eq!(j.compact(), 1, "only a's row");
+        let ops = j.ops();
+        assert_eq!(ops.len(), 2, "a folded, b kept — and c behind it");
+        assert_eq!((ops[0].id, ops[0].status), (b, OpStatus::Committed));
+        assert_eq!(ops[0].doomed, vids(&[10, 11]));
+        // Close order is fold order: c's rows wait for b's.
+        assert_eq!(ops[1].id, c);
+        let checkpoint = j.checkpoint();
+        assert!(checkpoint.contains("vids|4\n") && !checkpoint.contains("client|zed\n"));
+        // What a crash now leaves on storage still names the doomed ids.
+        assert!(j.export().contains("doom|2|10,11\n"));
+
+        j.release(b);
+        assert_eq!(j.compact(), 4);
+        assert!(j.ops().is_empty());
+        let checkpoint = j.checkpoint();
+        assert!(checkpoint.contains("vids|8\n") && checkpoint.contains("client|zed\n"));
+    }
+
+    /// An aborted op's rollback precedes its abort record: it is released
+    /// as it closes. An unflushed close is never folded.
+    #[test]
+    fn compaction_folds_aborts_and_leaves_unflushed_closes() {
+        let j = attached();
+        let a = j.begin(OpKind::Put, "c", "f1");
+        j.abort(a, format!("vids|5\nchunk|0|1|{CHUNK_ROW}\n"));
         let b = j.begin(OpKind::Put, "c", "f2");
-        j.commit(b, "db".to_string());
-        // Only a's records fall below the watermark; b's delta postdates
-        // the snapshot and must survive.
-        j.compact_upto("snap".to_string(), watermark);
-        let deltas = j.closed_deltas();
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].0, b);
-        assert_eq!(j.checkpoint(), "snap");
+        let (seq, _) = j.commit_prepare(b, "vids|6\n".to_string());
+        assert_eq!(j.compact(), 2);
+        assert_eq!(j.ops().len(), 1, "b still open");
+        // The gap below a's chunk reads as a placeholder tombstone.
+        let checkpoint = j.checkpoint();
+        assert!(checkpoint.contains("vids|5\n"));
+        assert!(checkpoint.contains(&format!(
+            "chunks|2\nchunk|18446744073709551615|0|0|-|||0|0|-|d0|removed\nchunk|{CHUNK_ROW}\n"
+        )));
+        j.sync(seq);
+        j.release(b);
+        j.compact();
+        assert!(j.checkpoint().contains("vids|6\n"));
     }
 
     #[test]
@@ -1051,7 +1219,6 @@ mod tests {
         let (seq, _) = j.commit_prepare(a, "delta-a".to_string());
         // Before sync: dangling everywhere a reader looks.
         assert_eq!(j.ops()[0].status, OpStatus::Dangling);
-        assert!(j.closed_deltas().is_empty());
         assert!(!j.export().contains("commit|"));
         // The crash path: discard, and the record is gone for good.
         j.discard_unflushed();

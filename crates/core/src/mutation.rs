@@ -20,13 +20,20 @@
 //!    objects deleted: no provider `delete` runs under a shard guard, and
 //!    a verb that fails or crashes never finds a row naming an object
 //!    that is gone.
-//! 6. **Compaction**, when the checkpoint interval has elapsed — after
-//!    the deletes, because compaction drops the op's doom record.
+//! 6. **Release**, then compaction when the checkpoint interval has
+//!    elapsed. With its deletes done the op no longer needs its `doom`
+//!    record, and says so (`Journal::release`); compaction — whichever
+//!    op's bracket runs it — folds the deltas of released ops, in close
+//!    order, into the journal's own checkpoint image and drops their
+//!    records (`Journal::compact`: no table read, no shard lock). An op
+//!    that has committed but not yet deleted keeps its records through
+//!    any number of compactions.
 //!
 //! A body that fails is rolled back inline and closed with an abort
-//! record; a simulated crash passes through untouched and leaves the op
-//! dangling for [`crate::recovery`]. Without a journal the bracket is the
-//! body plus step 5.
+//! record (released at once: its rollback is behind it); a simulated
+//! crash passes through untouched and leaves the op dangling — or
+//! committed but unreleased — for [`crate::recovery`]. Without a journal
+//! the bracket is the body plus step 5.
 
 use crate::distributor::CloudDataDistributor;
 use crate::journal::{Journal, OpId, OpKind};
@@ -91,12 +98,13 @@ impl CloudDataDistributor {
     /// Runs one mutating verb under the protocol in the module doc. On
     /// success the op commits with a *delta record* (just the rows `body`
     /// dirtied) and joins the journal's group-commit flush; the objects
-    /// `body` doomed are then deleted, and a due checkpoint compaction
-    /// runs. A [`CoreError::SimulatedCrash`] passes through untouched —
-    /// the "process" is dead, so no abort record and no rollback, leaving
-    /// the op dangling for recovery. Any other error triggers an inline
-    /// rollback (this op's unreferenced uploads are garbage-collected)
-    /// followed by an abort record carrying the post-rollback delta.
+    /// `body` doomed are then deleted, the op is released, and a due
+    /// checkpoint compaction runs. A [`CoreError::SimulatedCrash`] passes
+    /// through untouched — the "process" is dead, so no abort record and
+    /// no rollback, leaving the op dangling for recovery. Any other error
+    /// triggers an inline rollback (this op's unreferenced uploads are
+    /// garbage-collected) followed by an abort record carrying the
+    /// post-rollback delta.
     ///
     /// Three crash windows bracket the commit (numbered crash points, see
     /// DESIGN.md §5d): before the commit record exists (op dangles and is
@@ -106,8 +114,8 @@ impl CloudDataDistributor {
     /// compaction (op is durable though never acked — recovery replays it
     /// and collects its doom list).
     ///
-    /// `body` must hold no shard guard when it returns: delta capture and
-    /// checkpoint export take their own locks.
+    /// `body` must hold no shard guard when it returns: delta capture
+    /// takes its own locks.
     pub(crate) fn journaled<T>(
         &self,
         kind: OpKind,
@@ -133,18 +141,14 @@ impl CloudDataDistributor {
                 self.crash_point()?;
                 jctx.journal.sync(seq);
                 self.telemetry().incr("journal_commits_total");
-                // Window: durable but not yet compacted/acked.
+                // Window: durable, but its doomed objects still stored and
+                // the op not yet acked: unreleased, so no compaction —
+                // this op's or another's — drops its doom record.
                 self.crash_point()?;
                 delete_doomed(&doomed);
+                jctx.journal.release(jctx.op);
                 if checkpoint_due {
-                    // Snapshot the record watermark BEFORE exporting: ops
-                    // that close between the export and the compaction
-                    // keep their delta records (compact_upto only drops
-                    // closes below the watermark), so nothing newer than
-                    // the snapshot is ever lost.
-                    let upto = jctx.journal.record_len();
-                    let snapshot = persist::export_state(self);
-                    jctx.journal.compact_upto(snapshot, upto);
+                    jctx.journal.compact();
                 }
                 Ok(v)
             }

@@ -36,27 +36,39 @@
 //!
 //! Import preserves the recorded shard layout verbatim (no re-sharding):
 //! `durability.table_shards` only governs *freshly constructed*
-//! distributors. The per-row serializers (`chunk_row` and friends) are
-//! shared with `core::journal`'s delta records, so a delta line and a
-//! snapshot line never drift apart.
+//! distributors. The per-row serializers (`chunk_row_into` and friends)
+//! are shared with `core::journal`'s delta records, so a delta line and a
+//! snapshot line never drift apart — which is what lets the journal keep
+//! its checkpoint as a `StateImage`: the same text, held row by row, so
+//! that a delta line is *copied* over the row it names
+//! (`StateImage::fold_line`) instead of the tables being re-exported.
 
 use crate::distributor::CloudDataDistributor;
 use crate::tables::{ChunkEntry, ChunkRole, ClientEntry, FileEntry, StripeInfo, StripeRef, Tables};
 use crate::{CoreError, PrivacyLevel, Result};
 use fragcloud_raid::RaidLevel;
 use fragcloud_sim::{CloudProvider, VirtualId};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Snapshot format version.
 const VERSION: u32 = 2;
 
 pub(crate) fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 16);
+    esc_into(&mut out, s);
+    out
+}
+
+/// Appends `s` with the format's structural characters escaped.
+pub(crate) fn esc_into(out: &mut String, s: &str) {
     // Single pass; escaping '%' inline cannot double-escape because the
     // replacement is emitted, never rescanned.
     if !s.contains(['%', '|', '\n']) {
-        return s.to_string();
+        out.push_str(s);
+        return;
     }
-    let mut out = String::with_capacity(s.len() + 16);
     for ch in s.chars() {
         match ch {
             '%' => out.push_str("%25"),
@@ -65,13 +77,24 @@ pub(crate) fn esc(s: &str) -> String {
             _ => out.push(ch),
         }
     }
-    out
 }
 
 pub(crate) fn unesc(s: &str) -> String {
-    s.replace("%0A", "\n")
-        .replace("%7C", "|")
-        .replace("%25", "%")
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(i) = rest.find('%') {
+        out.push_str(&rest[..i]);
+        let (ch, len) = match rest.as_bytes().get(i + 1..i + 3) {
+            Some(b"0A") => ('\n', 3),
+            Some(b"7C") => ('|', 3),
+            Some(b"25") => ('%', 3),
+            _ => ('%', 1),
+        };
+        out.push(ch);
+        rest = &rest[i + len..];
+    }
+    out.push_str(rest);
+    out
 }
 
 /// Snapshot parse failures, as the dedicated corruption variant (the
@@ -104,7 +127,6 @@ fn parse_raid(s: &str, line_no: usize) -> Result<RaidLevel> {
 /// Writes a `,`-joined list of `Display` items without intermediate
 /// allocations.
 fn push_list<T: std::fmt::Display>(out: &mut String, items: impl Iterator<Item = T>) {
-    use std::fmt::Write as _;
     for (k, item) in items.enumerate() {
         if k > 0 {
             out.push(',');
@@ -118,7 +140,6 @@ fn push_list<T: std::fmt::Display>(out: &mut String, items: impl Iterator<Item =
 /// Shared between snapshot export and journal delta records; written
 /// in-place because delta capture runs on the commit hot path.
 pub(crate) fn chunk_row_into(out: &mut String, c: &ChunkEntry) {
-    use std::fmt::Write as _;
     let _ = write!(out, "{}|{}|{}|", c.vid.0, c.pl.as_u8(), c.provider_idx);
     match c.snapshot_provider_idx.zip(c.snapshot_vid) {
         Some((i, v)) => {
@@ -158,14 +179,7 @@ pub(crate) fn chunk_row_into(out: &mut String, c: &ChunkEntry) {
     }
 }
 
-/// [`chunk_row_into`] as an owned string (snapshot export convenience).
-pub(crate) fn chunk_row(c: &ChunkEntry) -> String {
-    let mut out = String::with_capacity(64);
-    chunk_row_into(&mut out, c);
-    out
-}
-
-/// Parses the 11 payload fields produced by [`chunk_row`]. Provider-index
+/// Parses the 11 payload fields produced by [`chunk_row_into`]. Provider-index
 /// range checks are the caller's job (delta replay may legitimately see
 /// placeholders filled later).
 pub(crate) fn parse_chunk_fields(f: &[&str], line_no: usize) -> Result<ChunkEntry> {
@@ -252,21 +266,13 @@ pub(crate) fn parse_chunk_fields(f: &[&str], line_no: usize) -> Result<ChunkEntr
 /// Appends one stripe's 5 payload fields to `out`:
 /// `k|level|width|members|health`.
 pub(crate) fn stripe_row_into(out: &mut String, s: &StripeInfo) {
-    use std::fmt::Write as _;
     let _ = write!(out, "{}|{}|{}|", s.k, s.level, s.shard_width);
     push_list(out, s.members.iter());
     out.push('|');
     out.push_str(if s.degraded { "degraded" } else { "healthy" });
 }
 
-/// [`stripe_row_into`] as an owned string (snapshot export convenience).
-pub(crate) fn stripe_row(s: &StripeInfo) -> String {
-    let mut out = String::with_capacity(32);
-    stripe_row_into(&mut out, s);
-    out
-}
-
-/// Parses the 5 payload fields produced by [`stripe_row`]. Member range
+/// Parses the 5 payload fields produced by [`stripe_row_into`]. Member range
 /// checks are the caller's job.
 pub(crate) fn parse_stripe_fields(f: &[&str], line_no: usize) -> Result<StripeInfo> {
     if f.len() != 5 {
@@ -289,21 +295,13 @@ pub(crate) fn parse_stripe_fields(f: &[&str], line_no: usize) -> Result<StripeIn
 /// Appends one file entry's 4 payload fields to `out`:
 /// `pl|total_len|chunks|stripes`.
 pub(crate) fn file_row_into(out: &mut String, fe: &FileEntry) {
-    use std::fmt::Write as _;
     let _ = write!(out, "{}|{}|", fe.pl.as_u8(), fe.total_len);
     push_list(out, fe.chunk_indices.iter());
     out.push('|');
     push_list(out, fe.stripe_ids.iter());
 }
 
-/// [`file_row_into`] as an owned string (snapshot export convenience).
-pub(crate) fn file_row(fe: &FileEntry) -> String {
-    let mut out = String::with_capacity(32);
-    file_row_into(&mut out, fe);
-    out
-}
-
-/// Parses the 4 payload fields produced by [`file_row`]. Chunk-index
+/// Parses the 4 payload fields produced by [`file_row_into`]. Chunk-index
 /// range checks are the caller's job.
 pub(crate) fn parse_file_fields(f: &[&str], line_no: usize) -> Result<FileEntry> {
     if f.len() != 4 {
@@ -340,61 +338,435 @@ pub(crate) fn parse_passwords(s: &str, line_no: usize) -> Result<Vec<(String, Pr
     })
 }
 
+/// Appends a client's `password|<password>|<pl>` snapshot lines.
+fn password_lines_into(out: &mut String, passwords: &[(String, PrivacyLevel)]) {
+    for (pass, pl) in passwords {
+        out.push_str("password|");
+        esc_into(out, pass);
+        let _ = writeln!(out, "|{}", pl.as_u8());
+    }
+}
+
+/// Appends what follows `file|` on a snapshot's file line:
+/// `<client>|<name>|<4 file fields>`.
+fn file_line_into(out: &mut String, client: &str, name: &str, fe: &FileEntry) {
+    esc_into(out, client);
+    out.push('|');
+    esc_into(out, name);
+    out.push('|');
+    file_row_into(out, fe);
+}
+
 /// Serializes the distributor's table state to the snapshot text format.
 pub fn export_state(d: &CloudDataDistributor) -> String {
     let shards = d.lock_all_read();
-    let mut out = String::new();
-    out.push_str(&format!("fragcloud-state|v{VERSION}\n"));
-    out.push_str(&format!("vids|{}\n", d.vids_allocated()));
-    out.push_str(&format!("shards|{}\n", shards.len()));
+    // One buffer for the whole text, sized from the row counts (a chunk row
+    // runs to ~64 bytes plus its misleading-byte positions).
+    let rows: usize = shards
+        .iter()
+        .map(|st| st.chunks.len() + st.stripes.len())
+        .sum();
+    let mut out = String::with_capacity(256 + rows * 96);
+    let _ = writeln!(out, "fragcloud-state|v{VERSION}");
+    let _ = writeln!(out, "vids|{}", d.vids_allocated());
+    let _ = writeln!(out, "shards|{}", shards.len());
     // Providers are referenced by name so import can re-bind live handles.
     // Every shard carries the same fleet; shard 0 speaks for all.
     let fleet = &shards[0].providers;
-    out.push_str(&format!("providers|{}\n", fleet.len()));
+    let _ = writeln!(out, "providers|{}", fleet.len());
     for p in fleet {
-        out.push_str(&format!("provider|{}\n", esc(p.name())));
+        out.push_str("provider|");
+        esc_into(&mut out, p.name());
+        out.push('\n');
     }
     // Global client directory: names + passwords (replicated identically
     // across shards; shard 0 speaks for all). Files follow per shard.
     let mut names: Vec<&String> = shards[0].clients.keys().collect();
     names.sort();
-    out.push_str(&format!("clients|{}\n", names.len()));
+    let _ = writeln!(out, "clients|{}", names.len());
     for name in &names {
-        out.push_str(&format!("client|{}\n", esc(name)));
-        for (pass, pl) in &shards[0].clients[*name].passwords {
-            out.push_str(&format!("password|{}|{}\n", esc(pass), pl.as_u8()));
-        }
+        out.push_str("client|");
+        esc_into(&mut out, name);
+        out.push('\n');
+        password_lines_into(&mut out, &shards[0].clients[*name].passwords);
     }
     // Per-shard tables.
     for (si, st) in shards.iter().enumerate() {
-        out.push_str(&format!("shard|{si}\n"));
-        out.push_str(&format!("chunks|{}\n", st.chunks.len()));
+        let _ = writeln!(out, "shard|{si}");
+        let _ = writeln!(out, "chunks|{}", st.chunks.len());
         for c in &st.chunks {
-            out.push_str(&format!("chunk|{}\n", chunk_row(c)));
+            out.push_str("chunk|");
+            chunk_row_into(&mut out, c);
+            out.push('\n');
         }
-        out.push_str(&format!("stripes|{}\n", st.stripes.len()));
+        let _ = writeln!(out, "stripes|{}", st.stripes.len());
         for s in &st.stripes {
-            out.push_str(&format!("stripe|{}\n", stripe_row(s)));
+            out.push_str("stripe|");
+            stripe_row_into(&mut out, s);
+            out.push('\n');
         }
-        let mut files: Vec<(&String, &String, &FileEntry)> = Vec::new();
-        for name in &names {
-            for (fname, fe) in &st.clients[*name].files {
-                files.push((name, fname, fe));
+        // Files by ⟨client, name⟩: the names are sorted already.
+        let count: usize = names.iter().map(|n| st.clients[*n].files.len()).sum();
+        let _ = writeln!(out, "files|{count}");
+        for cname in &names {
+            let mut files: Vec<(&String, &FileEntry)> = st.clients[*cname].files.iter().collect();
+            files.sort_by_key(|&(fname, _)| fname);
+            for (fname, fe) in files {
+                out.push_str("file|");
+                file_line_into(&mut out, cname, fname, fe);
+                out.push('\n');
             }
-        }
-        files.sort_by_key(|(c, f, _)| ((*c).clone(), (*f).clone()));
-        out.push_str(&format!("files|{}\n", files.len()));
-        for (cname, fname, fe) in files {
-            out.push_str(&format!(
-                "file|{}|{}|{}\n",
-                esc(cname),
-                esc(fname),
-                file_row(fe)
-            ));
         }
     }
     out.push_str("end\n");
     out
+}
+
+/// The most rows a delta may leave unclaimed below the one it writes (the
+/// arena slots of ops still open when its op closed) before recovery calls
+/// the index damage rather than concurrency — it bounds what a corrupt
+/// index can make [`StateImage::fold_line`] allocate.
+const MAX_ARENA_GAP: usize = 1 << 20;
+
+/// The snapshot text held row by row: the journal's checkpoint.
+///
+/// Every row is kept as the text [`export_state`] writes for it, keyed the
+/// way a journal delta line names it — chunk and stripe rows by ⟨shard,
+/// arena index⟩, file rows by ⟨shard, client, name⟩, directory entries by
+/// client name — so folding a delta is [`fold_line`](Self::fold_line) per
+/// line: a copy, with no field parsed and no table touched.
+/// [`render`](Self::render) gives back the `v2` text byte for byte.
+/// An image with no shard is "no checkpoint" and renders as `""`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StateImage {
+    vids: u64,
+    /// Escaped provider names, in fleet order.
+    providers: Vec<String>,
+    /// Client name → its `password|…` lines.
+    clients: BTreeMap<String, String>,
+    shards: Vec<ShardImage>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct ShardImage {
+    /// What follows `chunk|`, by arena index.
+    chunks: Vec<String>,
+    /// What follows `stripe|`, by arena index.
+    stripes: Vec<String>,
+    /// ⟨client, name⟩ → what follows `file|`.
+    files: BTreeMap<(String, String), String>,
+}
+
+/// One row as an owned string.
+fn row(write: impl FnOnce(&mut String)) -> String {
+    let mut out = String::new();
+    write(&mut out);
+    out
+}
+
+/// The row an arena slot reads as until a delta claims it (the op that
+/// owns the lower index closed later): a tombstone that names no object —
+/// vid `u64::MAX`, provider 0, no stripe, `removed`.
+const PLACEHOLDER_CHUNK_ROW: &str = "18446744073709551615|0|0|-|||0|0|-|d0|removed";
+
+/// The stripe counterpart: `k` 0 and no members, so nothing references it
+/// until a row claims the slot.
+const PLACEHOLDER_STRIPE_ROW: &str = "0|none|0||healthy";
+
+/// Appends one counted section of a shard: `<tag>s|<n>`, then a
+/// `<tag>|<row>` line per row.
+fn section<'a>(out: &mut String, tag: &str, rows: impl ExactSizeIterator<Item = &'a String>) {
+    let _ = writeln!(out, "{tag}s|{}", rows.len());
+    for r in rows {
+        let _ = writeln!(out, "{tag}|{r}");
+    }
+}
+
+/// Splits `<shard>|<rest>` and range-checks the shard.
+fn shard_field(s: &str, shards: usize) -> Option<(usize, &str)> {
+    let (shard, rest) = s.split_once('|')?;
+    let shard: usize = shard.parse().ok()?;
+    (shard < shards).then_some((shard, rest))
+}
+
+/// The ⟨client, name⟩ key of `<client>|<name>[|…]`.
+fn file_key(s: &str) -> Option<(String, String)> {
+    let mut f = s.splitn(3, '|');
+    Some((unesc(f.next()?), unesc(f.next()?)))
+}
+
+impl StateImage {
+    /// The image of `d`'s tables as they stand: what [`export_state`] would
+    /// write, row by row.
+    pub(crate) fn of(d: &CloudDataDistributor) -> StateImage {
+        let shards = d.lock_all_read();
+        let directory = &shards[0].clients;
+        StateImage {
+            vids: d.vids_allocated(),
+            providers: shards[0].providers.iter().map(|p| esc(p.name())).collect(),
+            clients: directory
+                .iter()
+                .map(|(name, e)| {
+                    let lines = row(|out| password_lines_into(out, &e.passwords));
+                    (name.clone(), lines)
+                })
+                .collect(),
+            shards: shards
+                .iter()
+                .map(|st| ShardImage {
+                    chunks: (st.chunks.iter())
+                        .map(|c| row(|out| chunk_row_into(out, c)))
+                        .collect(),
+                    stripes: (st.stripes.iter())
+                        .map(|s| row(|out| stripe_row_into(out, s)))
+                        .collect(),
+                    files: (st.clients.iter())
+                        .flat_map(|(cname, e)| {
+                            e.files.iter().map(move |(fname, fe)| {
+                                let line = row(|out| file_line_into(out, cname, fname, fe));
+                                ((cname.clone(), fname.clone()), line)
+                            })
+                        })
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Whether this is "no checkpoint" (a journal never attached).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.shards.is_empty()
+    }
+
+    /// Copies one journal delta line over the row it names — the one delta
+    /// applier, behind both checkpoint compaction and recovery's replay.
+    /// A `chunk` / `stripe` / `file` row replaces (or adds) its row, an
+    /// arena index past the end fills the gap with placeholder rows,
+    /// `filedel` removes, `client` rewrites one directory entry, `vids`
+    /// keeps the maximum. Returns `None`, changing nothing, for a line
+    /// that names no row of this image: unknown tag, shard out of range, a
+    /// file of a client the directory does not list.
+    pub(crate) fn fold_line(&mut self, line: &str) -> Option<()> {
+        let (tag, rest) = line.split_once('|')?;
+        match tag {
+            "vids" => self.vids = self.vids.max(rest.parse().ok()?),
+            "chunk" | "stripe" => {
+                let (shard, rest) = shard_field(rest, self.shards.len())?;
+                let (idx, payload) = rest.split_once('|')?;
+                let idx: usize = idx.parse().ok()?;
+                let sh = &mut self.shards[shard];
+                let (arena, filler) = if tag == "chunk" {
+                    (&mut sh.chunks, PLACEHOLDER_CHUNK_ROW)
+                } else {
+                    (&mut sh.stripes, PLACEHOLDER_STRIPE_ROW)
+                };
+                if let Some(row) = arena.get_mut(idx) {
+                    row.clear();
+                    row.push_str(payload);
+                } else {
+                    arena.resize(idx, filler.to_string());
+                    arena.push(payload.to_string());
+                }
+            }
+            "file" => {
+                let (shard, entry) = shard_field(rest, self.shards.len())?;
+                let key = file_key(entry)?;
+                if !self.clients.contains_key(&key.0) {
+                    return None;
+                }
+                self.shards[shard].files.insert(key, entry.to_string());
+            }
+            "filedel" => {
+                let (shard, entry) = shard_field(rest, self.shards.len())?;
+                self.shards[shard].files.remove(&file_key(entry)?);
+            }
+            "client" => {
+                // `<name>|<password>:<pl>,…` (see `passwords_into`) becomes
+                // the entry's `password|<password>|<pl>` lines.
+                let (name, list) = rest.split_once('|')?;
+                let mut lines = String::new();
+                for item in list.split(',').filter(|item| !item.is_empty()) {
+                    let (pass, pl) = item.rsplit_once(':')?;
+                    let _ = writeln!(lines, "password|{}|{pl}", pass.replace("%2C", ","));
+                }
+                self.clients.insert(unesc(name), lines);
+            }
+            _ => return None,
+        }
+        Some(())
+    }
+
+    /// Recovery's gate in front of [`fold_line`](Self::fold_line): whether
+    /// a delta line read back from durable storage is a well-formed row
+    /// that fits this image — field counts, every field parsed by the
+    /// snapshot's own `parse_*_fields`, shard, provider, member and chunk
+    /// indices in range — so that what is folded always imports. The live
+    /// fold skips this: it copies rows this process serialized itself.
+    pub(crate) fn admits(&self, line: &str) -> Option<()> {
+        let f: Vec<&str> = line.split('|').collect();
+        let shard = |s: &str| {
+            let shard: usize = s.parse().ok()?;
+            self.shards.get(shard)
+        };
+        let slot = |s: &str, len: usize| {
+            let idx: usize = s.parse().ok()?;
+            (idx < len.saturating_add(MAX_ARENA_GAP)).then_some(())
+        };
+        let ok = match (f[0], f.len()) {
+            ("vids", 2) => f[1].parse::<u64>().is_ok(),
+            ("chunk", 14) => {
+                slot(f[2], shard(f[1])?.chunks.len())?;
+                parse_chunk_fields(&f[3..], 0).ok()?.provider_idx < self.providers.len()
+            }
+            ("stripe", 8) => {
+                let sh = shard(f[1])?;
+                slot(f[2], sh.stripes.len())?;
+                let members = parse_stripe_fields(&f[3..], 0).ok()?.members;
+                members.iter().all(|&m| m < sh.chunks.len())
+            }
+            ("file", 8) => {
+                let chunks = shard(f[1])?.chunks.len();
+                let indices = parse_file_fields(&f[4..], 0).ok()?.chunk_indices;
+                indices.iter().all(|&c| c < chunks) && self.clients.contains_key(&unesc(f[2]))
+            }
+            ("filedel", 4) => shard(f[1]).is_some(),
+            ("client", 3) => parse_passwords(f[2], 0).is_ok(),
+            _ => false,
+        };
+        ok.then_some(())
+    }
+
+    /// The `fragcloud-state|v2` text of this image — byte for byte what
+    /// [`export_state`] writes for the same state.
+    pub(crate) fn render(&self) -> String {
+        if self.is_empty() {
+            return String::new();
+        }
+        let bytes: usize = self
+            .shards
+            .iter()
+            .flat_map(|sh| sh.chunks.iter().chain(&sh.stripes).chain(sh.files.values()))
+            .map(|r| r.len() + 8)
+            .sum();
+        let mut out = String::with_capacity(256 + bytes);
+        let _ = writeln!(out, "fragcloud-state|v{VERSION}");
+        let _ = writeln!(out, "vids|{}", self.vids);
+        let _ = writeln!(out, "shards|{}", self.shards.len());
+        let _ = writeln!(out, "providers|{}", self.providers.len());
+        for name in &self.providers {
+            let _ = writeln!(out, "provider|{name}");
+        }
+        let _ = writeln!(out, "clients|{}", self.clients.len());
+        for (name, passwords) in &self.clients {
+            out.push_str("client|");
+            esc_into(&mut out, name);
+            out.push('\n');
+            out.push_str(passwords);
+        }
+        for (si, sh) in self.shards.iter().enumerate() {
+            let _ = writeln!(out, "shard|{si}");
+            section(&mut out, "chunk", sh.chunks.iter());
+            section(&mut out, "stripe", sh.stripes.iter());
+            section(&mut out, "file", sh.files.values());
+        }
+        out.push_str("end\n");
+        out
+    }
+
+    /// Reads the snapshot text's framing — header, counts, sections — and
+    /// keeps every row verbatim; the rows' fields are parsed when the image
+    /// is imported ([`import_image`]).
+    pub(crate) fn parse(snapshot: &str) -> Result<StateImage> {
+        let mut lines = snapshot.lines().enumerate().peekable();
+        macro_rules! next {
+            () => {
+                lines.next().ok_or_else(|| bad(0, "truncated snapshot"))
+            };
+        }
+        // The payload of the next line, which must carry `$prefix`.
+        macro_rules! tagged {
+            ($prefix:literal) => {{
+                let (ln, line) = next!()?;
+                let payload = line.strip_prefix($prefix);
+                (
+                    ln + 1,
+                    payload.ok_or_else(|| bad(ln + 1, concat!("expected ", $prefix)))?,
+                )
+            }};
+        }
+        macro_rules! counted {
+            ($prefix:literal) => {{
+                let (line_no, count) = tagged!($prefix);
+                parse_usize(count, line_no)?
+            }};
+        }
+
+        let (ln, header) = next!()?;
+        if header != format!("fragcloud-state|v{VERSION}") {
+            return Err(bad(ln + 1, "bad header/version"));
+        }
+        let (line_no, vids) = tagged!("vids|");
+        let mut image = StateImage {
+            vids: parse_u64(vids, line_no)?,
+            ..Default::default()
+        };
+        let n_shards = counted!("shards|");
+        if n_shards == 0 {
+            return Err(bad(0, "snapshot must have at least one shard"));
+        }
+        for _ in 0..counted!("providers|") {
+            image.providers.push(tagged!("provider|").1.to_string());
+        }
+
+        // Global client directory (names + passwords; files come per shard).
+        let n_clients = counted!("clients|");
+        let mut current: Option<&mut String> = None;
+        while let Some((_, line)) = lines.peek() {
+            if line.starts_with("shard|") || *line == "end" {
+                break;
+            }
+            let (ln, line) = next!()?;
+            if let Some(name) = line.strip_prefix("client|") {
+                current = Some(image.clients.entry(unesc(name)).or_default());
+            } else if line.starts_with("password|") {
+                let passwords = current
+                    .as_mut()
+                    .ok_or_else(|| bad(ln + 1, "password outside client"))?;
+                passwords.push_str(line);
+                passwords.push('\n');
+            } else {
+                return Err(bad(ln + 1, "unexpected record in the client directory"));
+            }
+        }
+        if image.clients.len() != n_clients {
+            return Err(bad(0, "client count mismatch"));
+        }
+
+        for expect_si in 0..n_shards {
+            let (ln, line) = next!()?;
+            if line != format!("shard|{expect_si}") {
+                return Err(bad(ln + 1, "expected shard header"));
+            }
+            let mut sh = ShardImage::default();
+            for _ in 0..counted!("chunks|") {
+                sh.chunks.push(tagged!("chunk|").1.to_string());
+            }
+            for _ in 0..counted!("stripes|") {
+                sh.stripes.push(tagged!("stripe|").1.to_string());
+            }
+            for _ in 0..counted!("files|") {
+                let (line_no, entry) = tagged!("file|");
+                let key = file_key(entry).ok_or_else(|| bad(line_no, "expected file record"))?;
+                sh.files.insert(key, entry.to_string());
+            }
+            image.shards.push(sh);
+        }
+        let (ln, line) = next!()?;
+        if line != "end" {
+            return Err(bad(ln + 1, "missing end marker"));
+        }
+        Ok(image)
+    }
 }
 
 fn parse_usize(s: &str, line_no: usize) -> Result<usize> {
@@ -435,160 +807,103 @@ pub fn import_state(
     providers: Vec<Arc<CloudProvider>>,
     config: crate::DistributorConfig,
 ) -> Result<CloudDataDistributor> {
-    let mut lines = snapshot.lines().enumerate().peekable();
-    macro_rules! next {
-        () => {
-            lines.next().ok_or_else(|| bad(0, "truncated snapshot"))
-        };
-    }
-    macro_rules! counted {
-        ($prefix:literal) => {{
-            let (ln, line) = next!()?;
-            parse_usize(
-                line.strip_prefix($prefix)
-                    .ok_or_else(|| bad(ln + 1, concat!("expected ", $prefix, "count")))?,
-                ln + 1,
-            )?
-        }};
-    }
+    import_image(&StateImage::parse(snapshot)?, providers, config)
+}
 
-    // Header.
-    let (ln, header) = next!()?;
-    if header != format!("fragcloud-state|v{VERSION}") {
-        return Err(bad(ln + 1, "bad header/version"));
-    }
-    let (ln, vline) = next!()?;
-    let already_allocated = parse_u64(
-        vline
-            .strip_prefix("vids|")
-            .ok_or_else(|| bad(ln + 1, "expected vids"))?,
-        ln + 1,
-    )?;
-    let n_shards = counted!("shards|");
-    if n_shards == 0 {
+/// [`import_state`] of the text `image` renders to (errors carry that
+/// text's line numbers), without rendering it.
+pub(crate) fn import_image(
+    image: &StateImage,
+    providers: Vec<Arc<CloudProvider>>,
+    config: crate::DistributorConfig,
+) -> Result<CloudDataDistributor> {
+    if image.is_empty() {
         return Err(bad(0, "snapshot must have at least one shard"));
     }
+    // Header, vids, shards, providers: the first row is on line 5.
+    let mut line_no = 4;
 
     // Provider name order → handle re-binding.
-    let n_providers = counted!("providers|");
-    let mut ordered: Vec<Arc<CloudProvider>> = Vec::with_capacity(n_providers);
-    for _ in 0..n_providers {
-        let (ln, line) = next!()?;
-        let name = unesc(
-            line.strip_prefix("provider|")
-                .ok_or_else(|| bad(ln + 1, "expected provider"))?,
-        );
+    let mut ordered: Vec<Arc<CloudProvider>> = Vec::with_capacity(image.providers.len());
+    for name in &image.providers {
+        line_no += 1;
+        let name = unesc(name);
         let handle = providers
             .iter()
             .find(|p| p.name() == name)
-            .ok_or_else(|| bad(ln + 1, &format!("no live provider named {name:?}")))?;
+            .ok_or_else(|| bad(line_no, &format!("no live provider named {name:?}")))?;
         ordered.push(Arc::clone(handle));
     }
 
     // Global client directory (names + passwords; files come per shard).
-    let n_clients = counted!("clients|");
-    let mut directory: Vec<(String, ClientEntry)> = Vec::with_capacity(n_clients);
-    while let Some((_, line)) = lines.peek() {
-        if line.starts_with("shard|") || *line == "end" {
-            break;
-        }
-        let (ln, line) = next!()?;
-        let line_no = ln + 1;
-        let f: Vec<&str> = line.split('|').collect();
-        match f[0] {
-            "client" => {
-                if f.len() != 2 {
-                    return Err(bad(line_no, "expected client record"));
-                }
-                directory.push((unesc(f[1]), ClientEntry::default()));
+    line_no += 1;
+    let mut directory: Vec<(&String, ClientEntry)> = Vec::with_capacity(image.clients.len());
+    for (name, passwords) in &image.clients {
+        line_no += 1;
+        let mut entry = ClientEntry::default();
+        for line in passwords.lines() {
+            line_no += 1;
+            let f: Vec<&str> = line.split('|').collect();
+            if f.len() != 3 {
+                return Err(bad(line_no, "expected password record"));
             }
-            "password" => {
-                if f.len() != 3 {
-                    return Err(bad(line_no, "expected password record"));
-                }
-                let (_, entry) = directory
-                    .last_mut()
-                    .ok_or_else(|| bad(line_no, "password outside client"))?;
-                entry
-                    .passwords
-                    .push((unesc(f[1]), parse_pl(f[2], line_no)?));
-            }
-            other => return Err(bad(line_no, &format!("unexpected record {other:?}"))),
+            entry
+                .passwords
+                .push((unesc(f[1]), parse_pl(f[2], line_no)?));
         }
-    }
-    if directory.len() != n_clients {
-        return Err(bad(0, "client count mismatch"));
+        directory.push((name, entry));
     }
 
     // Per-shard tables; every shard replicates the directory.
-    let mut shards: Vec<Tables> = Vec::with_capacity(n_shards);
-    for expect_si in 0..n_shards {
-        let (ln, line) = next!()?;
-        if line != format!("shard|{expect_si}") {
-            return Err(bad(ln + 1, "expected shard header"));
-        }
+    let mut shards: Vec<Tables> = Vec::with_capacity(image.shards.len());
+    for sh in &image.shards {
         let mut tables = Tables::new(ordered.clone());
         for (name, entry) in &directory {
-            tables.clients.insert(name.clone(), entry.clone());
+            tables.clients.insert((*name).clone(), entry.clone());
         }
 
-        let n_chunks = counted!("chunks|");
-        for _ in 0..n_chunks {
-            let (ln, line) = next!()?;
-            let line_no = ln + 1;
-            let f: Vec<&str> = line.split('|').collect();
-            if f.first() != Some(&"chunk") {
-                return Err(bad(line_no, "expected chunk record"));
-            }
-            let c = parse_chunk_fields(&f[1..], line_no)?;
+        line_no += 2; // `shard|`, `chunks|`
+        for row in &sh.chunks {
+            line_no += 1;
+            let f: Vec<&str> = row.split('|').collect();
+            let c = parse_chunk_fields(&f, line_no)?;
             if c.provider_idx >= tables.providers.len() {
                 return Err(bad(line_no, "provider index out of range"));
             }
             tables.chunks.push(c);
         }
 
-        let n_stripes = counted!("stripes|");
-        for _ in 0..n_stripes {
-            let (ln, line) = next!()?;
-            let line_no = ln + 1;
-            let f: Vec<&str> = line.split('|').collect();
-            if f.first() != Some(&"stripe") {
-                return Err(bad(line_no, "expected stripe record"));
-            }
-            let s = parse_stripe_fields(&f[1..], line_no)?;
+        line_no += 1; // `stripes|`
+        for row in &sh.stripes {
+            line_no += 1;
+            let f: Vec<&str> = row.split('|').collect();
+            let s = parse_stripe_fields(&f, line_no)?;
             if s.members.iter().any(|&m| m >= tables.chunks.len()) {
                 return Err(bad(line_no, "stripe member out of range"));
             }
             tables.stripes.push(s);
         }
 
-        let n_files = counted!("files|");
-        for _ in 0..n_files {
-            let (ln, line) = next!()?;
-            let line_no = ln + 1;
-            let f: Vec<&str> = line.split('|').collect();
-            if f.first() != Some(&"file") || f.len() != 7 {
+        line_no += 1; // `files|`
+        for ((cname, fname), row) in &sh.files {
+            line_no += 1;
+            let f: Vec<&str> = row.split('|').collect();
+            if f.len() != 6 {
                 return Err(bad(line_no, "expected file record"));
             }
-            let fe = parse_file_fields(&f[3..], line_no)?;
+            let fe = parse_file_fields(&f[2..], line_no)?;
             if fe.chunk_indices.iter().any(|&c| c >= tables.chunks.len()) {
                 return Err(bad(line_no, "file chunk index out of range"));
             }
-            let cname = unesc(f[1]);
             let entry = tables
                 .clients
-                .get_mut(&cname)
+                .get_mut(cname)
                 .ok_or_else(|| bad(line_no, "file for unknown client"))?;
-            entry.files.insert(unesc(f[2]), fe);
+            entry.files.insert(fname.clone(), fe);
         }
         shards.push(tables);
     }
-
-    let (ln, line) = next!()?;
-    if line != "end" {
-        return Err(bad(ln + 1, "missing end marker"));
-    }
-    CloudDataDistributor::from_shards(shards, config, already_allocated)
+    CloudDataDistributor::from_shards(shards, config, image.vids)
 }
 
 #[cfg(test)]
@@ -621,6 +936,198 @@ mod tests {
 
     fn body(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 256) as u8).collect()
+    }
+
+    /// The serializer `export_state` replaced — a `format!` and an owned
+    /// row string per line — kept verbatim as the byte-for-byte oracle.
+    fn export_state_oracle(d: &CloudDataDistributor) -> String {
+        let owned = |write: &dyn Fn(&mut String)| {
+            let mut out = String::new();
+            write(&mut out);
+            out
+        };
+        let shards = d.lock_all_read();
+        let mut out = String::new();
+        out.push_str(&format!("fragcloud-state|v{VERSION}\n"));
+        out.push_str(&format!("vids|{}\n", d.vids_allocated()));
+        out.push_str(&format!("shards|{}\n", shards.len()));
+        let fleet = &shards[0].providers;
+        out.push_str(&format!("providers|{}\n", fleet.len()));
+        for p in fleet {
+            out.push_str(&format!("provider|{}\n", esc(p.name())));
+        }
+        let mut names: Vec<&String> = shards[0].clients.keys().collect();
+        names.sort();
+        out.push_str(&format!("clients|{}\n", names.len()));
+        for name in &names {
+            out.push_str(&format!("client|{}\n", esc(name)));
+            for (pass, pl) in &shards[0].clients[*name].passwords {
+                out.push_str(&format!("password|{}|{}\n", esc(pass), pl.as_u8()));
+            }
+        }
+        for (si, st) in shards.iter().enumerate() {
+            out.push_str(&format!("shard|{si}\n"));
+            out.push_str(&format!("chunks|{}\n", st.chunks.len()));
+            for c in &st.chunks {
+                let row = owned(&|out| chunk_row_into(out, c));
+                out.push_str(&format!("chunk|{row}\n"));
+            }
+            out.push_str(&format!("stripes|{}\n", st.stripes.len()));
+            for s in &st.stripes {
+                let row = owned(&|out| stripe_row_into(out, s));
+                out.push_str(&format!("stripe|{row}\n"));
+            }
+            let mut files: Vec<(&String, &String, &FileEntry)> = Vec::new();
+            for name in &names {
+                for (fname, fe) in &st.clients[*name].files {
+                    files.push((name, fname, fe));
+                }
+            }
+            files.sort_by_key(|(c, f, _)| ((*c).clone(), (*f).clone()));
+            out.push_str(&format!("files|{}\n", files.len()));
+            for (cname, fname, fe) in files {
+                out.push_str(&format!(
+                    "file|{}|{}|{}\n",
+                    esc(cname),
+                    esc(fname),
+                    owned(&|out| file_row_into(out, fe))
+                ));
+            }
+        }
+        out.push_str("end\n");
+        out
+    }
+
+    /// Every shape the round-trip tests of this module cover, in one
+    /// state: escaped client, password and file names, two clients whose
+    /// names sort differently escaped and raw, replicas, a snapshot, a
+    /// chunk tombstone, a removed file, an RS(2,3) stripe beside RAID-5
+    /// ones, a degraded marker, several shards.
+    fn every_row_shape() -> CloudDataDistributor {
+        let d = CloudDataDistributor::new(fleet(), config());
+        for (client, pass) in [("Bob|weird%name", "p|w%d,:"), ("Bob}", "plain")] {
+            d.register_client(client).unwrap();
+            d.add_password(client, pass, PrivacyLevel::High).unwrap();
+            d.add_password(client, "low", PrivacyLevel::Low).unwrap();
+            let s = d.session(client, pass).unwrap();
+            let replicated = PutOptions::new().replicas(1);
+            s.put_file("file|one", &body(500), PrivacyLevel::Moderate, replicated)
+                .unwrap();
+            s.update_chunk("file|one", 1, &[9u8; 64]).unwrap();
+            s.put_file("z%25", &body(192), PrivacyLevel::Low, PutOptions::new())
+                .unwrap();
+            s.remove_chunk("z%25", 1).unwrap();
+            s.put_file("gone", &body(100), PrivacyLevel::Low, PutOptions::new())
+                .unwrap();
+            s.remove_file("gone").unwrap();
+            let rs = PutOptions::new().geometry(2, 3);
+            s.put_file("rs\nfile", &body(150), PrivacyLevel::High, rs)
+                .unwrap();
+        }
+        d.providers()[0].set_online(false);
+        assert!(!d.scrub().degraded.is_empty());
+        d.providers()[0].set_online(true);
+        d
+    }
+
+    #[test]
+    fn export_state_matches_the_serializer_it_replaced() {
+        let d = every_row_shape();
+        let text = export_state(&d);
+        assert_eq!(text, export_state_oracle(&d));
+        for shape in ["|rs3|", "|degraded", "|removed", ";", "%7C", "%0A", "%2525"] {
+            assert!(text.contains(shape), "fixture lost {shape:?}");
+        }
+        // The image of the tables, and the image read back from the text,
+        // both render to the same bytes.
+        assert_eq!(StateImage::of(&d).render(), text);
+        assert_eq!(StateImage::parse(&text).unwrap().render(), text);
+    }
+
+    #[test]
+    fn unesc_is_the_three_pass_replace_it_replaced() {
+        let three_pass = |s: &str| {
+            s.replace("%0A", "\n")
+                .replace("%7C", "|")
+                .replace("%25", "%")
+        };
+        for s in [
+            "",
+            "plain",
+            "%",
+            "%2",
+            "a%7Cb%0Ac%25d",
+            "%250A",
+            "%25257C",
+            "%%7C%",
+            "%2%25",
+            "é%0Aü%",
+            "%7c%0a",
+        ] {
+            assert_eq!(unesc(s), three_pass(s), "{s:?}");
+            assert_eq!(unesc(&esc(s)), s, "{s:?}");
+        }
+    }
+
+    /// The one delta applier, case by case, against the state it must
+    /// leave: the image after folding an op's delta renders to what
+    /// `export_state` writes after the op.
+    #[test]
+    fn folding_a_delta_is_copying_its_rows() {
+        let text = "fragcloud-state|v2\nvids|3\nshards|2\nproviders|1\nprovider|cp0\n\
+            clients|1\nclient|c%7C1\npassword|pw|3\n\
+            shard|0\nchunks|0\nstripes|0\nfiles|0\n\
+            shard|1\nchunks|1\nchunk|7|1|0|-|||10|10|-|d0|live\nstripes|0\n\
+            files|1\nfile|c%7C1|f|1|10|0|\nend\n";
+        let mut image = StateImage::parse(text).unwrap();
+        assert_eq!(image.render(), text);
+
+        // Refused, image untouched: unknown tag, shard out of range, a
+        // file of a client the directory does not list, no payload.
+        for line in [
+            "full|x",
+            "novalue",
+            "chunk|2|0|7|1|0|-|||10|10|-|d0|live",
+            "chunk|x|0|row",
+            "chunk|0|x|row",
+            "file|0|nobody|f|1|10||",
+            "filedel|9|c|f",
+            "vids|x",
+            "client|eve|pw",
+        ] {
+            assert!(image.fold_line(line).is_none(), "{line}");
+        }
+        assert_eq!(image.render(), text);
+
+        for line in [
+            "vids|9",
+            "vids|5",                               // the maximum stays
+            "chunk|1|0|7|1|0|-|||0|0|-|d0|removed", // in place
+            "chunk|0|2|8|2|0|-|||4|4|0:0|d0|live",  // a gap of two below it
+            "stripe|0|1|1|raid5|4|2|degraded",      // a gap of one
+            "filedel|1|c%7C1|f",
+            "filedel|1|c%7C1|never-there",
+            "file|0|c%7C1|g%7Ch|2|4|2|1",
+            "client|late|p%2Cw%7C:2,q:0",
+            "client|c%7C1|", // passwords rewritten: none left
+        ] {
+            assert!(image.fold_line(line).is_some(), "{line}");
+        }
+        let filler = PLACEHOLDER_CHUNK_ROW;
+        let want = format!(
+            "fragcloud-state|v2\nvids|9\nshards|2\nproviders|1\nprovider|cp0\n\
+             clients|2\nclient|c%7C1\nclient|late\npassword|p,w%7C|2\npassword|q|0\n\
+             shard|0\nchunks|3\nchunk|{filler}\nchunk|{filler}\n\
+             chunk|8|2|0|-|||4|4|0:0|d0|live\n\
+             stripes|2\nstripe|{PLACEHOLDER_STRIPE_ROW}\nstripe|1|raid5|4|2|degraded\n\
+             files|1\nfile|c%7C1|g%7Ch|2|4|2|1\n\
+             shard|1\nchunks|1\nchunk|7|1|0|-|||0|0|-|d0|removed\nstripes|0\nfiles|0\nend\n"
+        );
+        assert_eq!(image.render(), want);
+        // What the fold leaves imports: placeholders parse as rows.
+        let d = import_image(&image, fleet(), config()).unwrap();
+        assert_eq!(export_state(&d), want);
+        assert!(d.session("late", "p,w|").is_ok());
     }
 
     #[test]

@@ -10,11 +10,15 @@
 //! passes:
 //!
 //! 1. **Delta replay.** Unflushed close records are discarded (what never
-//!    reached the sink does not exist), the checkpoint is imported and
-//!    every durable close delta is applied row-by-row: chunk/stripe arena
-//!    upserts, file upserts and deletions, client-directory upserts, and
-//!    a virtual-id watermark fast-forward so the recovered allocator can
-//!    never re-issue a journaled id.
+//!    reached the sink does not exist), every durable close delta is
+//!    folded into the journal's checkpoint image in record order — the
+//!    same fold that compacts a live journal (`Journal::fold_durable`
+//!    over `StateImage::fold_line`): chunk/stripe arena upserts, file
+//!    upserts and deletions, client-directory upserts, and a virtual-id
+//!    watermark that keeps its maximum so the recovered allocator can
+//!    never re-issue a journaled id — and the folded image is imported,
+//!    once. Each row is validated before it is folded; one that is
+//!    malformed or out of range is refused and counted.
 //! 2. **Dangling resolution.**
 //!    - dangling `put` / `repair` / `migrate` ops **roll back**: their
 //!      freshly allocated virtual ids (logged *before* the uploads) are
@@ -43,17 +47,15 @@
 //! verify, a corrupt delta row) lands in
 //! [`RecoveryReport::unrecoverable`] instead of aborting the recovery.
 //! The one delta row that does abort it is `full|` — an inline snapshot
-//! earlier versions wrote for `repair`: skipping it would replay every
+//! earlier versions wrote for `repair`: skipping it would fold every
 //! later row onto the wrong base.
 
 use crate::config::DistributorConfig;
 use crate::distributor::{parse_chunk_target, CloudDataDistributor};
 use crate::journal::{Journal, OpKind, OpStatus, OpView};
 use crate::persist;
-use crate::tables::{ChunkEntry, ChunkRole, StripeInfo};
-use crate::{CoreError, Result};
-use fragcloud_raid::RaidLevel;
-use fragcloud_sim::{CloudProvider, ObjectStore, PrivacyLevel, VirtualId};
+use crate::Result;
+use fragcloud_sim::{CloudProvider, ObjectStore, VirtualId};
 use fragcloud_telemetry::{span, TelemetryHandle};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -77,7 +79,7 @@ pub struct RecoveryReport {
     pub orphans_collected: usize,
     /// Failures recovery could not repair: orphan deletes that failed
     /// (offline provider), committed files that no longer verify, delta
-    /// rows that would not parse or apply, and chunk-level ops whose undo
+    /// rows that would not parse or fit, and chunk-level ops whose undo
     /// or roll-forward could not complete (a needed provider is offline;
     /// such an op stays dangling in the journal and is retried by the
     /// next recovery).
@@ -100,11 +102,11 @@ enum Resolution {
 
 /// Rebuilds a distributor from `journal` (checkpoint + delta records)
 /// over a live provider fleet, resolving every dangling op. On success
-/// the journal is compacted to the post-recovery snapshot and re-attached
-/// to the returned distributor, so operation — and journaling — can
-/// resume.
+/// the journal keeps only what is still open, is re-attached to the
+/// returned distributor — its checkpoint re-seeded from the recovered
+/// tables — and operation, and journaling, can resume.
 ///
-/// Fails only when the base snapshot itself cannot be imported (corrupt
+/// Fails only when the folded checkpoint cannot be imported (corrupt
 /// snapshot, missing provider, invalid config) or a delta carries a
 /// `full|` row; per-op and other per-row trouble is reported, not raised.
 pub fn recover(
@@ -132,48 +134,24 @@ pub fn recover_with(
     // dangling so they resolve below.
     journal.discard_unflushed();
 
-    let base = journal.checkpoint();
-    let mut pending: Vec<String> = Vec::new();
-    let mut watermark: u64 = 0;
-    for (op, _, delta) in journal.closed_deltas() {
-        for (i, line) in delta.lines().enumerate() {
-            if line.starts_with("full|") {
-                return Err(CoreError::CorruptState {
-                    line: i + 1,
-                    why: format!("{op}: `full|` delta rows are not replayable"),
-                });
-            } else if let Some(w) = line.strip_prefix("vids|") {
-                watermark = watermark.max(w.parse().unwrap_or(0));
-            } else if !line.is_empty() {
-                pending.push(line.to_string());
-            }
-        }
+    // A journal no distributor ever attached has no checkpoint: give it a
+    // fresh distributor's (empty) state to fold onto.
+    if journal.with_checkpoint(persist::StateImage::is_empty) {
+        CloudDataDistributor::try_new(providers.clone(), config)?
+            .attach_journal(Arc::clone(&journal));
     }
 
-    let d = if base.is_empty() {
-        CloudDataDistributor::try_new(providers, config)?
-    } else {
-        persist::import_state(&base, providers, config)?
+    // Delta replay: every durable close folded into the checkpoint image
+    // in close order, the image imported once. A row that fails to parse
+    // or lands out of range is counted, not fatal — the op-level
+    // verification below catches any file it leaves broken. The folded
+    // `vids|` maximum moves the allocator past every id a closed op
+    // journaled, even when the checkpoint predates the allocation.
+    let mut report = RecoveryReport {
+        unrecoverable: journal.fold_durable()?,
+        ..Default::default()
     };
-
-    let mut report = RecoveryReport::default();
-
-    // Delta replay: idempotent row upserts in close order. A row that
-    // fails to parse or lands out of range is counted, not fatal — the
-    // op-level verification below catches any file it leaves broken.
-    for line in &pending {
-        if apply_delta_line(&d, line).is_none() {
-            report.unrecoverable += 1;
-        }
-    }
-
-    // The allocator must move past every id any closed op journaled, even
-    // when the base snapshot predates the allocation. Over-skipping is
-    // harmless; re-issuing is not.
-    let allocated = d.vids_allocated();
-    if watermark > allocated {
-        d.skip_vids(watermark - allocated);
-    }
+    let d = journal.with_checkpoint(|image| persist::import_image(image, providers, config))?;
 
     let ops = journal.ops();
     report.ops_seen = ops.len();
@@ -267,10 +245,10 @@ pub fn recover_with(
     verify_expectations(&d, &resolutions, &mut report);
 
     // Close out the dangling ops (with empty deltas — their effects are
-    // already in the compaction snapshot below) and compact: the
-    // journal's new baseline is the post-recovery snapshot, and
-    // journaling resumes on the recovered distributor. An unresolved op
-    // stays open: compaction keeps dangling ops, so the next recovery
+    // in the recovered tables) and drop every closed op's records: the
+    // journal's new baseline is the checkpoint `attach_journal` seeds
+    // from those tables, and journaling resumes on the recovered
+    // distributor. An unresolved op stays open, so the next recovery
     // finds its records and tries again.
     for (op, resolution) in &resolutions {
         if op.status == OpStatus::Dangling {
@@ -283,138 +261,13 @@ pub fn recover_with(
             }
         }
     }
-    journal.compact(persist::export_state(&d));
+    journal.drop_closed();
     d.attach_journal(Arc::clone(&journal));
 
     tel.incr("recovery_runs_total");
     tel.add("recovery_ops_replayed", report.replayed as u64);
     tel.add("recovery_unrecoverable", report.unrecoverable as u64);
     Ok((d, report))
-}
-
-/// Arena filler for a chunk slot a delta skipped over (the op that wrote
-/// the lower index closed later, or its delta was compacted into the
-/// base). Reads as a tombstone until a row claims the slot.
-fn placeholder_chunk() -> ChunkEntry {
-    ChunkEntry {
-        vid: VirtualId(u64::MAX),
-        pl: PrivacyLevel::Public,
-        provider_idx: 0,
-        snapshot_provider_idx: None,
-        snapshot_vid: None,
-        snapshot_mislead: Vec::new(),
-        mislead_positions: Vec::new(),
-        stored_len: 0,
-        logical_len: 0,
-        stripe: None,
-        role: ChunkRole::Data { serial: 0 },
-        removed: true,
-        replicas: Vec::new(),
-    }
-}
-
-/// Arena filler for a stripe slot a delta skipped over. Empty membership:
-/// nothing references it until a row claims the slot.
-fn placeholder_stripe() -> StripeInfo {
-    StripeInfo {
-        k: 0,
-        level: RaidLevel::None,
-        members: Vec::new(),
-        shard_width: 0,
-        degraded: false,
-    }
-}
-
-/// Applies one delta row to the recovered tables. Rows address arena
-/// slots by ⟨shard, index⟩; gaps are filled with tombstone placeholders
-/// so replay order never matters. Returns `None` on a malformed or
-/// out-of-range row.
-fn apply_delta_line(d: &CloudDataDistributor, line: &str) -> Option<()> {
-    let f: Vec<&str> = line.split('|').collect();
-    match f[0] {
-        "chunk" => {
-            if f.len() != 14 {
-                return None;
-            }
-            let shard: usize = f[1].parse().ok()?;
-            let idx: usize = f[2].parse().ok()?;
-            let entry = persist::parse_chunk_fields(&f[3..], 0).ok()?;
-            if shard >= d.shard_count() {
-                return None;
-            }
-            let mut st = d.shard_write(shard);
-            if entry.provider_idx >= st.providers.len() {
-                return None;
-            }
-            while st.chunks.len() <= idx {
-                st.chunks.push(placeholder_chunk());
-            }
-            st.chunks[idx] = entry;
-        }
-        "stripe" => {
-            if f.len() != 8 {
-                return None;
-            }
-            let shard: usize = f[1].parse().ok()?;
-            let idx: usize = f[2].parse().ok()?;
-            let entry = persist::parse_stripe_fields(&f[3..], 0).ok()?;
-            if shard >= d.shard_count() {
-                return None;
-            }
-            let mut st = d.shard_write(shard);
-            while st.stripes.len() <= idx {
-                st.stripes.push(placeholder_stripe());
-            }
-            st.stripes[idx] = entry;
-        }
-        "file" => {
-            if f.len() != 8 {
-                return None;
-            }
-            let shard: usize = f[1].parse().ok()?;
-            let client = persist::unesc(f[2]);
-            let name = persist::unesc(f[3]);
-            let entry = persist::parse_file_fields(&f[4..], 0).ok()?;
-            if shard >= d.shard_count() {
-                return None;
-            }
-            let mut st = d.shard_write(shard);
-            st.clients
-                .entry(client)
-                .or_default()
-                .files
-                .insert(name, entry);
-        }
-        "client" => {
-            if f.len() != 3 {
-                return None;
-            }
-            let name = persist::unesc(f[1]);
-            let passwords = persist::parse_passwords(f[2], 0).ok()?;
-            // The directory is replicated: the row lands in every shard.
-            for shard in 0..d.shard_count() {
-                let mut st = d.shard_write(shard);
-                st.clients.entry(name.clone()).or_default().passwords = passwords.clone();
-            }
-        }
-        "filedel" => {
-            if f.len() != 4 {
-                return None;
-            }
-            let shard: usize = f[1].parse().ok()?;
-            let client = persist::unesc(f[2]);
-            let name = persist::unesc(f[3]);
-            if shard >= d.shard_count() {
-                return None;
-            }
-            let mut st = d.shard_write(shard);
-            if let Some(entry) = st.clients.get_mut(&client) {
-                entry.files.remove(&name);
-            }
-        }
-        _ => return None,
-    }
-    Some(())
 }
 
 /// The one orphan collector: deletes `vids` from every provider still

@@ -29,6 +29,7 @@
 //!    when the crash beat its commit.
 
 use fragcloud::core::journal::{OpKind, OpStatus};
+use fragcloud::core::persist;
 use fragcloud::sim::{CloudProvider, CostLevel, ObjectStore, ProviderProfile};
 use fragcloud::{
     recover, ChunkSizeSchedule, CloudDataDistributor, CoreError, CrashPlan, DistributorConfig,
@@ -73,8 +74,8 @@ struct World {
     cfg: DistributorConfig,
 }
 
-fn world_with(plan: Arc<CrashPlan>, cfg: DistributorConfig) -> World {
-    let fleet: Vec<Arc<CloudProvider>> = (0..FLEET)
+fn fleet(n: usize) -> Vec<Arc<CloudProvider>> {
+    (0..n)
         .map(|i| {
             Arc::new(CloudProvider::new(ProviderProfile::new(
                 format!("cp{i}"),
@@ -82,7 +83,11 @@ fn world_with(plan: Arc<CrashPlan>, cfg: DistributorConfig) -> World {
                 CostLevel::new((i % 4) as u8),
             )))
         })
-        .collect();
+        .collect()
+}
+
+fn world_with(plan: Arc<CrashPlan>, cfg: DistributorConfig) -> World {
+    let fleet = fleet(FLEET);
     let d = CloudDataDistributor::try_new(fleet.clone(), cfg).unwrap();
     d.register_client("c").unwrap();
     d.add_password("c", "pw", PrivacyLevel::High).unwrap();
@@ -766,11 +771,6 @@ fn a_full_snapshot_delta_row_fails_recovery_with_corrupt_state() {
         .expect("the put's commit record");
     // A well-formed row: the checkpoint itself, escaped once as the row's
     // payload and once more with the delta it joins.
-    let esc = |s: &str| {
-        s.replace('%', "%25")
-            .replace('|', "%7C")
-            .replace('\n', "%0A")
-    };
     let row = format!("full|{}\n", esc(&w.journal.checkpoint()));
     let inline = format!("{commit}{}", esc(&row));
     let journal = Arc::new(Journal::parse(&text.replace(commit, &inline)).unwrap());
@@ -778,6 +778,86 @@ fn a_full_snapshot_delta_row_fails_recovery_with_corrupt_state() {
         recover(journal, w.fleet.clone(), w.cfg),
         Err(CoreError::CorruptState { .. })
     ));
+}
+
+/// The `%xx` escaping a delta gets inside its close record.
+fn esc(s: &str) -> String {
+    s.replace('%', "%25")
+        .replace('|', "%7C")
+        .replace('\n', "%0A")
+}
+
+/// A delta row that is malformed, or names a shard, provider, arena slot
+/// or chunk the state does not have, is refused by the fold and counted —
+/// one `unrecoverable` each — and recovery still succeeds, with every
+/// well-formed row of the same delta applied.
+#[test]
+fn bad_delta_rows_are_counted_and_recovery_still_succeeds() {
+    let w = world(Arc::new(CrashPlan::count_only()));
+    let mut l = Ledger::default();
+    one_windowed_put(&w, &mut l).unwrap();
+    let text = w.journal.export();
+    let commit = text
+        .lines()
+        .find(|line| line.starts_with("commit|"))
+        .expect("the put's commit record");
+    let good_chunk = "7|1|0|-|||10|10|-|d0|live";
+    let bad_rows = [
+        "nonsense|1".to_string(),
+        "vids|many".to_string(),
+        "chunk|0|0|garbage".to_string(),
+        format!("chunk|99|0|{good_chunk}"),
+        format!("chunk|0|0|{}", good_chunk.replacen("|0|", "|77|", 1)),
+        format!("chunk|0|99999999999|{good_chunk}"),
+        "stripe|0|0|3|raid5|68|0,1,99999|healthy".to_string(),
+        "file|0|c|ghost|1|10|99999|0".to_string(),
+        "file|0|nobody|ghost|1|10||".to_string(),
+        "filedel|99|c|solo".to_string(),
+        "client|eve|pw-without-a-level".to_string(),
+    ];
+    let inline = format!("{commit}{}", esc(&(bad_rows.join("\n") + "\n")));
+    let journal = Arc::new(Journal::parse(&text.replace(commit, &inline)).unwrap());
+    let (d, report) = recover(journal, w.fleet.clone(), w.cfg).unwrap();
+    assert_eq!(report.unrecoverable, bad_rows.len(), "{report:?}");
+    assert_eq!((report.replayed, report.ops_seen), (1, 1));
+    assert_chunks(&d, &l.acked, &None, "bad rows beside good ones");
+    assert!(d.client_chunks_per_provider("eve").is_err());
+}
+
+/// A journal written by the commit before compaction became a fold —
+/// exported mid-interval, so it carries a checkpoint (escaped names, a
+/// replica, a snapshot, tombstones, an RS(2,2) stripe) *and* five
+/// un-compacted ops: a removal (`filedel`), a client registration, two
+/// committed puts, and a put left dangling whose arena slots the later
+/// put's delta skips over (an arena gap in chunks and stripes). It
+/// recovers — over an empty fleet: only the tables are compared — to the
+/// `export_state` and the report that commit's own recovery produced.
+#[test]
+fn a_journal_exported_before_the_fold_recovers_to_the_same_state() {
+    let journal = include_str!("fixtures/journal_pr23_mid_interval.txt");
+    let state = include_str!("fixtures/state_pr23_recovered.txt");
+    let mut cfg = DistributorConfig {
+        chunk_sizes: ChunkSizeSchedule::uniform(64),
+        ..config()
+    };
+    cfg.durability = cfg
+        .durability
+        .with_table_shards(2)
+        .with_checkpoint_interval(6);
+    let journal = Arc::new(Journal::parse(journal).unwrap());
+    assert!(journal.checkpoint().starts_with("fragcloud-state|v2\n"));
+    assert_eq!(journal.ops().len(), 5);
+    let (d, report) = recover(journal, fleet(6), cfg).unwrap();
+    assert_eq!(persist::export_state(&d), state);
+    let want = RecoveryReport {
+        ops_seen: 5,
+        replayed: 4,
+        rolled_back: 1,
+        // The two surviving puts' objects: the fleet is empty.
+        unrecoverable: 2,
+        ..Default::default()
+    };
+    assert_eq!(report, want);
 }
 
 /// One journaled put under a real group-commit window.
@@ -943,6 +1023,41 @@ proptest! {
             other => prop_assert!(false, "expected a crash at {}, got {:?}", k, other),
         }
         recover_and_check(&w, &ledger, &format!("proptest point {k}"));
+    }
+
+    /// Compaction is a fold of deltas, never a re-export — so what it
+    /// leaves must be what a re-export would have written. With a
+    /// compaction after every commit (`checkpoint_interval(1)`), whenever
+    /// the journal holds no record the checkpoint equals
+    /// `persist::export_state` byte for byte, no line excepted, over all
+    /// eight op kinds. A verb that aborts does not compact: its (released)
+    /// abort delta waits, the only record left, for the next commit's
+    /// fold — and is then part of the comparison like any other.
+    #[test]
+    fn the_folded_checkpoint_is_the_exported_state(
+        steps in proptest::collection::vec(step_strategy(), 1..14),
+    ) {
+        let mut cfg = config();
+        cfg.durability = cfg.durability.with_checkpoint_interval(1);
+        let w = world_with(Arc::new(CrashPlan::count_only()), cfg);
+        let mut ledger = Ledger::default();
+        let mut compared = 0;
+        // The last step always commits: a client nobody registered yet.
+        let flush = [Step::Client(9)];
+        for step in steps.iter().chain(&flush) {
+            apply_steps(&w, std::slice::from_ref(step), &mut ledger).expect("no crash planned");
+            let open = w.journal.ops();
+            if open.is_empty() {
+                prop_assert_eq!(w.journal.checkpoint(), persist::export_state(&w.d), "after {:?}", step);
+                compared += 1;
+            } else {
+                prop_assert!(
+                    open.iter().all(|op| op.status == OpStatus::Aborted),
+                    "only aborted ops wait for the next fold: {:?}", open
+                );
+            }
+        }
+        prop_assert!(compared >= 1 && w.journal.ops().is_empty());
     }
 
     /// The sharded tables are an invisible optimization: the same serial
