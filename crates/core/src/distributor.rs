@@ -28,10 +28,11 @@ use crate::health::{self, HealthTracker};
 use crate::journal::{Journal, OpKind};
 use crate::mislead;
 use crate::mutation::{doom, Doomed, JournalCtx};
-use crate::objectio::{pad_shard, Member, StripeReadSet};
+use crate::objectio::{pad_shard, Framed, Member, ShardBuf, StripeReadSet};
 use crate::persist;
 use crate::policy;
 use crate::pool::TransferPool;
+use crate::recovery;
 use crate::resilience::{RepairReport, ScrubReport};
 use crate::tables::{ChunkEntry, ChunkRole, ClientEntry, FileEntry, StripeInfo, StripeRef, Tables};
 use crate::vid::VidAllocator;
@@ -266,9 +267,9 @@ pub struct CloudDataDistributor {
 /// [`CloudDataDistributor::encode_stripe_group`] either inline (a
 /// single-stripe put) or on a transfer-pool worker.
 struct EncodedGroup {
-    /// Per data chunk: virtual id, stored bytes (mislead-injected),
-    /// mislead positions, logical length.
-    chunks: Vec<(VirtualId, Vec<u8>, Vec<usize>, usize)>,
+    /// Per data chunk: its filled upload buffer, mislead positions,
+    /// logical length.
+    chunks: Vec<(ShardBuf, Vec<usize>, usize)>,
     /// Stripe shard width (longest stored chunk; shorter chunks are
     /// logically zero-padded for parity).
     width: usize,
@@ -277,22 +278,61 @@ struct EncodedGroup {
     parity: Vec<Vec<u8>>,
 }
 
-/// One put as [`CloudDataDistributor::store_stripe`] sees it: the plan
-/// resolved once per put, then the pieces of the final [`PutReceipt`] and
-/// table bookkeeping that grow stripe by stripe.
+/// One put as its execute phase sees it: the plan resolved once per put,
+/// then the pieces of the final [`PutReceipt`] and the rows that grow
+/// stripe by stripe. No table is reachable from here — stores go through
+/// `fleet`, and rows are owned until the commit publishes them.
 struct PutProgress<'a> {
-    shard: usize,
     pl: PrivacyLevel,
     raid: RaidLevel,
     k_max: usize,
+    chunk_size: usize,
+    rate: f64,
     replicas: usize,
     jctx: &'a Option<JournalCtx>,
     /// The put's telemetry handle, resolved once in `put_pipeline`.
     tel: &'a TelemetryHandle,
-    chunk_indices: Vec<usize>,
-    stripe_ids: Vec<usize>,
+    /// The provider fleet, taken at plan.
+    fleet: Vec<Arc<CloudProvider>>,
+    /// Every vid the put allocated: what a failed put with no journal
+    /// deletes.
+    fresh: Vec<VirtualId>,
+    /// Chunk rows in landing order; stripe references are indices into
+    /// `stripes`.
+    chunks: Vec<ChunkEntry>,
+    /// Stripe rows; members are indices into `chunks`.
+    stripes: Vec<StripeInfo>,
+    /// Indices into `chunks` of the data chunks, in serial order.
+    data_rows: Vec<usize>,
     bytes_stored: usize,
     per_provider_time: Vec<Duration>,
+}
+
+/// A put's claim on ⟨client, filename⟩ (`Tables::reserved`) from its plan
+/// to its commit. Dropped without [`release`](Self::release) — the put
+/// failed, crashed or panicked — it frees the name under the shard lock,
+/// so it is never dropped while that lock is held.
+struct Reservation<'a> {
+    d: &'a CloudDataDistributor,
+    shard: usize,
+    key: Option<(String, String)>,
+}
+
+impl Reservation<'_> {
+    /// Frees the name under the guard the commit holds.
+    fn release(mut self, st: &mut Tables) {
+        if let Some(key) = self.key.take() {
+            st.reserved.remove(&key);
+        }
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            self.d.shard_write(self.shard).reserved.remove(&key);
+        }
+    }
 }
 
 /// One stripe's degraded-write bookkeeping, threaded through
@@ -639,10 +679,19 @@ impl CloudDataDistributor {
     }
 
     /// The one upload path (§VI `split` → assign virtual ids → stripe →
-    /// place): authorize, resolve geometry, allocate the data vids, then a
-    /// single windowed loop — refill the window from the stripe source,
-    /// encode on the transfer pool, consume in stripe order, store — and
-    /// commit the file row.
+    /// place), in three phases:
+    ///
+    /// 1. **Plan**, under the shard write lock: authorize, refuse a taken
+    ///    name and reserve ⟨client, filename⟩ ([`Self::plan_put`]).
+    /// 2. **Execute**, with no guard in scope: allocate and journal the
+    ///    data vids, then one windowed loop — refill the window from the
+    ///    stripe source, encode on the transfer pool, consume in stripe
+    ///    order, store — landing owned rows ([`Self::execute_put`]).
+    /// 3. **Commit**, under the write lock again: push the rows, insert the
+    ///    file row, release the name ([`Self::commit_put`]).
+    ///
+    /// Nothing is published before the commit: a put that fails leaves no
+    /// row, and with no journal to roll it back it deletes what it landed.
     ///
     /// Provider state is a function of the inputs alone, whatever the
     /// source, the worker count or the order encodes finish in: virtual
@@ -672,40 +721,140 @@ impl CloudDataDistributor {
             pl = pl
         );
         let shard = self.shard_for(client, filename);
-
-        // Phase A (shard read lock): authorize + duplicate pre-check.
-        // Released before the CPU-heavy fragment/encode phase so
-        // concurrent operations on this shard keep flowing.
-        let fleet_size = {
-            let st = self.shard_read(shard);
-            access::authorize(st.client(client)?, password, pl)?;
-            if st.client(client)?.files.contains_key(filename) {
-                return Err(CoreError::FileExists(filename.to_string()));
-            }
-            st.providers.len()
-        };
+        let (reservation, fleet) = self.plan_put(shard, client, password, filename, pl)?;
 
         // Effective erasure geometry, resolved once per put: an explicit
         // per-put geometry wins; otherwise the distributor's per-PL
         // schedule (or its (stripe_width, raid_level) defaults) applies.
         let geo = opts.geometry.unwrap_or(self.config.geometry_for(pl));
         geo.validate()?;
-        let raid = geo.level();
         let rate = opts.mislead_rate.unwrap_or(self.config.mislead_rate);
         mislead::validate_rate(rate)?;
 
-        // Phase B (no lock): derive the chunk plan from the declared
-        // length and allocate every data vid upfront, in chunk order — no
-        // chunk bytes are read yet. Intent is durable before any provider
-        // sees a byte: from here on a crash leaves only objects the
-        // journal can enumerate.
-        let chunk_size = self.config.chunk_sizes.size_for(pl);
         let chunk_count = chunker::chunk_count(len, pl, &self.config.chunk_sizes);
-        let data_vids: Vec<VirtualId> = (0..chunk_count).map(|_| self.vids.allocate()).collect();
-        self.journal_alloc(jctx, &data_vids);
+        let mut progress = PutProgress {
+            pl,
+            raid: geo.level(),
+            k_max: geo.data.max(1),
+            chunk_size: self.config.chunk_sizes.size_for(pl),
+            rate,
+            replicas: opts.replicas,
+            jctx,
+            tel: &tel,
+            per_provider_time: vec![Duration::ZERO; fleet.len()],
+            fleet,
+            fresh: Vec::new(),
+            chunks: Vec::new(),
+            stripes: Vec::new(),
+            data_rows: Vec::with_capacity(chunk_count),
+            bytes_stored: 0,
+        };
+        let peak_in_flight_bytes = match self.execute_put(&mut progress, source, len, chunk_count) {
+            Ok(peak) => peak,
+            Err(e) => {
+                // A crash leaves its uploads to recovery; a journaled put
+                // is rolled back by the bracket.
+                if jctx.is_none() && !matches!(e, CoreError::SimulatedCrash { .. }) {
+                    recovery::collect_orphans(self, &progress.fresh);
+                }
+                return Err(e);
+            }
+        };
+
+        let stripe_count = progress.stripes.len();
+        {
+            let mut st = self.shard_write(shard);
+            self.commit_put(&mut st, shard, client, filename, len, &mut progress)?;
+            reservation.release(&mut st);
+        }
+
+        // Last crash window: tables updated, commit record not yet
+        // written — recovery must roll the whole put back.
         self.crash_point()?;
 
-        let k_max = geo.data.max(1);
+        let sim_time = progress
+            .per_provider_time
+            .into_iter()
+            .max()
+            .unwrap_or_default();
+        tel.incr("puts_total");
+        tel.add("put_bytes", len as u64);
+        tel.add("put_chunks", chunk_count as u64);
+        tel.observe_micros("put_sim_us", sim_time);
+        // A buffered put keeps its shared copy of the whole file resident;
+        // a streaming put only ever holds the measured window.
+        let peak_buffer_bytes = if streaming {
+            tel.incr("puts_streaming");
+            tel.observe("put_stream_peak_buffer_bytes", peak_in_flight_bytes as u64);
+            peak_in_flight_bytes
+        } else {
+            len
+        };
+        Ok(PutReceipt {
+            chunk_count,
+            stripe_count,
+            bytes_stored: progress.bytes_stored,
+            sim_time,
+            peak_buffer_bytes,
+        })
+    }
+
+    /// Plan, under the shard write lock: authorize, refuse a name that has
+    /// a file row or a put in flight, and reserve it — a racing put of the
+    /// same name fails [`CoreError::FileExists`] before it uploads a byte.
+    /// Returns the reservation and the provider fleet the execute phase
+    /// stores through.
+    fn plan_put(
+        &self,
+        shard: usize,
+        client: &str,
+        password: &str,
+        filename: &str,
+        pl: PrivacyLevel,
+    ) -> Result<(Reservation<'_>, Vec<Arc<CloudProvider>>)> {
+        let key = (client.to_string(), filename.to_string());
+        let fleet = {
+            let mut st = self.shard_write(shard);
+            let entry = st.client(client)?;
+            access::authorize(entry, password, pl)?;
+            if entry.files.contains_key(filename) || st.reserved.contains(&key) {
+                return Err(CoreError::FileExists(filename.to_string()));
+            }
+            st.reserved.insert(key.clone());
+            st.providers.clone()
+        };
+        let reservation = Reservation {
+            d: self,
+            shard,
+            key: Some(key),
+        };
+        Ok((reservation, fleet))
+    }
+
+    /// Execute, with no shard guard in scope: allocates and journals every
+    /// data vid upfront, in chunk order — intent is durable before any
+    /// provider sees a byte, so a crash leaves only objects the journal
+    /// can enumerate — then reads the source a window ahead, encodes on
+    /// the pool and stores stripe by stripe in order. Returns the peak
+    /// source bytes in flight.
+    fn execute_put(
+        &self,
+        progress: &mut PutProgress<'_>,
+        source: PutSource<'_>,
+        len: usize,
+        chunk_count: usize,
+    ) -> Result<usize> {
+        let (chunk_size, k_max, rate, tel) = (
+            progress.chunk_size,
+            progress.k_max,
+            progress.rate,
+            progress.tel,
+        );
+        let data_vids: Vec<VirtualId> = (0..chunk_count).map(|_| self.vids.allocate()).collect();
+        progress.fresh.extend_from_slice(&data_vids);
+        self.journal_alloc(progress.jctx, &data_vids);
+        self.crash_point()?;
+
         let n_groups = chunk_count.div_ceil(k_max);
         // Stripes in flight (read but not yet stored). Sized in bytes, not
         // stripes: at PL3 a stripe is 16 KiB and encodes faster than one
@@ -723,19 +872,6 @@ impl CloudDataDistributor {
         };
         let io_err = |e: std::io::Error| CoreError::StreamIo { why: e.to_string() };
 
-        let mut progress = PutProgress {
-            shard,
-            pl,
-            raid,
-            k_max,
-            replicas: opts.replicas,
-            jctx,
-            tel: &tel,
-            chunk_indices: Vec::with_capacity(chunk_count),
-            stripe_ids: Vec::new(),
-            bytes_stored: 0,
-            per_provider_time: vec![Duration::ZERO; fleet_size],
-        };
         // Explicit buffer accounting: a stripe's logical bytes are in
         // flight from its read-from-source to the completion of its store.
         // This brackets the lifetime of both the raw chunk buffers and the
@@ -748,7 +884,7 @@ impl CloudDataDistributor {
         let seed = self.config.seed;
         // Resolved once per put, at the first stripe's width: every full
         // stripe encodes on its tables.
-        let codec = StripeCodec::new(chunk_count.clamp(1, k_max), raid)?;
+        let codec = StripeCodec::new(chunk_count.clamp(1, k_max), progress.raid)?;
         let encode = move |group, scratch, tel: &TelemetryHandle| {
             tel.time("stripe_encode_ns", || {
                 Self::encode_stripe_group(group, rate, seed, &codec, scratch)
@@ -762,22 +898,6 @@ impl CloudDataDistributor {
         let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Result<EncodedGroup>)>();
         let (recycle_tx, recycle_rx) = crossbeam::channel::unbounded::<Vec<Vec<u8>>>();
 
-        // Phase C (shard write lock): provider stores + table pushes, in
-        // stripe order. Only this file's shard is locked — puts routed to
-        // other shards proceed concurrently, and encode work runs on pool
-        // workers without any lock.
-        let mut st = self.shard_write(shard);
-        // Re-check under the write lock: a racing put may have created
-        // the file between phase A and now. Nothing has been uploaded yet.
-        if st.client(client)?.files.contains_key(filename) {
-            return Err(CoreError::FileExists(filename.to_string()));
-        }
-        let st = &mut *st;
-
-        // The stripe source is opened under the lock, as the buffered path
-        // always did: the shared copy of an 8 MiB buffer takes ~1 ms, and
-        // with it outside the lock a concurrent reader's throughput hangs
-        // on how many gets fit into that gap (DESIGN.md §5c, "Lock scope").
         let mut feeder = match source {
             // One shared copy of the caller's buffer; every chunk crosses
             // to the workers as a ref-counted slice of it.
@@ -804,25 +924,32 @@ impl CloudDataDistributor {
                     .ok_or_else(|| mismatch(feeder.bytes_read()))?;
                 let in_flight_bytes = feeder.bytes_read() as usize - stored_logical_bytes;
                 peak_in_flight_bytes = peak_in_flight_bytes.max(in_flight_bytes);
-                let group: Vec<(VirtualId, Bytes)> = vids.iter().copied().zip(stripe).collect();
+                // Each data shard's upload buffer is allocated here, on the
+                // storing thread; the encode fills it.
+                let group: Vec<(ShardBuf, Bytes)> = vids
+                    .iter()
+                    .zip(stripe)
+                    .map(|(&vid, logical)| (ShardBuf::for_chunk(vid, logical.len(), rate), logical))
+                    .collect();
                 let stripe_no = submitted;
                 match pool {
                     None => {
-                        pending.insert(stripe_no, encode(group, Vec::new(), &tel));
+                        pending.insert(stripe_no, encode(group, Vec::new(), tel));
                     }
                     Some(pool) => {
                         let (res_tx, recycle_rx) = (res_tx.clone(), recycle_rx.clone());
                         let encode = encode.clone();
                         let wtel = tel.clone();
-                        pool.submit_observed(&tel, move || {
+                        pool.submit_observed(tel, move || {
                             // A panicking encode must still send — the
                             // caller holds a sender of its own, so channel
                             // disconnect cannot signal it.
-                            let enc = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                let scratch = recycle_rx.try_recv().unwrap_or_default();
-                                encode(group, scratch, &wtel)
-                            }))
-                            .unwrap_or(Err(CoreError::EncodeTaskPanicked));
+                            let enc =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    let scratch = recycle_rx.try_recv().unwrap_or_default();
+                                    encode(group, scratch, &wtel)
+                                }))
+                                .unwrap_or(Err(CoreError::EncodeTaskPanicked));
                             let _ = res_tx.send((stripe_no, enc));
                         });
                     }
@@ -840,13 +967,12 @@ impl CloudDataDistributor {
                 let (no, e) = res_rx.recv().map_err(|_| CoreError::EncodeTaskPanicked)?;
                 pending.insert(no, e);
             }?;
-            if raid != RaidLevel::None {
+            if progress.raid != RaidLevel::None {
                 tel.incr("stripe_encodes");
             }
-            let logical_bytes: usize = enc.chunks.iter().map(|c| c.3).sum();
-            let recycled = tel.time("stripe_store_ns", || {
-                self.store_stripe(st, &mut progress, next, enc)
-            })?;
+            let logical_bytes: usize = enc.chunks.iter().map(|c| c.2).sum();
+            let recycled =
+                tel.time("stripe_store_ns", || self.store_stripe(progress, next, enc))?;
             let _ = recycle_tx.send(recycled);
             stored_logical_bytes += logical_bytes;
         }
@@ -856,77 +982,81 @@ impl CloudDataDistributor {
         if feeder.bytes_read() != len as u64 || feeder.next_stripe().map_err(io_err)?.is_some() {
             return Err(mismatch(feeder.bytes_read()));
         }
-
-        let stripe_count = progress.stripe_ids.len();
-        let entry = st.client_mut(client)?;
-        entry.files.insert(
-            filename.to_string(),
-            FileEntry {
-                pl,
-                chunk_indices: progress.chunk_indices,
-                stripe_ids: progress.stripe_ids,
-                total_len: len,
-            },
-        );
-        self.touch_file(jctx, shard, client, filename);
-
-        // Last crash window: tables updated, commit record not yet
-        // written — recovery must roll the whole put back.
-        self.crash_point()?;
-
-        let sim_time = progress.per_provider_time.into_iter().max().unwrap_or_default();
-        tel.incr("puts_total");
-        tel.add("put_bytes", len as u64);
-        tel.add("put_chunks", chunk_count as u64);
-        tel.observe_micros("put_sim_us", sim_time);
-        // A buffered put keeps its shared copy of the whole file resident;
-        // a streaming put only ever holds the measured window.
-        let peak_buffer_bytes = if streaming {
-            tel.incr("puts_streaming");
-            tel.observe("put_stream_peak_buffer_bytes", peak_in_flight_bytes as u64);
-            peak_in_flight_bytes
-        } else {
-            len
-        };
-        Ok(PutReceipt {
-            chunk_count,
-            stripe_count,
-            bytes_stored: progress.bytes_stored,
-            sim_time,
-            peak_buffer_bytes,
-        })
+        Ok(peak_in_flight_bytes)
     }
 
-    /// Encodes one stripe group: mislead-injects each logical chunk and
-    /// computes parity over the (logically zero-padded) stored chunks.
+    /// Commit, under the shard write lock: pushes the put's rows — arena
+    /// indices are assigned here, in the order the execute phase landed
+    /// them, so a sequential run numbers them as a put holding the lock
+    /// throughout would — then inserts the file row, marking every row for
+    /// the op's delta.
+    fn commit_put(
+        &self,
+        st: &mut Tables,
+        shard: usize,
+        client: &str,
+        filename: &str,
+        len: usize,
+        progress: &mut PutProgress<'_>,
+    ) -> Result<()> {
+        let jctx = progress.jctx;
+        let (chunk_base, stripe_base) = (st.chunks.len(), st.stripes.len());
+        for mut e in progress.chunks.drain(..) {
+            if let Some(at) = &mut e.stripe {
+                at.stripe_id += stripe_base;
+            }
+            self.touch_chunk(jctx, shard, st.chunks.len());
+            st.chunks.push(e);
+        }
+        for mut s in progress.stripes.drain(..) {
+            for m in &mut s.members {
+                *m += chunk_base;
+            }
+            self.touch_stripe(jctx, shard, st.stripes.len());
+            st.stripes.push(s);
+        }
+        let file = FileEntry {
+            pl: progress.pl,
+            chunk_indices: progress.data_rows.iter().map(|i| i + chunk_base).collect(),
+            stripe_ids: (stripe_base..st.stripes.len()).collect(),
+            total_len: len,
+        };
+        st.client_mut(client)?
+            .files
+            .insert(filename.to_string(), file);
+        self.touch_file(jctx, shard, client, filename);
+        Ok(())
+    }
+
+    /// Encodes one stripe group: fills each data shard's upload buffer with
+    /// its stored (mislead-injected), framed form and computes parity over
+    /// the (logically zero-padded) stored chunks.
     ///
     /// An associated function on purpose — it borrows nothing from the
     /// distributor, so the put pipeline can run it on a transfer-pool
     /// worker. Determinism comes from the inputs alone: virtual ids were
-    /// allocated in chunk order by the caller, and `mislead::inject` is a
+    /// allocated in chunk order by the caller, and the stored form is a
     /// pure function of ⟨chunk, rate, seed ⊕ vid⟩.
     ///
     /// `scratch` recycles parity buffers from already-stored stripes
     /// (popped as needed; missing entries just allocate). `codec` is
     /// resolved once per put; a short final stripe resolves its own.
     fn encode_stripe_group(
-        group: Vec<(VirtualId, Bytes)>,
+        group: Vec<(ShardBuf, Bytes)>,
         rate: f64,
         seed: u64,
         codec: &StripeCodec,
         mut scratch: Vec<Vec<u8>>,
     ) -> Result<EncodedGroup> {
-        let chunks: Vec<(VirtualId, Vec<u8>, Vec<usize>, usize)> = group
+        let chunks: Vec<(ShardBuf, Vec<usize>, usize)> = group
             .into_iter()
-            .map(|(vid, logical)| {
-                let logical: &[u8] = &logical;
-                let logical_len = logical.len();
-                let (stored, positions) = mislead::inject(logical, rate, seed ^ vid.0);
-                (vid, stored, positions, logical_len)
+            .map(|(mut shard, logical)| {
+                let positions = shard.fill_stored(&logical, rate, seed ^ shard.vid().0);
+                (shard, positions, logical.len())
             })
             .collect();
-        let width = chunks.iter().map(|(_, s, _, _)| s.len()).max().unwrap_or(0);
-        let refs: Vec<&[u8]> = chunks.iter().map(|(_, s, _, _)| s.as_slice()).collect();
+        let refs: Vec<&[u8]> = chunks.iter().map(|(s, _, _)| s.payload()).collect();
+        let width = refs.iter().map(|s| s.len()).max().unwrap_or(0);
         let tail;
         let codec = if refs.len() == codec.data_shards() {
             codec
@@ -946,20 +1076,19 @@ impl CloudDataDistributor {
     }
 
     /// Places and stores one encoded stripe: provider placement, resilient
-    /// data/replica/parity writes, and the chunk/stripe table pushes. Runs
-    /// on the caller thread only (it mutates tables and drives provider
-    /// I/O), in stripe order.
+    /// data/replica/parity writes, and the stripe's owned rows. Runs on the
+    /// caller thread only (it draws from the placement rng, allocates vids
+    /// and drives provider I/O), in stripe order, with no table in reach.
     ///
     /// Returns the stripe's parity buffers so the pipeline can recycle
     /// them into later encode tasks.
     fn store_stripe(
         &self,
-        st: &mut Tables,
         progress: &mut PutProgress<'_>,
         stripe_no: usize,
         enc: EncodedGroup,
     ) -> Result<Vec<Vec<u8>>> {
-        let (shard, pl, raid, jctx) = (progress.shard, progress.pl, progress.raid, progress.jctx);
+        let (pl, raid, jctx) = (progress.pl, progress.raid, progress.jctx);
         let EncodedGroup {
             chunks: group,
             width,
@@ -969,7 +1098,7 @@ impl CloudDataDistributor {
         let total_shards = k + raid.parity_shards();
         // The placement rng is global (deterministic stream across the
         // whole distributor); hold its lock only for the draw itself so
-        // concurrent puts on other table shards never serialize on it.
+        // concurrent puts never serialize on it.
         // Quarantined providers (breaker Open) are shed from placement;
         // `place_stripe_avoiding` ignores the list when the fleet is too
         // small to route around them, so writes never brick.
@@ -982,7 +1111,7 @@ impl CloudDataDistributor {
         let placement = {
             let mut rng = self.rng.lock();
             policy::place_stripe_avoiding(
-                &st.providers,
+                &progress.fleet,
                 pl,
                 total_shards,
                 self.config.placement,
@@ -991,7 +1120,7 @@ impl CloudDataDistributor {
             )?
         };
 
-        let stripe_id = st.stripes.len();
+        let stripe_id = progress.stripes.len();
         let mut members = Vec::with_capacity(total_shards);
 
         // Degraded-write bookkeeping: shards the engine could not land
@@ -1006,16 +1135,19 @@ impl CloudDataDistributor {
 
         // Replica placement pool: eligible providers not used by this
         // stripe, cycled per chunk so copies spread out.
-        let eligible = policy::eligible_providers(&st.providers, pl);
+        let eligible = policy::eligible_providers(&progress.fleet, pl);
         let replica_pool: Vec<usize> = eligible
             .iter()
             .copied()
             .filter(|i| !placement.contains(i))
             .collect();
 
-        // Store data shards.
-        for (i, (vid, stored, positions, logical_len)) in group.iter().enumerate() {
-            let provider_idx = self.store_slot(st, &mut slots, i, *vid, stored, progress)?;
+        // Store data shards, each uploaded from the buffer it was encoded
+        // into.
+        for (i, (shard, positions, logical_len)) in group.into_iter().enumerate() {
+            let object = shard.into_framed();
+            let provider_idx = self.store_slot(&mut slots, i, &object, progress)?;
+            let stored = object.payload();
 
             // Extra copies (§VI client-demanded assurance).
             let mut replicas = Vec::with_capacity(progress.replicas);
@@ -1035,11 +1167,13 @@ impl CloudDataDistributor {
                 }
                 let rp = candidates[(i + r) % candidates.len()];
                 let rvid = self.vids.allocate();
+                progress.fresh.push(rvid);
                 self.journal_alloc(jctx, &[rvid]);
                 self.crash_point()?;
                 // Replicas are best-effort extra assurance: a copy that
                 // cannot land is dropped, not fatal.
-                let (res, t, _) = self.put_with_retry(st, rp, rvid, stored, progress.tel);
+                let (res, t, _) =
+                    self.put_with_retry(&progress.fleet, rp, rvid, stored, progress.tel);
                 progress.per_provider_time[rp] += t;
                 if res.is_ok() {
                     progress.bytes_stored += stored.len();
@@ -1047,18 +1181,18 @@ impl CloudDataDistributor {
                 }
             }
 
-            let chunk_idx = st.chunks.len();
+            let row = progress.chunks.len();
             let serial = (stripe_no * progress.k_max + i) as u32;
-            st.chunks.push(ChunkEntry {
-                vid: *vid,
+            progress.chunks.push(ChunkEntry {
+                vid: object.vid(),
                 pl,
                 provider_idx,
                 snapshot_provider_idx: None,
                 snapshot_vid: None,
                 snapshot_mislead: Vec::new(),
-                mislead_positions: positions.clone(),
+                mislead_positions: positions,
                 stored_len: stored.len(),
-                logical_len: *logical_len,
+                logical_len,
                 stripe: Some(StripeRef {
                     stripe_id,
                     index: i,
@@ -1067,18 +1201,19 @@ impl CloudDataDistributor {
                 removed: false,
                 replicas,
             });
-            members.push(chunk_idx);
-            progress.chunk_indices.push(chunk_idx);
-            self.touch_chunk(jctx, shard, chunk_idx);
+            members.push(row);
+            progress.data_rows.push(row);
         }
         // Store parity shards (buffers collected back for recycling).
         let mut recycled = Vec::with_capacity(parity_blobs.len());
         for (pi, blob) in parity_blobs.into_iter().enumerate() {
             let vid = self.vids.allocate();
+            progress.fresh.push(vid);
             self.journal_alloc(jctx, &[vid]);
-            let provider_idx = self.store_slot(st, &mut slots, k + pi, vid, &blob, progress)?;
-            let chunk_idx = st.chunks.len();
-            st.chunks.push(ChunkEntry {
+            let object = Framed::copy_of(vid, &blob);
+            let provider_idx = self.store_slot(&mut slots, k + pi, &object, progress)?;
+            members.push(progress.chunks.len());
+            progress.chunks.push(ChunkEntry {
                 vid,
                 pl,
                 provider_idx,
@@ -1096,20 +1231,16 @@ impl CloudDataDistributor {
                 removed: false,
                 replicas: Vec::new(),
             });
-            members.push(chunk_idx);
             recycled.push(blob);
-            self.touch_chunk(jctx, shard, chunk_idx);
         }
 
-        st.stripes.push(StripeInfo {
+        progress.stripes.push(StripeInfo {
             k,
             level: raid,
             members,
             shard_width: width,
             degraded: slots.missing > 0,
         });
-        self.touch_stripe(jctx, shard, stripe_id);
-        progress.stripe_ids.push(stripe_id);
         Ok(recycled)
     }
 
@@ -1124,11 +1255,9 @@ impl CloudDataDistributor {
     /// covers.
     fn store_slot(
         &self,
-        st: &Tables,
         slots: &mut StripeSlots<'_>,
         slot: usize,
-        vid: VirtualId,
-        bytes: &[u8],
+        object: &Framed,
         progress: &mut PutProgress<'_>,
     ) -> Result<usize> {
         self.crash_point()?;
@@ -1138,8 +1267,9 @@ impl CloudDataDistributor {
         // take it, the quarantined preferred is still tried last — a
         // suspect provider beats a lost shard.
         let shed_preferred = self.health.should_shed(preferred, progress.tel);
+        let fleet = &progress.fleet;
         let mut lands_on = |idx: usize| {
-            let (res, t, _) = self.put_with_retry(st, idx, vid, bytes, progress.tel);
+            let (res, t, _) = self.put_framed(fleet, idx, object, progress.tel);
             progress.per_provider_time[idx] += t;
             res.is_ok()
         };
@@ -1148,12 +1278,12 @@ impl CloudDataDistributor {
         } else {
             // Alternatives: eligible, not already hosting this stripe;
             // healthiest first, then cheapest.
-            let mut alts: Vec<usize> = policy::eligible_providers(&st.providers, pl)
+            let mut alts: Vec<usize> = policy::eligible_providers(fleet, pl)
                 .into_iter()
                 .filter(|i| !slots.hosting.contains(i))
                 .collect();
             alts.sort_by(|&a, &b| {
-                let cost = |i: usize| st.providers[i].profile().cost_level;
+                let cost = |i: usize| fleet[i].profile().cost_level;
                 self.health
                     .penalty(a)
                     .total_cmp(&self.health.penalty(b))
@@ -1168,7 +1298,7 @@ impl CloudDataDistributor {
         match landed {
             Some(p) => {
                 slots.hosting[slot] = p;
-                progress.bytes_stored += bytes.len();
+                progress.bytes_stored += object.payload().len();
                 Ok(p)
             }
             None => {
@@ -1503,7 +1633,10 @@ impl CloudDataDistributor {
         if !st.providers[provider_idx].is_online() {
             return;
         }
-        match self.put_with_retry(st, provider_idx, vid, stored, tel).0 {
+        match self
+            .put_with_retry(&st.providers, provider_idx, vid, stored, tel)
+            .0
+        {
             Ok(()) => tel.incr("read_repair_total"),
             Err(_) => tel.incr("read_repair_failed_total"),
         }
@@ -1747,7 +1880,7 @@ impl CloudDataDistributor {
         let tel = self.telemetry();
         for (member_idx, blob) in plan.writes {
             let e = &st.chunks[member_idx];
-            self.put_with_retry(st, e.provider_idx, e.vid, &blob, &tel)
+            self.put_with_retry(&st.providers, e.provider_idx, e.vid, &blob, &tel)
                 .0?;
             let e = &mut st.chunks[member_idx];
             e.stored_len = plan.width;
@@ -1817,7 +1950,7 @@ impl CloudDataDistributor {
         self.journal_doom(jctx, rewrite.doomed.iter().map(|(_, vid)| *vid));
         if let Some((snapshot_idx, snapshot_vid, pre_state)) = rewrite.undo {
             let tel = self.telemetry();
-            self.put_with_retry(st, snapshot_idx, snapshot_vid, pre_state, &tel)
+            self.put_with_retry(&st.providers, snapshot_idx, snapshot_vid, pre_state, &tel)
                 .0?;
         }
         self.crash_point()?;
@@ -1835,7 +1968,8 @@ impl CloudDataDistributor {
         let tel = self.telemetry();
         let e = &st.chunks[chunk_idx];
         for &(provider_idx, vid) in std::iter::once(&(e.provider_idx, e.vid)).chain(&e.replicas) {
-            self.put_with_retry(st, provider_idx, vid, stored, &tel).0?;
+            self.put_with_retry(&st.providers, provider_idx, vid, stored, &tel)
+                .0?;
             self.crash_point()?;
         }
         Ok(())
@@ -2350,7 +2484,8 @@ impl CloudDataDistributor {
             self.journal_alloc(jctx, &[new_vid]);
             self.journal_doom(jctx, [old_vid]);
             self.crash_point()?;
-            let (res, t, _) = self.put_with_retry(st, target, new_vid, &bytes[..stored_len], tel);
+            let (res, t, _) =
+                self.put_with_retry(&st.providers, target, new_vid, &bytes[..stored_len], tel);
             per_provider_time[target] += t;
             res?;
             let e = &mut st.chunks[m];
@@ -3929,10 +4064,18 @@ mod tests {
         let removed_by_remove_file = dead_rows();
         assert!(removed_by_remove_file > 0);
         // A put that fails after its stripes were stored is rolled back
-        // live: its rows die the same way.
+        // live: it published no row, so it leaves no dead one either.
+        let rows = || {
+            d.lock_all_read()
+                .iter()
+                .map(|st| st.chunks.len())
+                .sum::<usize>()
+        };
+        let rows_before = rows();
         s.put_stream("aborted", &mut &data(100)[..], 90, PrivacyLevel::High, opts)
             .unwrap_err();
-        assert!(dead_rows() > removed_by_remove_file);
+        assert_eq!(rows(), rows_before);
+        assert_eq!(dead_rows(), removed_by_remove_file);
 
         let held: HashSet<VirtualId> = d
             .providers()

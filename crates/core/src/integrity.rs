@@ -41,11 +41,24 @@ pub const FRAME_OVERHEAD: usize = MAGIC.len() + 1 + 8;
 /// vid-seeded checksum over the payload.
 pub fn frame(vid: VirtualId, payload: &[u8]) -> Bytes {
     let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(FRAME_VERSION);
-    out.extend_from_slice(&checksum64(payload, vid.0).to_le_bytes());
+    out.resize(FRAME_OVERHEAD, 0);
     out.extend_from_slice(payload);
+    frame_in_place(vid, &mut out);
     Bytes::from(out)
+}
+
+/// [`frame`] for a payload already in its storage buffer: `object` is
+/// [`FRAME_OVERHEAD`] bytes of room followed by the payload, and the room
+/// becomes the frame header. The payload is read once, for the checksum.
+///
+/// # Panics
+/// Panics when `object` is shorter than [`FRAME_OVERHEAD`].
+pub fn frame_in_place(vid: VirtualId, object: &mut [u8]) {
+    let (head, payload) = object.split_at_mut(FRAME_OVERHEAD);
+    let sum = checksum64(payload, vid.0);
+    head[..MAGIC.len()].copy_from_slice(&MAGIC);
+    head[MAGIC.len()] = FRAME_VERSION;
+    head[MAGIC.len() + 1..].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Verifies and strips the frame from bytes read back for `vid`.
@@ -102,6 +115,11 @@ mod tests {
         assert_eq!(back, payload);
         // Empty payloads frame too.
         assert!(unframe(vid, frame(vid, b"")).unwrap().is_empty());
+        // Framing in place stamps the same bytes as framing a copy.
+        let mut object = vec![0u8; FRAME_OVERHEAD];
+        object.extend_from_slice(&payload);
+        frame_in_place(vid, &mut object);
+        assert_eq!(object, frame(vid, &payload).to_vec());
     }
 
     #[test]

@@ -53,6 +53,16 @@ pub fn validate_rate(rate: f64) -> crate::Result<()> {
     }
 }
 
+/// Length of the stored form [`inject`] makes of a `len`-byte chunk at
+/// `rate` — what a caller allocates before [`inject_into`] fills it.
+pub fn stored_len(len: usize, rate: f64) -> usize {
+    if rate == 0.0 || len == 0 {
+        len
+    } else {
+        len + ((len as f64 * rate).ceil() as usize).max(1)
+    }
+}
+
 /// Injects `⌈rate · len⌉` misleading bytes at pseudo-random positions.
 ///
 /// Returns the expanded chunk plus the sorted positions of the inserted
@@ -69,14 +79,28 @@ pub fn validate_rate(rate: f64) -> crate::Result<()> {
 /// # Panics
 /// Panics when `rate` is not in `[0, 0.5)`.
 pub fn inject(chunk: &[u8], rate: f64, seed: u64) -> (Vec<u8>, Vec<usize>) {
+    let mut out = Vec::with_capacity(stored_len(chunk.len(), rate));
+    let positions = inject_into(chunk, rate, seed, &mut out);
+    (out, positions)
+}
+
+/// [`inject`], appending the stored form to `out` — the put pipeline
+/// writes it straight into the buffer it uploads. At rate 0 the stored
+/// form is the chunk itself, copied once. Returns the positions, as
+/// offsets into the appended stored form.
+///
+/// # Panics
+/// Panics when `rate` is not in `[0, 0.5)`.
+pub fn inject_into(chunk: &[u8], rate: f64, seed: u64, out: &mut Vec<u8>) -> Vec<usize> {
     assert!(
         validate_rate(rate).is_ok(),
         "mislead rate must be in [0, 0.5)"
     );
-    if rate == 0.0 || chunk.is_empty() {
-        return (chunk.to_vec(), Vec::new());
+    let n_inject = stored_len(chunk.len(), rate) - chunk.len();
+    if n_inject == 0 {
+        out.extend_from_slice(chunk);
+        return Vec::new();
     }
-    let n_inject = ((chunk.len() as f64 * rate).ceil() as usize).max(1);
     let out_len = chunk.len() + n_inject;
     let mut rng = StdRng::seed_from_u64(seed);
 
@@ -108,18 +132,20 @@ pub fn inject(chunk: &[u8], rate: f64, seed: u64) -> (Vec<u8>, Vec<usize>) {
     // out of source bytes.
     let any_real_byte = Uniform::<usize>::new(0, chunk.len());
     let perturbation = Uniform::<u8>::new_inclusive(1, 32);
-    let mut out = vec![0u8; out_len];
+    let base = out.len();
+    out.resize(base + out_len, 0);
+    let dst = &mut out[base..];
     let mut copied = 0usize;
     for (k, &p) in positions.iter().enumerate() {
         let run_end = p - k;
-        copy_run(&mut out, copied + k, chunk, copied, run_end - copied);
+        copy_run(dst, copied + k, chunk, copied, run_end - copied);
         copied = run_end;
         // A misleading byte: a perturbed copy of a random real byte.
-        let base = chunk[any_real_byte.sample(&mut rng)];
-        out[p] = base.wrapping_add(perturbation.sample(&mut rng));
+        let real = chunk[any_real_byte.sample(&mut rng)];
+        dst[p] = real.wrapping_add(perturbation.sample(&mut rng));
     }
-    out[copied + n_inject..].copy_from_slice(&chunk[copied..]);
-    (out, positions)
+    dst[copied + n_inject..].copy_from_slice(&chunk[copied..]);
+    positions
 }
 
 /// Removes the bytes at `positions` (ascending stored-chunk offsets),
@@ -184,6 +210,20 @@ mod tests {
                 assert_eq!(stored.len(), data.len() + pos.len());
             }
         }
+    }
+
+    #[test]
+    fn inject_into_appends_what_inject_returns() {
+        let data: Vec<u8> = (0..300).map(|i| (i * 7) as u8).collect();
+        for rate in [0.0, 0.08, 0.3] {
+            let (stored, positions) = inject(&data, rate, 11);
+            assert_eq!(stored.len(), stored_len(data.len(), rate), "rate={rate}");
+            let mut out = vec![0xAAu8; 13];
+            assert_eq!(inject_into(&data, rate, 11, &mut out), positions);
+            assert_eq!(out[..13], [0xAAu8; 13]);
+            assert_eq!(out[13..], stored[..], "rate={rate}");
+        }
+        assert_eq!(stored_len(0, 0.3), 0);
     }
 
     #[test]

@@ -314,17 +314,14 @@ impl CloudDataDistributor {
     }
 
     /// Inline rollback of a failed (but still live — not crashed)
-    /// journaled op, with recovery's own two tools: a failed put's rows
-    /// are stripped from its file's shard, then every fresh upload the
-    /// tables no longer reference is deleted. Returns
+    /// journaled op, with recovery's orphan collector: every fresh upload
+    /// the tables do not reference is deleted. (A failed put has published
+    /// no row — its rows reach the tables only at its commit.) Returns
     /// `(objects collected, delete failures)`.
     fn rollback_op(&self, jctx: &JournalCtx) -> (u64, u64) {
         let Some(view) = jctx.journal.ops().into_iter().find(|o| o.id == jctx.op) else {
             return (0, 0);
         };
-        if view.kind == OpKind::Put {
-            recovery::strip_put(self, &view);
-        }
         recovery::collect_orphans(self, &view.fresh)
     }
 }

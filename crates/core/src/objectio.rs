@@ -4,11 +4,20 @@
 //! §IV-A makes the distributor *the* place where "a chunk is given to a
 //! provider". Every read and write `crates/core` issues — put pipeline,
 //! get path, chunk-level verbs and their undo, read-repair, scrub, repair,
-//! migration — is a call to `get_with_retry` or `put_with_retry`; nothing
-//! else in the crate (outside `client_side`, the §IV-C variant with no
-//! distributor in the path) calls `ObjectStore::{get, put}` or names
-//! `integrity::{frame, unframe, unframe_expecting}`. Deletes carry no
-//! frame, are best-effort everywhere and stay with their verbs.
+//! migration — is a call to `get_with_retry` or to the write side,
+//! `put_framed` (and `put_with_retry`, which frames a copy of a payload
+//! and calls it); nothing else in the crate (outside `client_side`, the
+//! §IV-C variant with no distributor in the path) calls
+//! `ObjectStore::{get, put}` or names the `integrity` framing functions.
+//! Deletes carry no frame, are best-effort everywhere and stay with their
+//! verbs.
+//!
+//! Only a `Framed` object is written, and only this module makes one:
+//! a framed copy of a payload, or a put's data shard — a `ShardBuf`
+//! that the storing thread allocates, an encode worker fills with the
+//! chunk's stored form and frames in place, and that is uploaded as it
+//! is. The write side takes the provider fleet, not the tables: the put
+//! pipeline stores with no shard guard in scope.
 //!
 //! The contract:
 //!
@@ -40,14 +49,97 @@
 
 use crate::distributor::CloudDataDistributor;
 use crate::health::FailureKind;
-use crate::integrity;
+use crate::integrity::{self, FRAME_OVERHEAD};
+use crate::mislead;
 use crate::resilience::AttemptOutcome;
 use crate::tables::{ChunkEntry, Tables};
 use crate::{CoreError, Result};
 use bytes::Bytes;
-use fragcloud_sim::{ObjectStore, StoreError, VirtualId};
+use fragcloud_sim::{CloudProvider, ObjectStore, StoreError, VirtualId};
 use fragcloud_telemetry::TelemetryHandle;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// A provider object: a payload behind its vid-seeded integrity frame,
+/// ready for [`CloudDataDistributor::put_framed`].
+pub(crate) struct Framed {
+    vid: VirtualId,
+    object: Bytes,
+}
+
+impl Framed {
+    /// Frames a copy of `payload` under `vid` (parity, replicas, every
+    /// chunk-level verb).
+    pub(crate) fn copy_of(vid: VirtualId, payload: &[u8]) -> Self {
+        Framed {
+            vid,
+            object: integrity::frame(vid, payload),
+        }
+    }
+
+    /// The id the object is framed (and stored) under.
+    pub(crate) fn vid(&self) -> VirtualId {
+        self.vid
+    }
+
+    /// The payload — what the table's `stored_len` records.
+    pub(crate) fn payload(&self) -> &[u8] {
+        self.object.get(FRAME_OVERHEAD..).unwrap_or_default()
+    }
+}
+
+/// A put's data-shard upload buffer. The storing thread allocates it with
+/// room for the frame header and the chunk's stored form (a long-lived
+/// buffer allocated on a pool worker would sit in that worker's allocator
+/// arena and raise peak memory); an encode worker fills it
+/// ([`Self::fill_stored`]); it is uploaded as it is. A shard costs two
+/// whole copies on its way to a provider — the pipeline's copy of the
+/// source and the stored form written here — and its checksum pass runs
+/// on the worker.
+pub(crate) struct ShardBuf {
+    vid: VirtualId,
+    object: Vec<u8>,
+}
+
+impl ShardBuf {
+    /// An empty buffer for chunk `vid` of `logical_len` bytes at mislead
+    /// `rate`, sized exactly for its framed stored form.
+    pub(crate) fn for_chunk(vid: VirtualId, logical_len: usize, rate: f64) -> Self {
+        let size = FRAME_OVERHEAD + mislead::stored_len(logical_len, rate);
+        ShardBuf {
+            vid,
+            object: Vec::with_capacity(size),
+        }
+    }
+
+    /// The chunk's vid.
+    pub(crate) fn vid(&self) -> VirtualId {
+        self.vid
+    }
+
+    /// Writes `logical`'s stored form behind the header room — through
+    /// [`mislead::inject_into`], at rate 0 too — and frames it in place.
+    /// Returns the misleading-byte positions.
+    pub(crate) fn fill_stored(&mut self, logical: &[u8], rate: f64, seed: u64) -> Vec<usize> {
+        self.object.resize(FRAME_OVERHEAD, 0);
+        let positions = mislead::inject_into(logical, rate, seed, &mut self.object);
+        integrity::frame_in_place(self.vid, &mut self.object);
+        positions
+    }
+
+    /// The stored form (empty until filled): what parity is computed over.
+    pub(crate) fn payload(&self) -> &[u8] {
+        self.object.get(FRAME_OVERHEAD..).unwrap_or_default()
+    }
+
+    /// The filled buffer as the object to upload, without a copy.
+    pub(crate) fn into_framed(self) -> Framed {
+        Framed {
+            vid: self.vid,
+            object: Bytes::from(self.object),
+        }
+    }
+}
 
 /// What one get knows about one stripe member.
 #[derive(Clone)]
@@ -182,28 +274,38 @@ impl CloudDataDistributor {
         (run.result, time, run.retries)
     }
 
-    /// One provider write under the retry policy; same accounting contract
-    /// as [`Self::get_with_retry`].
+    /// One provider write of a framed copy of `bytes` under the retry
+    /// policy; same accounting contract as [`Self::get_with_retry`].
     pub(crate) fn put_with_retry(
         &self,
-        st: &Tables,
+        fleet: &[Arc<CloudProvider>],
         provider_idx: usize,
         vid: VirtualId,
         bytes: &[u8],
         tel: &TelemetryHandle,
     ) -> (Result<()>, Duration, u64) {
-        let provider = &st.providers[provider_idx];
+        // `bytes` stays the payload: table `stored_len` never includes
+        // framing.
+        self.put_framed(fleet, provider_idx, &Framed::copy_of(vid, bytes), tel)
+    }
+
+    /// The boundary write: one provider write of `object` under the retry
+    /// policy, every attempt scored; same accounting contract as
+    /// [`Self::get_with_retry`].
+    pub(crate) fn put_framed(
+        &self,
+        fleet: &[Arc<CloudProvider>],
+        provider_idx: usize,
+        object: &Framed,
+        tel: &TelemetryHandle,
+    ) -> (Result<()>, Duration, u64) {
+        let provider = &fleet[provider_idx];
         let health = self.health();
-        // Stamp the integrity frame at the write chokepoint: every object
-        // the engine stores carries a vid-seeded checksum (`bytes` stays
-        // the payload — table `stored_len` never includes framing).
-        let framed = integrity::frame(vid, bytes);
-        let len = framed.len();
         let run = self.config().resilience.retry.execute(
-            self.retry_seed(vid, provider_idx),
+            self.retry_seed(object.vid, provider_idx),
             provider.name(),
             tel,
-            |_| match provider.put(vid, framed.clone()) {
+            |_| match provider.put(object.vid, object.object.clone()) {
                 Ok(()) => {
                     health.record_success(provider_idx, tel);
                     AttemptOutcome::Success(())
@@ -219,7 +321,7 @@ impl CloudDataDistributor {
             health.record_failure(provider_idx, FailureKind::Timeout, tel);
         }
         if run.result.is_ok() {
-            time += provider.simulate_transfer(len);
+            time += provider.simulate_transfer(object.object.len());
         }
         (run.result, time, run.retries)
     }

@@ -97,7 +97,7 @@ impl CloudDataDistributor {
             let payload = self
                 .get_with_retry(&st, source_provider, old_vid, Some(stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
-            self.put_with_retry(&st, target_provider, new_vid, &payload, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+            self.put_with_retry(&st.providers, target_provider, new_vid, &payload, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
             self.crash_point()?;
             st.chunks[chunk_idx].vid = new_vid;

@@ -346,13 +346,13 @@ fn redo_chunk_op(d: &CloudDataDistributor, op: &OpView) -> Result<()> {
     }
 }
 
-/// The one undo of a put's table half: tombstones the chunk entries
-/// stored under the op's fresh ids and drops its file entry. Recovery
-/// runs it for a dangling put (rows are left in the replayed state only
-/// when a concurrent op's close delta captured them mid-put), the live
-/// abort for a put that failed. A put's rows land wholly in its file's
-/// shard, so one shard lock suffices.
-pub(crate) fn strip_put(d: &CloudDataDistributor, op: &OpView) {
+/// The undo of a dangling put's table half: tombstones the chunk entries
+/// stored under the op's fresh ids and drops its file entry. Rows are
+/// left in the replayed state only when a concurrent op's close delta
+/// captured them between the put's commit phase and its commit record (a
+/// live put that fails has published no row). A put's rows land wholly
+/// in its file's shard, so one shard lock suffices.
+fn strip_put(d: &CloudDataDistributor, op: &OpView) {
     let fresh: HashSet<VirtualId> = op.fresh.iter().copied().collect();
     let shard = d.shard_for(&op.client, &op.target);
     let mut st = d.shard_write(shard);

@@ -12,7 +12,7 @@
 use crate::{CoreError, Result};
 use fragcloud_raid::RaidLevel;
 use fragcloud_sim::{CloudProvider, PrivacyLevel, VirtualId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Role of a chunk within its stripe.
@@ -164,6 +164,10 @@ pub struct Tables {
     pub chunks: Vec<ChunkEntry>,
     /// Stripe list (not in the paper's tables; implements its RAID call).
     pub stripes: Vec<StripeInfo>,
+    /// ⟨client, filename⟩ of the puts between their plan and their commit:
+    /// the name is taken, though no file row exists yet. Neither persisted
+    /// nor journaled — a crashed put's claim dies with the process.
+    pub(crate) reserved: HashSet<(String, String)>,
 }
 
 impl Tables {
@@ -253,7 +257,7 @@ impl Tables {
     /// Every virtual id the tables still reference
     /// ([`ChunkEntry::objects`] over every row). The complement — an id a
     /// provider holds that is *not* in this set — is an orphan.
-    pub fn referenced_vids(&self) -> std::collections::HashSet<VirtualId> {
+    pub fn referenced_vids(&self) -> HashSet<VirtualId> {
         self.chunks
             .iter()
             .flat_map(|e| e.objects().map(|(_, vid)| vid))

@@ -504,7 +504,12 @@ const PROVIDER_IO_METHODS: &[&str] = &["put", "get", "delete", "store"];
 /// provider-object boundary (`core::objectio`) and the delete step of the
 /// mutation bracket (`core::mutation`), which runs after the commit and
 /// never under a guard.
-const BOUNDARY_FNS: &[&str] = &["get_with_retry", "put_with_retry", "delete_doomed"];
+const BOUNDARY_FNS: &[&str] = &[
+    "get_with_retry",
+    "put_with_retry",
+    "put_framed",
+    "delete_doomed",
+];
 
 /// A shard-lock guard believed live at the current token.
 struct LockGuard {

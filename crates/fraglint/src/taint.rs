@@ -107,7 +107,7 @@ pub fn specs(config: &Config) -> Vec<FlowSpec> {
                 "plaintext-escape",
             ),
             sink_fns: extend(
-                pats(&["put_with_retry", "store_slot"]),
+                pats(&["put_with_retry", "put_framed", "store_slot"]),
                 TaintRole::Sink,
                 "plaintext-escape",
             ),
@@ -122,7 +122,7 @@ pub fn specs(config: &Config) -> Vec<FlowSpec> {
             sources: Vec::new(),
             source_markers: pats(&["journaled"]),
             sanitizers: pats(&["journal_alloc"]),
-            sink_fns: pats(&["put_with_retry", "store_slot"]),
+            sink_fns: pats(&["put_with_retry", "put_framed", "store_slot"]),
             sink_methods: &["put"],
             what: "provider upload precedes the journal alloc intent",
             fix: "record journal_alloc for every vid before its bytes reach a \

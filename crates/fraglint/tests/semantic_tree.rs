@@ -24,6 +24,7 @@ fn workspace_config() -> Config {
 
 const DISTRIBUTOR: &str = "crates/core/src/distributor.rs";
 const MISLEAD: &str = "crates/core/src/mislead.rs";
+const OBJECTIO: &str = "crates/core/src/objectio.rs";
 
 #[test]
 fn real_put_path_is_sanitized() {
@@ -31,6 +32,7 @@ fn real_put_path_is_sanitized() {
         &[
             (DISTRIBUTOR.into(), real_source(DISTRIBUTOR)),
             (MISLEAD.into(), real_source(MISLEAD)),
+            (OBJECTIO.into(), real_source(OBJECTIO)),
         ],
         &workspace_config(),
     );
@@ -41,27 +43,28 @@ fn real_put_path_is_sanitized() {
         .collect();
     assert!(
         escapes.is_empty(),
-        "unmodified put path must sanitize through mislead::inject: {escapes:?}"
+        "unmodified put path must sanitize through mislead::inject_into: {escapes:?}"
     );
 }
 
 #[test]
 fn bypassing_the_mislead_sanitizer_is_caught() {
-    // Mutate the batch-encode path: swap the sanitizer call for an
-    // identity shim, exactly the "refactor quietly dropped the decoy
-    // layer" bug this analysis exists to catch. Everything else —
+    // Mutate the data-shard fill the encode runs: swap the sanitizer call
+    // for an identity shim, exactly the "refactor quietly dropped the
+    // decoy layer" bug this analysis exists to catch. Everything else —
     // signatures, control flow, the provider sinks — stays untouched.
-    let original = real_source(DISTRIBUTOR);
+    let original = real_source(OBJECTIO);
     let mutated = original.replace(
-        "let (stored, positions) = mislead::inject(logical, rate, seed ^ vid.0);",
-        "let (stored, positions) = identity_pass(logical, rate, seed ^ vid.0);",
+        "let positions = mislead::inject_into(logical, rate, seed, &mut self.object);",
+        "let positions = identity_pass(logical, rate, seed, &mut self.object);",
     );
     assert_ne!(original, mutated, "mutation site moved; update this test");
 
     let report = scan_files(
         &[
-            (DISTRIBUTOR.into(), mutated),
+            (DISTRIBUTOR.into(), real_source(DISTRIBUTOR)),
             (MISLEAD.into(), real_source(MISLEAD)),
+            (OBJECTIO.into(), mutated),
         ],
         &workspace_config(),
     );
@@ -106,7 +109,7 @@ fn storing_the_snapshot_before_its_alloc_is_caught() {
             self.journal_alloc(jctx, &[snapshot_vid]);
         }
 ";
-    let put = "            self.put_with_retry(st, snapshot_idx, snapshot_vid, pre_state, &tel)
+    let put = "            self.put_with_retry(&st.providers, snapshot_idx, snapshot_vid, pre_state, &tel)
                 .0?;
 ";
     let mutated = original.replace(alloc_first, "").replace(

@@ -8,15 +8,21 @@
 //! changed no stored byte.
 
 use fragcloud::core::config::{ChunkSizeSchedule, DistributorConfig};
+use fragcloud::core::persist::export_state;
 use fragcloud::core::{
-    CloudDataDistributor, CoreError, Journal, PrivacyLevel, PutOptions, PutReceipt,
+    CloudDataDistributor, CoreError, Journal, PrivacyLevel, PutOptions, PutReceipt, VirtualId,
     PUT_WINDOW_BYTES,
 };
 use fragcloud::raid::RaidLevel;
-use fragcloud::sim::{CloudProvider, CostLevel, ProviderProfile};
+use fragcloud::sim::failure::OutageScript;
+use fragcloud::sim::{CloudProvider, CostLevel, ObjectStore, ProviderProfile};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::io::Read;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 const CHUNK: usize = 1 << 10;
 
@@ -378,5 +384,254 @@ fn get_file_parallel_is_get_file() {
             .expect("valid pair")
             .get_file_parallel("f");
         assert_eq!(denied.expect_err("PL too low"), CoreError::AccessDenied);
+    }
+}
+
+/// Every object id the fleet holds.
+fn held_vids(d: &CloudDataDistributor) -> HashSet<VirtualId> {
+    d.providers()
+        .iter()
+        .flat_map(|p| p.virtual_id_list())
+        .collect()
+}
+
+/// The exported tables without the `vids|` watermark: the allocator only
+/// moves forward, so a failed put still advances it.
+fn tables_text(d: &CloudDataDistributor) -> String {
+    export_state(d)
+        .lines()
+        .filter(|l| !l.starts_with("vids|"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn a_failed_put_leaves_no_row_and_no_object() {
+    for journaled in [false, true] {
+        // RS(2,1): three shards per stripe, one loss tolerated. cp0 and
+        // cp1 stay up and are the cheapest; cp2..cp4 die at the first
+        // request they serve. Stripe 0 lands on cp0 and cp1 (its third
+        // shard is tolerated as lost) and meets every other provider on
+        // the way, so stripe 1 finds two eligible providers for three
+        // shards and the put fails mid-file.
+        let fleet: Vec<Arc<CloudProvider>> = (0..5)
+            .map(|i| {
+                Arc::new(CloudProvider::new(ProviderProfile::new(
+                    format!("cp{i}"),
+                    PrivacyLevel::High,
+                    CostLevel::new(if i < 2 { 0 } else { 3 }),
+                )))
+            })
+            .collect();
+        let d = CloudDataDistributor::new(fleet.clone(), config(0.08));
+        d.register_client("c").expect("fresh");
+        d.add_password("c", "pw", PrivacyLevel::High)
+            .expect("client");
+        if journaled {
+            d.attach_journal(Arc::new(Journal::new()));
+        }
+        let session = d.session("c", "pw").expect("valid pair");
+        let opts = PutOptions::new().geometry(2, 1);
+        let kept = body(10, 9 * CHUNK);
+        session
+            .put_file("kept", &kept, PrivacyLevel::High, opts)
+            .expect("healthy fleet");
+
+        let tables = tables_text(&d);
+        let keys: Vec<HashSet<VirtualId>> = fleet
+            .iter()
+            .map(|p| p.keys().into_iter().collect())
+            .collect();
+        let mut script = OutageScript::new();
+        for i in 2..5 {
+            script = script.kill_after(i, 0);
+        }
+        script.try_arm(&fleet).expect("indices in range");
+
+        let err = session
+            .put_file("lost", &body(11, 12 * CHUNK), PrivacyLevel::High, opts)
+            .expect_err("stripe 1 cannot be placed");
+        assert!(
+            matches!(err, CoreError::InsufficientProviders { .. }),
+            "journaled={journaled}: {err:?}"
+        );
+        assert!(
+            fleet[..2].iter().all(|p| p.stats().deletes.load(Ordering::Relaxed) > 0),
+            "journaled={journaled}: stripe 0 landed and was deleted"
+        );
+        assert_eq!(tables_text(&d), tables, "journaled={journaled}");
+        for (i, p) in fleet.iter().enumerate() {
+            let now: HashSet<VirtualId> = p.keys().into_iter().collect();
+            assert_eq!(now, keys[i], "journaled={journaled}: cp{i}");
+        }
+        assert!(session.get_file("lost").is_err());
+        assert_eq!(session.get_file("kept").expect("read").data, kept);
+    }
+}
+
+/// A source that yields its first `park_at` bytes, then signals `parked`
+/// and blocks until `resume` fires (or is dropped) before yielding the
+/// rest.
+struct ParkingSource {
+    data: Vec<u8>,
+    pos: usize,
+    park_at: usize,
+    parked: Option<mpsc::Sender<()>>,
+    resume: mpsc::Receiver<()>,
+}
+
+impl Read for ParkingSource {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.pos == self.park_at {
+            if let Some(parked) = self.parked.take() {
+                let _ = parked.send(());
+                let _ = self.resume.recv();
+            }
+        }
+        let end = if self.pos < self.park_at {
+            self.park_at
+        } else {
+            self.data.len()
+        };
+        let n = buf.len().min(end - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// What another client of the parked put's shard observed.
+#[derive(Debug)]
+struct Probe {
+    preloaded: Result<Vec<u8>, CoreError>,
+    get_parked: Result<(), CoreError>,
+    remove_parked: Result<(), CoreError>,
+    put_parked: Result<(), CoreError>,
+    provider_puts_moved: u64,
+}
+
+#[test]
+fn a_put_in_flight_does_not_block_its_shard() {
+    let base = config(0.0);
+    let d = distributor(
+        6,
+        DistributorConfig {
+            durability: base.durability.with_table_shards(1),
+            ..base
+        },
+    );
+    let session = d.session("c", "pw").expect("valid pair");
+    let pre = body(12, 10 * CHUNK);
+    session
+        .put_file("pre", &pre, PrivacyLevel::High, PutOptions::new())
+        .expect("preload");
+    let big = body(13, 40 * CHUNK);
+    let stripe = 4 * CHUNK;
+    let (d, big) = (&d, &big);
+    let provider_puts = move || -> u64 {
+        d.providers()
+            .iter()
+            .map(|p| p.stats().puts.load(Ordering::Relaxed))
+            .sum()
+    };
+
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (resume_tx, resume_rx) = mpsc::channel::<()>();
+    let (probe_tx, probe_rx) = mpsc::channel();
+    let (probe, put) = std::thread::scope(|s| {
+        let putter = s.spawn(move || {
+            let mut source = ParkingSource {
+                data: big.to_vec(),
+                pos: 0,
+                park_at: stripe,
+                parked: Some(parked_tx),
+                resume: resume_rx,
+            };
+            let session = d.session("c", "pw").expect("valid pair");
+            session.put_stream("big", &mut source, big.len(), PrivacyLevel::High, PutOptions::new())
+        });
+        parked_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the source parks after its first stripe");
+        // Every probe runs on its own thread: if the shard were locked it
+        // would block, and only the bounded wait below can tell.
+        s.spawn(move || {
+            let session = d.session("c", "pw").expect("valid pair");
+            let preloaded = session.get_file("pre").map(|r| r.data);
+            let get_parked = session.get_file("big").map(drop);
+            let remove_parked = session.remove_file("big");
+            let before = provider_puts();
+            let put_parked = session
+                .put_file("big", big, PrivacyLevel::High, PutOptions::new())
+                .map(drop);
+            let provider_puts_moved = provider_puts() - before;
+            let _ = probe_tx.send(Probe {
+                preloaded,
+                get_parked,
+                remove_parked,
+                put_parked,
+                provider_puts_moved,
+            });
+        });
+        let waited = Instant::now();
+        let probe = probe_rx.recv_timeout(Duration::from_secs(10));
+        let waited = waited.elapsed();
+        // Unpark whatever happened, so a blocked probe cannot hang the
+        // scope.
+        drop(resume_tx);
+        let put = putter.join().expect("putter panicked");
+        (probe.map_err(|_| waited), put)
+    });
+
+    let probe = probe.unwrap_or_else(|waited| {
+        panic!("a get on the parked put's shard was still blocked after {waited:?}")
+    });
+    assert_eq!(probe.preloaded.expect("preloaded file reads"), pre);
+    let unknown = |r: &Result<(), CoreError>| matches!(r, Err(CoreError::UnknownFile { .. }));
+    assert!(unknown(&probe.get_parked), "{:?}", probe.get_parked);
+    assert!(unknown(&probe.remove_parked), "{:?}", probe.remove_parked);
+    assert!(
+        matches!(&probe.put_parked, Err(CoreError::FileExists(name)) if name == "big"),
+        "{:?}",
+        probe.put_parked
+    );
+    assert_eq!(probe.provider_puts_moved, 0, "the racing put uploaded nothing");
+    put.expect("the parked put commits once resumed");
+    assert_eq!(&session.get_file("big").expect("read").data, big);
+}
+
+#[test]
+fn racing_puts_of_one_name_admit_exactly_one() {
+    for journaled in [false, true] {
+        let d = distributor(6, config(0.08));
+        if journaled {
+            d.attach_journal(Arc::new(Journal::new()));
+        }
+        let data = body(14, 30 * CHUNK);
+        let start = Barrier::new(8);
+        let results: Vec<Result<PutReceipt, CoreError>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        let session = d.session("c", "pw").expect("valid pair");
+                        start.wait();
+                        session.put_file("same", &data, PrivacyLevel::High, PutOptions::new())
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|r| r.join().expect("racer panicked"))
+                .collect()
+        });
+        let won = results.iter().filter(|r| r.is_ok()).count();
+        let refused = results
+            .iter()
+            .filter(|r| matches!(r, Err(CoreError::FileExists(name)) if name == "same"))
+            .count();
+        assert_eq!((won, refused), (1, 7), "journaled={journaled}: {results:?}");
+        assert_eq!(held_vids(&d), d.referenced_vids(), "journaled={journaled}");
+        let session = d.session("c", "pw").expect("valid pair");
+        assert_eq!(session.get_file("same").expect("read").data, data);
     }
 }
