@@ -11,11 +11,11 @@
 //!
 //! Stale-object replay gets its own section rather than a matrix row: a
 //! vid-seeded checksum cannot distinguish an object's old version from its
-//! current one, so replay protection comes from *immutability discipline*
-//! (fresh vids on repair/rebalance, no in-place rewrites) — the cell
-//! demonstrates that replaying an immutable object is harmless by
-//! construction. The residual risk (replay after `update_chunk`) is
-//! documented in DESIGN.md's failure taxonomy.
+//! current one, so replay protection comes from *write-once objects* —
+//! every verb, `update_chunk` included, stores under fresh vids and never
+//! rewrites one. Its two cells, every provider replaying, show replay is
+//! harmless by construction: against freshly put objects, and after an
+//! update.
 
 use super::uniform_fleet;
 use crate::render_table;
@@ -144,12 +144,15 @@ fn trial(
     (ok, healed, injected, sim_us)
 }
 
-/// Stale-replay section: an armed replay adversary against *immutable*
-/// objects has nothing stale to serve — fresh-vid discipline (repair and
-/// rebalance never reuse a vid) makes replay a no-op by construction.
-/// Returns the fraction of byte-identical reads (must be 1.0).
-fn stale_replay_immunity(tel: &TelemetryHandle) -> f64 {
-    let mut ok = 0usize;
+/// Stale-replay cells: every provider armed to replay the pre-overwrite
+/// version of any object it holds, against freshly put objects and — with
+/// `update` — after a same-length `update_chunk`, the case a length
+/// cross-check cannot catch. Every read, healthy and with each provider
+/// offline in turn, must return the current bytes: objects are write-once,
+/// so nothing stale exists to replay. Returns the fraction of
+/// byte-identical reads (must be 1.0).
+fn stale_replay(tel: &TelemetryHandle, update: bool) -> f64 {
+    let (mut ok, mut reads) = (0usize, 0usize);
     for t in 0..TRIALS {
         let fleet = uniform_fleet(6);
         let d = CloudDataDistributor::new(
@@ -158,6 +161,7 @@ fn stale_replay_immunity(tel: &TelemetryHandle) -> f64 {
                 chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
                 stripe_width: 4,
                 geometry: Some(GeometrySchedule::uniform(Geometry::new(4, 1))),
+                mislead_rate: if t % 2 == 0 { 0.0 } else { 0.08 },
                 ..Default::default()
             },
         );
@@ -165,19 +169,36 @@ fn stale_replay_immunity(tel: &TelemetryHandle) -> f64 {
         d.register_client("c").expect("fresh");
         d.add_password("c", "pw", PrivacyLevel::High).expect("client");
         let session = d.session("c", "pw").expect("valid pair");
-        let data: Vec<u8> = (0..FILE_LEN).map(|i| ((i * 41 + t * 7) % 251) as u8).collect();
+        let mut data: Vec<u8> = (0..FILE_LEN).map(|i| ((i * 41 + t * 7) % 251) as u8).collect();
         session
             .put_file("f", &data, PrivacyLevel::Low, Default::default())
             .expect("upload");
-        FaultPlan::new(0x57A1E + t as u64)
-            .corrupt(t % 6, FaultMode::StaleReplay, 1.0)
-            .try_arm(&fleet)
-            .expect("index in range");
-        let identical = session.get_file("f").map(|r| r.data == data).unwrap_or(false);
-        ok += identical as usize;
-        tel.observe("chaos_data_loss_count", u64::from(!identical));
+        let replay = (0..fleet.len()).fold(FaultPlan::new(0x57A1E + t as u64), |plan, i| {
+            plan.corrupt(i, FaultMode::StaleReplay, 1.0)
+        });
+        replay.try_arm(&fleet).expect("indices in range");
+        if update {
+            let serial = t % (FILE_LEN >> 10);
+            let patch: Vec<u8> = (0..1 << 10).map(|i| ((i * 7 + t) % 253) as u8).collect();
+            session
+                .update_chunk("f", serial as u32, &patch)
+                .expect("update against an online fleet");
+            data[serial << 10..(serial + 1) << 10].copy_from_slice(&patch);
+        }
+        for down in std::iter::once(None).chain((0..fleet.len()).map(Some)) {
+            if let Some(i) = down {
+                fleet[i].set_online(false);
+            }
+            let identical = session.get_file("f").map(|r| r.data == data).unwrap_or(false);
+            if let Some(i) = down {
+                fleet[i].set_online(true);
+            }
+            ok += identical as usize;
+            reads += 1;
+            tel.observe("chaos_data_loss_count", u64::from(!identical));
+        }
     }
-    ok as f64 / TRIALS as f64
+    ok as f64 / reads as f64
 }
 
 /// Runs the chaos matrix (deterministic under the fixed seeds).
@@ -230,7 +251,7 @@ fn run_with(tel: &TelemetryHandle) -> (Vec<ChaosCell>, String) {
             }
         }
     }
-    let stale_ok = stale_replay_immunity(tel);
+    let (stale_ok, stale_update_ok) = (stale_replay(tel, false), stale_replay(tel, true));
 
     let rows: Vec<Vec<String>> = cells
         .iter()
@@ -261,11 +282,11 @@ fn run_with(tel: &TelemetryHandle) -> (Vec<ChaosCell>, String) {
         &rows,
     ));
     report.push_str(&format!(
-        "\nstale-replay vs immutable objects: {:.2} of reads byte-identical\n\
-         (nothing stale exists to replay until an in-place rewrite; repair\n\
-         and rebalance allocate fresh vids, keeping replay a no-op — the\n\
-         update_chunk residual risk is documented in DESIGN.md)\n",
-        stale_ok
+        "\nstale-replay, every provider replaying, reads healthy and with each\n\
+         provider offline: {stale_ok:.2} byte-identical against freshly put\n\
+         objects, {stale_update_ok:.2} after update_chunk (objects are write-once:\n\
+         every verb stores under fresh vids, so no provider ever holds an older\n\
+         version of an object to replay)\n"
     ));
     report.push_str(
         "\nconclusion: across every fault mode, intensity, and geometry the\n\
@@ -314,6 +335,9 @@ mod tests {
         }
         assert!(report.contains("E22"));
         assert!(report.contains("stale-replay"));
+        let disabled = TelemetryHandle::disabled();
+        assert_eq!(stale_replay(&disabled, false), 1.0, "freshly put");
+        assert_eq!(stale_replay(&disabled, true), 1.0, "after an update");
 
         // Deterministic, and telemetry is an observer not a participant.
         let (again, _, tel) = run_instrumented();

@@ -27,12 +27,11 @@ use crate::config::{DistributorConfig, Geometry};
 use crate::health::{self, HealthTracker};
 use crate::journal::{Journal, OpKind};
 use crate::mislead;
-use crate::mutation::{doom, Doomed, JournalCtx};
+use crate::mutation::{doom, Doomed, OpCtx};
 use crate::objectio::{pad_shard, Framed, Member, ShardBuf, StripeReadSet};
 use crate::persist;
 use crate::policy;
 use crate::pool::TransferPool;
-use crate::recovery;
 use crate::resilience::{RepairReport, ScrubReport};
 use crate::tables::{ChunkEntry, ChunkRole, ClientEntry, FileEntry, StripeInfo, StripeRef, Tables};
 use crate::vid::VidAllocator;
@@ -181,34 +180,34 @@ struct ParityPlan {
     writes: Vec<(usize, Vec<u8>)>,
 }
 
-/// What a chunk-level verb hands to
-/// [`CloudDataDistributor::rewrite_chunk_objects`].
-struct ChunkRewrite<'a> {
-    /// The undo record to store first (`update_chunk`): snapshot provider,
-    /// fresh snapshot vid, the pre-state's stored bytes.
-    undo: Option<(usize, VirtualId, &'a [u8])>,
-    /// Objects the verb deletes once committed.
-    doomed: &'a Doomed,
-    /// New stored bytes for the data object and every replica (`None`
-    /// leaves them alone: `remove_chunk` only dooms them).
-    stored: Option<&'a [u8]>,
-    /// The stored bytes those objects hold now — what a failed rewrite
-    /// puts back (`None`: they are not overwritten, or could not be read).
-    revert_to: Option<&'a [u8]>,
-    /// The stripe's re-planned parity, when it has any.
-    plan: Option<ParityPlan>,
+/// The objects a chunk-level verb stores, each under a fresh vid on the
+/// provider of the object it supersedes
+/// ([`CloudDataDistributor::apply_chunk_stores`]).
+#[derive(Default)]
+struct ChunkStores {
+    /// The data object, then each replica (none for a removal); all hold
+    /// `stored`.
+    copies: Vec<(usize, VirtualId)>,
+    stored: Bytes,
+    /// An update's new snapshot, holding `pre_state`.
+    snapshot: Option<(usize, VirtualId)>,
+    pre_state: Bytes,
+    /// One vid per parity member of the chunk's stripe, in slot order: the
+    /// objects of the re-planned parity.
+    parity: Vec<VirtualId>,
+}
+
+impl ChunkStores {
+    /// Every fresh vid, in store order: what the verb journals.
+    fn vids(&self) -> Vec<VirtualId> {
+        let objects = (self.copies.iter().chain(&self.snapshot)).map(|&(_, vid)| vid);
+        objects.chain(self.parity.iter().copied()).collect()
+    }
 }
 
 /// Journal target of a chunk-level op: `"{filename}#{serial}"`.
 pub(crate) fn chunk_target(filename: &str, serial: u32) -> String {
     format!("{filename}#{serial}")
-}
-
-/// Splits a [`chunk_target`] back into ⟨filename, serial⟩ (the filename
-/// may itself contain `#`).
-pub(crate) fn parse_chunk_target(target: &str) -> Option<(&str, u32)> {
-    let (filename, serial) = target.rsplit_once('#')?;
-    Some((filename, serial.parse().ok()?))
 }
 
 /// Pre-check of a mutation's write set: every provider it will store to
@@ -289,14 +288,11 @@ struct PutProgress<'a> {
     chunk_size: usize,
     rate: f64,
     replicas: usize,
-    jctx: &'a Option<JournalCtx>,
+    ctx: &'a OpCtx,
     /// The put's telemetry handle, resolved once in `put_pipeline`.
     tel: &'a TelemetryHandle,
     /// The provider fleet, taken at plan.
     fleet: Vec<Arc<CloudProvider>>,
-    /// Every vid the put allocated: what a failed put with no journal
-    /// deletes.
-    fresh: Vec<VirtualId>,
     /// Chunk rows in landing order; stripe references are indices into
     /// `stripes`.
     chunks: Vec<ChunkEntry>,
@@ -350,7 +346,7 @@ struct StripeSlots<'a> {
 
 /// What a repair pass accumulates stripe by stripe.
 struct RepairPass<'a> {
-    jctx: &'a Option<JournalCtx>,
+    ctx: &'a OpCtx,
     tel: &'a TelemetryHandle,
     /// Replaced objects still reachable at their provider.
     doomed: Doomed,
@@ -603,7 +599,7 @@ impl CloudDataDistributor {
     /// any op without cross-shard locking. Journaled as a `client` op whose
     /// delta is the one directory row.
     pub fn register_client(&self, name: &str) -> Result<()> {
-        self.journaled(OpKind::Client, name, "register", |jctx| {
+        self.journaled(OpKind::Client, name, "register", |ctx| {
             let mut shards = self.lock_all_write();
             if shards[0].clients.contains_key(name) {
                 return Err(CoreError::ClientExists(name.to_string()));
@@ -611,7 +607,7 @@ impl CloudDataDistributor {
             for st in shards.iter_mut() {
                 st.clients.insert(name.to_string(), ClientEntry::default());
             }
-            self.touch_client(jctx, name);
+            self.touch_client(ctx, name);
             Ok(((), Doomed::new()))
         })
     }
@@ -619,13 +615,13 @@ impl CloudDataDistributor {
     /// Adds a ⟨password, PL⟩ pair for a client (§V access control),
     /// replicated into every shard's client directory.
     pub fn add_password(&self, client: &str, password: &str, pl: PrivacyLevel) -> Result<()> {
-        self.journaled(OpKind::Client, client, "password", |jctx| {
+        self.journaled(OpKind::Client, client, "password", |ctx| {
             let mut shards = self.lock_all_write();
             for st in shards.iter_mut() {
                 let entry = st.client_mut(client)?;
                 entry.passwords.push((password.to_string(), pl));
             }
-            self.touch_client(jctx, client);
+            self.touch_client(ctx, client);
             Ok(((), Doomed::new()))
         })
     }
@@ -643,10 +639,10 @@ impl CloudDataDistributor {
         pl: PrivacyLevel,
         opts: PutOptions,
     ) -> Result<PutReceipt> {
-        self.journaled(OpKind::Put, client, filename, |jctx| {
+        self.journaled(OpKind::Put, client, filename, |ctx| {
             let (source, len) = (PutSource::Buffer(data), data.len());
             let receipt =
-                self.put_pipeline(client, password, filename, source, len, pl, opts, jctx)?;
+                self.put_pipeline(client, password, filename, source, len, pl, opts, ctx)?;
             Ok((receipt, Doomed::new()))
         })
     }
@@ -670,10 +666,10 @@ impl CloudDataDistributor {
         pl: PrivacyLevel,
         opts: PutOptions,
     ) -> Result<PutReceipt> {
-        self.journaled(OpKind::Put, client, filename, |jctx| {
+        self.journaled(OpKind::Put, client, filename, |ctx| {
             let source = PutSource::Stream(reader);
             let receipt =
-                self.put_pipeline(client, password, filename, source, len, pl, opts, jctx)?;
+                self.put_pipeline(client, password, filename, source, len, pl, opts, ctx)?;
             Ok((receipt, Doomed::new()))
         })
     }
@@ -691,7 +687,7 @@ impl CloudDataDistributor {
     ///    file row, release the name ([`Self::commit_put`]).
     ///
     /// Nothing is published before the commit: a put that fails leaves no
-    /// row, and with no journal to roll it back it deletes what it landed.
+    /// row, only fresh vids for the bracket's rollback to collect.
     ///
     /// Provider state is a function of the inputs alone, whatever the
     /// source, the worker count or the order encodes finish in: virtual
@@ -710,7 +706,7 @@ impl CloudDataDistributor {
         len: usize,
         pl: PrivacyLevel,
         opts: PutOptions,
-        jctx: &Option<JournalCtx>,
+        ctx: &OpCtx,
     ) -> Result<PutReceipt> {
         let tel = self.telemetry();
         let streaming = matches!(source, PutSource::Stream(_));
@@ -739,27 +735,16 @@ impl CloudDataDistributor {
             chunk_size: self.config.chunk_sizes.size_for(pl),
             rate,
             replicas: opts.replicas,
-            jctx,
+            ctx,
             tel: &tel,
             per_provider_time: vec![Duration::ZERO; fleet.len()],
             fleet,
-            fresh: Vec::new(),
             chunks: Vec::new(),
             stripes: Vec::new(),
             data_rows: Vec::with_capacity(chunk_count),
             bytes_stored: 0,
         };
-        let peak_in_flight_bytes = match self.execute_put(&mut progress, source, len, chunk_count) {
-            Ok(peak) => peak,
-            Err(e) => {
-                // A crash leaves its uploads to recovery; a journaled put
-                // is rolled back by the bracket.
-                if jctx.is_none() && !matches!(e, CoreError::SimulatedCrash { .. }) {
-                    recovery::collect_orphans(self, &progress.fresh);
-                }
-                return Err(e);
-            }
-        };
+        let peak_in_flight_bytes = self.execute_put(&mut progress, source, len, chunk_count)?;
 
         let stripe_count = progress.stripes.len();
         {
@@ -851,8 +836,7 @@ impl CloudDataDistributor {
             progress.tel,
         );
         let data_vids: Vec<VirtualId> = (0..chunk_count).map(|_| self.vids.allocate()).collect();
-        progress.fresh.extend_from_slice(&data_vids);
-        self.journal_alloc(progress.jctx, &data_vids);
+        self.journal_alloc(progress.ctx, &data_vids);
         self.crash_point()?;
 
         let n_groups = chunk_count.div_ceil(k_max);
@@ -999,20 +983,20 @@ impl CloudDataDistributor {
         len: usize,
         progress: &mut PutProgress<'_>,
     ) -> Result<()> {
-        let jctx = progress.jctx;
+        let ctx = progress.ctx;
         let (chunk_base, stripe_base) = (st.chunks.len(), st.stripes.len());
         for mut e in progress.chunks.drain(..) {
             if let Some(at) = &mut e.stripe {
                 at.stripe_id += stripe_base;
             }
-            self.touch_chunk(jctx, shard, st.chunks.len());
+            self.touch_chunk(ctx, shard, st.chunks.len());
             st.chunks.push(e);
         }
         for mut s in progress.stripes.drain(..) {
             for m in &mut s.members {
                 *m += chunk_base;
             }
-            self.touch_stripe(jctx, shard, st.stripes.len());
+            self.touch_stripe(ctx, shard, st.stripes.len());
             st.stripes.push(s);
         }
         let file = FileEntry {
@@ -1024,7 +1008,7 @@ impl CloudDataDistributor {
         st.client_mut(client)?
             .files
             .insert(filename.to_string(), file);
-        self.touch_file(jctx, shard, client, filename);
+        self.touch_file(ctx, shard, client, filename);
         Ok(())
     }
 
@@ -1088,7 +1072,7 @@ impl CloudDataDistributor {
         stripe_no: usize,
         enc: EncodedGroup,
     ) -> Result<Vec<Vec<u8>>> {
-        let (pl, raid, jctx) = (progress.pl, progress.raid, progress.jctx);
+        let (pl, raid, ctx) = (progress.pl, progress.raid, progress.ctx);
         let EncodedGroup {
             chunks: group,
             width,
@@ -1167,8 +1151,7 @@ impl CloudDataDistributor {
                 }
                 let rp = candidates[(i + r) % candidates.len()];
                 let rvid = self.vids.allocate();
-                progress.fresh.push(rvid);
-                self.journal_alloc(jctx, &[rvid]);
+                self.journal_alloc(ctx, &[rvid]);
                 self.crash_point()?;
                 // Replicas are best-effort extra assurance: a copy that
                 // cannot land is dropped, not fatal.
@@ -1208,8 +1191,7 @@ impl CloudDataDistributor {
         let mut recycled = Vec::with_capacity(parity_blobs.len());
         for (pi, blob) in parity_blobs.into_iter().enumerate() {
             let vid = self.vids.allocate();
-            progress.fresh.push(vid);
-            self.journal_alloc(jctx, &[vid]);
+            self.journal_alloc(ctx, &[vid]);
             let object = Framed::copy_of(vid, &blob);
             let provider_idx = self.store_slot(&mut slots, k + pi, &object, progress)?;
             members.push(progress.chunks.len());
@@ -1646,17 +1628,26 @@ impl CloudDataDistributor {
     // Chunk-level mutation: update, restore, remove_chunk
     // ------------------------------------------------------------------
     //
-    // The three verbs share one shape. Under the file's shard write lock:
-    // read and compute everything (a failure here has no side effect),
-    // check that every provider about to be written is reachable, run the
-    // provider half in the one order the journal allows
-    // (`rewrite_chunk_objects`, which also undoes it when a store fails),
-    // and mutate the data row last — so an
-    // error return always finds the row in its pre-op state and
-    // `revert_chunk` only has objects to put back. The objects a verb
-    // dooms are returned to the bracket (`journaled`), which deletes them
-    // once the commit is durable.
+    // None of the three verbs overwrites an object. Under the file's shard
+    // write lock each reads what it needs and allocates a fresh vid for
+    // every object it will store (`chunk_stores`), journaled before the
+    // first store; `apply_chunk_stores` re-plans the stripe's parity,
+    // checks that every provider it stores to or deletes from is reachable
+    // (a failure up to here has stored nothing), stores, and only then
+    // switches the rows to the new vids. The objects the rows named before
+    // are the verb's doom list, which the bracket (`journaled`) deletes
+    // once the commit is durable. A verb that fails or crashes before its
+    // commit leaves its rows as they were and its fresh vids named by no
+    // row: the bracket's rollback, or recovery, collects them.
+    //
+    // Each verb appends its commit record before its guard drops
+    // (`commit_under`). The next verb on the same stripe re-plans parity
+    // over these rows' bytes, so it must close after this one: were this
+    // one rolled back alone, that parity would encode bytes no row names.
 
+    /// `update_chunk`: the new bytes, each replica and the stripe's parity
+    /// go under fresh vids; the pre-state becomes the chunk's snapshot
+    /// (§IV-A), superseding any earlier one.
     pub(crate) fn update_chunk_impl(
         &self,
         client: &str,
@@ -1668,72 +1659,49 @@ impl CloudDataDistributor {
         let tel = self.telemetry();
         let _op = span!(tel, "update", file = filename, serial = serial);
         let target = chunk_target(filename, serial);
-        self.journaled(OpKind::Update, client, &target, |jctx| {
+        self.journaled(OpKind::Update, client, &target, |ctx| {
             let shard = self.shard_for(client, filename);
             let mut st = self.shard_write(shard);
             let chunk_idx = st.live_chunk_index(client, filename, serial)?;
-            access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
-            let pl = st.chunks[chunk_idx].pl;
-
-            // 1. Read the pre-state and compute everything BEFORE mutating,
-            //    so an unavailable peer/parity provider aborts cleanly (no
-            //    torn stripe: data and parity always change together). The
-            //    pre-state is verified under the data vid before it is
-            //    snapshotted; the snapshot gets its own frame below.
             let e = &st.chunks[chunk_idx];
-            let current = self
+            access::authorize(st.client(client)?, password, e.pl)?;
+            // The pre-state, verified under the data vid: the new
+            // snapshot's payload, stored on a provider other than the data
+            // provider where one is eligible.
+            let pre_state = self
                 .get_with_retry(&st, e.provider_idx, e.vid, Some(e.stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
-            let eligible = policy::eligible_providers(&st.providers, pl);
-            let snapshot_idx = eligible
-                .iter()
-                .copied()
-                .find(|&i| i != st.chunks[chunk_idx].provider_idx)
-                .or_else(|| eligible.first().copied())
-                .ok_or(CoreError::NoEligibleProvider { pl })?;
-            let snapshot_vid = self.vids.allocate();
-            let rate = if st.chunks[chunk_idx].mislead_positions.is_empty() {
+            let eligible = policy::eligible_providers(&st.providers, e.pl);
+            let other = eligible.iter().copied().find(|&i| i != e.provider_idx);
+            let snapshot = (other.or(eligible.first().copied()))
+                .ok_or(CoreError::NoEligibleProvider { pl: e.pl })?;
+            let mut stores = self.chunk_stores(&st, chunk_idx, true, Some(snapshot));
+            self.journal_alloc(ctx, &stores.vids());
+            // Misleading bytes as the chunk had them, seeded like a put's
+            // by the (fresh) data vid.
+            let rate = if e.mislead_positions.is_empty() {
                 0.0
             } else {
                 self.config.mislead_rate
             };
+            let data_vid = stores.copies[0].1;
             let (stored, positions) =
-                mislead::inject(new_data, rate, self.config.seed ^ snapshot_vid.0);
-            let plan = self.plan_parity(&st, chunk_idx, Some(&stored))?;
-            let e = &st.chunks[chunk_idx];
-            let superseded = e.snapshot_provider_idx.zip(e.snapshot_vid);
-            ensure_online(&st, e.objects().map(|(p, _)| p).chain([snapshot_idx]))?;
-
-            // 2. The provider half: snapshot (the undo record), new data,
-            //    replicas, parity. A failure that slips past the pre-checks
-            //    puts the pre-state back from `current`.
-            let doomed = doom(&st, superseded);
-            let rewrite = ChunkRewrite {
-                undo: Some((snapshot_idx, snapshot_vid, &current)),
-                doomed: &doomed,
-                stored: Some(&stored),
-                revert_to: Some(&current),
-                plan,
-            };
-            self.rewrite_chunk_objects(&mut st, shard, chunk_idx, rewrite, jctx)?;
-
-            // 3. The row: it names the new snapshot, nothing names the
-            //    superseded one any more.
-            let entry = &mut st.chunks[chunk_idx];
-            entry.snapshot_provider_idx = Some(snapshot_idx);
-            entry.snapshot_vid = Some(snapshot_vid);
-            // The snapshot object holds the pre-state's STORED form; keep
-            // its mislead positions so restore can strip it correctly.
-            entry.snapshot_mislead = std::mem::take(&mut entry.mislead_positions);
-            entry.mislead_positions = positions;
-            entry.stored_len = stored.len();
-            entry.logical_len = new_data.len();
-            self.touch_chunk(jctx, shard, chunk_idx);
-            self.crash_point()?;
+                mislead::inject(new_data, rate, self.config.seed ^ data_vid.0);
+            (stores.stored, stores.pre_state) = (stored.into(), pre_state);
+            let doomed = self.apply_chunk_stores(&mut st, shard, chunk_idx, stores, ctx)?;
+            let e = &mut st.chunks[chunk_idx];
+            // The snapshot holds the pre-state's *stored* form: its mislead
+            // positions go with it, for a restore to strip.
+            e.snapshot_mislead = std::mem::replace(&mut e.mislead_positions, positions);
+            e.logical_len = new_data.len();
+            self.commit_under(ctx, shard, &st);
             Ok(((), doomed))
         })
     }
 
+    /// `restore_snapshot`: the snapshot's bytes — the pre-update stored
+    /// form — become the chunk's again under fresh vids, with re-planned
+    /// parity, and the snapshot is consumed.
     pub(crate) fn restore_snapshot_impl(
         &self,
         client: &str,
@@ -1744,87 +1712,164 @@ impl CloudDataDistributor {
         let tel = self.telemetry();
         let _op = span!(tel, "restore", file = filename, serial = serial);
         let target = chunk_target(filename, serial);
-        self.journaled(OpKind::Restore, client, &target, |jctx| {
+        self.journaled(OpKind::Restore, client, &target, |ctx| {
             let shard = self.shard_for(client, filename);
             let mut st = self.shard_write(shard);
             let chunk_idx = st.live_chunk_index(client, filename, serial)?;
-            access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
             let e = &st.chunks[chunk_idx];
-            let Some(snapshot) = e.snapshot_provider_idx.zip(e.snapshot_vid) else {
-                return Err(CoreError::UnknownChunk {
+            access::authorize(st.client(client)?, password, e.pl)?;
+            let (sp, svid) = (e.snapshot_provider_idx.zip(e.snapshot_vid)).ok_or_else(|| {
+                CoreError::UnknownChunk {
                     filename: filename.to_string(),
                     serial,
-                });
-            };
-            let doomed = self.restore_chunk(&mut st, shard, chunk_idx, snapshot, jctx)?;
+                }
+            })?;
+            // No row records the snapshot's length.
+            let stored = self
+                .get_with_retry(&st, sp, svid, None, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                .0?;
+            let mut stores = self.chunk_stores(&st, chunk_idx, true, None);
+            self.journal_alloc(ctx, &stores.vids());
+            stores.stored = stored;
+            let doomed = self.apply_chunk_stores(&mut st, shard, chunk_idx, stores, ctx)?;
+            let e = &mut st.chunks[chunk_idx];
+            e.mislead_positions = std::mem::take(&mut e.snapshot_mislead);
+            e.logical_len = e.stored_len - e.mislead_positions.len();
+            self.commit_under(ctx, shard, &st);
             Ok(((), doomed))
         })
     }
 
-    /// The body of a restore, shared with recovery's roll-forward: writes
-    /// the payload of the object at `source` (the row's snapshot; the data
-    /// object itself when an earlier roll-forward already consumed it)
-    /// back over the chunk and reinstates the snapshotted row fields.
-    /// Returns the consumed snapshot for the post-commit delete.
-    pub(crate) fn restore_chunk(
+    /// `remove_chunk`: the chunk becomes a tombstone whose stripe slot
+    /// counts as zeros; only the re-planned parity is stored.
+    pub(crate) fn remove_chunk_impl(
+        &self,
+        client: &str,
+        password: &str,
+        filename: &str,
+        serial: u32,
+    ) -> Result<()> {
+        let tel = self.telemetry();
+        let _op = span!(tel, "remove_chunk", file = filename, serial = serial);
+        let target = chunk_target(filename, serial);
+        self.journaled(OpKind::RemoveChunk, client, &target, |ctx| {
+            let shard = self.shard_for(client, filename);
+            let mut st = self.shard_write(shard);
+            let chunk_idx = st.live_chunk_index(client, filename, serial)?;
+            access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
+            let stores = self.chunk_stores(&st, chunk_idx, false, None);
+            self.journal_alloc(ctx, &stores.vids());
+            let doomed = self.apply_chunk_stores(&mut st, shard, chunk_idx, stores, ctx)?;
+            st.chunks[chunk_idx].tombstone();
+            self.commit_under(ctx, shard, &st);
+            Ok(((), doomed))
+        })
+    }
+
+    /// A chunk-level verb's fresh vids, allocated in store order, each on
+    /// the provider of the object it supersedes: the data object's and each
+    /// replica's when the verb stores `data`, the snapshot's on `snapshot`,
+    /// one per parity member of the chunk's stripe. The verb journals them
+    /// before the first store and fills in the payloads.
+    fn chunk_stores(
+        &self,
+        st: &Tables,
+        chunk_idx: usize,
+        data: bool,
+        snapshot: Option<usize>,
+    ) -> ChunkStores {
+        let e = &st.chunks[chunk_idx];
+        let fresh = |p: usize| (p, self.vids.allocate());
+        let copies = if data {
+            std::iter::once(e.provider_idx)
+                .chain(e.replicas.iter().map(|&(p, _)| p))
+                .map(fresh)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let snapshot = snapshot.map(fresh);
+        let parity_members = e.stripe.map_or(0, |at| {
+            let s = &st.stripes[at.stripe_id];
+            s.members.len() - s.k
+        });
+        ChunkStores {
+            copies,
+            snapshot,
+            parity: (0..parity_members).map(|_| self.vids.allocate()).collect(),
+            ..Default::default()
+        }
+    }
+
+    /// The parity plan, the stores and the row switch of a chunk-level
+    /// verb. Parity is re-planned over `stores.stored`, the chunk's new
+    /// stored bytes (a removal's are empty: its slot turns to zeros), and
+    /// every provider the verb stores to or deletes from must be online.
+    /// Then every object of `stores` goes to its provider under its fresh
+    /// vid through the boundary — a crash window before the first store
+    /// and after each — and no row changes until all have landed, so a
+    /// failure leaves only vids no row names. Then the objects the rows
+    /// name now (the chunk's [`objects`](ChunkEntry::objects), the
+    /// re-planned parity members') are journaled doomed and the rows
+    /// pointed at the fresh ones: data vid, replicas and stored length,
+    /// snapshot, parity vids and lengths, the stripe's width. Returns the
+    /// doomed for the post-commit delete; the verb sets the rest of the
+    /// data row.
+    fn apply_chunk_stores(
         &self,
         st: &mut Tables,
         shard: usize,
         chunk_idx: usize,
-        source: (usize, VirtualId),
-        jctx: &Option<JournalCtx>,
+        stores: ChunkStores,
+        ctx: &OpCtx,
     ) -> Result<Doomed> {
-        let (sp, svid) = source;
-        // The snapshot holds the pre-state's *stored* bytes; the matching
-        // mislead positions were preserved in `snapshot_mislead` at update
-        // time and are reinstated below so reads strip correctly.
+        let plan = self.plan_parity(st, chunk_idx, &stores.stored)?;
+        let objects = st.chunks[chunk_idx].objects().map(|(p, _)| p);
+        ensure_online(st, objects.chain(stores.snapshot.map(|(p, _)| p)))?;
+
         let tel = self.telemetry();
-        let pre_state = self.get_with_retry(st, sp, svid, None, &tel).0?;
-        // Plan parity first (clean abort on unavailable peers), then mutate.
-        let plan = self.plan_parity(st, chunk_idx, Some(&pre_state))?;
-        ensure_online(st, st.chunks[chunk_idx].objects().map(|(p, _)| p))?;
-        // What the live abort puts back; a primary that does not verify is
-        // no reason to refuse the restore that would heal it.
-        let current = {
-            let e = &st.chunks[chunk_idx];
-            self.get_with_retry(st, e.provider_idx, e.vid, Some(e.stored_len), &tel)
-                .0
-                .ok()
-        };
-        let e = &st.chunks[chunk_idx];
-        let doomed = doom(st, e.snapshot_provider_idx.zip(e.snapshot_vid));
-        let rewrite = ChunkRewrite {
-            undo: None,
-            doomed: &doomed,
-            stored: Some(&pre_state),
-            revert_to: current.as_deref(),
-            plan,
-        };
-        self.rewrite_chunk_objects(st, shard, chunk_idx, rewrite, jctx)?;
-        let entry = &mut st.chunks[chunk_idx];
-        entry.stored_len = pre_state.len();
-        entry.mislead_positions = std::mem::take(&mut entry.snapshot_mislead);
-        entry.logical_len = pre_state.len() - entry.mislead_positions.len();
-        entry.snapshot_provider_idx = None;
-        entry.snapshot_vid = None;
-        self.touch_chunk(jctx, shard, chunk_idx);
+        let copies = (stores.copies.iter()).map(|&(p, vid)| (p, vid, &stores.stored[..]));
+        let snapshot = (stores.snapshot).map(|(p, vid)| (p, vid, &stores.pre_state[..]));
+        let parity = (plan.iter().flat_map(|plan| &plan.writes))
+            .zip(&stores.parity)
+            .map(|((m, blob), &vid)| (st.chunks[*m].provider_idx, vid, &blob[..]));
         self.crash_point()?;
-        Ok(doomed)
+        for (p, vid, bytes) in copies.chain(snapshot).chain(parity) {
+            self.put_with_retry(&st.providers, p, vid, bytes, &tel).0?;
+            self.crash_point()?;
+        }
+
+        let mut superseded: Vec<(usize, VirtualId)> = st.chunks[chunk_idx].objects().collect();
+        if let Some(plan) = &plan {
+            for (&(m, _), &vid) in plan.writes.iter().zip(&stores.parity) {
+                let e = &mut st.chunks[m];
+                superseded.push((e.provider_idx, e.vid));
+                (e.vid, e.stored_len, e.logical_len) = (vid, plan.width, plan.width);
+                self.touch_chunk(ctx, shard, m);
+            }
+            st.stripes[plan.stripe_id].shard_width = plan.width;
+            self.touch_stripe(ctx, shard, plan.stripe_id);
+        }
+        self.journal_doom(ctx, superseded.iter().map(|&(_, vid)| vid));
+        let e = &mut st.chunks[chunk_idx];
+        if let Some((&(_, vid), replicas)) = stores.copies.split_first() {
+            (e.vid, e.replicas) = (vid, replicas.to_vec());
+            e.stored_len = stores.stored.len();
+        }
+        (e.snapshot_provider_idx, e.snapshot_vid) = stores.snapshot.unzip();
+        self.touch_chunk(ctx, shard, chunk_idx);
+        Ok(doom(st, superseded))
     }
 
-    /// Computes the parity writes a mutation of `chunk_idx` will require,
-    /// **without mutating anything**. `override_bytes` supplies the
-    /// post-mutation stored bytes of that chunk (`Some(&[])` models a
-    /// removal; `None` reads the chunk's object like any peer's, for a
-    /// re-sync of parity to the objects that exist); peers are read from
-    /// their providers, so an unavailable peer fails the plan *before* the
-    /// caller touches any state — this is what makes update/remove
-    /// torn-write-safe.
+    /// Computes the parity a chunk-level verb stores, **without mutating
+    /// anything**: `stored` is the chunk's new stored bytes (empty for a
+    /// removal), and every peer is read from its provider, so an
+    /// unavailable peer fails the plan before the verb stores a byte.
     fn plan_parity(
         &self,
         st: &Tables,
         chunk_idx: usize,
-        override_bytes: Option<&[u8]>,
+        stored: &[u8],
     ) -> Result<Option<ParityPlan>> {
         let Some(stripe_ref) = st.chunks[chunk_idx].stripe else {
             return Ok(None);
@@ -1843,9 +1888,10 @@ impl CloudDataDistributor {
         let mut set = StripeReadSet::default();
         let mut datas: Vec<Bytes> = Vec::with_capacity(k);
         for (slot, &m) in members[..k].iter().enumerate() {
-            datas.push(match override_bytes {
-                Some(bytes) if m == chunk_idx => Bytes::copy_from_slice(bytes),
-                _ => self.read_member(st, &mut set, stripe_id, slot, &tel).0?,
+            datas.push(if m == chunk_idx {
+                Bytes::copy_from_slice(stored)
+            } else {
+                self.read_member(st, &mut set, stripe_id, slot, &tel).0?
             });
         }
         let width = datas.iter().map(Bytes::len).max().unwrap_or(0);
@@ -1866,301 +1912,9 @@ impl CloudDataDistributor {
         }))
     }
 
-    /// Applies a previously computed [`ParityPlan`]: one crash window per
-    /// parity object, and every row it rewrites (the parity members'
-    /// lengths, the stripe's width) marked dirty — a delta without them
-    /// would replay a stripe whose widths disagree with its objects.
-    fn apply_parity_plan(
-        &self,
-        st: &mut Tables,
-        shard: usize,
-        plan: ParityPlan,
-        jctx: &Option<JournalCtx>,
-    ) -> Result<()> {
-        let tel = self.telemetry();
-        for (member_idx, blob) in plan.writes {
-            let e = &st.chunks[member_idx];
-            self.put_with_retry(&st.providers, e.provider_idx, e.vid, &blob, &tel)
-                .0?;
-            let e = &mut st.chunks[member_idx];
-            e.stored_len = plan.width;
-            e.logical_len = plan.width;
-            self.touch_chunk(jctx, shard, member_idx);
-            self.crash_point()?;
-        }
-        st.stripes[plan.stripe_id].shard_width = plan.width;
-        self.touch_stripe(jctx, shard, plan.stripe_id);
-        Ok(())
-    }
-
-    /// The provider half of a chunk-level verb
-    /// ([`store_chunk_rewrite`](Self::store_chunk_rewrite)), with its live
-    /// abort: when a store fails after the pre-checks passed,
-    /// [`revert_chunk`](Self::revert_chunk) puts the pre-op state back
-    /// (best-effort — the providers are failing) and the undo record, if
-    /// the verb stored one, is deleted; the verb reports the store's
-    /// error. A simulated crash — in the rewrite or inside the revert —
-    /// passes through with nothing cleaned up: the op dangles and recovery
-    /// resolves it.
-    fn rewrite_chunk_objects(
-        &self,
-        st: &mut Tables,
-        shard: usize,
-        chunk_idx: usize,
-        rewrite: ChunkRewrite<'_>,
-        jctx: &Option<JournalCtx>,
-    ) -> Result<()> {
-        let (undo, revert_to) = (rewrite.undo, rewrite.revert_to);
-        let cause = match self.store_chunk_rewrite(st, shard, chunk_idx, rewrite, jctx) {
-            Ok(()) => return Ok(()),
-            Err(crash @ CoreError::SimulatedCrash { .. }) => return Err(crash),
-            Err(cause) => cause,
-        };
-        let reverted = self.revert_chunk(st, shard, chunk_idx, revert_to, jctx);
-        if let Err(crash @ CoreError::SimulatedCrash { .. }) = reverted {
-            return Err(crash);
-        }
-        if let Some((snapshot_idx, snapshot_vid, _)) = undo {
-            let _ = st.providers[snapshot_idx].delete(snapshot_vid);
-        }
-        Err(cause)
-    }
-
-    /// The stores of a chunk-level verb, in the one order that keeps it
-    /// recoverable: both intents are journaled first (`alloc` of the undo
-    /// record's fresh vid, `doom` of what the verb will delete once
-    /// committed), the undo record is stored before anything is
-    /// overwritten, then the data object, each replica and each parity
-    /// object — a crash window after every store. Runs under the caller's
-    /// shard write guard on purpose: objects and table rows must change as
-    /// one atomic step, and the in-process sim providers never re-enter
-    /// the tables. Touches the parity and stripe rows; the data row is the
-    /// verb's.
-    fn store_chunk_rewrite(
-        &self,
-        st: &mut Tables,
-        shard: usize,
-        chunk_idx: usize,
-        rewrite: ChunkRewrite<'_>,
-        jctx: &Option<JournalCtx>,
-    ) -> Result<()> {
-        if let Some((_, snapshot_vid, _)) = rewrite.undo {
-            self.journal_alloc(jctx, &[snapshot_vid]);
-        }
-        self.journal_doom(jctx, rewrite.doomed.iter().map(|(_, vid)| *vid));
-        if let Some((snapshot_idx, snapshot_vid, pre_state)) = rewrite.undo {
-            let tel = self.telemetry();
-            self.put_with_retry(&st.providers, snapshot_idx, snapshot_vid, pre_state, &tel)
-                .0?;
-        }
-        self.crash_point()?;
-        if let Some(stored) = rewrite.stored {
-            self.store_chunk_copies(st, chunk_idx, stored)?;
-        }
-        match rewrite.plan {
-            Some(plan) => self.apply_parity_plan(st, shard, plan, jctx),
-            None => Ok(()),
-        }
-    }
-
-    /// Overwrites a chunk's data object and every replica with `stored`.
-    fn store_chunk_copies(&self, st: &Tables, chunk_idx: usize, stored: &[u8]) -> Result<()> {
-        let tel = self.telemetry();
-        let e = &st.chunks[chunk_idx];
-        for &(provider_idx, vid) in std::iter::once(&(e.provider_idx, e.vid)).chain(&e.replicas) {
-            self.put_with_retry(&st.providers, provider_idx, vid, stored, &tel)
-                .0?;
-            self.crash_point()?;
-        }
-        Ok(())
-    }
-
-    /// **The undo**: makes a chunk's objects agree with its (pre-op) row
-    /// again. `pre_state` — the stored bytes the row describes, when the
-    /// data object or a replica may have been overwritten — is written
-    /// back under the data vid and every replica vid; the stripe's parity
-    /// is then re-planned **from the objects the peers hold now** (never
-    /// from remembered bytes: a peer may have been rewritten by a later
-    /// committed op) and applied. Called by the live abort of a failed
-    /// verb ([`rewrite_chunk_objects`](Self::rewrite_chunk_objects)) and by
-    /// recovery's rollback of a dangling update, whose `pre_state` is the
-    /// snapshot object's payload.
-    pub(crate) fn revert_chunk(
-        &self,
-        st: &mut Tables,
-        shard: usize,
-        chunk_idx: usize,
-        pre_state: Option<&[u8]>,
-        jctx: &Option<JournalCtx>,
-    ) -> Result<()> {
-        if let Some(pre_state) = pre_state {
-            self.store_chunk_copies(st, chunk_idx, pre_state)?;
-        }
-        match self.plan_parity(st, chunk_idx, pre_state)? {
-            Some(plan) => self.apply_parity_plan(st, shard, plan, jctx),
-            None => Ok(()),
-        }
-    }
-
-    /// Recovery's rollback of a dangling `update_chunk`: when some
-    /// provider still holds the op's fresh snapshot object, its verified
-    /// payload is the chunk's pre-op stored bytes — [`revert_chunk`] writes
-    /// them back and re-syncs the stripe's parity. The snapshot object
-    /// itself is left for the caller to collect. Nothing is undone when no
-    /// provider holds the snapshot (it is stored first: nothing was
-    /// overwritten) or when the recovered row no longer names
-    /// `superseded` as its snapshot (a later close replaced the chunk's
-    /// state; its objects are that op's, not this one's).
-    ///
-    /// [`revert_chunk`]: Self::revert_chunk
-    pub(crate) fn undo_update(
-        &self,
-        client: &str,
-        filename: &str,
-        serial: u32,
-        snapshot_vid: VirtualId,
-        superseded: Option<VirtualId>,
-    ) -> Result<()> {
-        let shard = self.shard_for(client, filename);
-        let mut st = self.shard_write(shard);
-        let Some(holder) = st.providers.iter().position(|p| p.contains(snapshot_vid)) else {
-            return Ok(());
-        };
-        match st.live_chunk_index(client, filename, serial) {
-            Ok(chunk_idx) if st.chunks[chunk_idx].snapshot_vid == superseded => {
-                self.revert_from_object(&mut st, shard, chunk_idx, (holder, snapshot_vid))
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// [`revert_chunk`](Self::revert_chunk) with the pre-state read from
-    /// the object at `source`, verified under its own vid.
-    fn revert_from_object(
-        &self,
-        st: &mut Tables,
-        shard: usize,
-        chunk_idx: usize,
-        source: (usize, VirtualId),
-    ) -> Result<()> {
-        let (holder, vid) = source;
-        let pre_state = self
-            .get_with_retry(st, holder, vid, None, &self.telemetry())
-            .0?;
-        self.revert_chunk(st, shard, chunk_idx, Some(&pre_state), &None)
-    }
-
-    /// Recovery's roll-forward of a dangling `restore_snapshot` that
-    /// doomed `consumed`: re-runs [`restore_chunk`](Self::restore_chunk)
-    /// when the recovered row still names `consumed` as its snapshot (else
-    /// a later close captured the restore and only the doom list is left
-    /// to collect). The source is the snapshot object while a provider
-    /// holds it — doomed objects are deleted last — and the data object
-    /// itself once an earlier roll-forward has collected it.
-    pub(crate) fn redo_restore(
-        &self,
-        client: &str,
-        filename: &str,
-        serial: u32,
-        consumed: VirtualId,
-    ) -> Result<()> {
-        let shard = self.shard_for(client, filename);
-        let mut st = self.shard_write(shard);
-        let Ok(chunk_idx) = st.live_chunk_index(client, filename, serial) else {
-            return Ok(());
-        };
-        let e = &st.chunks[chunk_idx];
-        let source = match e.snapshot_provider_idx {
-            Some(sp) if e.snapshot_vid == Some(consumed) => {
-                if st.providers[sp].contains(consumed) {
-                    (sp, consumed)
-                } else {
-                    (e.provider_idx, e.vid)
-                }
-            }
-            _ => return Ok(()),
-        };
-        self.restore_chunk(&mut st, shard, chunk_idx, source, &None)
-            .map(drop)
-    }
-
     // ------------------------------------------------------------------
     // Removal
     // ------------------------------------------------------------------
-
-    pub(crate) fn remove_chunk_impl(
-        &self,
-        client: &str,
-        password: &str,
-        filename: &str,
-        serial: u32,
-    ) -> Result<()> {
-        let tel = self.telemetry();
-        let _op = span!(tel, "remove_chunk", file = filename, serial = serial);
-        let target = chunk_target(filename, serial);
-        self.journaled(OpKind::RemoveChunk, client, &target, |jctx| {
-            let shard = self.shard_for(client, filename);
-            let mut st = self.shard_write(shard);
-            let chunk_idx = st.live_chunk_index(client, filename, serial)?;
-            access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
-            let doomed = self.tombstone_chunk(&mut st, shard, chunk_idx, jctx)?;
-            Ok(((), doomed))
-        })
-    }
-
-    /// The body of a chunk removal, shared with recovery's roll-forward:
-    /// dooms the data object, its replicas and its snapshot, re-plans the
-    /// stripe's parity with this slot zeroed, and tombstones the row.
-    /// Nothing is deleted here — the doomed objects are returned for the
-    /// post-commit delete, so until then the removal can still be undone
-    /// (live abort) or finished (recovery).
-    pub(crate) fn tombstone_chunk(
-        &self,
-        st: &mut Tables,
-        shard: usize,
-        chunk_idx: usize,
-        jctx: &Option<JournalCtx>,
-    ) -> Result<Doomed> {
-        // Plan parity with this slot zeroed BEFORE mutating anything, so an
-        // unavailable peer aborts cleanly with the chunk intact.
-        let plan = self.plan_parity(st, chunk_idx, Some(&[]))?;
-        ensure_online(st, st.chunks[chunk_idx].objects().map(|(p, _)| p))?;
-        let doomed = doom(st, st.chunks[chunk_idx].objects());
-        let rewrite = ChunkRewrite {
-            undo: None,
-            doomed: &doomed,
-            stored: None,
-            revert_to: None,
-            plan,
-        };
-        self.rewrite_chunk_objects(st, shard, chunk_idx, rewrite, jctx)?;
-        st.chunks[chunk_idx].tombstone();
-        self.touch_chunk(jctx, shard, chunk_idx);
-        self.crash_point()?;
-        Ok(doomed)
-    }
-
-    /// Recovery's roll-forward of a dangling `remove_chunk` whose doom
-    /// list is `doomed`: re-runs [`tombstone_chunk`](Self::tombstone_chunk)
-    /// when the recovered row is still live under a doomed vid (else the
-    /// tombstone was captured by a later close, or the op never got as far
-    /// as its doom record, and there is nothing to finish).
-    pub(crate) fn redo_remove_chunk(
-        &self,
-        client: &str,
-        filename: &str,
-        serial: u32,
-        doomed: &[VirtualId],
-    ) -> Result<()> {
-        let shard = self.shard_for(client, filename);
-        let mut st = self.shard_write(shard);
-        match st.live_chunk_index(client, filename, serial) {
-            Ok(chunk_idx) if doomed.contains(&st.chunks[chunk_idx].vid) => self
-                .tombstone_chunk(&mut st, shard, chunk_idx, &None)
-                .map(drop),
-            _ => Ok(()),
-        }
-    }
 
     /// Removes a whole file (§VI `remove file`): data chunks, parity
     /// chunks, snapshots and all table entries.
@@ -2180,7 +1934,7 @@ impl CloudDataDistributor {
     ) -> Result<()> {
         let tel = self.telemetry();
         let _op = span!(tel, "remove", file = filename);
-        self.journaled(OpKind::Remove, client, filename, |jctx| {
+        self.journaled(OpKind::Remove, client, filename, |ctx| {
             let shard = self.shard_for(client, filename);
             let mut st = self.shard_write(shard);
             let file = st.file(client, filename)?;
@@ -2195,14 +1949,14 @@ impl CloudDataDistributor {
             // Doom list: every object of the file, logged before a row
             // changes — from here a crash rolls the removal *forward*
             // (recovery finishes the table half, then collects the list).
-            self.journal_doom(jctx, objects.iter().map(|&(_, vid)| vid));
+            self.journal_doom(ctx, objects.iter().map(|&(_, vid)| vid));
             let doomed = doom(&st, objects);
             self.crash_point()?;
 
             for m in st.drop_file(client, filename)? {
-                self.touch_chunk(jctx, shard, m);
+                self.touch_chunk(ctx, shard, m);
             }
-            self.touch_file(jctx, shard, client, filename);
+            self.touch_file(ctx, shard, client, filename);
             // Last crash window: tables updated, commit record pending.
             self.crash_point()?;
             Ok(((), doomed))
@@ -2242,16 +1996,16 @@ impl CloudDataDistributor {
     /// and its report stands.
     fn journaled_scrub(&self, verify: bool) -> ScrubReport {
         let mut report = ScrubReport::default();
-        let _ = self.journaled(OpKind::Repair, "", "scrub", |jctx| {
-            report = self.scrub_impl(verify, jctx);
+        let _ = self.journaled(OpKind::Repair, "", "scrub", |ctx| {
+            report = self.scrub_impl(verify, ctx);
             Ok(((), Doomed::new()))
         });
         report
     }
 
-    /// `jctx` is the op the scrub runs inside: every degraded marker it
+    /// `ctx` is the op the scrub runs inside: every degraded marker it
     /// flips is a row of that op's delta.
-    fn scrub_impl(&self, verify: bool, jctx: &Option<JournalCtx>) -> ScrubReport {
+    fn scrub_impl(&self, verify: bool, ctx: &OpCtx) -> ScrubReport {
         let tel = self.telemetry();
         let _op = span!(tel, "scrub");
         let wall = clock::monotonic_now();
@@ -2299,7 +2053,7 @@ impl CloudDataDistributor {
                 let bad = missing + corrupt;
                 if st.stripes[sid].degraded != (bad > 0) {
                     st.stripes[sid].degraded = bad > 0;
-                    self.touch_stripe(jctx, shard, sid);
+                    self.touch_stripe(ctx, shard, sid);
                 }
                 if live == 0 {
                     continue;
@@ -2352,14 +2106,14 @@ impl CloudDataDistributor {
         let tel = self.telemetry();
         let _op = span!(tel, "repair");
         let wall = clock::monotonic_now();
-        self.journaled(OpKind::Repair, "", "stripes", |jctx| {
+        self.journaled(OpKind::Repair, "", "stripes", |ctx| {
             // Refresh every stripe's degraded marker (and the scrub
             // counters); the deep form also flags shards whose frames fail
             // verification.
-            let _ = self.scrub_impl(verify, jctx);
+            let _ = self.scrub_impl(verify, ctx);
             let mut report = RepairReport::default();
             let mut pass = RepairPass {
-                jctx,
+                ctx,
                 tel: &tel,
                 doomed: Doomed::new(),
                 per_provider_time: vec![Duration::ZERO; self.shard_read(0).providers.len()],
@@ -2379,7 +2133,7 @@ impl CloudDataDistributor {
                             report.stripes_repaired += 1;
                             report.shards_rebuilt += n;
                             st.stripes[sid].degraded = false;
-                            self.touch_stripe(jctx, shard, sid);
+                            self.touch_stripe(ctx, shard, sid);
                         }
                         // The crash plan fired: the "process" is dead, stop here.
                         Err(e @ CoreError::SimulatedCrash { .. }) => return Err(e),
@@ -2410,7 +2164,7 @@ impl CloudDataDistributor {
         sid: usize,
         pass: &mut RepairPass<'_>,
     ) -> Result<usize> {
-        let (jctx, tel) = (pass.jctx, pass.tel);
+        let (ctx, tel) = (pass.ctx, pass.tel);
         let per_provider_time = &mut pass.per_provider_time;
         let stripe = st.stripes[sid].clone();
 
@@ -2481,8 +2235,8 @@ impl CloudDataDistributor {
             // is doomed: deleted after the commit when its provider is
             // reachable, else left to recovery's GC should it resurface.
             let new_vid = self.vids.allocate();
-            self.journal_alloc(jctx, &[new_vid]);
-            self.journal_doom(jctx, [old_vid]);
+            self.journal_alloc(ctx, &[new_vid]);
+            self.journal_doom(ctx, [old_vid]);
             self.crash_point()?;
             let (res, t, _) =
                 self.put_with_retry(&st.providers, target, new_vid, &bytes[..stored_len], tel);
@@ -2491,7 +2245,7 @@ impl CloudDataDistributor {
             let e = &mut st.chunks[m];
             e.provider_idx = target;
             e.vid = new_vid;
-            self.touch_chunk(jctx, shard, m);
+            self.touch_chunk(ctx, shard, m);
             if st.providers[orig].is_online() {
                 pass.doomed.push((Arc::clone(&st.providers[orig]), old_vid));
             }
@@ -2992,10 +2746,10 @@ mod tests {
                 .collect()
         };
         let (small, large) = (measure(10), measure(200));
-        // begin + alloc + commit; the second update also dooms the first
-        // snapshot; restore and remove_chunk: begin + doom + commit.
+        // begin + alloc + doom + commit: each verb stores under fresh vids
+        // and dooms the objects they supersede.
         let records: Vec<usize> = small.iter().map(|&(r, _)| r).collect();
-        assert_eq!(records, [3, 4, 3, 3]);
+        assert_eq!(records, [4, 4, 4, 4]);
         assert_eq!(records, large.iter().map(|&(r, _)| r).collect::<Vec<_>>());
         // The bytes differ by the digits of op ids and the vid watermark
         // only — a few per record, not a table's worth.

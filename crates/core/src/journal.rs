@@ -22,6 +22,15 @@
 //! (serialized by the distributor; the journal treats the payload as
 //! opaque text).
 //!
+//! ## v3: write-once objects
+//!
+//! The record grammar is v2's. What changed is what the records can mean:
+//! in v3 every verb stores only under the vids its `alloc` records name,
+//! so a dangling op of any kind is undone by collecting those vids. A v2
+//! journal still parses and recovers, except for a dangling chunk-level
+//! op that logged an intent: its verb overwrote objects in place, and
+//! recovery refuses it with a typed `CorruptState`.
+//!
 //! ## Compaction is a fold
 //!
 //! The checkpoint is held as a row-keyed image of the snapshot text
@@ -48,7 +57,7 @@
 //! escaping as `persist`):
 //!
 //! ```text
-//! fragcloud-journal|v2
+//! fragcloud-journal|v3
 //! checkpoint|<escaped full persist snapshot>
 //! begin|<op>|<kind>|<client>|<target>
 //! alloc|<op>|<vid>,<vid>,...     # fresh ids, logged BEFORE upload
@@ -97,8 +106,10 @@ use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::Duration;
 
-/// Journal format version.
-const VERSION: u32 = 2;
+/// Journal format version. `v3` journals only verbs that store under
+/// fresh vids; [`Journal::parse`] also reads `v2`, whose chunk-level
+/// verbs overwrote objects in place.
+const VERSION: u32 = 3;
 
 /// Identifier of one journaled operation (unique per journal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -110,12 +121,10 @@ impl std::fmt::Display for OpId {
     }
 }
 
-/// Which mutation path an op belongs to — determines how recovery treats
-/// a dangling instance: roll **back** for `Put` / `Repair` / `Migrate`
-/// (collect the fresh uploads) and `Update` (the fresh snapshot object is
-/// the undo record: its payload is written back over the chunk), roll
-/// **forward** for `Remove`, `Restore` and `RemoveChunk` (their doomed
-/// objects are deleted last, so the verb can always be finished). A
+/// Which mutation path an op belongs to. Recovery rolls a dangling op
+/// **back** — collects its fresh uploads — whatever its kind, except
+/// `Remove`, which stores nothing and rolls **forward** (its doomed
+/// objects are deleted last, so the removal can always be finished). A
 /// dangling `Client` op stored nothing and committed no row: it rolls back
 /// by doing nothing.
 ///
@@ -133,10 +142,11 @@ pub enum OpKind {
     Repair,
     /// A rebalance move (`migrate_chunk`).
     Migrate,
-    /// `update_chunk`: in-place chunk rewrite behind a fresh snapshot.
+    /// `update_chunk`: the chunk's new bytes and a snapshot of its
+    /// pre-state, under fresh vids.
     Update,
-    /// `restore_snapshot`: the snapshot's bytes written back, the
-    /// snapshot consumed.
+    /// `restore_snapshot`: the snapshot's bytes stored again under fresh
+    /// vids, the snapshot consumed.
     Restore,
     /// `remove_chunk`: one chunk tombstoned, its stripe's parity re-planned.
     RemoveChunk,
@@ -395,6 +405,9 @@ fn close_line(out: &mut String, op: OpId, committed: bool, delta: &str) {
 
 #[derive(Default)]
 struct JournalInner {
+    /// Parsed from a `v2` journal whose ops recovery has not yet resolved:
+    /// its chunk-level verbs overwrote objects in place.
+    v2: bool,
     next_op: u64,
     /// The checkpoint, row by row (empty until a distributor attaches).
     image: StateImage,
@@ -535,9 +548,9 @@ impl Journal {
         });
     }
 
-    /// Logs vids `op` intends to delete (roll-forward set for removals,
-    /// restores and chunk removals; doomed source copies for migrations;
-    /// the superseded snapshot of an update).
+    /// Logs vids `op` intends to delete once committed (roll-forward set
+    /// for removals; whatever a migration, a repair or a chunk-level verb
+    /// supersedes).
     pub fn log_doom(&self, op: OpId, vids: &[VirtualId]) {
         if vids.is_empty() {
             return;
@@ -816,6 +829,31 @@ impl Journal {
             .filter_map(|(op, stage)| (stage >= Stage::Durable).then_some(op))
             .collect();
         inner.drop_ops(&closed);
+        // With no record of a `v2` op left, what follows is `v3`.
+        if inner.records.is_empty() {
+            inner.v2 = false;
+        }
+    }
+
+    /// Recovery's refusal of what it cannot roll back: in a `v2` journal,
+    /// a dangling `update`, `restore` or `rmchunk` that logged an intent
+    /// may have overwritten objects in place, which collecting fresh vids
+    /// cannot undo. Fails with [`CoreError::CorruptState`] naming the op,
+    /// as a `full|` delta row does.
+    pub(crate) fn refuse_overwrites_in_place(&self) -> Result<()> {
+        if !self.inner.lock().v2 {
+            return Ok(());
+        }
+        let chunk_level = [OpKind::Update, OpKind::Restore, OpKind::RemoveChunk];
+        let overwrote = self.ops().into_iter().find(|o| {
+            o.status == OpStatus::Dangling
+                && chunk_level.contains(&o.kind)
+                && !(o.fresh.is_empty() && o.doomed.is_empty())
+        });
+        overwrote.map_or(Ok(()), |o| {
+            let why = format!("{}: a dangling `{}` of a v2 journal", o.id, o.kind);
+            Err(bad(0, &format!("{why} overwrote objects in place")))
+        })
     }
 
     /// Removes close records that were appended but never covered by a
@@ -883,7 +921,8 @@ impl Journal {
     pub fn export(&self) -> String {
         let inner = self.inner.lock();
         let mut out = String::new();
-        out.push_str(&format!("fragcloud-journal|v{VERSION}\n"));
+        let version = if inner.v2 { 2 } else { VERSION };
+        out.push_str(&format!("fragcloud-journal|v{version}\n"));
         out.push_str("checkpoint|");
         esc_into(&mut out, &inner.image.render());
         out.push('\n');
@@ -928,9 +967,11 @@ impl Journal {
     pub fn parse(text: &str) -> Result<Journal> {
         let mut lines = text.lines().enumerate();
         let (ln, header) = lines.next().ok_or_else(|| bad(0, "empty journal"))?;
-        if header != format!("fragcloud-journal|v{VERSION}") {
-            return Err(bad(ln + 1, "bad journal header/version"));
-        }
+        let v2 = match header.strip_prefix("fragcloud-journal|v") {
+            Some("2") => true,
+            Some(v) if v == VERSION.to_string() => false,
+            _ => return Err(bad(ln + 1, "bad journal header/version")),
+        };
         let (ln, cline) = lines.next().ok_or_else(|| bad(0, "truncated journal"))?;
         let checkpoint = cline
             .strip_prefix("checkpoint|")
@@ -1006,6 +1047,7 @@ impl Journal {
         }
         Ok(Journal {
             inner: Mutex::new(JournalInner {
+                v2,
                 next_op,
                 image,
                 records,
@@ -1072,7 +1114,7 @@ mod tests {
         // b left dangling: the crash case.
 
         let text = j.export();
-        assert!(text.starts_with("fragcloud-journal|v2\n"));
+        assert!(text.starts_with("fragcloud-journal|v3\n"));
         assert!(text.ends_with("end\n"));
         let back = Journal::parse(&text).unwrap();
         assert_eq!(back.checkpoint(), SNAPSHOT);
@@ -1107,7 +1149,7 @@ mod tests {
             j.begin(kind, "c", "some#file#3");
         }
         let text = j.export();
-        assert!(text.starts_with("fragcloud-journal|v2\n"), "still v2");
+        assert!(text.starts_with("fragcloud-journal|v3\n"), "still v3");
         for (_, tag) in kinds {
             assert!(text.contains(&format!("|{tag}|c|some#file#3\n")), "{tag}");
         }
@@ -1358,11 +1400,11 @@ mod tests {
             "",
             "fragcloud-journal|v999\ncheckpoint|\nend\n",
             "fragcloud-journal|v1\ncheckpoint|\nend\n",
-            "fragcloud-journal|v2\nno-checkpoint\nend\n",
-            "fragcloud-journal|v2\ncheckpoint|\nbegin|1|teleport|c|f\nend\n",
-            "fragcloud-journal|v2\ncheckpoint|\nalloc|1|notanumber\nend\n",
-            "fragcloud-journal|v2\ncheckpoint|\ncommit|1\nend\n",
-            "fragcloud-journal|v2\ncheckpoint|\nbegin|1|put|c|f\n",
+            "fragcloud-journal|v3\nno-checkpoint\nend\n",
+            "fragcloud-journal|v3\ncheckpoint|\nbegin|1|teleport|c|f\nend\n",
+            "fragcloud-journal|v3\ncheckpoint|\nalloc|1|notanumber\nend\n",
+            "fragcloud-journal|v3\ncheckpoint|\ncommit|1\nend\n",
+            "fragcloud-journal|v3\ncheckpoint|\nbegin|1|put|c|f\n",
         ] {
             let err = Journal::parse(garbage).unwrap_err();
             assert!(
@@ -1370,6 +1412,31 @@ mod tests {
                 "{garbage:?} -> {err:?}"
             );
         }
+    }
+
+    /// A `v2` journal parses and exports as `v2` until recovery has
+    /// resolved its ops; only a dangling chunk-level op that logged an
+    /// intent is refused, by name.
+    #[test]
+    fn a_v2_journal_refuses_only_its_dangling_chunk_level_intents() {
+        let v2 = "fragcloud-journal|v2\ncheckpoint|\nbegin|1|put|c|f\nalloc|1|4\n\
+            begin|2|update|c|f#0\nbegin|3|rmchunk|c|f#1\ndoom|3|5\nend\n";
+        let j = Journal::parse(v2).unwrap();
+        assert_eq!(j.export(), v2);
+        let err = j.refuse_overwrites_in_place().unwrap_err();
+        assert!(
+            matches!(&err, CoreError::CorruptState { why, .. } if why.starts_with("op3: a dangling `rmchunk`")),
+            "{err:?}"
+        );
+        // Without op 3, the v2 journal's dangling ops are all rollbacks.
+        let j = Journal::parse(&v2.replace("doom|3|5\n", "")).unwrap();
+        j.refuse_overwrites_in_place().unwrap();
+        // Resolved, it is a v3 journal.
+        for op in j.ops() {
+            j.abort(op.id, String::new());
+        }
+        j.drop_closed();
+        assert!(j.export().starts_with("fragcloud-journal|v3\n"));
     }
 
     #[test]

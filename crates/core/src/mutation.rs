@@ -15,7 +15,11 @@
 //!    (`touch_chunk` / `touch_stripe` / `touch_file` / `touch_client`).
 //! 4. **One commit.** The body returns — its shard guards dropped — with
 //!    its value and the objects it doomed; the bracket serializes the
-//!    dirty rows into one delta record and joins the group fsync.
+//!    dirty rows into one delta record and joins the group fsync. A verb
+//!    whose rows live in one shard and that re-plans what a later verb
+//!    reads — the chunk-level verbs — appends its commit record before
+//!    its guard drops instead (`commit_under`), so whatever reads its rows
+//!    next closes after it.
 //! 5. **Deletes.** Only now, with the commit durable, are the doomed
 //!    objects deleted: no provider `delete` runs under a shard guard, and
 //!    a verb that fails or crashes never finds a row naming an object
@@ -29,11 +33,14 @@
 //!    that has committed but not yet deleted keeps its records through
 //!    any number of compactions.
 //!
-//! A body that fails is rolled back inline and closed with an abort
-//! record (released at once: its rollback is behind it); a simulated
-//! crash passes through untouched and leaves the op dangling — or
-//! committed but unreleased — for [`crate::recovery`]. Without a journal
-//! the bracket is the body plus step 5.
+//! Rollback has one rule. A verb stores only under fresh vids and
+//! publishes rows only once its stores have landed, so a body that fails
+//! has changed no row: its fresh vids are orphans, which the bracket
+//! collects (`recovery::collect_orphans`) — with or without a journal —
+//! before closing the op with an abort record (released at once: its
+//! rollback is behind it). A simulated crash passes through untouched and
+//! leaves the op dangling — or committed but unreleased — for
+//! [`crate::recovery`], which applies the same rule from the journal.
 
 use crate::distributor::CloudDataDistributor;
 use crate::journal::{Journal, OpId, OpKind};
@@ -68,15 +75,25 @@ fn delete_doomed(doomed: &Doomed) {
     }
 }
 
-/// An open journaled operation: the journal it lives in, this op's id, and
-/// the set of table rows the op has dirtied (the commit/abort record's
-/// delta is serialized from exactly these rows). Threaded as
-/// `&Option<JournalCtx>` through the mutation paths so a journal-less
-/// distributor pays only an `Option` check.
-pub(crate) struct JournalCtx {
+/// An open mutating op: the fresh vids it has allocated — recorded
+/// whether or not a journal is attached, as they are what its rollback
+/// collects — and its journal record, if any. Threaded as `&OpCtx`
+/// through the mutation paths.
+pub(crate) struct OpCtx {
+    fresh: Mutex<Vec<VirtualId>>,
+    journal: Option<OpJournal>,
+}
+
+/// An op's journal: the journal it lives in, its id, the table rows it
+/// has dirtied (the commit/abort record's delta is serialized from exactly
+/// these rows), and — once its body has called `commit_under` — its
+/// appended commit record's close sequence and whether a compaction is
+/// due. A journal-less op pays only an `Option` check.
+struct OpJournal {
     journal: Arc<Journal>,
     op: OpId,
     dirty: Mutex<DirtyRows>,
+    prepared: Mutex<Option<(u64, bool)>>,
 }
 
 /// Rows an op touched, keyed by (shard, arena index) — ordered sets so the
@@ -94,6 +111,23 @@ struct DirtyRows {
     clients: BTreeSet<String>,
 }
 
+/// One shard's tables as delta capture reads them: through a read guard
+/// it takes, or through the write guard its caller already holds.
+enum Shard<'a> {
+    Read(parking_lot::RwLockReadGuard<'a, Tables>),
+    Held(&'a Tables),
+}
+
+impl std::ops::Deref for Shard<'_> {
+    type Target = Tables;
+    fn deref(&self) -> &Tables {
+        match self {
+            Shard::Read(guard) => guard,
+            Shard::Held(st) => st,
+        }
+    }
+}
+
 impl CloudDataDistributor {
     /// Runs one mutating verb under the protocol in the module doc. On
     /// success the op commits with a *delta record* (just the rows `body`
@@ -102,17 +136,19 @@ impl CloudDataDistributor {
     /// checkpoint compaction runs. A [`CoreError::SimulatedCrash`] passes
     /// through untouched — the "process" is dead, so no abort record and
     /// no rollback, leaving the op dangling for recovery. Any other error
-    /// triggers an inline rollback (this op's unreferenced uploads are
-    /// garbage-collected) followed by an abort record carrying the
-    /// post-rollback delta.
+    /// rolls the op back — its fresh vids are collected — and, with a
+    /// journal, closes it with an abort record carrying the post-rollback
+    /// delta.
     ///
     /// Three crash windows bracket the commit (numbered crash points, see
     /// DESIGN.md §5d): before the commit record exists (op dangles and is
-    /// resolved by kind), after the record is appended but before the
-    /// group fsync (op is *not* durable — recovery discards the unflushed
+    /// rolled back), after the record is appended but before the group
+    /// fsync (op is *not* durable — recovery discards the unflushed
     /// close), and after the fsync but before the deletes and checkpoint
     /// compaction (op is durable though never acked — recovery replays it
-    /// and collects its doom list).
+    /// and collects its doom list). A body that appended its commit record
+    /// under its guard ([`commit_under`](Self::commit_under)) has no first
+    /// window: no other op can see its rows before the record exists.
     ///
     /// `body` must hold no shard guard when it returns: delta capture
     /// takes its own locks.
@@ -121,108 +157,122 @@ impl CloudDataDistributor {
         kind: OpKind,
         client: &str,
         target: &str,
-        body: impl FnOnce(&Option<JournalCtx>) -> Result<(T, Doomed)>,
+        body: impl FnOnce(&OpCtx) -> Result<(T, Doomed)>,
     ) -> Result<T> {
-        let jctx = self.journal_begin(kind, client, target);
-        let res = body(&jctx);
-        let Some(jctx) = jctx else {
-            let (v, doomed) = res?;
-            delete_doomed(&doomed);
-            return Ok(v);
+        let ctx = OpCtx {
+            fresh: Mutex::new(Vec::new()),
+            journal: self.journal_begin(kind, client, target),
         };
-        match res {
+        match body(&ctx) {
             Ok((v, doomed)) => {
-                // Window: tables mutated, commit record not yet written.
-                self.crash_point()?;
-                let delta = self.capture_delta(&jctx);
-                let (seq, checkpoint_due) = jctx.journal.commit_prepare(jctx.op, delta);
-                // Window: commit record appended but unflushed — the op
-                // must NOT survive a crash here (ack ⟺ flushed).
-                self.crash_point()?;
-                jctx.journal.sync(seq);
-                self.telemetry().incr("journal_commits_total");
-                // Window: durable, but its doomed objects still stored and
-                // the op not yet acked: unreleased, so no compaction —
-                // this op's or another's — drops its doom record.
-                self.crash_point()?;
-                delete_doomed(&doomed);
-                jctx.journal.release(jctx.op);
-                if checkpoint_due {
-                    jctx.journal.compact();
+                if let Some(j) = &ctx.journal {
+                    let prepared = j.prepared.lock().take();
+                    let (seq, checkpoint_due) = match prepared {
+                        Some(prepared) => prepared,
+                        None => {
+                            // Window: tables mutated, commit record not yet
+                            // written.
+                            self.crash_point()?;
+                            j.journal.commit_prepare(j.op, self.capture_delta(j, None))
+                        }
+                    };
+                    // Window: commit record appended but unflushed — the op
+                    // must NOT survive a crash here (ack ⟺ flushed).
+                    self.crash_point()?;
+                    j.journal.sync(seq);
+                    self.telemetry().incr("journal_commits_total");
+                    // Window: durable, but its doomed objects still stored
+                    // and the op not yet acked: unreleased, so no
+                    // compaction — this op's or another's — drops its doom
+                    // record.
+                    self.crash_point()?;
+                    delete_doomed(&doomed);
+                    j.journal.release(j.op);
+                    if checkpoint_due {
+                        j.journal.compact();
+                    }
+                } else {
+                    delete_doomed(&doomed);
                 }
                 Ok(v)
             }
             Err(e @ CoreError::SimulatedCrash { .. }) => Err(e),
             Err(e) => {
-                let (collected, _) = self.rollback_op(&jctx);
-                let tel = self.telemetry();
-                tel.add("journal_rollback_objects", collected);
-                let delta = self.capture_delta(&jctx);
-                jctx.journal.abort(jctx.op, delta);
-                tel.incr("journal_aborts_total");
+                let (collected, _) = recovery::collect_orphans(self, &ctx.fresh.lock());
+                if let Some(j) = &ctx.journal {
+                    let tel = self.telemetry();
+                    tel.add("journal_rollback_objects", collected);
+                    j.journal.abort(j.op, self.capture_delta(j, None));
+                    tel.incr("journal_aborts_total");
+                }
                 Err(e)
             }
         }
     }
 
-    /// Opens a journaled op; `None` (a no-op context) when no journal is
-    /// attached.
-    fn journal_begin(&self, kind: OpKind, client: &str, target: &str) -> Option<JournalCtx> {
+    /// Opens a journaled op; `None` when no journal is attached.
+    fn journal_begin(&self, kind: OpKind, client: &str, target: &str) -> Option<OpJournal> {
         let journal = self.journal()?;
         let op = journal.begin(kind, client, target);
         self.telemetry()
             .add_labeled("journal_ops_total", kind.tag(), 1);
-        Some(JournalCtx {
+        Some(OpJournal {
             journal,
             op,
             dirty: Mutex::new(DirtyRows::default()),
+            prepared: Mutex::new(None),
         })
     }
 
-    /// Logs freshly allocated vids for the open op — always *before* the
-    /// uploads that use them.
-    pub(crate) fn journal_alloc(&self, jctx: &Option<JournalCtx>, vids: &[VirtualId]) {
-        if let Some(j) = jctx {
+    /// Appends the open op's commit record while its body still holds the
+    /// write guard of `shard`, the one shard its rows live in (`st`): no
+    /// other op can read those rows before this op's close is in the
+    /// journal, so an op that reads them — re-planning the same stripe's
+    /// parity, say — closes after it, and a flush that makes that op
+    /// durable makes this one durable too. The body's last step, with no
+    /// crash window before it. Journal-less, a no-op.
+    pub(crate) fn commit_under(&self, ctx: &OpCtx, shard: usize, st: &Tables) {
+        if let Some(j) = &ctx.journal {
+            let delta = self.capture_delta(j, Some((shard, st)));
+            *j.prepared.lock() = Some(j.journal.commit_prepare(j.op, delta));
+        }
+    }
+
+    /// Records freshly allocated vids for the open op — always *before*
+    /// the uploads that use them — and logs them to its journal.
+    pub(crate) fn journal_alloc(&self, ctx: &OpCtx, vids: &[VirtualId]) {
+        ctx.fresh.lock().extend_from_slice(vids);
+        if let Some(j) = &ctx.journal {
             j.journal.log_alloc(j.op, vids);
         }
     }
 
     /// Logs vids the open op intends to delete.
-    pub(crate) fn journal_doom(
-        &self,
-        jctx: &Option<JournalCtx>,
-        vids: impl IntoIterator<Item = VirtualId>,
-    ) {
-        if let Some(j) = jctx {
+    pub(crate) fn journal_doom(&self, ctx: &OpCtx, vids: impl IntoIterator<Item = VirtualId>) {
+        if let Some(j) = &ctx.journal {
             j.journal
                 .log_doom(j.op, &vids.into_iter().collect::<Vec<_>>());
         }
     }
 
     /// Marks one chunk-arena row dirty for the open op's delta.
-    pub(crate) fn touch_chunk(&self, jctx: &Option<JournalCtx>, shard: usize, idx: usize) {
-        if let Some(j) = jctx {
+    pub(crate) fn touch_chunk(&self, ctx: &OpCtx, shard: usize, idx: usize) {
+        if let Some(j) = &ctx.journal {
             j.dirty.lock().chunks.insert((shard, idx));
         }
     }
 
     /// Marks one stripe-arena row dirty for the open op's delta.
-    pub(crate) fn touch_stripe(&self, jctx: &Option<JournalCtx>, shard: usize, idx: usize) {
-        if let Some(j) = jctx {
+    pub(crate) fn touch_stripe(&self, ctx: &OpCtx, shard: usize, idx: usize) {
+        if let Some(j) = &ctx.journal {
             j.dirty.lock().stripes.insert((shard, idx));
         }
     }
 
     /// Marks one file entry dirty for the open op's delta (present at
     /// capture time → `file` row; absent → `filedel` tombstone).
-    pub(crate) fn touch_file(
-        &self,
-        jctx: &Option<JournalCtx>,
-        shard: usize,
-        client: &str,
-        name: &str,
-    ) {
-        if let Some(j) = jctx {
+    pub(crate) fn touch_file(&self, ctx: &OpCtx, shard: usize, client: &str, name: &str) {
+        if let Some(j) = &ctx.journal {
             j.dirty
                 .lock()
                 .files
@@ -232,24 +282,30 @@ impl CloudDataDistributor {
 
     /// Marks one client-directory entry (name + passwords) dirty for the
     /// open op's delta.
-    pub(crate) fn touch_client(&self, jctx: &Option<JournalCtx>, name: &str) {
-        if let Some(j) = jctx {
+    pub(crate) fn touch_client(&self, ctx: &OpCtx, name: &str) {
+        if let Some(j) = &ctx.journal {
             j.dirty.lock().clients.insert(name.to_string());
         }
     }
 
     /// Serializes the open op's delta from the *current* state of its
     /// dirty rows. Called at op close with all table locks released
-    /// (capture takes shard read locks, ascending). The same routine
-    /// serves commits (post-op state) and aborts (post-rollback state:
-    /// tombstoned chunks serialize as removed, a stripped file entry as
-    /// `filedel`), because deltas describe *state*, not intent.
-    fn capture_delta(&self, jctx: &JournalCtx) -> String {
+    /// (capture takes shard read locks, ascending) — or with `held`, the
+    /// one shard whose write guard the caller holds, which is read through
+    /// that guard instead. The same routine serves commits (post-op state)
+    /// and aborts (post-rollback state: tombstoned chunks serialize as
+    /// removed, a stripped file entry as `filedel`), because deltas
+    /// describe *state*, not intent.
+    fn capture_delta(&self, j: &OpJournal, held: Option<(usize, &Tables)>) -> String {
         use std::fmt::Write as _;
-        let dirty = jctx.dirty.lock();
+        let read = |shard: usize| match held {
+            Some((h, st)) if h == shard => Shard::Held(st),
+            _ => Shard::Read(self.shard_read(shard)),
+        };
+        let dirty = j.dirty.lock();
         let mut out = format!("vids|{}\n", self.vids_allocated());
         if !dirty.clients.is_empty() {
-            let st = self.shard_read(0);
+            let st = read(0);
             for (name, entry) in dirty
                 .clients
                 .iter()
@@ -271,7 +327,7 @@ impl CloudDataDistributor {
             if !has {
                 continue;
             }
-            let st = self.shard_read(shard);
+            let st = read(shard);
             for &(_, idx) in dirty.chunks.range((shard, 0)..=(shard, usize::MAX)) {
                 let _ = write!(out, "chunk|{shard}|{idx}|");
                 persist::chunk_row_into(&mut out, &st.chunks[idx]);
@@ -311,17 +367,5 @@ impl CloudDataDistributor {
             }
         }
         out
-    }
-
-    /// Inline rollback of a failed (but still live — not crashed)
-    /// journaled op, with recovery's orphan collector: every fresh upload
-    /// the tables do not reference is deleted. (A failed put has published
-    /// no row — its rows reach the tables only at its commit.) Returns
-    /// `(objects collected, delete failures)`.
-    fn rollback_op(&self, jctx: &JournalCtx) -> (u64, u64) {
-        let Some(view) = jctx.journal.ops().into_iter().find(|o| o.id == jctx.op) else {
-            return (0, 0);
-        };
-        recovery::collect_orphans(self, &view.fresh)
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! §IV-A makes the distributor *the* place where "a chunk is given to a
 //! provider". Every read and write `crates/core` issues — put pipeline,
-//! get path, chunk-level verbs and their undo, read-repair, scrub, repair,
+//! get path, chunk-level verbs, read-repair, scrub, repair,
 //! migration — is a call to `get_with_retry` or to the write side,
 //! `put_framed` (and `put_with_retry`, which frames a copy of a payload
 //! and calls it); nothing else in the crate (outside `client_side`, the
@@ -29,9 +29,8 @@
 //! - **`expected_len`.** `Some(len)` — the row's `stored_len`, passed by
 //!   every read of a chunk, replica or parity object — also rejects an
 //!   intact frame of another length (a stale object replayed under the
-//!   same vid). `None` is legal only for the object a restore or an undo
-//!   reads its pre-state from — the snapshot — whose length no table row
-//!   records.
+//!   same vid). `None` is legal only for the object a restore reads its
+//!   bytes from — the snapshot — whose length no table row records.
 //! - **Retried.** Under the configured
 //!   [`RetryPolicy`](crate::resilience::RetryPolicy): a provider error is
 //!   transient; a missing object or a failed verification is fatal.

@@ -23,7 +23,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed-size worker pool consuming boxed closures from a shared queue.
 pub struct TransferPool {
-    tx: Option<Sender<Job>>,
+    tx: Sender<Job>,
     workers: Vec<JoinHandle<()>>,
     depth: Arc<AtomicUsize>,
     panicked: Arc<AtomicUsize>,
@@ -63,7 +63,7 @@ impl TransferPool {
             })
             .collect();
         TransferPool {
-            tx: Some(tx),
+            tx,
             workers: handles,
             depth,
             panicked,
@@ -75,15 +75,7 @@ impl TransferPool {
     /// the closure.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
         self.depth.fetch_add(1, Ordering::Relaxed);
-        let sent = self
-            .tx
-            .as_ref()
-            // fraglint: allow(no-unwrap-in-lib) — `tx` is Some from
-            // construction until Drop takes it; no caller can reach
-            // `submit` on a dropped pool.
-            .expect("pool alive until drop")
-            .send(Box::new(job))
-            .is_ok();
+        let sent = self.tx.send(Box::new(job)).is_ok();
         assert!(sent, "workers outlive the sender");
     }
 
@@ -121,8 +113,9 @@ impl TransferPool {
 
 impl Drop for TransferPool {
     fn drop(&mut self) {
-        // Disconnect the queue so workers drain what's left and exit.
-        drop(self.tx.take());
+        // Disconnect the queue so workers drain what's left and exit: the
+        // pool's sender gives way to one whose receiver is already gone.
+        drop(std::mem::replace(&mut self.tx, channel::unbounded().0));
         for h in self.workers.drain(..) {
             let _ = h.join();
         }

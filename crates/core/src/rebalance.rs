@@ -53,7 +53,7 @@ impl CloudDataDistributor {
         target_provider: usize,
     ) -> Result<()> {
         let target = chunk_target(filename, serial);
-        self.journaled(OpKind::Migrate, client, &target, |jctx| {
+        self.journaled(OpKind::Migrate, client, &target, |ctx| {
             let shard = self.shard_for(client, filename);
             let mut st = self.shard_write(shard);
             let chunk_idx = st.chunk_index(client, filename, serial)?;
@@ -86,8 +86,8 @@ impl CloudDataDistributor {
             // source copy to the post-commit step.
             let old_vid = st.chunks[chunk_idx].vid;
             let new_vid = self.allocate_vid();
-            self.journal_alloc(jctx, &[new_vid]);
-            self.journal_doom(jctx, [old_vid]);
+            self.journal_alloc(ctx, &[new_vid]);
+            self.journal_doom(ctx, [old_vid]);
             self.crash_point()?;
             // Verified under the old id (and against the row's length),
             // re-framed under the new one: migration must not launder a
@@ -102,7 +102,7 @@ impl CloudDataDistributor {
             self.crash_point()?;
             st.chunks[chunk_idx].vid = new_vid;
             st.chunks[chunk_idx].provider_idx = target_provider;
-            self.touch_chunk(jctx, shard, chunk_idx);
+            self.touch_chunk(ctx, shard, chunk_idx);
             Ok(((), doom(&st, [(source_provider, old_vid)])))
         })
     }

@@ -19,28 +19,34 @@
 //!    never re-issue a journaled id — and the folded image is imported,
 //!    once. Each row is validated before it is folded; one that is
 //!    malformed or out of range is refused and counted.
-//! 2. **Dangling resolution.**
-//!    - dangling `put` / `repair` / `migrate` ops **roll back**: their
-//!      freshly allocated virtual ids (logged *before* the uploads) are
-//!      garbage-collected from every provider still holding them, so no
-//!      orphan objects survive;
-//!    - a dangling `update` **rolls back** too, and its fresh id is more
-//!      than garbage: the snapshot object is stored before anything is
-//!      overwritten, so while a provider holds it its payload *is* the
-//!      chunk's pre-op stored bytes — they are written back under the
-//!      data and replica ids and the stripe's parity is re-planned from
-//!      the objects its peers hold now, then the snapshot is collected;
-//!    - dangling `remove` / `restore` / `rmchunk` ops **roll forward**:
-//!      their doomed objects are deleted only after the commit, so the
-//!      verb's table (and parity) half can be re-run on the recovered
-//!      state, after which the doom list is collected;
-//!    - a dangling `client` op **rolls back** by doing nothing: its one
-//!      directory row was never committed and it stored no object;
+//! 2. **Dangling resolution**, by one rule: every verb stores only under
+//!    vids it journaled (`alloc`) before the store, and deletes what it
+//!    supersedes (`doom`) only after its commit, so an op that never
+//!    committed changed no object a row names.
+//!    - a dangling op whose fresh vids are all table-referenced was
+//!      captured by a later close and is **replayed**;
+//!    - any other dangling op **rolls back**: its fresh vids are
+//!      garbage-collected from every provider still holding them (a put
+//!      also drops the rows a later close may have captured), so no orphan
+//!      objects survive. A `client` op stored nothing: it rolls back by
+//!      doing nothing. A dangling `update` / `restore` / `rmchunk` rolls
+//!      back alone: it appended its commit record before releasing its
+//!      shard lock, so an op that re-planned parity over its bytes closed
+//!      after it and is not durable either;
+//!    - a dangling `remove` stores nothing — its doom list is its whole
+//!      effect — and **rolls forward**: the file's rows are dropped, then
+//!      the doom list is collected;
 //!    - committed ops are verified present (their files must still be
 //!      readable within RAID fault tolerance) and their doomed
-//!      stragglers — a migration's source copy, an update's superseded
-//!      snapshot, a removed chunk's objects whose post-commit delete
+//!      stragglers — whatever a migration, an update, a restore, a chunk
+//!      removal or a file removal superseded and whose post-commit delete
 //!      never ran — are collected.
+//!
+//! A journal in the older `v2` format recovers the same way, with one
+//! exception: its chunk-level verbs overwrote objects in place, so a
+//! dangling `update` / `restore` / `rmchunk` that logged an intent cannot
+//! be rolled back by collecting fresh vids, and recovery refuses it with a
+//! typed [`CoreError::CorruptState`](crate::CoreError::CorruptState).
 //!
 //! Everything is best-effort and telemetry-counted; what cannot be fixed
 //! (an orphan on an offline provider, a committed file that does not
@@ -51,7 +57,7 @@
 //! later row onto the wrong base.
 
 use crate::config::DistributorConfig;
-use crate::distributor::{parse_chunk_target, CloudDataDistributor};
+use crate::distributor::CloudDataDistributor;
 use crate::journal::{Journal, OpKind, OpStatus, OpView};
 use crate::persist;
 use crate::Result;
@@ -69,20 +75,17 @@ pub struct RecoveryReport {
     /// Committed ops verified (plus dangling ops whose effects turned out
     /// fully captured by a later checkpoint).
     pub replayed: usize,
-    /// Dangling put/repair/migrate/update/client ops rolled back.
+    /// Dangling ops rolled back: every kind but `remove`.
     pub rolled_back: usize,
-    /// Dangling remove/restore/rmchunk ops rolled forward to completion.
+    /// Dangling `remove` ops rolled forward to completion.
     pub rolled_forward: usize,
     /// Ops the live distributor had already aborted and rolled back.
     pub aborted: usize,
     /// Orphan objects garbage-collected from providers.
     pub orphans_collected: usize,
     /// Failures recovery could not repair: orphan deletes that failed
-    /// (offline provider), committed files that no longer verify, delta
-    /// rows that would not parse or fit, and chunk-level ops whose undo
-    /// or roll-forward could not complete (a needed provider is offline;
-    /// such an op stays dangling in the journal and is retried by the
-    /// next recovery).
+    /// (offline provider), committed files that no longer verify, and
+    /// delta rows that would not parse or fit.
     pub unrecoverable: usize,
 }
 
@@ -94,10 +97,6 @@ enum Resolution {
     RolledBack,
     RolledForward,
     Aborted,
-    /// A chunk-level op whose undo or roll-forward could not complete (a
-    /// provider it needs is offline): counted unrecoverable and left
-    /// dangling, its snapshot in place, for the next recovery to retry.
-    Unresolved,
 }
 
 /// Rebuilds a distributor from `journal` (checkpoint + delta records)
@@ -107,8 +106,10 @@ enum Resolution {
 /// tables — and operation, and journaling, can resume.
 ///
 /// Fails only when the folded checkpoint cannot be imported (corrupt
-/// snapshot, missing provider, invalid config) or a delta carries a
-/// `full|` row; per-op and other per-row trouble is reported, not raised.
+/// snapshot, missing provider, invalid config), a delta carries a
+/// `full|` row, or a `v2` journal holds a dangling chunk-level op that
+/// overwrote objects in place; per-op and other per-row trouble is
+/// reported, not raised.
 pub fn recover(
     journal: Arc<Journal>,
     providers: Vec<Arc<CloudProvider>>,
@@ -133,6 +134,7 @@ pub fn recover_with(
     // the distributor never acked those ops, and they must read as
     // dangling so they resolve below.
     journal.discard_unflushed();
+    journal.refuse_overwrites_in_place()?;
 
     // A journal no distributor ever attached has no checkpoint: give it a
     // fresh distributor's (empty) state to fold onto.
@@ -177,54 +179,31 @@ pub fn recover_with(
                 gc_vids(&d, &op.doomed, &mut report, tel);
                 Resolution::Replayed
             }
-            OpStatus::Dangling => match op.kind {
-                OpKind::Remove => {
-                    // Table removal first: until the entries are
-                    // tombstoned, the doomed vids look referenced and the
-                    // GC would (correctly) refuse to collect them. A no-op
-                    // when a later close captured the removal.
-                    let shard = d.shard_for(&op.client, &op.target);
-                    let _ = d.shard_write(shard).drop_file(&op.client, &op.target);
-                    gc_vids(&d, &op.doomed, &mut report, tel);
-                    Resolution::RolledForward
-                }
-                OpKind::Restore | OpKind::RemoveChunk => {
-                    // Same order as `Remove`: the table-and-parity half
-                    // first (the verb is idempotent while its doomed
-                    // objects exist), then the doom list.
-                    if redo_chunk_op(&d, &op).is_ok() {
-                        gc_vids(&d, &op.doomed, &mut report, tel);
-                        Resolution::RolledForward
-                    } else {
-                        Resolution::Unresolved
+            OpStatus::Dangling if op.kind == OpKind::Remove => {
+                // Table removal first: until the entries are tombstoned,
+                // the doomed vids look referenced and the GC would
+                // (correctly) refuse to collect them. A no-op when a later
+                // close captured the removal.
+                let shard = d.shard_for(&op.client, &op.target);
+                let _ = d.shard_write(shard).drop_file(&op.client, &op.target);
+                gc_vids(&d, &op.doomed, &mut report, tel);
+                Resolution::RolledForward
+            }
+            OpStatus::Dangling => {
+                let referenced = d.referenced_vids();
+                if !op.fresh.is_empty() && op.fresh.iter().all(|v| referenced.contains(v)) {
+                    // Every upload is table-referenced: a concurrent later
+                    // commit's delta captured this op's effects, so it is
+                    // effectively committed.
+                    Resolution::Replayed
+                } else {
+                    if op.kind == OpKind::Put {
+                        strip_put(&d, &op);
                     }
+                    gc_vids(&d, &op.fresh, &mut report, tel);
+                    Resolution::RolledBack
                 }
-                OpKind::Put
-                | OpKind::Repair
-                | OpKind::Migrate
-                | OpKind::Update
-                | OpKind::Client => {
-                    let referenced = d.referenced_vids();
-                    if !op.fresh.is_empty() && op.fresh.iter().all(|v| referenced.contains(v)) {
-                        // Every upload is table-referenced: a concurrent
-                        // later commit's delta captured this op's effects,
-                        // so it is effectively committed.
-                        Resolution::Replayed
-                    } else {
-                        if op.kind == OpKind::Put {
-                            strip_put(&d, &op);
-                        }
-                        if op.kind == OpKind::Update && undo_update(&d, &op).is_err() {
-                            // The snapshot is the only copy of the
-                            // pre-state: it stays where it is.
-                            Resolution::Unresolved
-                        } else {
-                            gc_vids(&d, &op.fresh, &mut report, tel);
-                            Resolution::RolledBack
-                        }
-                    }
-                }
-            },
+            }
         };
         match resolution {
             Resolution::Replayed => report.replayed += 1,
@@ -237,7 +216,6 @@ pub fn recover_with(
                 tel.add_labeled("recovery_ops_rolled_forward", op.kind.tag(), 1);
             }
             Resolution::Aborted => report.aborted += 1,
-            Resolution::Unresolved => report.unrecoverable += 1,
         }
         resolutions.push((op, resolution));
     }
@@ -248,15 +226,13 @@ pub fn recover_with(
     // in the recovered tables) and drop every closed op's records: the
     // journal's new baseline is the checkpoint `attach_journal` seeds
     // from those tables, and journaling resumes on the recovered
-    // distributor. An unresolved op stays open, so the next recovery
-    // finds its records and tries again.
+    // distributor.
     for (op, resolution) in &resolutions {
         if op.status == OpStatus::Dangling {
             match resolution {
                 Resolution::RolledForward | Resolution::Replayed => {
                     journal.commit(op.id, String::new());
                 }
-                Resolution::Unresolved => {}
                 _ => journal.abort(op.id, String::new()),
             }
         }
@@ -313,36 +289,6 @@ fn gc_vids(
     report.unrecoverable += failed as usize;
     if collected > 0 {
         tel.add("recovery_orphans_collected", collected);
-    }
-}
-
-/// Rolls a dangling `update` back: the op's one fresh vid is its snapshot
-/// object, the first doomed vid (if any) the snapshot it superseded — see
-/// [`CloudDataDistributor::undo_update`]. An op that never logged its
-/// alloc stored nothing.
-fn undo_update(d: &CloudDataDistributor, op: &OpView) -> Result<()> {
-    let (Some(&snapshot_vid), Some((filename, serial))) =
-        (op.fresh.first(), parse_chunk_target(&op.target))
-    else {
-        return Ok(());
-    };
-    let superseded = op.doomed.first().copied();
-    d.undo_update(&op.client, filename, serial, snapshot_vid, superseded)
-}
-
-/// Rolls a dangling `restore` / `rmchunk` forward at the table-and-parity
-/// level (the objects are handled by [`gc_vids`] on the doom list). An op
-/// that never logged its doom record changed nothing.
-fn redo_chunk_op(d: &CloudDataDistributor, op: &OpView) -> Result<()> {
-    let (Some(&first), Some((filename, serial))) =
-        (op.doomed.first(), parse_chunk_target(&op.target))
-    else {
-        return Ok(());
-    };
-    if op.kind == OpKind::Restore {
-        d.redo_restore(&op.client, filename, serial, first)
-    } else {
-        d.redo_remove_chunk(&op.client, filename, serial, &op.doomed)
     }
 }
 

@@ -235,8 +235,14 @@ impl<'d> Session<'d> {
         )
     }
 
-    /// Replaces one chunk's contents, snapshotting the pre-state first
-    /// (§IV-A).
+    /// Replaces one chunk's contents, keeping its pre-state as the
+    /// chunk's snapshot (§IV-A). Write-once: the new bytes, each replica,
+    /// the snapshot and the stripe's re-planned parity are stored under
+    /// fresh vids, each on its predecessor's provider, and the objects they
+    /// supersede — the old data and replicas, the old parity, an earlier
+    /// snapshot — are deleted once the update is committed. An update
+    /// that fails, or a process that dies before the commit, leaves the
+    /// chunk's pre-update objects in place and its fresh ones collected.
     pub fn update_chunk(&self, filename: &str, serial: u32, new_data: &[u8]) -> Result<()> {
         self.distributor.update_chunk_impl(
             self.credentials.client(),
@@ -247,7 +253,12 @@ impl<'d> Session<'d> {
         )
     }
 
-    /// Restores a chunk from its snapshot (undo the last update).
+    /// Restores a chunk from its snapshot (undo the last update): the
+    /// snapshot's bytes are stored again under fresh vids, with the
+    /// stripe's re-planned parity, and the superseded objects — the
+    /// snapshot included — are deleted once the restore is committed.
+    /// Fails with [`CoreError::UnknownChunk`](crate::CoreError::UnknownChunk)
+    /// when the chunk has no snapshot.
     pub fn restore_snapshot(&self, filename: &str, serial: u32) -> Result<()> {
         self.distributor.restore_snapshot_impl(
             self.credentials.client(),
@@ -257,7 +268,11 @@ impl<'d> Session<'d> {
         )
     }
 
-    /// Removes one chunk (§VI `remove chunk`).
+    /// Removes one chunk (§VI `remove chunk`): its row becomes a
+    /// tombstone whose stripe slot counts as zeros, the stripe's parity is
+    /// re-planned and stored under fresh vids, and the chunk's objects —
+    /// data, replicas, snapshot — and the old parity are deleted once the
+    /// removal is committed.
     pub fn remove_chunk(&self, filename: &str, serial: u32) -> Result<()> {
         self.distributor.remove_chunk_impl(
             self.credentials.client(),

@@ -1,7 +1,7 @@
 //! Mutation tests for the flow analyses against the *real* distributor
 //! sources (not fixtures): the unmodified tree must scan clean, and a
 //! surgical mutation — bypassing the mislead sanitizer, or storing an
-//! update's snapshot before its `journal_alloc` — must make the taint
+//! update's objects before their `journal_alloc` — must make the taint
 //! engine fire. This is the acceptance proof that the analyses track the
 //! actual tree, not just hand-built examples.
 
@@ -90,10 +90,10 @@ fn bypassing_the_mislead_sanitizer_is_caught() {
 
 #[test]
 fn storing_the_snapshot_before_its_alloc_is_caught() {
-    // The chunk-level verbs (update, restore, remove_chunk) share one
-    // provider half; move the undo record's `journal_alloc` below the
-    // snapshot `put` — a crash between the two would leave an object no
-    // journal record names.
+    // `update_chunk_impl` journals every fresh vid — its snapshot's among
+    // them — before its first store; move that `journal_alloc` below the
+    // stores — a crash between the two would leave objects no journal
+    // record names.
     let original = real_source(DISTRIBUTOR);
     let ordering = |source: String| -> Vec<String> {
         scan_files(&[(DISTRIBUTOR.into(), source)], &workspace_config())
@@ -105,23 +105,21 @@ fn storing_the_snapshot_before_its_alloc_is_caught() {
     };
     assert_eq!(ordering(original.clone()), Vec::<String>::new());
 
-    let alloc_first = "        if let Some((_, snapshot_vid, _)) = rewrite.undo {
-            self.journal_alloc(jctx, &[snapshot_vid]);
-        }
-";
-    let put = "            self.put_with_retry(&st.providers, snapshot_idx, snapshot_vid, pre_state, &tel)
-                .0?;
-";
-    let mutated = original.replace(alloc_first, "").replace(
-        put,
-        &format!("{put}            self.journal_alloc(jctx, &[snapshot_vid]);\n"),
-    );
-    assert_eq!(
-        mutated.len(),
-        original.len() - alloc_first.len()
-            + "            self.journal_alloc(jctx, &[snapshot_vid]);\n".len(),
-        "mutation site moved; update this test"
-    );
+    // Both sites are the update's own: the restore and the removal journal
+    // and store with the same two lines.
+    let plan =
+        "            let mut stores = self.chunk_stores(&st, chunk_idx, true, Some(snapshot));\n";
+    let alloc = "            self.journal_alloc(ctx, &stores.vids());\n";
+    let fill = "            (stores.stored, stores.pre_state) = (stored.into(), pre_state);\n";
+    let store = "            let doomed = self.apply_chunk_stores(&mut st, shard, chunk_idx, stores, ctx)?;\n";
+    let (planned, filled) = (format!("{plan}{alloc}"), format!("{fill}{store}"));
+    for site in [&planned, &filled] {
+        let once = original.matches(site.as_str()).count() == 1;
+        assert!(once, "mutation site moved; update this test");
+    }
+    let mutated = original
+        .replace(&planned, plan)
+        .replace(&filled, &format!("{filled}{alloc}"));
 
     let hits = ordering(mutated);
     assert!(

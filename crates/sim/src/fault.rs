@@ -100,10 +100,15 @@ impl FaultState {
     }
 
     /// Called on a successful read: decide via the hash gate whether this
-    /// serve is corrupted, and if so produce the corrupted bytes
-    /// (persisting them for the at-rest modes). Returns the bytes to
-    /// serve.
-    pub(crate) fn on_get(&mut self, store: &MemoryStore, key: VirtualId, bytes: Bytes) -> Bytes {
+    /// serve is corrupted, and if so produce the corrupted bytes. Returns
+    /// the bytes to serve, and whether they are at-rest damage the
+    /// provider must persist (`BitFlip`, `Truncate`).
+    pub(crate) fn on_get(
+        &mut self,
+        store: &MemoryStore,
+        key: VirtualId,
+        bytes: Bytes,
+    ) -> (Bytes, bool) {
         let ordinal = {
             let n = self.reads.entry(key).or_insert(0);
             let now = *n;
@@ -112,51 +117,47 @@ impl FaultState {
         };
         let (unit, raw) = gate(self.seed, key.0, ordinal);
         if unit >= self.rate {
-            return bytes;
+            return (bytes, false);
         }
         let served = match self.mode {
             FaultMode::BitFlip => {
                 if bytes.is_empty() {
-                    return bytes;
+                    return (bytes, false);
                 }
                 let mut rotted = bytes.to_vec();
                 let bit = (raw as usize) % (rotted.len() * 8);
                 rotted[bit / 8] ^= 1 << (bit % 8);
-                let rotted = Bytes::from(rotted);
-                // At-rest damage: later reads see the same rot.
-                let _ = store.put(key, rotted.clone());
-                rotted
+                Bytes::from(rotted)
             }
             FaultMode::Truncate => {
                 if bytes.is_empty() {
-                    return bytes;
+                    return (bytes, false);
                 }
                 let keep = (raw as usize) % bytes.len();
-                let cut = bytes.slice(..keep);
-                let _ = store.put(key, cut.clone());
-                cut
+                bytes.slice(..keep)
             }
             FaultMode::StaleReplay => match self.stale.get(&key) {
                 Some(old) => old.clone(),
                 // Never overwritten: nothing stale exists to replay.
-                None => return bytes,
+                None => return (bytes, false),
             },
             FaultMode::WrongObject => {
                 let mut keys = store.keys();
                 keys.sort_unstable();
                 keys.retain(|&k| k != key);
                 if keys.is_empty() {
-                    return bytes;
+                    return (bytes, false);
                 }
                 let swap = keys[(raw as usize) % keys.len()];
                 match store.get(swap) {
                     Ok(other) => other,
-                    Err(_) => return bytes,
+                    Err(_) => return (bytes, false),
                 }
             }
         };
         self.injected += 1;
-        served
+        let at_rest = matches!(self.mode, FaultMode::BitFlip | FaultMode::Truncate);
+        (served, at_rest)
     }
 }
 

@@ -11,6 +11,7 @@ use fragcloud_telemetry::TelemetryHandle;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -56,6 +57,11 @@ pub struct ProviderStats {
     pub bytes_out: AtomicU64,
     /// Requests rejected because the provider was offline.
     pub rejected: AtomicU64,
+    /// Successful `put` calls that stored *different* bytes under a key
+    /// already held, compared with the bytes last acked through `put`
+    /// (at-rest damage is not an ack, so re-uploading the acked bytes over
+    /// it counts nothing).
+    pub overwrites: AtomicU64,
 }
 
 /// A simulated cloud storage provider.
@@ -79,6 +85,9 @@ pub struct CloudProvider {
     /// Byzantine corruption script installed by a
     /// [`FaultPlan`](crate::fault::FaultPlan); `None` = honest provider.
     fault: Mutex<Option<FaultState>>,
+    /// The acked bytes of every key whose stored bytes were since damaged
+    /// at rest: what the next `put` of that key is compared with.
+    acked_before_damage: Mutex<HashMap<VirtualId, Bytes>>,
     /// Degraded-link multiplier on every transfer time, stored as `f64`
     /// bits (1.0 = healthy link).
     limp: AtomicU64,
@@ -99,6 +108,7 @@ impl CloudProvider {
             flakiness: Mutex::new(None),
             fail_after: AtomicI64::new(-1),
             fault: Mutex::new(None),
+            acked_before_damage: Mutex::new(HashMap::new()),
             limp: AtomicU64::new(1.0f64.to_bits()),
             telemetry: RwLock::new(TelemetryHandle::disabled()),
         }
@@ -162,6 +172,17 @@ impl CloudProvider {
     /// script is installed, or since the last install).
     pub fn faults_injected(&self) -> u64 {
         self.fault.lock().as_ref().map_or(0, |s| s.injected())
+    }
+
+    /// Replaces the bytes stored under `key` without an ack: at-rest
+    /// damage (bit-rot, a torn or misdirected write). The next `put` of
+    /// `key` is still compared with the bytes last acked, so re-uploading
+    /// them is no overwrite. Works offline too; fails only for a key the
+    /// provider does not hold.
+    pub fn corrupt_at_rest(&self, key: VirtualId, bytes: Bytes) -> Result<(), StoreError> {
+        let acked = self.store.get(key)?;
+        self.acked_before_damage.lock().entry(key).or_insert(acked);
+        self.store.put(key, bytes)
     }
 
     /// Sets the degraded-link multiplier (validated ≥ 1.0 and finite by
@@ -312,7 +333,19 @@ impl ObjectStore for CloudProvider {
             .bytes_in
             .fetch_add(value.len() as u64, Ordering::Relaxed);
         self.observer.record(key, value.clone());
-        self.store.put(key, value)
+        // Only a key already held is compared, against the bytes last
+        // acked: a first put costs nothing here.
+        if let Some(held) = self.store.replace(key, value.clone()) {
+            let acked = self.acked_before_damage.lock().remove(&key);
+            if acked.unwrap_or(held) != value {
+                self.stats.overwrites.fetch_add(1, Ordering::Relaxed);
+                let tel = self.telemetry.read();
+                if tel.is_enabled() {
+                    tel.add_labeled("provider_overwrites", &self.profile.name, 1);
+                }
+            }
+        }
+        Ok(())
     }
 
     fn get(&self, key: VirtualId) -> Result<Bytes, StoreError> {
@@ -320,7 +353,12 @@ impl ObjectStore for CloudProvider {
         let mut v = self.store.get(key)?;
         if let Some(state) = self.fault.lock().as_mut() {
             let before = state.injected();
-            v = state.on_get(&self.store, key, v);
+            let (served, at_rest) = state.on_get(&self.store, key, v);
+            if at_rest {
+                // Later reads see the same damage.
+                let _ = self.corrupt_at_rest(key, served.clone());
+            }
+            v = served;
             if state.injected() > before {
                 let tel = self.telemetry.read();
                 if tel.is_enabled() {
@@ -339,6 +377,7 @@ impl ObjectStore for CloudProvider {
     fn delete(&self, key: VirtualId) -> Result<(), StoreError> {
         self.check_online()?;
         self.store.delete(key)?;
+        self.acked_before_damage.lock().remove(&key);
         self.record_op("provider_deletes");
         self.stats.deletes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -396,6 +435,49 @@ mod tests {
         assert_eq!(p.stats().deletes.load(Ordering::Relaxed), 1);
         assert_eq!(p.stats().bytes_in.load(Ordering::Relaxed), 5);
         assert_eq!(p.stats().bytes_out.load(Ordering::Relaxed), 5);
+    }
+
+    fn overwrites(p: &CloudProvider) -> u64 {
+        p.stats().overwrites.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_put_of_different_bytes_under_a_held_key_is_an_overwrite() {
+        let p = provider();
+        let tel = TelemetryHandle::enabled();
+        p.set_telemetry(tel.clone());
+        p.put(VirtualId(1), Bytes::from_static(b"v1")).unwrap();
+        p.put(VirtualId(1), Bytes::from_static(b"v1")).unwrap();
+        assert_eq!(overwrites(&p), 0, "the same bytes again");
+        p.put(VirtualId(1), Bytes::from_static(b"v2")).unwrap();
+        assert_eq!(overwrites(&p), 1);
+        let snap = tel.registry().unwrap().snapshot();
+        assert_eq!(snap.counter("provider_overwrites", "AWS"), 1);
+        // A deleted key is no longer held.
+        p.delete(VirtualId(1)).unwrap();
+        p.put(VirtualId(1), Bytes::from_static(b"v3")).unwrap();
+        assert_eq!(overwrites(&p), 1);
+    }
+
+    #[test]
+    fn a_read_repair_over_at_rest_damage_is_no_overwrite() {
+        use crate::fault::FaultPlan;
+        let p = std::sync::Arc::new(provider());
+        let acked = Bytes::from(vec![7u8; 64]);
+        p.put(VirtualId(1), acked.clone()).unwrap();
+        FaultPlan::new(3)
+            .corrupt(0, FaultMode::BitFlip, 1.0)
+            .try_arm(std::slice::from_ref(&p))
+            .unwrap();
+        assert_ne!(p.get(VirtualId(1)).unwrap(), acked, "rotted at rest");
+        p.clear_fault();
+        p.put(VirtualId(1), acked.clone()).unwrap();
+        assert_eq!(overwrites(&p), 0, "the acked bytes, re-uploaded");
+        // The same through the test hook, then a genuinely new payload.
+        p.corrupt_at_rest(VirtualId(1), Bytes::from_static(b"junk"))
+            .unwrap();
+        p.put(VirtualId(1), Bytes::from_static(b"new")).unwrap();
+        assert_eq!(overwrites(&p), 1);
     }
 
     #[test]

@@ -87,11 +87,16 @@ impl MemoryStore {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Stores `value` under `key`, returning the bytes it replaced.
+    pub fn replace(&self, key: VirtualId, value: Bytes) -> Option<Bytes> {
+        self.map.write().insert(key, value)
+    }
 }
 
 impl ObjectStore for MemoryStore {
     fn put(&self, key: VirtualId, value: Bytes) -> Result<(), StoreError> {
-        self.map.write().insert(key, value);
+        self.replace(key, value);
         Ok(())
     }
 

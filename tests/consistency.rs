@@ -6,6 +6,7 @@ use fragcloud::core::config::{ChunkSizeSchedule, DistributorConfig};
 use fragcloud::core::{CloudDataDistributor, CoreError, PrivacyLevel, PutOptions};
 use fragcloud::sim::{CloudProvider, CostLevel, ObjectStore, ProviderProfile};
 use std::collections::HashSet;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn distributor(n_providers: usize) -> CloudDataDistributor {
@@ -32,6 +33,21 @@ fn body(seed: usize, len: usize) -> Vec<u8> {
     (0..len)
         .map(|i| ((i * 31 + seed * 131) % 256) as u8)
         .collect()
+}
+
+/// The providers hold exactly the objects the tables name, and none ever
+/// stored different bytes under a key it already held.
+fn assert_write_once(d: &CloudDataDistributor, tag: &str) {
+    let held: HashSet<_> = d
+        .providers()
+        .iter()
+        .flat_map(|p| p.virtual_id_list())
+        .collect();
+    assert_eq!(held, d.referenced_vids(), "{tag}: orphans or lost objects");
+    for p in d.providers() {
+        let overwrites = p.stats().overwrites.load(Ordering::Relaxed);
+        assert_eq!(overwrites, 0, "{tag}: {} overwrote a held key", p.name());
+    }
 }
 
 #[test]
@@ -72,6 +88,7 @@ fn concurrent_clients_roundtrip() {
             assert_eq!(session.get_file(&name).unwrap().data, data);
         }
     }
+    assert_write_once(&d, "after the storm");
 }
 
 #[test]
@@ -97,6 +114,7 @@ fn concurrent_readers_of_one_file() {
         }
     })
     .unwrap();
+    assert_write_once(&d, "after the readers");
 }
 
 #[test]
@@ -119,6 +137,7 @@ fn update_then_read_sees_new_data_and_snapshot_restores() {
 
     session.restore_snapshot("doc", 2).unwrap();
     assert_eq!(session.get_file("doc").unwrap().data, data);
+    assert_write_once(&d, "update, restore");
 }
 
 /// Snapshots must not leak: a second update supersedes the first snapshot
@@ -131,14 +150,7 @@ fn snapshot_objects_are_never_orphaned() {
     d.add_password("c", "pw", PrivacyLevel::High).unwrap();
     let session = d.session("c", "pw").unwrap();
     let data = body(7, 4096);
-    let no_orphans = |step: &str| {
-        let held: HashSet<_> = d
-            .providers()
-            .iter()
-            .flat_map(|p| p.virtual_id_list())
-            .collect();
-        assert_eq!(held, d.referenced_vids(), "after {step}");
-    };
+    let no_orphans = |step: &str| assert_write_once(&d, &format!("after {step}"));
     session
         .put_file("doc", &data, PrivacyLevel::Low, PutOptions::new())
         .unwrap();
@@ -166,14 +178,7 @@ fn removed_chunk_cannot_be_resurrected_into_its_stripe() {
     d.add_password("c", "pw", PrivacyLevel::High).unwrap();
     let session = d.session("c", "pw").unwrap();
     let data = body(9, 4096); // one RAID-5 stripe: 4 x 1 KiB chunks + P
-    let no_orphans = |step: &str| {
-        let held: HashSet<_> = d
-            .providers()
-            .iter()
-            .flat_map(|p| p.virtual_id_list())
-            .collect();
-        assert_eq!(held, d.referenced_vids(), "after {step}");
-    };
+    let no_orphans = |step: &str| assert_write_once(&d, &format!("after {step}"));
     let unknown = |res: fragcloud::core::Result<()>, step: &str| {
         assert!(
             matches!(res, Err(CoreError::UnknownChunk { serial: 1, .. })),
@@ -233,6 +238,7 @@ fn interleaved_put_remove_cycles_leave_no_residue() {
     }
     let residue: usize = d.providers().iter().map(|p| p.chunk_count()).sum();
     assert_eq!(residue, 0);
+    assert_write_once(&d, "after the cycles");
 }
 
 #[test]
@@ -255,6 +261,7 @@ fn bytes_conserved_across_providers() {
     // Data bytes (excluding parity) equal the file size: client accounting.
     let client_bytes: u64 = d.client_bytes_per_provider("c").unwrap().iter().sum();
     assert_eq!(client_bytes, data.len() as u64);
+    assert_write_once(&d, "after the put");
 }
 
 /// What the three invariants of a chunk-level verb look like from outside,
@@ -285,18 +292,21 @@ fn assert_untorn_but(
         assert_eq!(got.reconstructed_chunks, 0, "{tag}: served by parity");
         assert_eq!(got.degraded_chunks, 0, "{tag}: served by a replica");
     }
-    let held: HashSet<_> = d
-        .providers()
-        .iter()
-        .flat_map(|p| p.virtual_id_list())
-        .collect();
-    let referenced = d.referenced_vids();
     match died {
-        None => assert_eq!(held, referenced, "{tag}: orphans or lost objects"),
+        None => assert_write_once(d, tag),
         Some(died) => {
+            let held: HashSet<_> = d
+                .providers()
+                .iter()
+                .flat_map(|p| p.virtual_id_list())
+                .collect();
+            let referenced = d.referenced_vids();
             assert!(referenced.is_subset(&held), "{tag}: lost objects");
             for vid in held.difference(&referenced) {
                 assert!(d.providers()[died].contains(*vid), "{tag}: orphan {vid}");
+            }
+            for p in d.providers() {
+                assert_eq!(p.stats().overwrites.load(Ordering::Relaxed), 0, "{tag}");
             }
         }
     }
@@ -378,9 +388,11 @@ fn failed_update_leaves_the_chunk_untouched() {
 }
 
 /// A provider that dies *between* the pre-check and its store (a scripted
-/// mid-stream death) still cannot tear the chunk: the live abort puts the
-/// pre-op bytes back, re-syncs parity and deletes the snapshot it stored.
-/// Same for `restore_snapshot` and `remove_chunk`.
+/// mid-stream death) still cannot tear the chunk: the verb stores only
+/// under fresh vids and switches no row until every store has landed, so
+/// the rollback — the bracket's, with no journal attached — collects its
+/// fresh objects and the chunk keeps its pre-op objects. Same for
+/// `restore_snapshot` and `remove_chunk`.
 #[test]
 fn mid_flight_provider_death_is_undone() {
     let patch = vec![0x5Au8; 1000]; // a shorter chunk: the stripe width moves too
@@ -423,6 +435,8 @@ fn mid_flight_provider_death_is_undone() {
                     Ok(()) => assert_untorn_but(&d, &after, &tag, died),
                     Err(CoreError::Store(_)) => {
                         undone += 1;
+                        // The rollback left no fresh object behind.
+                        assert_write_once(&d, &format!("{tag}: rolled back"));
                         assert_untorn(&d, &before, &tag);
                     }
                     Err(e) => panic!("{tag}: unexpected {e}"),

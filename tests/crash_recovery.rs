@@ -11,12 +11,13 @@
 //!    rolls back; a remove rolls forward whether or not it was
 //!    acknowledged;
 //! 3. the chunk a crashed `update_chunk` / `restore_snapshot` /
-//!    `remove_chunk` was working on reads back as exactly its pre-op **or**
-//!    its post-op bytes (post-op once the commit is durable), and parity
+//!    `remove_chunk` was working on reads back as exactly its pre-op
+//!    bytes — its post-op bytes once the commit is durable — and parity
 //!    agrees with data: after a repair pass every chunk still reads the
 //!    same with each provider offline in turn;
 //! 4. no provider holds an orphan object (every live key is
-//!    table-referenced);
+//!    table-referenced), and none ever stored different bytes under a key
+//!    it already held (a vid names one payload for its lifetime);
 //! 5. the [`RecoveryReport`] totals match the journal's op statuses
 //!    exactly, with nothing unrecoverable;
 //! 6. recovering a second time from the same crashed journal gives the
@@ -37,6 +38,7 @@ use fragcloud::{
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -326,10 +328,9 @@ fn run_workload(w: &World, l: &mut Ledger) -> Result<(), CoreError> {
 }
 
 /// Expected report totals, derived from the journal's op statuses *before*
-/// recovery runs: committed ops replay; dangling removes, restores and
-/// chunk removals roll forward; every other dangling op rolls back (serial
-/// workloads never leave a dangling op's uploads checkpoint-referenced);
-/// aborted ops just count.
+/// recovery runs: committed ops replay; dangling removes roll forward;
+/// every other dangling op rolls back (serial workloads never leave a
+/// dangling op's uploads checkpoint-referenced); aborted ops just count.
 fn expected_report(journal: &Journal) -> RecoveryReport {
     let ops = journal.ops();
     let mut want = RecoveryReport {
@@ -340,9 +341,7 @@ fn expected_report(journal: &Journal) -> RecoveryReport {
         match (op.status, op.kind) {
             (OpStatus::Committed, _) => want.replayed += 1,
             (OpStatus::Aborted, _) => want.aborted += 1,
-            (OpStatus::Dangling, OpKind::Remove | OpKind::Restore | OpKind::RemoveChunk) => {
-                want.rolled_forward += 1
-            }
+            (OpStatus::Dangling, OpKind::Remove) => want.rolled_forward += 1,
             (OpStatus::Dangling, _) => want.rolled_back += 1,
         }
     }
@@ -371,16 +370,21 @@ fn assert_no_orphans(w: &World, d: &CloudDataDistributor, tag: &str) {
     let referenced = d.referenced_vids();
     let orphans: Vec<_> = held.difference(&referenced).collect();
     assert!(orphans.is_empty(), "{tag}: orphans {orphans:?}");
+    assert_no_overwrites(&w.fleet, tag);
+}
+
+/// Write-once objects: no provider ever stored different bytes under a
+/// key it already held.
+fn assert_no_overwrites(fleet: &[Arc<CloudProvider>], tag: &str) {
+    for p in fleet {
+        let overwrites = p.stats().overwrites.load(Ordering::Relaxed);
+        assert_eq!(overwrites, 0, "{tag}: {} overwrote a held key", p.name());
+    }
 }
 
 /// Reads every chunk of every expected file and compares it with
-/// `expect`; `alt` is the one chunk that may instead read as these bytes.
-fn assert_chunks(
-    d: &CloudDataDistributor,
-    expect: &BTreeMap<String, Chunks>,
-    alt: &Option<(String, usize, Option<Vec<u8>>)>,
-    tag: &str,
-) {
+/// `expect`.
+fn assert_chunks(d: &CloudDataDistributor, expect: &BTreeMap<String, Chunks>, tag: &str) {
     let s = d.session("c", "pw").unwrap();
     for (name, chunks) in expect {
         for (serial, want) in chunks.iter().enumerate() {
@@ -389,14 +393,9 @@ fn assert_chunks(
                 Err(CoreError::UnknownChunk { .. }) => None,
                 Err(e) => panic!("{tag}: {name}#{serial} unreadable: {e}"),
             };
-            let alt_ok =
-                matches!(alt, Some((f, sl, post)) if f == name && *sl == serial && *post == got);
-            assert!(
-                got == *want || alt_ok,
-                "{tag}: {name}#{serial} is neither its pre-op nor its post-op bytes"
-            );
+            assert!(got == *want, "{tag}: {name}#{serial} reads wrong bytes");
         }
-        if chunks.iter().all(Option::is_some) && alt.as_ref().is_none_or(|(f, ..)| f != name) {
+        if chunks.iter().all(Option::is_some) {
             let whole: Vec<u8> = chunks.iter().flatten().flatten().copied().collect();
             assert_eq!(s.get_file(name).unwrap().data, whole, "{tag}: {name}");
         }
@@ -447,7 +446,6 @@ fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
     // only compacted away after it returned to the caller.)
     let mut expect_present: BTreeMap<String, bool> =
         l.acked.keys().map(|k| (k.clone(), true)).collect();
-    let mut in_flight = l.in_flight.clone();
     for op in w.journal.ops() {
         match (op.kind, op.status) {
             (OpKind::Put, OpStatus::Committed) => {
@@ -482,14 +480,14 @@ fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
         }
     }
     // A chunk-level verb whose commit made the group fsync is durable even
-    // though the crash beat the ack: post-op bytes are then required.
-    if let Some((name, serial, post)) = &in_flight {
+    // though the crash beat the ack: post-op bytes are then required. Any
+    // other interrupted verb rolled back: its chunk reads its pre-op bytes.
+    if let Some((name, serial, post)) = &l.in_flight {
         let durable = w.journal.ops().last().is_some_and(|op| {
             op.status == OpStatus::Committed && op.target == format!("{name}#{serial}")
         });
         if durable {
             expect.get_mut(name).expect("in-flight verb on a live file")[*serial] = post.clone();
-            in_flight = None;
         }
     }
 
@@ -514,14 +512,14 @@ fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
             "{tag}: {name} should be absent (a put that missed the group fsync rolls back, a crashed remove rolls forward)"
         );
     }
-    assert_chunks(&d, &expect, &in_flight, tag);
+    assert_chunks(&d, &expect, tag);
     assert_clients(&d, l, client_op_durable, tag);
     assert_no_orphans(w, &d, tag);
     assert!(w.journal.ops().is_empty(), "{tag}: journal not settled");
 
     // Recover twice ≡ recover once: the same crashed journal against the
     // fleet the first recovery left behind gives the same report and the
-    // same state. Whichever state the interrupted chunk took, it keeps.
+    // same state.
     let state: BTreeMap<String, Chunks> = expect
         .iter()
         .map(|(name, chunks)| {
@@ -538,7 +536,7 @@ fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
     let tag = &format!("{tag}, recovered twice");
     assert_report(&report, &want, tag);
     assert_eq!(d.referenced_vids(), referenced, "{tag}: tables diverged");
-    assert_chunks(&d, &state, &None, tag);
+    assert_chunks(&d, &state, tag);
     assert_clients(&d, l, client_op_durable, tag);
     assert_no_orphans(w, &d, tag);
 
@@ -550,7 +548,7 @@ fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
     assert_no_orphans(w, &d, tag);
     for p in &w.fleet {
         p.set_online(false);
-        assert_chunks(&d, &state, &None, &format!("{tag}, {} offline", p.name()));
+        assert_chunks(&d, &state, &format!("{tag}, {} offline", p.name()));
         p.set_online(true);
     }
 
@@ -652,7 +650,7 @@ fn acked_chunk_verbs_survive_a_crash_before_compaction() {
             report.replayed, report.ops_seen,
             "{tag}: every op was acked"
         );
-        assert_chunks(&d, &l.acked, &None, tag);
+        assert_chunks(&d, &l.acked, tag);
         let held: HashSet<_> = w.fleet.iter().flat_map(|p| p.virtual_id_list()).collect();
         assert_eq!(held, d.referenced_vids(), "{tag}: provider keys vs tables");
 
@@ -666,13 +664,13 @@ fn acked_chunk_verbs_survive_a_crash_before_compaction() {
     }
 }
 
-/// An undo that cannot complete is reported, not faked: with the snapshot
-/// provider offline, recovery counts the dangling update unrecoverable,
-/// keeps its snapshot object (the only copy of the pre-state) and leaves
-/// the op open in the journal; once the provider is back the next
-/// recovery finishes the rollback.
+/// A dangling update rolls back by the one rule, with a provider offline:
+/// crashed after its new data object is stored, it reads its pre-op bytes
+/// — the row still names the untouched old objects — its fresh objects on
+/// reachable providers are collected, and the one on the offline provider
+/// is counted unrecoverable (an orphan recovery could not delete).
 #[test]
-fn unfinished_undo_is_retried_by_the_next_recovery() {
+fn a_dangling_update_rolls_back_with_a_provider_offline() {
     let data = body(4 * CHUNK, 6);
     let put = |w: &World, l: &mut Ledger| {
         l.put(w, "doc", &data, PrivacyLevel::High, PutOptions::new())
@@ -680,33 +678,94 @@ fn unfinished_undo_is_retried_by_the_next_recovery() {
     };
     let counter = Arc::new(CrashPlan::count_only());
     put(&world(Arc::clone(&counter)), &mut Ledger::default());
-    // The update's second window: snapshot stored, data object overwritten.
+    // The update's second window: its new data object is stored.
     let w = world(Arc::new(CrashPlan::at_point(counter.points_seen() + 2)));
     let mut l = Ledger::default();
     put(&w, &mut l);
     let crashed = l.chunk_op(&w, ChunkVerb::Update, "doc", 1, &body(CHUNK, 8));
     assert!(matches!(crashed, Err(CoreError::SimulatedCrash { .. })));
 
-    let snapshot_vid = w.journal.ops().last().unwrap().fresh[0];
-    let holder = w.fleet.iter().find(|p| p.contains(snapshot_vid)).unwrap();
-    holder.set_online(false);
+    let fresh = w.journal.ops().last().unwrap().fresh.clone();
+    let stored: Vec<_> = fresh
+        .iter()
+        .filter_map(|&v| w.fleet.iter().find(|p| p.contains(v)).map(|p| (p, v)))
+        .collect();
+    let [(offline, lost)] = stored[..] else {
+        panic!("one fresh object stored before the crash: {stored:?}");
+    };
+    offline.set_online(false);
     let (d, report) = recover(Arc::clone(&w.journal), w.fleet.clone(), w.cfg).unwrap();
-    assert_eq!((report.unrecoverable, report.rolled_back), (1, 0));
-    assert!(
-        holder.contains(snapshot_vid),
-        "the undo record must survive"
-    );
-    let open: Vec<_> = w.journal.ops().iter().map(|o| (o.kind, o.status)).collect();
-    assert_eq!(open, [(OpKind::Update, OpStatus::Dangling)]);
-    drop(d);
-
-    holder.set_online(true);
-    let (d, report) = recover(Arc::clone(&w.journal), w.fleet.clone(), w.cfg).unwrap();
-    assert_eq!((report.unrecoverable, report.rolled_back), (0, 1));
-    assert_chunks(&d, &l.acked, &None, "second recovery");
+    assert_eq!((report.rolled_back, report.unrecoverable), (1, 1));
+    assert!(w.journal.ops().is_empty(), "the op is closed");
+    assert_chunks(&d, &l.acked, "rolled back");
+    offline.set_online(true);
     let held: HashSet<_> = w.fleet.iter().flat_map(|p| p.virtual_id_list()).collect();
-    assert_eq!(held, d.referenced_vids());
-    assert!(w.journal.ops().is_empty());
+    let orphans: Vec<_> = held.difference(&d.referenced_vids()).copied().collect();
+    assert_eq!(orphans, [lost], "only the unreachable object is left");
+    assert_no_overwrites(&w.fleet, "rolled back");
+}
+
+/// Commit order follows lock order. An update of chunk 0 re-plans its
+/// stripe's parity over whatever chunk 1's row names, so it must never be
+/// durable while an earlier verb on chunk 1 — whose new bytes that parity
+/// encodes — is not: rolled back alone, that verb would leave parity
+/// encoding bytes no row names, and a degraded read would decode wrong
+/// data. For every crash point of an update, a restore and a removal of
+/// chunk 1, the peer's update then runs on and commits (a concurrent verb
+/// that took the shard lock once the crashed one released it); after
+/// recovery every chunk reads its expected bytes with each provider
+/// offline in turn.
+#[test]
+fn a_peer_update_never_outlives_a_crashed_verb_on_its_stripe() {
+    use ChunkVerb::*;
+    let data = body(4 * CHUNK, 6);
+    // An acked update first, so the restore has a snapshot to consume.
+    let setup = |w: &World, l: &mut Ledger| {
+        l.put(w, "doc", &data, PrivacyLevel::High, PutOptions::new())
+            .unwrap();
+        l.chunk_op(w, Update, "doc", 1, &body(CHUNK, 7)).unwrap();
+    };
+    for verb in [Update, Restore, RemoveChunk] {
+        let counter = Arc::new(CrashPlan::count_only());
+        let (dry, mut l) = (world(Arc::clone(&counter)), Ledger::default());
+        setup(&dry, &mut l);
+        let before = counter.points_seen();
+        l.chunk_op(&dry, verb, "doc", 1, &body(300, 8)).unwrap();
+        let points = counter.points_seen() - before;
+        assert!(points >= 4, "{verb:?}: crash surface too small: {points}");
+
+        for k in 1..=points {
+            let tag = &format!("{verb:?}, point {k}");
+            let w = world(Arc::new(CrashPlan::at_point(before + k)));
+            let mut l = Ledger::default();
+            setup(&w, &mut l);
+            let crashed = l.chunk_op(&w, verb, "doc", 1, &body(300, 8));
+            assert!(
+                matches!(crashed, Err(CoreError::SimulatedCrash { .. })),
+                "{tag}: {crashed:?}"
+            );
+            let (_, _, post) = l.in_flight.clone().expect("the crashed verb");
+            l.chunk_op(&w, Update, "doc", 0, &body(CHUNK, 9))
+                .unwrap_or_else(|e| panic!("{tag}: the peer's update failed: {e}"));
+
+            let mut expect = l.acked.clone();
+            let ops = w.journal.ops();
+            let crashed_op = ops.iter().rev().find(|op| op.target == "doc#1").unwrap();
+            if crashed_op.status == OpStatus::Committed {
+                expect.get_mut("doc").unwrap()[1] = post;
+            }
+            let (d, report) = recover(Arc::clone(&w.journal), w.fleet.clone(), w.cfg)
+                .unwrap_or_else(|e| panic!("{tag}: recovery failed: {e}"));
+            assert_eq!(report.unrecoverable, 0, "{tag}: {report:?}");
+            assert_chunks(&d, &expect, tag);
+            for p in &w.fleet {
+                p.set_online(false);
+                assert_chunks(&d, &expect, &format!("{tag}, {} offline", p.name()));
+                p.set_online(true);
+            }
+            assert_no_orphans(&w, &d, tag);
+        }
+    }
 }
 
 /// Deleted ⇒ commit durable: `remove_file` changes only table rows
@@ -820,7 +879,7 @@ fn bad_delta_rows_are_counted_and_recovery_still_succeeds() {
     let (d, report) = recover(journal, w.fleet.clone(), w.cfg).unwrap();
     assert_eq!(report.unrecoverable, bad_rows.len(), "{report:?}");
     assert_eq!((report.replayed, report.ops_seen), (1, 1));
-    assert_chunks(&d, &l.acked, &None, "bad rows beside good ones");
+    assert_chunks(&d, &l.acked, "bad rows beside good ones");
     assert!(d.client_chunks_per_provider("eve").is_err());
 }
 
@@ -858,6 +917,31 @@ fn a_journal_exported_before_the_fold_recovers_to_the_same_state() {
         ..Default::default()
     };
     assert_eq!(report, want);
+}
+
+/// A `v2` journal — written when the chunk-level verbs still overwrote
+/// objects in place — holding a dangling `update_chunk` that crashed after
+/// overwriting the data object: collecting fresh vids cannot undo that, so
+/// recovery refuses it with a typed error naming the op.
+#[test]
+fn a_v2_journal_with_a_dangling_update_fails_recovery_with_corrupt_state() {
+    let journal = include_str!("fixtures/journal_v2_dangling_update.txt");
+    let journal = Arc::new(Journal::parse(journal).unwrap());
+    let dangling: Vec<_> = (journal.ops().iter())
+        .filter(|o| o.status == OpStatus::Dangling)
+        .map(|o| (o.kind, o.id))
+        .collect();
+    let [(OpKind::Update, id)] = dangling[..] else {
+        panic!("the fixture's one dangling op is an update: {dangling:?}");
+    };
+    match recover(journal, fleet(FLEET), config()) {
+        Err(CoreError::CorruptState { why, .. }) => {
+            let named = why.starts_with(&format!("{id}: a dangling `update`"));
+            assert!(named, "{why}")
+        }
+        Err(e) => panic!("expected CorruptState, got {e}"),
+        Ok(_) => panic!("expected CorruptState, the v2 journal recovered"),
+    }
 }
 
 /// One journaled put under a real group-commit window.
@@ -1046,6 +1130,7 @@ proptest! {
         let flush = [Step::Client(9)];
         for step in steps.iter().chain(&flush) {
             apply_steps(&w, std::slice::from_ref(step), &mut ledger).expect("no crash planned");
+            assert_no_overwrites(&w.fleet, &format!("after {step:?}"));
             let open = w.journal.ops();
             if open.is_empty() {
                 prop_assert_eq!(w.journal.checkpoint(), persist::export_state(&w.d), "after {:?}", step);
@@ -1076,7 +1161,8 @@ proptest! {
             let mut ledger = Ledger::default();
             apply_steps(&w, &steps, &mut ledger).expect("no crash planned");
             // Readback sanity on this side before comparing.
-            assert_chunks(&w.d, &ledger.acked, &None, "sharding reference");
+            assert_chunks(&w.d, &ledger.acked, "sharding reference");
+            assert_no_overwrites(&w.fleet, "sharding reference");
             let acked = ledger.acked;
             let contents: Vec<Vec<_>> = w
                 .fleet

@@ -17,6 +17,7 @@ use fragcloud::sim::{
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn fleet(n: usize) -> Vec<Arc<CloudProvider>> {
@@ -31,16 +32,26 @@ fn fleet(n: usize) -> Vec<Arc<CloudProvider>> {
         .collect()
 }
 
+fn config(k: usize, m: usize) -> DistributorConfig {
+    DistributorConfig {
+        chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
+        stripe_width: k,
+        geometry: Some(GeometrySchedule::uniform(Geometry::new(k, m))),
+        ..Default::default()
+    }
+}
+
 fn distributor_with(fleet: Vec<Arc<CloudProvider>>, k: usize, m: usize) -> CloudDataDistributor {
-    CloudDataDistributor::new(
-        fleet,
-        DistributorConfig {
-            chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
-            stripe_width: k,
-            geometry: Some(GeometrySchedule::uniform(Geometry::new(k, m))),
-            ..Default::default()
-        },
-    )
+    CloudDataDistributor::new(fleet, config(k, m))
+}
+
+/// Write-once objects: damage at rest is not an ack, so healing it with
+/// the acked bytes is no overwrite — and nothing else may be one.
+fn assert_no_overwrites(fleet: &[Arc<CloudProvider>]) {
+    for p in fleet {
+        let overwrites = p.stats().overwrites.load(Ordering::Relaxed);
+        assert_eq!(overwrites, 0, "{} overwrote a held key", p.name());
+    }
 }
 
 fn body(seed: usize, len: usize) -> Vec<u8> {
@@ -49,8 +60,8 @@ fn body(seed: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Corrupts every object currently stored on `p` in the given `mode`
-/// (0 = bit-flip, 1 = truncate-one-byte, 2 = swap-with-reversed-self).
+/// Corrupts every object currently stored on `p` at rest in the given
+/// `mode` (0 = bit-flip, 1 = truncate-one-byte, 2 = swap-with-reversed-self).
 /// All three keep the frame magic intact, so the damage must be caught by
 /// the checksum, not by framing heuristics.
 fn corrupt_all_objects(p: &CloudProvider, mode: usize) -> usize {
@@ -72,7 +83,7 @@ fn corrupt_all_objects(p: &CloudProvider, mode: usize) -> usize {
                 raw[start..].reverse();
             }
         }
-        p.put(vid, Bytes::from(raw)).expect("overwrite accepted");
+        p.corrupt_at_rest(vid, Bytes::from(raw)).expect("held");
         corrupted += 1;
     }
     corrupted
@@ -131,6 +142,7 @@ proptest! {
         let again = session.get_file("f").unwrap();
         prop_assert_eq!(&again.data, &data);
         prop_assert_eq!(again.reconstructed_chunks, 0);
+        assert_no_overwrites(&d.providers());
     }
 
     /// Corruption beyond the parity budget (m+1 providers) surfaces as a
@@ -167,6 +179,53 @@ proptest! {
             ) => {}
             Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
         }
+        assert_no_overwrites(&d.providers());
+    }
+
+    /// Write-once objects leave a replaying provider nothing stale to
+    /// serve: with `StaleReplay` armed at rate 1.0 on every provider, an
+    /// `update_chunk` of a same-length chunk — the case a length check
+    /// cannot catch — reads back as the new bytes, healthy and with each
+    /// provider offline in turn, with or without misleading bytes.
+    #[test]
+    fn stale_replay_after_an_update_reads_the_new_bytes(
+        k in 2usize..5,
+        m in 1usize..3,
+        mislead in any::<bool>(),
+        serial_sel in 0usize..64,
+        len in 1_000usize..12_000,
+    ) {
+        let fleet = fleet(k + m + 2);
+        let rate = if mislead { 0.08 } else { 0.0 };
+        let d = CloudDataDistributor::new(
+            fleet.clone(),
+            DistributorConfig { mislead_rate: rate, ..config(k, m) },
+        );
+        d.register_client("c").unwrap();
+        d.add_password("c", "pw", PrivacyLevel::High).unwrap();
+        let session = d.session("c", "pw").unwrap();
+        let mut data = body(k * 100 + m, len);
+        session
+            .put_file("f", &data, PrivacyLevel::Low, PutOptions::new())
+            .unwrap();
+        let replay = (0..fleet.len()).fold(FaultPlan::new(0x57A1E), |plan, i| {
+            plan.corrupt(i, FaultMode::StaleReplay, 1.0)
+        });
+        replay.try_arm(&fleet).expect("indices are in range");
+
+        let serial = serial_sel % len.div_ceil(1 << 10);
+        let chunk = &mut data[serial << 10..((serial + 1) << 10).min(len)];
+        let patch = body(serial + 7, chunk.len());
+        session.update_chunk("f", serial as u32, &patch).unwrap();
+        chunk.copy_from_slice(&patch);
+        prop_assert!(session.get_file("f").unwrap().data == data, "healthy: stale bytes");
+        for (i, p) in fleet.iter().enumerate() {
+            p.set_online(false);
+            let got = session.get_file("f");
+            p.set_online(true);
+            prop_assert!(got.unwrap().data == data, "cp{} offline: stale bytes", i);
+        }
+        assert_no_overwrites(&fleet);
     }
 }
 
@@ -192,7 +251,7 @@ fn unframed_objects_heal_through_parity_and_read_repair() {
     for &vid in &vids {
         let raw = victim.get(vid).expect("object readable");
         let payload = integrity::unframe(vid, raw).expect("fresh frame verifies");
-        victim.put(vid, payload).expect("overwrite accepted");
+        victim.corrupt_at_rest(vid, payload).expect("object held");
     }
 
     let tel = d.enable_telemetry();
@@ -217,6 +276,7 @@ fn unframed_objects_heal_through_parity_and_read_repair() {
     for vid in vids {
         integrity::unframe(vid, victim.get(vid).unwrap()).expect("re-framed");
     }
+    assert_no_overwrites(&d.providers());
 }
 
 /// A provider serving corrupt bytes on every read trips its circuit
@@ -268,6 +328,7 @@ fn byzantine_provider_trips_breaker_and_is_quarantined() {
     );
     assert!(reg.counter_total("breaker_shed_total") >= 1);
     assert_eq!(session.get_file("new").unwrap().data, body(10, 8 << 10));
+    assert_no_overwrites(&fleet);
 }
 
 /// Bit-rot at rest is invisible to the existence-only scrub but caught by
@@ -294,7 +355,7 @@ fn scrub_verify_catches_bit_rot_and_repair_heals_it() {
     let mut raw = p.get(vid).unwrap().to_vec();
     let last = raw.len() - 1;
     raw[last] ^= 0x80;
-    p.put(vid, Bytes::from(raw)).unwrap();
+    p.corrupt_at_rest(vid, Bytes::from(raw)).unwrap();
 
     let tel = d.enable_telemetry();
     // The existence-only scrub sees nothing wrong…
@@ -326,6 +387,7 @@ fn scrub_verify_catches_bit_rot_and_repair_heals_it() {
     // provider holds an object the tables no longer name.
     let held: HashSet<_> = providers.iter().flat_map(|p| p.virtual_id_list()).collect();
     assert_eq!(held, d.referenced_vids());
+    assert_no_overwrites(&providers);
 }
 
 /// A one-chunk RS(4,1) file — one data object, one parity object — and
@@ -382,26 +444,26 @@ fn corrupt_pre_state_fails_the_update_and_scores_the_provider() {
     // (rebuilt from parity — the rot is at rest now).
     assert!(session.restore_snapshot("one", 0).is_err());
     assert_eq!(session.get_file("one").unwrap().data, data);
+    assert_no_overwrites(&fleet);
 }
 
 /// `migrate_chunk` checks the source object against the row's length like
-/// every other read: a provider replaying the pre-update version under the
-/// same vid must not have it re-framed under a fresh vid as if it were
-/// good.
+/// every other read: a provider serving an intact frame of another length
+/// under the chunk's vid — a stale object replayed under it — must not
+/// have it re-framed under a fresh vid as if it were good.
 #[test]
 fn migration_refuses_a_stale_source_object() {
     let fleet = fleet(8);
     let d = distributor_with(fleet.clone(), 4, 1);
-    let holder = one_chunk_file(&d, &body(5, 900));
-    let session = d.session("c", "pw").unwrap();
-    // Armed before the update: the overwrite is what makes a stale
-    // version exist.
-    FaultPlan::new(0x57A1)
-        .corrupt(holder, FaultMode::StaleReplay, 1.0)
-        .try_arm(&fleet)
-        .expect("holder index is in range");
-    let updated = body(6, 500);
-    session.update_chunk("one", 0, &updated).unwrap();
+    let data = body(5, 900);
+    let holder = one_chunk_file(&d, &data);
+    let p = &fleet[holder];
+    let [vid] = p.virtual_id_list()[..] else {
+        panic!("the holder holds the data object only");
+    };
+    let stored = integrity::unframe(vid, p.get(vid).unwrap()).unwrap();
+    let stale = integrity::frame(vid, &stored[..stored.len() / 2]);
+    p.corrupt_at_rest(vid, stale).unwrap();
 
     let target = fleet
         .iter()
@@ -413,5 +475,7 @@ fn migration_refuses_a_stale_source_object() {
     // Nothing under a fresh vid, nothing moved, nothing rewritten.
     assert_eq!(fleet_state(&fleet), before);
     assert_eq!(d.client_chunks_per_provider("c").unwrap()[holder], 1);
-    assert_eq!(session.get_file("one").unwrap().data, updated);
+    let session = d.session("c", "pw").unwrap();
+    assert_eq!(session.get_file("one").unwrap().data, data);
+    assert_no_overwrites(&fleet);
 }

@@ -15,6 +15,7 @@ use fragcloud::raid::RaidLevel;
 use fragcloud::sim::{CloudProvider, CostLevel, ProviderProfile};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The operations the fuzzer may issue.
@@ -231,7 +232,7 @@ proptest! {
         drop(session);
         drop(d);
         let parsed = Arc::new(Journal::parse(&text).expect("exported journal parses"));
-        let (recovered, report) = recover(parsed, providers, config).expect("recovers");
+        let (recovered, report) = recover(parsed, providers.clone(), config).expect("recovers");
         prop_assert_eq!(report.rolled_back + report.rolled_forward, 0);
         let session = recovered.session("c", "pw").expect("valid pair");
         for (file, chunks) in &model {
@@ -240,6 +241,11 @@ proptest! {
         }
         for file in (0u8..4).filter(|f| !model.contains_key(f)) {
             prop_assert!(session.get_file(&format!("f{file}")).is_err());
+        }
+        // Write-once objects: no provider ever stored different bytes under
+        // a key it already held.
+        for p in &providers {
+            prop_assert_eq!(p.stats().overwrites.load(Ordering::Relaxed), 0, "{}", p.name());
         }
     }
 }

@@ -253,13 +253,18 @@ fn mutating_verbs_are_spanned_and_journal_ops_are_labeled_by_kind() {
     assert_eq!(reg.counter_total("journal_commits_total"), 6);
     assert!(reg.spans_balanced());
 
-    // Crash an update after its snapshot is stored and a remove_chunk
-    // after its doom record: recovery rolls one back, the other forward.
-    for (verb, point) in [("update", 1), ("rmchunk", 1)] {
-        d.set_crash_plan(Some(Arc::new(CrashPlan::at_point(point))));
+    // Crash an update and a remove_chunk before their first store, and a
+    // removal after its doom record: recovery rolls the chunk-level verbs
+    // back — collecting their fresh vids — and the removal forward.
+    session
+        .put_file("h", &data, PrivacyLevel::Low, PutOptions::new())
+        .unwrap();
+    for verb in ["update", "rmchunk", "remove"] {
+        d.set_crash_plan(Some(Arc::new(CrashPlan::at_point(1))));
         let res = match verb {
             "update" => session.update_chunk("f", 0, &body(300)),
-            _ => session.remove_chunk("f", 3),
+            "rmchunk" => session.remove_chunk("f", 3),
+            _ => session.remove_file("h"),
         };
         assert!(
             matches!(res, Err(CoreError::SimulatedCrash { .. })),
@@ -270,13 +275,15 @@ fn mutating_verbs_are_spanned_and_journal_ops_are_labeled_by_kind() {
     drop(session);
     drop(d);
     let (_recovered, report) = recover_with(journal, fleet, config, &tel).unwrap();
-    assert_eq!((report.rolled_back, report.rolled_forward), (1, 1));
+    assert_eq!((report.rolled_back, report.rolled_forward), (2, 1));
     assert_eq!(report.unrecoverable, 0);
-    assert_eq!(reg.counter_value("recovery_ops_rolled_back", "update"), 1);
+    for kind in ["update", "rmchunk"] {
+        assert_eq!(reg.counter_value("recovery_ops_rolled_back", kind), 1);
+    }
     assert_eq!(
-        reg.counter_value("recovery_ops_rolled_forward", "rmchunk"),
+        reg.counter_value("recovery_ops_rolled_forward", "remove"),
         1
     );
-    assert_eq!(reg.counter_total("recovery_ops_rolled_back"), 1);
+    assert_eq!(reg.counter_total("recovery_ops_rolled_back"), 2);
     assert_eq!(reg.counter_total("recovery_ops_rolled_forward"), 1);
 }
