@@ -350,7 +350,8 @@ struct RepairPass<'a> {
     tel: &'a TelemetryHandle,
     /// Replaced objects still reachable at their provider.
     doomed: Doomed,
-    per_provider_time: Vec<Duration>,
+    /// Accumulates over the whole repair, across its per-shard ops.
+    per_provider_time: &'a mut [Duration],
 }
 
 impl CloudDataDistributor {
@@ -608,6 +609,7 @@ impl CloudDataDistributor {
                 st.clients.insert(name.to_string(), ClientEntry::default());
             }
             self.touch_client(ctx, name);
+            self.commit_under(ctx, 0, &shards[0]);
             Ok(((), Doomed::new()))
         })
     }
@@ -622,6 +624,7 @@ impl CloudDataDistributor {
                 entry.passwords.push((password.to_string(), pl));
             }
             self.touch_client(ctx, client);
+            self.commit_under(ctx, 0, &shards[0]);
             Ok(((), Doomed::new()))
         })
     }
@@ -683,8 +686,9 @@ impl CloudDataDistributor {
     ///    data vids, then one windowed loop — refill the window from the
     ///    stripe source, encode on the transfer pool, consume in stripe
     ///    order, store — landing owned rows ([`Self::execute_put`]).
-    /// 3. **Commit**, under the write lock again: push the rows, insert the
-    ///    file row, release the name ([`Self::commit_put`]).
+    /// 3. **Commit**, under the write lock again: insert the file row,
+    ///    push the rows, release the name ([`Self::commit_put`]), and append
+    ///    the commit record before the lock drops (`commit_under`).
     ///
     /// Nothing is published before the commit: a put that fails leaves no
     /// row, only fresh vids for the bracket's rollback to collect.
@@ -749,13 +753,10 @@ impl CloudDataDistributor {
         let stripe_count = progress.stripes.len();
         {
             let mut st = self.shard_write(shard);
-            self.commit_put(&mut st, shard, client, filename, len, &mut progress)?;
+            self.commit_put(&mut st, client, filename, len, &mut progress)?;
             reservation.release(&mut st);
+            self.commit_under(ctx, shard, &st);
         }
-
-        // Last crash window: tables updated, commit record not yet
-        // written — recovery must roll the whole put back.
-        self.crash_point()?;
 
         let sim_time = progress
             .per_provider_time
@@ -969,15 +970,15 @@ impl CloudDataDistributor {
         Ok(peak_in_flight_bytes)
     }
 
-    /// Commit, under the shard write lock: pushes the put's rows — arena
-    /// indices are assigned here, in the order the execute phase landed
-    /// them, so a sequential run numbers them as a put holding the lock
-    /// throughout would — then inserts the file row, marking every row for
-    /// the op's delta.
+    /// Commit, under the shard write lock: inserts the file row — its
+    /// client lookup the one step that can fail, taken before any row
+    /// changes — then pushes the put's rows. Arena indices are assigned
+    /// here, in the order the execute phase landed them, so a sequential
+    /// run numbers them as a put holding the lock throughout would. Every
+    /// row is marked for the op's delta.
     fn commit_put(
         &self,
         st: &mut Tables,
-        shard: usize,
         client: &str,
         filename: &str,
         len: usize,
@@ -985,30 +986,30 @@ impl CloudDataDistributor {
     ) -> Result<()> {
         let ctx = progress.ctx;
         let (chunk_base, stripe_base) = (st.chunks.len(), st.stripes.len());
+        let file = FileEntry {
+            pl: progress.pl,
+            chunk_indices: progress.data_rows.iter().map(|i| i + chunk_base).collect(),
+            stripe_ids: (stripe_base..stripe_base + progress.stripes.len()).collect(),
+            total_len: len,
+        };
+        st.client_mut(client)?
+            .files
+            .insert(filename.to_string(), file);
+        self.touch_file(ctx, client, filename);
         for mut e in progress.chunks.drain(..) {
             if let Some(at) = &mut e.stripe {
                 at.stripe_id += stripe_base;
             }
-            self.touch_chunk(ctx, shard, st.chunks.len());
+            self.touch_chunk(ctx, st.chunks.len());
             st.chunks.push(e);
         }
         for mut s in progress.stripes.drain(..) {
             for m in &mut s.members {
                 *m += chunk_base;
             }
-            self.touch_stripe(ctx, shard, st.stripes.len());
+            self.touch_stripe(ctx, st.stripes.len());
             st.stripes.push(s);
         }
-        let file = FileEntry {
-            pl: progress.pl,
-            chunk_indices: progress.data_rows.iter().map(|i| i + chunk_base).collect(),
-            stripe_ids: (stripe_base..st.stripes.len()).collect(),
-            total_len: len,
-        };
-        st.client_mut(client)?
-            .files
-            .insert(filename.to_string(), file);
-        self.touch_file(ctx, shard, client, filename);
         Ok(())
     }
 
@@ -1688,7 +1689,7 @@ impl CloudDataDistributor {
             let (stored, positions) =
                 mislead::inject(new_data, rate, self.config.seed ^ data_vid.0);
             (stores.stored, stores.pre_state) = (stored.into(), pre_state);
-            let doomed = self.apply_chunk_stores(&mut st, shard, chunk_idx, stores, ctx)?;
+            let doomed = self.apply_chunk_stores(&mut st, chunk_idx, stores, ctx)?;
             let e = &mut st.chunks[chunk_idx];
             // The snapshot holds the pre-state's *stored* form: its mislead
             // positions go with it, for a restore to strip.
@@ -1731,7 +1732,7 @@ impl CloudDataDistributor {
             let mut stores = self.chunk_stores(&st, chunk_idx, true, None);
             self.journal_alloc(ctx, &stores.vids());
             stores.stored = stored;
-            let doomed = self.apply_chunk_stores(&mut st, shard, chunk_idx, stores, ctx)?;
+            let doomed = self.apply_chunk_stores(&mut st, chunk_idx, stores, ctx)?;
             let e = &mut st.chunks[chunk_idx];
             e.mislead_positions = std::mem::take(&mut e.snapshot_mislead);
             e.logical_len = e.stored_len - e.mislead_positions.len();
@@ -1759,7 +1760,7 @@ impl CloudDataDistributor {
             access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
             let stores = self.chunk_stores(&st, chunk_idx, false, None);
             self.journal_alloc(ctx, &stores.vids());
-            let doomed = self.apply_chunk_stores(&mut st, shard, chunk_idx, stores, ctx)?;
+            let doomed = self.apply_chunk_stores(&mut st, chunk_idx, stores, ctx)?;
             st.chunks[chunk_idx].tombstone();
             self.commit_under(ctx, shard, &st);
             Ok(((), doomed))
@@ -1818,7 +1819,6 @@ impl CloudDataDistributor {
     fn apply_chunk_stores(
         &self,
         st: &mut Tables,
-        shard: usize,
         chunk_idx: usize,
         stores: ChunkStores,
         ctx: &OpCtx,
@@ -1845,10 +1845,10 @@ impl CloudDataDistributor {
                 let e = &mut st.chunks[m];
                 superseded.push((e.provider_idx, e.vid));
                 (e.vid, e.stored_len, e.logical_len) = (vid, plan.width, plan.width);
-                self.touch_chunk(ctx, shard, m);
+                self.touch_chunk(ctx, m);
             }
             st.stripes[plan.stripe_id].shard_width = plan.width;
-            self.touch_stripe(ctx, shard, plan.stripe_id);
+            self.touch_stripe(ctx, plan.stripe_id);
         }
         self.journal_doom(ctx, superseded.iter().map(|&(_, vid)| vid));
         let e = &mut st.chunks[chunk_idx];
@@ -1857,7 +1857,7 @@ impl CloudDataDistributor {
             e.stored_len = stores.stored.len();
         }
         (e.snapshot_provider_idx, e.snapshot_vid) = stores.snapshot.unzip();
-        self.touch_chunk(ctx, shard, chunk_idx);
+        self.touch_chunk(ctx, chunk_idx);
         Ok(doom(st, superseded))
     }
 
@@ -1954,11 +1954,10 @@ impl CloudDataDistributor {
             self.crash_point()?;
 
             for m in st.drop_file(client, filename)? {
-                self.touch_chunk(ctx, shard, m);
+                self.touch_chunk(ctx, m);
             }
-            self.touch_file(ctx, shard, client, filename);
-            // Last crash window: tables updated, commit record pending.
-            self.crash_point()?;
+            self.touch_file(ctx, client, filename);
+            self.commit_under(ctx, shard, &st);
             Ok(((), doomed))
         })
     }
@@ -1972,9 +1971,9 @@ impl CloudDataDistributor {
     /// refreshing the stripes' degraded markers. Operator-side: no client
     /// credentials involved, and no provider payloads are read.
     ///
-    /// Journaled when a journal is attached (a `repair` op targeting
-    /// `scrub`): the markers it flips are rows of the op's delta, like
-    /// those of the scrub inside a repair.
+    /// Journaled when a journal is attached, one `repair` op targeting
+    /// `scrub` per table shard: the markers it flips are rows of that op's
+    /// delta, like those of the scrub inside a repair.
     pub fn scrub(&self) -> ScrubReport {
         self.journaled_scrub(false)
     }
@@ -1991,92 +1990,120 @@ impl CloudDataDistributor {
     }
 
     /// A standalone scrub in the mutation bracket. It stores and dooms
-    /// nothing, so the only error the bracket can raise is a fired
-    /// [`CrashPlan`] at the op's close — the scrub itself has run by then,
-    /// and its report stands.
+    /// nothing, so the only error a shard's op can raise is a fired
+    /// [`CrashPlan`] at its close — the shards scrubbed by then have run,
+    /// and their report stands.
     fn journaled_scrub(&self, verify: bool) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        let _ = self.journaled(OpKind::Repair, "", "scrub", |ctx| {
-            report = self.scrub_impl(verify, ctx);
-            Ok(((), Doomed::new()))
-        });
-        report
-    }
-
-    /// `ctx` is the op the scrub runs inside: every degraded marker it
-    /// flips is a row of that op's delta.
-    fn scrub_impl(&self, verify: bool, ctx: &OpCtx) -> ScrubReport {
         let tel = self.telemetry();
         let _op = span!(tel, "scrub");
         let wall = clock::monotonic_now();
         let mut report = ScrubReport::default();
-        // Shard by shard, one write lock at a time: scrub is advisory, so
-        // it does not need a cross-shard atomic view. Reported stripe ids
-        // are globally offset-encoded (shard arenas concatenated in shard
-        // order) so they stay unique in operator output.
+        let _ = self.per_shard("scrub", |ctx, st, offset| {
+            self.scrub_shard(st, offset, verify, ctx, &mut report);
+            Ok(Doomed::new())
+        });
+        self.count_scrub(&tel, &report);
+        tel.observe_micros("scrub_wall_us", wall.elapsed());
+        report
+    }
+
+    /// Runs `pass` once per table shard, ascending, each run a bracketed
+    /// `repair` op (targeting `target`) under that shard's write guard,
+    /// which commits it: stripes never span shards, so every row a pass
+    /// touches lives in the shard it holds. `pass` gets the op, the
+    /// shard's tables and the offset that makes its stripe ids global
+    /// (shard arenas concatenated in shard order), and returns what it
+    /// doomed. Stops at the first error: only a fired crash plan.
+    fn per_shard(
+        &self,
+        target: &str,
+        mut pass: impl FnMut(&OpCtx, &mut Tables, usize) -> Result<Doomed>,
+    ) -> Result<()> {
         let mut offset = 0usize;
         for shard in 0..self.state.len() {
-            let mut st = self.shard_write(shard);
-            for sid in 0..st.stripes.len() {
-                let members = st.stripes[sid].members.clone();
-                let tolerable = st.stripes[sid].level.fault_tolerance();
-                let mut live = 0usize;
-                let mut missing = 0usize;
-                let mut corrupt = 0usize;
-                for &m in &members {
-                    let e = &st.chunks[m];
-                    if e.removed {
-                        continue;
-                    }
-                    live += 1;
-                    let p = &st.providers[e.provider_idx];
-                    if !(p.is_online() && p.contains(e.vid)) {
-                        missing += 1;
-                        continue;
-                    }
-                    if verify {
-                        // The boundary counts the corruption and feeds the
-                        // provider's breaker; scrub only classifies.
-                        match self
-                            .get_with_retry(&st, e.provider_idx, e.vid, Some(e.stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
-                            .0
-                        {
-                            Ok(_) => {}
-                            Err(CoreError::ShardCorrupt { .. }) => corrupt += 1,
-                            Err(_) => missing += 1,
-                        }
-                    }
-                }
-                // A corrupt shard is an erasure like a missing one: the
-                // degraded marker routes it into `repair`. A fully removed
-                // stripe has nothing left to protect.
-                let bad = missing + corrupt;
-                if st.stripes[sid].degraded != (bad > 0) {
-                    st.stripes[sid].degraded = bad > 0;
-                    self.touch_stripe(ctx, shard, sid);
-                }
-                if live == 0 {
+            self.journaled(OpKind::Repair, "", target, |ctx| {
+                let mut st = self.shard_write(shard);
+                let doomed = pass(ctx, &mut st, offset)?;
+                offset += st.stripes.len();
+                self.commit_under(ctx, shard, &st);
+                Ok(((), doomed))
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Scrubs one shard's stripes into `report` (ids offset by `offset`).
+    /// `ctx` is the op the scrub runs inside: every degraded marker it
+    /// flips is a row of that op's delta.
+    fn scrub_shard(
+        &self,
+        st: &mut Tables,
+        offset: usize,
+        verify: bool,
+        ctx: &OpCtx,
+        report: &mut ScrubReport,
+    ) {
+        let tel = self.telemetry();
+        for sid in 0..st.stripes.len() {
+            let members = st.stripes[sid].members.clone();
+            let tolerable = st.stripes[sid].level.fault_tolerance();
+            let mut live = 0usize;
+            let mut missing = 0usize;
+            let mut corrupt = 0usize;
+            for &m in &members {
+                let e = &st.chunks[m];
+                if e.removed {
                     continue;
                 }
-                report.stripes_checked += 1;
-                report.missing_shards += missing;
-                report.corrupt_shards += corrupt;
-                if bad == 0 {
+                live += 1;
+                let p = &st.providers[e.provider_idx];
+                if !(p.is_online() && p.contains(e.vid)) {
+                    missing += 1;
                     continue;
                 }
-                if bad <= tolerable {
-                    report.degraded.push(offset + sid);
-                } else {
-                    report.unreadable.push(offset + sid);
+                if verify {
+                    // The boundary counts the corruption and feeds the
+                    // provider's breaker; scrub only classifies.
+                    match self
+                        .get_with_retry(st, e.provider_idx, e.vid, Some(e.stored_len), &tel)
+                        .0
+                    {
+                        Ok(_) => {}
+                        Err(CoreError::ShardCorrupt { .. }) => corrupt += 1,
+                        Err(_) => missing += 1,
+                    }
                 }
             }
-            offset += st.stripes.len();
+            // A corrupt shard is an erasure like a missing one: the
+            // degraded marker routes it into `repair`. A fully removed
+            // stripe has nothing left to protect.
+            let bad = missing + corrupt;
+            if st.stripes[sid].degraded != (bad > 0) {
+                st.stripes[sid].degraded = bad > 0;
+                self.touch_stripe(ctx, sid);
+            }
+            if live == 0 {
+                continue;
+            }
+            report.stripes_checked += 1;
+            report.missing_shards += missing;
+            report.corrupt_shards += corrupt;
+            if bad == 0 {
+                continue;
+            }
+            if bad <= tolerable {
+                report.degraded.push(offset + sid);
+            } else {
+                report.unreadable.push(offset + sid);
+            }
         }
+    }
+
+    /// The counters of one scrub pass, standalone or inside a repair.
+    fn count_scrub(&self, tel: &TelemetryHandle, report: &ScrubReport) {
         tel.incr("scrubs_total");
         tel.add("scrub_missing_shards", report.missing_shards as u64);
         tel.add("scrub_corrupt_shards", report.corrupt_shards as u64);
-        tel.observe_micros("scrub_wall_us", wall.elapsed());
-        report
     }
 
     /// Repairs every stripe a fresh [`scrub`](Self::scrub) finds unhealthy:
@@ -2087,8 +2114,9 @@ impl CloudDataDistributor {
     /// with the lost ones. Stripes beyond their fault tolerance are
     /// reported in [`RepairReport::failed`], never returned as errors.
     ///
-    /// Journaled when a journal is attached. The only error is a fired
-    /// [`CrashPlan`], surfaced as [`CoreError::SimulatedCrash`].
+    /// Journaled when a journal is attached, one op per table shard. The
+    /// only error is a fired [`CrashPlan`], surfaced as
+    /// [`CoreError::SimulatedCrash`].
     pub fn try_repair(&self) -> Result<RepairReport> {
         self.repair(false)
     }
@@ -2102,54 +2130,51 @@ impl CloudDataDistributor {
         self.repair(true)
     }
 
+    /// Shard by shard, each in its own op: scrub the shard, then heal the
+    /// stripes whose markers the scrub set.
     fn repair(&self, verify: bool) -> Result<RepairReport> {
         let tel = self.telemetry();
         let _op = span!(tel, "repair");
         let wall = clock::monotonic_now();
-        self.journaled(OpKind::Repair, "", "stripes", |ctx| {
-            // Refresh every stripe's degraded marker (and the scrub
-            // counters); the deep form also flags shards whose frames fail
-            // verification.
-            let _ = self.scrub_impl(verify, ctx);
-            let mut report = RepairReport::default();
+        let mut report = RepairReport::default();
+        let mut scrub = ScrubReport::default();
+        let mut per_provider_time = vec![Duration::ZERO; self.shard_read(0).providers.len()];
+        self.per_shard("stripes", |ctx, st, offset| {
+            // Refresh the shard's degraded markers; the deep form also
+            // flags shards whose frames fail verification.
+            self.scrub_shard(st, offset, verify, ctx, &mut scrub);
             let mut pass = RepairPass {
                 ctx,
                 tel: &tel,
                 doomed: Doomed::new(),
-                per_provider_time: vec![Duration::ZERO; self.shard_read(0).providers.len()],
+                per_provider_time: &mut per_provider_time,
             };
-            // Then heal shard by shard, scanning each shard's own stripe
-            // arena for the markers scrub just set (report ids
-            // offset-encoded to match `scrub`).
-            let mut offset = 0usize;
-            for shard in 0..self.state.len() {
-                let mut st = self.shard_write(shard);
-                for sid in 0..st.stripes.len() {
-                    if !st.stripes[sid].degraded {
-                        continue;
-                    }
-                    match self.repair_stripe(&mut st, shard, sid, &mut pass) {
-                        Ok(n) => {
-                            report.stripes_repaired += 1;
-                            report.shards_rebuilt += n;
-                            st.stripes[sid].degraded = false;
-                            self.touch_stripe(ctx, shard, sid);
-                        }
-                        // The crash plan fired: the "process" is dead, stop here.
-                        Err(e @ CoreError::SimulatedCrash { .. }) => return Err(e),
-                        Err(_) => report.failed.push(offset + sid),
-                    }
+            for sid in 0..st.stripes.len() {
+                if !st.stripes[sid].degraded {
+                    continue;
                 }
-                offset += st.stripes.len();
+                match self.repair_stripe(st, sid, &mut pass) {
+                    Ok(n) => {
+                        report.stripes_repaired += 1;
+                        report.shards_rebuilt += n;
+                        st.stripes[sid].degraded = false;
+                        self.touch_stripe(ctx, sid);
+                    }
+                    // The crash plan fired: the "process" is dead, stop here.
+                    Err(e @ CoreError::SimulatedCrash { .. }) => return Err(e),
+                    Err(_) => report.failed.push(offset + sid),
+                }
             }
-            report.failed.sort_unstable();
-            report.sim_time = pass.per_provider_time.into_iter().max().unwrap_or_default();
-            tel.incr("repairs_total");
-            tel.add("shards_rebuilt", report.shards_rebuilt as u64);
-            tel.add("repair_failures", report.failed.len() as u64);
-            tel.observe_micros("repair_wall_us", wall.elapsed());
-            Ok((report, pass.doomed))
-        })
+            Ok(pass.doomed)
+        })?;
+        self.count_scrub(&tel, &scrub);
+        report.failed.sort_unstable();
+        report.sim_time = per_provider_time.into_iter().max().unwrap_or_default();
+        tel.incr("repairs_total");
+        tel.add("shards_rebuilt", report.shards_rebuilt as u64);
+        tel.add("repair_failures", report.failed.len() as u64);
+        tel.observe_micros("repair_wall_us", wall.elapsed());
+        Ok(report)
     }
 
     /// Rebuilds every lost shard of one stripe. Phase 1 reads survivors
@@ -2160,12 +2185,11 @@ impl CloudDataDistributor {
     fn repair_stripe(
         &self,
         st: &mut Tables,
-        shard: usize,
         sid: usize,
         pass: &mut RepairPass<'_>,
     ) -> Result<usize> {
         let (ctx, tel) = (pass.ctx, pass.tel);
-        let per_provider_time = &mut pass.per_provider_time;
+        let per_provider_time = &mut *pass.per_provider_time;
         let stripe = st.stripes[sid].clone();
 
         // Phase 1: gather surviving shards, spot the missing ones.
@@ -2245,7 +2269,7 @@ impl CloudDataDistributor {
             let e = &mut st.chunks[m];
             e.provider_idx = target;
             e.vid = new_vid;
-            self.touch_chunk(ctx, shard, m);
+            self.touch_chunk(ctx, m);
             if st.providers[orig].is_online() {
                 pass.doomed.push((Arc::clone(&st.providers[orig]), old_vid));
             }

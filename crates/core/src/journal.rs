@@ -138,7 +138,7 @@ pub enum OpKind {
     Remove,
     /// `repair`: stripe re-placement after provider loss — and a
     /// standalone `scrub` / `scrub_verify` (target `scrub`), whose only
-    /// rows are the degraded markers it flips.
+    /// rows are the degraded markers it flips. One op per table shard.
     Repair,
     /// A rebalance move (`migrate_chunk`).
     Migrate,

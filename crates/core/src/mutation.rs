@@ -13,13 +13,15 @@
 //!    ([`crate::objectio`]).
 //! 3. **Rows.** Each table row is marked dirty as it is written
 //!    (`touch_chunk` / `touch_stripe` / `touch_file` / `touch_client`).
-//! 4. **One commit.** The body returns — its shard guards dropped — with
-//!    its value and the objects it doomed; the bracket serializes the
-//!    dirty rows into one delta record and joins the group fsync. A verb
-//!    whose rows live in one shard and that re-plans what a later verb
-//!    reads — the chunk-level verbs — appends its commit record before
-//!    its guard drops instead (`commit_under`), so whatever reads its rows
-//!    next closes after it.
+//! 4. **One commit.** Still holding the write guard that published its
+//!    rows, the body appends its commit record (`commit_under`): its
+//!    dirty rows, serialized from that guard's tables, as one delta. Any
+//!    op that reads those rows takes the guard after it and so closes
+//!    after it, and a group flush makes a prefix of the close records
+//!    durable: no durable op can depend on one that is not. A body that
+//!    changed no row may return without it; the bracket then closes the
+//!    op with its `vids|` watermark alone. The record joins the group
+//!    fsync once the body has returned.
 //! 5. **Deletes.** Only now, with the commit durable, are the doomed
 //!    objects deleted: no provider `delete` runs under a shard guard, and
 //!    a verb that fails or crashes never finds a row naming an object
@@ -34,13 +36,15 @@
 //!    any number of compactions.
 //!
 //! Rollback has one rule. A verb stores only under fresh vids and
-//! publishes rows only once its stores have landed, so a body that fails
-//! has changed no row: its fresh vids are orphans, which the bracket
-//! collects (`recovery::collect_orphans`) — with or without a journal —
-//! before closing the op with an abort record (released at once: its
-//! rollback is behind it). A simulated crash passes through untouched and
-//! leaves the op dangling — or committed but unreleased — for
-//! [`crate::recovery`], which applies the same rule from the journal.
+//! publishes rows only once its stores have landed, with no fallible step
+//! after the first row it touches, so a body that fails has changed no
+//! row: its fresh vids are orphans, which the bracket collects
+//! (`recovery::collect_orphans`) — with or without a journal — before
+//! closing the op with an abort record that carries its watermark alone
+//! (released at once: its rollback is behind it). A simulated crash passes
+//! through untouched and leaves the op dangling — or committed but
+//! unreleased — for [`crate::recovery`], which applies the same rule from
+//! the journal.
 
 use crate::distributor::CloudDataDistributor;
 use crate::journal::{Journal, OpId, OpKind};
@@ -85,10 +89,10 @@ pub(crate) struct OpCtx {
 }
 
 /// An op's journal: the journal it lives in, its id, the table rows it
-/// has dirtied (the commit/abort record's delta is serialized from exactly
-/// these rows), and — once its body has called `commit_under` — its
-/// appended commit record's close sequence and whether a compaction is
-/// due. A journal-less op pays only an `Option` check.
+/// has dirtied (its commit record's delta is serialized from exactly these
+/// rows), and — once its body has called `commit_under` — its appended
+/// commit record's close sequence and whether a compaction is due. A
+/// journal-less op pays only an `Option` check.
 struct OpJournal {
     journal: Arc<Journal>,
     op: OpId,
@@ -96,62 +100,49 @@ struct OpJournal {
     prepared: Mutex<Option<(u64, bool)>>,
 }
 
-/// Rows an op touched, keyed by (shard, arena index) — ordered sets so the
-/// captured delta is deterministic and shard locks are taken ascending.
+/// Rows an op touched in the one shard it publishes to, by arena index or
+/// key — ordered sets, so the captured delta is deterministic.
 #[derive(Default)]
 struct DirtyRows {
-    chunks: BTreeSet<(usize, usize)>,
-    stripes: BTreeSet<(usize, usize)>,
-    /// File entries touched: (shard, client, filename). Capture emits a
-    /// `file` row when the entry exists and a `filedel` tombstone when it
-    /// does not (removed, or rolled back).
-    files: BTreeSet<(usize, String, String)>,
+    chunks: BTreeSet<usize>,
+    stripes: BTreeSet<usize>,
+    /// File entries touched: (client, filename). Capture emits a `file`
+    /// row when the entry exists and a `filedel` tombstone when it does
+    /// not (removed).
+    files: BTreeSet<(String, String)>,
     /// Client-directory entries touched, by name. The directory is
-    /// replicated: capture reads shard 0, replay writes every shard.
+    /// replicated: capture reads the shard it is handed, replay writes
+    /// every shard.
     clients: BTreeSet<String>,
 }
 
-/// One shard's tables as delta capture reads them: through a read guard
-/// it takes, or through the write guard its caller already holds.
-enum Shard<'a> {
-    Read(parking_lot::RwLockReadGuard<'a, Tables>),
-    Held(&'a Tables),
-}
-
-impl std::ops::Deref for Shard<'_> {
-    type Target = Tables;
-    fn deref(&self) -> &Tables {
-        match self {
-            Shard::Read(guard) => guard,
-            Shard::Held(st) => st,
-        }
+impl DirtyRows {
+    fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+            && self.stripes.is_empty()
+            && self.files.is_empty()
+            && self.clients.is_empty()
     }
 }
 
 impl CloudDataDistributor {
     /// Runs one mutating verb under the protocol in the module doc. On
-    /// success the op commits with a *delta record* (just the rows `body`
-    /// dirtied) and joins the journal's group-commit flush; the objects
-    /// `body` doomed are then deleted, the op is released, and a due
-    /// checkpoint compaction runs. A [`CoreError::SimulatedCrash`] passes
-    /// through untouched — the "process" is dead, so no abort record and
-    /// no rollback, leaving the op dangling for recovery. Any other error
-    /// rolls the op back — its fresh vids are collected — and, with a
-    /// journal, closes it with an abort record carrying the post-rollback
-    /// delta.
+    /// success the op's commit record — appended by the body under its
+    /// guard ([`commit_under`](Self::commit_under)), or here for a body
+    /// that changed no row — joins the journal's group-commit flush; the
+    /// objects `body` doomed are then deleted, the op is released, and a
+    /// due checkpoint compaction runs. A [`CoreError::SimulatedCrash`]
+    /// passes through untouched — the "process" is dead, so no abort record
+    /// and no rollback, leaving the op dangling for recovery. Any other
+    /// error rolls the op back — its fresh vids are collected — and, with a
+    /// journal, closes it with an abort record.
     ///
-    /// Three crash windows bracket the commit (numbered crash points, see
-    /// DESIGN.md §5d): before the commit record exists (op dangles and is
-    /// rolled back), after the record is appended but before the group
-    /// fsync (op is *not* durable — recovery discards the unflushed
-    /// close), and after the fsync but before the deletes and checkpoint
-    /// compaction (op is durable though never acked — recovery replays it
-    /// and collects its doom list). A body that appended its commit record
-    /// under its guard ([`commit_under`](Self::commit_under)) has no first
-    /// window: no other op can see its rows before the record exists.
-    ///
-    /// `body` must hold no shard guard when it returns: delta capture
-    /// takes its own locks.
+    /// Two crash windows follow the commit record (numbered crash points,
+    /// see DESIGN.md §5d): after it is appended but before the group fsync
+    /// (op is *not* durable — recovery discards the unflushed close), and
+    /// after the fsync but before the deletes and checkpoint compaction (op
+    /// is durable though never acked — recovery replays it and collects
+    /// its doom list).
     pub(crate) fn journaled<T>(
         &self,
         kind: OpKind,
@@ -166,16 +157,14 @@ impl CloudDataDistributor {
         match body(&ctx) {
             Ok((v, doomed)) => {
                 if let Some(j) = &ctx.journal {
-                    let prepared = j.prepared.lock().take();
-                    let (seq, checkpoint_due) = match prepared {
-                        Some(prepared) => prepared,
-                        None => {
-                            // Window: tables mutated, commit record not yet
-                            // written.
-                            self.crash_point()?;
-                            j.journal.commit_prepare(j.op, self.capture_delta(j, None))
-                        }
-                    };
+                    if j.prepared.lock().is_none() {
+                        // A body that changed no row — a migrate whose
+                        // chunk is already on its target — closes against no
+                        // table: its delta is its watermark alone.
+                        debug_assert!(j.dirty.lock().is_empty(), "rows left uncommitted");
+                        self.commit_under(&ctx, 0, &Tables::default());
+                    }
+                    let (seq, checkpoint_due) = j.prepared.lock().take().unwrap_or_default();
                     // Window: commit record appended but unflushed — the op
                     // must NOT survive a crash here (ack ⟺ flushed).
                     self.crash_point()?;
@@ -200,9 +189,10 @@ impl CloudDataDistributor {
             Err(e) => {
                 let (collected, _) = recovery::collect_orphans(self, &ctx.fresh.lock());
                 if let Some(j) = &ctx.journal {
+                    debug_assert!(j.dirty.lock().is_empty(), "a failed body touched a row");
                     let tel = self.telemetry();
                     tel.add("journal_rollback_objects", collected);
-                    j.journal.abort(j.op, self.capture_delta(j, None));
+                    j.journal.abort(j.op, self.watermark());
                     tel.incr("journal_aborts_total");
                 }
                 Err(e)
@@ -225,15 +215,17 @@ impl CloudDataDistributor {
     }
 
     /// Appends the open op's commit record while its body still holds the
-    /// write guard of `shard`, the one shard its rows live in (`st`): no
-    /// other op can read those rows before this op's close is in the
-    /// journal, so an op that reads them — re-planning the same stripe's
-    /// parity, say — closes after it, and a flush that makes that op
-    /// durable makes this one durable too. The body's last step, with no
-    /// crash window before it. Journal-less, a no-op.
+    /// write guard that published its rows: `st`, the tables of `shard`,
+    /// the one shard those rows live in (any shard, for a client-directory
+    /// row). No other op can read the rows before this op's close is in
+    /// the journal, so an op that reads them — re-planning the same
+    /// stripe's parity, putting a name this op removed — closes after it,
+    /// and a flush that makes that op durable makes this one durable too.
+    /// The body's last step, with no crash window before it. Journal-less,
+    /// a no-op.
     pub(crate) fn commit_under(&self, ctx: &OpCtx, shard: usize, st: &Tables) {
         if let Some(j) = &ctx.journal {
-            let delta = self.capture_delta(j, Some((shard, st)));
+            let delta = self.capture_delta(&j.dirty.lock(), shard, st);
             *j.prepared.lock() = Some(j.journal.commit_prepare(j.op, delta));
         }
     }
@@ -256,27 +248,25 @@ impl CloudDataDistributor {
     }
 
     /// Marks one chunk-arena row dirty for the open op's delta.
-    pub(crate) fn touch_chunk(&self, ctx: &OpCtx, shard: usize, idx: usize) {
+    pub(crate) fn touch_chunk(&self, ctx: &OpCtx, idx: usize) {
         if let Some(j) = &ctx.journal {
-            j.dirty.lock().chunks.insert((shard, idx));
+            j.dirty.lock().chunks.insert(idx);
         }
     }
 
     /// Marks one stripe-arena row dirty for the open op's delta.
-    pub(crate) fn touch_stripe(&self, ctx: &OpCtx, shard: usize, idx: usize) {
+    pub(crate) fn touch_stripe(&self, ctx: &OpCtx, idx: usize) {
         if let Some(j) = &ctx.journal {
-            j.dirty.lock().stripes.insert((shard, idx));
+            j.dirty.lock().stripes.insert(idx);
         }
     }
 
     /// Marks one file entry dirty for the open op's delta (present at
     /// capture time → `file` row; absent → `filedel` tombstone).
-    pub(crate) fn touch_file(&self, ctx: &OpCtx, shard: usize, client: &str, name: &str) {
+    pub(crate) fn touch_file(&self, ctx: &OpCtx, client: &str, name: &str) {
         if let Some(j) = &ctx.journal {
-            j.dirty
-                .lock()
-                .files
-                .insert((shard, client.to_string(), name.to_string()));
+            let key = (client.to_string(), name.to_string());
+            j.dirty.lock().files.insert(key);
         }
     }
 
@@ -288,81 +278,45 @@ impl CloudDataDistributor {
         }
     }
 
-    /// Serializes the open op's delta from the *current* state of its
-    /// dirty rows. Called at op close with all table locks released
-    /// (capture takes shard read locks, ascending) — or with `held`, the
-    /// one shard whose write guard the caller holds, which is read through
-    /// that guard instead. The same routine serves commits (post-op state)
-    /// and aborts (post-rollback state: tombstoned chunks serialize as
-    /// removed, a stripped file entry as `filedel`), because deltas
-    /// describe *state*, not intent.
-    fn capture_delta(&self, j: &OpJournal, held: Option<(usize, &Tables)>) -> String {
+    /// The `vids|` line every close record starts with: the allocator
+    /// watermark, read without any table lock. It is the whole delta of a
+    /// close that carries no row.
+    fn watermark(&self) -> String {
+        format!("vids|{}\n", self.vids_allocated())
+    }
+
+    /// Serializes the `dirty` rows of `shard` from `st`, the tables the
+    /// caller's write guard holds: the watermark, then each row's state as
+    /// it stands — deltas describe state, not intent, so a dropped file
+    /// entry serializes as `filedel`.
+    fn capture_delta(&self, dirty: &DirtyRows, shard: usize, st: &Tables) -> String {
         use std::fmt::Write as _;
-        let read = |shard: usize| match held {
-            Some((h, st)) if h == shard => Shard::Held(st),
-            _ => Shard::Read(self.shard_read(shard)),
-        };
-        let dirty = j.dirty.lock();
-        let mut out = format!("vids|{}\n", self.vids_allocated());
-        if !dirty.clients.is_empty() {
-            let st = read(0);
-            for (name, entry) in dirty
-                .clients
-                .iter()
-                .filter_map(|name| Some((name, st.clients.get(name)?)))
-            {
-                let _ = write!(out, "client|{}|", persist::esc(name));
-                persist::passwords_into(&mut out, &entry.passwords);
-                out.push('\n');
-            }
+        let mut out = self.watermark();
+        for (name, entry) in (dirty.clients.iter()).filter_map(|n| Some((n, st.clients.get(n)?))) {
+            let _ = write!(out, "client|{}|", persist::esc(name));
+            persist::passwords_into(&mut out, &entry.passwords);
+            out.push('\n');
         }
-        for shard in 0..self.shard_count() {
-            let has = dirty.chunks.range((shard, 0)..=(shard, usize::MAX)).count() > 0
-                || dirty
-                    .stripes
-                    .range((shard, 0)..=(shard, usize::MAX))
-                    .count()
-                    > 0
-                || dirty.files.iter().any(|(s, _, _)| *s == shard);
-            if !has {
-                continue;
-            }
-            let st = read(shard);
-            for &(_, idx) in dirty.chunks.range((shard, 0)..=(shard, usize::MAX)) {
-                let _ = write!(out, "chunk|{shard}|{idx}|");
-                persist::chunk_row_into(&mut out, &st.chunks[idx]);
-                out.push('\n');
-            }
-            for &(_, idx) in dirty.stripes.range((shard, 0)..=(shard, usize::MAX)) {
-                let _ = write!(out, "stripe|{shard}|{idx}|");
-                persist::stripe_row_into(&mut out, &st.stripes[idx]);
-                out.push('\n');
-            }
-            for (s, client, name) in dirty.files.iter().filter(|(s, _, _)| *s == shard) {
-                let _ = s;
-                let entry = st
-                    .clients
-                    .get(client)
-                    .and_then(|c| c.files.get(name.as_str()));
-                match entry {
-                    Some(fe) => {
-                        let _ = write!(
-                            out,
-                            "file|{shard}|{}|{}|",
-                            persist::esc(client),
-                            persist::esc(name)
-                        );
-                        persist::file_row_into(&mut out, fe);
-                        out.push('\n');
-                    }
-                    None => {
-                        let _ = writeln!(
-                            out,
-                            "filedel|{shard}|{}|{}",
-                            persist::esc(client),
-                            persist::esc(name)
-                        );
-                    }
+        for &idx in &dirty.chunks {
+            let _ = write!(out, "chunk|{shard}|{idx}|");
+            persist::chunk_row_into(&mut out, &st.chunks[idx]);
+            out.push('\n');
+        }
+        for &idx in &dirty.stripes {
+            let _ = write!(out, "stripe|{shard}|{idx}|");
+            persist::stripe_row_into(&mut out, &st.stripes[idx]);
+            out.push('\n');
+        }
+        for (client, name) in &dirty.files {
+            let (c, n) = (persist::esc(client), persist::esc(name));
+            match st.clients.get(client).and_then(|e| e.files.get(name)) {
+                Some(fe) => {
+                    let _ = write!(out, "file|{shard}|{c}|{n}|");
+                    persist::file_row_into(&mut out, fe);
+                    out.push('\n');
+                }
+                None => {
+                    let _ = writeln!(out, "filedel|{shard}|{c}|{n}");
                 }
             }
         }

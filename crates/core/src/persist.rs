@@ -357,69 +357,10 @@ fn file_line_into(out: &mut String, client: &str, name: &str, fe: &FileEntry) {
     file_row_into(out, fe);
 }
 
-/// Serializes the distributor's table state to the snapshot text format.
+/// Serializes the distributor's table state to the snapshot text format:
+/// the rendered `StateImage` of its tables, the one serializer.
 pub fn export_state(d: &CloudDataDistributor) -> String {
-    let shards = d.lock_all_read();
-    // One buffer for the whole text, sized from the row counts (a chunk row
-    // runs to ~64 bytes plus its misleading-byte positions).
-    let rows: usize = shards
-        .iter()
-        .map(|st| st.chunks.len() + st.stripes.len())
-        .sum();
-    let mut out = String::with_capacity(256 + rows * 96);
-    let _ = writeln!(out, "fragcloud-state|v{VERSION}");
-    let _ = writeln!(out, "vids|{}", d.vids_allocated());
-    let _ = writeln!(out, "shards|{}", shards.len());
-    // Providers are referenced by name so import can re-bind live handles.
-    // Every shard carries the same fleet; shard 0 speaks for all.
-    let fleet = &shards[0].providers;
-    let _ = writeln!(out, "providers|{}", fleet.len());
-    for p in fleet {
-        out.push_str("provider|");
-        esc_into(&mut out, p.name());
-        out.push('\n');
-    }
-    // Global client directory: names + passwords (replicated identically
-    // across shards; shard 0 speaks for all). Files follow per shard.
-    let mut names: Vec<&String> = shards[0].clients.keys().collect();
-    names.sort();
-    let _ = writeln!(out, "clients|{}", names.len());
-    for name in &names {
-        out.push_str("client|");
-        esc_into(&mut out, name);
-        out.push('\n');
-        password_lines_into(&mut out, &shards[0].clients[*name].passwords);
-    }
-    // Per-shard tables.
-    for (si, st) in shards.iter().enumerate() {
-        let _ = writeln!(out, "shard|{si}");
-        let _ = writeln!(out, "chunks|{}", st.chunks.len());
-        for c in &st.chunks {
-            out.push_str("chunk|");
-            chunk_row_into(&mut out, c);
-            out.push('\n');
-        }
-        let _ = writeln!(out, "stripes|{}", st.stripes.len());
-        for s in &st.stripes {
-            out.push_str("stripe|");
-            stripe_row_into(&mut out, s);
-            out.push('\n');
-        }
-        // Files by ⟨client, name⟩: the names are sorted already.
-        let count: usize = names.iter().map(|n| st.clients[*n].files.len()).sum();
-        let _ = writeln!(out, "files|{count}");
-        for cname in &names {
-            let mut files: Vec<(&String, &FileEntry)> = st.clients[*cname].files.iter().collect();
-            files.sort_by_key(|&(fname, _)| fname);
-            for (fname, fe) in files {
-                out.push_str("file|");
-                file_line_into(&mut out, cname, fname, fe);
-                out.push('\n');
-            }
-        }
-    }
-    out.push_str("end\n");
-    out
+    StateImage::of(d).render()
 }
 
 /// The most rows a delta may leave unclaimed below the one it writes (the
@@ -430,7 +371,7 @@ const MAX_ARENA_GAP: usize = 1 << 20;
 
 /// The snapshot text held row by row: the journal's checkpoint.
 ///
-/// Every row is kept as the text [`export_state`] writes for it, keyed the
+/// Every row is kept as its snapshot-line text, keyed the
 /// way a journal delta line names it — chunk and stripe rows by ⟨shard,
 /// arena index⟩, file rows by ⟨shard, client, name⟩, directory entries by
 /// client name — so folding a delta is [`fold_line`](Self::fold_line) per
@@ -496,8 +437,7 @@ fn file_key(s: &str) -> Option<(String, String)> {
 }
 
 impl StateImage {
-    /// The image of `d`'s tables as they stand: what [`export_state`] would
-    /// write, row by row.
+    /// The image of `d`'s tables as they stand, row by row.
     pub(crate) fn of(d: &CloudDataDistributor) -> StateImage {
         let shards = d.lock_all_read();
         let directory = &shards[0].clients;
@@ -636,8 +576,8 @@ impl StateImage {
         ok.then_some(())
     }
 
-    /// The `fragcloud-state|v2` text of this image — byte for byte what
-    /// [`export_state`] writes for the same state.
+    /// The `fragcloud-state|v2` text of this image, which is what
+    /// [`export_state`] writes.
     pub(crate) fn render(&self) -> String {
         if self.is_empty() {
             return String::new();

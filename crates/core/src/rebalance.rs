@@ -40,10 +40,10 @@ impl CloudDataDistributor {
     /// The moved object gets a **fresh virtual id** at the target, so the
     /// new provider cannot correlate it with the old copy (§IV-A identity
     /// concealment, matching `repair`). Ordering is copy → table switch →
-    /// commit → source delete, so a crash at any instant leaves at least
-    /// one live, table-referenced copy; with a journal attached, a
-    /// post-commit straggler at the source is doomed in the journal and
-    /// garbage-collected by recovery.
+    /// commit record (under the shard guard) → source delete, so a crash
+    /// at any instant leaves at least one live, table-referenced copy;
+    /// with a journal attached, a post-commit straggler at the source is
+    /// doomed in the journal and garbage-collected by recovery.
     pub fn migrate_chunk(
         &self,
         client: &str,
@@ -102,7 +102,8 @@ impl CloudDataDistributor {
             self.crash_point()?;
             st.chunks[chunk_idx].vid = new_vid;
             st.chunks[chunk_idx].provider_idx = target_provider;
-            self.touch_chunk(ctx, shard, chunk_idx);
+            self.touch_chunk(ctx, chunk_idx);
+            self.commit_under(ctx, shard, &st);
             Ok(((), doom(&st, [(source_provider, old_vid)])))
         })
     }

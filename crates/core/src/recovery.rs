@@ -20,22 +20,19 @@
 //!    once. Each row is validated before it is folded; one that is
 //!    malformed or out of range is refused and counted.
 //! 2. **Dangling resolution**, by one rule: every verb stores only under
-//!    vids it journaled (`alloc`) before the store, and deletes what it
-//!    supersedes (`doom`) only after its commit, so an op that never
-//!    committed changed no object a row names.
-//!    - a dangling op whose fresh vids are all table-referenced was
-//!      captured by a later close and is **replayed**;
-//!    - any other dangling op **rolls back**: its fresh vids are
-//!      garbage-collected from every provider still holding them (a put
-//!      also drops the rows a later close may have captured), so no orphan
-//!      objects survive. A `client` op stored nothing: it rolls back by
-//!      doing nothing. A dangling `update` / `restore` / `rmchunk` rolls
-//!      back alone: it appended its commit record before releasing its
-//!      shard lock, so an op that re-planned parity over its bytes closed
-//!      after it and is not durable either;
+//!    vids it journaled (`alloc`) before the store, deletes what it
+//!    supersedes (`doom`) only after its commit, and appends its commit
+//!    record under the write guard that published its rows. An op that
+//!    read those rows closed after it, and a group flush makes a prefix of
+//!    the close records durable, so no durable op depends on a dangling
+//!    one and no durable delta carries a dangling op's rows:
 //!    - a dangling `remove` stores nothing — its doom list is its whole
 //!      effect — and **rolls forward**: the file's rows are dropped, then
 //!      the doom list is collected;
+//!    - every other dangling op **rolls back**: its fresh vids are
+//!      garbage-collected from every provider still holding them, so no
+//!      orphan objects survive. A `client` op stored nothing: it rolls
+//!      back by doing nothing;
 //!    - committed ops are verified present (their files must still be
 //!      readable within RAID fault tolerance) and their doomed
 //!      stragglers — whatever a migration, an update, a restore, a chunk
@@ -72,8 +69,8 @@ use std::sync::Arc;
 pub struct RecoveryReport {
     /// Ops found in the journal (any status).
     pub ops_seen: usize,
-    /// Committed ops verified (plus dangling ops whose effects turned out
-    /// fully captured by a later checkpoint).
+    /// Committed ops verified. A dangling op is never replayed: no durable
+    /// close can carry its rows.
     pub replayed: usize,
     /// Dangling ops rolled back: every kind but `remove`.
     pub rolled_back: usize,
@@ -182,27 +179,18 @@ pub fn recover_with(
             OpStatus::Dangling if op.kind == OpKind::Remove => {
                 // Table removal first: until the entries are tombstoned,
                 // the doomed vids look referenced and the GC would
-                // (correctly) refuse to collect them. A no-op when a later
-                // close captured the removal.
+                // (correctly) refuse to collect them. The name is still the
+                // removed file's: the removal held its shard guard until it
+                // appended its commit record, so any later close on the
+                // shard came after that record and is no more durable.
                 let shard = d.shard_for(&op.client, &op.target);
                 let _ = d.shard_write(shard).drop_file(&op.client, &op.target);
                 gc_vids(&d, &op.doomed, &mut report, tel);
                 Resolution::RolledForward
             }
             OpStatus::Dangling => {
-                let referenced = d.referenced_vids();
-                if !op.fresh.is_empty() && op.fresh.iter().all(|v| referenced.contains(v)) {
-                    // Every upload is table-referenced: a concurrent later
-                    // commit's delta captured this op's effects, so it is
-                    // effectively committed.
-                    Resolution::Replayed
-                } else {
-                    if op.kind == OpKind::Put {
-                        strip_put(&d, &op);
-                    }
-                    gc_vids(&d, &op.fresh, &mut report, tel);
-                    Resolution::RolledBack
-                }
+                gc_vids(&d, &op.fresh, &mut report, tel);
+                Resolution::RolledBack
             }
         };
         match resolution {
@@ -228,13 +216,12 @@ pub fn recover_with(
     // from those tables, and journaling resumes on the recovered
     // distributor.
     for (op, resolution) in &resolutions {
-        if op.status == OpStatus::Dangling {
-            match resolution {
-                Resolution::RolledForward | Resolution::Replayed => {
-                    journal.commit(op.id, String::new());
-                }
-                _ => journal.abort(op.id, String::new()),
+        match resolution {
+            Resolution::RolledForward => {
+                journal.commit(op.id, String::new());
             }
+            Resolution::RolledBack => journal.abort(op.id, String::new()),
+            Resolution::Replayed | Resolution::Aborted => {}
         }
     }
     journal.drop_closed();
@@ -289,43 +276,6 @@ fn gc_vids(
     report.unrecoverable += failed as usize;
     if collected > 0 {
         tel.add("recovery_orphans_collected", collected);
-    }
-}
-
-/// The undo of a dangling put's table half: tombstones the chunk entries
-/// stored under the op's fresh ids and drops its file entry. Rows are
-/// left in the replayed state only when a concurrent op's close delta
-/// captured them between the put's commit phase and its commit record (a
-/// live put that fails has published no row). A put's rows land wholly
-/// in its file's shard, so one shard lock suffices.
-fn strip_put(d: &CloudDataDistributor, op: &OpView) {
-    let fresh: HashSet<VirtualId> = op.fresh.iter().copied().collect();
-    let shard = d.shard_for(&op.client, &op.target);
-    let mut st = d.shard_write(shard);
-    for e in st.chunks.iter_mut() {
-        if fresh.contains(&e.vid) && !e.removed {
-            e.tombstone();
-        }
-    }
-    // Drop the file entry only when it belongs to THIS put (its stripes
-    // reference the op's fresh vids): the name may instead map to an
-    // earlier committed file that a duplicate upload tripped over.
-    let owned = st
-        .client(&op.client)
-        .ok()
-        .and_then(|c| c.files.get(&op.target))
-        .is_some_and(|f| {
-            f.stripe_ids.iter().any(|&sid| {
-                st.stripes[sid]
-                    .members
-                    .iter()
-                    .any(|&m| fresh.contains(&st.chunks[m].vid))
-            })
-        });
-    if owned {
-        if let Ok(entry) = st.client_mut(&op.client) {
-            entry.files.remove(&op.target);
-        }
     }
 }
 

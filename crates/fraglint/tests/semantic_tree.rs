@@ -111,7 +111,8 @@ fn storing_the_snapshot_before_its_alloc_is_caught() {
         "            let mut stores = self.chunk_stores(&st, chunk_idx, true, Some(snapshot));\n";
     let alloc = "            self.journal_alloc(ctx, &stores.vids());\n";
     let fill = "            (stores.stored, stores.pre_state) = (stored.into(), pre_state);\n";
-    let store = "            let doomed = self.apply_chunk_stores(&mut st, shard, chunk_idx, stores, ctx)?;\n";
+    let store =
+        "            let doomed = self.apply_chunk_stores(&mut st, chunk_idx, stores, ctx)?;\n";
     let (planned, filled) = (format!("{plan}{alloc}"), format!("{fill}{store}"));
     for site in [&planned, &filled] {
         let once = original.matches(site.as_str()).count() == 1;

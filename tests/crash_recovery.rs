@@ -329,8 +329,7 @@ fn run_workload(w: &World, l: &mut Ledger) -> Result<(), CoreError> {
 
 /// Expected report totals, derived from the journal's op statuses *before*
 /// recovery runs: committed ops replay; dangling removes roll forward;
-/// every other dangling op rolls back (serial workloads never leave a
-/// dangling op's uploads checkpoint-referenced); aborted ops just count.
+/// every other dangling op rolls back; aborted ops just count.
 fn expected_report(journal: &Journal) -> RecoveryReport {
     let ops = journal.ops();
     let mut want = RecoveryReport {
@@ -553,7 +552,7 @@ fn recover_and_check(w: &World, l: &Ledger, tag: &str) {
     }
 
     // The journal is settled (recovery closed every dangling op and
-    // compacted; the repair above may have journaled one op) and the
+    // compacted; the repair above journaled one op per table shard) and the
     // distributor takes new, journaled traffic — first of all another
     // update of the chunk the crash interrupted.
     let s = d.session("c", "pw").unwrap();
@@ -705,58 +704,169 @@ fn a_dangling_update_rolls_back_with_a_provider_offline() {
     assert_no_overwrites(&w.fleet, "rolled back");
 }
 
-/// Commit order follows lock order. An update of chunk 0 re-plans its
-/// stripe's parity over whatever chunk 1's row names, so it must never be
-/// durable while an earlier verb on chunk 1 — whose new bytes that parity
-/// encodes — is not: rolled back alone, that verb would leave parity
-/// encoding bytes no row names, and a degraded read would decode wrong
-/// data. For every crash point of an update, a restore and a removal of
-/// chunk 1, the peer's update then runs on and commits (a concurrent verb
-/// that took the shard lock once the crashed one released it); after
-/// recovery every chunk reads its expected bytes with each provider
-/// offline in turn.
+/// A verb of the commit-order table below, on the file "doc".
+#[derive(Debug, Clone, Copy)]
+enum DocVerb {
+    /// `put_file` of `body(4 * CHUNK, salt)`.
+    Put(u64),
+    Remove,
+    /// A chunk-level verb on ⟨doc, serial⟩; an update writes
+    /// `body(len, salt)`.
+    Chunk(ChunkVerb, usize, usize, u64),
+}
+
+impl DocVerb {
+    fn run(self, w: &World, l: &mut Ledger) -> Result<(), CoreError> {
+        match self {
+            DocVerb::Put(salt) => {
+                let data = body(4 * CHUNK, salt);
+                l.put(w, "doc", &data, PrivacyLevel::High, PutOptions::new())
+            }
+            DocVerb::Remove => l.remove(w, "doc"),
+            DocVerb::Chunk(verb, serial, len, salt) => {
+                l.chunk_op(w, verb, "doc", serial, &body(len, salt))
+            }
+        }
+    }
+
+    /// Runs a put or an update as the follow-up to a crashed verb,
+    /// straight through the session. Returns whether it was acked: a
+    /// follow-up refused with `FileExists` or `UnknownFile` changed nothing.
+    fn follow(self, w: &World) -> bool {
+        let s = w.d.session("c", "pw").unwrap();
+        let res = match self {
+            DocVerb::Put(salt) => {
+                let data = body(4 * CHUNK, salt);
+                s.put_file("doc", &data, PrivacyLevel::High, PutOptions::new())
+                    .map(drop)
+            }
+            DocVerb::Chunk(ChunkVerb::Update, serial, len, salt) => {
+                s.update_chunk("doc", serial as u32, &body(len, salt))
+            }
+            other => unreachable!("no follow-up {other:?}"),
+        };
+        match res {
+            Ok(()) => true,
+            Err(CoreError::FileExists(_) | CoreError::UnknownFile { .. }) => false,
+            Err(e) => panic!("{self:?}: the follow-up failed: {e}"),
+        }
+    }
+
+    /// What the follow-up, acked, leaves in `expect`.
+    fn acked(self, expect: &mut BTreeMap<String, Chunks>, tag: &str) {
+        match self {
+            DocVerb::Put(salt) => {
+                expect.insert("doc".into(), chunks_of(&body(4 * CHUNK, salt)));
+            }
+            DocVerb::Chunk(ChunkVerb::Update, serial, len, salt) => {
+                let doc = expect
+                    .get_mut("doc")
+                    .unwrap_or_else(|| panic!("{tag}: an acked update's file is rolled back"));
+                doc[serial] = Some(body(len, salt));
+            }
+            other => unreachable!("no follow-up {other:?}"),
+        }
+    }
+}
+
+/// Commit order follows lock order: every verb appends its commit record
+/// under the write guard that publishes its rows, so a verb that reads
+/// those rows next — taking the guard once the crashed verb let go —
+/// closes after it and can never be durable while it is not. Each case
+/// crashes a verb at every one of its crash points, then runs a
+/// follow-up on the same rows:
+///
+/// - an update, a restore and a removal of chunk 1, then an update of
+///   chunk 0, which re-plans their stripe's parity over chunk 1's bytes:
+///   were the crashed verb rolled back alone, that parity would encode
+///   bytes no row names and a degraded read would decode wrong data;
+/// - a put of "doc", then an update of its chunk 0: recovery must not
+///   roll back the file an acked update changed;
+/// - a removal of "doc", then a put of "doc" with new bytes: recovery
+///   must not roll the removal forward over the new file.
+///
+/// After recovery every acked follow-up reads back byte-identical with
+/// each provider offline in turn, and no orphan is left. A refused
+/// follow-up was never acked: what "doc" holds is then the crashed verb's
+/// resolution alone.
 #[test]
 fn a_peer_update_never_outlives_a_crashed_verb_on_its_stripe() {
     use ChunkVerb::*;
-    let data = body(4 * CHUNK, 6);
+    use DocVerb::*;
+    let update_peer = Chunk(Update, 0, CHUNK, 9);
     // An acked update first, so the restore has a snapshot to consume.
-    let setup = |w: &World, l: &mut Ledger| {
-        l.put(w, "doc", &data, PrivacyLevel::High, PutOptions::new())
-            .unwrap();
-        l.chunk_op(w, Update, "doc", 1, &body(CHUNK, 7)).unwrap();
-    };
-    for verb in [Update, Restore, RemoveChunk] {
+    let written: &[DocVerb] = &[Put(6), Chunk(Update, 1, CHUNK, 7)];
+    let cases: [(&[DocVerb], DocVerb, DocVerb); 5] = [
+        (written, Chunk(Update, 1, 300, 8), update_peer),
+        (written, Chunk(Restore, 1, 0, 0), update_peer),
+        (written, Chunk(RemoveChunk, 1, 0, 0), update_peer),
+        (&[], Put(6), update_peer),
+        (written, Remove, Put(10)),
+    ];
+    for (setup, crashed, follow) in cases {
+        let setup = |w: &World, l: &mut Ledger| {
+            for verb in setup {
+                verb.run(w, l).unwrap();
+            }
+        };
         let counter = Arc::new(CrashPlan::count_only());
         let (dry, mut l) = (world(Arc::clone(&counter)), Ledger::default());
         setup(&dry, &mut l);
         let before = counter.points_seen();
-        l.chunk_op(&dry, verb, "doc", 1, &body(300, 8)).unwrap();
+        crashed.run(&dry, &mut l).unwrap();
         let points = counter.points_seen() - before;
-        assert!(points >= 4, "{verb:?}: crash surface too small: {points}");
+        assert!(
+            points >= 3,
+            "{crashed:?}: crash surface too small: {points}"
+        );
 
         for k in 1..=points {
-            let tag = &format!("{verb:?}, point {k}");
+            let tag = &format!("{crashed:?} then {follow:?}, point {k}");
             let w = world(Arc::new(CrashPlan::at_point(before + k)));
             let mut l = Ledger::default();
             setup(&w, &mut l);
-            let crashed = l.chunk_op(&w, verb, "doc", 1, &body(300, 8));
+            let res = crashed.run(&w, &mut l);
             assert!(
-                matches!(crashed, Err(CoreError::SimulatedCrash { .. })),
-                "{tag}: {crashed:?}"
+                matches!(res, Err(CoreError::SimulatedCrash { .. })),
+                "{tag}: {res:?}"
             );
-            let (_, _, post) = l.in_flight.clone().expect("the crashed verb");
-            l.chunk_op(&w, Update, "doc", 0, &body(CHUNK, 9))
-                .unwrap_or_else(|e| panic!("{tag}: the peer's update failed: {e}"));
+            let crashed_id = w.journal.ops().last().expect("the crashed op").id;
+            let followed = follow.follow(&w);
 
+            // The crashed verb's resolution, by the journal's last word on
+            // it now that the follow-up has run: the ledger already rolls
+            // a crashed removal forward and leaves a crashed put out; a
+            // committed put lands its attempted bytes, a committed
+            // chunk-level verb its post-op bytes.
             let mut expect = l.acked.clone();
             let ops = w.journal.ops();
-            let crashed_op = ops.iter().rev().find(|op| op.target == "doc#1").unwrap();
-            if crashed_op.status == OpStatus::Committed {
-                expect.get_mut("doc").unwrap()[1] = post;
+            let op = ops.iter().find(|op| op.id == crashed_id).unwrap();
+            if op.status == OpStatus::Committed {
+                match crashed {
+                    Put(_) => {
+                        expect.insert("doc".into(), l.attempted["doc"].clone());
+                    }
+                    Chunk(..) => {
+                        let (_, serial, post) = l.in_flight.clone().expect("the crashed verb");
+                        expect.get_mut("doc").unwrap()[serial] = post;
+                    }
+                    Remove => {}
+                }
             }
+            if followed {
+                follow.acked(&mut expect, tag);
+            }
+
             let (d, report) = recover(Arc::clone(&w.journal), w.fleet.clone(), w.cfg)
                 .unwrap_or_else(|e| panic!("{tag}: recovery failed: {e}"));
             assert_eq!(report.unrecoverable, 0, "{tag}: {report:?}");
+            if !expect.contains_key("doc") {
+                let gone = d.session("c", "pw").unwrap().get_file("doc");
+                assert!(
+                    matches!(gone, Err(CoreError::UnknownFile { .. })),
+                    "{tag}: doc is back"
+                );
+            }
             assert_chunks(&d, &expect, tag);
             for p in &w.fleet {
                 p.set_online(false);
@@ -797,7 +907,7 @@ fn remove_file_deletes_nothing_before_its_commit_is_durable() {
     l.remove(&dry, "doc").unwrap();
     let points = counter.points_seen() - before;
     assert!(held(&dry).is_empty(), "an acked removal leaves nothing");
-    assert!(points >= 5, "crash surface too small: {points}");
+    assert!(points >= 3, "crash surface too small: {points}");
 
     for k in 1..=points {
         let w = world(Arc::new(CrashPlan::at_point(before + k)));
@@ -965,8 +1075,8 @@ fn group_commit_window_crash_semantics() {
     assert!(points >= 3, "crash surface too small: {points}");
 
     // The put's last three crash points bracket the group-commit window:
-    //   points−2 — before the commit record is appended: dangling, rolls
-    //              back (the file never existed);
+    //   points−2 — before its last store, so before the commit record is
+    //              appended: dangling, rolls back (the file never existed);
     //   points−1 — appended but before the group fsync: the close record
     //              is discarded at recovery, rolls back (ack ⟺ flushed);
     //   points   — after the group fsync, before the ack: the commit is
@@ -1112,8 +1222,9 @@ proptest! {
     /// Compaction is a fold of deltas, never a re-export — so what it
     /// leaves must be what a re-export would have written. With a
     /// compaction after every commit (`checkpoint_interval(1)`), whenever
-    /// the journal holds no record the checkpoint equals
-    /// `persist::export_state` byte for byte, no line excepted, over all
+    /// the journal holds no record the checkpoint equals a fresh image of
+    /// the tables (`persist::export_state`) byte for byte, no line
+    /// excepted, over all
     /// eight op kinds. A verb that aborts does not compact: its (released)
     /// abort delta waits, the only record left, for the next commit's
     /// fold — and is then part of the comparison like any other.
