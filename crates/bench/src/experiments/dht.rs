@@ -2,14 +2,20 @@
 //!
 //! Measures what the paper's architectural discussion predicts: routed
 //! lookups cost O(log n) hops, node churn remaps only ~1/n of the keys,
-//! and the client pays a bounded table-memory cost.
+//! and the client pays a bounded table-memory cost. The client-side
+//! distributor is a [`CloudDataDistributor`] the client runs for itself
+//! with [`PlacementStrategy::Chord`].
 
 use super::uniform_fleet;
 use crate::{fnum, render_table};
-use fragcloud_core::client_side::ClientSideDistributor;
-use fragcloud_core::config::ChunkSizeSchedule;
+use fragcloud_core::config::{ChunkSizeSchedule, PlacementStrategy};
+use fragcloud_core::tables::{ChunkEntry, FileEntry};
+use fragcloud_core::{
+    CloudDataDistributor, DistributorConfig, Geometry, GeometrySchedule, PutOptions,
+};
 use fragcloud_dht::ChordRing;
 use fragcloud_sim::PrivacyLevel;
+use std::mem::size_of;
 
 /// One ring-size measurement.
 #[derive(Debug, Clone)]
@@ -82,19 +88,30 @@ pub fn run() -> (Vec<DhtPoint>, String) {
         &rows,
     ));
 
-    // Client memory cost of the local tables.
-    let mut d = ClientSideDistributor::new(
+    // Client memory cost of the local tables: the client's own chunk rows
+    // plus the file row.
+    let d = CloudDataDistributor::try_new(
         uniform_fleet(16),
-        ChunkSizeSchedule::uniform(4 << 10),
-        0xD47,
-    );
+        DistributorConfig {
+            chunk_sizes: ChunkSizeSchedule::uniform(4 << 10),
+            geometry: Some(GeometrySchedule::uniform(Geometry::new(1, 0))),
+            placement: PlacementStrategy::Chord,
+            seed: 0xD47,
+            ..Default::default()
+        },
+    )
+    .expect("valid config");
+    d.register_client("me").expect("fresh distributor");
+    d.add_password("me", "pw", PrivacyLevel::Low)
+        .expect("client registered");
+    let s = d.session("me", "pw").expect("password registered");
     let body = vec![0xABu8; 1 << 20];
-    d.put_file("big.bin", &body, PrivacyLevel::Low)
+    s.put_file("big.bin", &body, PrivacyLevel::Low, PutOptions::new())
         .expect("upload");
+    let entries = s.file_chunk_count("big.bin").expect("uploaded");
+    let bytes = entries * size_of::<ChunkEntry>() + size_of::<FileEntry>() + "big.bin".len();
     report.push_str(&format!(
-        "\nclient-side table cost for one 1 MiB file at 4 KiB chunks: {} entries, ~{} bytes\n",
-        d.table_entries(),
-        d.table_bytes_estimate()
+        "\nclient-side table cost for one 1 MiB file at 4 KiB chunks: {entries} entries, ~{bytes} bytes\n"
     ));
     report.push_str(
         "\nconclusion: hops grow logarithmically with ring size and churn remaps\n\

@@ -20,6 +20,11 @@ pub enum PlacementStrategy {
     /// Everything to the single cheapest eligible provider — the paper's
     /// *baseline under attack* (single-provider cloud).
     SingleProvider,
+    /// §IV-C's client-side mapping: a Chord ring of the eligible
+    /// providers maps ⟨filename, chunk serial⟩ to a provider, so a client
+    /// can recompute where its chunks live with no central table. Draws
+    /// nothing from the placement rng.
+    Chord,
 }
 
 /// PL→chunk-size schedule: "the chunk size is fixed for a particular

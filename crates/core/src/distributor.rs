@@ -282,6 +282,7 @@ struct EncodedGroup {
 /// stripe by stripe. No table is reachable from here — stores go through
 /// `fleet`, and rows are owned until the commit publishes them.
 struct PutProgress<'a> {
+    filename: &'a str,
     pl: PrivacyLevel,
     raid: RaidLevel,
     k_max: usize,
@@ -733,6 +734,7 @@ impl CloudDataDistributor {
 
         let chunk_count = chunker::chunk_count(len, pl, &self.config.chunk_sizes);
         let mut progress = PutProgress {
+            filename,
             pl,
             raid: geo.level(),
             k_max: geo.data.max(1),
@@ -1093,6 +1095,7 @@ impl CloudDataDistributor {
             .into_iter()
             .filter(|&i| self.health.should_shed(i, progress.tel))
             .collect();
+        let first_serial = (stripe_no * progress.k_max) as u32;
         let placement = {
             let mut rng = self.rng.lock();
             policy::place_stripe_avoiding(
@@ -1102,6 +1105,7 @@ impl CloudDataDistributor {
                 self.config.placement,
                 &mut rng,
                 &quarantined,
+                (progress.filename, first_serial),
             )?
         };
 
@@ -1259,20 +1263,7 @@ impl CloudDataDistributor {
         let landed = if !shed_preferred && lands_on(preferred) {
             Some(preferred)
         } else {
-            // Alternatives: eligible, not already hosting this stripe;
-            // healthiest first, then cheapest.
-            let mut alts: Vec<usize> = policy::eligible_providers(fleet, pl)
-                .into_iter()
-                .filter(|i| !slots.hosting.contains(i))
-                .collect();
-            alts.sort_by(|&a, &b| {
-                let cost = |i: usize| fleet[i].profile().cost_level;
-                self.health
-                    .penalty(a)
-                    .total_cmp(&self.health.penalty(b))
-                    .then(cost(a).cmp(&cost(b)))
-                    .then(a.cmp(&b))
-            });
+            let alts = policy::rehoming_candidates(fleet, pl, &slots.hosting, &self.health);
             match alts.into_iter().find(|&alt| lands_on(alt)) {
                 None if shed_preferred && lands_on(preferred) => Some(preferred),
                 landed => landed,
@@ -2240,16 +2231,9 @@ impl CloudDataDistributor {
             let target = if st.providers[orig].is_online() && !hosting.contains(&orig) {
                 Some(orig)
             } else {
-                policy::eligible_providers(&st.providers, pl)
-                    .into_iter()
-                    .filter(|i| !hosting.contains(i))
-                    .min_by(|&a, &b| {
-                        let cost = |i: usize| st.providers[i].profile().cost_level;
-                        cost(a)
-                            .cmp(&cost(b))
-                            .then(self.health.penalty(a).total_cmp(&self.health.penalty(b)))
-                            .then(a.cmp(&b))
-                    })
+                policy::rehoming_candidates(&st.providers, pl, &hosting, &self.health)
+                    .first()
+                    .copied()
             };
             let Some(target) = target else {
                 return Err(CoreError::NoEligibleProvider { pl });
@@ -2323,44 +2307,35 @@ impl CloudDataDistributor {
     }
 
     /// Chunk count per provider for one client (exposure accounting).
-    /// A client's files are spread across shards, so counts accumulate
-    /// over every shard's slice of the directory.
     pub fn client_chunks_per_provider(&self, client: &str) -> Result<Vec<usize>> {
-        let shards = self.lock_all_read();
-        let mut counts = vec![0usize; shards[0].providers.len()];
-        shards[0].client(client)?;
-        for st in &shards {
-            let entry = st.client(client)?;
-            for file in entry.files.values() {
-                for &ci in &file.chunk_indices {
-                    let e = &st.chunks[ci];
-                    if !e.removed {
-                        counts[e.provider_idx] += 1;
-                    }
-                }
-            }
-        }
-        Ok(counts)
+        self.client_sum_per_provider(client, |_| 1)
     }
 
-    /// Stored bytes per provider for one client, accumulated across every
-    /// table shard.
+    /// Stored bytes per provider for one client.
     pub fn client_bytes_per_provider(&self, client: &str) -> Result<Vec<u64>> {
+        self.client_sum_per_provider(client, |e| e.stored_len as u64)
+    }
+
+    /// Sums `weight` over the client's live chunks, per provider. A
+    /// client's files are spread across shards, so the sum runs over
+    /// every shard's slice of the directory.
+    fn client_sum_per_provider<T: Copy + Default + std::ops::AddAssign>(
+        &self,
+        client: &str,
+        weight: impl Fn(&ChunkEntry) -> T,
+    ) -> Result<Vec<T>> {
         let shards = self.lock_all_read();
-        let mut bytes = vec![0u64; shards[0].providers.len()];
-        shards[0].client(client)?;
+        let mut sums = vec![T::default(); shards[0].providers.len()];
         for st in &shards {
-            let entry = st.client(client)?;
-            for file in entry.files.values() {
-                for &ci in &file.chunk_indices {
-                    let e = &st.chunks[ci];
+            for file in st.client(client)?.files.values() {
+                for e in file.chunk_indices.iter().map(|&ci| &st.chunks[ci]) {
                     if !e.removed {
-                        bytes[e.provider_idx] += e.stored_len as u64;
+                        sums[e.provider_idx] += weight(e);
                     }
                 }
             }
         }
-        Ok(bytes)
+        Ok(sums)
     }
 
     /// Chunk count notified for a file (valid serials `0..n`).
@@ -2472,7 +2447,7 @@ impl CloudDataDistributor {
 // deprecated string-triple wrappers are gone.
 mod tests {
     use super::*;
-    use crate::config::{ChunkSizeSchedule, PlacementStrategy};
+    use crate::config::{ChunkSizeSchedule, GeometrySchedule, PlacementStrategy};
     use crate::session::Session;
     use fragcloud_sim::{CostLevel, ProviderProfile};
 
@@ -3907,5 +3882,146 @@ mod tests {
         for i in [0usize, 1, 3, 4, 5] {
             assert_eq!(s.get_file(&format!("f{i}")).unwrap().data, data(100 + i));
         }
+    }
+
+    /// §IV-C's client-side distributor: a client runs a distributor of
+    /// its own with Chord placement, one chunk per stripe, no parity.
+    fn chord_distributor(providers: &[(&str, PrivacyLevel)]) -> CloudDataDistributor {
+        let fleet = providers
+            .iter()
+            .map(|&(name, pl)| {
+                Arc::new(CloudProvider::new(ProviderProfile::new(
+                    name,
+                    pl,
+                    CostLevel::new(1),
+                )))
+            })
+            .collect();
+        let d = CloudDataDistributor::new(
+            fleet,
+            DistributorConfig {
+                chunk_sizes: ChunkSizeSchedule::uniform(32),
+                geometry: Some(GeometrySchedule::uniform(Geometry::new(1, 0))),
+                placement: PlacementStrategy::Chord,
+                ..Default::default()
+            },
+        );
+        d.register_client("Bob").unwrap();
+        d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
+        d
+    }
+
+    fn chord_fleet() -> CloudDataDistributor {
+        chord_distributor(&[
+            ("AWS", PrivacyLevel::High),
+            ("Google", PrivacyLevel::High),
+            ("Sky", PrivacyLevel::Moderate),
+            ("Sea", PrivacyLevel::Low),
+            ("Earth", PrivacyLevel::Low),
+        ])
+    }
+
+    #[test]
+    fn chord_roundtrip_all_levels() {
+        let d = chord_fleet();
+        let s = high_session(&d);
+        for (i, pl) in PrivacyLevel::ALL.into_iter().enumerate() {
+            let name = format!("f{i}");
+            let body = data(150);
+            let r = s.put_file(&name, &body, pl, PutOptions::new()).unwrap();
+            assert_eq!((r.chunk_count, r.stripe_count), (5, 5), "{pl}");
+            assert_eq!(s.file_chunk_count(&name).unwrap(), 5);
+            assert_eq!(s.get_file(&name).unwrap().data, body, "{pl}");
+            assert_eq!(s.get_chunk(&name, 0).unwrap(), &body[..32]);
+        }
+    }
+
+    #[test]
+    fn chord_table_memory_accounting() {
+        // The client's Chunk Table is the distributor's own chunk rows:
+        // one per chunk, and nothing before the first put.
+        let d = chord_fleet();
+        assert!(d.merged_tables().chunks.is_empty());
+        let s = high_session(&d);
+        s.put_file("f", &data(320), PrivacyLevel::Public, PutOptions::new())
+            .unwrap();
+        assert_eq!(s.file_chunk_count("f").unwrap(), 10);
+        assert_eq!(d.merged_tables().chunks.len(), 10);
+        let held = d.client_chunks_per_provider("Bob").unwrap();
+        assert_eq!(held.iter().sum::<usize>(), 10, "{held:?}");
+    }
+
+    #[test]
+    fn chord_places_by_pl_with_no_central_table() {
+        let d = chord_fleet();
+        high_session(&d)
+            .put_file("secret", &data(320), PrivacyLevel::High, PutOptions::new())
+            .unwrap();
+        // Only AWS and Google (PL High) may hold chunks…
+        let held = d.client_chunks_per_provider("Bob").unwrap();
+        assert_eq!(
+            (held[0] + held[1], &held[2..]),
+            (10, &[0, 0, 0][..]),
+            "{held:?}"
+        );
+        // …and the PL-High ring alone says which: the client can find
+        // every chunk by recomputing ⟨filename, serial⟩'s owner.
+        let mut ring = fragcloud_dht::ChordRing::new(policy::CHORD_VIRTUAL_NODES);
+        ring.join("AWS");
+        ring.join("Google");
+        let st = d.merged_tables();
+        for e in &st.chunks {
+            let ChunkRole::Data { serial } = e.role else {
+                panic!("a parity-less stripe has no parity rows");
+            };
+            let owner = ring.owner("secret", serial).unwrap();
+            assert_eq!(
+                st.providers[e.provider_idx].name(),
+                owner,
+                "serial {serial}"
+            );
+        }
+    }
+
+    #[test]
+    fn chord_spreads_chunks_across_eligible_providers() {
+        let d = chord_fleet();
+        high_session(&d)
+            .put_file(
+                "pub",
+                &data(32 * 40),
+                PrivacyLevel::Public,
+                PutOptions::new(),
+            )
+            .unwrap();
+        let used = d.client_chunks_per_provider("Bob").unwrap();
+        assert!(used.iter().filter(|&&n| n > 0).count() >= 3, "{used:?}");
+    }
+
+    #[test]
+    fn chord_remove_file_leaves_no_object() {
+        let d = chord_fleet();
+        let s = high_session(&d);
+        s.put_file("f", &data(100), PrivacyLevel::Low, PutOptions::new())
+            .unwrap();
+        let stored = || d.providers().iter().map(|p| p.chunk_count()).sum::<usize>();
+        assert_eq!(stored(), 4);
+        s.remove_file("f").unwrap();
+        assert_eq!(stored(), 0);
+        assert!(matches!(
+            s.get_file("f"),
+            Err(CoreError::UnknownFile { .. })
+        ));
+    }
+
+    #[test]
+    fn chord_without_an_eligible_provider_fails_typed() {
+        let d = chord_distributor(&[("Sea", PrivacyLevel::Low)]);
+        assert!(matches!(
+            high_session(&d).put_file("s", &data(8), PrivacyLevel::High, PutOptions::new()),
+            Err(CoreError::NoEligibleProvider {
+                pl: PrivacyLevel::High
+            })
+        ));
     }
 }

@@ -28,7 +28,6 @@
 //! - [`pool`] — the persistent bounded transfer pool shared by sessions:
 //!   the put pipeline's stripe encodes run on its workers;
 //! - [`multi`] — multiple distributors, primary/secondary (§IV-C, Fig. 2);
-//! - [`client_side`] — the CHORD-based client-side distributor (§IV-C);
 //! - [`persist`] — versioned text snapshots of the table state, so a
 //!   restarted (or newly promoted) distributor can rehydrate against the
 //!   same provider fleet;
@@ -61,7 +60,6 @@
 
 pub mod access;
 pub mod chunker;
-pub mod client_side;
 pub mod config;
 pub mod distributor;
 pub mod envelope;

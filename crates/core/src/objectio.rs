@@ -6,8 +6,7 @@
 //! get path, chunk-level verbs, read-repair, scrub, repair,
 //! migration — is a call to `get_with_retry` or to the write side,
 //! `put_framed` (and `put_with_retry`, which frames a copy of a payload
-//! and calls it); nothing else in the crate (outside `client_side`, the
-//! §IV-C variant with no distributor in the path) calls
+//! and calls it); nothing else in the crate calls
 //! `ObjectStore::{get, put}` or names the `integrity` framing functions.
 //! Deletes carry no frame, are best-effort everywhere and stay with their
 //! verbs.

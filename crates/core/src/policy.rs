@@ -8,9 +8,14 @@
 //! For RAID stripes we additionally enforce **anti-affinity**: the shards
 //! of one stripe land on distinct providers, otherwise losing one provider
 //! could take out several shards and defeat the parity (DESIGN.md §5).
+//!
+//! §IV-C's client-side variant is [`PlacementStrategy::Chord`]: the same
+//! eligibility, the provider chosen by a hash ring instead of by cost.
 
 use crate::config::PlacementStrategy;
+use crate::health::HealthTracker;
 use crate::{CoreError, Result};
+use fragcloud_dht::ChordRing;
 use fragcloud_sim::{CloudProvider, PrivacyLevel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -28,12 +33,17 @@ pub fn eligible_providers(providers: &[Arc<CloudProvider>], pl: PrivacyLevel) ->
         .collect()
 }
 
+/// Virtual nodes per provider on a [`PlacementStrategy::Chord`] ring.
+pub(crate) const CHORD_VIRTUAL_NODES: u32 = 4;
+
 /// Chooses providers for one stripe of `shards` chunks of level `pl`.
 ///
 /// Returns one provider index per shard. All strategies respect
-/// eligibility; `CheapestEligible` and `RandomEligible` guarantee distinct
-/// providers per stripe, while `SingleProvider` (the attack baseline)
-/// deliberately concentrates every shard on one provider.
+/// eligibility; `CheapestEligible`, `RandomEligible` and `Chord` guarantee
+/// distinct providers per stripe, while `SingleProvider` (the attack
+/// baseline) deliberately concentrates every shard on one provider.
+/// `Chord` places by the empty stripe key here; see
+/// [`place_stripe_avoiding`].
 pub fn place_stripe(
     providers: &[Arc<CloudProvider>],
     pl: PrivacyLevel,
@@ -41,7 +51,7 @@ pub fn place_stripe(
     strategy: PlacementStrategy,
     rng: &mut StdRng,
 ) -> Result<Vec<usize>> {
-    place_stripe_avoiding(providers, pl, shards, strategy, rng, &[])
+    place_stripe_avoiding(providers, pl, shards, strategy, rng, &[], ("", 0))
 }
 
 /// [`place_stripe`] with a quarantine list: providers in `avoid` (typically
@@ -50,6 +60,11 @@ pub fn place_stripe(
 /// A fleet too small to route around its quarantined members places on them
 /// anyway — a suspect provider never bricks a write that has nowhere else
 /// to go.
+///
+/// `stripe` is the stripe's ⟨filename, first chunk serial⟩. Only `Chord`
+/// reads it: shard *i* goes to the *i*-th distinct successor of that key
+/// on a ring of the eligible providers, so a one-shard stripe lands on
+/// `ChordRing::owner(filename, serial)`.
 pub fn place_stripe_avoiding(
     providers: &[Arc<CloudProvider>],
     pl: PrivacyLevel,
@@ -57,24 +72,33 @@ pub fn place_stripe_avoiding(
     strategy: PlacementStrategy,
     rng: &mut StdRng,
     avoid: &[usize],
+    stripe: (&str, u32),
 ) -> Result<Vec<usize>> {
     let mut eligible = eligible_providers(providers, pl);
     if eligible.is_empty() {
         return Err(CoreError::NoEligibleProvider { pl });
     }
+    let concentrates = strategy == PlacementStrategy::SingleProvider;
     if !avoid.is_empty() {
         let trimmed: Vec<usize> = eligible
             .iter()
             .copied()
             .filter(|i| !avoid.contains(i))
             .collect();
-        let enough = match strategy {
-            PlacementStrategy::SingleProvider => !trimmed.is_empty(),
-            _ => trimmed.len() >= shards,
+        let enough = if concentrates {
+            !trimmed.is_empty()
+        } else {
+            trimmed.len() >= shards
         };
         if enough {
             eligible = trimmed;
         }
+    }
+    if !concentrates && eligible.len() < shards {
+        return Err(CoreError::InsufficientProviders {
+            needed: shards,
+            available: eligible.len(),
+        });
     }
     match strategy {
         PlacementStrategy::SingleProvider => {
@@ -86,22 +110,10 @@ pub fn place_stripe_avoiding(
             Ok(vec![idx; shards])
         }
         PlacementStrategy::RandomEligible => {
-            if eligible.len() < shards {
-                return Err(CoreError::InsufficientProviders {
-                    needed: shards,
-                    available: eligible.len(),
-                });
-            }
             eligible.shuffle(rng);
             Ok(eligible[..shards].to_vec())
         }
         PlacementStrategy::CheapestEligible => {
-            if eligible.len() < shards {
-                return Err(CoreError::InsufficientProviders {
-                    needed: shards,
-                    available: eligible.len(),
-                });
-            }
             // Sort by cost level; break ties with a per-stripe random key so
             // equal-cost providers share load across stripes.
             let mut keyed: Vec<(u8, u64, usize)> = eligible
@@ -111,7 +123,59 @@ pub fn place_stripe_avoiding(
             keyed.sort_unstable();
             Ok(keyed.into_iter().take(shards).map(|(_, _, i)| i).collect())
         }
+        PlacementStrategy::Chord => {
+            let mut ring = ChordRing::new(CHORD_VIRTUAL_NODES);
+            for &i in &eligible {
+                ring.join(providers[i].name());
+            }
+            let (filename, first_serial) = stripe;
+            let placed: Vec<usize> = ring
+                .successors(filename, first_serial)
+                .into_iter()
+                .take(shards)
+                .filter_map(|name| {
+                    eligible
+                        .iter()
+                        .copied()
+                        .find(|&i| providers[i].name() == name)
+                })
+                .collect();
+            if placed.len() < shards {
+                // Two eligible providers share a name: one ring member.
+                return Err(CoreError::InsufficientProviders {
+                    needed: shards,
+                    available: placed.len(),
+                });
+            }
+            Ok(placed)
+        }
     }
+}
+
+/// Where a stripe member goes when its own provider cannot take it — a
+/// degraded write's alternates and a repair's targets, in preference
+/// order: eligible providers hosting no member of the stripe (`hosting`),
+/// healthiest first ([`HealthTracker::penalty`]), then cheapest, then
+/// lowest index.
+pub(crate) fn rehoming_candidates(
+    providers: &[Arc<CloudProvider>],
+    pl: PrivacyLevel,
+    hosting: &[usize],
+    health: &HealthTracker,
+) -> Vec<usize> {
+    let mut alts: Vec<usize> = eligible_providers(providers, pl)
+        .into_iter()
+        .filter(|i| !hosting.contains(i))
+        .collect();
+    alts.sort_by(|&a, &b| {
+        let cost = |i: usize| providers[i].profile().cost_level;
+        health
+            .penalty(a)
+            .total_cmp(&health.penalty(b))
+            .then(cost(a).cmp(&cost(b)))
+            .then(a.cmp(&b))
+    });
+    alts
 }
 
 #[cfg(test)]
@@ -245,6 +309,7 @@ mod tests {
                 PlacementStrategy::RandomEligible,
                 &mut rng,
                 &[0],
+                ("", 0),
             )
             .unwrap();
             assert!(!placed.contains(&0), "{placed:?}");
@@ -258,6 +323,7 @@ mod tests {
             PlacementStrategy::CheapestEligible,
             &mut rng,
             &[0, 1],
+            ("", 0),
         )
         .unwrap();
         assert_eq!(placed.len(), 3);
@@ -295,5 +361,71 @@ mod tests {
             ),
             Err(CoreError::NoEligibleProvider { .. })
         ));
+    }
+
+    fn chord(
+        f: &[Arc<CloudProvider>],
+        pl: PrivacyLevel,
+        shards: usize,
+        seed: u64,
+        key: (&str, u32),
+    ) -> Vec<usize> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        place_stripe_avoiding(f, pl, shards, PlacementStrategy::Chord, &mut rng, &[], key).unwrap()
+    }
+
+    #[test]
+    fn chord_placement_is_independent_of_the_rng() {
+        let f = fleet();
+        for serial in 0..40 {
+            let key = ("ledger.csv", serial);
+            let placed = chord(&f, PrivacyLevel::Public, 3, 1, key);
+            assert_eq!(chord(&f, PrivacyLevel::Public, 3, 0xFEED, key), placed);
+        }
+        // Nothing is drawn: the stream continues as if no stripe was placed.
+        let mut used = StdRng::seed_from_u64(9);
+        place_stripe(
+            &f,
+            PrivacyLevel::Low,
+            2,
+            PlacementStrategy::Chord,
+            &mut used,
+        )
+        .unwrap();
+        assert_eq!(used.gen::<u64>(), StdRng::seed_from_u64(9).gen::<u64>());
+    }
+
+    #[test]
+    fn chord_stripe_members_distinct_and_eligible() {
+        let f = fleet();
+        let mut spread = std::collections::HashSet::new();
+        for serial in (0..200).step_by(4) {
+            let placed = chord(&f, PrivacyLevel::Moderate, 4, 0, ("bulk", serial));
+            let mut uniq = placed.clone();
+            uniq.sort_unstable();
+            uniq.dedup();
+            assert_eq!(uniq.len(), 4, "serial {serial}: {placed:?}");
+            for &i in &placed {
+                assert!(f[i].profile().privacy_level >= PrivacyLevel::Moderate);
+            }
+            spread.insert(placed[0]);
+        }
+        assert!(spread.len() >= 3, "stripes lead from only {spread:?}");
+    }
+
+    #[test]
+    fn chord_with_one_shard_is_the_ring_owner() {
+        let f = fleet();
+        for pl in PrivacyLevel::ALL {
+            let mut ring = ChordRing::new(CHORD_VIRTUAL_NODES);
+            for p in f.iter().filter(|p| p.profile().privacy_level >= pl) {
+                ring.join(p.name());
+            }
+            for serial in 0..100 {
+                let placed = chord(&f, pl, 1, 0, ("diary.txt", serial));
+                let owner = ring.owner("diary.txt", serial).unwrap();
+                assert_eq!(f[placed[0]].name(), owner, "{pl} serial {serial}");
+            }
+        }
     }
 }

@@ -108,6 +108,25 @@ impl ChordRing {
         self.successor(id).map(|(_, n)| n)
     }
 
+    /// Every member once, in the order a clockwise walk from the
+    /// ⟨filename, serial⟩ key meets them (wrapping): the first is
+    /// [`owner`](Self::owner), the *i*-th the *i*-th distinct successor.
+    pub fn successors(&self, filename: &str, serial: u32) -> Vec<&NodeName> {
+        let key = chunk_key(filename, serial);
+        let mut walk: Vec<&NodeName> = Vec::new();
+        for name in self
+            .ring
+            .range(key..)
+            .chain(self.ring.range(..key))
+            .map(|(_, n)| n)
+        {
+            if !walk.contains(&name) {
+                walk.push(name);
+            }
+        }
+        walk
+    }
+
     /// Routed Chord lookup from `start`'s first virtual node, counting hops.
     ///
     /// At each step the current node forwards to the closest finger
@@ -249,6 +268,20 @@ mod tests {
         for s in 0..100 {
             assert!(r.owner("somefile", s).is_some());
         }
+    }
+
+    #[test]
+    fn successor_walk_starts_at_the_owner_and_meets_every_member_once() {
+        let r = ring_of(8);
+        for s in 0..50 {
+            let walk = r.successors("walk", s);
+            assert_eq!(walk[0], r.owner("walk", s).unwrap(), "serial {s}");
+            let mut names: Vec<&NodeName> = walk.clone();
+            names.sort();
+            names.dedup();
+            assert_eq!((walk.len(), names.len()), (8, 8), "serial {s}");
+        }
+        assert!(ChordRing::new(1).successors("f", 0).is_empty());
     }
 
     #[test]

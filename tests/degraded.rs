@@ -205,6 +205,54 @@ fn rehomed_shard_prefers_the_alternate_with_no_failures_on_record() {
     assert_eq!(holdings(), [1, 1, 2, 1, 1]);
 }
 
+/// Repair ranks its targets as a degraded write ranks its alternates:
+/// health first, then cost. A cheap provider with failures on record loses
+/// the rebuilt shards to the clean, costlier ones.
+#[test]
+fn repair_rehomes_onto_the_alternate_with_no_failures_on_record() {
+    let (d, fleet) = rehoming_world();
+    let s = d.session("c", "pw").unwrap();
+    let put = |name: &str, data: usize| {
+        s.put_file(
+            name,
+            &body(data << 10),
+            PrivacyLevel::Low,
+            PutOptions::new().geometry(data, 1),
+        )
+        .unwrap();
+    };
+    let objects = || fleet.iter().map(|p| p.chunk_count()).collect::<Vec<_>>();
+    // RS(1,1) on two of the three cheap providers; the third is spare.
+    put("f", 1);
+    let held = objects();
+    let spare = (0..3)
+        .find(|&i| held[i] == 0)
+        .expect("f leaves a cheap provider out");
+    let lost = (0..3)
+        .find(|&i| held[i] > 0)
+        .expect("f sits on the cheap providers");
+
+    // RS(2,1) on the three cheap providers; the spare fails its store, so
+    // its shard goes to provider 3 and its failures go on its score.
+    fleet[spare].fail_after_ops(0);
+    put("g", 2);
+    fleet[spare].set_online(true);
+    assert!(d.health().score(spare) > 0.0);
+    assert_eq!((objects()[spare], objects()[3]), (0, 1));
+
+    // A provider holding a shard of both files is lost for good. Both
+    // rebuilt shards pass the spare over for a clean provider: 3 for f,
+    // 4 for g, which 3 already hosts.
+    fleet[lost].set_online(false);
+    let repaired = d.try_repair().unwrap();
+    assert!(repaired.is_complete(), "failed: {:?}", repaired.failed);
+    assert_eq!(repaired.shards_rebuilt, 2);
+    let after = objects();
+    assert_eq!((after[spare], after[3], after[4]), (0, 2, 1), "{after:?}");
+    assert_eq!(s.get_file("f").unwrap().data, body(1 << 10));
+    assert_eq!(s.get_file("g").unwrap().data, body(2 << 10));
+}
+
 /// How many operations an alternate has *served* decides nothing: two
 /// worlds that differ only in 200 extra clean reads from the higher-index
 /// alternate re-home a shard onto the same provider. (A score that rises
