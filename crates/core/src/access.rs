@@ -23,11 +23,16 @@ pub fn password_level(client: &ClientEntry, password: &str) -> Result<PrivacyLev
 /// Fig. 3's rule: the password must be "privileged enough", i.e. its PL ≥
 /// the chunk's PL.
 pub fn authorize(client: &ClientEntry, password: &str, chunk_pl: PrivacyLevel) -> Result<()> {
-    let pl = password_level(client, password)?;
-    if pl >= chunk_pl {
-        Ok(())
-    } else {
-        Err(CoreError::AccessDenied)
+    check(password_level(client, password).ok(), chunk_pl)
+}
+
+/// Fig. 3's rule over a level [`password_level`] already resolved: `None`
+/// — a password the client does not list — is denied like a level below
+/// `chunk_pl`.
+pub(crate) fn check(level: Option<PrivacyLevel>, chunk_pl: PrivacyLevel) -> Result<()> {
+    match level {
+        Some(pl) if pl >= chunk_pl => Ok(()),
+        _ => Err(CoreError::AccessDenied),
     }
 }
 
@@ -44,7 +49,6 @@ mod tests {
                 ("6S4r".into(), PrivacyLevel::Moderate),
                 ("Ty7e".into(), PrivacyLevel::High),
             ],
-            files: Default::default(),
         }
     }
 

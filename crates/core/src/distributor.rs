@@ -27,13 +27,15 @@ use crate::config::{DistributorConfig, Geometry};
 use crate::health::{self, HealthTracker};
 use crate::journal::{Journal, OpKind};
 use crate::mislead;
-use crate::mutation::{doom, Doomed, OpCtx};
+use crate::mutation::{Doomed, OpCtx};
 use crate::objectio::{pad_shard, Framed, Member, ShardBuf, StripeReadSet};
 use crate::persist;
 use crate::policy;
 use crate::pool::TransferPool;
 use crate::resilience::{RepairReport, ScrubReport};
-use crate::tables::{ChunkEntry, ChunkRole, ClientEntry, FileEntry, StripeInfo, StripeRef, Tables};
+use crate::tables::{
+    self, ChunkEntry, ChunkRole, Directory, FileEntry, StripeInfo, StripeRef, Tables,
+};
 use crate::vid::VidAllocator;
 use crate::{CoreError, Result};
 use bytes::Bytes;
@@ -213,9 +215,12 @@ pub(crate) fn chunk_target(filename: &str, serial: u32) -> String {
 /// Pre-check of a mutation's write set: every provider it will store to
 /// or delete from must be reachable **before** the first store, so an
 /// outage fails the verb with nothing changed.
-fn ensure_online(st: &Tables, providers: impl IntoIterator<Item = usize>) -> Result<()> {
+fn ensure_online(
+    fleet: &[Arc<CloudProvider>],
+    providers: impl IntoIterator<Item = usize>,
+) -> Result<()> {
     for idx in providers {
-        let p = &st.providers[idx];
+        let p = &fleet[idx];
         if !p.is_online() {
             return Err(CoreError::Store(StoreError::Unavailable {
                 provider: p.name().to_string(),
@@ -227,12 +232,19 @@ fn ensure_online(st: &Tables, providers: impl IntoIterator<Item = usize>) -> Res
 
 /// The Cloud Data Distributor (Fig. 1's central entity).
 pub struct CloudDataDistributor {
-    /// The chunk/client tables, sharded by file-hash into independently
-    /// locked stripes (see [`DurabilityConfig::table_shards`]): concurrent
-    /// puts from different clients never contend on a table lock. The
-    /// provider fleet and the client directory (names + passwords) are
-    /// replicated across shards; chunk/stripe arenas and file entries are
-    /// partitioned — a file lives wholly in one shard.
+    /// The Cloud Provider Table: live provider handles, row index = CP
+    /// index. Fixed at construction or import, so it needs no lock.
+    providers: Vec<Arc<CloudProvider>>,
+    /// The client directory (names + ⟨password, PL⟩ pairs), one map behind
+    /// one lock. Its guard is taken before any shard guard and dropped
+    /// before a verb takes one, and is never held across provider I/O or
+    /// `JournalSink::persist`.
+    clients: RwLock<Directory>,
+    /// The table shards, by file-hash, each independently locked (see
+    /// [`DurabilityConfig::table_shards`]): concurrent puts from different
+    /// clients never contend on a table lock. A shard holds only the rows
+    /// it partitions — chunk and stripe arenas, each client's files in it,
+    /// put reservations; a file lives wholly in one shard.
     ///
     /// [`DurabilityConfig::table_shards`]: crate::config::DurabilityConfig::table_shards
     state: Vec<RwLock<Tables>>,
@@ -279,8 +291,9 @@ struct EncodedGroup {
 
 /// One put as its execute phase sees it: the plan resolved once per put,
 /// then the pieces of the final [`PutReceipt`] and the rows that grow
-/// stripe by stripe. No table is reachable from here — stores go through
-/// `fleet`, and rows are owned until the commit publishes them.
+/// stripe by stripe. No table is reachable from here — stores reach the
+/// distributor's fleet through the boundary, and rows are owned until the
+/// commit publishes them.
 struct PutProgress<'a> {
     filename: &'a str,
     pl: PrivacyLevel,
@@ -292,8 +305,6 @@ struct PutProgress<'a> {
     ctx: &'a OpCtx,
     /// The put's telemetry handle, resolved once in `put_pipeline`.
     tel: &'a TelemetryHandle,
-    /// The provider fleet, taken at plan.
-    fleet: Vec<Arc<CloudProvider>>,
     /// Chunk rows in landing order; stripe references are indices into
     /// `stripes`.
     chunks: Vec<ChunkEntry>,
@@ -372,9 +383,9 @@ impl CloudDataDistributor {
     pub fn try_new(providers: Vec<Arc<CloudProvider>>, config: DistributorConfig) -> Result<Self> {
         config.validate()?;
         let shards = (0..config.durability.table_shards)
-            .map(|_| RwLock::new(Tables::new(providers.clone())))
+            .map(|_| Tables::default())
             .collect();
-        Ok(Self::assemble(shards, providers.len(), config, 0))
+        Self::from_shards(providers, Directory::new(), shards, config, 0)
     }
 
     /// The active configuration.
@@ -382,39 +393,33 @@ impl CloudDataDistributor {
         &self.config
     }
 
-    /// Rehydrates a distributor from imported per-shard table state (see
+    /// Rehydrates a distributor from an imported fleet (in the snapshot's
+    /// provider order), client directory and per-shard tables (see
     /// `crate::persist`). The snapshot's shard layout is preserved as-is —
     /// `config.durability.table_shards` only governs fresh construction.
     /// `already_allocated` fast-forwards the virtual-id allocator past the
     /// previous incarnation's ids.
     pub(crate) fn from_shards(
+        providers: Vec<Arc<CloudProvider>>,
+        clients: Directory,
         shards: Vec<Tables>,
         config: DistributorConfig,
         already_allocated: u64,
     ) -> Result<Self> {
         config.validate()?;
-        let n = shards.first().map_or(0, |s| s.providers.len());
-        let shards = shards.into_iter().map(RwLock::new).collect();
-        Ok(Self::assemble(shards, n, config, already_allocated))
-    }
-
-    fn assemble(
-        shards: Vec<RwLock<Tables>>,
-        fleet_size: usize,
-        config: DistributorConfig,
-        already_allocated: u64,
-    ) -> Self {
-        CloudDataDistributor {
-            state: shards,
+        Ok(CloudDataDistributor {
+            health: HealthTracker::new(providers.len()),
+            providers,
+            clients: RwLock::new(clients),
+            state: shards.into_iter().map(RwLock::new).collect(),
             vids: VidAllocator::resume(config.seed, already_allocated),
             config,
             rng: Mutex::new(StdRng::seed_from_u64(config.seed ^ already_allocated)),
-            health: HealthTracker::new(fleet_size),
             telemetry: RwLock::new(TelemetryHandle::disabled()),
             pool: OnceLock::new(),
             journal: RwLock::new(None),
             crash: RwLock::new(None),
-        }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -483,9 +488,46 @@ impl CloudDataDistributor {
         (0..self.state.len()).map(|i| self.shard_read(i)).collect()
     }
 
-    /// Write-locks every shard in ascending order.
-    pub(crate) fn lock_all_write(&self) -> Vec<parking_lot::RwLockWriteGuard<'_, Tables>> {
-        (0..self.state.len()).map(|i| self.shard_write(i)).collect()
+    /// Read-locks the client directory. Its guard is taken before any
+    /// shard guard and dropped before a verb takes one, and is never held
+    /// across provider I/O or `JournalSink::persist`.
+    pub(crate) fn directory_read(&self) -> parking_lot::RwLockReadGuard<'_, Directory> {
+        self.clients.read()
+    }
+
+    /// Write-locks the client directory (the client ops), under
+    /// [`directory_read`](Self::directory_read)'s rule.
+    pub(crate) fn directory_write(&self) -> parking_lot::RwLockWriteGuard<'_, Directory> {
+        self.clients.write()
+    }
+
+    /// `client`'s row of the client directory, read under the directory
+    /// guard alone: [`CoreError::UnknownClient`] when there is none, else
+    /// `password`'s level — `None` for a password the client does not
+    /// list, which the verb denies once it has found its rows (§V's check
+    /// follows the lookup).
+    pub(crate) fn password_level(
+        &self,
+        client: &str,
+        password: &str,
+    ) -> Result<Option<PrivacyLevel>> {
+        let clients = self.directory_read();
+        let entry = (clients.get(client)).ok_or_else(|| CoreError::UnknownClient(client.into()))?;
+        Ok(access::password_level(entry, password).ok())
+    }
+
+    /// [`CoreError::UnknownClient`] unless the directory lists `client`.
+    pub(crate) fn known_client(&self, client: &str) -> Result<()> {
+        match self.directory_read().contains_key(client) {
+            true => Ok(()),
+            false => Err(CoreError::UnknownClient(client.to_string())),
+        }
+    }
+
+    /// The provider fleet (the Cloud Provider Table), fixed for the
+    /// distributor's life.
+    pub(crate) fn fleet(&self) -> &[Arc<CloudProvider>] {
+        &self.providers
     }
 
     /// The shared transfer pool, created on first use with
@@ -519,9 +561,7 @@ impl CloudDataDistributor {
     /// journal — passing a shared handle aggregates several distributors
     /// into one registry.
     pub fn set_telemetry(&self, handle: TelemetryHandle) {
-        // The fleet is replicated across shards as shared `Arc`s, so
-        // installing through shard 0 reaches every provider.
-        for p in &self.shard_read(0).providers {
+        for p in &self.providers {
             p.set_telemetry(handle.clone());
         }
         if let Some(j) = self.journal.read().clone() {
@@ -596,36 +636,38 @@ impl CloudDataDistributor {
         Ok(())
     }
 
-    /// Registers a new client. The client directory (names + passwords)
-    /// is replicated into every table shard, so any shard can authorize
-    /// any op without cross-shard locking. Journaled as a `client` op whose
-    /// delta is the one directory row.
+    /// Registers a new client in the client directory, under its write
+    /// guard alone — no table shard is touched. Journaled as a `client`
+    /// op whose delta is the one directory row, appended before the guard
+    /// drops.
     pub fn register_client(&self, name: &str) -> Result<()> {
         self.journaled(OpKind::Client, name, "register", |ctx| {
-            let mut shards = self.lock_all_write();
-            if shards[0].clients.contains_key(name) {
+            let mut clients = self.directory_write();
+            if clients.contains_key(name) {
                 return Err(CoreError::ClientExists(name.to_string()));
             }
-            for st in shards.iter_mut() {
-                st.clients.insert(name.to_string(), ClientEntry::default());
-            }
-            self.touch_client(ctx, name);
-            self.commit_under(ctx, 0, &shards[0]);
+            self.touch_client(ctx, name, clients.entry(name.to_string()).or_default());
+            self.commit_under(ctx, 0, &Tables::default());
             Ok(((), Doomed::new()))
         })
     }
 
-    /// Adds a ⟨password, PL⟩ pair for a client (§V access control),
-    /// replicated into every shard's client directory.
+    /// Adds a ⟨password, PL⟩ pair for a client (§V access control), like
+    /// [`register_client`](Self::register_client) under the directory
+    /// write guard. A password the client already lists fails
+    /// [`CoreError::PasswordExists`] and changes nothing: a second pair
+    /// would never be matched, whatever its level.
     pub fn add_password(&self, client: &str, password: &str, pl: PrivacyLevel) -> Result<()> {
         self.journaled(OpKind::Client, client, "password", |ctx| {
-            let mut shards = self.lock_all_write();
-            for st in shards.iter_mut() {
-                let entry = st.client_mut(client)?;
-                entry.passwords.push((password.to_string(), pl));
+            let mut clients = self.directory_write();
+            let entry = (clients.get_mut(client))
+                .ok_or_else(|| CoreError::UnknownClient(client.to_string()))?;
+            if entry.passwords.iter().any(|(listed, _)| listed == password) {
+                return Err(CoreError::PasswordExists(client.to_string()));
             }
-            self.touch_client(ctx, client);
-            self.commit_under(ctx, 0, &shards[0]);
+            entry.passwords.push((password.to_string(), pl));
+            self.touch_client(ctx, client, entry);
+            self.commit_under(ctx, 0, &Tables::default());
             Ok(((), Doomed::new()))
         })
     }
@@ -722,7 +764,7 @@ impl CloudDataDistributor {
             pl = pl
         );
         let shard = self.shard_for(client, filename);
-        let (reservation, fleet) = self.plan_put(shard, client, password, filename, pl)?;
+        let reservation = self.plan_put(shard, client, password, filename, pl)?;
 
         // Effective erasure geometry, resolved once per put: an explicit
         // per-put geometry wins; otherwise the distributor's per-PL
@@ -743,8 +785,7 @@ impl CloudDataDistributor {
             replicas: opts.replicas,
             ctx,
             tel: &tel,
-            per_provider_time: vec![Duration::ZERO; fleet.len()],
-            fleet,
+            per_provider_time: vec![Duration::ZERO; self.providers.len()],
             chunks: Vec::new(),
             stripes: Vec::new(),
             data_rows: Vec::with_capacity(chunk_count),
@@ -755,7 +796,7 @@ impl CloudDataDistributor {
         let stripe_count = progress.stripes.len();
         {
             let mut st = self.shard_write(shard);
-            self.commit_put(&mut st, client, filename, len, &mut progress)?;
+            self.commit_put(&mut st, client, filename, len, &mut progress);
             reservation.release(&mut st);
             self.commit_under(ctx, shard, &st);
         }
@@ -790,8 +831,6 @@ impl CloudDataDistributor {
     /// Plan, under the shard write lock: authorize, refuse a name that has
     /// a file row or a put in flight, and reserve it — a racing put of the
     /// same name fails [`CoreError::FileExists`] before it uploads a byte.
-    /// Returns the reservation and the provider fleet the execute phase
-    /// stores through.
     fn plan_put(
         &self,
         shard: usize,
@@ -799,24 +838,22 @@ impl CloudDataDistributor {
         password: &str,
         filename: &str,
         pl: PrivacyLevel,
-    ) -> Result<(Reservation<'_>, Vec<Arc<CloudProvider>>)> {
+    ) -> Result<Reservation<'_>> {
+        access::check(self.password_level(client, password)?, pl)?;
         let key = (client.to_string(), filename.to_string());
-        let fleet = {
+        {
             let mut st = self.shard_write(shard);
-            let entry = st.client(client)?;
-            access::authorize(entry, password, pl)?;
-            if entry.files.contains_key(filename) || st.reserved.contains(&key) {
+            let files = st.files.get(client);
+            if files.is_some_and(|f| f.contains_key(filename)) || st.reserved.contains(&key) {
                 return Err(CoreError::FileExists(filename.to_string()));
             }
             st.reserved.insert(key.clone());
-            st.providers.clone()
-        };
-        let reservation = Reservation {
+        }
+        Ok(Reservation {
             d: self,
             shard,
             key: Some(key),
-        };
-        Ok((reservation, fleet))
+        })
     }
 
     /// Execute, with no shard guard in scope: allocates and journals every
@@ -972,9 +1009,9 @@ impl CloudDataDistributor {
         Ok(peak_in_flight_bytes)
     }
 
-    /// Commit, under the shard write lock: inserts the file row — its
-    /// client lookup the one step that can fail, taken before any row
-    /// changes — then pushes the put's rows. Arena indices are assigned
+    /// Commit, under the shard write lock: inserts the file row, then
+    /// pushes the put's rows. Nothing here can fail: the put authorized
+    /// at plan, and the client directory is append-only. Arena indices are assigned
     /// here, in the order the execute phase landed them, so a sequential
     /// run numbers them as a put holding the lock throughout would. Every
     /// row is marked for the op's delta.
@@ -985,7 +1022,7 @@ impl CloudDataDistributor {
         filename: &str,
         len: usize,
         progress: &mut PutProgress<'_>,
-    ) -> Result<()> {
+    ) {
         let ctx = progress.ctx;
         let (chunk_base, stripe_base) = (st.chunks.len(), st.stripes.len());
         let file = FileEntry {
@@ -994,9 +1031,8 @@ impl CloudDataDistributor {
             stripe_ids: (stripe_base..stripe_base + progress.stripes.len()).collect(),
             total_len: len,
         };
-        st.client_mut(client)?
-            .files
-            .insert(filename.to_string(), file);
+        let files = st.files.entry(client.to_string()).or_default();
+        files.insert(filename.to_string(), file);
         self.touch_file(ctx, client, filename);
         for mut e in progress.chunks.drain(..) {
             if let Some(at) = &mut e.stripe {
@@ -1012,7 +1048,6 @@ impl CloudDataDistributor {
             self.touch_stripe(ctx, st.stripes.len());
             st.stripes.push(s);
         }
-        Ok(())
     }
 
     /// Encodes one stripe group: fills each data shard's upload buffer with
@@ -1099,7 +1134,7 @@ impl CloudDataDistributor {
         let placement = {
             let mut rng = self.rng.lock();
             policy::place_stripe_avoiding(
-                &progress.fleet,
+                &self.providers,
                 pl,
                 total_shards,
                 self.config.placement,
@@ -1124,7 +1159,7 @@ impl CloudDataDistributor {
 
         // Replica placement pool: eligible providers not used by this
         // stripe, cycled per chunk so copies spread out.
-        let eligible = policy::eligible_providers(&progress.fleet, pl);
+        let eligible = policy::eligible_providers(&self.providers, pl);
         let replica_pool: Vec<usize> = eligible
             .iter()
             .copied()
@@ -1160,8 +1195,7 @@ impl CloudDataDistributor {
                 self.crash_point()?;
                 // Replicas are best-effort extra assurance: a copy that
                 // cannot land is dropped, not fatal.
-                let (res, t, _) =
-                    self.put_with_retry(&progress.fleet, rp, rvid, stored, progress.tel);
+                let (res, t, _) = self.put_with_retry(rp, rvid, stored, progress.tel);
                 progress.per_provider_time[rp] += t;
                 if res.is_ok() {
                     progress.bytes_stored += stored.len();
@@ -1254,16 +1288,16 @@ impl CloudDataDistributor {
         // take it, the quarantined preferred is still tried last — a
         // suspect provider beats a lost shard.
         let shed_preferred = self.health.should_shed(preferred, progress.tel);
-        let fleet = &progress.fleet;
         let mut lands_on = |idx: usize| {
-            let (res, t, _) = self.put_framed(fleet, idx, object, progress.tel);
+            let (res, t, _) = self.put_framed(idx, object, progress.tel);
             progress.per_provider_time[idx] += t;
             res.is_ok()
         };
         let landed = if !shed_preferred && lands_on(preferred) {
             Some(preferred)
         } else {
-            let alts = policy::rehoming_candidates(fleet, pl, &slots.hosting, &self.health);
+            let alts =
+                policy::rehoming_candidates(&self.providers, pl, &slots.hosting, &self.health);
             match alts.into_iter().find(|&alt| lands_on(alt)) {
                 None if shed_preferred && lands_on(preferred) => Some(preferred),
                 landed => landed,
@@ -1300,10 +1334,11 @@ impl CloudDataDistributor {
     ) -> Result<Vec<u8>> {
         let tel = self.telemetry();
         let _op = span!(tel, "get_chunk", file = filename, serial = serial);
+        let level = self.password_level(client, password)?;
         let st = self.read_shard_for(client, filename);
         let chunk_idx = st.chunk_index(client, filename, serial)?;
         let entry = &st.chunks[chunk_idx];
-        access::authorize(st.client(client)?, password, entry.pl)?;
+        access::check(level, entry.pl)?;
         tel.incr("chunk_gets_total");
         let fetch =
             self.fetch_logical_chunk(&st, chunk_idx, &mut StripeReadSet::default(), &tel)?;
@@ -1318,12 +1353,13 @@ impl CloudDataDistributor {
     ) -> Result<GetReceipt> {
         let tel = self.telemetry();
         let _op = span!(tel, "get", file = filename);
+        let level = self.password_level(client, password)?;
         let st = self.read_shard_for(client, filename);
         let file = st.file(client, filename)?;
-        access::authorize(st.client(client)?, password, file.pl)?;
+        access::check(level, file.pl)?;
 
         let mut out = Vec::with_capacity(file.total_len);
-        let mut per_provider_time: Vec<Duration> = vec![Duration::ZERO; st.providers.len()];
+        let mut per_provider_time: Vec<Duration> = vec![Duration::ZERO; self.providers.len()];
         let (mut reconstructed, mut degraded, mut hedged) = (0usize, 0usize, 0usize);
         let mut retries = 0u64;
         let mut set = StripeReadSet::default();
@@ -1394,7 +1430,7 @@ impl CloudDataDistributor {
         // waiting out the slow link — the winner of the race is the only
         // branch the simulated clock charges.
         if let Some(threshold) = self.config.resilience.hedge_threshold {
-            let direct_est = st.providers[entry.provider_idx].estimate_transfer(entry.stored_len);
+            let direct_est = self.providers[entry.provider_idx].estimate_transfer(entry.stored_len);
             if direct_est > threshold {
                 tel.incr("hedges_considered");
                 if let Some(parity_est) = self.estimate_reconstruct(st, chunk_idx) {
@@ -1441,7 +1477,7 @@ impl CloudDataDistributor {
         let mut attempts_made = 0u32;
         let mut timed_out: Option<CoreError> = None;
         for (rank, &(pidx, vid)) in candidates.iter().enumerate() {
-            let (res, t, r) = self.get_with_retry(st, pidx, vid, Some(entry.stored_len), tel);
+            let (res, t, r) = self.get_with_retry(pidx, vid, Some(entry.stored_len), tel);
             time += t;
             retries += r;
             attempts_made += r as u32 + 1;
@@ -1481,7 +1517,7 @@ impl CloudDataDistributor {
                 // is clean again. Best-effort and off the read's critical
                 // path (repair traffic is charged to telemetry, not to
                 // this fetch's simulated time).
-                self.read_repair(st, entry.provider_idx, entry.vid, &stored, tel);
+                self.read_repair(entry.provider_idx, entry.vid, &stored, tel);
                 Ok(ChunkFetch {
                     stored,
                     charged_provider: entry.provider_idx,
@@ -1527,7 +1563,7 @@ impl CloudDataDistributor {
                 live += 1; // tombstones contribute zero shards for free
                 continue;
             }
-            let p = &st.providers[member.provider_idx];
+            let p = &self.providers[member.provider_idx];
             if !p.is_online() {
                 continue;
             }
@@ -1596,21 +1632,11 @@ impl CloudDataDistributor {
     /// an offline primary or failed write leaves the stripe degraded, and
     /// the tables are untouched either way (same vid, same provider — no
     /// journal entry needed: the id is already referenced).
-    fn read_repair(
-        &self,
-        st: &Tables,
-        provider_idx: usize,
-        vid: VirtualId,
-        stored: &[u8],
-        tel: &TelemetryHandle,
-    ) {
-        if !st.providers[provider_idx].is_online() {
+    fn read_repair(&self, idx: usize, vid: VirtualId, stored: &[u8], tel: &TelemetryHandle) {
+        if !self.providers[idx].is_online() {
             return;
         }
-        match self
-            .put_with_retry(&st.providers, provider_idx, vid, stored, tel)
-            .0
-        {
+        match self.put_with_retry(idx, vid, stored, tel).0 {
             Ok(()) => tel.incr("read_repair_total"),
             Err(_) => tel.incr("read_repair_failed_total"),
         }
@@ -1652,18 +1678,19 @@ impl CloudDataDistributor {
         let _op = span!(tel, "update", file = filename, serial = serial);
         let target = chunk_target(filename, serial);
         self.journaled(OpKind::Update, client, &target, |ctx| {
+            let level = self.password_level(client, password)?;
             let shard = self.shard_for(client, filename);
             let mut st = self.shard_write(shard);
             let chunk_idx = st.live_chunk_index(client, filename, serial)?;
             let e = &st.chunks[chunk_idx];
-            access::authorize(st.client(client)?, password, e.pl)?;
+            access::check(level, e.pl)?;
             // The pre-state, verified under the data vid: the new
             // snapshot's payload, stored on a provider other than the data
             // provider where one is eligible.
             let pre_state = self
-                .get_with_retry(&st, e.provider_idx, e.vid, Some(e.stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                .get_with_retry(e.provider_idx, e.vid, Some(e.stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
-            let eligible = policy::eligible_providers(&st.providers, e.pl);
+            let eligible = policy::eligible_providers(&self.providers, e.pl);
             let other = eligible.iter().copied().find(|&i| i != e.provider_idx);
             let snapshot = (other.or(eligible.first().copied()))
                 .ok_or(CoreError::NoEligibleProvider { pl: e.pl })?;
@@ -1705,11 +1732,12 @@ impl CloudDataDistributor {
         let _op = span!(tel, "restore", file = filename, serial = serial);
         let target = chunk_target(filename, serial);
         self.journaled(OpKind::Restore, client, &target, |ctx| {
+            let level = self.password_level(client, password)?;
             let shard = self.shard_for(client, filename);
             let mut st = self.shard_write(shard);
             let chunk_idx = st.live_chunk_index(client, filename, serial)?;
             let e = &st.chunks[chunk_idx];
-            access::authorize(st.client(client)?, password, e.pl)?;
+            access::check(level, e.pl)?;
             let (sp, svid) = (e.snapshot_provider_idx.zip(e.snapshot_vid)).ok_or_else(|| {
                 CoreError::UnknownChunk {
                     filename: filename.to_string(),
@@ -1718,7 +1746,7 @@ impl CloudDataDistributor {
             })?;
             // No row records the snapshot's length.
             let stored = self
-                .get_with_retry(&st, sp, svid, None, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                .get_with_retry(sp, svid, None, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
             let mut stores = self.chunk_stores(&st, chunk_idx, true, None);
             self.journal_alloc(ctx, &stores.vids());
@@ -1745,10 +1773,11 @@ impl CloudDataDistributor {
         let _op = span!(tel, "remove_chunk", file = filename, serial = serial);
         let target = chunk_target(filename, serial);
         self.journaled(OpKind::RemoveChunk, client, &target, |ctx| {
+            let level = self.password_level(client, password)?;
             let shard = self.shard_for(client, filename);
             let mut st = self.shard_write(shard);
             let chunk_idx = st.live_chunk_index(client, filename, serial)?;
-            access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
+            access::check(level, st.chunks[chunk_idx].pl)?;
             let stores = self.chunk_stores(&st, chunk_idx, false, None);
             self.journal_alloc(ctx, &stores.vids());
             let doomed = self.apply_chunk_stores(&mut st, chunk_idx, stores, ctx)?;
@@ -1816,7 +1845,8 @@ impl CloudDataDistributor {
     ) -> Result<Doomed> {
         let plan = self.plan_parity(st, chunk_idx, &stores.stored)?;
         let objects = st.chunks[chunk_idx].objects().map(|(p, _)| p);
-        ensure_online(st, objects.chain(stores.snapshot.map(|(p, _)| p)))?;
+        let snapshot = stores.snapshot.map(|(p, _)| p);
+        ensure_online(&self.providers, objects.chain(snapshot))?;
 
         let tel = self.telemetry();
         let copies = (stores.copies.iter()).map(|&(p, vid)| (p, vid, &stores.stored[..]));
@@ -1826,7 +1856,7 @@ impl CloudDataDistributor {
             .map(|((m, blob), &vid)| (st.chunks[*m].provider_idx, vid, &blob[..]));
         self.crash_point()?;
         for (p, vid, bytes) in copies.chain(snapshot).chain(parity) {
-            self.put_with_retry(&st.providers, p, vid, bytes, &tel).0?;
+            self.put_with_retry(p, vid, bytes, &tel).0?;
             self.crash_point()?;
         }
 
@@ -1849,7 +1879,7 @@ impl CloudDataDistributor {
         }
         (e.snapshot_provider_idx, e.snapshot_vid) = stores.snapshot.unzip();
         self.touch_chunk(ctx, chunk_idx);
-        Ok(doom(st, superseded))
+        Ok(superseded)
     }
 
     /// Computes the parity a chunk-level verb stores, **without mutating
@@ -1895,7 +1925,8 @@ impl CloudDataDistributor {
             .map(|(pi, blob)| (members[k + pi], blob))
             .collect();
         // Pre-check: the parity providers must be reachable.
-        ensure_online(st, writes.iter().map(|(m, _)| st.chunks[*m].provider_idx))?;
+        let providers = writes.iter().map(|(m, _)| st.chunks[*m].provider_idx);
+        ensure_online(&self.providers, providers)?;
         Ok(Some(ParityPlan {
             stripe_id,
             width,
@@ -1926,22 +1957,22 @@ impl CloudDataDistributor {
         let tel = self.telemetry();
         let _op = span!(tel, "remove", file = filename);
         self.journaled(OpKind::Remove, client, filename, |ctx| {
+            let level = self.password_level(client, password)?;
             let shard = self.shard_for(client, filename);
             let mut st = self.shard_write(shard);
             let file = st.file(client, filename)?;
-            access::authorize(st.client(client)?, password, file.pl)?;
+            access::check(level, file.pl)?;
             let objects: Vec<(usize, VirtualId)> = st
                 .file_members(file)
                 .into_iter()
                 .flat_map(|m| st.chunks[m].objects())
                 .collect();
-            ensure_online(&st, objects.iter().map(|&(p, _)| p))?;
+            ensure_online(&self.providers, objects.iter().map(|&(p, _)| p))?;
 
             // Doom list: every object of the file, logged before a row
             // changes — from here a crash rolls the removal *forward*
             // (recovery finishes the table half, then collects the list).
             self.journal_doom(ctx, objects.iter().map(|&(_, vid)| vid));
-            let doomed = doom(&st, objects);
             self.crash_point()?;
 
             for m in st.drop_file(client, filename)? {
@@ -1949,7 +1980,7 @@ impl CloudDataDistributor {
             }
             self.touch_file(ctx, client, filename);
             self.commit_under(ctx, shard, &st);
-            Ok(((), doomed))
+            Ok(((), objects))
         })
     }
 
@@ -2047,7 +2078,7 @@ impl CloudDataDistributor {
                     continue;
                 }
                 live += 1;
-                let p = &st.providers[e.provider_idx];
+                let p = &self.providers[e.provider_idx];
                 if !(p.is_online() && p.contains(e.vid)) {
                     missing += 1;
                     continue;
@@ -2056,7 +2087,7 @@ impl CloudDataDistributor {
                     // The boundary counts the corruption and feeds the
                     // provider's breaker; scrub only classifies.
                     match self
-                        .get_with_retry(st, e.provider_idx, e.vid, Some(e.stored_len), &tel)
+                        .get_with_retry(e.provider_idx, e.vid, Some(e.stored_len), &tel)
                         .0
                     {
                         Ok(_) => {}
@@ -2129,7 +2160,7 @@ impl CloudDataDistributor {
         let wall = clock::monotonic_now();
         let mut report = RepairReport::default();
         let mut scrub = ScrubReport::default();
-        let mut per_provider_time = vec![Duration::ZERO; self.shard_read(0).providers.len()];
+        let mut per_provider_time = vec![Duration::ZERO; self.providers.len()];
         self.per_shard("stripes", |ctx, st, offset| {
             // Refresh the shard's degraded markers; the deep form also
             // flags shards whose frames fail verification.
@@ -2191,7 +2222,7 @@ impl CloudDataDistributor {
         for (slot, &m) in stripe.members.iter().enumerate() {
             let e = &st.chunks[m];
             // An object already known gone costs no read (and no retries).
-            let p = &st.providers[e.provider_idx];
+            let p = &self.providers[e.provider_idx];
             let held = e.removed || (p.is_online() && p.contains(e.vid));
             if !held {
                 missing.push((slot, m));
@@ -2228,10 +2259,10 @@ impl CloudDataDistributor {
                 let e = &st.chunks[m];
                 (e.provider_idx, e.pl, e.stored_len, e.vid)
             };
-            let target = if st.providers[orig].is_online() && !hosting.contains(&orig) {
+            let target = if self.providers[orig].is_online() && !hosting.contains(&orig) {
                 Some(orig)
             } else {
-                policy::rehoming_candidates(&st.providers, pl, &hosting, &self.health)
+                policy::rehoming_candidates(&self.providers, pl, &hosting, &self.health)
                     .first()
                     .copied()
             };
@@ -2246,16 +2277,15 @@ impl CloudDataDistributor {
             self.journal_alloc(ctx, &[new_vid]);
             self.journal_doom(ctx, [old_vid]);
             self.crash_point()?;
-            let (res, t, _) =
-                self.put_with_retry(&st.providers, target, new_vid, &bytes[..stored_len], tel);
+            let (res, t, _) = self.put_with_retry(target, new_vid, &bytes[..stored_len], tel);
             per_provider_time[target] += t;
             res?;
             let e = &mut st.chunks[m];
             e.provider_idx = target;
             e.vid = new_vid;
             self.touch_chunk(ctx, m);
-            if st.providers[orig].is_online() {
-                pass.doomed.push((Arc::clone(&st.providers[orig]), old_vid));
+            if self.providers[orig].is_online() {
+                pass.doomed.push((orig, old_vid));
             }
             hosting.push(target);
             count += 1;
@@ -2269,10 +2299,9 @@ impl CloudDataDistributor {
     // Introspection
     // ------------------------------------------------------------------
 
-    /// Read access to the provider fleet (shared `Arc`s, identical in
-    /// every shard).
+    /// Read access to the provider fleet (shared `Arc`s).
     pub fn providers(&self) -> Vec<Arc<CloudProvider>> {
-        self.shard_read(0).providers.clone()
+        self.providers.clone()
     }
 
     /// The live per-provider health tracker (EWMA scores + breaker
@@ -2318,16 +2347,16 @@ impl CloudDataDistributor {
 
     /// Sums `weight` over the client's live chunks, per provider. A
     /// client's files are spread across shards, so the sum runs over
-    /// every shard's slice of the directory.
+    /// every shard's files of the client.
     fn client_sum_per_provider<T: Copy + Default + std::ops::AddAssign>(
         &self,
         client: &str,
         weight: impl Fn(&ChunkEntry) -> T,
     ) -> Result<Vec<T>> {
-        let shards = self.lock_all_read();
-        let mut sums = vec![T::default(); shards[0].providers.len()];
-        for st in &shards {
-            for file in st.client(client)?.files.values() {
+        self.known_client(client)?;
+        let mut sums = vec![T::default(); self.providers.len()];
+        for st in self.lock_all_read() {
+            for file in st.files.get(client).into_iter().flat_map(|f| f.values()) {
                 for e in file.chunk_indices.iter().map(|&ci| &st.chunks[ci]) {
                     if !e.removed {
                         sums[e.provider_idx] += weight(e);
@@ -2340,6 +2369,7 @@ impl CloudDataDistributor {
 
     /// Chunk count notified for a file (valid serials `0..n`).
     pub fn file_chunk_count(&self, client: &str, filename: &str) -> Result<usize> {
+        self.known_client(client)?;
         Ok(self
             .read_shard_for(client, filename)
             .file(client, filename)?
@@ -2355,8 +2385,8 @@ impl CloudDataDistributor {
         let st = self.merged_tables();
         format!(
             "{}\n{}\n{}",
-            st.render_provider_table(),
-            st.render_client_table(),
+            tables::render_provider_table(&self.providers),
+            st.render_client_table(&self.directory_read()),
             st.render_chunk_table()
         )
     }
@@ -2367,17 +2397,7 @@ impl CloudDataDistributor {
     /// only — the live distributor never operates on the merged view.
     fn merged_tables(&self) -> Tables {
         let shards = self.lock_all_read();
-        let mut merged = Tables::new(shards[0].providers.clone());
-        // Client directory: names + passwords are replicated, take shard 0.
-        for (name, entry) in &shards[0].clients {
-            merged.clients.insert(
-                name.clone(),
-                ClientEntry {
-                    passwords: entry.passwords.clone(),
-                    files: Default::default(),
-                },
-            );
-        }
+        let mut merged = Tables::default();
         let mut chunk_off = 0usize;
         let mut stripe_off = 0usize;
         for st in &shards {
@@ -2395,8 +2415,9 @@ impl CloudDataDistributor {
                 }
                 merged.stripes.push(s);
             }
-            for (name, entry) in &st.clients {
-                for (file, fe) in &entry.files {
+            for (name, files) in &st.files {
+                let target = merged.files.entry(name.clone()).or_default();
+                for (file, fe) in files {
                     let mut fe = fe.clone();
                     for ci in &mut fe.chunk_indices {
                         *ci += chunk_off;
@@ -2404,9 +2425,7 @@ impl CloudDataDistributor {
                     for sid in &mut fe.stripe_ids {
                         *sid += stripe_off;
                     }
-                    if let Some(target) = merged.clients.get_mut(name) {
-                        target.files.insert(file.clone(), fe);
-                    }
+                    target.insert(file.clone(), fe);
                 }
             }
             chunk_off += st.chunks.len();
@@ -2423,10 +2442,8 @@ impl CloudDataDistributor {
     /// [`health::earned_level`].
     pub fn reputation_report(&self) -> (Vec<f64>, Vec<usize>) {
         use std::sync::atomic::Ordering;
-        let st = self.shard_read(0);
-        let scores: Vec<f64> = st
-            .providers
-            .iter()
+        let fleet = &self.providers;
+        let scores: Vec<f64> = (fleet.iter())
             .map(|p| {
                 let stats = p.stats();
                 let ok = stats.puts.load(Ordering::Relaxed)
@@ -2436,7 +2453,7 @@ impl CloudDataDistributor {
             })
             .collect();
         let downgrades = (0..scores.len())
-            .filter(|&i| health::earned_level(scores[i]) < st.providers[i].profile().privacy_level)
+            .filter(|&i| health::earned_level(scores[i]) < fleet[i].profile().privacy_level)
             .collect();
         (scores, downgrades)
     }
@@ -2903,6 +2920,55 @@ mod tests {
             // Digits of the op id and the vid watermark, nothing else.
             assert!(many.abs_diff(few) <= 16, "{few} B empty, {many} B full");
         }
+    }
+
+    /// The client directory is one map behind its own lock: the client
+    /// ops and `session()` return while another thread holds any table
+    /// shard's write guard.
+    #[test]
+    fn client_ops_never_wait_on_a_shard_guard() {
+        let d = distributor();
+        for shard in 0..d.shard_count() {
+            let name = format!("c{shard}");
+            let register = || d.register_client(&name);
+            let add_password = || d.add_password(&name, "pw", PrivacyLevel::Low);
+            let session = || d.session(&name, "pw").map(drop);
+            let ops: [(&str, &(dyn Fn() -> Result<()> + Sync)); 3] = [
+                ("register_client", &register),
+                ("add_password", &add_password),
+                ("session", &session),
+            ];
+            for (verb, op) in ops {
+                let held = d.shard_write(shard);
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::scope(|scope| {
+                    scope.spawn(move || tx.send(op()));
+                    let got = rx.recv_timeout(Duration::from_secs(2));
+                    drop(held);
+                    assert_eq!(got, Ok(Ok(())), "{verb} waited on shard {shard}'s guard");
+                });
+            }
+        }
+    }
+
+    /// A password the client already lists is refused, typed, and changes
+    /// nothing: the op closes with an abort record.
+    #[test]
+    fn a_listed_password_is_refused_and_changes_nothing() {
+        let d = distributor();
+        let journal = Arc::new(Journal::new());
+        d.attach_journal(Arc::clone(&journal));
+        let before = persist::export_state(&d);
+        assert_eq!(
+            d.add_password("Bob", "aB1c", PrivacyLevel::High),
+            Err(CoreError::PasswordExists("Bob".into()))
+        );
+        assert_eq!(persist::export_state(&d), before);
+        let privilege = d.session("Bob", "aB1c").unwrap().privilege();
+        assert_eq!(privilege, PrivacyLevel::Public);
+        let op = journal.ops().pop().unwrap();
+        let aborted = (OpKind::Client, crate::journal::OpStatus::Aborted);
+        assert_eq!((op.kind, op.status), aborted);
     }
 
     #[test]
@@ -3609,8 +3675,8 @@ mod tests {
         let stripe_levels = |file: &str| -> Vec<(usize, RaidLevel)> {
             st.iter()
                 .flat_map(|sh| {
-                    sh.clients.get("Bob").into_iter().flat_map(|c| {
-                        c.files.get(file).into_iter().flat_map(|f| {
+                    sh.files.get("Bob").into_iter().flat_map(|files| {
+                        files.get(file).into_iter().flat_map(|f| {
                             f.stripe_ids
                                 .iter()
                                 .map(|&sid| (sh.stripes[sid].k, sh.stripes[sid].level))
@@ -3976,7 +4042,7 @@ mod tests {
             };
             let owner = ring.owner("secret", serial).unwrap();
             assert_eq!(
-                st.providers[e.provider_idx].name(),
+                d.providers()[e.provider_idx].name(),
                 owner,
                 "serial {serial}"
             );

@@ -151,6 +151,9 @@ pub enum CoreError {
     Raid(fragcloud_raid::RaidError),
     /// Client registration conflict.
     ClientExists(String),
+    /// `add_password` with a password the named client already lists
+    /// (carries the client, not the password).
+    PasswordExists(String),
     /// Upload sent to a distributor that is not the client's primary
     /// (§IV-C: "a specific distributor will act as the primary distributor
     /// that will upload data").
@@ -252,6 +255,7 @@ impl std::fmt::Display for CoreError {
             CoreError::Store(e) => write!(f, "provider error: {e}"),
             CoreError::Raid(e) => write!(f, "reconstruction error: {e}"),
             CoreError::ClientExists(c) => write!(f, "client {c:?} already registered"),
+            CoreError::PasswordExists(c) => write!(f, "client {c:?} already lists that password"),
             CoreError::NotPrimary { client, primary } => {
                 write!(
                     f,

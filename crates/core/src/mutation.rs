@@ -50,32 +50,23 @@ use crate::distributor::CloudDataDistributor;
 use crate::journal::{Journal, OpId, OpKind};
 use crate::persist;
 use crate::recovery;
-use crate::tables::Tables;
+use crate::tables::{ClientEntry, Tables};
 use crate::{CoreError, Result};
 use fragcloud_sim::{CloudProvider, ObjectStore, VirtualId};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Objects a verb has doomed, with the provider holding each: what its
-/// body hands back to [`CloudDataDistributor::journaled`].
-pub(crate) type Doomed = Vec<(Arc<CloudProvider>, VirtualId)>;
-
-/// Binds the ⟨provider index, vid⟩ pairs a row names
-/// ([`ChunkEntry::objects`](crate::tables::ChunkEntry::objects)) to their
-/// provider handles.
-pub(crate) fn doom(st: &Tables, objects: impl IntoIterator<Item = (usize, VirtualId)>) -> Doomed {
-    objects
-        .into_iter()
-        .map(|(p, vid)| (Arc::clone(&st.providers[p]), vid))
-        .collect()
-}
+/// Objects a verb has doomed, as the ⟨provider index, vid⟩ pairs a row
+/// names ([`ChunkEntry::objects`](crate::tables::ChunkEntry::objects)):
+/// what its body hands back to [`CloudDataDistributor::journaled`].
+pub(crate) type Doomed = Vec<(usize, VirtualId)>;
 
 /// Step 5. Best-effort: the objects are doomed in the journal, so
 /// recovery collects any straggler.
-fn delete_doomed(doomed: &Doomed) {
-    for (provider, vid) in doomed {
-        let _ = provider.delete(*vid);
+fn delete_doomed(fleet: &[Arc<CloudProvider>], doomed: &Doomed) {
+    for &(p, vid) in doomed {
+        let _ = fleet[p].delete(vid);
     }
 }
 
@@ -110,10 +101,10 @@ struct DirtyRows {
     /// row when the entry exists and a `filedel` tombstone when it does
     /// not (removed).
     files: BTreeSet<(String, String)>,
-    /// Client-directory entries touched, by name. The directory is
-    /// replicated: capture reads the shard it is handed, replay writes
-    /// every shard.
-    clients: BTreeSet<String>,
+    /// Client-directory rows touched, serialized as `client|…` lines when
+    /// touched: a client op touches its row under the directory write
+    /// guard it commits under, so the text is the row at the commit.
+    clients: String,
 }
 
 impl DirtyRows {
@@ -175,13 +166,13 @@ impl CloudDataDistributor {
                     // compaction — this op's or another's — drops its doom
                     // record.
                     self.crash_point()?;
-                    delete_doomed(&doomed);
+                    delete_doomed(self.fleet(), &doomed);
                     j.journal.release(j.op);
                     if checkpoint_due {
                         j.journal.compact();
                     }
                 } else {
-                    delete_doomed(&doomed);
+                    delete_doomed(self.fleet(), &doomed);
                 }
                 Ok(v)
             }
@@ -216,8 +207,9 @@ impl CloudDataDistributor {
 
     /// Appends the open op's commit record while its body still holds the
     /// write guard that published its rows: `st`, the tables of `shard`,
-    /// the one shard those rows live in (any shard, for a client-directory
-    /// row). No other op can read the rows before this op's close is in
+    /// the one shard those rows live in. A client op holds the directory
+    /// write guard instead, and passes empty tables: its row is in the
+    /// dirty set already. No other op can read the rows before this op's close is in
     /// the journal, so an op that reads them — re-planning the same
     /// stripe's parity, putting a name this op removed — closes after it,
     /// and a flush that makes that op durable makes this one durable too.
@@ -270,11 +262,16 @@ impl CloudDataDistributor {
         }
     }
 
-    /// Marks one client-directory entry (name + passwords) dirty for the
-    /// open op's delta.
-    pub(crate) fn touch_client(&self, ctx: &OpCtx, name: &str) {
+    /// Adds one client-directory row (name + passwords), as it stands, to
+    /// the open op's delta.
+    pub(crate) fn touch_client(&self, ctx: &OpCtx, name: &str, entry: &ClientEntry) {
         if let Some(j) = &ctx.journal {
-            j.dirty.lock().clients.insert(name.to_string());
+            let rows = &mut j.dirty.lock().clients;
+            rows.push_str("client|");
+            persist::esc_into(rows, name);
+            rows.push('|');
+            persist::passwords_into(rows, &entry.passwords);
+            rows.push('\n');
         }
     }
 
@@ -292,11 +289,7 @@ impl CloudDataDistributor {
     fn capture_delta(&self, dirty: &DirtyRows, shard: usize, st: &Tables) -> String {
         use std::fmt::Write as _;
         let mut out = self.watermark();
-        for (name, entry) in (dirty.clients.iter()).filter_map(|n| Some((n, st.clients.get(n)?))) {
-            let _ = write!(out, "client|{}|", persist::esc(name));
-            persist::passwords_into(&mut out, &entry.passwords);
-            out.push('\n');
-        }
+        out.push_str(&dirty.clients);
         for &idx in &dirty.chunks {
             let _ = write!(out, "chunk|{shard}|{idx}|");
             persist::chunk_row_into(&mut out, &st.chunks[idx]);
@@ -309,7 +302,7 @@ impl CloudDataDistributor {
         }
         for (client, name) in &dirty.files {
             let (c, n) = (persist::esc(client), persist::esc(name));
-            match st.clients.get(client).and_then(|e| e.files.get(name)) {
+            match st.files.get(client).and_then(|files| files.get(name)) {
                 Some(fe) => {
                     let _ = write!(out, "file|{shard}|{c}|{n}|");
                     persist::file_row_into(&mut out, fe);

@@ -15,8 +15,9 @@
 //! a framed copy of a payload, or a put's data shard — a `ShardBuf`
 //! that the storing thread allocates, an encode worker fills with the
 //! chunk's stored form and frames in place, and that is uploaded as it
-//! is. The write side takes the provider fleet, not the tables: the put
-//! pipeline stores with no shard guard in scope.
+//! is. Neither side takes the tables: both reach a provider through the
+//! distributor's fleet, which needs no lock, so a store or a read can run
+//! with no shard guard in scope.
 //!
 //! The contract:
 //!
@@ -53,9 +54,8 @@ use crate::resilience::AttemptOutcome;
 use crate::tables::{ChunkEntry, Tables};
 use crate::{CoreError, Result};
 use bytes::Bytes;
-use fragcloud_sim::{CloudProvider, ObjectStore, StoreError, VirtualId};
+use fragcloud_sim::{ObjectStore, StoreError, VirtualId};
 use fragcloud_telemetry::TelemetryHandle;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A provider object: a payload behind its vid-seeded integrity frame,
@@ -212,13 +212,12 @@ impl CloudDataDistributor {
     /// number of retries consumed — failures cost simulated time too.
     pub(crate) fn get_with_retry(
         &self,
-        st: &Tables,
         provider_idx: usize,
         vid: VirtualId,
         expected_len: Option<usize>,
         tel: &TelemetryHandle,
     ) -> (Result<Bytes>, Duration, u64) {
-        let provider = &st.providers[provider_idx];
+        let provider = &self.fleet()[provider_idx];
         let health = self.health();
         let run = self.config().resilience.retry.execute(
             self.retry_seed(vid, provider_idx),
@@ -276,7 +275,6 @@ impl CloudDataDistributor {
     /// policy; same accounting contract as [`Self::get_with_retry`].
     pub(crate) fn put_with_retry(
         &self,
-        fleet: &[Arc<CloudProvider>],
         provider_idx: usize,
         vid: VirtualId,
         bytes: &[u8],
@@ -284,7 +282,7 @@ impl CloudDataDistributor {
     ) -> (Result<()>, Duration, u64) {
         // `bytes` stays the payload: table `stored_len` never includes
         // framing.
-        self.put_framed(fleet, provider_idx, &Framed::copy_of(vid, bytes), tel)
+        self.put_framed(provider_idx, &Framed::copy_of(vid, bytes), tel)
     }
 
     /// The boundary write: one provider write of `object` under the retry
@@ -292,12 +290,11 @@ impl CloudDataDistributor {
     /// [`Self::get_with_retry`].
     pub(crate) fn put_framed(
         &self,
-        fleet: &[Arc<CloudProvider>],
         provider_idx: usize,
         object: &Framed,
         tel: &TelemetryHandle,
     ) -> (Result<()>, Duration, u64) {
-        let provider = &fleet[provider_idx];
+        let provider = &self.fleet()[provider_idx];
         let health = self.health();
         let run = self.config().resilience.retry.execute(
             self.retry_seed(object.vid, provider_idx),
@@ -347,7 +344,7 @@ impl CloudDataDistributor {
             // No new attempt is made on a member already counted lost.
             Member::Lost => Err(CoreError::RetriesExhausted { attempts: 0 }),
             Member::Untried => {
-                let read = self.get_with_retry(st, e.provider_idx, e.vid, Some(e.stored_len), tel);
+                let read = self.get_with_retry(e.provider_idx, e.vid, Some(e.stored_len), tel);
                 *state = match &read.0 {
                     Ok(stored) => Member::Verified(stored.clone()),
                     Err(_) => Member::Lost,

@@ -17,8 +17,8 @@
 //! Since the chunk/client tables split into independently locked shards,
 //! the snapshot records them shard by shard — chunk and stripe indices
 //! are *shard-local*, and a file's row names its owning client because
-//! the client directory itself is global (names and passwords are
-//! replicated across shards; only files are partitioned):
+//! the client directory itself is global (the distributor holds it once;
+//! only files are partitioned):
 //!
 //! ```text
 //! fragcloud-state|v2
@@ -44,7 +44,9 @@
 //! (`StateImage::fold_line`) instead of the tables being re-exported.
 
 use crate::distributor::CloudDataDistributor;
-use crate::tables::{ChunkEntry, ChunkRole, ClientEntry, FileEntry, StripeInfo, StripeRef, Tables};
+use crate::tables::{
+    ChunkEntry, ChunkRole, ClientEntry, Directory, FileEntry, StripeInfo, StripeRef, Tables,
+};
 use crate::{CoreError, PrivacyLevel, Result};
 use fragcloud_raid::RaidLevel;
 use fragcloud_sim::{CloudProvider, VirtualId};
@@ -439,11 +441,12 @@ fn file_key(s: &str) -> Option<(String, String)> {
 impl StateImage {
     /// The image of `d`'s tables as they stand, row by row.
     pub(crate) fn of(d: &CloudDataDistributor) -> StateImage {
+        // The directory guard before the shards': one consistent cut.
+        let directory = d.directory_read();
         let shards = d.lock_all_read();
-        let directory = &shards[0].clients;
         StateImage {
             vids: d.vids_allocated(),
-            providers: shards[0].providers.iter().map(|p| esc(p.name())).collect(),
+            providers: d.fleet().iter().map(|p| esc(p.name())).collect(),
             clients: directory
                 .iter()
                 .map(|(name, e)| {
@@ -460,9 +463,9 @@ impl StateImage {
                     stripes: (st.stripes.iter())
                         .map(|s| row(|out| stripe_row_into(out, s)))
                         .collect(),
-                    files: (st.clients.iter())
-                        .flat_map(|(cname, e)| {
-                            e.files.iter().map(move |(fname, fe)| {
+                    files: (st.files.iter())
+                        .flat_map(|(cname, files)| {
+                            files.iter().map(move |(fname, fe)| {
                                 let line = row(|out| file_line_into(out, cname, fname, fe));
                                 ((cname.clone(), fname.clone()), line)
                             })
@@ -777,7 +780,7 @@ pub(crate) fn import_image(
 
     // Global client directory (names + passwords; files come per shard).
     line_no += 1;
-    let mut directory: Vec<(&String, ClientEntry)> = Vec::with_capacity(image.clients.len());
+    let mut directory = Directory::with_capacity(image.clients.len());
     for (name, passwords) in &image.clients {
         line_no += 1;
         let mut entry = ClientEntry::default();
@@ -791,23 +794,20 @@ pub(crate) fn import_image(
                 .passwords
                 .push((unesc(f[1]), parse_pl(f[2], line_no)?));
         }
-        directory.push((name, entry));
+        directory.insert(name.clone(), entry);
     }
 
-    // Per-shard tables; every shard replicates the directory.
+    // Per-shard tables: the rows each partitions.
     let mut shards: Vec<Tables> = Vec::with_capacity(image.shards.len());
     for sh in &image.shards {
-        let mut tables = Tables::new(ordered.clone());
-        for (name, entry) in &directory {
-            tables.clients.insert((*name).clone(), entry.clone());
-        }
+        let mut tables = Tables::default();
 
         line_no += 2; // `shard|`, `chunks|`
         for row in &sh.chunks {
             line_no += 1;
             let f: Vec<&str> = row.split('|').collect();
             let c = parse_chunk_fields(&f, line_no)?;
-            if c.provider_idx >= tables.providers.len() {
+            if c.provider_idx >= ordered.len() {
                 return Err(bad(line_no, "provider index out of range"));
             }
             tables.chunks.push(c);
@@ -835,15 +835,15 @@ pub(crate) fn import_image(
             if fe.chunk_indices.iter().any(|&c| c >= tables.chunks.len()) {
                 return Err(bad(line_no, "file chunk index out of range"));
             }
-            let entry = tables
-                .clients
-                .get_mut(cname)
-                .ok_or_else(|| bad(line_no, "file for unknown client"))?;
-            entry.files.insert(fname.clone(), fe);
+            if !directory.contains_key(cname) {
+                return Err(bad(line_no, "file for unknown client"));
+            }
+            let files = tables.files.entry(cname.clone()).or_default();
+            files.insert(fname.clone(), fe);
         }
         shards.push(tables);
     }
-    CloudDataDistributor::from_shards(shards, config, image.vids)
+    CloudDataDistributor::from_shards(ordered, directory, shards, config, image.vids)
 }
 
 #[cfg(test)]
@@ -886,22 +886,23 @@ mod tests {
             write(&mut out);
             out
         };
+        let directory = d.directory_read();
         let shards = d.lock_all_read();
         let mut out = String::new();
         out.push_str(&format!("fragcloud-state|v{VERSION}\n"));
         out.push_str(&format!("vids|{}\n", d.vids_allocated()));
         out.push_str(&format!("shards|{}\n", shards.len()));
-        let fleet = &shards[0].providers;
+        let fleet = d.providers();
         out.push_str(&format!("providers|{}\n", fleet.len()));
-        for p in fleet {
+        for p in &fleet {
             out.push_str(&format!("provider|{}\n", esc(p.name())));
         }
-        let mut names: Vec<&String> = shards[0].clients.keys().collect();
+        let mut names: Vec<&String> = directory.keys().collect();
         names.sort();
         out.push_str(&format!("clients|{}\n", names.len()));
         for name in &names {
             out.push_str(&format!("client|{}\n", esc(name)));
-            for (pass, pl) in &shards[0].clients[*name].passwords {
+            for (pass, pl) in &directory[*name].passwords {
                 out.push_str(&format!("password|{}|{}\n", esc(pass), pl.as_u8()));
             }
         }
@@ -919,7 +920,7 @@ mod tests {
             }
             let mut files: Vec<(&String, &String, &FileEntry)> = Vec::new();
             for name in &names {
-                for (fname, fe) in &st.clients[*name].files {
+                for (fname, fe) in st.files.get(*name).into_iter().flatten() {
                     files.push((name, fname, fe));
                 }
             }

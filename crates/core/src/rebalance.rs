@@ -16,7 +16,7 @@
 
 use crate::distributor::{chunk_target, CloudDataDistributor};
 use crate::journal::OpKind;
-use crate::mutation::{doom, Doomed};
+use crate::mutation::Doomed;
 use crate::policy;
 use crate::tables::ChunkRole;
 use crate::{CoreError, Result};
@@ -54,15 +54,15 @@ impl CloudDataDistributor {
     ) -> Result<()> {
         let target = chunk_target(filename, serial);
         self.journaled(OpKind::Migrate, client, &target, |ctx| {
+            let level = self.password_level(client, password)?;
             let shard = self.shard_for(client, filename);
             let mut st = self.shard_write(shard);
             let chunk_idx = st.chunk_index(client, filename, serial)?;
-            crate::access::authorize(st.client(client)?, password, st.chunks[chunk_idx].pl)?;
             let pl = st.chunks[chunk_idx].pl;
-            if target_provider >= st.providers.len() {
+            crate::access::check(level, pl)?;
+            let Some(target) = self.fleet().get(target_provider) else {
                 return Err(CoreError::NoEligibleProvider { pl });
-            }
-            let target = &st.providers[target_provider];
+            };
             if !target.is_online() || target.profile().privacy_level < pl {
                 return Err(CoreError::NoEligibleProvider { pl });
             }
@@ -95,16 +95,16 @@ impl CloudDataDistributor {
             let tel = self.telemetry();
             let stored_len = st.chunks[chunk_idx].stored_len;
             let payload = self
-                .get_with_retry(&st, source_provider, old_vid, Some(stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                .get_with_retry(source_provider, old_vid, Some(stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
-            self.put_with_retry(&st.providers, target_provider, new_vid, &payload, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+            self.put_with_retry(target_provider, new_vid, &payload, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
             self.crash_point()?;
             st.chunks[chunk_idx].vid = new_vid;
             st.chunks[chunk_idx].provider_idx = target_provider;
             self.touch_chunk(ctx, chunk_idx);
             self.commit_under(ctx, shard, &st);
-            Ok(((), doom(&st, [(source_provider, old_vid)])))
+            Ok(((), vec![(source_provider, old_vid)]))
         })
     }
 
@@ -123,17 +123,17 @@ impl CloudDataDistributor {
     ) -> Result<RebalanceReport> {
         // Collect candidate moves under the read locks (every shard: the
         // client's files are spread by file-hash), then apply lock-free.
+        let level = self.password_level(client, password)?;
+        let fleet = self.fleet();
         let moves: Vec<(String, u32, usize)> = {
             let shards = self.lock_all_read();
-            shards[0].client(client)?;
             // Eligible providers per PL, sorted by base latency.
             let mut moves = Vec::new();
             for st in shards.iter() {
-                let entry = st.client(client)?;
-                for (filename, file) in &entry.files {
-                    crate::access::authorize(entry, password, file.pl)?;
-                    let mut candidates = policy::eligible_providers(&st.providers, file.pl);
-                    candidates.sort_by_key(|&i| st.providers[i].profile().latency.base);
+                for (filename, file) in st.files.get(client).into_iter().flatten() {
+                    crate::access::check(level, file.pl)?;
+                    let mut candidates = policy::eligible_providers(fleet, file.pl);
+                    candidates.sort_by_key(|&i| fleet[i].profile().latency.base);
                     let Some(&best) = candidates.first() else {
                         continue;
                     };
@@ -144,7 +144,7 @@ impl CloudDataDistributor {
                         }
                         // Hotness: total gets at the current provider is our
                         // proxy (per-object stats would need provider support).
-                        let gets = st.providers[e.provider_idx]
+                        let gets = fleet[e.provider_idx]
                             .stats()
                             .gets
                             .load(std::sync::atomic::Ordering::Relaxed);
@@ -156,8 +156,8 @@ impl CloudDataDistributor {
                             ChunkRole::Parity { .. } => continue,
                         };
                         // Only better-latency targets.
-                        if st.providers[best].profile().latency.base
-                            < st.providers[e.provider_idx].profile().latency.base
+                        if fleet[best].profile().latency.base
+                            < fleet[e.provider_idx].profile().latency.base
                         {
                             moves.push((filename.clone(), serial, best));
                         }
@@ -186,23 +186,25 @@ impl CloudDataDistributor {
     /// this client versus placing everything at the worst eligible
     /// provider — a locality score for tests/experiments.
     pub fn locality_gain(&self, client: &str, filename: &str) -> Result<Duration> {
+        self.known_client(client)?;
+        let fleet = self.fleet();
         let st = self.read_shard_for(client, filename);
         let file = st.file(client, filename)?;
         let mut current = Duration::ZERO;
         let mut worst_case = Duration::ZERO;
-        let eligible = policy::eligible_providers(&st.providers, file.pl);
+        let eligible = policy::eligible_providers(fleet, file.pl);
         let worst = eligible
             .iter()
             .copied()
-            .max_by_key(|&i| st.providers[i].profile().latency.base)
+            .max_by_key(|&i| fleet[i].profile().latency.base)
             .ok_or(CoreError::NoEligibleProvider { pl: file.pl })?;
         for &ci in &file.chunk_indices {
             let e = &st.chunks[ci];
-            current += st.providers[e.provider_idx]
+            current += fleet[e.provider_idx]
                 .profile()
                 .latency
                 .transfer_time(e.stored_len, 0);
-            worst_case += st.providers[worst]
+            worst_case += fleet[worst]
                 .profile()
                 .latency
                 .transfer_time(e.stored_len, 0);

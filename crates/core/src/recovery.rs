@@ -332,11 +332,11 @@ fn verify_expectations(
                     continue;
                 }
                 let primary_ok = {
-                    let p = &st.providers[e.provider_idx];
+                    let p = &d.fleet()[e.provider_idx];
                     p.is_online() && p.contains(e.vid)
                 };
                 let replica_ok = e.replicas.iter().any(|&(rp, rv)| {
-                    let p = &st.providers[rp];
+                    let p = &d.fleet()[rp];
                     p.is_online() && p.contains(rv)
                 });
                 if !primary_ok && !replica_ok {

@@ -36,9 +36,8 @@
 //! checked against each chunk's level *per operation* (§V), so a `Public`
 //! session can open fine and still be denied on `High` data.
 
-use crate::access;
 use crate::distributor::{CloudDataDistributor, GetReceipt, PutOptions, PutReceipt};
-use crate::Result;
+use crate::{CoreError, Result};
 use fragcloud_sim::PrivacyLevel;
 use std::fmt;
 
@@ -93,7 +92,7 @@ pub struct Session<'d> {
 
 impl CloudDataDistributor {
     /// Opens a typed session for `client`, failing fast with
-    /// [`CoreError::AccessDenied`](crate::CoreError::AccessDenied) when the
+    /// [`CoreError::AccessDenied`] when the
     /// password is not one of the client's registered pairs (§V).
     pub fn session(&self, client: &str, password: &str) -> Result<Session<'_>> {
         self.session_with(Credentials::new(client, password))
@@ -101,12 +100,9 @@ impl CloudDataDistributor {
 
     /// [`session`](Self::session) with pre-built [`Credentials`].
     pub fn session_with(&self, credentials: Credentials) -> Result<Session<'_>> {
-        let privilege = {
-            // The client directory (names + passwords) is replicated into
-            // every shard; shard 0 speaks for all.
-            let st = self.shard_read(0);
-            access::password_level(st.client(credentials.client())?, credentials.password())?
-        };
+        let privilege = self
+            .password_level(credentials.client(), credentials.password())?
+            .ok_or(CoreError::AccessDenied)?;
         Ok(Session {
             distributor: self,
             credentials,
@@ -257,7 +253,7 @@ impl<'d> Session<'d> {
     /// snapshot's bytes are stored again under fresh vids, with the
     /// stripe's re-planned parity, and the superseded objects — the
     /// snapshot included — are deleted once the restore is committed.
-    /// Fails with [`CoreError::UnknownChunk`](crate::CoreError::UnknownChunk)
+    /// Fails with [`CoreError::UnknownChunk`]
     /// when the chunk has no snapshot.
     pub fn restore_snapshot(&self, filename: &str, serial: u32) -> Result<()> {
         self.distributor.restore_snapshot_impl(

@@ -136,30 +136,28 @@ pub struct FileEntry {
     pub total_len: usize,
 }
 
-/// One row of the Client Table (Table II).
+/// One row of the Client Table (Table II) as the client directory holds
+/// it: the client's ⟨password, PL⟩ pairs. Its files — the row's count and
+/// quadruples — are partitioned across the table shards
+/// ([`Tables::files`]).
 #[derive(Debug, Clone, Default)]
 pub struct ClientEntry {
     /// ⟨password, PL⟩ pairs; "associates a group of users with a
-    /// ⟨password, PL⟩ pair at client side".
+    /// ⟨password, PL⟩ pair at client side". No password is listed twice.
     pub passwords: Vec<(String, PrivacyLevel)>,
-    /// Files owned by the client.
-    pub files: HashMap<String, FileEntry>,
 }
 
-impl ClientEntry {
-    /// Total chunk count across files (Table II's `Count`).
-    pub fn chunk_count(&self) -> usize {
-        self.files.values().map(|f| f.chunk_indices.len()).sum()
-    }
-}
+/// The client directory: client name → its [`ClientEntry`]. The
+/// distributor holds one, behind one lock.
+pub type Directory = HashMap<String, ClientEntry>;
 
-/// All distributor state: the three tables.
+/// One table shard: the rows it partitions. A file lives wholly in one
+/// shard; the provider fleet and the client directory are held once, by
+/// the distributor.
 #[derive(Debug, Default)]
 pub struct Tables {
-    /// Cloud Provider Table: live provider handles; row index = CP index.
-    pub providers: Vec<Arc<CloudProvider>>,
-    /// Client Table.
-    pub clients: HashMap<String, ClientEntry>,
+    /// The Client Table's files in this shard: client → filename → entry.
+    pub files: HashMap<String, HashMap<String, FileEntry>>,
     /// Chunk Table.
     pub chunks: Vec<ChunkEntry>,
     /// Stripe list (not in the paper's tables; implements its RAID call).
@@ -171,33 +169,12 @@ pub struct Tables {
 }
 
 impl Tables {
-    /// Creates tables over a provider fleet.
-    pub fn new(providers: Vec<Arc<CloudProvider>>) -> Self {
-        Tables {
-            providers,
-            ..Default::default()
-        }
-    }
-
-    /// Looks up a client or fails.
-    pub fn client(&self, name: &str) -> Result<&ClientEntry> {
-        self.clients
-            .get(name)
-            .ok_or_else(|| CoreError::UnknownClient(name.to_string()))
-    }
-
-    /// Mutable client lookup.
-    pub fn client_mut(&mut self, name: &str) -> Result<&mut ClientEntry> {
-        self.clients
-            .get_mut(name)
-            .ok_or_else(|| CoreError::UnknownClient(name.to_string()))
-    }
-
-    /// Looks up a client's file or fails.
+    /// Looks up a client's file in this shard or fails. Whether the client
+    /// exists is the directory's question, asked first.
     pub fn file(&self, client: &str, filename: &str) -> Result<&FileEntry> {
-        self.client(client)?
-            .files
-            .get(filename)
+        self.files
+            .get(client)
+            .and_then(|files| files.get(filename))
             .ok_or_else(|| CoreError::UnknownFile {
                 client: client.to_string(),
                 filename: filename.to_string(),
@@ -247,7 +224,9 @@ impl Tables {
     /// caller's to delete.
     pub fn drop_file(&mut self, client: &str, filename: &str) -> Result<Vec<usize>> {
         let members = self.file_members(self.file(client, filename)?);
-        self.client_mut(client)?.files.remove(filename);
+        if let Some(files) = self.files.get_mut(client) {
+            files.remove(filename);
+        }
         for &m in &members {
             self.chunks[m].tombstone();
         }
@@ -264,40 +243,21 @@ impl Tables {
             .collect()
     }
 
-    /// Renders the Cloud Provider Table like the paper's Table I.
-    pub fn render_provider_table(&self) -> String {
-        let mut out = String::from("Cloud Provider | PL | CL | Count | Virtual id list\n");
-        for p in &self.providers {
-            let ids = p.virtual_id_list();
-            let preview: Vec<String> = ids.iter().take(3).map(|v| v.0.to_string()).collect();
-            let ell = if ids.len() > 3 { ", ..." } else { "" };
-            out.push_str(&format!(
-                "{} | {} | {} | {} | {{{}{}}}\n",
-                p.name(),
-                p.profile().privacy_level,
-                p.profile().cost_level,
-                p.chunk_count(),
-                preview.join(", "),
-                ell
-            ));
-        }
-        out
-    }
-
-    /// Renders the Client Table like the paper's Table II.
-    pub fn render_client_table(&self) -> String {
+    /// Renders the Client Table like the paper's Table II: every client of
+    /// `directory`, with its files in these tables.
+    pub fn render_client_table(&self, directory: &Directory) -> String {
         let mut out = String::from("Client | (pass, PL) | Count | (filename, sl, PL, idx)\n");
-        let mut names: Vec<&String> = self.clients.keys().collect();
+        let mut names: Vec<&String> = directory.keys().collect();
         names.sort();
         for name in names {
-            let c = &self.clients[name];
-            let passes: Vec<String> = c
+            let passes: Vec<String> = directory[name]
                 .passwords
                 .iter()
                 .map(|(p, pl)| format!("({p}, {})", pl.as_u8()))
                 .collect();
             let mut quads = Vec::new();
-            let mut files: Vec<(&String, &FileEntry)> = c.files.iter().collect();
+            let mut files: Vec<(&String, &FileEntry)> =
+                self.files.get(name).into_iter().flatten().collect();
             files.sort_by_key(|(n, _)| (*n).clone());
             for (fname, fe) in files {
                 for (sl, &idx) in fe.chunk_indices.iter().enumerate() {
@@ -307,7 +267,7 @@ impl Tables {
             out.push_str(&format!(
                 "{name} | {} | {} | {}\n",
                 passes.join(" "),
-                c.chunk_count(),
+                quads.len(),
                 quads.join(" ")
             ));
         }
@@ -347,6 +307,26 @@ impl Tables {
     }
 }
 
+/// Renders the Cloud Provider Table like the paper's Table I.
+pub fn render_provider_table(providers: &[Arc<CloudProvider>]) -> String {
+    let mut out = String::from("Cloud Provider | PL | CL | Count | Virtual id list\n");
+    for p in providers {
+        let ids = p.virtual_id_list();
+        let preview: Vec<String> = ids.iter().take(3).map(|v| v.0.to_string()).collect();
+        let ell = if ids.len() > 3 { ", ..." } else { "" };
+        out.push_str(&format!(
+            "{} | {} | {} | {} | {{{}{}}}\n",
+            p.name(),
+            p.profile().privacy_level,
+            p.profile().cost_level,
+            p.chunk_count(),
+            preview.join(", "),
+            ell
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,26 +345,24 @@ mod tests {
             .collect()
     }
 
+    fn file(chunk_indices: Vec<usize>) -> FileEntry {
+        FileEntry {
+            pl: PrivacyLevel::Public,
+            total_len: chunk_indices.len(),
+            chunk_indices,
+            stripe_ids: vec![],
+        }
+    }
+
     #[test]
     fn lookups_fail_cleanly() {
-        let t = Tables::new(fleet());
-        assert!(matches!(t.client("Bob"), Err(CoreError::UnknownClient(_))));
-        let mut t = t;
-        t.clients.insert("Bob".into(), ClientEntry::default());
-        assert!(t.client("Bob").is_ok());
+        let mut t = Tables::default();
         assert!(matches!(
             t.file("Bob", "file1"),
             Err(CoreError::UnknownFile { .. })
         ));
-        t.client_mut("Bob").unwrap().files.insert(
-            "file1".into(),
-            FileEntry {
-                pl: PrivacyLevel::Low,
-                chunk_indices: vec![0],
-                stripe_ids: vec![],
-                total_len: 10,
-            },
-        );
+        let bob = t.files.entry("Bob".into()).or_default();
+        bob.insert("file1".into(), file(vec![0]));
         assert!(t.chunk_index("Bob", "file1", 0).is_ok());
         assert!(matches!(
             t.chunk_index("Bob", "file1", 5),
@@ -392,40 +370,27 @@ mod tests {
         ));
     }
 
+    /// Table II's `Count` column sums the client's files in the shard.
     #[test]
     fn chunk_count_sums_files() {
-        let mut c = ClientEntry::default();
-        c.files.insert(
-            "a".into(),
-            FileEntry {
-                pl: PrivacyLevel::Public,
-                chunk_indices: vec![0, 1, 2],
-                stripe_ids: vec![],
-                total_len: 3,
-            },
-        );
-        c.files.insert(
-            "b".into(),
-            FileEntry {
-                pl: PrivacyLevel::Public,
-                chunk_indices: vec![3],
-                stripe_ids: vec![],
-                total_len: 1,
-            },
-        );
-        assert_eq!(c.chunk_count(), 4);
+        let mut t = Tables::default();
+        let bob = t.files.entry("Bob".into()).or_default();
+        bob.insert("a".into(), file(vec![0, 1, 2]));
+        bob.insert("b".into(), file(vec![3]));
+        let directory = Directory::from([("Bob".into(), ClientEntry::default())]);
+        let row = t.render_client_table(&directory);
+        assert!(row.contains("\nBob |  | 4 | (a, 0, 0, 0) "), "{row}");
     }
 
     #[test]
     fn renders_contain_headers_and_rows() {
-        let mut t = Tables::new(fleet());
-        t.clients.insert(
+        let mut t = Tables::default();
+        let directory = Directory::from([(
             "Bob".into(),
             ClientEntry {
                 passwords: vec![("x9pr".into(), PrivacyLevel::Low)],
-                files: HashMap::new(),
             },
-        );
+        )]);
         t.chunks.push(ChunkEntry {
             vid: VirtualId(10986),
             pl: PrivacyLevel::Low,
@@ -441,10 +406,10 @@ mod tests {
             removed: false,
             replicas: Vec::new(),
         });
-        let pt = t.render_provider_table();
+        let pt = render_provider_table(&fleet());
         assert!(pt.contains("AWS"));
         assert!(pt.contains("PL3"));
-        let ct = t.render_client_table();
+        let ct = t.render_client_table(&directory);
         assert!(ct.contains("Bob"));
         assert!(ct.contains("x9pr"));
         let kt = t.render_chunk_table();

@@ -490,12 +490,12 @@ fn provider_boundary(tokens: &[Token], code: &[usize]) -> Vec<Hit> {
     hits
 }
 
-/// Names that acquire a shard-table lock. `shard_read`/`shard_write`
-/// take a shard index; the `lock_all_*` pair takes none (they already
-/// lock in ascending order internally, but what they return is still a
-/// full set of held guards).
+/// Names that acquire a table lock. `shard_read`/`shard_write` take a
+/// shard index; the rest take none: `lock_all_read` locks ascending
+/// internally but returns a full set of held guards, and the client
+/// directory's guard is one lock of its own.
 const SHARD_LOCK_FNS: &[&str] = &["shard_read", "shard_write"];
-const LOCK_ALL_FNS: &[&str] = &["lock_all_read", "lock_all_write"];
+const UNINDEXED_LOCK_FNS: &[&str] = &["lock_all_read", "directory_read", "directory_write"];
 
 /// Provider methods that count as I/O for the held-across check.
 const PROVIDER_IO_METHODS: &[&str] = &["put", "get", "delete", "store"];
@@ -597,7 +597,7 @@ fn lock_order(tokens: &[Token], code: &[usize]) -> Vec<Hit> {
 
         // Acquisitions.
         if !prev_is_fn_kw
-            && (SHARD_LOCK_FNS.contains(&name) || LOCK_ALL_FNS.contains(&name))
+            && (SHARD_LOCK_FNS.contains(&name) || UNINDEXED_LOCK_FNS.contains(&name))
         {
             let index = if SHARD_LOCK_FNS.contains(&name) {
                 literal_arg(tokens, code, i)
@@ -986,6 +986,12 @@ mod tests {
             provider.get(vid);
         }";
         assert_eq!(run("lock-order", all).len(), 1);
+        // So does the client directory's guard.
+        let directory = "fn f(&self) {
+            let clients = self.directory_write();
+            self.journal.persist(batch);
+        }";
+        assert_eq!(run("lock-order", directory).len(), 1);
     }
 
     #[test]

@@ -15,3 +15,5 @@ pub fn persist_under_lock(d: &Distributor, batch: &Batch) {
     d.journal.persist(batch);
     drop(guard);
 }
+
+pub fn persist_under_directory(d: &Distributor, b: &Batch) { let dir = d.directory_write(); d.journal.persist(b); }

@@ -8,6 +8,7 @@ pub fn cross_shard_swap(d: &Distributor) -> usize {
 }
 
 pub fn persist_after_unlock(d: &Distributor, batch: &Batch) {
+    let known = d.directory_read().contains_key("c");
     let n = {
         let guard = d.shard_write(0);
         guard.chunks.len()

@@ -217,8 +217,9 @@ impl Ledger {
         }
     }
 
-    /// Registers `name` (a duplicate is an aborted journal op) and gives
-    /// it the password `pw`: two `client` ops.
+    /// Registers `name` and gives it the password `pw`: two `client` ops.
+    /// A duplicate name, or a password `name` already lists, is an aborted
+    /// journal op.
     fn client(&mut self, w: &World, name: &str, pw: &str) -> Result<(), CoreError> {
         self.client_in_flight = Some((name.into(), None));
         match w.d.register_client(name) {
@@ -226,8 +227,13 @@ impl Ledger {
             _ => self.clients.entry(name.into()).or_default(),
         };
         self.client_in_flight = Some((name.into(), Some(pw.into())));
-        w.d.add_password(name, pw, PrivacyLevel::Low)?;
-        self.clients.entry(name.into()).or_default().push(pw.into());
+        match w.d.add_password(name, pw, PrivacyLevel::Low) {
+            Err(CoreError::PasswordExists(_)) => {}
+            res => {
+                res?;
+                self.clients.entry(name.into()).or_default().push(pw.into());
+            }
+        }
         self.client_in_flight = None;
         Ok(())
     }
@@ -401,8 +407,8 @@ fn assert_chunks(d: &CloudDataDistributor, expect: &BTreeMap<String, Chunks>, ta
     }
 }
 
-/// Every acknowledged `client` op survived — the client is known in every
-/// table shard and each password opens a session — and the one the crash
+/// Every acknowledged `client` op survived — the directory knows the
+/// client and each password opens a session — and the one the crash
 /// interrupted took effect iff its commit was `durable`.
 fn assert_clients(d: &CloudDataDistributor, l: &Ledger, durable: bool, tag: &str) {
     for (name, passwords) in &l.clients {
