@@ -12,14 +12,15 @@ use fragcloud_workloads::files;
 const SIZE: usize = 1 << 20;
 
 fn make_distributor(level: RaidLevel) -> CloudDataDistributor {
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         uniform_fleet(16),
         DistributorConfig {
             stripe_width: 4,
             raid_level: level,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.register_client("c").expect("fresh");
     d.add_password("c", "p", PrivacyLevel::High)
         .expect("client");

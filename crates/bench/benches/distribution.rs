@@ -10,14 +10,15 @@ use fragcloud_raid::RaidLevel;
 use fragcloud_workloads::files;
 
 fn make_distributor(n: usize, level: RaidLevel) -> CloudDataDistributor {
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         uniform_fleet(n),
         DistributorConfig {
             stripe_width: 4,
             raid_level: level,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.register_client("c").expect("fresh");
     d.add_password("c", "p", PrivacyLevel::High)
         .expect("client");

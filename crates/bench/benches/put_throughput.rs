@@ -15,7 +15,7 @@ use fragcloud_raid::RaidLevel;
 const FILE_LEN: usize = 1 << 20; // 1 MiB → 128 chunks → 32 RAID-6 stripes
 
 fn make_distributor(workers: usize) -> CloudDataDistributor {
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         uniform_fleet(8),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(8 << 10),
@@ -26,7 +26,8 @@ fn make_distributor(workers: usize) -> CloudDataDistributor {
                 .with_transfer_workers(workers),
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.register_client("c").expect("fresh");
     d.add_password("c", "p", PrivacyLevel::High)
         .expect("client");

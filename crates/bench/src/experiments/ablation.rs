@@ -48,7 +48,7 @@ fn survival(d: &CloudDataDistributor, expected: &[u8]) -> f64 {
 }
 
 fn build(raid: RaidLevel, replicas: usize) -> (CloudDataDistributor, f64, Vec<u8>) {
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         uniform_fleet(8),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(8 << 10),
@@ -56,7 +56,8 @@ fn build(raid: RaidLevel, replicas: usize) -> (CloudDataDistributor, f64, Vec<u8
             raid_level: raid,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.register_client("c").expect("fresh");
     d.add_password("c", "p", PrivacyLevel::High)
         .expect("client");

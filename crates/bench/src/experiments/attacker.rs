@@ -49,7 +49,7 @@ fn upload(placement: PlacementStrategy) -> (CloudDataDistributor, Vec<u8>, [f64;
     };
     let data = bidding::generate(cfg);
     let bytes = records::encode(&data);
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         uniform_fleet(N_PROVIDERS),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(2 << 10),
@@ -58,7 +58,8 @@ fn upload(placement: PlacementStrategy) -> (CloudDataDistributor, Vec<u8>, [f64;
             placement,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.register_client("victim").expect("fresh");
     d.add_password("victim", "pw", PrivacyLevel::High)
         .expect("client exists");

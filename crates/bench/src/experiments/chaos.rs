@@ -83,7 +83,7 @@ fn trial(
     tel: &TelemetryHandle,
 ) -> (bool, bool, u64, Option<u64>) {
     let fleet = uniform_fleet(k + m + 2);
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         fleet.clone(),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
@@ -91,7 +91,8 @@ fn trial(
             geometry: Some(GeometrySchedule::uniform(Geometry::new(k, m))),
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.set_telemetry(tel.clone());
     d.register_client("c").expect("fresh");
     d.add_password("c", "pw", PrivacyLevel::High).expect("client");
@@ -155,7 +156,7 @@ fn stale_replay(tel: &TelemetryHandle, update: bool) -> f64 {
     let (mut ok, mut reads) = (0usize, 0usize);
     for t in 0..TRIALS {
         let fleet = uniform_fleet(6);
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             fleet.clone(),
             DistributorConfig {
                 chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
@@ -164,7 +165,8 @@ fn stale_replay(tel: &TelemetryHandle, update: bool) -> f64 {
                 mislead_rate: if t % 2 == 0 { 0.0 } else { 0.08 },
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.set_telemetry(tel.clone());
         d.register_client("c").expect("fresh");
         d.add_password("c", "pw", PrivacyLevel::High).expect("client");

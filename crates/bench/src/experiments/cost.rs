@@ -63,7 +63,7 @@ pub fn run() -> (Vec<CostPoint>, String) {
 
     // Regime 1: paper policy on the mixed Fig. 3 fleet.
     let fleet = fig3_fleet();
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         fleet.clone(),
         DistributorConfig {
             stripe_width: 3,
@@ -71,7 +71,8 @@ pub fn run() -> (Vec<CostPoint>, String) {
             raid_level: RaidLevel::Raid5,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     upload_corpus(&d);
     points.push(CostPoint {
         regime: "PL-aware cheapest-eligible (paper)",
@@ -90,7 +91,7 @@ pub fn run() -> (Vec<CostPoint>, String) {
             )))
         })
         .collect();
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         premium.clone(),
         DistributorConfig {
             stripe_width: 3,
@@ -98,7 +99,8 @@ pub fn run() -> (Vec<CostPoint>, String) {
             raid_level: RaidLevel::Raid5,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     upload_corpus(&d);
     points.push(CostPoint {
         regime: "everything premium (paranoid)",
@@ -118,7 +120,7 @@ pub fn run() -> (Vec<CostPoint>, String) {
             )))
         })
         .collect();
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         cheap.clone(),
         DistributorConfig {
             stripe_width: 3,
@@ -126,7 +128,8 @@ pub fn run() -> (Vec<CostPoint>, String) {
             raid_level: RaidLevel::Raid5,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     upload_corpus(&d);
     points.push(CostPoint {
         regime: "everything cheap (trust rule ignored)",

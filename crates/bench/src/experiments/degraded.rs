@@ -45,7 +45,7 @@ pub struct DegradedPoint {
 
 fn trial(level: RaidLevel, dead: &[bool], tel: &TelemetryHandle) -> (bool, bool, Option<Duration>) {
     let fleet = uniform_fleet(FLEET);
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         fleet.clone(),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
@@ -53,7 +53,8 @@ fn trial(level: RaidLevel, dead: &[bool], tel: &TelemetryHandle) -> (bool, bool,
             raid_level: level,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.set_telemetry(tel.clone());
     d.register_client("c").expect("fresh");
     d.add_password("c", "pw", PrivacyLevel::High)

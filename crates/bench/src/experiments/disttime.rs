@@ -46,7 +46,7 @@ pub fn run() -> (Vec<DistTimePoint>, String) {
     for &n in &provider_counts {
         for &level in &levels {
             for &size in &sizes {
-                let d = CloudDataDistributor::new(
+                let d = CloudDataDistributor::try_new(
                     uniform_fleet(n),
                     DistributorConfig {
                         chunk_sizes: ChunkSizeSchedule::paper_default(),
@@ -54,7 +54,8 @@ pub fn run() -> (Vec<DistTimePoint>, String) {
                         raid_level: level,
                         ..Default::default()
                     },
-                );
+                )
+                .expect("valid config");
                 d.register_client("c").expect("fresh");
                 d.add_password("c", "p", PrivacyLevel::High)
                     .expect("client exists");
@@ -117,10 +118,10 @@ pub fn run() -> (Vec<DistTimePoint>, String) {
 
     // Multi-distributor comparison at a fixed working point.
     report.push_str("\nmulti-distributor (Fig. 2) read fan-out, 1 MiB file:\n");
-    let shared = Arc::new(CloudDataDistributor::new(
-        uniform_fleet(8),
-        DistributorConfig::default(),
-    ));
+    let shared = Arc::new(
+        CloudDataDistributor::try_new(uniform_fleet(8), DistributorConfig::default())
+            .expect("valid config"),
+    );
     let group = DistributorGroup::try_new(Arc::clone(&shared), 3).expect("non-empty group");
     group.register_client(0, "c").expect("fresh");
     group

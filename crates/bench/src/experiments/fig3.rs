@@ -20,7 +20,7 @@ pub struct Fig3Result {
 
 /// Builds the Fig. 3 world and replays both requests.
 pub fn run() -> (Fig3Result, String) {
-    let distributor = CloudDataDistributor::new(
+    let distributor = CloudDataDistributor::try_new(
         fig3_fleet(),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule {
@@ -29,7 +29,8 @@ pub fn run() -> (Fig3Result, String) {
             stripe_width: 3,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
 
     // Client Table rows (Table II / Fig. 3).
     distributor.register_client("Bob").expect("fresh world");

@@ -31,7 +31,7 @@ pub fn run() -> (PolicyAudit, String) {
         stripe_width: 3,
         ..Default::default()
     };
-    let d = CloudDataDistributor::new(fleet.clone(), config);
+    let d = CloudDataDistributor::try_new(fleet.clone(), config).expect("valid config");
     d.register_client("c").expect("fresh");
     d.add_password("c", "p", PrivacyLevel::High)
         .expect("client exists");
@@ -53,7 +53,7 @@ pub fn run() -> (PolicyAudit, String) {
     let mut clean = true;
     for (fi, pl) in PrivacyLevel::ALL.into_iter().enumerate() {
         let fleet = fig3_fleet();
-        let d = CloudDataDistributor::new(fleet.clone(), config);
+        let d = CloudDataDistributor::try_new(fleet.clone(), config).expect("valid config");
         d.register_client("c").expect("fresh");
         d.add_password("c", "p", PrivacyLevel::High)
             .expect("client exists");

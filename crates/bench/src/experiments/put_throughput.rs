@@ -55,7 +55,8 @@ fn measure(workers: usize, body: &[u8], tel: &TelemetryHandle) -> PutThroughputP
     // namespace, and best-of filters scheduler noise.
     let mut best = f64::INFINITY;
     for t in 0..TRIALS {
-        let d = CloudDataDistributor::new(uniform_fleet(FLEET), config(workers));
+        let d = CloudDataDistributor::try_new(uniform_fleet(FLEET), config(workers))
+            .expect("valid config");
         d.set_telemetry(tel.clone());
         d.register_client("c").expect("fresh");
         d.add_password("c", "pw", PrivacyLevel::High)

@@ -121,7 +121,7 @@ fn concurrent_config() -> DistributorConfig {
 
 fn world(tel: &TelemetryHandle) -> (CloudDataDistributor, Vec<Arc<fragcloud_sim::CloudProvider>>) {
     let fleet = uniform_fleet(FLEET);
-    let d = CloudDataDistributor::new(fleet.clone(), config());
+    let d = CloudDataDistributor::try_new(fleet.clone(), config()).expect("valid config");
     d.set_telemetry(tel.clone());
     d.register_client("c").expect("fresh");
     d.add_password("c", "pw", PrivacyLevel::High)
@@ -132,7 +132,7 @@ fn world(tel: &TelemetryHandle) -> (CloudDataDistributor, Vec<Arc<fragcloud_sim:
 /// A sharded-table world with one registered client per concurrent thread.
 fn concurrent_world(tel: &TelemetryHandle) -> CloudDataDistributor {
     let fleet = uniform_fleet(FLEET);
-    let d = CloudDataDistributor::new(fleet, concurrent_config());
+    let d = CloudDataDistributor::try_new(fleet, concurrent_config()).expect("valid config");
     d.set_telemetry(tel.clone());
     for c in 0..CONCURRENT_CLIENTS {
         let name = format!("c{c}");

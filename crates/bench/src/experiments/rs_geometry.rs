@@ -171,7 +171,8 @@ fn put_axis(tel: &TelemetryHandle) -> Vec<PutPoint> {
         .map(|&(k, m)| {
             let mut walls_ms: Vec<f64> = (0..PUT_TRIALS)
                 .map(|t| {
-                    let d = CloudDataDistributor::new(uniform_fleet(FLEET), put_config(k, m));
+                    let d = CloudDataDistributor::try_new(uniform_fleet(FLEET), put_config(k, m))
+                        .expect("valid config");
                     d.set_telemetry(tel.clone());
                     d.register_client("c").expect("fresh");
                     d.add_password("c", "pw", PrivacyLevel::High).expect("client");
@@ -215,7 +216,7 @@ fn stream_axis(tel: &TelemetryHandle) -> StreamPoint {
             .with_transfer_workers(STREAM_WORKERS),
         ..Default::default()
     };
-    let d = CloudDataDistributor::new(uniform_fleet(FLEET), config);
+    let d = CloudDataDistributor::try_new(uniform_fleet(FLEET), config).expect("valid config");
     d.set_telemetry(tel.clone());
     d.register_client("c").expect("fresh");
     d.add_password("c", "pw", PrivacyLevel::High).expect("client");

@@ -47,7 +47,7 @@ pub fn run() -> (Vec<RulesPoint>, String) {
         mine_rules(&txs, MIN_SUPPORT, MIN_CONFIDENCE).expect("full corpus mines");
     let bytes = transactions::encode(&txs);
 
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         uniform_fleet(N_PROVIDERS),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
@@ -56,7 +56,8 @@ pub fn run() -> (Vec<RulesPoint>, String) {
             placement: PlacementStrategy::RandomEligible,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.register_client("shop").expect("fresh");
     d.add_password("shop", "pw", PrivacyLevel::High)
         .expect("client");
@@ -142,7 +143,7 @@ pub fn run() -> (Vec<RulesPoint>, String) {
         (1024, 0.2),
         (16, 0.2),
     ] {
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             uniform_fleet(N_PROVIDERS),
             DistributorConfig {
                 chunk_sizes: ChunkSizeSchedule::uniform(chunk),
@@ -152,7 +153,8 @@ pub fn run() -> (Vec<RulesPoint>, String) {
                 mislead_rate: mislead,
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("shop").expect("fresh");
         d.add_password("shop", "pw", PrivacyLevel::High)
             .expect("client");
@@ -244,7 +246,7 @@ mod tests {
         assert!(!truth.is_empty());
         let bytes = transactions::encode(&txs);
         let recall_for = |chunk: usize, mislead: f64| -> f64 {
-            let d = CloudDataDistributor::new(
+            let d = CloudDataDistributor::try_new(
                 uniform_fleet(N_PROVIDERS),
                 DistributorConfig {
                     chunk_sizes: ChunkSizeSchedule::uniform(chunk),
@@ -254,7 +256,8 @@ mod tests {
                     mislead_rate: mislead,
                     ..Default::default()
                 },
-            );
+            )
+            .expect("valid config");
             d.register_client("s").expect("fresh");
             d.add_password("s", "p", PrivacyLevel::High)
                 .expect("client");

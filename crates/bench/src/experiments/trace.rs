@@ -22,7 +22,7 @@ const FILE_LEN: usize = 24_000;
 /// and a text report containing the span rollup table.
 pub fn run() -> (String, String) {
     let fleet = uniform_fleet(FLEET);
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         fleet.clone(),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
@@ -30,7 +30,8 @@ pub fn run() -> (String, String) {
             raid_level: RaidLevel::Raid5,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.enable_telemetry();
     d.register_client("tracer").expect("fresh distributor");
     d.add_password("tracer", "pw", PrivacyLevel::High)

@@ -11,7 +11,7 @@
 //! per attempt. Reads fail over health-ordered replicas into inline parity
 //! reconstruction (and can *hedge* stragglers by racing that parity path),
 //! writes re-place or skip shards lost to dead providers within the
-//! stripe's fault tolerance, and
+//! stripe's fault tolerance; [`crate::maintain`]'s
 //! [`scrub`](CloudDataDistributor::scrub) /
 //! [`try_repair`](CloudDataDistributor::try_repair) walk and heal what's left.
 //! The client surface is the typed [`crate::session::Session`] API (the
@@ -28,11 +28,10 @@ use crate::health::{self, HealthTracker};
 use crate::journal::{Journal, OpKind};
 use crate::mislead;
 use crate::mutation::{Doomed, OpCtx};
-use crate::objectio::{pad_shard, Framed, Member, ShardBuf, StripeReadSet};
+use crate::objectio::{Framed, Member, ShardBuf, StripeReadSet};
 use crate::persist;
 use crate::policy;
 use crate::pool::TransferPool;
-use crate::resilience::{RepairReport, ScrubReport};
 use crate::tables::{
     self, ChunkEntry, ChunkRole, Directory, FileEntry, StripeInfo, StripeRef, Tables,
 };
@@ -40,8 +39,8 @@ use crate::vid::VidAllocator;
 use crate::{CoreError, Result};
 use bytes::Bytes;
 use fragcloud_raid::{RaidLevel, StripeCodec};
-use fragcloud_sim::{CloudProvider, CrashPlan, ObjectStore, PrivacyLevel, StoreError, VirtualId};
-use fragcloud_telemetry::{clock, span, TelemetryHandle};
+use fragcloud_sim::{CloudProvider, CrashPlan, PrivacyLevel, StoreError, VirtualId};
+use fragcloud_telemetry::{span, TelemetryHandle};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -356,32 +355,11 @@ struct StripeSlots<'a> {
     tolerance: usize,
 }
 
-/// What a repair pass accumulates stripe by stripe.
-struct RepairPass<'a> {
-    ctx: &'a OpCtx,
-    tel: &'a TelemetryHandle,
-    /// Replaced objects still reachable at their provider.
-    doomed: Doomed,
-    /// Accumulates over the whole repair, across its per-shard ops.
-    per_provider_time: &'a mut [Duration],
-}
-
 impl CloudDataDistributor {
-    /// Creates a distributor over a provider fleet.
-    ///
-    /// # Panics
-    /// Panics when `config` fails [`DistributorConfig::validate`]; use
-    /// [`try_new`](Self::try_new) to handle the error instead.
-    pub fn new(providers: Vec<Arc<CloudProvider>>, config: DistributorConfig) -> Self {
-        // fraglint: allow(no-unwrap-in-lib) — documented panicking
-        // convenience constructor; `try_new` is the fallible form.
-        Self::try_new(providers, config).expect("invalid DistributorConfig")
-    }
-
-    /// Fallible form of [`new`](Self::new): returns
-    /// [`CoreError::InvalidConfig`] instead of panicking on a bad config.
+    /// Creates a distributor over a provider fleet, or
+    /// [`CoreError::InvalidConfig`] when `config` fails
+    /// [`DistributorConfig::validate`].
     pub fn try_new(providers: Vec<Arc<CloudProvider>>, config: DistributorConfig) -> Result<Self> {
-        config.validate()?;
         let shards = (0..config.durability.table_shards)
             .map(|_| Tables::default())
             .collect();
@@ -1573,11 +1551,10 @@ impl CloudDataDistributor {
         (live >= stripe.k).then_some(worst)
     }
 
-    /// Reconstructs a chunk's *stored* bytes from its stripe peers: walks
-    /// the members in slot order, reads only those `set` has not tried,
-    /// stops at `k` survivors and rebuilds the one lost row. Returns the
-    /// bytes plus the simulated cost of the peer fan-out (max across the
-    /// peers read — they are read in parallel) and retries consumed.
+    /// Reconstructs a chunk's *stored* bytes from its stripe peers
+    /// ([`decode_lost`](Self::decode_lost) of its one slot, truncated to
+    /// the row's `stored_len`). Returns the bytes plus the simulated cost
+    /// of the peer fan-out and the retries consumed.
     fn reconstruct_stored(
         &self,
         st: &Tables,
@@ -1598,28 +1575,9 @@ impl CloudDataDistributor {
                     tolerable: 0,
                 },
             ))?;
-        let stripe = &st.stripes[at.stripe_id];
-
-        let mut survivors: Vec<(usize, Bytes)> = Vec::with_capacity(stripe.k);
-        let mut worst = Duration::ZERO;
-        let mut retries = 0u64;
-        for slot in (0..stripe.members.len()).filter(|&slot| slot != at.index) {
-            if survivors.len() == stripe.k {
-                break;
-            }
-            let (res, t, r) = self.read_member(st, set, at.stripe_id, slot, tel);
-            // Peers are fanned out in parallel; even a failed peer's
-            // retries sit on the critical path.
-            worst = worst.max(t);
-            retries += r;
-            if let Ok(shard) = res {
-                survivors.push((slot, pad_shard(shard, stripe.shard_width)));
-            }
-        }
-
-        let codec = StripeCodec::new(stripe.k, stripe.level)?;
-        let refs: Vec<(usize, &[u8])> = survivors.iter().map(|(i, b)| (*i, &b[..])).collect();
-        let mut stored = codec.reconstruct_shard_observed(&refs, at.index, tel)?;
+        let (mut shards, worst, retries) =
+            self.decode_lost(st, set, at.stripe_id, &[at.index], tel)?;
+        let mut stored = shards.swap_remove(0);
         stored.truncate(entry.stored_len);
         tel.incr("parity_reconstructions");
         Ok((Bytes::from(stored), worst, retries))
@@ -1744,10 +1702,15 @@ impl CloudDataDistributor {
                     serial,
                 }
             })?;
-            // No row records the snapshot's length.
+            // No row records the snapshot's length, so import checks its
+            // positions for order only; `get_file` will strip them.
             let stored = self
                 .get_with_retry(sp, svid, None, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
+            if matches!(e.snapshot_mislead.last(), Some(&p) if p >= stored.len()) {
+                let why = format!("{target}: snapshot mislead positions beyond its bytes");
+                return Err(CoreError::CorruptState { line: 0, why });
+            }
             let mut stores = self.chunk_stores(&st, chunk_idx, true, None);
             self.journal_alloc(ctx, &stores.vids());
             stores.stored = stored;
@@ -1985,317 +1948,6 @@ impl CloudDataDistributor {
     }
 
     // ------------------------------------------------------------------
-    // Scrub + repair
-    // ------------------------------------------------------------------
-
-    /// Walks every stripe and verifies each live member's object is where
-    /// the Chunk Table says (provider online and holding the virtual id),
-    /// refreshing the stripes' degraded markers. Operator-side: no client
-    /// credentials involved, and no provider payloads are read.
-    ///
-    /// Journaled when a journal is attached, one `repair` op targeting
-    /// `scrub` per table shard: the markers it flips are rows of that op's
-    /// delta, like those of the scrub inside a repair.
-    pub fn scrub(&self) -> ScrubReport {
-        self.journaled_scrub(false)
-    }
-
-    /// Deep scrub: like [`scrub`](Self::scrub), but additionally *reads*
-    /// every live shard and verifies its integrity frame, so bit-rot at
-    /// rest is caught before a client read trips over it. Shards that fail
-    /// verification are counted in [`ScrubReport::corrupt_shards`], their
-    /// stripes marked degraded, and the providers' breakers fed — a
-    /// following [`try_repair_verify`](Self::try_repair_verify) rebuilds
-    /// them from parity.
-    pub fn scrub_verify(&self) -> ScrubReport {
-        self.journaled_scrub(true)
-    }
-
-    /// A standalone scrub in the mutation bracket. It stores and dooms
-    /// nothing, so the only error a shard's op can raise is a fired
-    /// [`CrashPlan`] at its close — the shards scrubbed by then have run,
-    /// and their report stands.
-    fn journaled_scrub(&self, verify: bool) -> ScrubReport {
-        let tel = self.telemetry();
-        let _op = span!(tel, "scrub");
-        let wall = clock::monotonic_now();
-        let mut report = ScrubReport::default();
-        let _ = self.per_shard("scrub", |ctx, st, offset| {
-            self.scrub_shard(st, offset, verify, ctx, &mut report);
-            Ok(Doomed::new())
-        });
-        self.count_scrub(&tel, &report);
-        tel.observe_micros("scrub_wall_us", wall.elapsed());
-        report
-    }
-
-    /// Runs `pass` once per table shard, ascending, each run a bracketed
-    /// `repair` op (targeting `target`) under that shard's write guard,
-    /// which commits it: stripes never span shards, so every row a pass
-    /// touches lives in the shard it holds. `pass` gets the op, the
-    /// shard's tables and the offset that makes its stripe ids global
-    /// (shard arenas concatenated in shard order), and returns what it
-    /// doomed. Stops at the first error: only a fired crash plan.
-    fn per_shard(
-        &self,
-        target: &str,
-        mut pass: impl FnMut(&OpCtx, &mut Tables, usize) -> Result<Doomed>,
-    ) -> Result<()> {
-        let mut offset = 0usize;
-        for shard in 0..self.state.len() {
-            self.journaled(OpKind::Repair, "", target, |ctx| {
-                let mut st = self.shard_write(shard);
-                let doomed = pass(ctx, &mut st, offset)?;
-                offset += st.stripes.len();
-                self.commit_under(ctx, shard, &st);
-                Ok(((), doomed))
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Scrubs one shard's stripes into `report` (ids offset by `offset`).
-    /// `ctx` is the op the scrub runs inside: every degraded marker it
-    /// flips is a row of that op's delta.
-    fn scrub_shard(
-        &self,
-        st: &mut Tables,
-        offset: usize,
-        verify: bool,
-        ctx: &OpCtx,
-        report: &mut ScrubReport,
-    ) {
-        let tel = self.telemetry();
-        for sid in 0..st.stripes.len() {
-            let members = st.stripes[sid].members.clone();
-            let tolerable = st.stripes[sid].level.fault_tolerance();
-            let mut live = 0usize;
-            let mut missing = 0usize;
-            let mut corrupt = 0usize;
-            for &m in &members {
-                let e = &st.chunks[m];
-                if e.removed {
-                    continue;
-                }
-                live += 1;
-                let p = &self.providers[e.provider_idx];
-                if !(p.is_online() && p.contains(e.vid)) {
-                    missing += 1;
-                    continue;
-                }
-                if verify {
-                    // The boundary counts the corruption and feeds the
-                    // provider's breaker; scrub only classifies.
-                    match self
-                        .get_with_retry(e.provider_idx, e.vid, Some(e.stored_len), &tel)
-                        .0
-                    {
-                        Ok(_) => {}
-                        Err(CoreError::ShardCorrupt { .. }) => corrupt += 1,
-                        Err(_) => missing += 1,
-                    }
-                }
-            }
-            // A corrupt shard is an erasure like a missing one: the
-            // degraded marker routes it into `repair`. A fully removed
-            // stripe has nothing left to protect.
-            let bad = missing + corrupt;
-            if st.stripes[sid].degraded != (bad > 0) {
-                st.stripes[sid].degraded = bad > 0;
-                self.touch_stripe(ctx, sid);
-            }
-            if live == 0 {
-                continue;
-            }
-            report.stripes_checked += 1;
-            report.missing_shards += missing;
-            report.corrupt_shards += corrupt;
-            if bad == 0 {
-                continue;
-            }
-            if bad <= tolerable {
-                report.degraded.push(offset + sid);
-            } else {
-                report.unreadable.push(offset + sid);
-            }
-        }
-    }
-
-    /// The counters of one scrub pass, standalone or inside a repair.
-    fn count_scrub(&self, tel: &TelemetryHandle, report: &ScrubReport) {
-        tel.incr("scrubs_total");
-        tel.add("scrub_missing_shards", report.missing_shards as u64);
-        tel.add("scrub_corrupt_shards", report.corrupt_shards as u64);
-    }
-
-    /// Repairs every stripe a fresh [`scrub`](Self::scrub) finds unhealthy:
-    /// lost shards are rebuilt from surviving members and re-placed on
-    /// healthy eligible providers (original provider preferred when it is
-    /// back and holds no sibling shard; anti-affinity preserved otherwise).
-    /// Rebuilt objects get fresh virtual ids so they cannot be correlated
-    /// with the lost ones. Stripes beyond their fault tolerance are
-    /// reported in [`RepairReport::failed`], never returned as errors.
-    ///
-    /// Journaled when a journal is attached, one op per table shard. The
-    /// only error is a fired [`CrashPlan`], surfaced as
-    /// [`CoreError::SimulatedCrash`].
-    pub fn try_repair(&self) -> Result<RepairReport> {
-        self.repair(false)
-    }
-
-    /// [`try_repair`](Self::try_repair) preceded by a *deep* scrub
-    /// ([`scrub_verify`](Self::scrub_verify)): shards that exist but fail
-    /// integrity verification are treated as erasures and rebuilt from
-    /// parity alongside the missing ones. This is the heal half of the
-    /// bit-rot story — `scrub_verify` finds rot at rest, this rebuilds it.
-    pub fn try_repair_verify(&self) -> Result<RepairReport> {
-        self.repair(true)
-    }
-
-    /// Shard by shard, each in its own op: scrub the shard, then heal the
-    /// stripes whose markers the scrub set.
-    fn repair(&self, verify: bool) -> Result<RepairReport> {
-        let tel = self.telemetry();
-        let _op = span!(tel, "repair");
-        let wall = clock::monotonic_now();
-        let mut report = RepairReport::default();
-        let mut scrub = ScrubReport::default();
-        let mut per_provider_time = vec![Duration::ZERO; self.providers.len()];
-        self.per_shard("stripes", |ctx, st, offset| {
-            // Refresh the shard's degraded markers; the deep form also
-            // flags shards whose frames fail verification.
-            self.scrub_shard(st, offset, verify, ctx, &mut scrub);
-            let mut pass = RepairPass {
-                ctx,
-                tel: &tel,
-                doomed: Doomed::new(),
-                per_provider_time: &mut per_provider_time,
-            };
-            for sid in 0..st.stripes.len() {
-                if !st.stripes[sid].degraded {
-                    continue;
-                }
-                match self.repair_stripe(st, sid, &mut pass) {
-                    Ok(n) => {
-                        report.stripes_repaired += 1;
-                        report.shards_rebuilt += n;
-                        st.stripes[sid].degraded = false;
-                        self.touch_stripe(ctx, sid);
-                    }
-                    // The crash plan fired: the "process" is dead, stop here.
-                    Err(e @ CoreError::SimulatedCrash { .. }) => return Err(e),
-                    Err(_) => report.failed.push(offset + sid),
-                }
-            }
-            Ok(pass.doomed)
-        })?;
-        self.count_scrub(&tel, &scrub);
-        report.failed.sort_unstable();
-        report.sim_time = per_provider_time.into_iter().max().unwrap_or_default();
-        tel.incr("repairs_total");
-        tel.add("shards_rebuilt", report.shards_rebuilt as u64);
-        tel.add("repair_failures", report.failed.len() as u64);
-        tel.observe_micros("repair_wall_us", wall.elapsed());
-        Ok(report)
-    }
-
-    /// Rebuilds every lost shard of one stripe. Phase 1 reads survivors
-    /// (read-only), phase 2 re-encodes and re-places; an error leaves the
-    /// tables untouched for the shards not yet re-placed. Each re-homed
-    /// row is marked dirty, and the object it named before is doomed when
-    /// its provider can still be reached (corrupt at rest, or back online).
-    fn repair_stripe(
-        &self,
-        st: &mut Tables,
-        sid: usize,
-        pass: &mut RepairPass<'_>,
-    ) -> Result<usize> {
-        let (ctx, tel) = (pass.ctx, pass.tel);
-        let per_provider_time = &mut *pass.per_provider_time;
-        let stripe = st.stripes[sid].clone();
-
-        // Phase 1: gather surviving shards, spot the missing ones.
-        let mut set = StripeReadSet::default();
-        let mut available: Vec<(usize, Bytes)> = Vec::new();
-        let mut missing: Vec<(usize, usize)> = Vec::new(); // (slot, member idx)
-        let mut hosting: Vec<usize> = Vec::new(); // providers of live shards
-        for (slot, &m) in stripe.members.iter().enumerate() {
-            let e = &st.chunks[m];
-            // An object already known gone costs no read (and no retries).
-            let p = &self.providers[e.provider_idx];
-            let held = e.removed || (p.is_online() && p.contains(e.vid));
-            if !held {
-                missing.push((slot, m));
-                continue;
-            }
-            let (res, t, _) = self.read_member(st, &mut set, sid, slot, tel);
-            per_provider_time[e.provider_idx] += t;
-            match res {
-                Ok(shard) => {
-                    available.push((slot, pad_shard(shard, stripe.shard_width)));
-                    if !e.removed {
-                        hosting.push(e.provider_idx);
-                    }
-                }
-                Err(_) => missing.push((slot, m)),
-            }
-        }
-        if missing.is_empty() {
-            return Ok(0);
-        }
-
-        // Phase 2a: re-encode the lost shards from the survivors.
-        let codec = StripeCodec::new(stripe.k, stripe.level)?;
-        let refs: Vec<(usize, &[u8])> = available.iter().map(|(i, b)| (*i, &b[..])).collect();
-        let mut rebuilt: Vec<(usize, Vec<u8>)> = Vec::with_capacity(missing.len());
-        for &(slot, m) in &missing {
-            rebuilt.push((m, codec.reconstruct_shard_observed(&refs, slot, tel)?));
-        }
-
-        // Phase 2b: re-place each rebuilt shard.
-        let mut count = 0usize;
-        for (m, bytes) in rebuilt {
-            let (orig, pl, stored_len, old_vid) = {
-                let e = &st.chunks[m];
-                (e.provider_idx, e.pl, e.stored_len, e.vid)
-            };
-            let target = if self.providers[orig].is_online() && !hosting.contains(&orig) {
-                Some(orig)
-            } else {
-                policy::rehoming_candidates(&self.providers, pl, &hosting, &self.health)
-                    .first()
-                    .copied()
-            };
-            let Some(target) = target else {
-                return Err(CoreError::NoEligibleProvider { pl });
-            };
-            // Fresh virtual id: the rebuilt object must not be correlatable
-            // with the lost one (§IV-A identity concealment). The lost id
-            // is doomed: deleted after the commit when its provider is
-            // reachable, else left to recovery's GC should it resurface.
-            let new_vid = self.vids.allocate();
-            self.journal_alloc(ctx, &[new_vid]);
-            self.journal_doom(ctx, [old_vid]);
-            self.crash_point()?;
-            let (res, t, _) = self.put_with_retry(target, new_vid, &bytes[..stored_len], tel);
-            per_provider_time[target] += t;
-            res?;
-            let e = &mut st.chunks[m];
-            e.provider_idx = target;
-            e.vid = new_vid;
-            self.touch_chunk(ctx, m);
-            if self.providers[orig].is_online() {
-                pass.doomed.push((orig, old_vid));
-            }
-            hosting.push(target);
-            count += 1;
-        }
-        // Crash window between two repaired stripes.
-        self.crash_point()?;
-        Ok(count)
-    }
-
-    // ------------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------------
 
@@ -2330,7 +1982,8 @@ impl CloudDataDistributor {
         self.vids.skip(n);
     }
 
-    /// Allocates one fresh virtual id (used by `rebalance` migrations).
+    /// Allocates one fresh virtual id (migration and repair re-home an
+    /// object under one).
     pub(crate) fn allocate_vid(&self) -> VirtualId {
         self.vids.allocate()
     }
@@ -2466,7 +2119,7 @@ mod tests {
     use super::*;
     use crate::config::{ChunkSizeSchedule, GeometrySchedule, PlacementStrategy};
     use crate::session::Session;
-    use fragcloud_sim::{CostLevel, ProviderProfile};
+    use fragcloud_sim::{CostLevel, ObjectStore, ProviderProfile};
 
     fn fleet(n: usize, pl: PrivacyLevel) -> Vec<Arc<CloudProvider>> {
         (0..n)
@@ -2491,7 +2144,8 @@ mod tests {
     }
 
     fn distributor() -> CloudDataDistributor {
-        let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), small_config());
+        let d = CloudDataDistributor::try_new(fleet(6, PrivacyLevel::High), small_config())
+            .expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         d.add_password("Bob", "aB1c", PrivacyLevel::Public).unwrap();
@@ -2637,7 +2291,7 @@ mod tests {
 
     #[test]
     fn raid_none_fails_on_outage_of_holding_provider() {
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             fleet(3, PrivacyLevel::High),
             DistributorConfig {
                 raid_level: RaidLevel::None,
@@ -2645,7 +2299,8 @@ mod tests {
                 stripe_width: 3,
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "p", PrivacyLevel::High).unwrap();
         let s = d.session("c", "p").unwrap();
@@ -2662,14 +2317,15 @@ mod tests {
 
     #[test]
     fn misleading_bytes_roundtrip_and_grow_storage() {
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             fleet(6, PrivacyLevel::High),
             DistributorConfig {
                 mislead_rate: 0.1,
                 chunk_sizes: ChunkSizeSchedule::uniform(50),
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "p", PrivacyLevel::High).unwrap();
         let s = d.session("c", "p").unwrap();
@@ -2976,7 +2632,7 @@ mod tests {
         // Regression: the snapshot stores the pre-state WITH its misleading
         // bytes; restore must reinstate the matching positions, not treat
         // the snapshot as clean.
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             fleet(6, PrivacyLevel::High),
             DistributorConfig {
                 chunk_sizes: ChunkSizeSchedule::uniform(64),
@@ -2984,7 +2640,8 @@ mod tests {
                 mislead_rate: 0.1,
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "p", PrivacyLevel::High).unwrap();
         let s = d.session("c", "p").unwrap();
@@ -3061,14 +2718,15 @@ mod tests {
         // Mixed fleet: 4 trusted + 4 cheap/low-trust providers.
         let mut providers = fleet(4, PrivacyLevel::High);
         providers.extend(fleet(4, PrivacyLevel::Low));
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             providers,
             DistributorConfig {
                 chunk_sizes: ChunkSizeSchedule::uniform(8),
                 stripe_width: 2,
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "p", PrivacyLevel::High).unwrap();
         d.session("c", "p")
@@ -3095,7 +2753,7 @@ mod tests {
 
     #[test]
     fn single_provider_baseline_concentrates_everything() {
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             fleet(5, PrivacyLevel::High),
             DistributorConfig {
                 placement: PlacementStrategy::SingleProvider,
@@ -3103,7 +2761,8 @@ mod tests {
                 chunk_sizes: ChunkSizeSchedule::uniform(16),
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "p", PrivacyLevel::High).unwrap();
         d.session("c", "p")
@@ -3301,7 +2960,8 @@ mod tests {
         // Exactly 4 providers for a 3+P stripe: no spares. A mid-write
         // death leaves the stripe degraded-but-readable; repair heals it
         // once the provider returns.
-        let d = CloudDataDistributor::new(fleet(4, PrivacyLevel::High), small_config());
+        let d = CloudDataDistributor::try_new(fleet(4, PrivacyLevel::High), small_config())
+            .expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         d.providers()[1].fail_after_ops(0);
@@ -3394,7 +3054,8 @@ mod tests {
             op_deadline: Some(Duration::from_millis(15)),
         };
         config.raid_level = RaidLevel::None;
-        let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), config);
+        let d = CloudDataDistributor::try_new(fleet(6, PrivacyLevel::High), config)
+            .expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         let s = d.session("Bob", "Ty7e").unwrap();
@@ -3418,7 +3079,8 @@ mod tests {
     fn unstriped_loss_reports_retries_exhausted() {
         let mut config = small_config();
         config.raid_level = RaidLevel::None;
-        let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), config);
+        let d = CloudDataDistributor::try_new(fleet(6, PrivacyLevel::High), config)
+            .expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         let s = d.session("Bob", "Ty7e").unwrap();
@@ -3465,7 +3127,7 @@ mod tests {
         }
         let mut config = small_config();
         config.resilience.hedge_threshold = Some(Duration::from_millis(50));
-        let d = CloudDataDistributor::new(providers, config);
+        let d = CloudDataDistributor::try_new(providers, config).expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         let s = d.session("Bob", "Ty7e").unwrap();
@@ -3517,7 +3179,8 @@ mod tests {
 
     #[test]
     fn scrub_ignores_removed_stripes_and_persist_round_trips_degraded() {
-        let d = CloudDataDistributor::new(fleet(4, PrivacyLevel::High), small_config());
+        let d = CloudDataDistributor::try_new(fleet(4, PrivacyLevel::High), small_config())
+            .expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         d.providers()[1].fail_after_ops(0);
@@ -3608,7 +3271,8 @@ mod tests {
         // beyond what RAID-6 could ever deliver.
         let mut config = small_config();
         config.mislead_rate = 0.05;
-        let d = CloudDataDistributor::new(fleet(9, PrivacyLevel::High), config);
+        let d = CloudDataDistributor::try_new(fleet(9, PrivacyLevel::High), config)
+            .expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         let body = data(300);
@@ -3657,7 +3321,8 @@ mod tests {
         // geometry wins outright.
         let mut config = small_config();
         config.geometry = Some(crate::GeometrySchedule::uniform(crate::Geometry::new(4, 2)));
-        let d = CloudDataDistributor::new(fleet(8, PrivacyLevel::High), config);
+        let d = CloudDataDistributor::try_new(fleet(8, PrivacyLevel::High), config)
+            .expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         let s = high_session(&d);
@@ -3700,7 +3365,7 @@ mod tests {
         let mut config = small_config();
         config.mislead_rate = 0.0;
         let providers = fleet(9, PrivacyLevel::High);
-        let d = CloudDataDistributor::new(providers.clone(), config);
+        let d = CloudDataDistributor::try_new(providers.clone(), config).expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         let body = data(150);
@@ -3730,7 +3395,8 @@ mod tests {
     fn shard_routing_is_stable_and_in_range() {
         let mut config = small_config();
         config.durability = config.durability.with_table_shards(8);
-        let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), config);
+        let d = CloudDataDistributor::try_new(fleet(6, PrivacyLevel::High), config)
+            .expect("valid config");
         assert_eq!(d.shard_count(), 8);
         let a = d.shard_for("Bob", "f0");
         assert_eq!(a, d.shard_for("Bob", "f0"), "routing is deterministic");
@@ -3751,7 +3417,8 @@ mod tests {
             .with_table_shards(8)
             .with_group_commit_window(Duration::from_millis(2))
             .with_checkpoint_interval(64);
-        let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), config);
+        let d = CloudDataDistributor::try_new(fleet(6, PrivacyLevel::High), config)
+            .expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         let tel = d.enable_telemetry();
@@ -3864,7 +3531,8 @@ mod tests {
         // `ChunkEntry::tombstone`.
         let mut config = small_config();
         config.mislead_rate = 0.1;
-        let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), config);
+        let d = CloudDataDistributor::try_new(fleet(6, PrivacyLevel::High), config)
+            .expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         d.attach_journal(Arc::new(Journal::new()));
@@ -3923,7 +3591,8 @@ mod tests {
             let mut config = small_config();
             config.raid_level = RaidLevel::Raid5;
             config.durability = config.durability.with_table_shards(shards);
-            let d = CloudDataDistributor::new(fleet(6, PrivacyLevel::High), config);
+            let d = CloudDataDistributor::try_new(fleet(6, PrivacyLevel::High), config)
+                .expect("valid config");
             d.register_client("Bob").unwrap();
             d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
             let s = d.session("Bob", "Ty7e").unwrap();
@@ -3963,7 +3632,7 @@ mod tests {
                 )))
             })
             .collect();
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             fleet,
             DistributorConfig {
                 chunk_sizes: ChunkSizeSchedule::uniform(32),
@@ -3971,7 +3640,8 @@ mod tests {
                 placement: PlacementStrategy::Chord,
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         d

@@ -10,10 +10,11 @@
 //! side**: bytes are encrypted before they ever reach the distributor (who,
 //! being a third party, never sees the key) and decrypted after retrieval.
 //! Both full and partial (suffix-fraction) encryption are supported; the
-//! per-file mode is remembered in a small client-local table.
+//! per-file mode and the nonce of its latest put are remembered in a small
+//! client-local table.
 
 use crate::distributor::{CloudDataDistributor, PutOptions, PutReceipt};
-use crate::{PrivacyLevel, Result};
+use crate::{CoreError, PrivacyLevel, Result};
 use fragcloud_crypto::{decrypt_ranges, encrypt_ranges, ByteRange, ChaCha20};
 use std::collections::HashMap;
 
@@ -31,8 +32,13 @@ pub enum EncryptionMode {
 pub struct EncryptedClient<'a> {
     distributor: &'a CloudDataDistributor,
     key: [u8; 32],
-    /// filename → (mode, encrypted range) so decryption is self-contained.
-    modes: HashMap<String, (EncryptionMode, Option<ByteRange>)>,
+    /// Puts made under `key`: the last 4 bytes of each put's nonce, so no
+    /// two puts share a ChaCha20 keystream while this table lives — not
+    /// even a name put again after a remove.
+    puts: u32,
+    /// filename → (mode, encrypted range, nonce) of its latest put, so
+    /// decryption is self-contained.
+    modes: HashMap<String, (EncryptionMode, ByteRange, [u8; 12])>,
 }
 
 impl<'a> EncryptedClient<'a> {
@@ -41,25 +47,15 @@ impl<'a> EncryptedClient<'a> {
         EncryptedClient {
             distributor,
             key,
+            puts: 0,
             modes: HashMap::new(),
         }
     }
 
-    /// Derives a per-file nonce from the filename (96-bit, FNV-based).
-    fn nonce_for(filename: &str) -> [u8; 12] {
-        let h1 = fragcloud_dht::hash::fnv1a(filename.as_bytes());
-        let h2 = fragcloud_dht::hash::fnv1a(&h1.to_le_bytes());
-        let mut nonce = [0u8; 12];
-        nonce[..8].copy_from_slice(&h1.to_le_bytes());
-        nonce[8..].copy_from_slice(&h2.to_le_bytes()[..4]);
-        nonce
-    }
-
-    fn cipher_for(&self, filename: &str) -> ChaCha20 {
-        ChaCha20::new(&self.key, &Self::nonce_for(filename))
-    }
-
-    /// Encrypts (per `mode`) and uploads through the distributor.
+    /// Encrypts (per `mode`) and uploads through the distributor, under a
+    /// nonce no earlier put of this client used. [`CoreError::InvalidConfig`]
+    /// for a [`PartialSuffix`](EncryptionMode::PartialSuffix) fraction
+    /// outside (0, 1], or once this key's 2³² nonces are spent.
     #[allow(clippy::too_many_arguments)]
     pub fn put_file(
         &mut self,
@@ -71,29 +67,34 @@ impl<'a> EncryptedClient<'a> {
         mode: EncryptionMode,
         opts: PutOptions,
     ) -> Result<PutReceipt> {
-        let cipher = self.cipher_for(filename);
-        let mut payload = data.to_vec();
-        let range = match mode {
-            EncryptionMode::Full => {
-                let r = ByteRange::new(0, payload.len());
-                encrypt_ranges(&cipher, &mut payload, &[r]);
-                Some(r)
+        let start = match mode {
+            EncryptionMode::Full => 0,
+            EncryptionMode::PartialSuffix(fraction) if fraction > 0.0 && fraction <= 1.0 => {
+                data.len() - (data.len() as f64 * fraction) as usize
             }
             EncryptionMode::PartialSuffix(fraction) => {
-                assert!(
-                    fraction > 0.0 && fraction <= 1.0,
-                    "partial fraction must be in (0, 1]"
-                );
-                let start = payload.len() - (payload.len() as f64 * fraction) as usize;
-                let r = ByteRange::new(start, payload.len());
-                encrypt_ranges(&cipher, &mut payload, &[r]);
-                Some(r)
+                let detail = format!("PartialSuffix fraction {fraction} is outside (0, 1]");
+                return Err(CoreError::InvalidConfig { detail });
             }
         };
+        if self.puts == u32::MAX {
+            let detail = "EncryptedClient: every nonce under this key is spent".into();
+            return Err(CoreError::InvalidConfig { detail });
+        }
+        // The name's FNV hash, then the put count: no earlier put under
+        // this key used it.
+        let mut nonce = [0u8; 12];
+        nonce[..8].copy_from_slice(&fragcloud_dht::hash::fnv1a(filename.as_bytes()).to_le_bytes());
+        nonce[8..].copy_from_slice(&self.puts.to_le_bytes());
+        self.puts += 1;
+        let range = ByteRange::new(start, data.len());
+        let mut payload = data.to_vec();
+        encrypt_ranges(&ChaCha20::new(&self.key, &nonce), &mut payload, &[range]);
         let receipt = self
             .distributor
             .put_file_impl(client, password, filename, &payload, pl, opts)?;
-        self.modes.insert(filename.to_string(), (mode, range));
+        self.modes
+            .insert(filename.to_string(), (mode, range, nonce));
         Ok(receipt)
     }
 
@@ -101,10 +102,9 @@ impl<'a> EncryptedClient<'a> {
     pub fn get_file(&self, client: &str, password: &str, filename: &str) -> Result<Vec<u8>> {
         let receipt = self.distributor.get_file_impl(client, password, filename)?;
         let mut data = receipt.data;
-        if let Some((_, Some(range))) = self.modes.get(filename) {
+        if let Some((_, range, nonce)) = self.modes.get(filename) {
             if !range.is_empty() {
-                let cipher = self.cipher_for(filename);
-                decrypt_ranges(&cipher, &mut data, &[*range]);
+                decrypt_ranges(&ChaCha20::new(&self.key, nonce), &mut data, &[*range]);
             }
         }
         Ok(data)
@@ -112,7 +112,7 @@ impl<'a> EncryptedClient<'a> {
 
     /// The recorded mode for a file, if uploaded through this wrapper.
     pub fn mode_of(&self, filename: &str) -> Option<EncryptionMode> {
-        self.modes.get(filename).map(|(m, _)| *m)
+        self.modes.get(filename).map(|(m, ..)| *m)
     }
 }
 
@@ -133,14 +133,15 @@ mod tests {
                 )))
             })
             .collect();
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             fleet,
             DistributorConfig {
                 chunk_sizes: ChunkSizeSchedule::uniform(64),
                 stripe_width: 3,
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "pw", PrivacyLevel::High).unwrap();
         d
@@ -251,18 +252,54 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "partial fraction")]
-    fn zero_fraction_panics() {
+    fn a_fraction_outside_the_unit_interval_is_invalid_config() {
         let d = distributor();
         let mut ec = EncryptedClient::new(&d, [1u8; 32]);
-        let _ = ec.put_file(
-            "c",
-            "pw",
-            "f",
-            &body(10),
-            PrivacyLevel::Low,
-            EncryptionMode::PartialSuffix(0.0),
-            PutOptions::default(),
-        );
+        for fraction in [0.0, -0.5, 1.5, f64::NAN] {
+            let put = ec.put_file(
+                "c",
+                "pw",
+                "f",
+                &body(10),
+                PrivacyLevel::Low,
+                EncryptionMode::PartialSuffix(fraction),
+                PutOptions::default(),
+            );
+            assert!(
+                matches!(put, Err(CoreError::InvalidConfig { .. })),
+                "{fraction}: {put:?}"
+            );
+        }
+        assert_eq!(ec.mode_of("f"), None);
+        assert!(d.session("c", "pw").unwrap().get_file("f").is_err());
+    }
+
+    #[test]
+    fn a_name_put_again_gets_a_fresh_keystream() {
+        // Two puts of one name under one key must not share a keystream:
+        // the XOR of the two ciphertexts would be the XOR of the plaintexts.
+        let d = distributor();
+        let mut ec = EncryptedClient::new(&d, [3u8; 32]);
+        let s = d.session("c", "pw").unwrap();
+        let put = |ec: &mut EncryptedClient<'_>, data: &[u8]| {
+            ec.put_file(
+                "c",
+                "pw",
+                "f",
+                data,
+                PrivacyLevel::Low,
+                EncryptionMode::Full,
+                PutOptions::default(),
+            )
+            .unwrap();
+            s.get_file("f").unwrap().data
+        };
+        let zeros = put(&mut ec, &[0u8; 2048]);
+        s.remove_file("f").unwrap();
+        let b = body(2048);
+        let sealed = put(&mut ec, &b);
+        let xor: Vec<u8> = zeros.iter().zip(&sealed).map(|(x, y)| x ^ y).collect();
+        assert!(xor != b, "the second put reused the first one's keystream");
+        assert_eq!(ec.get_file("c", "pw", "f").unwrap(), b);
     }
 }

@@ -39,6 +39,9 @@
 //! - [`mutation`] — the one bracket every mutating verb runs in: intents
 //!   → stores → touched rows → one row-delta commit → doomed objects
 //!   deleted after it;
+//! - [`maintain`] — scrub and repair (§III-B availability): one walk per
+//!   table shard that reads each stripe once and rebuilds lost shards
+//!   through the get path's decode, under fresh virtual ids (§IV-A);
 //! - [`recovery`] — replays a journal (checkpoint + close deltas) on
 //!   restart, rolling dangling ops back (or forward, for removals) and
 //!   garbage-collecting orphan objects from providers;
@@ -66,6 +69,7 @@ pub mod envelope;
 pub mod health;
 pub mod integrity;
 pub mod journal;
+pub mod maintain;
 pub mod mislead;
 pub mod multi;
 pub mod mutation;

@@ -202,14 +202,17 @@ mod tests {
                 )))
             })
             .collect();
-        let shared = Arc::new(CloudDataDistributor::new(
-            providers,
-            DistributorConfig {
-                chunk_sizes: ChunkSizeSchedule::uniform(32),
-                stripe_width: 3,
-                ..Default::default()
-            },
-        ));
+        let shared = Arc::new(
+            CloudDataDistributor::try_new(
+                providers,
+                DistributorConfig {
+                    chunk_sizes: ChunkSizeSchedule::uniform(32),
+                    stripe_width: 3,
+                    ..Default::default()
+                },
+            )
+            .expect("valid config"),
+        );
         DistributorGroup::try_new(shared, n).expect("non-empty group")
     }
 

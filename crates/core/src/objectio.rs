@@ -43,8 +43,8 @@
 //!   `u64` counts retries. A verb with no receipt for them drops both.
 //!
 //! One layer up, `read_member` over a `StripeReadSet` is the only way a
-//! stripe is gathered: `reconstruct_stored`, `repair_stripe` and
-//! `plan_parity` each walk the slots they need through it.
+//! stripe is gathered, and `decode_lost` the only stripe decode: a get's
+//! rebuild and repair (`core::maintain`) both decode through it.
 
 use crate::distributor::CloudDataDistributor;
 use crate::health::FailureKind;
@@ -54,6 +54,7 @@ use crate::resilience::AttemptOutcome;
 use crate::tables::{ChunkEntry, Tables};
 use crate::{CoreError, Result};
 use bytes::Bytes;
+use fragcloud_raid::StripeCodec;
 use fragcloud_sim::{ObjectStore, StoreError, VirtualId};
 use fragcloud_telemetry::TelemetryHandle;
 use std::time::Duration;
@@ -149,20 +150,21 @@ pub(crate) enum Member {
     Lost,
 }
 
-/// The per-get stripe read set: one [`Member`] slot per member of the
-/// stripe the get is in, so no member is fetched from its provider twice —
-/// a chunk read directly is a survivor for a later rebuild, and a peer
-/// read for a rebuild serves that peer's own fetch with no provider op.
-/// A file's chunks are in stripe order, so one stripe is resident at a
-/// time: `k + m` ref-counted handles, no payload copy. Invariants:
+/// The stripe read set of a get (or of a maintenance walk's stripe): one
+/// [`Member`] slot per member of the stripe, so no member is fetched from
+/// its provider twice — a chunk read directly is a survivor for a later
+/// rebuild, and a peer read for a rebuild serves that peer's own fetch
+/// with no provider op. One stripe is resident at a time: `k + m`
+/// ref-counted handles, no payload copy. Invariants:
 ///
 /// - a slot holds only a payload that came back `Ok` from
 ///   `get_with_retry`: it has passed `integrity::unframe_expecting`, and
 ///   its read fed retry, health and corruption accounting;
-/// - the set lives inside one shard read guard — the rows it mirrors
-///   cannot change under it;
-/// - `Lost` only stops a rebuild's peer loop asking that member's primary
-///   again; the chunk's own fetch still tries every candidate and replica.
+/// - the set lives inside one shard guard — the rows it mirrors cannot
+///   change under it;
+/// - `Lost` only stops a rebuild asking that member's primary again (a
+///   walk marks a member it found gone); a get's own fetch of the chunk
+///   still tries every candidate and replica.
 #[derive(Default)]
 pub(crate) struct StripeReadSet {
     stripe_id: Option<usize>,
@@ -191,7 +193,7 @@ impl StripeReadSet {
 /// A gathered stripe member at the stripe's decode width: a full-width
 /// shard is shared as it is; only a short one (tail chunk, updated chunk,
 /// a tombstone's empty shard) is copied, to zero-pad it.
-pub(crate) fn pad_shard(shard: Bytes, width: usize) -> Bytes {
+fn pad_shard(shard: Bytes, width: usize) -> Bytes {
     if shard.len() >= width {
         return shard;
     }
@@ -353,5 +355,43 @@ impl CloudDataDistributor {
             }
         };
         (known, Duration::ZERO, 0)
+    }
+
+    /// Rebuilds stripe `stripe_id`'s `lost` slots at the stripe width,
+    /// in `lost` order, from the first `k` other members that survive a
+    /// read through `set` (only untried ones cost a read). Also returns
+    /// the reads' simulated cost (the slowest: peers are read in
+    /// parallel) and the retries consumed.
+    pub(crate) fn decode_lost(
+        &self,
+        st: &Tables,
+        set: &mut StripeReadSet,
+        stripe_id: usize,
+        lost: &[usize],
+        tel: &TelemetryHandle,
+    ) -> Result<(Vec<Vec<u8>>, Duration, u64)> {
+        let stripe = &st.stripes[stripe_id];
+        let mut survivors: Vec<(usize, Bytes)> = Vec::with_capacity(stripe.k);
+        let mut worst = Duration::ZERO;
+        let mut retries = 0u64;
+        for slot in (0..stripe.members.len()).filter(|slot| !lost.contains(slot)) {
+            if survivors.len() == stripe.k {
+                break;
+            }
+            let (res, t, r) = self.read_member(st, set, stripe_id, slot, tel);
+            // Even a failed peer's retries sit on the critical path.
+            worst = worst.max(t);
+            retries += r;
+            if let Ok(shard) = res {
+                survivors.push((slot, pad_shard(shard, stripe.shard_width)));
+            }
+        }
+        let codec = StripeCodec::new(stripe.k, stripe.level)?;
+        let refs: Vec<(usize, &[u8])> = survivors.iter().map(|(i, b)| (*i, &b[..])).collect();
+        let shards = lost
+            .iter()
+            .map(|&slot| codec.reconstruct_shard_observed(&refs, slot, tel))
+            .collect::<std::result::Result<_, _>>()?;
+        Ok((shards, worst, retries))
     }
 }

@@ -945,7 +945,7 @@ mod tests {
     /// chunk tombstone, a removed file, an RS(2,3) stripe beside RAID-5
     /// ones, a degraded marker, several shards.
     fn every_row_shape() -> CloudDataDistributor {
-        let d = CloudDataDistributor::new(fleet(), config());
+        let d = CloudDataDistributor::try_new(fleet(), config()).expect("valid config");
         for (client, pass) in [("Bob|weird%name", "p|w%d,:"), ("Bob}", "plain")] {
             d.register_client(client).unwrap();
             d.add_password(client, pass, PrivacyLevel::High).unwrap();
@@ -1074,7 +1074,7 @@ mod tests {
     #[test]
     fn export_import_roundtrip_preserves_reads() {
         let providers = fleet();
-        let d = CloudDataDistributor::new(providers.clone(), config());
+        let d = CloudDataDistributor::try_new(providers.clone(), config()).expect("valid config");
         d.register_client("Bob|weird%name").unwrap();
         d.add_password("Bob|weird%name", "p|w%d", PrivacyLevel::High)
             .unwrap();
@@ -1121,7 +1121,7 @@ mod tests {
         // A 4-shard export re-imported under a 2-shard config keeps its
         // 4 shards: table_shards only governs fresh construction.
         let providers = fleet();
-        let d = CloudDataDistributor::new(providers.clone(), config());
+        let d = CloudDataDistributor::try_new(providers.clone(), config()).expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "p", PrivacyLevel::High).unwrap();
         let s = d.session("c", "p").unwrap();
@@ -1148,7 +1148,7 @@ mod tests {
 
     #[test]
     fn import_rejects_missing_provider() {
-        let d = CloudDataDistributor::new(fleet(), config());
+        let d = CloudDataDistributor::try_new(fleet(), config()).expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "p", PrivacyLevel::High).unwrap();
         d.session("c", "p")
@@ -1194,7 +1194,7 @@ mod tests {
         // Regression: positions were parsed unchecked, so a damaged row
         // imported fine and the next get_file panicked inside strip.
         let providers = fleet();
-        let d = CloudDataDistributor::new(providers.clone(), config());
+        let d = CloudDataDistributor::try_new(providers.clone(), config()).expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "p", PrivacyLevel::High).unwrap();
         d.session("c", "p")
@@ -1244,8 +1244,52 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_snapshot_positions_beyond_the_snapshot() {
+        // No row records a snapshot's length, so import checks its
+        // positions for order only; the restore checks them against the
+        // bytes it read, before it allocates a vid, and changes nothing.
+        let providers = fleet();
+        let config = DistributorConfig {
+            chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
+            ..config()
+        };
+        let d = CloudDataDistributor::try_new(providers.clone(), config).expect("valid config");
+        d.register_client("c").unwrap();
+        d.add_password("c", "p", PrivacyLevel::High).unwrap();
+        let s = d.session("c", "p").unwrap();
+        s.put_file(
+            "f",
+            &body(1 << 10),
+            PrivacyLevel::Low,
+            PutOptions::default(),
+        )
+        .unwrap();
+        s.update_chunk("f", 0, &body(1 << 9)).unwrap();
+        let snapshot = export_state(&d);
+        let row = snapshot
+            .lines()
+            .find(|l| l.starts_with("chunk|") && l.split('|').nth(4) != Some("-"))
+            .expect("the updated chunk's row names its snapshot");
+        let mut fields: Vec<&str> = row.split('|').collect();
+        fields[5] = "5,100000";
+        let tampered = snapshot.replace(row, &fields.join("|"));
+        let d = import_state(&tampered, providers, config).expect("order is all import checks");
+        let s = d.session("c", "p").unwrap();
+        let before = export_state(&d);
+        let vids = d.vids_allocated();
+
+        match s.restore_snapshot("f", 0) {
+            Err(CoreError::CorruptState { why, .. }) => assert!(why.contains("f#0"), "{why}"),
+            other => panic!("expected CorruptState, got {other:?}"),
+        }
+        assert_eq!(export_state(&d), before);
+        assert_eq!(d.vids_allocated(), vids);
+        assert_eq!(s.get_file("f").unwrap().data, body(1 << 9));
+    }
+
+    #[test]
     fn export_is_stable_and_versioned() {
-        let d = CloudDataDistributor::new(fleet(), config());
+        let d = CloudDataDistributor::try_new(fleet(), config()).expect("valid config");
         d.register_client("a").unwrap();
         let s1 = export_state(&d);
         let s2 = export_state(&d);
@@ -1257,7 +1301,7 @@ mod tests {
     #[test]
     fn tombstones_survive_roundtrip() {
         let providers = fleet();
-        let d = CloudDataDistributor::new(providers.clone(), config());
+        let d = CloudDataDistributor::try_new(providers.clone(), config()).expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "p", PrivacyLevel::High).unwrap();
         let data = body(192);

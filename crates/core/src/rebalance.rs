@@ -239,14 +239,15 @@ mod tests {
     }
 
     fn world() -> CloudDataDistributor {
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             fleet(),
             DistributorConfig {
                 chunk_sizes: ChunkSizeSchedule::uniform(256),
                 stripe_width: 3,
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "pw", PrivacyLevel::High).unwrap();
         d
@@ -300,14 +301,15 @@ mod tests {
             PrivacyLevel::Low,
             CostLevel::new(0),
         ))));
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             providers,
             DistributorConfig {
                 chunk_sizes: ChunkSizeSchedule::uniform(256),
                 stripe_width: 3,
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "pw", PrivacyLevel::High).unwrap();
         d.session("c", "pw")

@@ -315,7 +315,8 @@ mod tests {
                 )))
             })
             .collect();
-        let d = CloudDataDistributor::new(fleet, DistributorConfig::default());
+        let d = CloudDataDistributor::try_new(fleet, DistributorConfig::default())
+            .expect("valid config");
         d.register_client("Bob").unwrap();
         d.add_password("Bob", "Ty7e", PrivacyLevel::High).unwrap();
         d.add_password("Bob", "aB1c", PrivacyLevel::Public).unwrap();

@@ -142,12 +142,10 @@ pub fn built_in_allowed_paths(rule_id: &str) -> &'static [&'static str] {
         "no-wall-clock" => &["crates/telemetry/src/clock.rs"],
         "provider-boundary" => &[
             // The framed, retried, health-scored read/write pair — the
-            // only `get`/`put` callers in `crates/core` — the mutation
-            // bracket's post-commit delete step, and a failed verb's
-            // undo-record cleanup.
+            // only `get`/`put` callers in `crates/core` — and the mutation
+            // bracket's post-commit delete step.
             "crates/core/src/objectio.rs",
             "crates/core/src/mutation.rs",
-            "crates/core/src/distributor.rs",
             // The providers' own crate: stores, failure injection and the
             // provider implementation itself necessarily touch the ops.
             "crates/sim/src/",

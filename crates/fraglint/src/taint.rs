@@ -141,11 +141,12 @@ pub fn specs(config: &Config) -> Vec<FlowSpec> {
         },
         FlowSpec {
             rule: "verify-before-decode",
-            // The two fns that hand shard sets to the erasure decode. A
-            // provider-read byte string is untrusted until it crosses the
-            // integrity check: a corrupted shard must surface as a typed
-            // `ShardCorrupt` erasure, never decode into plausible garbage.
-            sources: pats(&["reconstruct_stored", "repair_stripe"]),
+            // The one erasure decode, `decode_lost`, and the two fns that
+            // hand it a stripe's read set. A provider-read byte string is
+            // untrusted until it crosses the integrity check: a corrupted
+            // shard must surface as a typed `ShardCorrupt` erasure, never
+            // decode into plausible garbage.
+            sources: pats(&["decode_lost", "reconstruct_stored", "repair_stripe"]),
             source_markers: Vec::new(),
             // `get_with_retry` sanitizes transitively: its body calls
             // `integrity::unframe_expecting` on every fetched object, and
@@ -659,6 +660,26 @@ mod tests {
             }",
         )]);
         assert!(good.is_empty(), "{good:?}");
+    }
+
+    #[test]
+    fn the_shared_decode_is_a_source_of_its_own() {
+        // Get and repair rebuild through one fn: a raw provider read it
+        // decodes is flagged there, whoever calls it.
+        let hits = run(&[(
+            "crates/core/src/objectio.rs",
+            "impl D {
+                fn decode_lost(&self, st: &Tables, set: &mut StripeReadSet) -> Result<Vec<Vec<u8>>> {
+                    let raw = st.store.get(vid);
+                    codec.reconstruct_shard_observed(&refs, slot, &tel)
+                }
+            }",
+        )]);
+        let vbd: Vec<_> = hits
+            .iter()
+            .filter(|h| h.0 == "verify-before-decode")
+            .collect();
+        assert_eq!(vbd.len(), 1, "{hits:?}");
     }
 
     #[test]

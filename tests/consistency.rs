@@ -19,7 +19,7 @@ fn distributor(n_providers: usize) -> CloudDataDistributor {
             )))
         })
         .collect();
-    CloudDataDistributor::new(
+    CloudDataDistributor::try_new(
         fleet,
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
@@ -27,6 +27,7 @@ fn distributor(n_providers: usize) -> CloudDataDistributor {
             ..Default::default()
         },
     )
+    .expect("valid config")
 }
 
 fn body(seed: usize, len: usize) -> Vec<u8> {

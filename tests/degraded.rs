@@ -40,7 +40,7 @@ fn world_with(
             )))
         })
         .collect();
-    let d = CloudDataDistributor::new(fleet.clone(), config);
+    let d = CloudDataDistributor::try_new(fleet.clone(), config).expect("valid config");
     d.register_client("c").unwrap();
     d.add_password("c", "pw", PrivacyLevel::High).unwrap();
     (d, fleet)
@@ -156,7 +156,7 @@ fn rehoming_world() -> (CloudDataDistributor, Vec<Arc<CloudProvider>>) {
         raid_level: RaidLevel::None,
         ..Default::default()
     };
-    let d = CloudDataDistributor::new(fleet.clone(), config);
+    let d = CloudDataDistributor::try_new(fleet.clone(), config).expect("valid config");
     d.register_client("c").unwrap();
     d.add_password("c", "pw", PrivacyLevel::High).unwrap();
     (d, fleet)
@@ -343,6 +343,58 @@ fn degraded_get_reads_each_stripe_member_at_most_once() {
     // can do without — every live data chunk, plus one parity shard per
     // lost one — which leaves no room for a second fetch of anything.
     assert_eq!(served.iter().sum::<u64>(), chunks as u64);
+}
+
+/// A repair reads each live member of a degraded stripe from its provider
+/// once: a deep repair's heal is served by the reads of its walk, and the
+/// decode by the heal's, so no member is fetched twice.
+#[test]
+fn repair_reads_each_live_stripe_member_once() {
+    let world = || {
+        let (d, fleet) = world_with(
+            8,
+            DistributorConfig {
+                chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
+                ..Default::default()
+            },
+        );
+        // Four RS(4,2) stripes: 24 shards on 8 providers.
+        d.session("c", "pw")
+            .unwrap()
+            .put_file(
+                "f",
+                &body(16 << 10),
+                PrivacyLevel::Low,
+                PutOptions::new().geometry(4, 2),
+            )
+            .unwrap();
+        let victim = top_holders(&d, 1)[0];
+        fleet[victim].set_online(false);
+        (d, fleet)
+    };
+    let served = |fleet: &[Arc<CloudProvider>]| -> u64 {
+        fleet
+            .iter()
+            .map(|p| p.stats().gets.load(Ordering::Relaxed))
+            .sum()
+    };
+    for verify in [true, false] {
+        let (d, fleet) = world();
+        let before = served(&fleet);
+        let repaired = match verify {
+            true => d.try_repair_verify(),
+            false => d.try_repair(),
+        }
+        .unwrap();
+        // The victim held one shard of each stripe; the other 20 are read
+        // once each.
+        assert_eq!(served(&fleet) - before, 20, "verify = {verify}");
+        assert!(repaired.is_complete(), "failed: {:?}", repaired.failed);
+        assert_eq!((repaired.stripes_repaired, repaired.shards_rebuilt), (4, 4));
+        assert!(d.scrub_verify().is_healthy());
+        let s = d.session("c", "pw").unwrap();
+        assert_eq!(s.get_file("f").unwrap().data, body(16 << 10));
+    }
 }
 
 /// Every verb that moves an object retries a transient provider error,

@@ -37,7 +37,7 @@ fn upload(placement: PlacementStrategy, chunk: usize) -> (CloudDataDistributor, 
         ..Default::default()
     };
     let bytes = records::encode(&bidding::generate(cfg));
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         fleet(),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(chunk),
@@ -46,7 +46,8 @@ fn upload(placement: PlacementStrategy, chunk: usize) -> (CloudDataDistributor, 
             placement,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.register_client("victim").unwrap();
     d.add_password("victim", "pw", PrivacyLevel::High).unwrap();
     d.session("victim", "pw")
@@ -157,7 +158,7 @@ fn misleading_bytes_poison_the_insider_even_with_full_compromise() {
         ..Default::default()
     };
     let bytes = records::encode(&bidding::generate(cfg));
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         fleet(),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(4 << 10),
@@ -166,7 +167,8 @@ fn misleading_bytes_poison_the_insider_even_with_full_compromise() {
             mislead_rate: 0.05,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.register_client("victim").unwrap();
     d.add_password("victim", "pw", PrivacyLevel::High).unwrap();
     d.session("victim", "pw")

@@ -25,7 +25,7 @@ fn fig3_world() -> (CloudDataDistributor, Vec<Arc<CloudProvider>>) {
         )))
     })
     .collect();
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         fleet.clone(),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule {
@@ -34,7 +34,8 @@ fn fig3_world() -> (CloudDataDistributor, Vec<Arc<CloudProvider>>) {
             stripe_width: 3,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     // Bob's Table II row: four passwords at PL 0..3.
     d.register_client("Bob").unwrap();
     d.add_password("Bob", "aB1c", PrivacyLevel::Public).unwrap();

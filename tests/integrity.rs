@@ -42,7 +42,7 @@ fn config(k: usize, m: usize) -> DistributorConfig {
 }
 
 fn distributor_with(fleet: Vec<Arc<CloudProvider>>, k: usize, m: usize) -> CloudDataDistributor {
-    CloudDataDistributor::new(fleet, config(k, m))
+    CloudDataDistributor::try_new(fleet, config(k, m)).expect("valid config")
 }
 
 /// Write-once objects: damage at rest is not an ack, so healing it with
@@ -197,10 +197,11 @@ proptest! {
     ) {
         let fleet = fleet(k + m + 2);
         let rate = if mislead { 0.08 } else { 0.0 };
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             fleet.clone(),
             DistributorConfig { mislead_rate: rate, ..config(k, m) },
-        );
+        )
+        .expect("valid config");
         d.register_client("c").unwrap();
         d.add_password("c", "pw", PrivacyLevel::High).unwrap();
         let session = d.session("c", "pw").unwrap();

@@ -75,7 +75,7 @@ proptest! {
             mislead_rate: 0.03,
             ..Default::default()
         };
-        let d = CloudDataDistributor::new(providers.clone(), config);
+        let d = CloudDataDistributor::try_new(providers.clone(), config).expect("valid config");
         d.register_client("c").expect("fresh");
         d.add_password("c", "pw", PrivacyLevel::High).expect("client");
         let journal = Arc::new(Journal::new());

@@ -127,7 +127,7 @@ fn provider_state_at_max_privacy_matches_oracle() {
         .collect();
 
     let providers = fleet(6);
-    let d = CloudDataDistributor::new(providers.clone(), config);
+    let d = CloudDataDistributor::try_new(providers.clone(), config).expect("valid config");
     d.register_client("c").expect("fresh");
     d.add_password("c", "pw", PrivacyLevel::High)
         .expect("client");
@@ -287,7 +287,7 @@ proptest! {
             _ => RaidLevel::Raid6,
         };
         let providers = fleet(8);
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             providers.clone(),
             DistributorConfig {
                 chunk_sizes: ChunkSizeSchedule { sizes: [512, 256, 128, 64] },
@@ -296,7 +296,8 @@ proptest! {
                 placement,
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("c").expect("fresh");
         d.add_password("c", "pw", PrivacyLevel::High).expect("client");
         let session = d.session("c", "pw").expect("valid pair");
@@ -317,7 +318,7 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 1..3000),
         rate in 0.01f64..0.3,
     ) {
-        let d = CloudDataDistributor::new(
+        let d = CloudDataDistributor::try_new(
             fleet(6),
             DistributorConfig {
                 chunk_sizes: ChunkSizeSchedule::uniform(333),
@@ -325,7 +326,8 @@ proptest! {
                 mislead_rate: rate,
                 ..Default::default()
             },
-        );
+        )
+        .expect("valid config");
         d.register_client("c").expect("fresh");
         d.add_password("c", "pw", PrivacyLevel::High).expect("client");
         let session = d.session("c", "pw").expect("valid pair");

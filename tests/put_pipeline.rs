@@ -49,7 +49,7 @@ fn config(mislead_rate: f64) -> DistributorConfig {
 }
 
 fn distributor(n_providers: usize, config: DistributorConfig) -> CloudDataDistributor {
-    let d = CloudDataDistributor::new(fleet(n_providers), config);
+    let d = CloudDataDistributor::try_new(fleet(n_providers), config).expect("valid config");
     d.register_client("c").expect("fresh");
     d.add_password("c", "pw", PrivacyLevel::High)
         .expect("client");
@@ -423,7 +423,7 @@ fn a_failed_put_leaves_no_row_and_no_object() {
                 )))
             })
             .collect();
-        let d = CloudDataDistributor::new(fleet.clone(), config(0.08));
+        let d = CloudDataDistributor::try_new(fleet.clone(), config(0.08)).expect("valid config");
         d.register_client("c").expect("fresh");
         d.add_password("c", "pw", PrivacyLevel::High)
             .expect("client");

@@ -18,7 +18,7 @@ fn world(n: usize, level: RaidLevel) -> (CloudDataDistributor, Vec<Arc<CloudProv
             )))
         })
         .collect();
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         fleet.clone(),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(2 << 10),
@@ -26,7 +26,8 @@ fn world(n: usize, level: RaidLevel) -> (CloudDataDistributor, Vec<Arc<CloudProv
             raid_level: level,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.register_client("c").unwrap();
     d.add_password("c", "pw", PrivacyLevel::High).unwrap();
     (d, fleet)

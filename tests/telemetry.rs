@@ -23,7 +23,7 @@ fn world(level: RaidLevel) -> (CloudDataDistributor, Vec<Arc<CloudProvider>>) {
             )))
         })
         .collect();
-    let d = CloudDataDistributor::new(
+    let d = CloudDataDistributor::try_new(
         fleet.clone(),
         DistributorConfig {
             chunk_sizes: ChunkSizeSchedule::uniform(1 << 10),
@@ -31,7 +31,8 @@ fn world(level: RaidLevel) -> (CloudDataDistributor, Vec<Arc<CloudProvider>>) {
             raid_level: level,
             ..Default::default()
         },
-    );
+    )
+    .expect("valid config");
     d.register_client("c").unwrap();
     d.add_password("c", "pw", PrivacyLevel::High).unwrap();
     (d, fleet)
