@@ -28,7 +28,7 @@ use crate::health::{self, HealthTracker};
 use crate::journal::{Journal, OpKind};
 use crate::mislead;
 use crate::mutation::{Doomed, OpCtx};
-use crate::objectio::{Framed, Member, ShardBuf, StripeReadSet};
+use crate::objectio::{Boundary, Framed, ShardBuf, StripeReadSet, StripeRows};
 use crate::persist;
 use crate::policy;
 use crate::pool::TransferPool;
@@ -143,22 +143,6 @@ pub struct GetReceipt {
     pub retries: u64,
 }
 
-/// Internal outcome of fetching one logical chunk on the degraded-mode
-/// read path.
-#[derive(Default)]
-struct ChunkFetch {
-    /// The chunk as stored (misleading bytes still in), frame-verified.
-    stored: Bytes,
-    /// Provider whose link the simulated clock charges for this chunk.
-    charged_provider: usize,
-    /// Simulated time on this chunk's critical path (transfer + backoff).
-    time: Duration,
-    reconstructed: bool,
-    degraded: bool,
-    hedged: bool,
-    retries: u64,
-}
-
 /// Minimum source bytes the put pipeline keeps in flight (read but not yet
 /// stored), however small the stripes: the window is this many bytes or
 /// [`transfer_workers`](crate::config::DurabilityConfig::transfer_workers)
@@ -231,9 +215,16 @@ fn ensure_online(
 
 /// The Cloud Data Distributor (Fig. 1's central entity).
 pub struct CloudDataDistributor {
-    /// The Cloud Provider Table: live provider handles, row index = CP
-    /// index. Fixed at construction or import, so it needs no lock.
-    providers: Vec<Arc<CloudProvider>>,
+    /// The provider-object boundary: the Cloud Provider Table (live
+    /// provider handles, row index = CP index, fixed at construction or
+    /// import), the per-provider health tracker every engine-issued
+    /// operation feeds — detected corruptions, timeouts and errors raise
+    /// a provider's EWMA score and trip its breaker, which placement then
+    /// sheds; the score orders read candidates, degraded-write alternates
+    /// and repair targets (see [`crate::health`]) — and the retry
+    /// config. Behind an `Arc` and no lock, so a get segment on a pool
+    /// worker owns a handle to it.
+    io: Arc<Boundary>,
     /// The client directory (names + ⟨password, PL⟩ pairs), one map behind
     /// one lock. Its guard is taken before any shard guard and dropped
     /// before a verb takes one, and is never held across provider I/O or
@@ -250,12 +241,6 @@ pub struct CloudDataDistributor {
     vids: VidAllocator,
     config: DistributorConfig,
     rng: Mutex<StdRng>,
-    /// Per-provider EWMA health scores and circuit breakers (see
-    /// [`crate::health`]), fed once by every engine-issued operation:
-    /// detected corruptions, timeouts and errors raise a provider's score
-    /// and trip its breaker, which placement then sheds; the score orders
-    /// read candidates, degraded-write alternates and repair targets.
-    health: HealthTracker,
     /// Runtime observability handle (disabled by default — see
     /// [`Self::enable_telemetry`]). Kept outside `config` (which is
     /// `Copy`) and behind a lock so it can be attached to a live,
@@ -279,7 +264,7 @@ pub struct CloudDataDistributor {
 struct EncodedGroup {
     /// Per data chunk: its filled upload buffer, mislead positions,
     /// logical length.
-    chunks: Vec<(ShardBuf, Vec<usize>, usize)>,
+    chunks: Vec<(ShardBuf, Arc<[usize]>, usize)>,
     /// Stripe shard width (longest stored chunk; shorter chunks are
     /// logically zero-padded for parity).
     width: usize,
@@ -386,8 +371,7 @@ impl CloudDataDistributor {
     ) -> Result<Self> {
         config.validate()?;
         Ok(CloudDataDistributor {
-            health: HealthTracker::new(providers.len()),
-            providers,
+            io: Arc::new(Boundary::new(providers, config.resilience, config.seed)),
             clients: RwLock::new(clients),
             state: shards.into_iter().map(RwLock::new).collect(),
             vids: VidAllocator::resume(config.seed, already_allocated),
@@ -505,7 +489,12 @@ impl CloudDataDistributor {
     /// The provider fleet (the Cloud Provider Table), fixed for the
     /// distributor's life.
     pub(crate) fn fleet(&self) -> &[Arc<CloudProvider>] {
-        &self.providers
+        self.io.fleet()
+    }
+
+    /// The provider-object boundary (see [`crate::objectio`]).
+    pub(crate) fn io(&self) -> &Arc<Boundary> {
+        &self.io
     }
 
     /// The shared transfer pool, created on first use with
@@ -539,7 +528,7 @@ impl CloudDataDistributor {
     /// journal — passing a shared handle aggregates several distributors
     /// into one registry.
     pub fn set_telemetry(&self, handle: TelemetryHandle) {
-        for p in &self.providers {
+        for p in self.fleet() {
             p.set_telemetry(handle.clone());
         }
         if let Some(j) = self.journal.read().clone() {
@@ -763,7 +752,7 @@ impl CloudDataDistributor {
             replicas: opts.replicas,
             ctx,
             tel: &tel,
-            per_provider_time: vec![Duration::ZERO; self.providers.len()],
+            per_provider_time: vec![Duration::ZERO; self.fleet().len()],
             chunks: Vec::new(),
             stripes: Vec::new(),
             data_rows: Vec::with_capacity(chunk_count),
@@ -1048,7 +1037,7 @@ impl CloudDataDistributor {
         codec: &StripeCodec,
         mut scratch: Vec<Vec<u8>>,
     ) -> Result<EncodedGroup> {
-        let chunks: Vec<(ShardBuf, Vec<usize>, usize)> = group
+        let chunks: Vec<(ShardBuf, Arc<[usize]>, usize)> = group
             .into_iter()
             .map(|(mut shard, logical)| {
                 let positions = shard.fill_stored(&logical, rate, seed ^ shard.vid().0);
@@ -1103,16 +1092,16 @@ impl CloudDataDistributor {
         // `place_stripe_avoiding` ignores the list when the fleet is too
         // small to route around them, so writes never brick.
         let quarantined: Vec<usize> = self
-            .health
+            .health()
             .open_providers()
             .into_iter()
-            .filter(|&i| self.health.should_shed(i, progress.tel))
+            .filter(|&i| self.health().should_shed(i, progress.tel))
             .collect();
         let first_serial = (stripe_no * progress.k_max) as u32;
         let placement = {
             let mut rng = self.rng.lock();
             policy::place_stripe_avoiding(
-                &self.providers,
+                self.fleet(),
                 pl,
                 total_shards,
                 self.config.placement,
@@ -1137,7 +1126,7 @@ impl CloudDataDistributor {
 
         // Replica placement pool: eligible providers not used by this
         // stripe, cycled per chunk so copies spread out.
-        let eligible = policy::eligible_providers(&self.providers, pl);
+        let eligible = policy::eligible_providers(self.fleet(), pl);
         let replica_pool: Vec<usize> = eligible
             .iter()
             .copied()
@@ -1173,7 +1162,7 @@ impl CloudDataDistributor {
                 self.crash_point()?;
                 // Replicas are best-effort extra assurance: a copy that
                 // cannot land is dropped, not fatal.
-                let (res, t, _) = self.put_with_retry(rp, rvid, stored, progress.tel);
+                let (res, t, _) = self.io.put_with_retry(rp, rvid, stored, progress.tel);
                 progress.per_provider_time[rp] += t;
                 if res.is_ok() {
                     progress.bytes_stored += stored.len();
@@ -1189,7 +1178,7 @@ impl CloudDataDistributor {
                 provider_idx,
                 snapshot_provider_idx: None,
                 snapshot_vid: None,
-                snapshot_mislead: Vec::new(),
+                snapshot_mislead: Arc::default(),
                 mislead_positions: positions,
                 stored_len: stored.len(),
                 logical_len,
@@ -1218,8 +1207,8 @@ impl CloudDataDistributor {
                 provider_idx,
                 snapshot_provider_idx: None,
                 snapshot_vid: None,
-                snapshot_mislead: Vec::new(),
-                mislead_positions: Vec::new(),
+                snapshot_mislead: Arc::default(),
+                mislead_positions: Arc::default(),
                 stored_len: width,
                 logical_len: width,
                 stripe: Some(StripeRef {
@@ -1265,17 +1254,16 @@ impl CloudDataDistributor {
         // shard goes straight to an alternative); if no alternative can
         // take it, the quarantined preferred is still tried last — a
         // suspect provider beats a lost shard.
-        let shed_preferred = self.health.should_shed(preferred, progress.tel);
+        let shed_preferred = self.health().should_shed(preferred, progress.tel);
         let mut lands_on = |idx: usize| {
-            let (res, t, _) = self.put_framed(idx, object, progress.tel);
+            let (res, t, _) = self.io.put_framed(idx, object, progress.tel);
             progress.per_provider_time[idx] += t;
             res.is_ok()
         };
         let landed = if !shed_preferred && lands_on(preferred) {
             Some(preferred)
         } else {
-            let alts =
-                policy::rehoming_candidates(&self.providers, pl, &slots.hosting, &self.health);
+            let alts = policy::rehoming_candidates(self.fleet(), pl, &slots.hosting, self.health());
             match alts.into_iter().find(|&alt| lands_on(alt)) {
                 None if shed_preferred && lands_on(preferred) => Some(preferred),
                 landed => landed,
@@ -1296,307 +1284,6 @@ impl CloudDataDistributor {
                 }
                 Ok(preferred)
             }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Retrieval
-    // ------------------------------------------------------------------
-
-    pub(crate) fn get_chunk_impl(
-        &self,
-        client: &str,
-        password: &str,
-        filename: &str,
-        serial: u32,
-    ) -> Result<Vec<u8>> {
-        let tel = self.telemetry();
-        let _op = span!(tel, "get_chunk", file = filename, serial = serial);
-        let level = self.password_level(client, password)?;
-        let st = self.read_shard_for(client, filename);
-        let chunk_idx = st.chunk_index(client, filename, serial)?;
-        let entry = &st.chunks[chunk_idx];
-        access::check(level, entry.pl)?;
-        tel.incr("chunk_gets_total");
-        let fetch =
-            self.fetch_logical_chunk(&st, chunk_idx, &mut StripeReadSet::default(), &tel)?;
-        Ok(mislead::strip(&fetch.stored, &entry.mislead_positions))
-    }
-
-    pub(crate) fn get_file_impl(
-        &self,
-        client: &str,
-        password: &str,
-        filename: &str,
-    ) -> Result<GetReceipt> {
-        let tel = self.telemetry();
-        let _op = span!(tel, "get", file = filename);
-        let level = self.password_level(client, password)?;
-        let st = self.read_shard_for(client, filename);
-        let file = st.file(client, filename)?;
-        access::check(level, file.pl)?;
-
-        let mut out = Vec::with_capacity(file.total_len);
-        let mut per_provider_time: Vec<Duration> = vec![Duration::ZERO; self.providers.len()];
-        let (mut reconstructed, mut degraded, mut hedged) = (0usize, 0usize, 0usize);
-        let mut retries = 0u64;
-        let mut set = StripeReadSet::default();
-        for &chunk_idx in &file.chunk_indices {
-            let fetch = self.fetch_logical_chunk(&st, chunk_idx, &mut set, &tel)?;
-            per_provider_time[fetch.charged_provider] += fetch.time;
-            reconstructed += usize::from(fetch.reconstructed);
-            degraded += usize::from(fetch.degraded);
-            hedged += usize::from(fetch.hedged);
-            retries += fetch.retries;
-            mislead::strip_into(
-                &fetch.stored,
-                &st.chunks[chunk_idx].mislead_positions,
-                &mut out,
-            );
-        }
-        let receipt = GetReceipt {
-            data: out,
-            sim_time: per_provider_time.into_iter().max().unwrap_or_default(),
-            reconstructed_chunks: reconstructed,
-            degraded_chunks: degraded,
-            hedged_chunks: hedged,
-            retries,
-        };
-        tel.incr("gets_total");
-        tel.add("get_bytes", receipt.data.len() as u64);
-        tel.add("degraded_chunk_reads", receipt.degraded_chunks as u64);
-        tel.observe_micros("get_sim_us", receipt.sim_time);
-        Ok(receipt)
-    }
-
-    /// Fetches a chunk's stored bytes through the degraded-mode read path:
-    /// the get's stripe read set first, then an optional hedge against a
-    /// straggling primary, then retried reads over health-ordered
-    /// candidates (primary + replicas), then inline RAID reconstruction
-    /// from the stripe.
-    fn fetch_logical_chunk(
-        &self,
-        st: &Tables,
-        chunk_idx: usize,
-        set: &mut StripeReadSet,
-        tel: &TelemetryHandle,
-    ) -> Result<ChunkFetch> {
-        let entry = &st.chunks[chunk_idx];
-        if entry.removed {
-            let serial = match entry.role {
-                ChunkRole::Data { serial } => serial,
-                ChunkRole::Parity { .. } => 0,
-            };
-            return Err(CoreError::UnknownChunk {
-                filename: "<removed>".to_string(),
-                serial,
-            });
-        }
-
-        // Already read and verified as a peer of an earlier rebuild in
-        // this get: its transfer was charged there, nothing is left to do.
-        if let Some(Member::Verified(stored)) = set.slot(st, entry) {
-            return Ok(ChunkFetch {
-                stored: stored.clone(),
-                charged_provider: entry.provider_idx,
-                ..Default::default()
-            });
-        }
-
-        // Hedge: when the primary looks like a straggler and the parity
-        // path is predicted faster, take the reconstruction instead of
-        // waiting out the slow link — the winner of the race is the only
-        // branch the simulated clock charges.
-        if let Some(threshold) = self.config.resilience.hedge_threshold {
-            let direct_est = self.providers[entry.provider_idx].estimate_transfer(entry.stored_len);
-            if direct_est > threshold {
-                tel.incr("hedges_considered");
-                if let Some(parity_est) = self.estimate_reconstruct(st, chunk_idx) {
-                    if parity_est < direct_est {
-                        if let Ok((stored, time, retries)) =
-                            self.reconstruct_stored(st, chunk_idx, set, tel)
-                        {
-                            tel.incr("reads_hedged");
-                            return Ok(ChunkFetch {
-                                stored,
-                                charged_provider: entry.provider_idx,
-                                time,
-                                reconstructed: true,
-                                degraded: false,
-                                hedged: true,
-                                retries,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        // Candidate sources: primary then replicas, healthiest first. A
-        // quarantined provider (breaker HalfOpen/Open) sorts last but is
-        // never dropped: an Open provider holding the only live copy must
-        // still be readable. The sort is stable, so providers that have
-        // never failed keep stored order. Each key is read once, so the
-        // order is consistent while other threads record outcomes.
-        let mut candidates: Vec<(usize, VirtualId)> = Vec::with_capacity(1 + entry.replicas.len());
-        candidates.push((entry.provider_idx, entry.vid));
-        candidates.extend(entry.replicas.iter().copied());
-        if candidates.len() > 1 {
-            let mut keyed: Vec<(f64, (usize, VirtualId))> = candidates
-                .iter()
-                .map(|&c| (self.health.penalty(c.0), c))
-                .collect();
-            keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
-            candidates = keyed.into_iter().map(|(_, c)| c).collect();
-        }
-
-        let mut time = Duration::ZERO;
-        let mut retries = 0u64;
-        let mut attempts_made = 0u32;
-        let mut timed_out: Option<CoreError> = None;
-        for (rank, &(pidx, vid)) in candidates.iter().enumerate() {
-            let (res, t, r) = self.get_with_retry(pidx, vid, Some(entry.stored_len), tel);
-            time += t;
-            retries += r;
-            attempts_made += r as u32 + 1;
-            if let Err(e @ CoreError::Timeout { .. }) = &res {
-                timed_out = Some(e.clone());
-            }
-            if let Ok(stored) = res {
-                if rank > 0 {
-                    tel.incr("failovers_total");
-                }
-                if let Some(slot) = set.slot(st, entry) {
-                    *slot = Member::Verified(stored.clone());
-                }
-                return Ok(ChunkFetch {
-                    stored,
-                    charged_provider: pidx,
-                    time,
-                    reconstructed: false,
-                    // Falling past the first-choice source is a failover;
-                    // health *reordering* alone is not.
-                    degraded: rank > 0,
-                    hedged: false,
-                    retries,
-                });
-            }
-        }
-
-        // Last resort: RAID reconstruction from the stripe.
-        if let Some(slot) = set.slot(st, entry) {
-            *slot = Member::Lost;
-        }
-        match self.reconstruct_stored(st, chunk_idx, set, tel) {
-            Ok((stored, rtime, rretries)) => {
-                // Read-repair: every candidate failed (missing or corrupt)
-                // but parity could rebuild the shard — re-upload the
-                // healed bytes under the primary's vid so the next read
-                // is clean again. Best-effort and off the read's critical
-                // path (repair traffic is charged to telemetry, not to
-                // this fetch's simulated time).
-                self.read_repair(entry.provider_idx, entry.vid, &stored, tel);
-                Ok(ChunkFetch {
-                    stored,
-                    charged_provider: entry.provider_idx,
-                    time: time + rtime,
-                    reconstructed: true,
-                    degraded: true,
-                    hedged: false,
-                    retries: retries + rretries,
-                })
-            }
-            // No parity path exists at all: report the deadline breach if
-            // one happened, else the exhausted budget — not a meaningless
-            // erasure count.
-            Err(CoreError::Raid(fragcloud_raid::RaidError::TooManyErasures {
-                tolerable: 0,
-                ..
-            })) => Err(timed_out.unwrap_or(CoreError::RetriesExhausted {
-                attempts: attempts_made,
-            })),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Predicted parallel transfer time of reconstructing `chunk_idx` from
-    /// its stripe peers, or `None` when the stripe cannot absorb the loss
-    /// (no stripe, no parity, or too few live peers). Pure estimate: no
-    /// provider state is touched.
-    fn estimate_reconstruct(&self, st: &Tables, chunk_idx: usize) -> Option<Duration> {
-        let entry = &st.chunks[chunk_idx];
-        let stripe_ref = entry.stripe?;
-        let stripe = &st.stripes[stripe_ref.stripe_id];
-        if stripe.level == RaidLevel::None {
-            return None;
-        }
-        let mut live = 0usize;
-        let mut worst = Duration::ZERO;
-        for &member_idx in &stripe.members {
-            if member_idx == chunk_idx {
-                continue;
-            }
-            let member = &st.chunks[member_idx];
-            if member.removed {
-                live += 1; // tombstones contribute zero shards for free
-                continue;
-            }
-            let p = &self.providers[member.provider_idx];
-            if !p.is_online() {
-                continue;
-            }
-            live += 1;
-            worst = worst.max(p.estimate_transfer(member.stored_len));
-        }
-        (live >= stripe.k).then_some(worst)
-    }
-
-    /// Reconstructs a chunk's *stored* bytes from its stripe peers
-    /// ([`decode_lost`](Self::decode_lost) of its one slot, truncated to
-    /// the row's `stored_len`). Returns the bytes plus the simulated cost
-    /// of the peer fan-out and the retries consumed.
-    fn reconstruct_stored(
-        &self,
-        st: &Tables,
-        chunk_idx: usize,
-        set: &mut StripeReadSet,
-        tel: &TelemetryHandle,
-    ) -> Result<(Bytes, Duration, u64)> {
-        let _op = span!(tel, "chunk.reconstruct", chunk = chunk_idx);
-        let entry = &st.chunks[chunk_idx];
-        // No stripe or no parity, nothing a peer could tell us: fail before
-        // any read.
-        let at = entry
-            .stripe
-            .filter(|at| st.stripes[at.stripe_id].level.parity_shards() > 0)
-            .ok_or(CoreError::Raid(
-                fragcloud_raid::RaidError::TooManyErasures {
-                    missing: 1,
-                    tolerable: 0,
-                },
-            ))?;
-        let (mut shards, worst, retries) =
-            self.decode_lost(st, set, at.stripe_id, &[at.index], tel)?;
-        let mut stored = shards.swap_remove(0);
-        stored.truncate(entry.stored_len);
-        tel.incr("parity_reconstructions");
-        Ok((Bytes::from(stored), worst, retries))
-    }
-
-    /// Re-uploads a parity-reconstructed shard to its primary provider
-    /// under its original virtual id (in a fresh frame), so a corrupted or
-    /// lost object is healed by the very read that detected it instead of
-    /// waiting for an operator [`try_repair`](Self::try_repair) pass. Best-effort:
-    /// an offline primary or failed write leaves the stripe degraded, and
-    /// the tables are untouched either way (same vid, same provider — no
-    /// journal entry needed: the id is already referenced).
-    fn read_repair(&self, idx: usize, vid: VirtualId, stored: &[u8], tel: &TelemetryHandle) {
-        if !self.providers[idx].is_online() {
-            return;
-        }
-        match self.put_with_retry(idx, vid, stored, tel).0 {
-            Ok(()) => tel.incr("read_repair_total"),
-            Err(_) => tel.incr("read_repair_failed_total"),
         }
     }
 
@@ -1646,9 +1333,10 @@ impl CloudDataDistributor {
             // snapshot's payload, stored on a provider other than the data
             // provider where one is eligible.
             let pre_state = self
+                .io
                 .get_with_retry(e.provider_idx, e.vid, Some(e.stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
-            let eligible = policy::eligible_providers(&self.providers, e.pl);
+            let eligible = policy::eligible_providers(self.fleet(), e.pl);
             let other = eligible.iter().copied().find(|&i| i != e.provider_idx);
             let snapshot = (other.or(eligible.first().copied()))
                 .ok_or(CoreError::NoEligibleProvider { pl: e.pl })?;
@@ -1669,7 +1357,7 @@ impl CloudDataDistributor {
             let e = &mut st.chunks[chunk_idx];
             // The snapshot holds the pre-state's *stored* form: its mislead
             // positions go with it, for a restore to strip.
-            e.snapshot_mislead = std::mem::replace(&mut e.mislead_positions, positions);
+            e.snapshot_mislead = std::mem::replace(&mut e.mislead_positions, positions.into());
             e.logical_len = new_data.len();
             self.commit_under(ctx, shard, &st);
             Ok(((), doomed))
@@ -1705,6 +1393,7 @@ impl CloudDataDistributor {
             // No row records the snapshot's length, so import checks its
             // positions for order only; `get_file` will strip them.
             let stored = self
+                .io
                 .get_with_retry(sp, svid, None, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
             if matches!(e.snapshot_mislead.last(), Some(&p) if p >= stored.len()) {
@@ -1809,7 +1498,7 @@ impl CloudDataDistributor {
         let plan = self.plan_parity(st, chunk_idx, &stores.stored)?;
         let objects = st.chunks[chunk_idx].objects().map(|(p, _)| p);
         let snapshot = stores.snapshot.map(|(p, _)| p);
-        ensure_online(&self.providers, objects.chain(snapshot))?;
+        ensure_online(self.fleet(), objects.chain(snapshot))?;
 
         let tel = self.telemetry();
         let copies = (stores.copies.iter()).map(|&(p, vid)| (p, vid, &stores.stored[..]));
@@ -1819,7 +1508,7 @@ impl CloudDataDistributor {
             .map(|((m, blob), &vid)| (st.chunks[*m].provider_idx, vid, &blob[..]));
         self.crash_point()?;
         for (p, vid, bytes) in copies.chain(snapshot).chain(parity) {
-            self.put_with_retry(p, vid, bytes, &tel).0?;
+            self.io.put_with_retry(p, vid, bytes, &tel).0?;
             self.crash_point()?;
         }
 
@@ -1859,8 +1548,9 @@ impl CloudDataDistributor {
             return Ok(None);
         };
         let stripe_id = stripe_ref.stripe_id;
-        let s = &st.stripes[stripe_id];
-        let (k, level, members) = (s.k, s.level, &s.members);
+        let members = &st.stripes[stripe_id].members;
+        let rows = StripeRows::of(st, stripe_id);
+        let (k, level) = (rows.k, rows.level);
         if level == RaidLevel::None {
             return Ok(None);
         }
@@ -1871,11 +1561,11 @@ impl CloudDataDistributor {
         let tel = self.telemetry();
         let mut set = StripeReadSet::default();
         let mut datas: Vec<Bytes> = Vec::with_capacity(k);
-        for (slot, &m) in members[..k].iter().enumerate() {
-            datas.push(if m == chunk_idx {
+        for slot in 0..k {
+            datas.push(if slot == stripe_ref.index {
                 Bytes::copy_from_slice(stored)
             } else {
-                self.read_member(st, &mut set, stripe_id, slot, &tel).0?
+                self.io.read_member(&rows, &mut set, slot, &tel).0?
             });
         }
         let width = datas.iter().map(Bytes::len).max().unwrap_or(0);
@@ -1889,7 +1579,7 @@ impl CloudDataDistributor {
             .collect();
         // Pre-check: the parity providers must be reachable.
         let providers = writes.iter().map(|(m, _)| st.chunks[*m].provider_idx);
-        ensure_online(&self.providers, providers)?;
+        ensure_online(self.fleet(), providers)?;
         Ok(Some(ParityPlan {
             stripe_id,
             width,
@@ -1930,7 +1620,7 @@ impl CloudDataDistributor {
                 .into_iter()
                 .flat_map(|m| st.chunks[m].objects())
                 .collect();
-            ensure_online(&self.providers, objects.iter().map(|&(p, _)| p))?;
+            ensure_online(self.fleet(), objects.iter().map(|&(p, _)| p))?;
 
             // Doom list: every object of the file, logged before a row
             // changes — from here a crash rolls the removal *forward*
@@ -1953,13 +1643,13 @@ impl CloudDataDistributor {
 
     /// Read access to the provider fleet (shared `Arc`s).
     pub fn providers(&self) -> Vec<Arc<CloudProvider>> {
-        self.providers.clone()
+        self.fleet().to_vec()
     }
 
     /// The live per-provider health tracker (EWMA scores + breaker
     /// states), for operator dashboards and harness assertions.
     pub fn health(&self) -> &HealthTracker {
-        &self.health
+        self.io.health()
     }
 
     /// Every virtual id the tables still reference: live chunks' primary
@@ -2007,7 +1697,7 @@ impl CloudDataDistributor {
         weight: impl Fn(&ChunkEntry) -> T,
     ) -> Result<Vec<T>> {
         self.known_client(client)?;
-        let mut sums = vec![T::default(); self.providers.len()];
+        let mut sums = vec![T::default(); self.fleet().len()];
         for st in self.lock_all_read() {
             for file in st.files.get(client).into_iter().flat_map(|f| f.values()) {
                 for e in file.chunk_indices.iter().map(|&ci| &st.chunks[ci]) {
@@ -2038,7 +1728,7 @@ impl CloudDataDistributor {
         let st = self.merged_tables();
         format!(
             "{}\n{}\n{}",
-            tables::render_provider_table(&self.providers),
+            tables::render_provider_table(self.fleet()),
             st.render_client_table(&self.directory_read()),
             st.render_chunk_table()
         )
@@ -2095,7 +1785,7 @@ impl CloudDataDistributor {
     /// [`health::earned_level`].
     pub fn reputation_report(&self) -> (Vec<f64>, Vec<usize>) {
         use std::sync::atomic::Ordering;
-        let fleet = &self.providers;
+        let fleet = self.fleet();
         let scores: Vec<f64> = (fleet.iter())
             .map(|p| {
                 let stats = p.stats();

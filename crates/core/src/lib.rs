@@ -25,8 +25,11 @@
 //! - [`distributor`] — the [`distributor::CloudDataDistributor`] facade:
 //!   `put_file`, `get_file`, `get_chunk`, `remove_file`, `remove_chunk`,
 //!   `update_chunk` with snapshots (§VI);
+//! - [`get`] — the get path: an owned read plan of the file's rows, read
+//!   in stripe-aligned segments on the caller and the transfer pool;
 //! - [`pool`] — the persistent bounded transfer pool shared by sessions:
-//!   the put pipeline's stripe encodes run on its workers;
+//!   the put pipeline's stripe encodes and a get's segments run on its
+//!   workers;
 //! - [`multi`] — multiple distributors, primary/secondary (§IV-C, Fig. 2);
 //! - [`persist`] — versioned text snapshots of the table state, so a
 //!   restarted (or newly promoted) distributor can rehydrate against the
@@ -66,6 +69,7 @@ pub mod chunker;
 pub mod config;
 pub mod distributor;
 pub mod envelope;
+pub mod get;
 pub mod health;
 pub mod integrity;
 pub mod journal;
@@ -92,6 +96,7 @@ pub use distributor::{
     CloudDataDistributor, GetReceipt, PutOptions, PutReceipt, PUT_WINDOW_BYTES,
 };
 pub use fragcloud_sim::{CostLevel, PrivacyLevel, VirtualId};
+pub use get::GET_SEGMENT_BYTES;
 pub use health::{BreakerState, FailureKind, HealthTracker};
 pub use integrity::{frame, unframe, FRAME_OVERHEAD, FRAME_VERSION};
 pub use fragcloud_telemetry::TelemetryHandle;
@@ -223,6 +228,10 @@ pub enum CoreError {
     /// journal like any other failed operation) instead of re-raising the
     /// panic on the caller's thread.
     EncodeTaskPanicked,
+    /// A segment of a get panicked, on a transfer-pool worker or on the
+    /// caller's thread. The get fails typed once every segment has
+    /// returned, instead of re-raising the panic or waiting forever.
+    ReadTaskPanicked,
     /// A stored shard failed integrity verification (see
     /// [`integrity`]): the provider returned bytes whose framing
     /// checksum does not match what was stamped at `put` time. Treated
@@ -289,6 +298,7 @@ impl std::fmt::Display for CoreError {
                 write!(f, "stream read failed: {why}")
             }
             CoreError::EncodeTaskPanicked => write!(f, "stripe encode task panicked"),
+            CoreError::ReadTaskPanicked => write!(f, "get segment panicked"),
             CoreError::ShardCorrupt { vid, why } => {
                 write!(f, "stored shard {vid} failed integrity verification: {why}")
             }

@@ -13,7 +13,7 @@
 use crate::distributor::CloudDataDistributor;
 use crate::journal::OpKind;
 use crate::mutation::{Doomed, OpCtx};
-use crate::objectio::{Member, StripeReadSet};
+use crate::objectio::{Member, StripeReadSet, StripeRows};
 use crate::policy;
 use crate::resilience::{RepairReport, ScrubReport};
 use crate::tables::Tables;
@@ -149,6 +149,7 @@ impl CloudDataDistributor {
         let tel = self.telemetry();
         let mut doomed = Doomed::new();
         for sid in 0..st.stripes.len() {
+            let rows = StripeRows::of(st, sid);
             let mut set = StripeReadSet::default();
             let (mut live, mut missing, mut corrupt) = (0usize, 0usize, 0usize);
             for (slot, &m) in st.stripes[sid].members.iter().enumerate() {
@@ -160,16 +161,14 @@ impl CloudDataDistributor {
                 let p = &self.fleet()[e.provider_idx];
                 if !(p.is_online() && p.contains(e.vid)) {
                     // Known gone: it costs no read, now or in the heal.
-                    if let Some(state) = set.slot(st, e) {
-                        *state = Member::Lost;
-                    }
+                    set.slots(&rows)[slot] = Member::Lost;
                     missing += 1;
                     continue;
                 }
                 if pass.verify {
                     // The boundary counts the corruption and feeds the
                     // provider's breaker; the walk only classifies.
-                    let (res, t, _) = self.read_member(st, &mut set, sid, slot, &tel);
+                    let (res, t, _) = self.io().read_member(&rows, &mut set, slot, &tel);
                     pass.per_provider_time[e.provider_idx] += t;
                     match res {
                         Ok(_) => {}
@@ -200,7 +199,7 @@ impl CloudDataDistributor {
             if !pass.heal {
                 continue;
             }
-            match self.repair_stripe(ctx, st, sid, &mut set, pass, &mut doomed) {
+            match self.repair_stripe(ctx, st, &rows, &mut set, pass, &mut doomed) {
                 Ok(n) => {
                     pass.repaired.stripes_repaired += 1;
                     pass.repaired.shards_rebuilt += n;
@@ -222,7 +221,7 @@ impl CloudDataDistributor {
         tel.add("scrub_corrupt_shards", report.corrupt_shards as u64);
     }
 
-    /// Rebuilds every lost shard of stripe `sid` with the walk's read set:
+    /// Rebuilds every lost shard of `rows`' stripe with the walk's read set:
     /// reads every member the walk left untried (so a shallow repair still
     /// finds a corrupt one), decodes the lost slots and re-places each
     /// under a fresh vid, dooming the object it replaces when its provider
@@ -232,20 +231,20 @@ impl CloudDataDistributor {
         &self,
         ctx: &OpCtx,
         st: &mut Tables,
-        sid: usize,
+        rows: &StripeRows,
         set: &mut StripeReadSet,
         pass: &mut RepairPass,
         doomed: &mut Doomed,
     ) -> Result<usize> {
         let tel = self.telemetry();
-        let members = st.stripes[sid].members.clone();
+        let members = st.stripes[rows.id].members.clone();
 
         // Phase 1: every member the walk left untried is read now.
         let mut lost: Vec<usize> = Vec::new(); // slots
         let mut hosting: Vec<usize> = Vec::new(); // providers of live shards
         for (slot, &m) in members.iter().enumerate() {
             let e = &st.chunks[m];
-            let (res, t, _) = self.read_member(st, set, sid, slot, &tel);
+            let (res, t, _) = self.io().read_member(rows, set, slot, &tel);
             pass.per_provider_time[e.provider_idx] += t;
             match res {
                 Ok(_) if e.removed => {}
@@ -255,7 +254,7 @@ impl CloudDataDistributor {
         }
 
         // Phase 2a: decode the lost shards; every survivor is in the set.
-        let (rebuilt, _, _) = self.decode_lost(st, set, sid, &lost, &tel)?;
+        let (rebuilt, _, _) = self.io().decode_lost(rows, set, &lost, &tel)?;
 
         // Phase 2b: re-place each rebuilt shard.
         let fleet = self.fleet();
@@ -281,7 +280,9 @@ impl CloudDataDistributor {
             self.journal_alloc(ctx, &[new_vid]);
             self.journal_doom(ctx, [old_vid]);
             self.crash_point()?;
-            let (res, t, _) = self.put_with_retry(target, new_vid, &bytes[..stored_len], &tel);
+            let (res, t, _) = self
+                .io()
+                .put_with_retry(target, new_vid, &bytes[..stored_len], &tel);
             pass.per_provider_time[target] += t;
             res?;
             let e = &mut st.chunks[m];

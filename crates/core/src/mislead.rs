@@ -13,6 +13,8 @@
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Short runs move as one block of this many bytes (one SSE register).
 const BLOCK: usize = 16;
@@ -80,18 +82,27 @@ pub fn stored_len(len: usize, rate: f64) -> usize {
 /// Panics when `rate` is not in `[0, 0.5)`.
 pub fn inject(chunk: &[u8], rate: f64, seed: u64) -> (Vec<u8>, Vec<usize>) {
     let mut out = Vec::with_capacity(stored_len(chunk.len(), rate));
-    let positions = inject_into(chunk, rate, seed, &mut out);
+    let positions = inject_as(chunk, rate, seed, &mut out);
     (out, positions)
 }
 
 /// [`inject`], appending the stored form to `out` — the put pipeline
 /// writes it straight into the buffer it uploads. At rate 0 the stored
 /// form is the chunk itself, copied once. Returns the positions, as
-/// offsets into the appended stored form.
+/// offsets into the appended stored form, in the shared list a chunk row
+/// holds — allocated once, at its final size.
 ///
 /// # Panics
 /// Panics when `rate` is not in `[0, 0.5)`.
-pub fn inject_into(chunk: &[u8], rate: f64, seed: u64, out: &mut Vec<u8>) -> Vec<usize> {
+pub fn inject_into(chunk: &[u8], rate: f64, seed: u64, out: &mut Vec<u8>) -> Arc<[usize]> {
+    inject_as(chunk, rate, seed, out)
+}
+
+/// [`inject_into`], the positions collected as `P`.
+fn inject_as<P>(chunk: &[u8], rate: f64, seed: u64, out: &mut Vec<u8>) -> P
+where
+    P: Default + FromIterator<usize> + Deref<Target = [usize]>,
+{
     assert!(
         validate_rate(rate).is_ok(),
         "mislead rate must be in [0, 0.5)"
@@ -99,7 +110,7 @@ pub fn inject_into(chunk: &[u8], rate: f64, seed: u64, out: &mut Vec<u8>) -> Vec
     let n_inject = stored_len(chunk.len(), rate) - chunk.len();
     if n_inject == 0 {
         out.extend_from_slice(chunk);
-        return Vec::new();
+        return P::default();
     }
     let out_len = chunk.len() + n_inject;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -116,14 +127,7 @@ pub fn inject_into(chunk: &[u8], rate: f64, seed: u64, out: &mut Vec<u8>) -> Vec
         n_taken += usize::from(taken[p / 64] & bit == 0);
         taken[p / 64] |= bit;
     }
-    let mut positions = Vec::with_capacity(n_inject);
-    for (w, &word) in taken.iter().enumerate() {
-        let mut rest = word;
-        while rest != 0 {
-            positions.push(w * 64 + rest.trailing_zeros() as usize);
-            rest &= rest - 1;
-        }
-    }
+    let positions: P = set_bits(&taken, n_inject);
 
     // Splice real-byte runs around the injected positions. For the k-th
     // (0-based) injected position p, the output prefix `..p` holds k
@@ -146,6 +150,24 @@ pub fn inject_into(chunk: &[u8], rate: f64, seed: u64, out: &mut Vec<u8>) -> Vec
     }
     dst[copied + n_inject..].copy_from_slice(&chunk[copied..]);
     positions
+}
+
+/// The offsets of the set bits of `words`, ascending — `n` of them, the
+/// number set. Counted by `0..n`, the collection knows its exact length
+/// up front, so a `Vec` or an `Arc<[usize]>` is allocated once.
+fn set_bits<P: FromIterator<usize>>(words: &[u64], n: usize) -> P {
+    let (mut w, mut rest) = (0usize, words.first().copied().unwrap_or(0));
+    (0..n)
+        .map(|_| {
+            while rest == 0 && w + 1 < words.len() {
+                w += 1;
+                rest = words[w];
+            }
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            w * 64 + bit
+        })
+        .collect()
 }
 
 /// Removes the bytes at `positions` (ascending stored-chunk offsets),
@@ -219,7 +241,7 @@ mod tests {
             let (stored, positions) = inject(&data, rate, 11);
             assert_eq!(stored.len(), stored_len(data.len(), rate), "rate={rate}");
             let mut out = vec![0xAAu8; 13];
-            assert_eq!(inject_into(&data, rate, 11, &mut out), positions);
+            assert_eq!(inject_into(&data, rate, 11, &mut out)[..], positions[..]);
             assert_eq!(out[..13], [0xAAu8; 13]);
             assert_eq!(out[13..], stored[..], "rate={rate}");
         }

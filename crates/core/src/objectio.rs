@@ -15,9 +15,15 @@
 //! a framed copy of a payload, or a put's data shard — a `ShardBuf`
 //! that the storing thread allocates, an encode worker fills with the
 //! chunk's stored form and frames in place, and that is uploaded as it
-//! is. Neither side takes the tables: both reach a provider through the
-//! distributor's fleet, which needs no lock, so a store or a read can run
-//! with no shard guard in scope.
+//! is.
+//!
+//! The pair are methods of a `Boundary`: the fleet, the one
+//! `HealthTracker`, and the retry policy, hedge threshold and seed they
+//! run under, in one value the distributor holds behind an `Arc` and no
+//! lock. No boundary call takes the tables, a guard or the distributor,
+//! so a store or a read runs with no shard guard in its signature, and a
+//! get segment on a transfer-pool worker owns what it reads through (a
+//! clone of that `Arc`, plus its `ReadPlan`).
 //!
 //! The contract:
 //!
@@ -34,7 +40,7 @@
 //! - **Retried.** Under the configured
 //!   [`RetryPolicy`](crate::resilience::RetryPolicy): a provider error is
 //!   transient; a missing object or a failed verification is fatal.
-//! - **Recorded.** One [`HealthTracker`](crate::HealthTracker) record per
+//! - **Recorded.** One [`HealthTracker`] record per
 //!   provider attempt (plus one timeout when the deadline cut the op
 //!   short), the retry loop's `retries_total` / `backoff_wait_us` /
 //!   `timeouts_total`, and `corruption_detected_total` per failed check.
@@ -44,23 +50,25 @@
 //!
 //! One layer up, `read_member` over a `StripeReadSet` is the only way a
 //! stripe is gathered, and `decode_lost` the only stripe decode: a get's
-//! rebuild and repair (`core::maintain`) both decode through it.
+//! rebuild and repair (`core::maintain`) both decode through it. Both read
+//! a stripe through `StripeRows`, its rows copied out under the caller's
+//! guard — never through the tables themselves.
 
-use crate::distributor::CloudDataDistributor;
-use crate::health::FailureKind;
+use crate::health::{FailureKind, HealthTracker};
 use crate::integrity::{self, FRAME_OVERHEAD};
 use crate::mislead;
-use crate::resilience::AttemptOutcome;
+use crate::resilience::{AttemptOutcome, ResilienceConfig};
 use crate::tables::{ChunkEntry, Tables};
 use crate::{CoreError, Result};
 use bytes::Bytes;
-use fragcloud_raid::StripeCodec;
-use fragcloud_sim::{ObjectStore, StoreError, VirtualId};
+use fragcloud_raid::{RaidLevel, StripeCodec};
+use fragcloud_sim::{CloudProvider, ObjectStore, StoreError, VirtualId};
 use fragcloud_telemetry::TelemetryHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A provider object: a payload behind its vid-seeded integrity frame,
-/// ready for [`CloudDataDistributor::put_framed`].
+/// ready for [`Boundary::put_framed`].
 pub(crate) struct Framed {
     vid: VirtualId,
     object: Bytes,
@@ -119,7 +127,7 @@ impl ShardBuf {
     /// Writes `logical`'s stored form behind the header room — through
     /// [`mislead::inject_into`], at rate 0 too — and frames it in place.
     /// Returns the misleading-byte positions.
-    pub(crate) fn fill_stored(&mut self, logical: &[u8], rate: f64, seed: u64) -> Vec<usize> {
+    pub(crate) fn fill_stored(&mut self, logical: &[u8], rate: f64, seed: u64) -> Arc<[usize]> {
         self.object.resize(FRAME_OVERHEAD, 0);
         let positions = mislead::inject_into(logical, rate, seed, &mut self.object);
         integrity::frame_in_place(self.vid, &mut self.object);
@@ -140,7 +148,60 @@ impl ShardBuf {
     }
 }
 
-/// What one get knows about one stripe member.
+/// One stripe member's row as a read needs it.
+#[derive(Clone, Copy)]
+pub(crate) struct MemberRow {
+    pub(crate) vid: VirtualId,
+    pub(crate) provider_idx: usize,
+    pub(crate) stored_len: usize,
+    pub(crate) removed: bool,
+}
+
+impl MemberRow {
+    /// The read-side view of a Chunk Table row.
+    pub(crate) fn of(e: &ChunkEntry) -> Self {
+        MemberRow {
+            vid: e.vid,
+            provider_idx: e.provider_idx,
+            stored_len: e.stored_len,
+            removed: e.removed,
+        }
+    }
+}
+
+/// One stripe's rows as a read needs them, copied out under the guard
+/// that holds the tables — a get's [`ReadPlan`](crate::get::ReadPlan),
+/// a maintenance walk, `plan_parity` — so that nothing below takes the
+/// tables.
+pub(crate) struct StripeRows {
+    /// The stripe's id in its shard: what a read set is keyed by.
+    pub(crate) id: usize,
+    pub(crate) k: usize,
+    pub(crate) level: RaidLevel,
+    pub(crate) shard_width: usize,
+    /// In slot order: `k` data members, then parity.
+    pub(crate) members: Vec<MemberRow>,
+}
+
+impl StripeRows {
+    /// Stripe `id`'s rows in `st`.
+    pub(crate) fn of(st: &Tables, id: usize) -> Self {
+        let s = &st.stripes[id];
+        StripeRows {
+            id,
+            k: s.k,
+            level: s.level,
+            shard_width: s.shard_width,
+            members: s
+                .members
+                .iter()
+                .map(|&m| MemberRow::of(&st.chunks[m]))
+                .collect(),
+        }
+    }
+}
+
+/// What one reader knows about one stripe member.
 #[derive(Clone)]
 pub(crate) enum Member {
     Untried,
@@ -150,18 +211,19 @@ pub(crate) enum Member {
     Lost,
 }
 
-/// The stripe read set of a get (or of a maintenance walk's stripe): one
-/// [`Member`] slot per member of the stripe, so no member is fetched from
-/// its provider twice — a chunk read directly is a survivor for a later
-/// rebuild, and a peer read for a rebuild serves that peer's own fetch
-/// with no provider op. One stripe is resident at a time: `k + m`
-/// ref-counted handles, no payload copy. Invariants:
+/// The stripe read set of a get segment (or of a maintenance walk's
+/// stripe): one [`Member`] slot per member of the stripe, so no member is
+/// fetched from its provider twice — a chunk read directly is a survivor
+/// for a later rebuild, and a peer read for a rebuild serves that peer's
+/// own fetch with no provider op. One stripe is resident at a time:
+/// `k + m` ref-counted handles, no payload copy. Invariants:
 ///
 /// - a slot holds only a payload that came back `Ok` from
 ///   `get_with_retry`: it has passed `integrity::unframe_expecting`, and
 ///   its read fed retry, health and corruption accounting;
-/// - the set lives inside one shard guard — the rows it mirrors cannot
-///   change under it;
+/// - the rows it mirrors ([`StripeRows`]) were copied under a shard guard
+///   that is held until the reader is done, so they cannot change under
+///   it; a stripe is read by one reader, so the set is never shared;
 /// - `Lost` only stops a rebuild asking that member's primary again (a
 ///   walk marks a member it found gone); a get's own fetch of the chunk
 ///   still tries every candidate and replica.
@@ -172,21 +234,15 @@ pub(crate) struct StripeReadSet {
 }
 
 impl StripeReadSet {
-    /// The slots of stripe `stripe_id` (`len` members), forgetting the
-    /// previous stripe's when the get has moved on.
-    fn stripe(&mut self, stripe_id: usize, len: usize) -> &mut [Member] {
-        if self.stripe_id != Some(stripe_id) {
-            self.stripe_id = Some(stripe_id);
+    /// The slots of `rows`' stripe, forgetting the previous stripe's when
+    /// the reader has moved on.
+    pub(crate) fn slots(&mut self, rows: &StripeRows) -> &mut [Member] {
+        if self.stripe_id != Some(rows.id) {
+            self.stripe_id = Some(rows.id);
             self.members.clear();
-            self.members.resize(len, Member::Untried);
+            self.members.resize(rows.members.len(), Member::Untried);
         }
         &mut self.members
-    }
-
-    /// `entry`'s own slot; `None` for a chunk outside any stripe.
-    pub(crate) fn slot(&mut self, st: &Tables, entry: &ChunkEntry) -> Option<&mut Member> {
-        let at = entry.stripe?;
-        Some(&mut self.stripe(at.stripe_id, st.stripes[at.stripe_id].members.len())[at.index])
     }
 }
 
@@ -202,10 +258,51 @@ fn pad_shard(shard: Bytes, width: usize) -> Bytes {
     padded.into()
 }
 
-impl CloudDataDistributor {
+/// The provider-object boundary as a value a task can own: the fleet, its
+/// health tracker, and the retry policy, hedge threshold and seed every
+/// call runs under. All of it is fixed for the distributor's life or
+/// internally synchronized, so the distributor holds one behind an `Arc`
+/// with no lock, and a get's pooled segment clones that `Arc`.
+pub(crate) struct Boundary {
+    fleet: Vec<Arc<CloudProvider>>,
+    health: HealthTracker,
+    resilience: ResilienceConfig,
+    seed: u64,
+}
+
+impl Boundary {
+    /// The boundary over `fleet`, every provider starting healthy.
+    pub(crate) fn new(
+        fleet: Vec<Arc<CloudProvider>>,
+        resilience: ResilienceConfig,
+        seed: u64,
+    ) -> Self {
+        Boundary {
+            health: HealthTracker::new(fleet.len()),
+            fleet,
+            resilience,
+            seed,
+        }
+    }
+
+    /// The provider fleet (the Cloud Provider Table).
+    pub(crate) fn fleet(&self) -> &[Arc<CloudProvider>] {
+        &self.fleet
+    }
+
+    /// The one health tracker every call records into.
+    pub(crate) fn health(&self) -> &HealthTracker {
+        &self.health
+    }
+
+    /// The retry policy and hedge threshold.
+    pub(crate) fn resilience(&self) -> &ResilienceConfig {
+        &self.resilience
+    }
+
     /// Deterministic backoff-jitter seed for one ⟨object, provider⟩ pair.
     fn retry_seed(&self, vid: VirtualId, provider_idx: usize) -> u64 {
-        self.config().seed ^ vid.0 ^ (provider_idx as u64).rotate_left(17)
+        self.seed ^ vid.0 ^ (provider_idx as u64).rotate_left(17)
     }
 
     /// One provider read under the retry policy (the shared loop lives in
@@ -219,9 +316,9 @@ impl CloudDataDistributor {
         expected_len: Option<usize>,
         tel: &TelemetryHandle,
     ) -> (Result<Bytes>, Duration, u64) {
-        let provider = &self.fleet()[provider_idx];
-        let health = self.health();
-        let run = self.config().resilience.retry.execute(
+        let provider = &self.fleet[provider_idx];
+        let health = &self.health;
+        let run = self.resilience.retry.execute(
             self.retry_seed(vid, provider_idx),
             provider.name(),
             tel,
@@ -296,9 +393,9 @@ impl CloudDataDistributor {
         object: &Framed,
         tel: &TelemetryHandle,
     ) -> (Result<()>, Duration, u64) {
-        let provider = &self.fleet()[provider_idx];
-        let health = self.health();
-        let run = self.config().resilience.retry.execute(
+        let provider = &self.fleet[provider_idx];
+        let health = &self.health;
+        let run = self.resilience.retry.execute(
             self.retry_seed(object.vid, provider_idx),
             provider.name(),
             tel,
@@ -327,19 +424,17 @@ impl CloudDataDistributor {
     /// place that decides what a member contributes. A tombstone is a zero
     /// shard (returned empty: the caller that decodes pads it); a slot
     /// `set` has not tried costs one boundary read and becomes `Verified`
-    /// or `Lost`; a failed read, now or earlier in this get, is an
+    /// or `Lost`; a failed read, now or earlier in this reader, is an
     /// erasure. Returns what the boundary returns.
     pub(crate) fn read_member(
         &self,
-        st: &Tables,
+        rows: &StripeRows,
         set: &mut StripeReadSet,
-        stripe_id: usize,
         slot: usize,
         tel: &TelemetryHandle,
     ) -> (Result<Bytes>, Duration, u64) {
-        let members = &st.stripes[stripe_id].members;
-        let e = &st.chunks[members[slot]];
-        let state = &mut set.stripe(stripe_id, members.len())[slot];
+        let e = rows.members[slot];
+        let state = &mut set.slots(rows)[slot];
         let known = match state {
             _ if e.removed => Ok(Bytes::new()),
             Member::Verified(stored) => Ok(stored.clone()),
@@ -357,36 +452,34 @@ impl CloudDataDistributor {
         (known, Duration::ZERO, 0)
     }
 
-    /// Rebuilds stripe `stripe_id`'s `lost` slots at the stripe width,
+    /// Rebuilds the `lost` slots of `rows`' stripe at the stripe width,
     /// in `lost` order, from the first `k` other members that survive a
     /// read through `set` (only untried ones cost a read). Also returns
     /// the reads' simulated cost (the slowest: peers are read in
     /// parallel) and the retries consumed.
     pub(crate) fn decode_lost(
         &self,
-        st: &Tables,
+        rows: &StripeRows,
         set: &mut StripeReadSet,
-        stripe_id: usize,
         lost: &[usize],
         tel: &TelemetryHandle,
     ) -> Result<(Vec<Vec<u8>>, Duration, u64)> {
-        let stripe = &st.stripes[stripe_id];
-        let mut survivors: Vec<(usize, Bytes)> = Vec::with_capacity(stripe.k);
+        let mut survivors: Vec<(usize, Bytes)> = Vec::with_capacity(rows.k);
         let mut worst = Duration::ZERO;
         let mut retries = 0u64;
-        for slot in (0..stripe.members.len()).filter(|slot| !lost.contains(slot)) {
-            if survivors.len() == stripe.k {
+        for slot in (0..rows.members.len()).filter(|slot| !lost.contains(slot)) {
+            if survivors.len() == rows.k {
                 break;
             }
-            let (res, t, r) = self.read_member(st, set, stripe_id, slot, tel);
+            let (res, t, r) = self.read_member(rows, set, slot, tel);
             // Even a failed peer's retries sit on the critical path.
             worst = worst.max(t);
             retries += r;
             if let Ok(shard) = res {
-                survivors.push((slot, pad_shard(shard, stripe.shard_width)));
+                survivors.push((slot, pad_shard(shard, rows.shard_width)));
             }
         }
-        let codec = StripeCodec::new(stripe.k, stripe.level)?;
+        let codec = StripeCodec::new(rows.k, rows.level)?;
         let refs: Vec<(usize, &[u8])> = survivors.iter().map(|(i, b)| (*i, &b[..])).collect();
         let shards = lost
             .iter()

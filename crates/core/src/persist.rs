@@ -254,8 +254,8 @@ pub(crate) fn parse_chunk_fields(f: &[&str], line_no: usize) -> Result<ChunkEntr
         provider_idx,
         snapshot_provider_idx,
         snapshot_vid,
-        snapshot_mislead,
-        mislead_positions,
+        snapshot_mislead: snapshot_mislead.into(),
+        mislead_positions: mislead_positions.into(),
         stored_len,
         logical_len,
         stripe,

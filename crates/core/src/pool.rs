@@ -4,8 +4,19 @@
 //! channel (the vendored `crossbeam::channel`). The distributor creates it
 //! lazily on first use and shares it across every
 //! [`Session`](crate::Session): the put pipeline submits its stripe
-//! encodes here instead of spawning fresh threads per call, which is what
-//! keeps the hot I/O path free of thread-creation cost.
+//! encodes here, and a get of a large file its segments (`core::get`),
+//! instead of spawning fresh threads per call, which is what keeps the
+//! hot I/O path free of thread-creation cost. The host's available
+//! parallelism is read once, here, for the get's fan-out rule.
+//!
+//! **Invariant: no pool job takes a table lock or waits on another pool
+//! job.** A job may hold what it was given (an `Arc` of a plan or of the
+//! provider boundary) and send one result; it never blocks on a shard
+//! guard, the client directory or a sibling task. A job that did could
+//! deadlock against a caller that holds a guard while it waits on the
+//! pool. The submitter, in turn, never waits on a job that has not
+//! started: a get runs its own unclaimed segments, so a parked or
+//! saturated pool delays it by nothing but the work itself.
 //!
 //! Panics inside a task are caught per task, so one poisoned job can never
 //! wedge the queue or kill a worker. Dropping the pool closes the channel
@@ -27,6 +38,7 @@ pub struct TransferPool {
     workers: Vec<JoinHandle<()>>,
     depth: Arc<AtomicUsize>,
     panicked: Arc<AtomicUsize>,
+    parallelism: usize,
 }
 
 impl TransferPool {
@@ -67,6 +79,7 @@ impl TransferPool {
             workers: handles,
             depth,
             panicked,
+            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -103,6 +116,11 @@ impl TransferPool {
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
         self.workers.len()
+    }
+
+    /// The host's available parallelism, read when the pool was built.
+    pub fn host_parallelism(&self) -> usize {
+        self.parallelism
     }
 
     /// Tasks that terminated by panicking (swallowed, workers kept).

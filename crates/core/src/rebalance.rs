@@ -95,9 +95,11 @@ impl CloudDataDistributor {
             let tel = self.telemetry();
             let stored_len = st.chunks[chunk_idx].stored_len;
             let payload = self
+                .io()
                 .get_with_retry(source_provider, old_vid, Some(stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
-            self.put_with_retry(target_provider, new_vid, &payload, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+            self.io()
+                .put_with_retry(target_provider, new_vid, &payload, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
                 .0?;
             self.crash_point()?;
             st.chunks[chunk_idx].vid = new_vid;

@@ -203,7 +203,10 @@ impl<'d> Session<'d> {
     }
 
     /// Fetches and reassembles a whole file (§VI `get file`) through the
-    /// degraded-mode read path.
+    /// degraded-mode read path. A file of at least two
+    /// [`GET_SEGMENT_BYTES`](crate::GET_SEGMENT_BYTES) is read in
+    /// stripe-aligned segments, on this thread and the transfer pool
+    /// (see [`crate::get`]).
     pub fn get_file(&self, filename: &str) -> Result<GetReceipt> {
         self.distributor.get_file_impl(
             self.credentials.client(),
@@ -212,11 +215,10 @@ impl<'d> Session<'d> {
         )
     }
 
-    /// Alias of [`get_file`](Self::get_file), kept for callers of the
-    /// removed per-provider fan-out path (which was slower than the one
-    /// get on in-memory providers and bypassed retry and breaker
-    /// accounting). Real fan-out, when a provider that costs wall time
-    /// exists, lands inside `get_file`.
+    /// Alias of [`get_file`](Self::get_file), which fans a large file's
+    /// reads out over the transfer pool by itself. Kept only because the
+    /// benchmark harness calls it; it goes once that harness reads
+    /// through `get_file` alone.
     pub fn get_file_parallel(&self, filename: &str) -> Result<GetReceipt> {
         self.get_file(filename)
     }

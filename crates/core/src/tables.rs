@@ -54,9 +54,11 @@ pub struct ChunkEntry {
     pub snapshot_vid: Option<VirtualId>,
     /// Misleading-byte positions of the snapshotted pre-state (the snapshot
     /// object holds the *stored* form, so restore needs these to strip it).
-    pub snapshot_mislead: Vec<usize>,
-    /// Ascending positions of misleading bytes in the stored chunk (`M`).
-    pub mislead_positions: Vec<usize>,
+    pub snapshot_mislead: Arc<[usize]>,
+    /// Ascending positions of misleading bytes in the stored chunk (`M`),
+    /// shared by reference count: a get's plan holds them without a copy,
+    /// and a put hands over the list the encode produced without one.
+    pub mislead_positions: Arc<[usize]>,
     /// Stored length (logical + misleading bytes).
     pub stored_len: usize,
     /// Logical (client-visible) length.
@@ -87,8 +89,8 @@ impl ChunkEntry {
         self.stored_len = 0;
         self.logical_len = 0;
         self.replicas.clear();
-        self.mislead_positions = Vec::new();
-        self.snapshot_mislead = Vec::new();
+        self.mislead_positions = Arc::default();
+        self.snapshot_mislead = Arc::default();
         self.snapshot_provider_idx = None;
         self.snapshot_vid = None;
     }
@@ -397,8 +399,8 @@ mod tests {
             provider_idx: 0,
             snapshot_provider_idx: None,
             snapshot_vid: None,
-            snapshot_mislead: Vec::new(),
-            mislead_positions: vec![],
+            snapshot_mislead: Arc::default(),
+            mislead_positions: Arc::default(),
             stored_len: 8,
             logical_len: 8,
             stripe: None,

@@ -28,7 +28,7 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         id: "no-raw-spawn",
-        summary: "std::thread::spawn / thread::Builder outside core::pool",
+        summary: "std::thread::spawn / thread::Builder / thread::scope outside core::pool",
         invariant: "all I/O fan-out goes through the shared TransferPool so \
                     thread counts stay bounded and pool telemetry stays complete",
         applies_to_tests: false,
@@ -211,8 +211,11 @@ fn seq(tokens: &[Token], code: &[usize], at: usize, pat: &[&str]) -> bool {
 fn raw_spawn(tokens: &[Token], code: &[usize]) -> Vec<Hit> {
     let mut hits = Vec::new();
     for i in 0..code.len() {
-        if seq(tokens, code, i, &["thread", ":", ":", "spawn"])
-            || seq(tokens, code, i, &["thread", ":", ":", "Builder"])
+        // `thread::scope` covers std's and the vendored crossbeam's: a
+        // scoped fan-out is thread creation all the same.
+        if ["spawn", "Builder", "scope"]
+            .iter()
+            .any(|api| seq(tokens, code, i, &["thread", ":", ":", api]))
         {
             let t = &tokens[code[i + 3]];
             hits.push(Hit {
@@ -791,6 +794,13 @@ mod tests {
         assert_eq!(run("no-raw-spawn", "thread::Builder::new()").len(), 1);
         assert!(run("no-raw-spawn", r#"let s = "thread::spawn";"#).is_empty());
         assert!(run("no-raw-spawn", "pool.submit(work)").is_empty());
+    }
+
+    #[test]
+    fn scoped_fan_out_flagged_std_and_crossbeam() {
+        assert_eq!(run("no-raw-spawn", "std::thread::scope(|s| {});").len(), 1);
+        assert_eq!(run("no-raw-spawn", "crossbeam::thread::scope(|s| {})").len(), 1);
+        assert!(run("no-raw-spawn", "pool.scope(work)").is_empty());
     }
 
     #[test]

@@ -6,3 +6,11 @@ pub fn fan_out(jobs: Vec<Job>) {
         std::thread::spawn(move || job.run());
     }
 }
+
+pub fn fan_out_scoped(jobs: &[Job]) {
+    std::thread::scope(|s| {
+        for job in jobs {
+            s.spawn(move || job.run());
+        }
+    });
+}

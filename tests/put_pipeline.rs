@@ -7,15 +7,17 @@
 //! commit that still had four put paths, so they also prove the collapse
 //! changed no stored byte.
 
-use fragcloud::core::config::{ChunkSizeSchedule, DistributorConfig};
+use fragcloud::core::config::{ChunkSizeSchedule, DistributorConfig, DurabilityConfig};
 use fragcloud::core::persist::export_state;
 use fragcloud::core::{
-    CloudDataDistributor, CoreError, Journal, PrivacyLevel, PutOptions, PutReceipt, VirtualId,
-    PUT_WINDOW_BYTES,
+    CloudDataDistributor, CoreError, GetReceipt, Journal, PrivacyLevel, PutOptions, PutReceipt,
+    VirtualId, PUT_WINDOW_BYTES,
 };
 use fragcloud::raid::RaidLevel;
 use fragcloud::sim::failure::OutageScript;
-use fragcloud::sim::{CloudProvider, CostLevel, ObjectStore, ProviderProfile};
+use fragcloud::sim::{
+    CloudProvider, CostLevel, FaultMode, FaultPlan, ObjectStore, ProviderProfile,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::io::Read;
@@ -385,6 +387,124 @@ fn get_file_parallel_is_get_file() {
             .get_file_parallel("f");
         assert_eq!(denied.expect_err("PL too low"), CoreError::AccessDenied);
     }
+}
+
+/// Successful provider gets across the fleet.
+fn fleet_gets(d: &CloudDataDistributor) -> u64 {
+    d.providers()
+        .iter()
+        .map(|p| p.stats().gets.load(Ordering::Relaxed))
+        .sum()
+}
+
+/// A tombstoned chunk fails the get at plan time, under the guard: the
+/// error names the file and the serial, and no provider is read.
+#[test]
+fn reading_a_tombstoned_chunk_names_it_and_reads_nothing() {
+    let d = distributor(6, config(0.0));
+    let data = body(3, 16 * CHUNK);
+    put(&d, Entry::File, "f", &data, PutOptions::new());
+    let session = d.session("c", "pw").expect("valid pair");
+    session.remove_chunk("f", 9).expect("remove chunk 9");
+    let removed = CoreError::UnknownChunk {
+        filename: "f".into(),
+        serial: 9,
+    };
+    let before = fleet_gets(&d);
+    assert_eq!(session.get_file("f").expect_err("chunk 9 is gone"), removed);
+    assert_eq!(session.get_chunk("f", 9).expect_err("chunk 9 is gone"), removed);
+    assert_eq!(fleet_gets(&d), before, "a plan-time failure reads nothing");
+    assert_eq!(
+        session.get_chunk("f", 8).expect("a live neighbour"),
+        &data[8 * CHUNK..9 * CHUNK]
+    );
+}
+
+/// `bulk_private`'s geometry: the paper's PL3 chunks (4 KiB), RAID-5
+/// stripes of 4, mislead rate 0.08.
+fn private_config(transfer_workers: usize) -> DistributorConfig {
+    DistributorConfig {
+        chunk_sizes: ChunkSizeSchedule::paper_default(),
+        mislead_rate: 0.08,
+        durability: DurabilityConfig::default().with_transfer_workers(transfer_workers),
+        ..config(0.0)
+    }
+}
+
+/// A get never waits on a pool task that has not started: with the one
+/// worker parked on a job of its own, an 8 MiB PL3 get (which fans out
+/// wherever the host has two cores) runs its other segment on the caller
+/// and returns the right bytes before the job is released.
+#[test]
+fn a_parked_pool_cannot_stall_a_get() {
+    let d = distributor(8, private_config(1));
+    let data = body(5, 8 << 20);
+    put(&d, Entry::File, "f", &data, PutOptions::new());
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    d.transfer_pool().submit(move || {
+        started_tx.send(()).expect("test alive");
+        let _ = release_rx.recv();
+    });
+    started_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker took the parking job");
+
+    let (got_tx, got_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let read = d.session("c", "pw").expect("valid pair").get_file("f");
+            got_tx.send(read).expect("test alive");
+        });
+        let got = got_rx.recv_timeout(Duration::from_secs(120));
+        release_tx.send(()).expect("worker parked");
+        let got = got.expect("the get returned while the pool was parked");
+        assert_eq!(got.expect("read").data, data);
+    });
+}
+
+/// Fan-out changes no count: a healthy 8 MiB PL3 get costs exactly one
+/// provider read per data chunk, and a degraded RS(8,3) get — two
+/// providers offline, one rotting bits at rest — returns the same bytes
+/// and the same receipt counts in two identically seeded worlds.
+#[test]
+fn fan_out_changes_no_count() {
+    let d = distributor(8, private_config(4));
+    let tel = d.enable_telemetry();
+    let data = body(6, 8 << 20);
+    let chunks = put(&d, Entry::File, "f", &data, PutOptions::new()).chunk_count;
+    assert_eq!(chunks, 2048);
+    let before = fleet_gets(&d);
+    let got = d.session("c", "pw").expect("valid pair").get_file("f");
+    assert_eq!(got.expect("read").data, data);
+    assert_eq!(fleet_gets(&d) - before, chunks as u64);
+    let fanned = tel.registry().expect("enabled").counter_total("gets_fanned_out");
+    assert_eq!(fanned, u64::from(d.transfer_pool().host_parallelism() > 1));
+
+    let data = body(7, 4 << 20);
+    let world = || {
+        let config = DistributorConfig {
+            chunk_sizes: ChunkSizeSchedule::uniform(64 << 10),
+            ..private_config(4)
+        };
+        let d = distributor(12, config);
+        put(&d, Entry::File, "f", &data, PutOptions::new().geometry(8, 3));
+        let fleet = d.providers();
+        fleet[0].set_online(false);
+        fleet[1].set_online(false);
+        FaultPlan::new(0xB17)
+            .corrupt(2, FaultMode::BitFlip, 0.5)
+            .try_arm(&fleet)
+            .expect("valid plan");
+        let got = d.session("c", "pw").expect("valid pair").get_file("f");
+        got.expect("within RS(8,3)'s tolerance")
+    };
+    let (a, b) = (world(), world());
+    assert_eq!(a.data, data);
+    let counts = |r: &GetReceipt| (r.reconstructed_chunks, r.degraded_chunks, r.retries);
+    assert!(a.reconstructed_chunks > 0 && a.retries > 0, "{:?}", counts(&a));
+    assert!(b.data == a.data, "same bytes");
+    assert_eq!(counts(&b), counts(&a));
 }
 
 /// Every object id the fleet holds.
