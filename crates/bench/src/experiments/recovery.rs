@@ -3,7 +3,7 @@
 //!
 //! Three questions the durability layer must answer with numbers:
 //!
-//! 1. what does intent logging cost a healthy put path? (journaling-on vs
+//! 1. what does journaling cost a healthy put path? (journaling-on vs
 //!    journaling-off wall clock over the same upload series),
 //! 2. what does it cost under *contention*? (eight concurrent clients
 //!    hammering a sharded-table distributor whose journal flushes through
@@ -12,8 +12,8 @@
 //! 3. what does a restart cost? (a [`CrashPlan`] kills the distributor
 //!    two-thirds of the way through its crash surface — mid-upload, with
 //!    shards already on providers — and [`recover_with`] rebuilds from
-//!    the checkpoint, rolls the dangling op back and garbage-collects the
-//!    orphaned uploads).
+//!    the checkpoint and its commits, then sweeps the fleet of the
+//!    crashed put's uploads, which no recovered row names).
 
 use super::uniform_fleet;
 use crate::render_table;
@@ -63,12 +63,11 @@ pub struct RecoveryPoint {
     pub points_total: u64,
     /// The point (1-based) where the simulated crash fired.
     pub crash_point: u64,
-    /// Journal ops recovery saw.
-    pub ops_seen: usize,
-    /// Committed ops verified present.
-    pub replayed: usize,
-    /// Dangling ops rolled back.
-    pub rolled_back: usize,
+    /// The put the crash interrupted (0-based): its file must be unknown
+    /// after recovery.
+    pub crashed_put: usize,
+    /// Whether the recovered distributor has no file of the crashed put.
+    pub crashed_file_absent: bool,
     /// Orphan objects garbage-collected off providers.
     pub orphans_collected: usize,
     /// Wall-clock cost of the recovery itself.
@@ -80,7 +79,7 @@ pub struct RecoveryPoint {
 pub struct RecoveryResults {
     /// Wall micros for the upload series without a journal attached.
     pub plain_put_us: u128,
-    /// Wall micros for the same series with intent logging + checkpoints.
+    /// Wall micros for the same series with commit journaling + checkpoints.
     pub journaled_put_us: u128,
     /// `journaled / plain` (1.0 = free).
     pub overhead_ratio: f64,
@@ -149,16 +148,18 @@ fn body(len: usize, salt: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Uploads `n` files, propagating a simulated crash.
-fn put_series(d: &CloudDataDistributor, n: usize) -> Result<(), CoreError> {
-    let s = d.session("c", "pw")?;
+/// Uploads `n` files; on a simulated crash, returns the index of the put
+/// it interrupted with the error.
+fn put_series(d: &CloudDataDistributor, n: usize) -> Result<(), (usize, CoreError)> {
+    let s = d.session("c", "pw").map_err(|e| (0, e))?;
     for i in 0..n {
         s.put_file(
             &format!("f{i}"),
             &body(FILE_LEN, i as u64),
             PrivacyLevel::Low,
             Default::default(),
-        )?;
+        )
+        .map_err(|e| (i, e))?;
     }
     Ok(())
 }
@@ -216,7 +217,7 @@ pub fn run_instrumented() -> (RecoveryResults, String, TelemetryHandle) {
 }
 
 fn run_with(tel: &TelemetryHandle) -> (RecoveryResults, String) {
-    // 1. Put-path overhead: same series, with and without intent logging.
+    // 1. Put-path overhead: same series, with and without a journal.
     let (plain, _) = world(tel);
     let t = Instant::now();
     put_series(&plain, OVERHEAD_PUTS).expect("no crash plan installed");
@@ -261,23 +262,25 @@ fn run_with(tel: &TelemetryHandle) -> (RecoveryResults, String) {
         let journal = Arc::new(Journal::new());
         d.attach_journal(Arc::clone(&journal));
         d.set_crash_plan(Some(Arc::new(CrashPlan::at_point(crash_point))));
-        match put_series(&d, files) {
-            Err(CoreError::SimulatedCrash { .. }) => {}
+        let crashed_put = match put_series(&d, files) {
+            Err((i, CoreError::SimulatedCrash { .. })) => i,
             other => panic!("expected a crash at {crash_point}: {other:?}"),
-        }
+        };
         drop(d); // the process is dead; only journal + providers survive
 
         let t = Instant::now();
-        let (_, report) = recover_with(Arc::clone(&journal), fleet, config(), tel)
+        let (recovered, report) = recover_with(Arc::clone(&journal), fleet, config(), tel)
             .expect("checkpoint must import");
         let recover_wall_us = t.elapsed().as_micros();
+        let crashed_file = recovered
+            .session("c", "pw")
+            .and_then(|s| s.get_file(&format!("f{crashed_put}")));
         points.push(RecoveryPoint {
             files,
             points_total,
             crash_point,
-            ops_seen: report.ops_seen,
-            replayed: report.replayed,
-            rolled_back: report.rolled_back,
+            crashed_put,
+            crashed_file_absent: matches!(crashed_file, Err(CoreError::UnknownFile { .. })),
             orphans_collected: report.orphans_collected,
             recover_wall_us,
         });
@@ -289,9 +292,13 @@ fn run_with(tel: &TelemetryHandle) -> (RecoveryResults, String) {
             vec![
                 p.files.to_string(),
                 format!("{}/{}", p.crash_point, p.points_total),
-                p.ops_seen.to_string(),
-                p.replayed.to_string(),
-                p.rolled_back.to_string(),
+                format!("f{}", p.crashed_put),
+                (if p.crashed_file_absent {
+                    "absent"
+                } else {
+                    "PRESENT"
+                })
+                .to_string(),
                 p.orphans_collected.to_string(),
                 p.recover_wall_us.to_string(),
             ]
@@ -314,20 +321,19 @@ fn run_with(tel: &TelemetryHandle) -> (RecoveryResults, String) {
         &[
             "files",
             "crash@",
-            "ops",
-            "replayed",
-            "rolled back",
+            "crashed put",
+            "after recovery",
             "orphans GC'd",
             "recover(us)",
         ],
         &rows,
     ));
     report.push_str(
-        "\nconclusion: intent logging prices each put at one close delta;\n\
+        "\nconclusion: journaling prices each put at one commit delta;\n\
          under concurrency, group commit amortizes the fsync across the\n\
          batch while sharded tables keep the stripes independently locked;\n\
-         recovery replays the committed prefix, rolls the crashed upload\n\
-         back and leaves zero orphan objects on any provider.\n",
+         recovery folds the committed prefix, and its sweep deletes the\n\
+         crashed upload's objects, leaving zero orphans on any provider.\n",
     );
     (
         RecoveryResults {
@@ -388,9 +394,9 @@ mod tests {
         assert!(results.concurrent_overhead_ratio > 0.0);
         assert_eq!(results.points.len(), 3);
         for p in &results.points {
-            // The committed prefix replays, the crashed put rolls back.
-            assert_eq!(p.rolled_back, 1, "{p:?}");
-            assert_eq!(p.replayed + 1, p.ops_seen, "{p:?}");
+            // The committed prefix is back, the crashed put is not.
+            assert!(p.crashed_file_absent, "{p:?}");
+            assert!(p.crashed_put < p.files, "{p:?}");
             assert!(p.crash_point >= 1 && p.crash_point <= p.points_total);
         }
         // A two-thirds crash lands mid-upload: some shard uploads must

@@ -550,8 +550,8 @@ impl CloudDataDistributor {
     /// operation — `put_file` / `put_stream`, `remove_file`, `repair`,
     /// rebalance moves, `update_chunk`, `restore_snapshot`, `remove_chunk`,
     /// `register_client` and `add_password` — runs in the one bracket of
-    /// [`crate::mutation`]: virtual ids logged *before* their provider
-    /// uploads, doomed objects logged before (and deleted only after) the
+    /// [`crate::mutation`]: virtual ids under a durable lease *before*
+    /// their provider uploads, superseded objects deleted only after the
     /// commit. Commit records carry a *delta* (just the rows the op
     /// touched) instead of a full snapshot; every
     /// [`DurabilityConfig::checkpoint_interval`] commits the journal folds
@@ -823,10 +823,10 @@ impl CloudDataDistributor {
         })
     }
 
-    /// Execute, with no shard guard in scope: allocates and journals every
-    /// data vid upfront, in chunk order — intent is durable before any
-    /// provider sees a byte, so a crash leaves only objects the journal
-    /// can enumerate — then reads the source a window ahead, encodes on
+    /// Execute, with no shard guard in scope: allocates every data vid
+    /// upfront, in chunk order, and hands them to `journal_alloc` — the
+    /// op's rollback set, and a durable lease before any provider sees a
+    /// byte — then reads the source a window ahead, encodes on
     /// the pool and stores stripe by stripe in order. Returns the peak
     /// source bytes in flight.
     fn execute_put(
@@ -1293,8 +1293,8 @@ impl CloudDataDistributor {
     //
     // None of the three verbs overwrites an object. Under the file's shard
     // write lock each reads what it needs and allocates a fresh vid for
-    // every object it will store (`chunk_stores`), journaled before the
-    // first store; `apply_chunk_stores` re-plans the stripe's parity,
+    // every object it will store (`chunk_stores`), handed to
+    // `journal_alloc` before the first store; `apply_chunk_stores` re-plans the stripe's parity,
     // checks that every provider it stores to or deletes from is reachable
     // (a failure up to here has stored nothing), stores, and only then
     // switches the rows to the new vids. The objects the rows named before
@@ -1523,7 +1523,6 @@ impl CloudDataDistributor {
             st.stripes[plan.stripe_id].shard_width = plan.width;
             self.touch_stripe(ctx, plan.stripe_id);
         }
-        self.journal_doom(ctx, superseded.iter().map(|&(_, vid)| vid));
         let e = &mut st.chunks[chunk_idx];
         if let Some((&(_, vid), replicas)) = stores.copies.split_first() {
             (e.vid, e.replicas) = (vid, replicas.to_vec());
@@ -1599,8 +1598,9 @@ impl CloudDataDistributor {
     /// error with the file untouched. Under the shard guard only rows
     /// change; the objects are deleted once the commit is durable. If a
     /// provider goes down before that delete (a race only possible with
-    /// external outage injection), the removal is still committed and the
-    /// unreachable objects stay doomed in the journal for recovery's GC.
+    /// external outage injection), the removal is still committed, and the
+    /// unreachable objects — named by no row — are collected by the next
+    /// recovery's sweep.
     pub(crate) fn remove_file_impl(
         &self,
         client: &str,
@@ -1622,10 +1622,8 @@ impl CloudDataDistributor {
                 .collect();
             ensure_online(self.fleet(), objects.iter().map(|&(p, _)| p))?;
 
-            // Doom list: every object of the file, logged before a row
-            // changes — from here a crash rolls the removal *forward*
-            // (recovery finishes the table half, then collects the list).
-            self.journal_doom(ctx, objects.iter().map(|&(_, vid)| vid));
+            // Until its commit is durable the removal has deleted nothing:
+            // a crash from here rolls it back, and the file reads as before.
             self.crash_point()?;
 
             for m in st.drop_file(client, filename)? {
@@ -1658,18 +1656,18 @@ impl CloudDataDistributor {
     /// is an orphan — the crash-recovery harness asserts there are none
     /// after recovery.
     pub fn referenced_vids(&self) -> HashSet<VirtualId> {
-        let mut all = HashSet::new();
-        for st in self.lock_all_read() {
-            all.extend(st.referenced_vids());
-        }
-        all
+        let objects = self.referenced_objects().into_iter();
+        objects.map(|(_, vid)| vid).collect()
     }
 
-    /// Fast-forwards the virtual-id allocator past `n` ids a crashed
-    /// incarnation allocated without persisting a counter for them
-    /// (recovery only; over-skipping is harmless, reuse is not).
-    pub(crate) fn skip_vids(&self, n: u64) {
-        self.vids.skip(n);
+    /// Every ⟨provider index, vid⟩ a row names, across all table shards:
+    /// what recovery's sweep and a failed op's rollback never delete.
+    pub(crate) fn referenced_objects(&self) -> HashSet<(usize, VirtualId)> {
+        let mut all = HashSet::new();
+        for st in self.lock_all_read() {
+            all.extend(st.referenced_objects());
+        }
+        all
     }
 
     /// Allocates one fresh virtual id (migration and repair re-home an
@@ -2108,13 +2106,12 @@ mod tests {
                 .collect()
         };
         let (small, large) = (measure(10), measure(200));
-        // begin + alloc + doom + commit: each verb stores under fresh vids
-        // and dooms the objects they supersede.
+        // One commit each: a verb journals nothing else.
         let records: Vec<usize> = small.iter().map(|&(r, _)| r).collect();
-        assert_eq!(records, [4, 4, 4, 4]);
+        assert_eq!(records, [1, 1, 1, 1]);
         assert_eq!(records, large.iter().map(|&(r, _)| r).collect::<Vec<_>>());
-        // The bytes differ by the digits of op ids and the vid watermark
-        // only — a few per record, not a table's worth.
+        // The bytes differ by the digits of op ids, the vid watermark and
+        // the lease only — a few per record, not a table's worth.
         for (&(_, few), &(_, many)) in small.iter().zip(&large) {
             assert!(
                 many.abs_diff(few) <= 16,
@@ -2168,8 +2165,8 @@ mod tests {
         assert_eq!(empty, full);
         let (compactions, rows, records, folded) = empty;
         // Per put: `vids|`, 2 data + 1 parity chunk rows, 1 stripe row, 1
-        // file row; begin + 2 allocs + commit for the 17th.
-        assert_eq!((compactions, rows, records), (1, 16 * 6, 4));
+        // file row; the 17th put's commit is the one record left.
+        assert_eq!((compactions, rows, records), (1, 16 * 6, 1));
         assert!(folded, "the folded checkpoint is the exported state");
     }
 
@@ -2199,11 +2196,6 @@ mod tests {
             rows.map(str::to_string).collect()
         };
         let crashed = Arc::new(Journal::parse(&journal.export()).unwrap());
-        let scrub_op = crashed.ops().pop().unwrap();
-        assert_eq!(
-            (scrub_op.kind, scrub_op.target.as_str(), scrub_op.status),
-            (OpKind::Repair, "scrub", crate::journal::OpStatus::Committed)
-        );
         let (recovered, _) = crate::recovery::recover(crashed, d.providers(), *d.config()).unwrap();
         let marked = stripe_rows(&recovered);
         assert_eq!(marked, stripe_rows(&d));
@@ -2219,9 +2211,8 @@ mod tests {
             .all(|row| row.ends_with("|healthy")));
     }
 
-    /// Registering a client journals its one directory row — begin +
-    /// commit, the checkpoint untouched — with no file resident and with
-    /// 200.
+    /// Registering a client journals its one directory row — one commit,
+    /// the checkpoint untouched — with no file resident and with 200.
     #[test]
     fn client_ops_journal_one_row_whatever_the_resident_state() {
         let measure = |files: usize| -> Vec<(usize, usize)> {
@@ -2260,7 +2251,7 @@ mod tests {
             counts
         };
         let (empty, full) = (measure(0), measure(200));
-        assert_eq!(empty.iter().map(|&(r, _)| r).collect::<Vec<_>>(), [2, 2]);
+        assert_eq!(empty.iter().map(|&(r, _)| r).collect::<Vec<_>>(), [1, 1]);
         for (&(records, few), &(many_records, many)) in empty.iter().zip(&full) {
             assert_eq!(records, many_records);
             // Digits of the op id and the vid watermark, nothing else.
@@ -2298,13 +2289,14 @@ mod tests {
     }
 
     /// A password the client already lists is refused, typed, and changes
-    /// nothing: the op closes with an abort record.
+    /// nothing: not the tables, not the journal.
     #[test]
     fn a_listed_password_is_refused_and_changes_nothing() {
         let d = distributor();
         let journal = Arc::new(Journal::new());
         d.attach_journal(Arc::clone(&journal));
         let before = persist::export_state(&d);
+        let journaled = journal.export();
         assert_eq!(
             d.add_password("Bob", "aB1c", PrivacyLevel::High),
             Err(CoreError::PasswordExists("Bob".into()))
@@ -2312,9 +2304,7 @@ mod tests {
         assert_eq!(persist::export_state(&d), before);
         let privilege = d.session("Bob", "aB1c").unwrap().privilege();
         assert_eq!(privilege, PrivacyLevel::Public);
-        let op = journal.ops().pop().unwrap();
-        let aborted = (OpKind::Client, crate::journal::OpStatus::Aborted);
-        assert_eq!((op.kind, op.status), aborted);
+        assert_eq!(journal.export(), journaled);
     }
 
     #[test]
@@ -3147,11 +3137,7 @@ mod tests {
         assert!(fsyncs >= 1, "at least one group flush");
         // Group commit can only merge flushes, never multiply them.
         assert!(fsyncs <= n as u64, "fsyncs={fsyncs}");
-        // All ops closed committed and survive a recovery replay.
-        assert!(journal
-            .ops()
-            .iter()
-            .all(|o| o.status == crate::journal::OpStatus::Committed));
+        // Every put survives a recovery replay.
         let providers = d.providers();
         let config = *d.config();
         drop(d);
@@ -3167,7 +3153,7 @@ mod tests {
         // Regression: only the config-level rate was checked, so a bad
         // per-put override reached inject's assert on a pool worker, after
         // vids were allocated and journaled, and left the op dangling.
-        use crate::journal::{Journal, OpStatus};
+        use crate::journal::Journal;
         let d = distributor();
         let journal = Arc::new(Journal::new());
         d.attach_journal(Arc::clone(&journal));
@@ -3194,11 +3180,8 @@ mod tests {
             }
             assert_eq!(d.vids_allocated(), vids_before, "rate {rate}");
         }
-        let ops = journal.ops();
-        assert_eq!(ops.len(), 8);
-        assert!(ops
-            .iter()
-            .all(|o| o.status == OpStatus::Aborted && o.fresh.is_empty()));
+        // Eight refused puts journaled nothing: no commit, no lease.
+        assert_eq!(journal.export().lines().count(), 3);
         assert!(d.providers().iter().all(|p| p.chunk_count() == 0));
         // The same session still works with a legal override.
         s.put_file(
@@ -3261,7 +3244,7 @@ mod tests {
             .collect();
         let mut referenced = HashSet::new();
         for st in d.lock_all_read().iter() {
-            referenced.extend(st.referenced_vids());
+            referenced.extend(st.referenced_objects().into_iter().map(|(_, vid)| vid));
             for e in st.chunks.iter().filter(|e| e.removed) {
                 let mut fresh = e.clone();
                 fresh.tombstone();

@@ -1,35 +1,29 @@
-//! Append-only write-ahead op journal for the distributor — delta records
-//! with cross-operation group commit.
+//! Append-only write-ahead journal for the distributor: a checkpoint, the
+//! commit records of the ops since it, and a virtual-id lease — with
+//! cross-operation group commit.
 //!
 //! [`persist`](crate::persist) gives durability of *quiescent* table
 //! state; this module makes the mutating operations themselves
 //! crash-consistent. Every state-mutating operation (`put_file`,
 //! `remove_file`, `repair`, rebalance moves, `update_chunk`,
 //! `restore_snapshot`, `remove_chunk`, client registration and password
-//! changes) runs in the one bracket of [`mutation`](crate::mutation):
-//! intent/commit/abort records, with — critically — every virtual id it
-//! allocates logged *before* the corresponding provider upload. A distributor
-//! that dies mid-operation therefore leaves a journal whose dangling op
-//! names exactly the objects that may exist on providers without being
-//! acknowledged in any snapshot; [`recovery`](crate::recovery) uses that
-//! to garbage-collect them.
+//! changes) runs in the one bracket of [`mutation`](crate::mutation), and
+//! closes with one **commit** record: a *delta*, the table rows it touched
+//! as they stand under the guard that published them (serialized by the
+//! distributor; the journal treats the payload as opaque text).
 //!
-//! ## v2: deltas instead of snapshots
-//!
-//! v1 closed every op by rewriting a **full** checkpoint snapshot — the
-//! ~1.9× put-path tax E20 measured. v2 closes an op with a small **delta**
-//! against the last checkpoint: just the table rows the op touched
-//! (serialized by the distributor; the journal treats the payload as
-//! opaque text).
-//!
-//! ## v3: write-once objects
-//!
-//! The record grammar is v2's. What changed is what the records can mean:
-//! in v3 every verb stores only under the vids its `alloc` records name,
-//! so a dangling op of any kind is undone by collecting those vids. A v2
-//! journal still parses and recovers, except for a dangling chunk-level
-//! op that logged an intent: its verb overwrote objects in place, and
-//! recovery refuses it with a typed `CorruptState`.
+//! Nothing else about an op is journaled. Objects are write-once — every
+//! verb stores under fresh vids and deletes what it supersedes only after
+//! its commit is durable — so the durable rows alone say which objects
+//! are live: [`recovery`](crate::recovery) folds the commits and deletes
+//! every object a provider lists that no recovered row names. What the
+//! rows cannot say is how far the crashed process got with the allocator,
+//! and a recovered distributor must never store under a vid an orphan of
+//! the crashed one still holds (an unswept provider, offline at recovery,
+//! may hold one for a long time). That is the **lease**: before any vid
+//! past it is stored, the allocator's count is rounded up to the next
+//! multiple of [`VID_LEASE_BLOCK`], journaled and flushed
+//! (`Journal::lease`); recovery resumes the allocator past it.
 //!
 //! ## Compaction is a fold
 //!
@@ -37,60 +31,56 @@
 //! ([`persist`]'s `StateImage`, which owns the format). Every
 //! [`checkpoint_interval`](crate::config::DurabilityConfig::checkpoint_interval)
 //! commits the bracket calls `compact`: under the journal's own mutex,
-//! each **released** op's delta lines are copied over the image rows they
-//! name, in close order, and the op's records are dropped. Nothing is
+//! each durable commit's delta lines are copied over the image rows they
+//! name, in commit order, and the records are dropped. Nothing is
 //! exported, no table shard is locked, and the cost is that of the rows
-//! the folded ops touched — not of the state the distributor holds.
+//! the folded commits touched — not of the state the distributor holds.
 //! [`checkpoint`](Journal::checkpoint) and [`export`](Journal::export)
-//! render the image to the `v2` snapshot text on demand.
-//!
-//! An op is *released* by its bracket once its doomed objects are deleted
-//! (step 5 of [`mutation`](crate::mutation); an aborted op once it is
-//! rolled back). Until then its records stay whoever compacts: its `doom`
-//! record is all that names those objects should the process die before
-//! the deletes — and the closes behind it wait with it, because rows are
-//! state and must fold in the order they closed. Recovery replays with the
-//! same fold — every durable close, each line validated first — and
-//! imports the image once.
+//! render the image to the `v2` snapshot text on demand. The lease is
+//! not folded: the checkpoint stays the state the tables export.
 //!
 //! Record grammar (one record per line, `|`-separated, the same `%xx`
 //! escaping as `persist`):
 //!
 //! ```text
-//! fragcloud-journal|v3
+//! fragcloud-journal|v4
 //! checkpoint|<escaped full persist snapshot>
-//! begin|<op>|<kind>|<client>|<target>
-//! alloc|<op>|<vid>,<vid>,...     # fresh ids, logged BEFORE upload
-//! doom|<op>|<vid>,<vid>,...      # ids this op deletes, only after
-//!                                # its commit is durable
+//! lease|<vid count>              # no vid past it stored before this
+//!                                # record was durable
 //! commit|<op>|<escaped delta>
-//! abort|<op>|<escaped delta>
 //! end
 //! ```
 //!
+//! `v2` and `v3` journals — written before the lease, with per-op
+//! `begin` / `alloc` / `doom` / `abort` records — still parse. Their
+//! `abort`s fold like commits; their `begin` / `alloc` lines are reduced
+//! to a lease past the `alloc`s of the ops left dangling, and, in a `v2`
+//! journal, to the refusal of a dangling chunk-level op that logged an
+//! intent (its verb overwrote objects in place, which no sweep undoes).
+//!
 //! ## Group commit
 //!
-//! Closing records are made durable in **batches**: [`commit_prepare`]
-//! appends the record (cheap, under the journal mutex) and returns a
-//! sequence number; [`sync`] blocks until a flush covering that sequence
-//! has run. The first syncer becomes the *leader*: it optionally lingers
-//! for the configured group-commit window (skipped when other close
-//! records are already pending — the batch the linger exists to gather
-//! has formed), then drains every pending close record into a single
-//! [`JournalSink::persist`] call — the modeled fsync — so N concurrent
-//! operations pay ~1 flush instead of N.
-//! Followers that arrive while a flush is in flight piggyback on it
-//! (`fsync_waits` counts them, `journal_fsync_wait_us` observes how long
-//! they blocked; `journal_batch_ops_count` observes the drain size).
+//! Records are made durable in **batches**: [`commit_prepare`] appends a
+//! commit record (cheap, under the journal mutex) and returns a sequence
+//! number; [`sync`] blocks until a flush covering that sequence has run.
+//! The first syncer becomes the *leader*: it optionally lingers for the
+//! configured group-commit window (skipped when other records are already
+//! pending — the batch the linger exists to gather has formed), then
+//! drains every pending record into a single [`JournalSink::persist`]
+//! call — the modeled fsync — so N concurrent operations pay ~1 flush
+//! instead of N. Followers that arrive while a flush is in flight
+//! piggyback on it (`fsync_waits` counts them, `journal_fsync_wait_us`
+//! observes how long they blocked; `journal_batch_ops_count` observes the
+//! drain size). A lease record takes a sequence number too, and rides the
+//! same flushes.
 //!
-//! A close record that was appended but **not yet flushed** is not
-//! durable: [`ops`](Journal::ops) reports its op as dangling,
+//! A record that was appended but **not yet flushed** is not durable:
 //! [`export`](Journal::export) omits it, compaction leaves it alone, and
 //! recovery begins by
 //! [`discard_unflushed`](Journal::discard_unflushed) — exactly the "crash
 //! between batch intent and group fsync" window of the crash matrix. An
 //! operation is only acknowledged to its caller after its record is
-//! flushed, so *acked ⇔ durable* holds under group commit too.
+//! flushed, so *acked ⇒ durable* holds under group commit too.
 //!
 //! [`commit_prepare`]: Journal::commit_prepare
 //! [`sync`]: Journal::sync
@@ -102,14 +92,17 @@ use crate::{CoreError, Result};
 use fragcloud_sim::VirtualId;
 use fragcloud_telemetry::{clock, span, TelemetryHandle};
 use parking_lot::Mutex;
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::Duration;
 
-/// Journal format version. `v3` journals only verbs that store under
-/// fresh vids; [`Journal::parse`] also reads `v2`, whose chunk-level
-/// verbs overwrote objects in place.
-const VERSION: u32 = 3;
+/// Journal format version: checkpoint, lease and commits. [`Journal::parse`]
+/// also reads the pre-lease `v2` and `v3`.
+const VERSION: u32 = 4;
+
+/// Vids one lease record covers: the allocator journals a lease once per
+/// this many ids, rounded to a multiple of it.
+pub const VID_LEASE_BLOCK: u64 = 1024;
 
 /// Identifier of one journaled operation (unique per journal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -121,15 +114,10 @@ impl std::fmt::Display for OpId {
     }
 }
 
-/// Which mutation path an op belongs to. Recovery rolls a dangling op
-/// **back** — collects its fresh uploads — whatever its kind, except
-/// `Remove`, which stores nothing and rolls **forward** (its doomed
-/// objects are deleted last, so the removal can always be finished). A
-/// dangling `Client` op stored nothing and committed no row: it rolls back
-/// by doing nothing.
-///
-/// Chunk-level kinds (`Migrate`, `Update`, `Restore`, `RemoveChunk`) name
-/// their target `"{filename}#{serial}"`.
+/// Which mutation path an op belongs to: the telemetry label of its
+/// bracket (`journal_ops_total{kind}`). A journal records no op's kind;
+/// [`Journal::parse`] reads it from the `begin` lines of pre-lease
+/// journals only, to refuse a `v2` chunk-level op left dangling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// `put_file`: new file upload.
@@ -190,41 +178,6 @@ impl std::fmt::Display for OpKind {
     }
 }
 
-/// Fate of a journaled op, as read back by recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpStatus {
-    /// A *flushed* `commit` record exists: the op finished and its delta
-    /// is durable.
-    Committed,
-    /// A *flushed* `abort` record exists: the op failed and was rolled
-    /// back inline by the live distributor.
-    Aborted,
-    /// Neither record is durable: the distributor died inside the op (or
-    /// between appending the close record and the group fsync).
-    Dangling,
-}
-
-/// One op folded out of the record stream (see [`Journal::ops`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpView {
-    /// The op's journal-unique id.
-    pub id: OpId,
-    /// Mutation path.
-    pub kind: OpKind,
-    /// Client the op acted for (empty for client-less ops like `repair`).
-    pub client: String,
-    /// Target of the op — a filename (`put`, `remove`),
-    /// `"{filename}#{serial}"` for the chunk-level kinds, or a
-    /// descriptive tag (`repair`, `client`).
-    pub target: String,
-    /// Freshly allocated vids, in allocation order.
-    pub fresh: Vec<VirtualId>,
-    /// Vids the op intended to delete.
-    pub doomed: Vec<VirtualId>,
-    /// Committed / aborted / dangling.
-    pub status: OpStatus,
-}
-
 /// The durable medium behind the journal's group commit.
 ///
 /// [`Journal::sync`]'s leader calls [`persist`](JournalSink::persist)
@@ -278,8 +231,8 @@ pub enum SinkFault {
 /// (1-based) and never again; all other flushes pass through untouched.
 ///
 /// Recovery code paired with this sink asserts the invariant the delta
-/// log is designed around: a dropped or torn close-record batch rolls the
-/// affected ops back (or forward, for removals) — it never invents state.
+/// log is designed around: a dropped or torn batch rolls the affected ops
+/// back — it never invents state.
 pub struct FaultySink<S: JournalSink> {
     inner: S,
     fault: SinkFault,
@@ -340,112 +293,52 @@ impl<S: JournalSink> JournalSink for FaultySink<S> {
     }
 }
 
-/// How far a close record has come.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Stage {
-    /// Appended, not yet covered by a group flush: not durable.
-    Appended,
-    /// Flushed: the op is committed (or aborted) for good.
-    Durable,
-    /// Durable, and the op's bracket has run its post-commit deletes (or
-    /// its rollback): nothing needs the op's records any more, so
-    /// compaction may fold its delta and drop them.
-    Released,
-}
-
+/// One commit record.
 #[derive(Debug, Clone)]
-enum Record {
-    Begin {
-        op: OpId,
-        kind: OpKind,
-        client: String,
-        target: String,
-    },
-    Alloc {
-        op: OpId,
-        vids: Vec<VirtualId>,
-    },
-    Doom {
-        op: OpId,
-        vids: Vec<VirtualId>,
-    },
-    /// A `commit` (`committed`) or `abort` record.
-    Close {
-        op: OpId,
-        committed: bool,
-        delta: String,
-        stage: Stage,
-    },
+struct Commit {
+    op: OpId,
+    delta: String,
+    /// Covered by a group flush: the op is committed for good.
+    durable: bool,
 }
 
-impl Record {
-    fn op(&self) -> OpId {
-        match self {
-            Record::Begin { op, .. }
-            | Record::Alloc { op, .. }
-            | Record::Doom { op, .. }
-            | Record::Close { op, .. } => *op,
-        }
-    }
-
-    /// The op and stage of a close record.
-    fn close(&self) -> Option<(OpId, Stage)> {
-        match self {
-            Record::Close { op, stage, .. } => Some((*op, *stage)),
-            _ => None,
-        }
-    }
-}
-
-/// Appends a close record's text form: `commit|<op>|<escaped delta>`.
-fn close_line(out: &mut String, op: OpId, committed: bool, delta: &str) {
-    let tag = if committed { "commit" } else { "abort" };
-    out.push_str(&format!("{tag}|{}|{}\n", op.0, esc(delta)));
+/// Appends a commit record's text form: `commit|<op>|<escaped delta>`.
+fn commit_line(out: &mut String, op: OpId, delta: &str) {
+    out.push_str(&format!("commit|{}|{}\n", op.0, esc(delta)));
 }
 
 #[derive(Default)]
 struct JournalInner {
-    /// Parsed from a `v2` journal whose ops recovery has not yet resolved:
-    /// its chunk-level verbs overwrote objects in place.
-    v2: bool,
     next_op: u64,
     /// The checkpoint, row by row (empty until a distributor attaches).
     image: StateImage,
-    records: Vec<Record>,
-    /// Close records appended so far — the group-commit sequence space.
-    closes_appended: u64,
+    commits: Vec<Commit>,
+    /// The vid count the last appended lease covers, its record's
+    /// sequence, and the lease a flush has drained (the durable one).
+    lease: u64,
+    lease_seq: u64,
+    durable_lease: u64,
+    /// Records appended so far — the group-commit sequence space.
+    appended: u64,
     /// Commits since the last checkpoint compaction.
     commits_since_checkpoint: u32,
-}
-
-impl JournalInner {
-    fn append_close(&mut self, op: OpId, committed: bool, delta: String) -> u64 {
-        self.records.push(Record::Close {
-            op,
-            committed,
-            delta,
-            stage: Stage::Appended,
-        });
-        self.closes_appended += 1;
-        self.closes_appended
-    }
-
-    /// Drops every record of the ops in `gone`.
-    fn drop_ops(&mut self, gone: &HashSet<OpId>) {
-        self.records.retain(|r| !gone.contains(&r.op()));
-    }
+    /// A pre-lease `v2` journal's dangling chunk-level op that logged an
+    /// intent: what recovery refuses, by name. Held in memory only — a
+    /// refused journal never recovers, so nothing re-attaches or exports
+    /// it.
+    refusal: Option<String>,
 }
 
 /// Group-commit flush progress, guarded by a std mutex so the leader's
 /// followers can park on the condvar.
 struct FlushState {
-    /// Highest close sequence covered by a completed flush.
+    /// Highest record sequence covered by a completed flush.
     flushed: u64,
     /// Whether a leader currently owns the flush.
     leader: bool,
 }
 
-/// The append-only write-ahead op journal.
+/// The append-only write-ahead journal.
 ///
 /// Thread-safe; attach one to a
 /// [`CloudDataDistributor`](crate::CloudDataDistributor) via
@@ -521,71 +414,66 @@ impl Journal {
         *self.tel.lock() = tel;
     }
 
-    /// Opens an op: appends its `begin` record and returns the new id.
-    pub fn begin(&self, kind: OpKind, client: &str, target: &str) -> OpId {
+    /// Hands out the id of a new op. Nothing is recorded: the op's commit
+    /// is all the journal ever holds of it.
+    pub fn begin(&self, _kind: OpKind, _client: &str, _target: &str) -> OpId {
         let mut inner = self.inner.lock();
         inner.next_op += 1;
-        let op = OpId(inner.next_op);
-        inner.records.push(Record::Begin {
-            op,
-            kind,
-            client: client.to_string(),
-            target: target.to_string(),
-        });
-        op
+        OpId(inner.next_op)
     }
 
-    /// Logs freshly allocated vids for `op`. Must happen *before* the
-    /// corresponding provider uploads — that ordering is what makes
-    /// orphans enumerable after a crash.
-    pub fn log_alloc(&self, op: OpId, vids: &[VirtualId]) {
-        if vids.is_empty() {
-            return;
-        }
-        self.inner.lock().records.push(Record::Alloc {
-            op,
-            vids: vids.to_vec(),
-        });
-    }
+    /// Records nothing: a vid is covered by the lease (`Journal::lease`),
+    /// not by a per-op record. Kept for `fragperf`'s replay of the journal
+    /// commit cost until that replay goes (ROADMAP item 5b).
+    pub fn log_alloc(&self, _op: OpId, _vids: &[VirtualId]) {}
 
-    /// Logs vids `op` intends to delete once committed (roll-forward set
-    /// for removals; whatever a migration, a repair or a chunk-level verb
-    /// supersedes).
-    pub fn log_doom(&self, op: OpId, vids: &[VirtualId]) {
-        if vids.is_empty() {
-            return;
-        }
-        self.inner.lock().records.push(Record::Doom {
-            op,
-            vids: vids.to_vec(),
-        });
+    /// Makes sure a durable lease covers the first `allocated` vids the
+    /// allocator handed out: when `allocated` is past the current lease,
+    /// appends a new one at the next multiple of [`VID_LEASE_BLOCK`]; then
+    /// waits until the lease covering it is flushed. The caller stores
+    /// none of those vids before this returns.
+    pub(crate) fn lease(&self, allocated: u64) {
+        let seq = {
+            let mut inner = self.inner.lock();
+            if allocated > inner.lease {
+                inner.lease = allocated.next_multiple_of(VID_LEASE_BLOCK);
+                inner.appended += 1;
+                inner.lease_seq = inner.appended;
+            }
+            inner.lease_seq
+        };
+        self.sync(seq);
     }
 
     /// Appends `op`'s commit record carrying its state delta, **without**
-    /// flushing it. Returns the close sequence to pass to
+    /// flushing it. Returns the record's sequence to pass to
     /// [`sync`](Self::sync) and whether a checkpoint compaction is due
     /// (every [`checkpoint_interval`] commits).
     ///
-    /// Until the sequence is covered by a flush the record is not durable:
-    /// the op still reads as [`OpStatus::Dangling`].
+    /// Until the sequence is covered by a flush the record is not durable.
     ///
     /// [`checkpoint_interval`]: crate::config::DurabilityConfig::checkpoint_interval
     pub fn commit_prepare(&self, op: OpId, delta: String) -> (u64, bool) {
         let interval = *self.checkpoint_interval.lock();
         let mut inner = self.inner.lock();
-        let seq = inner.append_close(op, true, delta);
+        inner.commits.push(Commit {
+            op,
+            delta,
+            durable: false,
+        });
+        inner.appended += 1;
         inner.commits_since_checkpoint += 1;
         let due = inner.commits_since_checkpoint >= interval;
         if due {
             inner.commits_since_checkpoint = 0;
         }
-        (seq, due)
+        (inner.appended, due)
     }
 
-    /// True when at least two unflushed close records are already pending
-    /// — the group-commit linger has nothing left to buy.
+    /// True when at least two unflushed records are already pending — the
+    /// group-commit linger has nothing left to buy.
     fn batch_formed(&self) -> bool {
-        let appended = self.inner.lock().closes_appended;
+        let appended = self.inner.lock().appended;
         let flushed = self
             .flush
             .lock()
@@ -594,18 +482,21 @@ impl Journal {
         appended.saturating_sub(flushed) >= 2
     }
 
-    /// Blocks until a group flush covering close sequence `seq` has run.
+    /// Blocks until a group flush covering record sequence `seq` has run.
     ///
     /// The first caller to find no flush in flight becomes the leader: it
     /// lingers for the configured group-commit window (default zero),
-    /// drains **every** pending close record in one [`JournalSink`] call,
-    /// and wakes the followers. Followers count into `fsync_waits` and
+    /// drains **every** pending record in one [`JournalSink`] call, and
+    /// wakes the followers. Followers count into `fsync_waits` and
     /// observe their blocked time into `journal_fsync_wait_us`; the
     /// drain size lands in the `journal_batch_ops_count` histogram.
     pub fn sync(&self, seq: u64) {
+        let mut g = self.flush.lock().unwrap_or_else(PoisonError::into_inner);
+        if g.flushed >= seq {
+            return;
+        }
         let tel = self.tel.lock().clone();
         let mut waited: Option<std::time::Instant> = None;
-        let mut g = self.flush.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if g.flushed >= seq {
                 if let Some(since) = waited {
@@ -634,25 +525,23 @@ impl Journal {
                 std::thread::sleep(window);
             }
 
-            // Drain every unflushed close record in one batch.
+            // Drain every unflushed record in one batch: the lease first,
+            // then the commits in append order.
             let (batch, n, upto) = {
                 let mut inner = self.inner.lock();
                 let mut batch = String::new();
                 let mut n = 0u64;
-                for r in inner.records.iter_mut() {
-                    if let Record::Close {
-                        op,
-                        committed,
-                        delta,
-                        stage: stage @ Stage::Appended,
-                    } = r
-                    {
-                        *stage = Stage::Durable;
-                        close_line(&mut batch, *op, *committed, delta);
-                        n += 1;
-                    }
+                if inner.lease > inner.durable_lease {
+                    inner.durable_lease = inner.lease;
+                    batch.push_str(&format!("lease|{}\n", inner.lease));
+                    n += 1;
                 }
-                (batch, n, inner.closes_appended)
+                for c in inner.commits.iter_mut().filter(|c| !c.durable) {
+                    c.durable = true;
+                    commit_line(&mut batch, c.op, &c.delta);
+                    n += 1;
+                }
+                (batch, n, inner.appended)
             };
             if n > 0 {
                 let sink = Arc::clone(&self.sink.lock());
@@ -682,32 +571,6 @@ impl Journal {
         due
     }
 
-    /// Closes `op` as aborted (the live distributor already rolled it
-    /// back), carrying the post-rollback delta, and flushes immediately.
-    /// With the rollback behind it the op is released at once.
-    pub fn abort(&self, op: OpId, delta: String) {
-        let seq = self.inner.lock().append_close(op, false, delta);
-        self.sync(seq);
-        self.release(op);
-    }
-
-    /// Marks `op` — durably closed — as done with its records: its bracket
-    /// has deleted what the op doomed, so the next compaction may fold its
-    /// delta and drop them. Until then they survive every compaction: the
-    /// `doom` record is all that names those objects if the process dies
-    /// before the deletes.
-    pub(crate) fn release(&self, op: OpId) {
-        let mut inner = self.inner.lock();
-        // The op has just closed: its record is at the tail.
-        let close = inner.records.iter_mut().rev().find_map(|r| match r {
-            Record::Close { op: o, stage, .. } if *o == op => Some(stage),
-            _ => None,
-        });
-        if let Some(stage @ Stage::Durable) = close {
-            *stage = Stage::Released;
-        }
-    }
-
     /// Seeds the checkpoint of a journal being attached. Every later
     /// change to it is a fold.
     pub(crate) fn set_checkpoint(&self, image: StateImage) {
@@ -724,50 +587,36 @@ impl Journal {
         self.with_checkpoint(StateImage::render)
     }
 
-    /// Current record count.
+    /// Commit records held (durable or not) — what the next compaction
+    /// folds.
     pub fn record_len(&self) -> usize {
-        self.inner.lock().records.len()
+        self.inner.lock().commits.len()
     }
 
-    /// Checkpoint compaction: folds the deltas of released ops into the
-    /// checkpoint image and drops those ops' records. Runs under the
-    /// journal's own mutex and touches nothing else — no table, no shard
-    /// lock — so it costs what the folded rows cost.
+    /// Checkpoint compaction: folds the deltas of durable commits into the
+    /// checkpoint image and drops their records. Runs under the journal's
+    /// own mutex and touches nothing else — no table, no shard lock — so
+    /// it costs what the folded rows cost.
     ///
-    /// Deltas are state, so they fold in close order and never out of it:
-    /// the fold stops at the first close record that is not yet released
-    /// (unflushed, or its bracket still deleting). Folding a later op's
-    /// rows past it would let its older rows overwrite them at the next
-    /// compaction. Ops without a close record — dangling, still running —
-    /// hold nothing up. Returns the number of delta rows folded
-    /// (`journal_compaction_rows_total`).
+    /// Deltas are state, so they fold in commit order and never out of it:
+    /// the fold stops at the first commit not yet flushed. Returns the
+    /// number of delta rows folded (`journal_compaction_rows_total`).
     pub(crate) fn compact(&self) -> u64 {
         let tel = self.tel.lock().clone();
         let _fold = span!(tel, "journal.compact");
         let started = clock::monotonic_now();
         let rows = {
             let mut inner = self.inner.lock();
-            let JournalInner { image, records, .. } = &mut *inner;
-            let mut folded = HashSet::new();
+            let JournalInner { image, commits, .. } = &mut *inner;
+            let n = commits.iter().take_while(|c| c.durable).count();
             let mut rows = 0u64;
-            for r in records.iter() {
-                let Record::Close {
-                    op, delta, stage, ..
-                } = r
-                else {
-                    continue;
-                };
-                if *stage != Stage::Released {
-                    break;
-                }
-                for line in delta.lines().filter(|l| !l.is_empty()) {
+            for c in commits.drain(..n) {
+                for line in c.delta.lines().filter(|l| !l.is_empty()) {
                     let placed = image.fold_line(line).is_some();
                     debug_assert!(placed, "a live delta row the image cannot place: {line}");
                     rows += u64::from(placed);
                 }
-                folded.insert(*op);
             }
-            inner.drop_ops(&folded);
             rows
         };
         tel.incr("journal_compactions_total");
@@ -776,35 +625,30 @@ impl Journal {
         rows
     }
 
-    /// Recovery's delta replay: folds every durable close record's delta
-    /// into the checkpoint image, in record order, each line validated
-    /// first (it was read back from storage). Records are kept — recovery
-    /// still needs the ops' doom lists, and a recovery that fails later
-    /// must leave the journal replayable (folding twice is harmless: rows
-    /// are state, applied in the same order). Returns how many lines were
+    /// Recovery's replay: folds every durable commit's delta into the
+    /// checkpoint image, in record order, each line validated first (it
+    /// was read back from storage), then the lease as a `vids|` row, so
+    /// the recovered allocator starts past it. Records are kept — a
+    /// recovery that fails later must leave the journal replayable
+    /// (folding twice is harmless: rows are state, applied in the same
+    /// order, and `vids|` keeps its maximum). Returns how many lines were
     /// refused; a `full|` row — an inline snapshot earlier versions
     /// journaled — is an error: skipping it would fold every later row
     /// onto the wrong base.
     pub(crate) fn fold_durable(&self) -> Result<usize> {
         let mut inner = self.inner.lock();
-        let JournalInner { image, records, .. } = &mut *inner;
+        let JournalInner {
+            image,
+            commits,
+            durable_lease,
+            ..
+        } = &mut *inner;
         let mut refused = 0;
-        for r in records.iter() {
-            let Record::Close {
-                op, delta, stage, ..
-            } = r
-            else {
-                continue;
-            };
-            if *stage < Stage::Durable {
-                continue;
-            }
-            for (i, line) in delta.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
+        for c in commits.iter().filter(|c| c.durable) {
+            for (i, line) in c.delta.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
                 if line.starts_with("full|") {
-                    return Err(bad(
-                        i + 1,
-                        &format!("{op}: `full|` delta rows are not replayable"),
-                    ));
+                    let why = format!("{}: `full|` delta rows are not replayable", c.op);
+                    return Err(bad(i + 1, &why));
                 }
                 if image
                     .admits(line)
@@ -815,148 +659,50 @@ impl Journal {
                 }
             }
         }
+        image.fold_line(&format!("vids|{durable_lease}"));
         Ok(refused)
     }
 
-    /// Drops all records of durably closed ops, released or not. Recovery
-    /// calls this once it has resolved the journal — every closed op's
-    /// effects are in the recovered tables, which re-seed the checkpoint
-    /// when the journal is attached to them.
-    pub(crate) fn drop_closed(&self) {
-        let mut inner = self.inner.lock();
-        let closed = (inner.records.iter())
-            .filter_map(Record::close)
-            .filter_map(|(op, stage)| (stage >= Stage::Durable).then_some(op))
-            .collect();
-        inner.drop_ops(&closed);
-        // With no record of a `v2` op left, what follows is `v3`.
-        if inner.records.is_empty() {
-            inner.v2 = false;
-        }
+    /// Drops every commit record. Recovery calls this once the recovered
+    /// tables hold every commit's rows: they re-seed the checkpoint when
+    /// the journal is attached to them.
+    pub(crate) fn clear(&self) {
+        self.inner.lock().commits.clear();
     }
 
     /// Recovery's refusal of what it cannot roll back: in a `v2` journal,
     /// a dangling `update`, `restore` or `rmchunk` that logged an intent
-    /// may have overwritten objects in place, which collecting fresh vids
-    /// cannot undo. Fails with [`CoreError::CorruptState`] naming the op,
-    /// as a `full|` delta row does.
+    /// may have overwritten objects in place, which no sweep undoes.
+    /// Fails with [`CoreError::CorruptState`] naming the op, as a `full|`
+    /// delta row does.
     pub(crate) fn refuse_overwrites_in_place(&self) -> Result<()> {
-        if !self.inner.lock().v2 {
-            return Ok(());
+        match &self.inner.lock().refusal {
+            Some(why) => Err(bad(0, why)),
+            None => Ok(()),
         }
-        let chunk_level = [OpKind::Update, OpKind::Restore, OpKind::RemoveChunk];
-        let overwrote = self.ops().into_iter().find(|o| {
-            o.status == OpStatus::Dangling
-                && chunk_level.contains(&o.kind)
-                && !(o.fresh.is_empty() && o.doomed.is_empty())
-        });
-        overwrote.map_or(Ok(()), |o| {
-            let why = format!("{}: a dangling `{}` of a v2 journal", o.id, o.kind);
-            Err(bad(0, &format!("{why} overwrote objects in place")))
-        })
     }
 
-    /// Removes close records that were appended but never covered by a
-    /// group flush — after a crash, what never reached the sink is gone.
-    /// Recovery calls this first; the affected ops read as dangling.
+    /// Removes commit records that were appended but never covered by a
+    /// group flush — after a crash, what never reached the sink is gone
+    /// (of the lease, only the flushed one is ever read). Recovery calls
+    /// this first.
     pub fn discard_unflushed(&self) {
-        (self.inner.lock().records).retain(|r| !matches!(r.close(), Some((_, Stage::Appended))));
+        self.inner.lock().commits.retain(|c| c.durable);
     }
 
-    /// Folds the record stream into per-op views, in `begin` order.
-    /// Unflushed close records do not count: their ops read as dangling.
-    pub fn ops(&self) -> Vec<OpView> {
-        let inner = self.inner.lock();
-        let mut views: Vec<OpView> = Vec::new();
-        for r in &inner.records {
-            match r {
-                Record::Begin {
-                    op,
-                    kind,
-                    client,
-                    target,
-                } => views.push(OpView {
-                    id: *op,
-                    kind: *kind,
-                    client: client.clone(),
-                    target: target.clone(),
-                    fresh: Vec::new(),
-                    doomed: Vec::new(),
-                    status: OpStatus::Dangling,
-                }),
-                Record::Alloc { op, vids } => {
-                    if let Some(v) = views.iter_mut().find(|v| v.id == *op) {
-                        v.fresh.extend_from_slice(vids);
-                    }
-                }
-                Record::Doom { op, vids } => {
-                    if let Some(v) = views.iter_mut().find(|v| v.id == *op) {
-                        v.doomed.extend_from_slice(vids);
-                    }
-                }
-                Record::Close {
-                    op,
-                    committed,
-                    stage,
-                    ..
-                } => {
-                    if *stage >= Stage::Durable {
-                        if let Some(v) = views.iter_mut().find(|v| v.id == *op) {
-                            v.status = if *committed {
-                                OpStatus::Committed
-                            } else {
-                                OpStatus::Aborted
-                            };
-                        }
-                    }
-                }
-            }
-        }
-        views
-    }
-
-    /// Serializes the journal to its versioned text form. Unflushed close
+    /// Serializes the journal to its versioned text form. Unflushed
     /// records are omitted — the text form models what durable storage
     /// would hold after a crash.
     pub fn export(&self) -> String {
         let inner = self.inner.lock();
-        let mut out = String::new();
-        let version = if inner.v2 { 2 } else { VERSION };
-        out.push_str(&format!("fragcloud-journal|v{version}\n"));
-        out.push_str("checkpoint|");
+        let mut out = format!("fragcloud-journal|v{VERSION}\ncheckpoint|");
         esc_into(&mut out, &inner.image.render());
         out.push('\n');
-        for r in &inner.records {
-            match r {
-                Record::Begin {
-                    op,
-                    kind,
-                    client,
-                    target,
-                } => out.push_str(&format!(
-                    "begin|{}|{}|{}|{}\n",
-                    op.0,
-                    kind.tag(),
-                    esc(client),
-                    esc(target)
-                )),
-                Record::Alloc { op, vids } => {
-                    out.push_str(&format!("alloc|{}|{}\n", op.0, join_vids(vids)))
-                }
-                Record::Doom { op, vids } => {
-                    out.push_str(&format!("doom|{}|{}\n", op.0, join_vids(vids)))
-                }
-                Record::Close {
-                    op,
-                    committed,
-                    delta,
-                    stage,
-                } => {
-                    if *stage >= Stage::Durable {
-                        close_line(&mut out, *op, *committed, delta);
-                    }
-                }
-            }
+        if inner.durable_lease > 0 {
+            out.push_str(&format!("lease|{}\n", inner.durable_lease));
+        }
+        for c in inner.commits.iter().filter(|c| c.durable) {
+            commit_line(&mut out, c.op, &c.delta);
         }
         out.push_str("end\n");
         out
@@ -969,6 +715,7 @@ impl Journal {
         let (ln, header) = lines.next().ok_or_else(|| bad(0, "empty journal"))?;
         let v2 = match header.strip_prefix("fragcloud-journal|v") {
             Some("2") => true,
+            Some("3") => false,
             Some(v) if v == VERSION.to_string() => false,
             _ => return Err(bad(ln + 1, "bad journal header/version")),
         };
@@ -983,9 +730,12 @@ impl Journal {
             StateImage::parse(&unesc(checkpoint))?
         };
 
-        let mut records = Vec::new();
+        let mut commits = Vec::new();
+        let mut lease = 0u64;
         let mut next_op = 0u64;
-        let mut closes = 0u64;
+        // A pre-lease journal's ops still open: kind, vids allocated, and
+        // whether any intent (`alloc` / `doom`) was logged.
+        let mut open: BTreeMap<OpId, (OpKind, u64, bool)> = BTreeMap::new();
         let mut saw_end = false;
         for (ln, line) in lines {
             let line_no = ln + 1;
@@ -994,68 +744,77 @@ impl Journal {
                 break;
             }
             let f: Vec<&str> = line.split('|').collect();
-            let op_of = |s: &str| -> Result<OpId> {
-                s.parse::<u64>()
-                    .map(OpId)
-                    .map_err(|_| bad(line_no, "expected op id"))
+            let mut op_of = |s: &str| -> Result<OpId> {
+                let op = s
+                    .parse::<u64>()
+                    .map_err(|_| bad(line_no, "expected op id"))?;
+                next_op = next_op.max(op);
+                Ok(OpId(op))
             };
-            match f[0] {
-                "begin" => {
-                    if f.len() != 5 {
-                        return Err(bad(line_no, "expected begin record"));
-                    }
+            match (f[0], f.len()) {
+                ("lease", 2) => {
+                    let hi = f[1].parse::<u64>();
+                    lease = lease.max(hi.map_err(|_| bad(line_no, "expected vid count"))?);
+                }
+                ("commit" | "abort", 3) => {
                     let op = op_of(f[1])?;
-                    next_op = next_op.max(op.0);
-                    records.push(Record::Begin {
+                    open.remove(&op);
+                    commits.push(Commit {
                         op,
-                        kind: OpKind::parse(f[2], line_no)?,
-                        client: unesc(f[3]),
-                        target: unesc(f[4]),
-                    });
-                }
-                "alloc" | "doom" => {
-                    if f.len() != 3 {
-                        return Err(bad(line_no, "expected vid-list record"));
-                    }
-                    let op = op_of(f[1])?;
-                    let vids = parse_vids(f[2], line_no)?;
-                    records.push(if f[0] == "alloc" {
-                        Record::Alloc { op, vids }
-                    } else {
-                        Record::Doom { op, vids }
-                    });
-                }
-                "commit" | "abort" => {
-                    if f.len() != 3 {
-                        return Err(bad(line_no, "expected op-close record"));
-                    }
-                    closes += 1;
-                    // Parsed records were durable by definition; whether
-                    // their ops' deletes ran is not on record.
-                    records.push(Record::Close {
-                        op: op_of(f[1])?,
-                        committed: f[0] == "commit",
                         delta: unesc(f[2]),
-                        stage: Stage::Durable,
+                        durable: true,
                     });
                 }
-                other => return Err(bad(line_no, &format!("unexpected record {other:?}"))),
+                ("begin", 5) => {
+                    let kind = OpKind::parse(f[2], line_no)?;
+                    open.insert(op_of(f[1])?, (kind, 0, false));
+                }
+                ("alloc" | "doom", 3) => {
+                    let op = op_of(f[1])?;
+                    let n = parse_vid_count(f[2], line_no)?;
+                    if let Some((_, allocs, intent)) = open.get_mut(&op) {
+                        *allocs += if f[0] == "alloc" { n } else { 0 };
+                        *intent |= n > 0;
+                    }
+                }
+                (other, _) => return Err(bad(line_no, &format!("unexpected record {other:?}"))),
             }
         }
         if !saw_end {
             return Err(bad(0, "missing end marker"));
         }
+
+        // The dangling ops' `alloc`s may have reached providers: the
+        // recovered allocator must start past them, as past a lease.
+        let skip: u64 = open.values().map(|&(_, allocs, _)| allocs).sum();
+        if skip > 0 {
+            let watermark = (commits.iter().flat_map(|c| c.delta.lines()))
+                .filter_map(|l| l.strip_prefix("vids|")?.parse().ok())
+                .fold(image.vids(), u64::max);
+            lease = lease.max(watermark + skip);
+        }
+        let chunk_level = [OpKind::Update, OpKind::Restore, OpKind::RemoveChunk];
+        let refusal = (open.iter())
+            .find(|(_, (kind, _, intent))| v2 && *intent && chunk_level.contains(kind))
+            .map(|(op, (kind, ..))| {
+                format!("{op}: a dangling `{kind}` of a v2 journal overwrote objects in place")
+            });
+
+        let appended = commits.len() as u64;
         Ok(Journal {
             inner: Mutex::new(JournalInner {
-                v2,
                 next_op,
                 image,
-                records,
-                closes_appended: closes,
+                commits,
+                lease,
+                lease_seq: 0,
+                durable_lease: lease,
+                appended,
                 commits_since_checkpoint: 0,
+                refusal,
             }),
             flush: StdMutex::new(FlushState {
-                flushed: closes,
+                flushed: appended,
                 leader: false,
             }),
             ..Default::default()
@@ -1063,33 +822,21 @@ impl Journal {
     }
 }
 
-fn join_vids(vids: &[VirtualId]) -> String {
-    vids.iter()
-        .map(|v| v.0.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn parse_vids(s: &str, line_no: usize) -> Result<Vec<VirtualId>> {
-    if s.is_empty() {
-        return Ok(Vec::new());
+/// The length of a pre-lease `alloc` / `doom` record's vid list.
+fn parse_vid_count(s: &str, line_no: usize) -> Result<u64> {
+    let vids = s.split(',').filter(|x| !x.is_empty());
+    let mut n = 0;
+    for vid in vids {
+        vid.parse::<u64>()
+            .map_err(|_| bad(line_no, "expected vid"))?;
+        n += 1;
     }
-    s.split(',')
-        .map(|x| {
-            x.parse::<u64>()
-                .map(VirtualId)
-                .map_err(|_| bad(line_no, "expected vid"))
-        })
-        .collect()
+    Ok(n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn vids(xs: &[u64]) -> Vec<VirtualId> {
-        xs.iter().map(|&x| VirtualId(x)).collect()
-    }
 
     /// A one-shard, one-client snapshot with nothing stored.
     const SNAPSHOT: &str = "fragcloud-state|v2\nvids|3\nshards|1\nproviders|1\nprovider|cp0\n\
@@ -1102,87 +849,74 @@ mod tests {
         j
     }
 
+    #[derive(Default)]
+    struct RecordingSink(Mutex<Vec<String>>);
+    impl JournalSink for RecordingSink {
+        fn persist(&self, batch: &str) {
+            self.0.lock().push(batch.to_string());
+        }
+    }
+
     #[test]
     fn export_parse_roundtrip() {
         let j = attached();
+        j.lease(5);
         let a = j.begin(OpKind::Put, "cli|ent", "fi%le");
-        j.log_alloc(a, &vids(&[10, 11]));
-        j.log_alloc(a, &vids(&[12]));
         j.commit(a, "chunk|0|0|some|row\nvids|12\n".to_string());
         let b = j.begin(OpKind::Remove, "c", "gone");
-        j.log_doom(b, &vids(&[10]));
-        // b left dangling: the crash case.
+        // b never commits: the crash case. Nothing of it is on record.
 
         let text = j.export();
-        assert!(text.starts_with("fragcloud-journal|v3\n"));
+        assert!(text.starts_with("fragcloud-journal|v4\n"));
         assert!(text.ends_with("end\n"));
-        let back = Journal::parse(&text).unwrap();
-        assert_eq!(back.checkpoint(), SNAPSHOT);
-        let ops = back.ops();
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].id, a);
-        assert_eq!(ops[0].kind, OpKind::Put);
-        assert_eq!(ops[0].client, "cli|ent");
-        assert_eq!(ops[0].target, "fi%le");
-        assert_eq!(ops[0].fresh, vids(&[10, 11, 12]));
-        assert_eq!(ops[0].status, OpStatus::Committed);
-        assert_eq!(ops[1].status, OpStatus::Dangling);
-        assert_eq!(ops[1].doomed, vids(&[10]));
+        assert!(text.contains(&format!("\nlease|{VID_LEASE_BLOCK}\n")));
         // The delta survives the roundtrip verbatim.
         assert!(text.contains("commit|1|chunk%7C0%7C0%7Csome%7Crow%0Avids%7C12%0A\n"));
+        assert_eq!(
+            text.lines().count(),
+            5,
+            "header, checkpoint, lease, commit, end"
+        );
+        let back = Journal::parse(&text).unwrap();
+        assert_eq!(back.checkpoint(), SNAPSHOT);
+        assert_eq!(back.record_len(), 1);
         assert_eq!(back.export(), text);
 
-        // A re-parsed journal keeps allocating fresh op ids.
+        // A re-parsed journal keeps handing out fresh op ids.
         let c = back.begin(OpKind::Repair, "", "stripes");
-        assert!(c.0 > b.0);
+        assert!(c.0 > a.0 && b.0 > a.0);
     }
 
+    /// Pre-lease journals recorded each op's kind in a `begin` line; every
+    /// chunk-level tag parses back to its kind, named in the refusal of a
+    /// dangling op of that kind in a `v2` journal.
     #[test]
     fn chunk_level_kinds_roundtrip_under_their_tags() {
-        let j = Journal::new();
-        let kinds = [
+        for (kind, tag) in [
             (OpKind::Update, "update"),
             (OpKind::Restore, "restore"),
             (OpKind::RemoveChunk, "rmchunk"),
-        ];
-        for (kind, _) in kinds {
-            j.begin(kind, "c", "some#file#3");
+        ] {
+            assert_eq!(kind.to_string(), tag);
+            let text =
+                format!("fragcloud-journal|v2\ncheckpoint|\nbegin|4|{tag}|c|f#3\nalloc|4|9\nend\n");
+            let err = Journal::parse(&text).unwrap().refuse_overwrites_in_place();
+            let why = format!("op4: a dangling `{tag}` of a v2 journal overwrote objects in place");
+            assert_eq!(err, Err(bad(0, &why)));
         }
-        let text = j.export();
-        assert!(text.starts_with("fragcloud-journal|v3\n"), "still v3");
-        for (_, tag) in kinds {
-            assert!(text.contains(&format!("|{tag}|c|some#file#3\n")), "{tag}");
-        }
-        let back = Journal::parse(&text).unwrap();
-        let parsed: Vec<OpKind> = back.ops().iter().map(|o| o.kind).collect();
-        assert_eq!(parsed, kinds.map(|(kind, _)| kind));
     }
 
-    #[test]
-    fn abort_marks_op_aborted() {
-        let j = Journal::new();
-        let a = j.begin(OpKind::Put, "c", "f");
-        j.log_alloc(a, &vids(&[7]));
-        j.abort(a, "chunk|0|3|rolled|back".to_string());
-        assert_eq!(j.ops()[0].status, OpStatus::Aborted);
-        assert!(j
-            .export()
-            .contains("abort|1|chunk%7C0%7C3%7Crolled%7Cback\n"));
-    }
-
+    /// Compaction folds the durable commits and drops them; an unflushed
+    /// commit — an op still open at a crash — stays a record.
     #[test]
     fn compact_drops_closed_ops_keeps_dangling() {
         let j = attached();
         let a = j.begin(OpKind::Put, "c", "f1");
         j.commit(a, format!("vids|9\nchunk|0|0|{CHUNK_ROW}\n"));
-        j.release(a);
         let b = j.begin(OpKind::Put, "c", "f2");
-        j.log_alloc(b, &vids(&[5]));
+        j.commit_prepare(b, "vids|10\n".to_string());
         assert_eq!(j.compact(), 2, "two delta rows folded");
-        let ops = j.ops();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].id, b);
-        assert_eq!(ops[0].status, OpStatus::Dangling);
+        assert_eq!(j.record_len(), 1, "b still open");
         assert!(!j.export().contains("commit|"));
         // a's rows are the checkpoint's now.
         let folded = SNAPSHOT
@@ -1191,64 +925,30 @@ mod tests {
         assert_eq!(j.checkpoint(), folded);
     }
 
-    /// Release before fold: an op whose commit is durable but whose
-    /// bracket has not yet deleted what it doomed keeps every record — the
-    /// doom list above all — through a compaction another op runs; only
-    /// once released is it folded. (A compaction that dropped it here
-    /// would leave the doomed objects with no row and no record if the
-    /// process died before the deletes.)
-    #[test]
-    fn compaction_spares_a_committed_op_until_it_is_released() {
-        let j = attached();
-        let a = j.begin(OpKind::Put, "c", "f1");
-        j.commit(a, "vids|4\n".to_string());
-        j.release(a);
-        let b = j.begin(OpKind::Remove, "c", "f0");
-        j.log_doom(b, &vids(&[10, 11]));
-        j.commit(b, "vids|8\nfiledel|0|c|f0\n".to_string());
-        // b: committed and synced, its deletes still ahead. c closes after
-        // it and is done; its bracket compacts.
-        let c = j.begin(OpKind::Client, "zed", "register");
-        j.commit(c, "vids|8\nclient|zed|\n".to_string());
-        j.release(c);
-        assert_eq!(j.compact(), 1, "only a's row");
-        let ops = j.ops();
-        assert_eq!(ops.len(), 2, "a folded, b kept — and c behind it");
-        assert_eq!((ops[0].id, ops[0].status), (b, OpStatus::Committed));
-        assert_eq!(ops[0].doomed, vids(&[10, 11]));
-        // Close order is fold order: c's rows wait for b's.
-        assert_eq!(ops[1].id, c);
-        let checkpoint = j.checkpoint();
-        assert!(checkpoint.contains("vids|4\n") && !checkpoint.contains("client|zed\n"));
-        // What a crash now leaves on storage still names the doomed ids.
-        assert!(j.export().contains("doom|2|10,11\n"));
-
-        j.release(b);
-        assert_eq!(j.compact(), 4);
-        assert!(j.ops().is_empty());
-        let checkpoint = j.checkpoint();
-        assert!(checkpoint.contains("vids|8\n") && checkpoint.contains("client|zed\n"));
-    }
-
-    /// An aborted op's rollback precedes its abort record: it is released
-    /// as it closes. An unflushed close is never folded.
+    /// A pre-lease journal's `abort` record folds like a commit; an
+    /// unflushed commit is never folded.
     #[test]
     fn compaction_folds_aborts_and_leaves_unflushed_closes() {
-        let j = attached();
-        let a = j.begin(OpKind::Put, "c", "f1");
-        j.abort(a, format!("vids|5\nchunk|0|1|{CHUNK_ROW}\n"));
+        let abort = format!("vids|5\nchunk|0|1|{CHUNK_ROW}\n");
+        let text = format!(
+            "fragcloud-journal|v3\ncheckpoint|{}\nbegin|1|put|c|f1\nabort|1|{}\nend\n",
+            esc(SNAPSHOT),
+            esc(&abort)
+        );
+        let j = Journal::parse(&text).unwrap();
         let b = j.begin(OpKind::Put, "c", "f2");
+        assert_eq!(b, OpId(2));
         let (seq, _) = j.commit_prepare(b, "vids|6\n".to_string());
         assert_eq!(j.compact(), 2);
-        assert_eq!(j.ops().len(), 1, "b still open");
-        // The gap below a's chunk reads as a placeholder tombstone.
+        assert_eq!(j.record_len(), 1, "b still open");
+        // The gap below the aborted op's chunk reads as a placeholder
+        // tombstone.
         let checkpoint = j.checkpoint();
         assert!(checkpoint.contains("vids|5\n"));
         assert!(checkpoint.contains(&format!(
             "chunks|2\nchunk|18446744073709551615|0|0|-|||0|0|-|d0|removed\nchunk|{CHUNK_ROW}\n"
         )));
         j.sync(seq);
-        j.release(b);
         j.compact();
         assert!(j.checkpoint().contains("vids|6\n"));
     }
@@ -1257,23 +957,19 @@ mod tests {
     fn unflushed_commits_are_not_durable() {
         let j = Journal::new();
         let a = j.begin(OpKind::Put, "c", "f");
-        j.log_alloc(a, &vids(&[3]));
         let (seq, _) = j.commit_prepare(a, "delta-a".to_string());
-        // Before sync: dangling everywhere a reader looks.
-        assert_eq!(j.ops()[0].status, OpStatus::Dangling);
+        // Before sync: not on durable storage.
         assert!(!j.export().contains("commit|"));
         // The crash path: discard, and the record is gone for good.
         j.discard_unflushed();
         j.sync(seq); // a flush with nothing to drain is harmless
-        assert_eq!(j.ops()[0].status, OpStatus::Dangling);
+        assert_eq!(j.record_len(), 0);
 
         // The happy path on a fresh op: prepare + sync = durable.
         let b = j.begin(OpKind::Put, "c", "g");
         let (seq, _) = j.commit_prepare(b, "delta-b".to_string());
         j.sync(seq);
-        let ops = j.ops();
-        assert_eq!(ops[1].status, OpStatus::Committed);
-        assert!(j.export().contains("commit|"));
+        assert!(j.export().contains("commit|2|delta-b\n"));
     }
 
     #[test]
@@ -1321,14 +1017,14 @@ mod tests {
         .expect("no panics");
 
         // Every op is durable…
-        assert!(j.ops().iter().all(|o| o.status == OpStatus::Committed));
-        // …but the sink saw strictly fewer flushes than closes: at least
+        assert_eq!(j.export().matches("\ncommit|").count(), N);
+        // …but the sink saw strictly fewer flushes than commits: at least
         // one batch carried more than one record.
         let flushes = sink.0.load(Ordering::SeqCst);
         assert!(flushes >= 1);
         assert!(
             flushes < N as u64,
-            "expected batching, got {flushes} flushes for {N} closes"
+            "expected batching, got {flushes} flushes for {N} commits"
         );
         let reg = tel.registry().expect("enabled");
         assert_eq!(reg.counter_total("fsync_total"), flushes);
@@ -1343,16 +1039,6 @@ mod tests {
 
     #[test]
     fn faulty_sink_drops_or_tears_exactly_the_scheduled_flush() {
-        use parking_lot::Mutex as PlMutex;
-
-        #[derive(Default)]
-        struct RecordingSink(PlMutex<Vec<String>>);
-        impl JournalSink for RecordingSink {
-            fn persist(&self, batch: &str) {
-                self.0.lock().push(batch.to_string());
-            }
-        }
-
         // Drop: flush 2 of 3 vanishes; 1 and 3 arrive intact.
         let sink = FaultySink::new(RecordingSink::default(), SinkFault::Drop, 2);
         sink.persist("one");
@@ -1383,15 +1069,15 @@ mod tests {
     #[test]
     fn journal_survives_faulty_sink() {
         // The sink losing a flush must not corrupt the in-memory journal:
-        // ops still read back Committed, and the export still parses.
+        // every commit is still held, and the export still parses.
         let j = Journal::new();
         j.set_sink(Arc::new(FaultySink::new(NoopSink, SinkFault::Drop, 1)));
         for i in 0..3 {
             let op = j.begin(OpKind::Put, "c", &format!("f{i}"));
             j.commit(op, String::new());
         }
-        assert!(j.ops().iter().all(|o| o.status == OpStatus::Committed));
-        Journal::parse(&j.export()).expect("export still parses");
+        let back = Journal::parse(&j.export()).expect("export still parses");
+        assert_eq!(back.record_len(), 3);
     }
 
     #[test]
@@ -1400,11 +1086,13 @@ mod tests {
             "",
             "fragcloud-journal|v999\ncheckpoint|\nend\n",
             "fragcloud-journal|v1\ncheckpoint|\nend\n",
-            "fragcloud-journal|v3\nno-checkpoint\nend\n",
+            "fragcloud-journal|v4\nno-checkpoint\nend\n",
+            "fragcloud-journal|v4\ncheckpoint|\nlease|many\nend\n",
+            "fragcloud-journal|v4\ncheckpoint|\nlease\nend\n",
             "fragcloud-journal|v3\ncheckpoint|\nbegin|1|teleport|c|f\nend\n",
             "fragcloud-journal|v3\ncheckpoint|\nalloc|1|notanumber\nend\n",
-            "fragcloud-journal|v3\ncheckpoint|\ncommit|1\nend\n",
-            "fragcloud-journal|v3\ncheckpoint|\nbegin|1|put|c|f\n",
+            "fragcloud-journal|v4\ncheckpoint|\ncommit|1\nend\n",
+            "fragcloud-journal|v4\ncheckpoint|\ncommit|1|x\n",
         ] {
             let err = Journal::parse(garbage).unwrap_err();
             assert!(
@@ -1414,38 +1102,43 @@ mod tests {
         }
     }
 
-    /// A `v2` journal parses and exports as `v2` until recovery has
-    /// resolved its ops; only a dangling chunk-level op that logged an
-    /// intent is refused, by name.
+    /// A `v2` journal parses to its commits, a lease past the vids its
+    /// dangling ops allocated, and — only for a dangling chunk-level op
+    /// that logged an intent — a refusal naming that op.
     #[test]
     fn a_v2_journal_refuses_only_its_dangling_chunk_level_intents() {
         let v2 = "fragcloud-journal|v2\ncheckpoint|\nbegin|1|put|c|f\nalloc|1|4\n\
             begin|2|update|c|f#0\nbegin|3|rmchunk|c|f#1\ndoom|3|5\nend\n";
         let j = Journal::parse(v2).unwrap();
-        assert_eq!(j.export(), v2);
         let err = j.refuse_overwrites_in_place().unwrap_err();
         assert!(
             matches!(&err, CoreError::CorruptState { why, .. } if why.starts_with("op3: a dangling `rmchunk`")),
             "{err:?}"
         );
-        // Without op 3, the v2 journal's dangling ops are all rollbacks.
+        // Without op 3's intent, the v2 journal's dangling ops are all
+        // swept back: no refusal, and a lease past op 1's one vid.
         let j = Journal::parse(&v2.replace("doom|3|5\n", "")).unwrap();
         j.refuse_overwrites_in_place().unwrap();
-        // Resolved, it is a v3 journal.
-        for op in j.ops() {
-            j.abort(op.id, String::new());
-        }
-        j.drop_closed();
-        assert!(j.export().starts_with("fragcloud-journal|v3\n"));
+        assert_eq!(
+            j.export(),
+            "fragcloud-journal|v4\ncheckpoint|\nlease|1\nend\n"
+        );
+        // A `v3` journal's dangling chunk-level intents are swept too.
+        let v3 = v2.replacen("|v2\n", "|v3\n", 1);
+        Journal::parse(&v3)
+            .unwrap()
+            .refuse_overwrites_in_place()
+            .unwrap();
     }
 
+    /// `log_alloc` records nothing: a vid is covered by the lease.
     #[test]
     fn empty_vid_lists_are_not_recorded() {
         let j = Journal::new();
         let a = j.begin(OpKind::Put, "c", "f");
         j.log_alloc(a, &[]);
-        j.log_doom(a, &[]);
-        // Only the begin line plus header/checkpoint/end.
-        assert_eq!(j.export().lines().count(), 4);
+        j.log_alloc(a, &[VirtualId(7)]);
+        // Header, checkpoint and end only.
+        assert_eq!(j.export().lines().count(), 3);
     }
 }

@@ -34,20 +34,20 @@
 //! - [`persist`] — versioned text snapshots of the table state, so a
 //!   restarted (or newly promoted) distributor can rehydrate against the
 //!   same provider fleet;
-//! - [`journal`] — the append-only write-ahead op journal: intent records
-//!   around every state-mutating operation (virtual ids logged *before*
-//!   their provider uploads), commit/abort **delta records** against the
-//!   last checkpoint, cross-operation group commit, and periodic
-//!   checkpoint compaction;
-//! - [`mutation`] — the one bracket every mutating verb runs in: intents
-//!   → stores → touched rows → one row-delta commit → doomed objects
-//!   deleted after it;
+//! - [`journal`] — the append-only write-ahead journal: one commit
+//!   **delta record** per state-mutating operation against the last
+//!   checkpoint, a virtual-id lease made durable before any vid past it
+//!   is stored, cross-operation group commit, and periodic checkpoint
+//!   compaction;
+//! - [`mutation`] — the one bracket every mutating verb runs in: fresh
+//!   vids → stores → touched rows → one row-delta commit → superseded
+//!   objects deleted after it;
 //! - [`maintain`] — scrub and repair (§III-B availability): one walk per
 //!   table shard that reads each stripe once and rebuilds lost shards
 //!   through the get path's decode, under fresh virtual ids (§IV-A);
-//! - [`recovery`] — replays a journal (checkpoint + close deltas) on
-//!   restart, rolling dangling ops back (or forward, for removals) and
-//!   garbage-collecting orphan objects from providers;
+//! - [`recovery`] — rebuilds a distributor from a journal on restart:
+//!   folds the checkpoint, commits and lease, lists every provider's keys
+//!   and deletes each object no recovered row names;
 //! - [`integrity`] — checksum framing around every stored shard: stamped
 //!   at `put`, verified on every read, turning silent provider corruption
 //!   into typed [`CoreError::ShardCorrupt`] erasures the parity machinery
@@ -101,8 +101,8 @@ pub use health::{BreakerState, FailureKind, HealthTracker};
 pub use integrity::{frame, unframe, FRAME_OVERHEAD, FRAME_VERSION};
 pub use fragcloud_telemetry::TelemetryHandle;
 pub use journal::{
-    FaultySink, Journal, JournalSink, NoopSink, OpId, OpKind, OpStatus, OpView,
-    SimulatedFsyncSink, SinkFault,
+    FaultySink, Journal, JournalSink, NoopSink, OpId, OpKind, SimulatedFsyncSink, SinkFault,
+    VID_LEASE_BLOCK,
 };
 pub use pool::TransferPool;
 pub use recovery::{recover, recover_with, RecoveryReport};

@@ -274,11 +274,10 @@ impl CloudDataDistributor {
                 .ok_or(CoreError::NoEligibleProvider { pl })?;
             // Fresh virtual id: the rebuilt object must not be correlatable
             // with the lost one (§IV-A identity concealment). The lost id
-            // is doomed: deleted after the commit when its provider is
-            // reachable, else left to recovery's GC should it resurface.
+            // is deleted after the commit when its provider is reachable,
+            // else swept by recovery should it resurface.
             let new_vid = self.allocate_vid();
             self.journal_alloc(ctx, &[new_vid]);
-            self.journal_doom(ctx, [old_vid]);
             self.crash_point()?;
             let (res, t, _) = self
                 .io()

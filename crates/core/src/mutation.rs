@@ -6,9 +6,10 @@
 //! ordering, so the order is written once — `journaled(kind, client,
 //! target, body)`, the only caller of `journal_begin`:
 //!
-//! 1. **Intents.** The body journals every fresh vid (`journal_alloc`)
-//!    before the upload that uses it and every object it will delete
-//!    (`journal_doom`) before it changes anything.
+//! 1. **Fresh vids.** The body hands every vid it allocated to
+//!    `journal_alloc` before the upload that uses it: the op's rollback
+//!    collects them, and with a journal attached no vid past its durable
+//!    lease is stored (`Journal::lease`).
 //! 2. **Stores**, through the provider-object boundary
 //!    ([`crate::objectio`]).
 //! 3. **Rows.** Each table row is marked dirty as it is written
@@ -17,34 +18,28 @@
 //!    rows, the body appends its commit record (`commit_under`): its
 //!    dirty rows, serialized from that guard's tables, as one delta. Any
 //!    op that reads those rows takes the guard after it and so closes
-//!    after it, and a group flush makes a prefix of the close records
-//!    durable: no durable op can depend on one that is not. A body that
-//!    changed no row may return without it; the bracket then closes the
-//!    op with its `vids|` watermark alone. The record joins the group
-//!    fsync once the body has returned.
-//! 5. **Deletes.** Only now, with the commit durable, are the doomed
-//!    objects deleted: no provider `delete` runs under a shard guard, and
-//!    a verb that fails or crashes never finds a row naming an object
-//!    that is gone.
-//! 6. **Release**, then compaction when the checkpoint interval has
-//!    elapsed. With its deletes done the op no longer needs its `doom`
-//!    record, and says so (`Journal::release`); compaction — whichever
-//!    op's bracket runs it — folds the deltas of released ops, in close
-//!    order, into the journal's own checkpoint image and drops their
-//!    records (`Journal::compact`: no table read, no shard lock). An op
-//!    that has committed but not yet deleted keeps its records through
-//!    any number of compactions.
+//!    after it, and a group flush makes a prefix of the records durable:
+//!    no durable op can depend on one that is not. A body that changed no
+//!    row may return without it; the bracket then closes the op with its
+//!    `vids|` watermark alone. The record joins the group fsync once the
+//!    body has returned.
+//! 5. **Deletes.** Only now, with the commit durable, are the objects the
+//!    body superseded deleted: no provider `delete` runs under a shard
+//!    guard, and a verb that fails or crashes never finds a row naming an
+//!    object that is gone. A delete that fails leaves an object no row
+//!    names, which the next recovery's sweep collects.
+//! 6. **Compaction** when the checkpoint interval has elapsed: whichever
+//!    op's bracket runs it folds the durable commits, in commit order,
+//!    into the journal's own checkpoint image and drops their records
+//!    (`Journal::compact`: no table read, no shard lock).
 //!
 //! Rollback has one rule. A verb stores only under fresh vids and
 //! publishes rows only once its stores have landed, with no fallible step
 //! after the first row it touches, so a body that fails has changed no
 //! row: its fresh vids are orphans, which the bracket collects
-//! (`recovery::collect_orphans`) — with or without a journal — before
-//! closing the op with an abort record that carries its watermark alone
-//! (released at once: its rollback is behind it). A simulated crash passes
-//! through untouched and leaves the op dangling — or committed but
-//! unreleased — for [`crate::recovery`], which applies the same rule from
-//! the journal.
+//! (`recovery::collect_orphans`) — with or without a journal. It journals
+//! nothing. A simulated crash passes through untouched; [`crate::recovery`]
+//! applies the same rule to every object no recovered row names.
 
 use crate::distributor::CloudDataDistributor;
 use crate::journal::{Journal, OpId, OpKind};
@@ -62,8 +57,8 @@ use std::sync::Arc;
 /// what its body hands back to [`CloudDataDistributor::journaled`].
 pub(crate) type Doomed = Vec<(usize, VirtualId)>;
 
-/// Step 5. Best-effort: the objects are doomed in the journal, so
-/// recovery collects any straggler.
+/// Step 5. Best-effort: an object whose delete fails is named by no row,
+/// so the next recovery's sweep collects it.
 fn delete_doomed(fleet: &[Arc<CloudProvider>], doomed: &Doomed) {
     for &(p, vid) in doomed {
         let _ = fleet[p].delete(vid);
@@ -82,7 +77,7 @@ pub(crate) struct OpCtx {
 /// An op's journal: the journal it lives in, its id, the table rows it
 /// has dirtied (its commit record's delta is serialized from exactly these
 /// rows), and — once its body has called `commit_under` — its appended
-/// commit record's close sequence and whether a compaction is due. A
+/// commit record's sequence and whether a compaction is due. A
 /// journal-less op pays only an `Option` check.
 struct OpJournal {
     journal: Arc<Journal>,
@@ -121,19 +116,17 @@ impl CloudDataDistributor {
     /// success the op's commit record — appended by the body under its
     /// guard ([`commit_under`](Self::commit_under)), or here for a body
     /// that changed no row — joins the journal's group-commit flush; the
-    /// objects `body` doomed are then deleted, the op is released, and a
-    /// due checkpoint compaction runs. A [`CoreError::SimulatedCrash`]
-    /// passes through untouched — the "process" is dead, so no abort record
-    /// and no rollback, leaving the op dangling for recovery. Any other
-    /// error rolls the op back — its fresh vids are collected — and, with a
-    /// journal, closes it with an abort record.
+    /// objects `body` superseded are then deleted and a due checkpoint
+    /// compaction runs. A [`CoreError::SimulatedCrash`] passes through
+    /// untouched — the "process" is dead, so no rollback. Any other error
+    /// rolls the op back: its fresh vids are collected.
     ///
     /// Two crash windows follow the commit record (numbered crash points,
     /// see DESIGN.md §5d): after it is appended but before the group fsync
-    /// (op is *not* durable — recovery discards the unflushed close), and
-    /// after the fsync but before the deletes and checkpoint compaction (op
-    /// is durable though never acked — recovery replays it and collects
-    /// its doom list).
+    /// (op is *not* durable — recovery discards the unflushed commit and
+    /// sweeps its uploads), and after the fsync but before the deletes and
+    /// checkpoint compaction (op is durable though never acked — recovery
+    /// folds it and sweeps what it superseded).
     pub(crate) fn journaled<T>(
         &self,
         kind: OpKind,
@@ -157,17 +150,14 @@ impl CloudDataDistributor {
                     }
                     let (seq, checkpoint_due) = j.prepared.lock().take().unwrap_or_default();
                     // Window: commit record appended but unflushed — the op
-                    // must NOT survive a crash here (ack ⟺ flushed).
+                    // must NOT survive a crash here (ack ⇒ flushed).
                     self.crash_point()?;
                     j.journal.sync(seq);
                     self.telemetry().incr("journal_commits_total");
-                    // Window: durable, but its doomed objects still stored
-                    // and the op not yet acked: unreleased, so no
-                    // compaction — this op's or another's — drops its doom
-                    // record.
+                    // Window: durable, but its superseded objects still
+                    // stored and the op not yet acked.
                     self.crash_point()?;
                     delete_doomed(self.fleet(), &doomed);
-                    j.journal.release(j.op);
                     if checkpoint_due {
                         j.journal.compact();
                     }
@@ -178,12 +168,11 @@ impl CloudDataDistributor {
             }
             Err(e @ CoreError::SimulatedCrash { .. }) => Err(e),
             Err(e) => {
-                let (collected, _) = recovery::collect_orphans(self, &ctx.fresh.lock());
+                let collected = recovery::collect_fresh(self, &ctx.fresh.lock());
                 if let Some(j) = &ctx.journal {
                     debug_assert!(j.dirty.lock().is_empty(), "a failed body touched a row");
                     let tel = self.telemetry();
                     tel.add("journal_rollback_objects", collected);
-                    j.journal.abort(j.op, self.watermark());
                     tel.incr("journal_aborts_total");
                 }
                 Err(e)
@@ -223,19 +212,14 @@ impl CloudDataDistributor {
     }
 
     /// Records freshly allocated vids for the open op — always *before*
-    /// the uploads that use them — and logs them to its journal.
+    /// the uploads that use them — and, with a journal attached, returns
+    /// only once a durable lease covers every vid allocated so far.
     pub(crate) fn journal_alloc(&self, ctx: &OpCtx, vids: &[VirtualId]) {
         ctx.fresh.lock().extend_from_slice(vids);
         if let Some(j) = &ctx.journal {
-            j.journal.log_alloc(j.op, vids);
-        }
-    }
-
-    /// Logs vids the open op intends to delete.
-    pub(crate) fn journal_doom(&self, ctx: &OpCtx, vids: impl IntoIterator<Item = VirtualId>) {
-        if let Some(j) = &ctx.journal {
-            j.journal
-                .log_doom(j.op, &vids.into_iter().collect::<Vec<_>>());
+            // Vids are mixed counters: the allocator's count stands for
+            // them all.
+            j.journal.lease(self.vids_allocated());
         }
     }
 
@@ -275,20 +259,14 @@ impl CloudDataDistributor {
         }
     }
 
-    /// The `vids|` line every close record starts with: the allocator
-    /// watermark, read without any table lock. It is the whole delta of a
-    /// close that carries no row.
-    fn watermark(&self) -> String {
-        format!("vids|{}\n", self.vids_allocated())
-    }
-
     /// Serializes the `dirty` rows of `shard` from `st`, the tables the
-    /// caller's write guard holds: the watermark, then each row's state as
-    /// it stands — deltas describe state, not intent, so a dropped file
+    /// caller's write guard holds: the allocator watermark (`vids|`, the
+    /// whole delta of a commit that carries no row), then each row's state
+    /// as it stands — deltas describe state, not intent, so a dropped file
     /// entry serializes as `filedel`.
     fn capture_delta(&self, dirty: &DirtyRows, shard: usize, st: &Tables) -> String {
         use std::fmt::Write as _;
-        let mut out = self.watermark();
+        let mut out = format!("vids|{}\n", self.vids_allocated());
         out.push_str(&dirty.clients);
         for &idx in &dirty.chunks {
             let _ = write!(out, "chunk|{shard}|{idx}|");
@@ -314,5 +292,56 @@ impl CloudDataDistributor {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::{JournalSink, VID_LEASE_BLOCK};
+    use crate::DistributorConfig;
+    use fragcloud_sim::{CostLevel, PrivacyLevel, ProviderProfile};
+
+    #[derive(Default)]
+    struct RecordingSink(Mutex<Vec<String>>);
+    impl JournalSink for RecordingSink {
+        fn persist(&self, batch: &str) {
+            self.0.lock().push(batch.to_string());
+        }
+    }
+
+    /// No vid is stored before a durable lease covers it: `journal_alloc`
+    /// of the first vid of each block returns only once the sink holds the
+    /// block's lease, and every other vid flushes nothing.
+    #[test]
+    fn journal_alloc_returns_once_a_lease_covers_its_vids() {
+        let fleet = (0..4)
+            .map(|i| {
+                let profile =
+                    ProviderProfile::new(format!("cp{i}"), PrivacyLevel::High, CostLevel::new(0));
+                Arc::new(CloudProvider::new(profile))
+            })
+            .collect();
+        let d = CloudDataDistributor::try_new(fleet, DistributorConfig::default()).unwrap();
+        let journal = Arc::new(Journal::new());
+        let sink = Arc::new(RecordingSink::default());
+        journal.set_sink(Arc::clone(&sink) as Arc<dyn JournalSink>);
+        d.attach_journal(journal);
+        d.journaled(OpKind::Put, "c", "f", |ctx| {
+            for _ in 0..=VID_LEASE_BLOCK {
+                let vid = d.allocate_vid();
+                let before = sink.0.lock().len();
+                d.journal_alloc(ctx, &[vid]);
+                let (n, batches) = (d.vids_allocated(), sink.0.lock());
+                if n % VID_LEASE_BLOCK == 1 {
+                    let lease = format!("lease|{}\n", n.next_multiple_of(VID_LEASE_BLOCK));
+                    assert_eq!(batches[before..], [lease], "vid {n}");
+                } else {
+                    assert_eq!(batches.len(), before, "vid {n}");
+                }
+            }
+            Ok(((), Doomed::new()))
+        })
+        .unwrap();
     }
 }

@@ -481,6 +481,11 @@ impl StateImage {
         self.shards.is_empty()
     }
 
+    /// The virtual-id watermark: how many ids the allocator had handed out.
+    pub(crate) fn vids(&self) -> u64 {
+        self.vids
+    }
+
     /// Copies one journal delta line over the row it names — the one delta
     /// applier, behind both checkpoint compaction and recovery's replay.
     /// A `chunk` / `stripe` / `file` row replaces (or adds) its row, an

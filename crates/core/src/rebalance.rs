@@ -87,7 +87,6 @@ impl CloudDataDistributor {
             let old_vid = st.chunks[chunk_idx].vid;
             let new_vid = self.allocate_vid();
             self.journal_alloc(ctx, &[new_vid]);
-            self.journal_doom(ctx, [old_vid]);
             self.crash_point()?;
             // Verified under the old id (and against the row's length),
             // re-framed under the new one: migration must not launder a

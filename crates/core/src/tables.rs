@@ -98,7 +98,7 @@ impl ChunkEntry {
     /// Every provider object the row names, as ⟨provider index, vid⟩: the
     /// primary while the row is live, each replica, the snapshot. The one
     /// enumeration behind a verb's doom list, its online pre-check and
-    /// [`Tables::referenced_vids`].
+    /// [`Tables::referenced_objects`].
     pub fn objects(&self) -> impl Iterator<Item = (usize, VirtualId)> + '_ {
         (!self.removed)
             .then_some((self.provider_idx, self.vid))
@@ -221,9 +221,8 @@ impl Tables {
 
     /// Removes a file at the table level — the file entry goes, every
     /// member of its stripes becomes a tombstone — and returns the rows it
-    /// tombstoned. `remove_file` runs it under its shard guard, recovery to
-    /// roll a dangling removal forward; the file's objects are the
-    /// caller's to delete.
+    /// tombstoned. `remove_file` runs it under its shard guard; the file's
+    /// objects are the caller's to delete.
     pub fn drop_file(&mut self, client: &str, filename: &str) -> Result<Vec<usize>> {
         let members = self.file_members(self.file(client, filename)?);
         if let Some(files) = self.files.get_mut(client) {
@@ -235,14 +234,11 @@ impl Tables {
         Ok(members)
     }
 
-    /// Every virtual id the tables still reference
-    /// ([`ChunkEntry::objects`] over every row). The complement — an id a
+    /// Every provider object the tables still reference
+    /// ([`ChunkEntry::objects`] over every row). The complement — a key a
     /// provider holds that is *not* in this set — is an orphan.
-    pub fn referenced_vids(&self) -> HashSet<VirtualId> {
-        self.chunks
-            .iter()
-            .flat_map(|e| e.objects().map(|(_, vid)| vid))
-            .collect()
+    pub fn referenced_objects(&self) -> HashSet<(usize, VirtualId)> {
+        self.chunks.iter().flat_map(ChunkEntry::objects).collect()
     }
 
     /// Renders the Client Table like the paper's Table II: every client of

@@ -46,13 +46,6 @@ impl VidAllocator {
     pub fn allocated(&self) -> u64 {
         self.next.load(Ordering::Relaxed) - 1
     }
-
-    /// Skips `n` ids without handing them out. Recovery fast-forwards
-    /// past ids a crashed incarnation allocated (and journaled) but never
-    /// persisted a counter for, so they can never be re-issued.
-    pub fn skip(&self, n: u64) {
-        self.next.fetch_add(n, Ordering::Relaxed);
-    }
 }
 
 /// SplitMix64 finalizer — a bijection on u64, so distinct inputs give

@@ -273,7 +273,7 @@ mod tests {
         assert!(call_matches(&site, &pattern("journal_alloc")));
         // Pattern longer than written form: still matches on suffix.
         assert!(call_matches(&site, &pattern("Distributor::journal_alloc")));
-        assert!(!call_matches(&site, &pattern("journal_doom")));
+        assert!(!call_matches(&site, &pattern("journal_begin")));
         let qualified = CallSite {
             segs: vec!["mislead".into(), "inject".into()],
             line: 1,

@@ -17,7 +17,7 @@
 //! `plaintext-escape` taint proof (client bytes must cross
 //! `mislead::inject` or a declared sanitizer before any provider sink), the
 //! `lock-order` shard-lock discipline, and the `journal-ordering`
-//! alloc/doom-before-I/O crash-consistency check.
+//! alloc-before-upload, no-delete-before-commit crash-consistency check.
 //!
 //! The crate is deliberately dependency-free (the build environment has
 //! no registry access): [`tokenizer`] is a small comment/string-aware

@@ -102,10 +102,12 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "journal-ordering",
-        summary: "provider upload/delete not dominated by its journal alloc/doom intent",
-        invariant: "crash consistency: the intent record reaches the journal before \
-                    the provider op, so recovery can enumerate orphans and roll \
-                    half-done ops forward or back",
+        summary: "provider upload not dominated by its journal_alloc, or a provider \
+                  delete inside a bracketed verb body",
+        invariant: "crash consistency: a vid is in its op's rollback set and under a \
+                    durable lease before its upload, and nothing is deleted before \
+                    the commit is durable, so recovery's sweep never meets a row \
+                    naming a gone object and never re-issues a stored vid",
         applies_to_tests: false,
     },
     Rule {

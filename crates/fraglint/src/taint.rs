@@ -132,12 +132,12 @@ pub fn specs(config: &Config) -> Vec<FlowSpec> {
             rule: "journal-ordering",
             sources: Vec::new(),
             source_markers: pats(&["journaled"]),
-            sanitizers: pats(&["journal_doom"]),
+            sanitizers: Vec::new(),
             sink_fns: Vec::new(),
             sink_methods: &["delete"],
-            what: "provider delete precedes the journal doom intent",
-            fix: "record journal_doom before deleting provider objects, so a crash \
-                  mid-removal rolls forward instead of leaking live chunks",
+            what: "provider delete inside a bracketed verb body, before its commit",
+            fix: "hand the object back in the body's doomed list: the bracket deletes \
+                  it once the commit is durable, and recovery sweeps any it could not",
         },
         FlowSpec {
             rule: "verify-before-decode",
@@ -579,33 +579,20 @@ mod tests {
     }
 
     #[test]
-    fn journal_doom_gates_deletes() {
+    fn a_verb_body_never_deletes() {
         let bad = run(&[(
             "crates/core/src/d.rs",
             "impl D {
                 fn remove_impl(&self) {
                     self.journaled(op, c, f, |jctx| {
+                        st.drop_file(c, f);
                         st.providers[i].delete(vid);
-                        self.journal_doom(jctx, &[vid]);
                     })
                 }
             }",
         )]);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].2.contains("delete"));
-
-        let good = run(&[(
-            "crates/core/src/d.rs",
-            "impl D {
-                fn remove_impl(&self) {
-                    self.journaled(op, c, f, |jctx| {
-                        self.journal_doom(jctx, &[vid]);
-                        st.providers[i].delete(vid);
-                    })
-                }
-            }",
-        )]);
-        assert!(good.is_empty(), "{good:?}");
 
         // The bracket deletes what the closure doomed, after the commit:
         // its own delete is not charged to the verbs that call it.
@@ -615,7 +602,7 @@ mod tests {
                 "impl D {
                     fn remove_impl(&self) {
                         self.journaled(op, c, f, |jctx| {
-                            self.journal_doom(jctx, &[vid]);
+                            st.drop_file(c, f);
                             Ok(((), doomed))
                         })
                     }

@@ -6,7 +6,6 @@ pub fn remove_file(d: &Distributor, client: &str, name: &str) -> Result<()> {
     d.journaled(OpKind::Remove, client, name, |jctx| {
         let mut st = d.shard_write(0);
         let doomed = doom(&st, st.file_objects(client, name)?);
-        d.journal_doom(jctx, &vids(&doomed));
         st.drop_file(client, name)?;
         Ok(((), doomed))
     })

@@ -12,7 +12,7 @@ use fragcloud::core::{
     recover, CloudDataDistributor, CoreError, Journal, PrivacyLevel, PutOptions,
 };
 use fragcloud::raid::RaidLevel;
-use fragcloud::sim::{CloudProvider, CostLevel, ProviderProfile};
+use fragcloud::sim::{CloudProvider, CostLevel, ObjectStore, ProviderProfile};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -226,14 +226,18 @@ proptest! {
         }
 
         // Crash: all that survives is the exported journal and the fleet.
-        // No op was in flight, so recovery has nothing to roll either way
-        // and the recovered distributor serves exactly the model.
+        // No op was in flight, so the recovered distributor serves exactly
+        // the model, and its sweep leaves no provider key unreferenced —
+        // a post-commit delete an outage made fail included.
         let text = journal.export();
         drop(session);
         drop(d);
         let parsed = Arc::new(Journal::parse(&text).expect("exported journal parses"));
         let (recovered, report) = recover(parsed, providers.clone(), config).expect("recovers");
-        prop_assert_eq!(report.rolled_back + report.rolled_forward, 0);
+        prop_assert_eq!(report.unrecoverable, 0);
+        let referenced = recovered.referenced_vids();
+        let orphans = providers.iter().flat_map(|p| p.keys()).filter(|v| !referenced.contains(v));
+        prop_assert_eq!(orphans.count(), 0);
         let session = recovered.session("c", "pw").expect("valid pair");
         for (file, chunks) in &model {
             let got = session.get_file(&format!("f{file}")).expect("recovered read");

@@ -255,8 +255,8 @@ fn mutating_verbs_are_spanned_and_journal_ops_are_labeled_by_kind() {
     assert!(reg.spans_balanced());
 
     // Crash an update and a remove_chunk before their first store, and a
-    // removal after its doom record: recovery rolls the chunk-level verbs
-    // back — collecting their fresh vids — and the removal forward.
+    // removal before its rows change: none of them reached its commit, so
+    // recovery rolls all three back and h still reads back.
     session
         .put_file("h", &data, PrivacyLevel::Low, PutOptions::new())
         .unwrap();
@@ -275,16 +275,15 @@ fn mutating_verbs_are_spanned_and_journal_ops_are_labeled_by_kind() {
     let config = *d.config();
     drop(session);
     drop(d);
-    let (_recovered, report) = recover_with(journal, fleet, config, &tel).unwrap();
-    assert_eq!((report.rolled_back, report.rolled_forward), (2, 1));
+    let (recovered, report) = recover_with(journal, fleet, config, &tel).unwrap();
     assert_eq!(report.unrecoverable, 0);
-    for kind in ["update", "rmchunk"] {
-        assert_eq!(reg.counter_value("recovery_ops_rolled_back", kind), 1);
-    }
+    let session = recovered.session("c", "pw").unwrap();
+    assert_eq!(session.get_file("h").unwrap().data, data);
+    assert_eq!(reg.counter_total("recovery_runs_total"), 1);
     assert_eq!(
-        reg.counter_value("recovery_ops_rolled_forward", "remove"),
-        1
+        reg.counter_total("recovery_orphans_collected"),
+        report.orphans_collected as u64
     );
-    assert_eq!(reg.counter_total("recovery_ops_rolled_back"), 2);
-    assert_eq!(reg.counter_total("recovery_ops_rolled_forward"), 1);
+    assert_eq!(reg.counter_total("recovery_unrecoverable"), 0);
+    assert_eq!(reg.span_count("recover"), 1);
 }
