@@ -1334,7 +1334,7 @@ impl CloudDataDistributor {
             // provider where one is eligible.
             let pre_state = self
                 .io
-                .get_with_retry(e.provider_idx, e.vid, Some(e.stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                .get_with_retry(e.provider_idx, e.vid, Some(e.stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 2 (optimistic commit)
                 .0?;
             let eligible = policy::eligible_providers(self.fleet(), e.pl);
             let other = eligible.iter().copied().find(|&i| i != e.provider_idx);
@@ -1394,7 +1394,7 @@ impl CloudDataDistributor {
             // positions for order only; `get_file` will strip them.
             let stored = self
                 .io
-                .get_with_retry(sp, svid, None, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                .get_with_retry(sp, svid, None, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 2 (optimistic commit)
                 .0?;
             if matches!(e.snapshot_mislead.last(), Some(&p) if p >= stored.len()) {
                 let why = format!("{target}: snapshot mislead positions beyond its bytes");

@@ -42,6 +42,14 @@
 //! its checkpoint as a `StateImage`: the same text, held row by row, so
 //! that a delta line is *copied* over the row it names
 //! (`StateImage::fold_line`) instead of the tables being re-exported.
+//!
+//! One row gate decides what a valid row is, for [`import_state`] and
+//! recovery's fold of a delta line (`StateImage::admits`) alike. Its first
+//! half, `RowGate` (and `client_row`), checks a row alone: fields parse,
+//! providers in the fleet, arena indices in range, mislead positions and
+//! stripe geometry. Its second, `check_links`, checks once per shard at
+//! import how rows name each other: stripe slots both ways, roles, and a
+//! file's chunks as its stripes' data members in serial order.
 
 use crate::distributor::CloudDataDistributor;
 use crate::tables::{
@@ -50,7 +58,7 @@ use crate::tables::{
 use crate::{CoreError, PrivacyLevel, Result};
 use fragcloud_raid::RaidLevel;
 use fragcloud_sim::{CloudProvider, VirtualId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -181,90 +189,6 @@ pub(crate) fn chunk_row_into(out: &mut String, c: &ChunkEntry) {
     }
 }
 
-/// Parses the 11 payload fields produced by [`chunk_row_into`]. Provider-index
-/// range checks are the caller's job (delta replay may legitimately see
-/// placeholders filled later).
-pub(crate) fn parse_chunk_fields(f: &[&str], line_no: usize) -> Result<ChunkEntry> {
-    if f.len() != 11 {
-        return Err(bad(line_no, "expected 11 chunk fields"));
-    }
-    let vid = VirtualId(parse_u64(f[0], line_no)?);
-    let pl = parse_pl(f[1], line_no)?;
-    let provider_idx = parse_usize(f[2], line_no)?;
-    let (snapshot_provider_idx, snapshot_vid) = if f[3] == "-" {
-        (None, None)
-    } else {
-        let (i, v) = parse_idx_vid(f[3], line_no)?;
-        (Some(i), Some(v))
-    };
-    let snapshot_mislead = parse_list(f[4], line_no, parse_usize)?;
-    let mislead_positions = parse_list(f[5], line_no, parse_usize)?;
-    let stored_len = parse_usize(f[6], line_no)?;
-    let logical_len = parse_usize(f[7], line_no)?;
-    let stripe = if f[8] == "-" {
-        None
-    } else {
-        let (sid, idx) = f[8]
-            .split_once(':')
-            .ok_or_else(|| bad(line_no, "expected stripe id:index"))?;
-        Some(StripeRef {
-            stripe_id: parse_usize(sid, line_no)?,
-            index: parse_usize(idx, line_no)?,
-        })
-    };
-    let role = match f[9].split_at(1) {
-        ("d", serial) => ChunkRole::Data {
-            serial: serial
-                .parse()
-                .map_err(|_| bad(line_no, "bad data serial"))?,
-        },
-        ("p", index) => ChunkRole::Parity {
-            index: index
-                .parse()
-                .map_err(|_| bad(line_no, "bad parity index"))?,
-        },
-        _ => return Err(bad(line_no, "bad role tag")),
-    };
-    let (removed, replicas) = match f[10].split_once(';') {
-        Some(("live", reps)) => (false, parse_list(reps, line_no, parse_idx_vid)?),
-        None if f[10] == "live" => (false, Vec::new()),
-        None if f[10] == "removed" => (true, Vec::new()),
-        _ => return Err(bad(line_no, "bad liveness tag")),
-    };
-    // `get_file` hands these positions to `mislead::strip`, which asserts
-    // them; a damaged artifact must fail here, typed, not there.
-    let ascending = |p: &[usize]| p.windows(2).all(|w| w[0] < w[1]);
-    if !ascending(&snapshot_mislead) || !ascending(&mislead_positions) {
-        return Err(bad(line_no, "mislead positions not strictly ascending"));
-    }
-    if !removed {
-        if mislead_positions.last().is_some_and(|&p| p >= stored_len) {
-            return Err(bad(line_no, "mislead position beyond stored length"));
-        }
-        if stored_len.checked_sub(mislead_positions.len()) != Some(logical_len) {
-            return Err(bad(
-                line_no,
-                "stored length minus mislead count is not the logical length",
-            ));
-        }
-    }
-    Ok(ChunkEntry {
-        vid,
-        pl,
-        provider_idx,
-        snapshot_provider_idx,
-        snapshot_vid,
-        snapshot_mislead: snapshot_mislead.into(),
-        mislead_positions: mislead_positions.into(),
-        stored_len,
-        logical_len,
-        stripe,
-        role,
-        removed,
-        replicas,
-    })
-}
-
 /// Appends one stripe's 5 payload fields to `out`:
 /// `k|level|width|members|health`.
 pub(crate) fn stripe_row_into(out: &mut String, s: &StripeInfo) {
@@ -274,26 +198,6 @@ pub(crate) fn stripe_row_into(out: &mut String, s: &StripeInfo) {
     out.push_str(if s.degraded { "degraded" } else { "healthy" });
 }
 
-/// Parses the 5 payload fields produced by [`stripe_row_into`]. Member range
-/// checks are the caller's job.
-pub(crate) fn parse_stripe_fields(f: &[&str], line_no: usize) -> Result<StripeInfo> {
-    if f.len() != 5 {
-        return Err(bad(line_no, "expected 5 stripe fields"));
-    }
-    let degraded = match f[4] {
-        "healthy" => false,
-        "degraded" => true,
-        _ => return Err(bad(line_no, "expected stripe health tag")),
-    };
-    Ok(StripeInfo {
-        k: parse_usize(f[0], line_no)?,
-        level: parse_raid(f[1], line_no)?,
-        members: parse_list(f[3], line_no, parse_usize)?,
-        shard_width: parse_usize(f[2], line_no)?,
-        degraded,
-    })
-}
-
 /// Appends one file entry's 4 payload fields to `out`:
 /// `pl|total_len|chunks|stripes`.
 pub(crate) fn file_row_into(out: &mut String, fe: &FileEntry) {
@@ -301,20 +205,6 @@ pub(crate) fn file_row_into(out: &mut String, fe: &FileEntry) {
     push_list(out, fe.chunk_indices.iter());
     out.push('|');
     push_list(out, fe.stripe_ids.iter());
-}
-
-/// Parses the 4 payload fields produced by [`file_row_into`]. Chunk-index
-/// range checks are the caller's job.
-pub(crate) fn parse_file_fields(f: &[&str], line_no: usize) -> Result<FileEntry> {
-    if f.len() != 4 {
-        return Err(bad(line_no, "expected 4 file fields"));
-    }
-    Ok(FileEntry {
-        pl: parse_pl(f[0], line_no)?,
-        total_len: parse_usize(f[1], line_no)?,
-        chunk_indices: parse_list(f[2], line_no, parse_usize)?,
-        stripe_ids: parse_list(f[3], line_no, parse_usize)?,
-    })
 }
 
 /// Appends a client's ⟨password, PL⟩ pairs as `<password>:<pl>,…` — the
@@ -328,16 +218,6 @@ pub(crate) fn passwords_into(out: &mut String, passwords: &[(String, PrivacyLeve
             .iter()
             .map(|(pass, pl)| format!("{}:{}", esc(pass).replace(',', "%2C"), pl.as_u8())),
     );
-}
-
-/// Parses the list [`passwords_into`] wrote.
-pub(crate) fn parse_passwords(s: &str, line_no: usize) -> Result<Vec<(String, PrivacyLevel)>> {
-    parse_list(s, line_no, |item, line_no| {
-        let (pass, pl) = item
-            .rsplit_once(':')
-            .ok_or_else(|| bad(line_no, "expected password:pl"))?;
-        Ok((unesc(&pass.replace("%2C", ",")), parse_pl(pl, line_no)?))
-    })
 }
 
 /// Appends a client's `password|<password>|<pl>` snapshot lines.
@@ -366,9 +246,9 @@ pub fn export_state(d: &CloudDataDistributor) -> String {
 }
 
 /// The most rows a delta may leave unclaimed below the one it writes (the
-/// arena slots of ops still open when its op closed) before recovery calls
-/// the index damage rather than concurrency — it bounds what a corrupt
-/// index can make [`StateImage::fold_line`] allocate.
+/// arena slots of ops still open when its op closed) before the fold
+/// calls the index damage rather than concurrency — it bounds what a
+/// corrupt index can make [`StateImage::fold_line`] allocate.
 const MAX_ARENA_GAP: usize = 1 << 20;
 
 /// The snapshot text held row by row: the journal's checkpoint.
@@ -423,6 +303,17 @@ fn section<'a>(out: &mut String, tag: &str, rows: impl ExactSizeIterator<Item = 
     for r in rows {
         let _ = writeln!(out, "{tag}|{r}");
     }
+}
+
+/// A delta's client list, `<password>:<pl>,…` (see [`passwords_into`]),
+/// as the entry's snapshot `password|<password>|<pl>` lines.
+fn password_lines(list: &str) -> Option<String> {
+    let mut lines = String::new();
+    for item in list.split(',').filter(|item| !item.is_empty()) {
+        let (pass, pl) = item.rsplit_once(':')?;
+        let _ = writeln!(lines, "password|{}|{pl}", pass.replace("%2C", ","));
+    }
+    Some(lines)
 }
 
 /// Splits `<shard>|<rest>` and range-checks the shard.
@@ -493,7 +384,7 @@ impl StateImage {
     /// `filedel` removes, `client` rewrites one directory entry, `vids`
     /// keeps the maximum. Returns `None`, changing nothing, for a line
     /// that names no row of this image: unknown tag, shard out of range, a
-    /// file of a client the directory does not list.
+    /// slot [`MAX_ARENA_GAP`] past the arena, a file of an unknown client.
     pub(crate) fn fold_line(&mut self, line: &str) -> Option<()> {
         let (tag, rest) = line.split_once('|')?;
         match tag {
@@ -508,6 +399,7 @@ impl StateImage {
                 } else {
                     (&mut sh.stripes, PLACEHOLDER_STRIPE_ROW)
                 };
+                (idx < arena.len().saturating_add(MAX_ARENA_GAP)).then_some(())?;
                 if let Some(row) = arena.get_mut(idx) {
                     row.clear();
                     row.push_str(payload);
@@ -529,59 +421,45 @@ impl StateImage {
                 self.shards[shard].files.remove(&file_key(entry)?);
             }
             "client" => {
-                // `<name>|<password>:<pl>,…` (see `passwords_into`) becomes
-                // the entry's `password|<password>|<pl>` lines.
                 let (name, list) = rest.split_once('|')?;
-                let mut lines = String::new();
-                for item in list.split(',').filter(|item| !item.is_empty()) {
-                    let (pass, pl) = item.rsplit_once(':')?;
-                    let _ = writeln!(lines, "password|{}|{pl}", pass.replace("%2C", ","));
-                }
-                self.clients.insert(unesc(name), lines);
+                self.clients.insert(unesc(name), password_lines(list)?);
             }
             _ => return None,
         }
         Some(())
     }
 
-    /// Recovery's gate in front of [`fold_line`](Self::fold_line): whether
-    /// a delta line read back from durable storage is a well-formed row
-    /// that fits this image — field counts, every field parsed by the
-    /// snapshot's own `parse_*_fields`, shard, provider, member and chunk
-    /// indices in range — so that what is folded always imports. The live
-    /// fold skips this: it copies rows this process serialized itself.
+    /// Recovery's gate in front of [`fold_line`](Self::fold_line): a delta
+    /// line's row must pass the row gate against the image folded so far,
+    /// a stripe named up to [`MAX_ARENA_GAP`] past its arena (a delta
+    /// writes an op's chunks before its stripes); links wait for import.
     pub(crate) fn admits(&self, line: &str) -> Option<()> {
-        let f: Vec<&str> = line.split('|').collect();
-        let shard = |s: &str| {
-            let shard: usize = s.parse().ok()?;
-            self.shards.get(shard)
-        };
-        let slot = |s: &str, len: usize| {
-            let idx: usize = s.parse().ok()?;
-            (idx < len.saturating_add(MAX_ARENA_GAP)).then_some(())
-        };
-        let ok = match (f[0], f.len()) {
-            ("vids", 2) => f[1].parse::<u64>().is_ok(),
-            ("chunk", 14) => {
-                slot(f[2], shard(f[1])?.chunks.len())?;
-                parse_chunk_fields(&f[3..], 0).ok()?.provider_idx < self.providers.len()
+        let (tag, rest) = line.split_once('|')?;
+        let ok = match tag {
+            "client" => client_row(&password_lines(rest.split_once('|')?.1)?, 0).is_ok(),
+            "chunk" | "stripe" | "file" => {
+                let (shard, rest) = shard_field(rest, self.shards.len())?;
+                let gate = self.gate(shard, MAX_ARENA_GAP);
+                match tag {
+                    "chunk" => gate.chunk(rest.split_once('|')?.1, 0).is_ok(),
+                    "stripe" => gate.stripe(rest.split_once('|')?.1, 0).is_ok(),
+                    _ => gate.file(rest, 0).is_ok(),
+                }
             }
-            ("stripe", 8) => {
-                let sh = shard(f[1])?;
-                slot(f[2], sh.stripes.len())?;
-                let members = parse_stripe_fields(&f[3..], 0).ok()?.members;
-                members.iter().all(|&m| m < sh.chunks.len())
-            }
-            ("file", 8) => {
-                let chunks = shard(f[1])?.chunks.len();
-                let indices = parse_file_fields(&f[4..], 0).ok()?.chunk_indices;
-                indices.iter().all(|&c| c < chunks) && self.clients.contains_key(&unesc(f[2]))
-            }
-            ("filedel", 4) => shard(f[1]).is_some(),
-            ("client", 3) => parse_passwords(f[2], 0).is_ok(),
-            _ => false,
+            _ => true,
         };
         ok.then_some(())
+    }
+
+    /// The row gate of shard `shard`, stripes `stripe_slack` past its arena.
+    fn gate(&self, shard: usize, stripe_slack: usize) -> RowGate<'_> {
+        let sh = &self.shards[shard];
+        RowGate {
+            providers: self.providers.len(),
+            chunks: sh.chunks.len(),
+            stripes: sh.stripes.len().saturating_add(stripe_slack),
+            clients: &self.clients,
+        }
     }
 
     /// The `fragcloud-state|v2` text of this image, which is what
@@ -746,6 +624,197 @@ fn parse_list<T>(s: &str, line_no: usize, f: impl Fn(&str, usize) -> Result<T>) 
     s.split(',').map(|x| f(x, line_no)).collect()
 }
 
+/// The row gate's first half (see the module doc): a row of one shard
+/// names only the fleet's providers, its arenas' rows and known clients.
+struct RowGate<'a> {
+    providers: usize,
+    chunks: usize,
+    stripes: usize,
+    clients: &'a BTreeMap<String, String>,
+}
+
+impl RowGate<'_> {
+    /// The 11 fields of [`chunk_row_into`]: providers in the fleet, the
+    /// stripe in the arena, mislead positions that `mislead::strip` takes.
+    fn chunk(&self, row: &str, line_no: usize) -> Result<ChunkEntry> {
+        let f: Vec<&str> = row.split('|').collect();
+        if f.len() != 11 {
+            return Err(bad(line_no, "expected 11 chunk fields"));
+        }
+        let (snapshot_provider_idx, snapshot_vid) = match f[3] {
+            "-" => (None, None),
+            s => parse_idx_vid(s, line_no).map(|(i, v)| (Some(i), Some(v)))?,
+        };
+        let stripe = match f[8].split_once(':') {
+            None if f[8] == "-" => None,
+            Some((sid, idx)) => Some(StripeRef {
+                stripe_id: parse_usize(sid, line_no)?,
+                index: parse_usize(idx, line_no)?,
+            }),
+            None => return Err(bad(line_no, "expected stripe id:index")),
+        };
+        let role = match f[9].split_at_checked(1) {
+            Some(("d", serial)) => serial.parse().ok().map(|serial| ChunkRole::Data { serial }),
+            Some(("p", index)) => index.parse().ok().map(|index| ChunkRole::Parity { index }),
+            _ => None,
+        };
+        let role = role.ok_or_else(|| bad(line_no, "bad role tag"))?;
+        let (removed, replicas) = match f[10].split_once(';') {
+            Some(("live", reps)) => (false, parse_list(reps, line_no, parse_idx_vid)?),
+            None if f[10] == "live" => (false, Vec::new()),
+            None if f[10] == "removed" => (true, Vec::new()),
+            _ => return Err(bad(line_no, "bad liveness tag")),
+        };
+        let provider_idx = parse_usize(f[2], line_no)?;
+        let snapshot_mislead = parse_list(f[4], line_no, parse_usize)?;
+        let mislead_positions = parse_list(f[5], line_no, parse_usize)?;
+        let stored_len = parse_usize(f[6], line_no)?;
+        let logical_len = parse_usize(f[7], line_no)?;
+        let mut named = replicas.iter().map(|r| r.0).chain(snapshot_provider_idx);
+        if provider_idx >= self.providers || named.any(|p| p >= self.providers) {
+            return Err(bad(line_no, "provider index out of range"));
+        }
+        if stripe.is_some_and(|at| at.stripe_id >= self.stripes) {
+            return Err(bad(line_no, "stripe index out of range"));
+        }
+        let ascending = |p: &[usize]| p.windows(2).all(|w| w[0] < w[1]);
+        if !ascending(&snapshot_mislead) || !ascending(&mislead_positions) {
+            return Err(bad(line_no, "mislead positions not strictly ascending"));
+        }
+        if !removed {
+            if mislead_positions.last().is_some_and(|&p| p >= stored_len) {
+                return Err(bad(line_no, "mislead position beyond stored length"));
+            }
+            if stored_len.checked_sub(mislead_positions.len()) != Some(logical_len) {
+                return Err(bad(line_no, "mislead count does not match the lengths"));
+            }
+        }
+        Ok(ChunkEntry {
+            vid: VirtualId(parse_u64(f[0], line_no)?),
+            pl: parse_pl(f[1], line_no)?,
+            provider_idx,
+            snapshot_provider_idx,
+            snapshot_vid,
+            snapshot_mislead: snapshot_mislead.into(),
+            mislead_positions: mislead_positions.into(),
+            stored_len,
+            logical_len,
+            stripe,
+            role,
+            removed,
+            replicas,
+        })
+    }
+
+    /// The 5 fields of [`stripe_row_into`]: distinct members in the arena,
+    /// `k ≥ 1` data then the level's parity — or none at all, `k` 0.
+    fn stripe(&self, row: &str, line_no: usize) -> Result<StripeInfo> {
+        let f: Vec<&str> = row.split('|').collect();
+        if f.len() != 5 {
+            return Err(bad(line_no, "expected 5 stripe fields"));
+        }
+        let degraded = match f[4] {
+            "healthy" => false,
+            "degraded" => true,
+            _ => return Err(bad(line_no, "expected stripe health tag")),
+        };
+        let (k, level) = (parse_usize(f[0], line_no)?, parse_raid(f[1], line_no)?);
+        let members = parse_list(f[3], line_no, parse_usize)?;
+        let width = k.checked_add(level.parity_shards());
+        let distinct: HashSet<&usize> = members.iter().collect();
+        if width != Some(members.len()) || (k == 0 && width != Some(0)) {
+            return Err(bad(line_no, "stripe width is not k ≥ 1 plus parity"));
+        }
+        if members.iter().any(|&m| m >= self.chunks) || distinct.len() < members.len() {
+            return Err(bad(line_no, "stripe members out of range or repeated"));
+        }
+        Ok(StripeInfo {
+            k,
+            level,
+            members,
+            shard_width: parse_usize(f[2], line_no)?,
+            degraded,
+        })
+    }
+
+    /// `<client>|<name>|` and the 4 fields of [`file_row_into`]: a client
+    /// the directory lists, chunk and stripe indices in the arenas.
+    fn file(&self, row: &str, line_no: usize) -> Result<FileEntry> {
+        let f: Vec<&str> = row.split('|').collect();
+        if f.len() != 6 {
+            return Err(bad(line_no, "expected file record"));
+        }
+        if !self.clients.contains_key(&unesc(f[0])) {
+            return Err(bad(line_no, "file for unknown client"));
+        }
+        let chunk_indices = parse_list(f[4], line_no, parse_usize)?;
+        let stripe_ids = parse_list(f[5], line_no, parse_usize)?;
+        let out_of = |ids: &[usize], len: usize| ids.iter().any(|&i| i >= len);
+        if out_of(&chunk_indices, self.chunks) || out_of(&stripe_ids, self.stripes) {
+            return Err(bad(line_no, "file index out of range"));
+        }
+        Ok(FileEntry {
+            pl: parse_pl(f[2], line_no)?,
+            total_len: parse_usize(f[3], line_no)?,
+            chunk_indices,
+            stripe_ids,
+        })
+    }
+}
+
+/// A directory row: its `password|<password>|<pl>` lines, from `line_no + 1`.
+fn client_row(passwords: &str, line_no: usize) -> Result<ClientEntry> {
+    let mut entry = ClientEntry::default();
+    for (k, line) in passwords.lines().enumerate() {
+        let f: Vec<&str> = line.split('|').collect();
+        if f.len() != 3 || f[0] != "password" {
+            return Err(bad(line_no + 1 + k, "expected password record"));
+        }
+        let pl = parse_pl(f[2], line_no + 1 + k)?;
+        entry.passwords.push((unesc(f[1]), pl));
+    }
+    Ok(entry)
+}
+
+/// The row gate's second half, over a shard's gated rows: a chunk sits in
+/// its stripe slot for its role and each member points back; a file's
+/// chunks are its stripes' data members, serial by serial.
+fn check_links<'a>(
+    chunks: &[ChunkEntry],
+    stripes: &[StripeInfo],
+    files: impl Iterator<Item = &'a FileEntry>,
+    first: [usize; 3],
+) -> Result<()> {
+    for (i, c) in chunks.iter().enumerate() {
+        let Some(at) = c.stripe else { continue };
+        let s = &stripes[at.stripe_id];
+        let slot = match c.role {
+            ChunkRole::Data { .. } => at.index < s.k,
+            ChunkRole::Parity { index } => at.index == s.k + usize::from(index),
+        };
+        if !slot || s.members.get(at.index) != Some(&i) {
+            return Err(bad(first[0] + i, "chunk is not in its stripe slot"));
+        }
+    }
+    for (j, s) in stripes.iter().enumerate() {
+        for (index, &m) in s.members.iter().enumerate() {
+            if chunks[m].stripe.map(|at| (at.stripe_id, at.index)) != Some((j, index)) {
+                return Err(bad(first[1] + j, "stripe member is not in its slot"));
+            }
+        }
+    }
+    for (n, fe) in files.enumerate() {
+        let mut data = (fe.stripe_ids.iter()).flat_map(|&s| &stripes[s].members[..stripes[s].k]);
+        let linked = (fe.chunk_indices.iter().enumerate()).all(|(s, &c)| {
+            data.next() == Some(&c) && chunks[c].role == ChunkRole::Data { serial: s as u32 }
+        });
+        if !linked || data.next().is_some() || fe.stripe_ids.iter().any(|&s| stripes[s].k == 0) {
+            return Err(bad(first[2] + n, "file chunks do not match its stripes"));
+        }
+    }
+    Ok(())
+}
+
 /// Reconstructs table state from a snapshot, re-binding live provider
 /// handles **by name**. The fleet must contain every provider the snapshot
 /// references, in any order. The snapshot's shard layout is preserved
@@ -788,63 +857,34 @@ pub(crate) fn import_image(
     let mut directory = Directory::with_capacity(image.clients.len());
     for (name, passwords) in &image.clients {
         line_no += 1;
-        let mut entry = ClientEntry::default();
-        for line in passwords.lines() {
-            line_no += 1;
-            let f: Vec<&str> = line.split('|').collect();
-            if f.len() != 3 {
-                return Err(bad(line_no, "expected password record"));
-            }
-            entry
-                .passwords
-                .push((unesc(f[1]), parse_pl(f[2], line_no)?));
-        }
-        directory.insert(name.clone(), entry);
+        directory.insert(name.clone(), client_row(passwords, line_no)?);
+        line_no += passwords.lines().count();
     }
 
-    // Per-shard tables: the rows each partitions.
+    // Per-shard tables: the rows each partitions, each through the gate.
     let mut shards: Vec<Tables> = Vec::with_capacity(image.shards.len());
-    for sh in &image.shards {
+    for (si, sh) in image.shards.iter().enumerate() {
+        let gate = image.gate(si, 0);
+        // The first chunk, stripe and file row: past `shard|`, `chunks|`,
+        // the chunks, `stripes|`, the stripes and `files|`.
+        let stripes_at = line_no + 4 + sh.chunks.len();
+        let first = [line_no + 3, stripes_at, stripes_at + sh.stripes.len() + 1];
+        line_no = first[2] + sh.files.len() - 1;
+        let chunks = (sh.chunks.iter().enumerate())
+            .map(|(i, row)| gate.chunk(row, first[0] + i))
+            .collect::<Result<Vec<_>>>()?;
+        let stripes = (sh.stripes.iter().enumerate())
+            .map(|(j, row)| gate.stripe(row, first[1] + j))
+            .collect::<Result<Vec<_>>>()?;
+        let files = (sh.files.iter().enumerate())
+            .map(|(n, (key, row))| Ok((key, gate.file(row, first[2] + n)?)))
+            .collect::<Result<Vec<_>>>()?;
+        check_links(&chunks, &stripes, files.iter().map(|(_, fe)| fe), first)?;
         let mut tables = Tables::default();
-
-        line_no += 2; // `shard|`, `chunks|`
-        for row in &sh.chunks {
-            line_no += 1;
-            let f: Vec<&str> = row.split('|').collect();
-            let c = parse_chunk_fields(&f, line_no)?;
-            if c.provider_idx >= ordered.len() {
-                return Err(bad(line_no, "provider index out of range"));
-            }
-            tables.chunks.push(c);
-        }
-
-        line_no += 1; // `stripes|`
-        for row in &sh.stripes {
-            line_no += 1;
-            let f: Vec<&str> = row.split('|').collect();
-            let s = parse_stripe_fields(&f, line_no)?;
-            if s.members.iter().any(|&m| m >= tables.chunks.len()) {
-                return Err(bad(line_no, "stripe member out of range"));
-            }
-            tables.stripes.push(s);
-        }
-
-        line_no += 1; // `files|`
-        for ((cname, fname), row) in &sh.files {
-            line_no += 1;
-            let f: Vec<&str> = row.split('|').collect();
-            if f.len() != 6 {
-                return Err(bad(line_no, "expected file record"));
-            }
-            let fe = parse_file_fields(&f[2..], line_no)?;
-            if fe.chunk_indices.iter().any(|&c| c >= tables.chunks.len()) {
-                return Err(bad(line_no, "file chunk index out of range"));
-            }
-            if !directory.contains_key(cname) {
-                return Err(bad(line_no, "file for unknown client"));
-            }
-            let files = tables.files.entry(cname.clone()).or_default();
-            files.insert(fname.clone(), fe);
+        (tables.chunks, tables.stripes) = (chunks, stripes);
+        for ((cname, fname), fe) in files {
+            let client = tables.files.entry(cname.clone()).or_default();
+            client.insert(fname.clone(), fe);
         }
         shards.push(tables);
     }
@@ -1049,8 +1089,8 @@ mod tests {
             "vids|9",
             "vids|5",                               // the maximum stays
             "chunk|1|0|7|1|0|-|||0|0|-|d0|removed", // in place
-            "chunk|0|2|8|2|0|-|||4|4|0:0|d0|live",  // a gap of two below it
-            "stripe|0|1|1|raid5|4|2|degraded",      // a gap of one
+            "chunk|0|2|8|2|0|-|||4|4|1:0|d0|live",  // a gap of two below it
+            "stripe|0|1|1|none|4|2|degraded",       // a gap of one
             "filedel|1|c%7C1|f",
             "filedel|1|c%7C1|never-there",
             "file|0|c%7C1|g%7Ch|2|4|2|1",
@@ -1064,13 +1104,14 @@ mod tests {
             "fragcloud-state|v2\nvids|9\nshards|2\nproviders|1\nprovider|cp0\n\
              clients|2\nclient|c%7C1\nclient|late\npassword|p,w%7C|2\npassword|q|0\n\
              shard|0\nchunks|3\nchunk|{filler}\nchunk|{filler}\n\
-             chunk|8|2|0|-|||4|4|0:0|d0|live\n\
-             stripes|2\nstripe|{PLACEHOLDER_STRIPE_ROW}\nstripe|1|raid5|4|2|degraded\n\
+             chunk|8|2|0|-|||4|4|1:0|d0|live\n\
+             stripes|2\nstripe|{PLACEHOLDER_STRIPE_ROW}\nstripe|1|none|4|2|degraded\n\
              files|1\nfile|c%7C1|g%7Ch|2|4|2|1\n\
              shard|1\nchunks|1\nchunk|7|1|0|-|||0|0|-|d0|removed\nstripes|0\nfiles|0\nend\n"
         );
         assert_eq!(image.render(), want);
-        // What the fold leaves imports: placeholders parse as rows.
+        // What the fold leaves imports: placeholders pass the row gate,
+        // and its links, as long as no row names them.
         let d = import_image(&image, fleet(), config()).unwrap();
         assert_eq!(export_state(&d), want);
         assert!(d.session("late", "p,w|").is_ok());
@@ -1194,56 +1235,178 @@ mod tests {
         assert!(err.to_string().contains("corrupt state at line 1"));
     }
 
+    /// One field of one row, damaged: a row of `tag` that `pick` accepts
+    /// (its `|`-split line) gets `edit`, and import must refuse it as
+    /// `CorruptState` naming the line of that row, for `why`.
+    struct Tamper {
+        tag: &'static str,
+        pick: fn(&[&str]) -> bool,
+        edit: fn(&mut Vec<String>),
+        why: &'static str,
+    }
+
+    /// A live chunk line with mislead positions.
+    fn live_positions(f: &[&str]) -> bool {
+        f[11].starts_with("live") && !f[6].is_empty()
+    }
+
+    /// Rewrites a chunk line's mislead positions; `edit` also gets the
+    /// stored length.
+    fn edit_positions(f: &mut [String], edit: fn(&mut Vec<usize>, usize)) {
+        let mut positions: Vec<usize> = f[6].split(',').map(|p| p.parse().unwrap()).collect();
+        edit(&mut positions, f[7].parse().unwrap());
+        let positions: Vec<String> = positions.iter().map(usize::to_string).collect();
+        f[6] = positions.join(",");
+    }
+
+    /// Regression: each of these imported, and the next verb indexed past
+    /// a table or the fleet and panicked (the mislead cases inside
+    /// `mislead::strip`; a stripe ref past the arena in a get or an
+    /// update; a slot past the stripe's width in a get; a snapshot or
+    /// replica provider past the fleet in `ensure_online`; a stripe
+    /// narrower than `k` plus its parity in the parity plan's
+    /// `members.len() - k`; a file's stripe past the arena in
+    /// `remove_file`). Now no verb sees them: the row gate refuses one
+    /// row's fields, the link check the rows that disagree.
     #[test]
-    fn import_rejects_tampered_mislead_positions() {
-        // Regression: positions were parsed unchecked, so a damaged row
-        // imported fine and the next get_file panicked inside strip.
+    fn import_rejects_a_tampered_field_of_any_row() {
         let providers = fleet();
-        let d = CloudDataDistributor::try_new(providers.clone(), config()).expect("valid config");
-        d.register_client("c").unwrap();
-        d.add_password("c", "p", PrivacyLevel::High).unwrap();
-        d.session("c", "p")
-            .unwrap()
-            .put_file("f", &body(64), PrivacyLevel::Low, PutOptions::default())
-            .unwrap();
-        let snapshot = export_state(&d);
+        let snapshot = export_state(&every_row_shape());
         assert!(import_state(&snapshot, providers.clone(), config()).is_ok());
 
-        // The one data chunk: 64 logical + ⌈64·0.05⌉ = 4 decoys = 68 stored.
-        let (row_no, row) = snapshot
-            .lines()
-            .enumerate()
-            .find(|(_, l)| l.starts_with("chunk|") && l.contains("|68|64|"))
-            .expect("data chunk row");
-        let fields: Vec<&str> = row.split('|').collect();
-        let positions: Vec<usize> = fields[6].split(',').map(|p| p.parse().unwrap()).collect();
-        assert_eq!(positions.len(), 4);
-        let join = |p: &[usize]| {
-            p.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let mut beyond = positions.clone();
-        beyond[3] = 68;
-        let mut unsorted = positions.clone();
-        unsorted[3] = unsorted[2];
-        let dropped = &positions[..3];
-        for (bad_positions, why) in [
-            (join(&beyond), "beyond stored length"),
-            (join(&unsorted), "ascending"),
-            (join(dropped), "logical length"),
-        ] {
-            let mut tampered = fields.clone();
-            tampered[6] = &bad_positions;
-            let tampered = snapshot.replace(row, &tampered.join("|"));
+        let cases = [
+            Tamper {
+                tag: "chunk",
+                pick: live_positions,
+                edit: |f| edit_positions(f, |p, stored| *p.last_mut().unwrap() = stored),
+                why: "beyond stored length",
+            },
+            Tamper {
+                tag: "chunk",
+                pick: |f| live_positions(f) && f[6].contains(','),
+                edit: |f| {
+                    edit_positions(f, |p, _| {
+                        let n = p.len();
+                        p[n - 1] = p[n - 2];
+                    })
+                },
+                why: "ascending",
+            },
+            Tamper {
+                tag: "chunk",
+                pick: live_positions,
+                edit: |f| edit_positions(f, |p, _| p.truncate(p.len() - 1)),
+                why: "does not match the lengths",
+            },
+            Tamper {
+                tag: "chunk",
+                pick: |_| true,
+                edit: |f| f[3] = "6".into(),
+                why: "provider index out of range",
+            },
+            Tamper {
+                tag: "chunk",
+                pick: |f| f[4] != "-",
+                edit: |f| f[4] = format!("6:{}", f[4].split_once(':').unwrap().1),
+                why: "provider index out of range",
+            },
+            Tamper {
+                tag: "chunk",
+                pick: |f| f[11].starts_with("live;"),
+                edit: |f| f[11] = f[11].replacen("live;", "live;6:0,", 1),
+                why: "provider index out of range",
+            },
+            Tamper {
+                tag: "chunk",
+                pick: |f| f[9] != "-",
+                edit: |f| f[9] = "999:0".into(),
+                why: "stripe index out of range",
+            },
+            Tamper {
+                tag: "chunk",
+                pick: |f| f[9] != "-",
+                edit: |f| f[9] = format!("{}:9", f[9].split_once(':').unwrap().0),
+                why: "not in its stripe slot",
+            },
+            Tamper {
+                tag: "chunk",
+                pick: |f| f[10] == "p0",
+                edit: |f| f[10] = "d0".into(),
+                why: "not in its stripe slot",
+            },
+            Tamper {
+                tag: "stripe",
+                pick: |f| f[2] == "raid5",
+                edit: |f| f[1] = "7".into(),
+                why: "width is not k",
+            },
+            Tamper {
+                tag: "stripe",
+                pick: |f| f[2] == "raid5",
+                edit: |f| f[2] = "rs5".into(),
+                why: "width is not k",
+            },
+            Tamper {
+                tag: "stripe",
+                pick: |_| true,
+                edit: |f| f[4] = format!("{},0", f[4]),
+                why: "width is not k",
+            },
+            Tamper {
+                tag: "stripe",
+                pick: |_| true,
+                edit: |f| {
+                    let mut members: Vec<&str> = f[4].split(',').collect();
+                    members[1] = members[0];
+                    f[4] = members.join(",");
+                },
+                why: "repeated",
+            },
+            Tamper {
+                tag: "stripe",
+                pick: |_| true,
+                edit: |f| f[4] = format!("999{}", &f[4][f[4].find(',').unwrap()..]),
+                why: "members out of range",
+            },
+            Tamper {
+                tag: "file",
+                pick: |f| !f[6].is_empty(),
+                edit: |f| f[6] = "999".into(),
+                why: "file index out of range",
+            },
+            Tamper {
+                tag: "file",
+                pick: |f| f[5].contains(','),
+                edit: |f| {
+                    let mut chunks: Vec<&str> = f[5].split(',').collect();
+                    chunks.swap(0, 1);
+                    f[5] = chunks.join(",");
+                },
+                why: "do not match its stripes",
+            },
+        ];
+        for case in &cases {
+            let (row_no, row) = (snapshot.lines().enumerate())
+                .find(|(_, l)| {
+                    let f: Vec<&str> = l.split('|').collect();
+                    f[0] == case.tag && (case.pick)(&f)
+                })
+                .unwrap_or_else(|| panic!("no {} row for {:?}", case.tag, case.why));
+            let mut fields: Vec<String> = row.split('|').map(str::to_string).collect();
+            (case.edit)(&mut fields);
+            let tampered = snapshot.replacen(row, &fields.join("|"), 1);
+            assert_ne!(tampered, snapshot, "{:?} changed nothing", case.why);
             match import_state(&tampered, providers.clone(), config()) {
-                Err(CoreError::CorruptState { line, why: got }) => {
-                    assert_eq!(line, row_no + 1);
-                    assert!(got.contains(why), "{got:?} should mention {why:?}");
+                Err(CoreError::CorruptState { line, why }) => {
+                    assert_eq!(line, row_no + 1, "{why}");
+                    assert!(
+                        why.contains(case.why),
+                        "{why:?} should mention {:?}",
+                        case.why
+                    );
                 }
                 Err(other) => panic!("expected CorruptState, got {other:?}"),
-                Ok(_) => panic!("tampered snapshot ({why}) must not import"),
+                Ok(_) => panic!("{}: {:?} must not import", fields.join("|"), case.why),
             }
         }
     }

@@ -42,8 +42,8 @@ impl CloudDataDistributor {
     /// concealment, matching `repair`). Ordering is copy → table switch →
     /// commit record (under the shard guard) → source delete, so a crash
     /// at any instant leaves at least one live, table-referenced copy;
-    /// with a journal attached, a post-commit straggler at the source is
-    /// doomed in the journal and garbage-collected by recovery.
+    /// a straggler at the source that no row names any more is collected
+    /// by the next recovery's sweep.
     pub fn migrate_chunk(
         &self,
         client: &str,
@@ -95,10 +95,10 @@ impl CloudDataDistributor {
             let stored_len = st.chunks[chunk_idx].stored_len;
             let payload = self
                 .io()
-                .get_with_retry(source_provider, old_vid, Some(stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                .get_with_retry(source_provider, old_vid, Some(stored_len), &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 2 (optimistic commit)
                 .0?;
             self.io()
-                .put_with_retry(target_provider, new_vid, &payload, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 3b
+                .put_with_retry(target_provider, new_vid, &payload, &tel) // fraglint: allow(lock-order) — shard lock held across the boundary call until item 2 (optimistic commit)
                 .0?;
             self.crash_point()?;
             st.chunks[chunk_idx].vid = new_vid;

@@ -17,8 +17,8 @@
 //!    `StateImage::fold_line`) — then the lease, as a `vids|` row that
 //!    keeps its maximum, so the recovered allocator can never re-issue a
 //!    vid the crashed process may have stored under. The folded image is
-//!    imported, once. Each row is validated before it is folded; one that
-//!    is malformed or out of range is refused and counted.
+//!    imported, once, through `persist`'s row gate: a malformed row is
+//!    refused and counted, rows that do not link up fail the import.
 //! 2. **List** each online provider's keys (`ObjectStore::keys`).
 //! 3. **Delete** every ⟨provider, vid⟩ that no recovered row's
 //!    [`ChunkEntry::objects`](crate::tables::ChunkEntry::objects) names:
@@ -72,8 +72,8 @@ pub struct RecoveryReport {
 /// re-attached to the returned distributor — its checkpoint re-seeded
 /// from the recovered tables — and operation, and journaling, can resume.
 ///
-/// Fails only when the folded checkpoint cannot be imported (corrupt
-/// snapshot, missing provider, invalid config), a delta carries a
+/// Fails only when the folded checkpoint cannot be imported (corrupt or
+/// unlinked rows, missing provider, invalid config), a delta carries a
 /// `full|` row, or a `v2` journal holds a dangling chunk-level op that
 /// overwrote objects in place; other trouble is reported, not raised.
 pub fn recover(

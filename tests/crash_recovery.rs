@@ -1182,6 +1182,7 @@ fn bad_delta_rows_are_counted_and_recovery_still_succeeds() {
         .lines()
         .find(|line| line.starts_with("commit|"))
         .expect("the put's commit record");
+    let sh = put_shard(commit);
     let good_chunk = "7|1|0|-|||10|10|-|d0|live";
     let bad_rows = [
         "nonsense|1".to_string(),
@@ -1195,6 +1196,16 @@ fn bad_delta_rows_are_counted_and_recovery_still_succeeds() {
         "file|0|nobody|ghost|1|10||".to_string(),
         "filedel|99|c|solo".to_string(),
         "client|eve|pw-without-a-level".to_string(),
+        // Rows of the put's own shard whose every index is in its arenas,
+        // each still not a row: a snapshot or replica provider past the
+        // fleet, a stripe whose width is not `k` plus its parity, one
+        // listing a member twice, a file's stripe past any arena.
+        format!("chunk|{sh}|3|7|1|0|99:5|||10|10|-|d0|live"),
+        format!("chunk|{sh}|3|7|1|0|-|||10|10|-|d0|live;99:5"),
+        format!("stripe|{sh}|1|5|raid5|68|0,1,2|healthy"),
+        format!("stripe|{sh}|1|2|rs5|68|0,1,2|healthy"),
+        format!("stripe|{sh}|1|2|raid5|68|0,0,1|healthy"),
+        format!("file|{sh}|c|ghost|1|10|0|99999999999"),
     ];
     let inline = format!("{commit}{}", esc(&(bad_rows.join("\n") + "\n")));
     let journal = Arc::new(Journal::parse(&text.replace(commit, &inline)).unwrap());
@@ -1203,6 +1214,59 @@ fn bad_delta_rows_are_counted_and_recovery_still_succeeds() {
     assert_eq!(report.orphans_collected, 0);
     assert_chunks(&d, &l.acked, "bad rows beside good ones");
     assert!(d.client_chunks_per_provider("eve").is_err());
+}
+
+/// The table shard of the `solo` put whose commit record is `commit`.
+fn put_shard(commit: &str) -> String {
+    let delta = unesc(commit);
+    let file_row = delta
+        .lines()
+        .find_map(|l| l.strip_prefix("file|")?.split_once('|'));
+    file_row.expect("the put's file row").0.to_string()
+}
+
+/// [`esc`] undone.
+fn unesc(s: &str) -> String {
+    s.replace("%0A", "\n")
+        .replace("%7C", "|")
+        .replace("%25", "%")
+}
+
+/// Regression: a delta row each of whose fields is fine alone, but which
+/// disagrees with the rows it names, was folded, imported, and reported
+/// as `unrecoverable: 0`; the next verb then indexed past the stripe
+/// arena (the file re-pointed at stripe 99: `remove_file` panicked) or
+/// read the wrong stripe slot (the chunk moved to its peer's slot). Now
+/// the folded image's import refuses it, so `recover` fails typed.
+#[test]
+fn a_delta_row_that_breaks_a_link_fails_recovery_with_corrupt_state() {
+    let w = world(Arc::new(CrashPlan::count_only()));
+    one_windowed_put(&w, &mut Ledger::default()).unwrap();
+    let text = w.journal.export();
+    let commit = text
+        .lines()
+        .find(|line| line.starts_with("commit|"))
+        .expect("the put's commit record");
+    let (head, delta) = commit.rsplit_once('|').unwrap();
+    let delta = unesc(delta);
+    let relink = [
+        |row: &str| match row.strip_prefix("file|") {
+            Some(rest) => format!("file|{}|99", rest.rsplit_once('|').unwrap().0),
+            None => row.to_string(),
+        },
+        |row: &str| row.replacen("|0:0|d0|", "|0:1|d0|", 1),
+    ];
+    for edit in relink {
+        let edited: String = delta.lines().map(|row| edit(row) + "\n").collect();
+        assert_ne!(edited, delta);
+        let damaged = text.replace(commit, &format!("{head}|{}", esc(&edited)));
+        let journal = Arc::new(Journal::parse(&damaged).unwrap());
+        match recover(journal, w.fleet.clone(), w.cfg) {
+            Err(CoreError::CorruptState { line, .. }) => assert!(line > 0),
+            Err(e) => panic!("expected CorruptState, got {e}"),
+            Ok((_, report)) => panic!("a broken link recovered: {report:?}"),
+        }
+    }
 }
 
 /// A journal written by the commit before compaction became a fold —
