@@ -27,7 +27,7 @@ use crate::config::{DistributorConfig, Geometry};
 use crate::health::{self, HealthTracker};
 use crate::journal::{Journal, OpKind};
 use crate::mislead;
-use crate::mutation::{Doomed, OpCtx};
+use crate::mutation::{Doomed, OpCtx, Reclaimer};
 use crate::objectio::{Boundary, Framed, ShardBuf, StripeReadSet, StripeRows};
 use crate::persist;
 use crate::policy;
@@ -196,8 +196,8 @@ pub(crate) fn chunk_target(filename: &str, serial: u32) -> String {
 }
 
 /// Pre-check of a mutation's write set: every provider it will store to
-/// or delete from must be reachable **before** the first store, so an
-/// outage fails the verb with nothing changed.
+/// must be reachable **before** the first store, so an outage fails the
+/// verb with nothing changed.
 fn ensure_online(
     fleet: &[Arc<CloudProvider>],
     providers: impl IntoIterator<Item = usize>,
@@ -256,6 +256,8 @@ pub struct CloudDataDistributor {
     journal: RwLock<Option<Arc<Journal>>>,
     /// Sim-only crash-injection plan (see [`Self::set_crash_plan`]).
     crash: RwLock<Option<Arc<CrashPlan>>>,
+    /// Objects no row names, queued for deletion ([`crate::mutation`]).
+    pub(crate) reclaimer: Reclaimer,
 }
 
 /// One stripe's worth of encoded shards, produced by
@@ -381,6 +383,7 @@ impl CloudDataDistributor {
             pool: OnceLock::new(),
             journal: RwLock::new(None),
             crash: RwLock::new(None),
+            reclaimer: Reclaimer::default(),
         })
     }
 
@@ -1295,10 +1298,10 @@ impl CloudDataDistributor {
     // write lock each reads what it needs and allocates a fresh vid for
     // every object it will store (`chunk_stores`), handed to
     // `journal_alloc` before the first store; `apply_chunk_stores` re-plans the stripe's parity,
-    // checks that every provider it stores to or deletes from is reachable
-    // (a failure up to here has stored nothing), stores, and only then
-    // switches the rows to the new vids. The objects the rows named before
-    // are the verb's doom list, which the bracket (`journaled`) deletes
+    // checks that every provider it stores to is reachable (a failure up
+    // to here has stored nothing), stores, and only then switches the rows
+    // to the new vids. The objects the rows named before are the verb's
+    // doom list, which the bracket (`journaled`) hands to the reclaimer
     // once the commit is durable. A verb that fails or crashes before its
     // commit leaves its rows as they were and its fresh vids named by no
     // row: the bracket's rollback, or recovery, collects them.
@@ -1477,17 +1480,16 @@ impl CloudDataDistributor {
     /// The parity plan, the stores and the row switch of a chunk-level
     /// verb. Parity is re-planned over `stores.stored`, the chunk's new
     /// stored bytes (a removal's are empty: its slot turns to zeros), and
-    /// every provider the verb stores to or deletes from must be online.
+    /// every provider the verb stores to must be online.
     /// Then every object of `stores` goes to its provider under its fresh
     /// vid through the boundary — a crash window before the first store
     /// and after each — and no row changes until all have landed, so a
     /// failure leaves only vids no row names. Then the objects the rows
     /// name now (the chunk's [`objects`](ChunkEntry::objects), the
-    /// re-planned parity members') are journaled doomed and the rows
-    /// pointed at the fresh ones: data vid, replicas and stored length,
-    /// snapshot, parity vids and lengths, the stripe's width. Returns the
-    /// doomed for the post-commit delete; the verb sets the rest of the
-    /// data row.
+    /// re-planned parity members') are doomed and the rows pointed at the
+    /// fresh ones: data vid, replicas and stored length, snapshot, parity
+    /// vids and lengths, the stripe's width. Returns the doomed for the
+    /// post-commit reclaim; the verb sets the rest of the data row.
     fn apply_chunk_stores(
         &self,
         st: &mut Tables,
@@ -1496,9 +1498,8 @@ impl CloudDataDistributor {
         ctx: &OpCtx,
     ) -> Result<Doomed> {
         let plan = self.plan_parity(st, chunk_idx, &stores.stored)?;
-        let objects = st.chunks[chunk_idx].objects().map(|(p, _)| p);
-        let snapshot = stores.snapshot.map(|(p, _)| p);
-        ensure_online(self.fleet(), objects.chain(snapshot))?;
+        let copies = stores.copies.iter().map(|&(p, _)| p);
+        ensure_online(self.fleet(), copies.chain(stores.snapshot.map(|(p, _)| p)))?;
 
         let tel = self.telemetry();
         let copies = (stores.copies.iter()).map(|&(p, vid)| (p, vid, &stores.stored[..]));
@@ -1593,14 +1594,9 @@ impl CloudDataDistributor {
     /// Removes a whole file (§VI `remove file`): data chunks, parity
     /// chunks, snapshots and all table entries.
     ///
-    /// Atomicity: every provider holding an object of the file is checked
-    /// for availability *before* any mutation, so an outage yields a clean
-    /// error with the file untouched. Under the shard guard only rows
-    /// change; the objects are deleted once the commit is durable. If a
-    /// provider goes down before that delete (a race only possible with
-    /// external outage injection), the removal is still committed, and the
-    /// unreachable objects — named by no row — are collected by the next
-    /// recovery's sweep.
+    /// Under the shard guard only rows change; the objects go to the
+    /// reclaimer once the commit is durable, so an offline holder does not
+    /// fail the removal: its objects stay queued until it is back.
     pub(crate) fn remove_file_impl(
         &self,
         client: &str,
@@ -1620,7 +1616,6 @@ impl CloudDataDistributor {
                 .into_iter()
                 .flat_map(|m| st.chunks[m].objects())
                 .collect();
-            ensure_online(self.fleet(), objects.iter().map(|&(p, _)| p))?;
 
             // Until its commit is durable the removal has deleted nothing:
             // a crash from here rolls it back, and the file reads as before.

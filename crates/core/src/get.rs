@@ -25,9 +25,10 @@
 //! is [`CoreError::ReadTaskPanicked`] on the caller.
 //!
 //! The shard read guard is held until every segment has joined: a commit
-//! that dooms an object the plan names deletes it once its own guard
-//! drops, and a reader still naming it would score a healthy provider as
-//! failed (DESIGN.md §5c, "The get path").
+//! that dooms an object the plan names only queues it for the reclaimer,
+//! but its close drains that queue at once, with no reader epoch to wait
+//! for, and a reader still naming a deleted object would score a healthy
+//! provider as failed (DESIGN.md §5c, "The get path").
 
 use crate::access;
 use crate::distributor::{CloudDataDistributor, GetReceipt};

@@ -224,9 +224,9 @@ impl CloudDataDistributor {
     /// Rebuilds every lost shard of `rows`' stripe with the walk's read set:
     /// reads every member the walk left untried (so a shallow repair still
     /// finds a corrupt one), decodes the lost slots and re-places each
-    /// under a fresh vid, dooming the object it replaces when its provider
-    /// is reachable (corrupt at rest, or back online). An error leaves the
-    /// rows not yet re-placed untouched.
+    /// under a fresh vid, dooming the object it replaces: the reclaimer
+    /// deletes it once its provider is reachable, and drops it if it is
+    /// gone. An error leaves the rows not yet re-placed untouched.
     fn repair_stripe(
         &self,
         ctx: &OpCtx,
@@ -274,8 +274,7 @@ impl CloudDataDistributor {
                 .ok_or(CoreError::NoEligibleProvider { pl })?;
             // Fresh virtual id: the rebuilt object must not be correlatable
             // with the lost one (§IV-A identity concealment). The lost id
-            // is deleted after the commit when its provider is reachable,
-            // else swept by recovery should it resurface.
+            // is doomed whether or not its provider is reachable now.
             let new_vid = self.allocate_vid();
             self.journal_alloc(ctx, &[new_vid]);
             self.crash_point()?;
@@ -288,9 +287,7 @@ impl CloudDataDistributor {
             e.provider_idx = target;
             e.vid = new_vid;
             self.touch_chunk(ctx, m);
-            if fleet[orig].is_online() {
-                doomed.push((orig, old_vid));
-            }
+            doomed.push((orig, old_vid));
             hosting.push(target);
         }
         // Crash window between two repaired stripes.

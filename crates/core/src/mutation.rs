@@ -23,11 +23,14 @@
 //!    row may return without it; the bracket then closes the op with its
 //!    `vids|` watermark alone. The record joins the group fsync once the
 //!    body has returned.
-//! 5. **Deletes.** Only now, with the commit durable, are the objects the
-//!    body superseded deleted: no provider `delete` runs under a shard
-//!    guard, and a verb that fails or crashes never finds a row naming an
-//!    object that is gone. A delete that fails leaves an object no row
-//!    names, which the next recovery's sweep collects.
+//! 5. **Reclaim.** Only now, with the commit durable, are the objects the
+//!    body superseded handed to the `Reclaimer`, and the close drains
+//!    it: no provider `delete` runs under a shard guard, and a verb that
+//!    fails or crashes never finds a row naming an object that is gone. A
+//!    delete its provider refuses — offline, or failing — stays queued,
+//!    and whichever op closes next retries it. No entry waits for a
+//!    reader: a get holds its shard read guard until its reads are done,
+//!    so no commit that dooms what it reads can close meanwhile.
 //! 6. **Compaction** when the checkpoint interval has elapsed: whichever
 //!    op's bracket runs it folds the durable commits, in commit order,
 //!    into the journal's own checkpoint image and drops their records
@@ -36,18 +39,17 @@
 //! Rollback has one rule. A verb stores only under fresh vids and
 //! publishes rows only once its stores have landed, with no fallible step
 //! after the first row it touches, so a body that fails has changed no
-//! row: its fresh vids are orphans, which the bracket collects
-//! (`recovery::collect_orphans`) — with or without a journal. It journals
+//! row: its fresh vids are orphans, and the bracket hands the reclaimer
+//! each one a provider holds — with or without a journal. It journals
 //! nothing. A simulated crash passes through untouched; [`crate::recovery`]
 //! applies the same rule to every object no recovered row names.
 
 use crate::distributor::CloudDataDistributor;
 use crate::journal::{Journal, OpId, OpKind};
 use crate::persist;
-use crate::recovery;
 use crate::tables::{ClientEntry, Tables};
 use crate::{CoreError, Result};
-use fragcloud_sim::{CloudProvider, ObjectStore, VirtualId};
+use fragcloud_sim::{CloudProvider, ObjectStore, StoreError, VirtualId};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -57,11 +59,34 @@ use std::sync::Arc;
 /// what its body hands back to [`CloudDataDistributor::journaled`].
 pub(crate) type Doomed = Vec<(usize, VirtualId)>;
 
-/// Step 5. Best-effort: an object whose delete fails is named by no row,
-/// so the next recovery's sweep collects it.
-fn delete_doomed(fleet: &[Arc<CloudProvider>], doomed: &Doomed) {
-    for &(p, vid) in doomed {
-        let _ = fleet[p].delete(vid);
+/// The one reclaimer: a queue of ⟨provider index, vid⟩ no row names — for
+/// good, as no vid is re-issued — and the crate's one provider `delete`.
+/// Not journaled: after a crash the queue is exactly the keys no recovered
+/// row names, which recovery's listing recomputes.
+#[derive(Default)]
+pub(crate) struct Reclaimer(Mutex<Doomed>);
+
+impl Reclaimer {
+    /// Queues `doomed` and drains the queue: takes every entry out under
+    /// the lock, deletes with no lock held — and no caller holds a shard
+    /// guard — and puts back the entries whose provider is offline or
+    /// refused the delete, for a later drain. An object already gone is
+    /// done. Returns (objects deleted, entries put back).
+    pub(crate) fn reclaim(&self, fleet: &[Arc<CloudProvider>], mut doomed: Doomed) -> (u64, usize) {
+        doomed.append(&mut self.0.lock());
+        let mut deleted = 0;
+        doomed.retain(|&(p, vid)| {
+            // An offline provider is not asked: each refusal would count
+            // against it, at every close until it is back.
+            let res = fleet[p].is_online().then(|| fleet[p].delete(vid));
+            deleted += u64::from(matches!(res, Some(Ok(()))));
+            !matches!(res, Some(Ok(()) | Err(StoreError::NotFound(_))))
+        });
+        let left = doomed.len();
+        if left > 0 {
+            self.0.lock().append(&mut doomed);
+        }
+        (deleted, left)
     }
 }
 
@@ -116,15 +141,15 @@ impl CloudDataDistributor {
     /// success the op's commit record — appended by the body under its
     /// guard ([`commit_under`](Self::commit_under)), or here for a body
     /// that changed no row — joins the journal's group-commit flush; the
-    /// objects `body` superseded are then deleted and a due checkpoint
+    /// objects `body` superseded are then reclaimed and a due checkpoint
     /// compaction runs. A [`CoreError::SimulatedCrash`] passes through
     /// untouched — the "process" is dead, so no rollback. Any other error
-    /// rolls the op back: its fresh vids are collected.
+    /// rolls the op back: its fresh vids are reclaimed.
     ///
     /// Two crash windows follow the commit record (numbered crash points,
     /// see DESIGN.md §5d): after it is appended but before the group fsync
     /// (op is *not* durable — recovery discards the unflushed commit and
-    /// sweeps its uploads), and after the fsync but before the deletes and
+    /// sweeps its uploads), and after the fsync but before the reclaim and
     /// checkpoint compaction (op is durable though never acked — recovery
     /// folds it and sweeps what it superseded).
     pub(crate) fn journaled<T>(
@@ -157,18 +182,27 @@ impl CloudDataDistributor {
                     // Window: durable, but its superseded objects still
                     // stored and the op not yet acked.
                     self.crash_point()?;
-                    delete_doomed(self.fleet(), &doomed);
+                    self.reclaimer.reclaim(self.fleet(), doomed);
                     if checkpoint_due {
                         j.journal.compact();
                     }
                 } else {
-                    delete_doomed(self.fleet(), &doomed);
+                    self.reclaimer.reclaim(self.fleet(), doomed);
                 }
                 Ok(v)
             }
             Err(e @ CoreError::SimulatedCrash { .. }) => Err(e),
             Err(e) => {
-                let collected = recovery::collect_fresh(self, &ctx.fresh.lock());
+                let fresh = ctx.fresh.lock();
+                let mut stored = Doomed::new();
+                if !fresh.is_empty() {
+                    let referenced = self.referenced_objects();
+                    for (i, p) in self.fleet().iter().enumerate() {
+                        let held = fresh.iter().map(|&vid| (i, vid));
+                        stored.extend(held.filter(|o| p.contains(o.1) && !referenced.contains(o)));
+                    }
+                }
+                let (collected, _) = self.reclaimer.reclaim(self.fleet(), stored);
                 if let Some(j) = &ctx.journal {
                     debug_assert!(j.dirty.lock().is_empty(), "a failed body touched a row");
                     let tel = self.telemetry();

@@ -8,7 +8,7 @@
 //!
 //! - [`CloudDataDistributor::migrate_chunk`] — move one chunk to a chosen
 //!   eligible provider (snapshot-safe: the object is copied, the table
-//!   updated, then the old object deleted);
+//!   updated, then the old object reclaimed);
 //! - [`CloudDataDistributor::rebalance_by_access`] — greedy policy: for
 //!   each of the client's chunks whose access count exceeds a threshold,
 //!   migrate it to the eligible provider with the lowest link latency,
@@ -40,10 +40,11 @@ impl CloudDataDistributor {
     /// The moved object gets a **fresh virtual id** at the target, so the
     /// new provider cannot correlate it with the old copy (§IV-A identity
     /// concealment, matching `repair`). Ordering is copy → table switch →
-    /// commit record (under the shard guard) → source delete, so a crash
-    /// at any instant leaves at least one live, table-referenced copy;
-    /// a straggler at the source that no row names any more is collected
-    /// by the next recovery's sweep.
+    /// commit record (under the shard guard) → source handed to the
+    /// reclaimer, so a crash at any instant leaves at least one live,
+    /// table-referenced copy; a source whose provider is offline stays
+    /// queued until it is back, and one a crash left behind is collected by
+    /// recovery's sweep.
     pub fn migrate_chunk(
         &self,
         client: &str,
@@ -83,7 +84,7 @@ impl CloudDataDistributor {
                 }
             }
             // Copy (under a fresh id), switch the table, and leave the doomed
-            // source copy to the post-commit step.
+            // source copy to the post-commit reclaim.
             let old_vid = st.chunks[chunk_idx].vid;
             let new_vid = self.allocate_vid();
             self.journal_alloc(ctx, &[new_vid]);

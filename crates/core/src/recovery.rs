@@ -6,9 +6,9 @@
 //! makes *quiescent* state durable; this module makes a distributor that
 //! died **mid-operation** recoverable. Objects are write-once: every verb
 //! stores under fresh vids, appends its commit record under the write
-//! guard that published its rows, and deletes what it superseded only
-//! after that record is durable. So the durable rows alone say which
-//! objects are live, and recovery is three steps:
+//! guard that published its rows, and queues what it superseded for
+//! deletion only after that record is durable. So the durable rows alone
+//! say which objects are live, and recovery is three steps:
 //!
 //! 1. **Fold.** Unflushed records are discarded (what never reached the
 //!    sink does not exist), every durable commit's delta is folded into
@@ -20,10 +20,12 @@
 //!    imported, once, through `persist`'s row gate: a malformed row is
 //!    refused and counted, rows that do not link up fail the import.
 //! 2. **List** each online provider's keys (`ObjectStore::keys`).
-//! 3. **Delete** every ⟨provider, vid⟩ that no recovered row's
-//!    [`ChunkEntry::objects`](crate::tables::ChunkEntry::objects) names:
+//! 3. **Reclaim** every ⟨provider, vid⟩ that no recovered row's
+//!    [`ChunkEntry::objects`](crate::tables::ChunkEntry::objects) names —
 //!    a crashed op's uploads, whatever a durable op superseded and did not
-//!    get to delete, an object whose post-commit delete failed.
+//!    get to delete, what the crashed distributor's reclaimer still had
+//!    queued — by queueing it on the recovered distributor's reclaimer
+//!    ([`crate::mutation`]) and draining that.
 //!
 //! An op whose commit missed the flush is rolled back by the sweep alone:
 //! a verb deletes nothing before its commit is durable, so every object
@@ -37,9 +39,10 @@
 //! The sweep costs O(objects listed), not O(journal tail); a real cloud
 //! lists with pagination. What cannot be fixed — a corrupt delta row, a
 //! recovered stripe missing more members than it tolerates, a provider
-//! offline and so not listed (its orphans wait for the next recovery), a
-//! delete that failed — lands in [`RecoveryReport::unrecoverable`]
-//! instead of aborting the recovery. The one delta row that does abort it
+//! offline and so not listed (its orphans wait for the next recovery), an
+//! orphan the drain could not delete (it stays queued, for the next op's
+//! close) — lands in [`RecoveryReport::unrecoverable`] instead of
+//! aborting the recovery. The one delta row that does abort it
 //! is `full|` — an inline snapshot earlier versions wrote for `repair`:
 //! skipping it would fold every later row onto the wrong base.
 
@@ -50,19 +53,18 @@ use crate::persist;
 use crate::Result;
 use fragcloud_sim::{CloudProvider, ObjectStore, VirtualId};
 use fragcloud_telemetry::{span, TelemetryHandle};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Outcome totals of one recovery run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Objects the sweep deleted: held by a listed provider, named by no
-    /// recovered row.
+    /// Objects the sweep's drain deleted: held by a listed provider, named
+    /// by no recovered row.
     pub orphans_collected: usize,
     /// What recovery could not make whole: delta rows that would not parse
     /// or fit, recovered stripes missing more members than their fault
     /// tolerance, providers offline (not listed, so not swept), and
-    /// deletes that failed.
+    /// orphans the drain could not delete (still queued).
     pub unrecoverable: usize,
 }
 
@@ -116,19 +118,21 @@ pub fn recover_with(
     };
     let d = journal.with_checkpoint(|image| persist::import_image(image, providers, config))?;
 
-    // 2. List every provider that can be listed; 3. delete what no row
-    // names.
-    let mut held = Vec::new();
+    // 2. List every provider that can be listed; 3. hand the reclaimer
+    // what no row names, and drain it.
+    let referenced = d.referenced_objects();
+    let mut orphans = Vec::new();
     for (i, p) in d.fleet().iter().enumerate() {
         if p.is_online() {
-            held.extend(p.keys().into_iter().map(|vid| (i, vid)));
+            let held = p.keys().into_iter().map(|vid| (i, vid));
+            orphans.extend(held.filter(|o| !referenced.contains(o)));
         } else {
             report.unrecoverable += 1;
         }
     }
-    let (collected, failed) = collect_orphans(&d, held);
+    let (collected, left) = d.reclaimer.reclaim(d.fleet(), orphans);
     report.orphans_collected = collected as usize;
-    report.unrecoverable += failed as usize + unreadable_stripes(&d);
+    report.unrecoverable += left + unreadable_stripes(&d);
 
     // The recovered tables hold every commit's rows: they are the journal's
     // new checkpoint, and journaling resumes on the recovered distributor.
@@ -139,41 +143,6 @@ pub fn recover_with(
     tel.add("recovery_orphans_collected", collected);
     tel.add("recovery_unrecoverable", report.unrecoverable as u64);
     Ok((d, report))
-}
-
-/// The one orphan collector: deletes each ⟨provider index, vid⟩ of `held`
-/// that no table row names (live data is never collected). Returns
-/// `(objects collected, delete failures)`. Recovery runs it over every
-/// key the fleet lists; the live rollback of a failed op over its fresh
-/// vids ([`collect_fresh`]).
-pub(crate) fn collect_orphans(
-    d: &CloudDataDistributor,
-    held: impl IntoIterator<Item = (usize, VirtualId)>,
-) -> (u64, u64) {
-    let referenced = d.referenced_objects();
-    let fleet = d.fleet();
-    let (mut collected, mut failed) = (0u64, 0u64);
-    for object in held.into_iter().filter(|o| !referenced.contains(o)) {
-        match fleet[object.0].delete(object.1) {
-            Ok(()) => collected += 1,
-            Err(_) => failed += 1,
-        }
-    }
-    (collected, failed)
-}
-
-/// The live rollback of a failed op: collects its `fresh` vids from every
-/// provider holding one. Returns the objects collected.
-pub(crate) fn collect_fresh(d: &CloudDataDistributor, fresh: &[VirtualId]) -> u64 {
-    if fresh.is_empty() {
-        return 0;
-    }
-    let fresh: HashSet<VirtualId> = fresh.iter().copied().collect();
-    let held = (d.fleet().iter().enumerate()).flat_map(|(i, p)| {
-        let stored = fresh.iter().filter(move |&&vid| p.contains(vid));
-        stored.map(move |&vid| (i, vid))
-    });
-    collect_orphans(d, held).0
 }
 
 /// Recovered stripes that miss more live members than their fault

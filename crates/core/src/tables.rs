@@ -97,7 +97,7 @@ impl ChunkEntry {
 
     /// Every provider object the row names, as ⟨provider index, vid⟩: the
     /// primary while the row is live, each replica, the snapshot. The one
-    /// enumeration behind a verb's doom list, its online pre-check and
+    /// enumeration behind a verb's doom list and
     /// [`Tables::referenced_objects`].
     pub fn objects(&self) -> impl Iterator<Item = (usize, VirtualId)> + '_ {
         (!self.removed)

@@ -144,8 +144,8 @@ pub fn built_in_allowed_paths(rule_id: &str) -> &'static [&'static str] {
         "no-wall-clock" => &["crates/telemetry/src/clock.rs"],
         "provider-boundary" => &[
             // The framed, retried, health-scored read/write pair — the
-            // only `get`/`put` callers in `crates/core` — and the mutation
-            // bracket's post-commit delete step.
+            // only `get`/`put` callers in `crates/core` — and the
+            // reclaimer's drain, the one provider `delete`.
             "crates/core/src/objectio.rs",
             "crates/core/src/mutation.rs",
             // The providers' own crate: stores, failure injection and the
@@ -504,14 +504,13 @@ const UNINDEXED_LOCK_FNS: &[&str] = &["lock_all_read", "directory_read", "direct
 const PROVIDER_IO_METHODS: &[&str] = &["put", "get", "delete", "store"];
 
 /// Provider I/O by name, whatever the receiver (or none): the
-/// provider-object boundary (`core::objectio`) and the delete step of the
-/// mutation bracket (`core::mutation`), which runs after the commit and
-/// never under a guard.
+/// provider-object boundary (`core::objectio`) and the reclaimer's drain
+/// (`core::mutation`), which runs after the commit and never under a guard.
 const BOUNDARY_FNS: &[&str] = &[
     "get_with_retry",
     "put_with_retry",
     "put_framed",
-    "delete_doomed",
+    "reclaim",
 ];
 
 /// A shard-lock guard believed live at the current token.
@@ -532,7 +531,7 @@ struct LockGuard {
 /// (a) a second shard acquisition with a smaller-or-equal literal index
 /// than one already held — the ascending-order deadlock convention —
 /// and (b) any provider I/O — a provider method, a call to the
-/// provider-object boundary or the bracket's delete step — or
+/// provider-object boundary or the reclaimer's drain — or
 /// `JournalSink::persist` call made while a shard guard is live. Lexical: a guard passed to a callee as a
 /// parameter is not followed.
 fn lock_order(tokens: &[Token], code: &[usize]) -> Vec<Hit> {
@@ -975,7 +974,7 @@ mod tests {
 
         let delete_step = "fn f(&self) {
             let st = self.shard_write(shard);
-            delete_doomed(&doomed);
+            self.reclaimer.reclaim(self.fleet(), doomed);
         }";
         assert_eq!(run("lock-order", delete_step).len(), 1);
         // Non-provider receivers under a lock are fine.

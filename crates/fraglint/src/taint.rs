@@ -136,8 +136,8 @@ pub fn specs(config: &Config) -> Vec<FlowSpec> {
             sink_fns: Vec::new(),
             sink_methods: &["delete"],
             what: "provider delete inside a bracketed verb body, before its commit",
-            fix: "hand the object back in the body's doomed list: the bracket deletes \
-                  it once the commit is durable, and recovery sweeps any it could not",
+            fix: "hand it to the reclaimer: return it in the body's doomed list, which \
+                  the bracket queues once the commit is durable",
         },
         FlowSpec {
             rule: "verify-before-decode",

@@ -49,8 +49,8 @@ const CASES: &[(&str, &str, &str)] = &[
         "lock_order_objectio_bad.rs",
         "lock_order_objectio_good.rs",
     ),
-    // So is the mutation bracket's delete step: it runs after the commit,
-    // never under a guard.
+    // So is the reclaimer's drain: it runs after the commit, never under a
+    // guard.
     (
         "lock-order",
         "lock_order_delete_bad.rs",

@@ -1,5 +1,5 @@
 // fraglint-fixture: lock-order
-//! Fixture: a removal that runs the delete step itself — under its shard
+//! Fixture: a removal that drains the reclaimer itself — under its shard
 //! guard and before its commit — instead of handing its doom list back to
 //! the bracket. A crash or a failed commit after it finds table rows
 //! naming objects that are gone, and every op on the shard waits out the
@@ -9,7 +9,7 @@ pub fn remove_file(d: &Distributor, client: &str, name: &str) -> Result<()> {
     d.journaled(OpKind::Remove, client, name, |jctx| {
         let mut st = d.shard_write(0);
         let doomed = doom(&st, st.file_objects(client, name)?);
-        delete_doomed(&doomed);
+        d.reclaimer.reclaim(d.fleet(), doomed);
         st.drop_file(client, name)?;
         Ok(((), Doomed::new()))
     })

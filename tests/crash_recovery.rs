@@ -960,59 +960,166 @@ fn a_remove_whose_commit_missed_the_flush_rolls_back() {
     }
 }
 
-/// A post-commit delete that fails leaves an object no row names, and no
-/// record names it either: the next recovery's sweep finds it by listing
-/// the providers. Every provider holding the removed file's objects goes
-/// offline while the removal's commit is flushed, so each of its deletes
-/// fails; the providers come back, more than a checkpoint interval of puts
-/// follow, and a recovery from the exported journal leaves no provider
-/// key that the tables do not reference.
-#[test]
-fn a_failed_post_commit_delete_is_collected_by_recovery() {
-    /// Takes `armed` providers offline during the next flush.
-    #[derive(Default)]
-    struct OutageOnFlush {
-        armed: std::sync::Mutex<Vec<Arc<CloudProvider>>>,
-    }
-    impl JournalSink for OutageOnFlush {
-        fn persist(&self, _batch: &str) {
+/// A journal sink that takes its `armed` providers offline during the
+/// next flush that carries a commit record: between an op's commit and
+/// the deletes of what it superseded.
+#[derive(Default)]
+struct OutageOnFlush {
+    armed: std::sync::Mutex<Vec<Arc<CloudProvider>>>,
+}
+
+impl JournalSink for OutageOnFlush {
+    fn persist(&self, batch: &str) {
+        if batch.contains("commit|") {
             for p in self.armed.lock().unwrap().drain(..) {
                 p.set_online(false);
             }
         }
     }
+}
 
-    let cfg = config();
-    let fleet = fleet(FLEET);
-    let d = CloudDataDistributor::try_new(fleet.clone(), cfg).unwrap();
-    d.register_client("c").unwrap();
-    d.add_password("c", "pw", PrivacyLevel::High).unwrap();
-    let journal = Arc::new(Journal::new());
-    let sink = Arc::new(OutageOnFlush::default());
-    journal.set_sink(Arc::clone(&sink) as Arc<dyn JournalSink>);
-    d.attach_journal(Arc::clone(&journal));
-    let s = d.session("c", "pw").unwrap();
+/// A journaled distributor whose sink is an [`OutageOnFlush`], with
+/// client "c" / "pw" at [`PrivacyLevel::High`].
+struct OutageWorld {
+    fleet: Vec<Arc<CloudProvider>>,
+    journal: Arc<Journal>,
+    d: CloudDataDistributor,
+    sink: Arc<OutageOnFlush>,
+}
 
-    let before = held(&fleet);
-    let replicated = PutOptions::new().replicas(1);
-    s.put_file("F", &body(6 * CHUNK, 3), PrivacyLevel::High, replicated)
-        .unwrap();
-    let objects: Vec<_> = held(&fleet).difference(&before).copied().collect();
-    let mut holders: Vec<usize> = objects.iter().map(|&(p, _)| p).collect();
-    holders.sort_unstable();
-    holders.dedup();
-    *sink.armed.lock().unwrap() = holders.iter().map(|&p| Arc::clone(&fleet[p])).collect();
-    s.remove_file("F").unwrap();
-    for &p in &holders {
-        assert!(!fleet[p].is_online(), "the flush took the holders offline");
-        fleet[p].set_online(true);
+impl OutageWorld {
+    fn new() -> Self {
+        let fleet = fleet(FLEET);
+        let d = CloudDataDistributor::try_new(fleet.clone(), config()).unwrap();
+        d.register_client("c").unwrap();
+        d.add_password("c", "pw", PrivacyLevel::High).unwrap();
+        let journal = Arc::new(Journal::new());
+        let sink = Arc::new(OutageOnFlush::default());
+        journal.set_sink(Arc::clone(&sink) as Arc<dyn JournalSink>);
+        d.attach_journal(Arc::clone(&journal));
+        OutageWorld {
+            fleet,
+            journal,
+            d,
+            sink,
+        }
     }
-    let left = held(&fleet);
-    assert!(
-        objects.iter().all(|o| left.contains(o)),
-        "every delete failed"
-    );
 
+    /// Takes `providers` offline at the next commit's flush.
+    fn arm(&self, providers: impl IntoIterator<Item = usize>) {
+        let armed = providers.into_iter().map(|p| Arc::clone(&self.fleet[p]));
+        *self.sink.armed.lock().unwrap() = armed.collect();
+    }
+
+    fn all_online(&self) {
+        self.fleet.iter().for_each(|p| p.set_online(true));
+    }
+
+    /// Provider keys no row names.
+    fn unreferenced(&self) -> Vec<(usize, fragcloud::VirtualId)> {
+        let referenced = self.d.referenced_vids();
+        let held = held(&self.fleet).into_iter();
+        held.filter(|(_, v)| !referenced.contains(v)).collect()
+    }
+
+    fn session(&self) -> fragcloud::Session<'_> {
+        self.d.session("c", "pw").unwrap()
+    }
+
+    fn put(&self, name: &str, data: &[u8], opts: PutOptions) {
+        let s = self.session();
+        s.put_file(name, data, PrivacyLevel::High, opts).unwrap();
+    }
+}
+
+/// A delete an outage refused waits for the provider, not for a recovery.
+/// In each row a verb dooms objects whose provider is offline at the
+/// delete: every provider goes offline between the commit's flush and the
+/// deletes, or — for repair — the provider of the shard it re-places is
+/// offline throughout. Once the providers are back and one more op (a
+/// small put) has closed, the provider keys are exactly the vids the
+/// tables reference, with no recovery, and no key was ever overwritten.
+#[test]
+fn a_delete_an_outage_refused_is_reclaimed_once_the_provider_is_back() {
+    type Verb = fn(&OutageWorld);
+    let rows: [(&str, Verb); 5] = [
+        ("remove_file", |w| {
+            w.arm(0..FLEET);
+            w.session().remove_file("doc").unwrap();
+        }),
+        ("remove_chunk", |w| {
+            w.arm(0..FLEET);
+            w.session().remove_chunk("doc", 1).unwrap();
+        }),
+        ("a second update_chunk", |w| {
+            let s = w.session();
+            s.update_chunk("doc", 1, &body(CHUNK, 7)).unwrap();
+            w.arm(0..FLEET);
+            s.update_chunk("doc", 1, &body(CHUNK, 8)).unwrap();
+        }),
+        ("migrate_chunk", |w| {
+            // The first target that moves the chunk; a refused or
+            // same-provider migration dooms nothing.
+            for target in 0..FLEET {
+                w.arm(0..FLEET);
+                let moved = w.d.migrate_chunk("c", "pw", "doc", 0, target).is_ok();
+                if moved && !w.unreferenced().is_empty() {
+                    return;
+                }
+                w.all_online();
+            }
+            panic!("chunk 0 moved nowhere");
+        }),
+        ("try_repair", |w| {
+            let per_provider = w.d.client_chunks_per_provider("c").unwrap();
+            let lost = per_provider.iter().position(|&n| n > 0).unwrap();
+            w.fleet[lost].set_online(false);
+            let report = w.d.try_repair().unwrap();
+            assert!(report.shards_rebuilt > 0, "{report:?}");
+        }),
+    ];
+    let mut left = Vec::new();
+    for (verb, run) in rows {
+        let w = OutageWorld::new();
+        w.put("doc", &body(4 * CHUNK, 6), PutOptions::new().replicas(1));
+        run(&w);
+        assert!(
+            !w.unreferenced().is_empty(),
+            "{verb}: no delete was refused"
+        );
+        w.all_online();
+        w.put("next", &body(700, 1), PutOptions::new());
+        let keys: HashSet<_> = held(&w.fleet).into_iter().map(|(_, v)| v).collect();
+        let referenced = w.d.referenced_vids();
+        if keys != referenced {
+            left.push((verb, keys.difference(&referenced).count()));
+        }
+        assert_no_overwrites(&w.fleet, verb);
+    }
+    assert!(
+        left.is_empty(),
+        "keys != referenced vids (verb, orphans): {left:?}"
+    );
+}
+
+/// A crash with a non-empty reclaim queue loses nothing: the queue is not
+/// journaled, and recovery's listing finds exactly what it held. Every
+/// provider holding the removed file's objects goes offline while the
+/// removal's commit is flushed and stays offline through more than a
+/// checkpoint interval of puts, so each of its deletes stays queued; the
+/// distributor dies, the holders come back, and recovery from the
+/// exported journal collects exactly the file's objects.
+#[test]
+fn a_crash_with_a_non_empty_reclaim_queue_loses_nothing() {
+    let w = OutageWorld::new();
+    let cfg = config();
+    let before = held(&w.fleet);
+    w.put("F", &body(2 * CHUNK, 3), PutOptions::new());
+    let objects: Vec<_> = held(&w.fleet).difference(&before).copied().collect();
+    let holders: HashSet<usize> = objects.iter().map(|&(p, _)| p).collect();
+    w.arm(holders.iter().copied());
+    let s = w.session();
+    s.remove_file("F").unwrap();
     for i in 0..=cfg.durability.checkpoint_interval {
         s.put_file(
             &format!("g{i}"),
@@ -1022,21 +1129,31 @@ fn a_failed_post_commit_delete_is_collected_by_recovery() {
         )
         .unwrap();
     }
-    let text = journal.export();
+    let left = held(&w.fleet);
+    assert!(
+        objects.iter().all(|o| left.contains(o)),
+        "every delete waits"
+    );
+    let text = w.journal.export();
     assert!(
         !text.contains("doom|"),
-        "no record names the removed objects"
+        "no record names the queued objects"
     );
     drop(s);
+    let OutageWorld { fleet, d, .. } = w;
     drop(d);
+    for &p in &holders {
+        assert!(!fleet[p].is_online(), "the holders stayed offline");
+        fleet[p].set_online(true);
+    }
 
     let journal = Arc::new(Journal::parse(&text).unwrap());
     let (d, report) = recover(journal, fleet.clone(), cfg).unwrap();
+    assert_eq!(report.orphans_collected, objects.len());
+    assert_eq!(report.unrecoverable, 0);
     let referenced = d.referenced_vids();
     let unreferenced = fleet.iter().flat_map(|p| p.keys());
     assert_eq!(unreferenced.filter(|v| !referenced.contains(v)).count(), 0);
-    assert_eq!(report.orphans_collected, objects.len());
-    assert_eq!(report.unrecoverable, 0);
 }
 
 /// The lease keeps a recovered allocator from re-issuing a vid an unswept
