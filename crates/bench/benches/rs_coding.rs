@@ -1,6 +1,6 @@
 //! RS(k,m) matrix-kernel bench: cached-table SIMD encode against the
-//! retained scalar reference (the E21 acceptance bar: matrix ≥ 8× scalar
-//! on 64 KiB shards).
+//! retained scalar reference (the acceptance bar: matrix ≥ 8× scalar on
+//! 64 KiB shards).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fragcloud_raid::RsCodec;
@@ -15,7 +15,7 @@ fn shards(k: usize, width: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Matrix-kernel encode across the E21 geometry sweep.
+/// Matrix-kernel encode across the (4,2) … (16,4) geometry sweep.
 fn bench_rs_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("rs_encode");
     for &(k, m) in &[(4usize, 2usize), (8, 3), (12, 4), (16, 4)] {

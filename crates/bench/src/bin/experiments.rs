@@ -3,7 +3,6 @@
 //! ```text
 //! experiments <name>      run one experiment
 //! experiments all         run everything (the EXPERIMENTS.md input)
-//! experiments trace       run the trace workload, write a Chrome trace
 //! experiments list        list experiment names
 //! ```
 //!
@@ -54,16 +53,8 @@ const NAMES: &[(&str, &str)] = &[
         "E18: degraded-mode availability vs provider failure rate",
     ),
     (
-        "put_throughput",
-        "E19: put-path throughput, 1 vs 4 transfer workers",
-    ),
-    (
         "recovery",
         "E20: journaling overhead + crash/recover replay",
-    ),
-    (
-        "rs_geometry",
-        "E21: RS(k,m) geometry sweep + streaming bounded-memory ingest",
     ),
     (
         "chaos",
@@ -115,28 +106,12 @@ fn run_one(name: &str) -> Option<RunOutput> {
                 slos: exp::degraded::slos(),
             }
         }
-        "put_throughput" => {
-            let (_, report, tel) = exp::put_throughput::run_instrumented();
-            RunOutput {
-                report,
-                telemetry: tel.registry().map(|r| r.snapshot()),
-                slos: Vec::new(),
-            }
-        }
         "recovery" => {
             let (_, report, tel) = exp::recovery::run_instrumented();
             RunOutput {
                 report,
                 telemetry: tel.registry().map(|r| r.snapshot()),
                 slos: exp::recovery::slos(),
-            }
-        }
-        "rs_geometry" => {
-            let (_, report, tel) = exp::rs_geometry::run_instrumented();
-            RunOutput {
-                report,
-                telemetry: tel.registry().map(|r| r.snapshot()),
-                slos: Vec::new(),
             }
         }
         "chaos" => {
@@ -171,21 +146,6 @@ fn run_and_export(name: &str) -> Option<(String, bool)> {
     Some((report, slo::all_pass(&outcomes)))
 }
 
-/// Runs the trace workload, writes the Chrome trace next to the BENCH
-/// summaries, and prints the span rollup.
-fn run_trace() {
-    let (trace, report) = exp::trace::run();
-    let dir = std::env::var_os("BENCH_OUT_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let path = dir.join("TRACE_workload.json");
-    match std::fs::write(&path, &trace) {
-        Ok(()) => eprintln!("wrote {} (load it in Perfetto)", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    println!("{report}");
-}
-
 fn main() {
     let arg = std::env::args()
         .nth(1)
@@ -197,10 +157,8 @@ fn main() {
             for (name, desc) in NAMES {
                 println!("  {name:<14} {desc}");
             }
-            println!("  trace          span-timeline workload -> Chrome trace JSON");
             println!("  all            run every experiment");
         }
-        "trace" => run_trace(),
         "all" => {
             for (name, _) in NAMES {
                 let (report, ok) = run_and_export(name).expect("known name");

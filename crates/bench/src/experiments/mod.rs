@@ -1,4 +1,6 @@
-//! Experiment modules (E1–E21; see DESIGN.md §4 for the index).
+//! Experiment modules (E1–E22; see DESIGN.md §4 for the index): the
+//! paper's artifacts, privacy and availability results. Whole-verb
+//! throughput is the `fragperf` benchmark's, not measured here.
 
 pub mod ablation;
 pub mod attacker;
@@ -15,13 +17,10 @@ pub mod fig3;
 pub mod fig456;
 pub mod mislead;
 pub mod policy;
-pub mod put_throughput;
 pub mod recovery;
-pub mod rs_geometry;
 pub mod rules;
 pub mod segmentation;
 pub mod table4;
-pub mod trace;
 
 /// Standard test fleet mirroring Fig. 3's Cloud Provider Table: four
 /// trusted premium providers and three cheap lower-trust ones.

@@ -58,7 +58,7 @@ impl CloudDataDistributor {
             let level = self.password_level(client, password)?;
             let shard = self.shard_for(client, filename);
             let mut st = self.shard_write(shard);
-            let chunk_idx = st.chunk_index(client, filename, serial)?;
+            let chunk_idx = st.live_chunk_index(client, filename, serial)?;
             let pl = st.chunks[chunk_idx].pl;
             crate::access::check(level, pl)?;
             let Some(target) = self.fleet().get(target_provider) else {
@@ -293,6 +293,38 @@ mod tests {
             d.session("c", "pw").unwrap().get_file("f").unwrap().data,
             data
         );
+    }
+
+    #[test]
+    fn migrating_a_removed_chunk_is_unknown_and_scores_no_provider() {
+        let d = world();
+        let session = d.session("c", "pw").unwrap();
+        session
+            .put_file("f", &body(1000), PrivacyLevel::Low, PutOptions::default())
+            .unwrap();
+        session.remove_chunk("f", 0).unwrap();
+        let scores = || -> Vec<f64> {
+            (0..d.providers().len())
+                .map(|i| d.health().score(i))
+                .collect()
+        };
+        let before = scores();
+        for target in 0..d.providers().len() {
+            assert!(
+                matches!(
+                    d.migrate_chunk("c", "pw", "f", 0, target),
+                    Err(CoreError::UnknownChunk { serial: 0, .. })
+                ),
+                "target {target}"
+            );
+        }
+        assert_eq!(scores(), before, "a tombstone's lookup reached a provider");
+        let held: std::collections::HashSet<_> = d
+            .providers()
+            .iter()
+            .flat_map(|p| p.virtual_id_list())
+            .collect();
+        assert_eq!(held, d.referenced_vids());
     }
 
     #[test]

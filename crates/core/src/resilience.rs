@@ -126,55 +126,38 @@ impl RetryPolicy {
         let mut sim_time = Duration::ZERO;
         let mut waited = Duration::ZERO;
         let mut retries = 0u64;
-        for n in 1..=self.max_attempts {
-            match attempt(n) {
-                AttemptOutcome::Success(v) => {
-                    return RetryExecution {
-                        result: Ok(v),
-                        sim_time,
-                        retries,
-                    }
-                }
-                AttemptOutcome::Fatal(e) => {
-                    return RetryExecution {
-                        result: Err(e),
-                        sim_time,
-                        retries,
-                    }
-                }
-                AttemptOutcome::Transient(e) => {
-                    if n == self.max_attempts {
-                        return RetryExecution {
-                            result: Err(e),
-                            sim_time,
-                            retries,
-                        };
-                    }
-                    let pause = self.backoff(n, seed);
-                    waited += pause;
-                    if let Some(deadline) = self.op_deadline {
-                        if waited > deadline {
-                            telemetry.incr("timeouts_total");
-                            return RetryExecution {
-                                result: Err(CoreError::Timeout {
-                                    provider: provider.to_string(),
-                                }),
-                                sim_time,
-                                retries,
-                            };
-                        }
-                    }
-                    telemetry.add_labeled("retries_total", provider, 1);
-                    telemetry.observe(
-                        "backoff_wait_us",
-                        pause.as_micros().min(u128::from(u64::MAX)) as u64,
-                    );
-                    sim_time += pause;
-                    retries += 1;
-                }
+        let mut n = 1;
+        let result = loop {
+            let e = match attempt(n) {
+                AttemptOutcome::Success(v) => break Ok(v),
+                AttemptOutcome::Fatal(e) => break Err(e),
+                AttemptOutcome::Transient(e) => e,
+            };
+            if n >= self.max_attempts {
+                break Err(e);
             }
+            let pause = self.backoff(n, seed);
+            waited += pause;
+            if self.op_deadline.is_some_and(|deadline| waited > deadline) {
+                telemetry.incr("timeouts_total");
+                break Err(CoreError::Timeout {
+                    provider: provider.to_string(),
+                });
+            }
+            telemetry.add_labeled("retries_total", provider, 1);
+            telemetry.observe(
+                "backoff_wait_us",
+                pause.as_micros().min(u128::from(u64::MAX)) as u64,
+            );
+            sim_time += pause;
+            retries += 1;
+            n += 1;
+        };
+        RetryExecution {
+            result,
+            sim_time,
+            retries,
         }
-        unreachable!("the loop returns on its final attempt")
     }
 }
 

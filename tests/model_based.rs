@@ -60,8 +60,17 @@ fn payload(tag: u64, size: usize) -> Vec<u8> {
         .collect()
 }
 
+/// Proptest case count: 32 under tier-1; CI's wider sweep sets
+/// `PROPTEST_CASES` (an explicit `with_cases` would otherwise win over it).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(32)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn distributor_matches_reference_model(

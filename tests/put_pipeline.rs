@@ -198,18 +198,21 @@ fn provider_state_matches_golden_digests_from_the_four_path_tree() {
 
 /// What one put leaves behind, as seen from outside: provider objects, the
 /// receipt (minus `peak_buffer_bytes`, which reports the entry point's
-/// memory shape on purpose) and the journal's durable records.
+/// memory shape on purpose) and the journal's durable records. The file
+/// must read back first; 20 providers hold a whole RS(16,4) stripe.
 fn put_outcome(
     config: DistributorConfig,
     entry: Entry,
     data: &[u8],
     opts: PutOptions,
 ) -> (ProviderState, PutReceipt, String) {
-    let d = distributor(14, config);
+    let d = distributor(20, config);
     let journal = Arc::new(Journal::new());
     d.attach_journal(Arc::clone(&journal));
     let mut receipt = put(&d, entry, "f", data, opts);
     receipt.peak_buffer_bytes = 0;
+    let got = d.session("c", "pw").expect("valid pair").get_file("f");
+    assert_eq!(got.expect("read").data, data, "{opts:?} {entry:?}");
     (provider_state(&d), receipt, journal.export())
 }
 
@@ -243,7 +246,13 @@ proptest! {
     fn outcome_is_independent_of_workers_and_entry_point(
         len in 0usize..6000,
         seed in 0usize..1000,
-        geometry in prop_oneof![Just((4usize, 1usize)), Just((3, 2)), Just((8, 3))],
+        geometry in prop_oneof![
+            Just((4usize, 1usize)),
+            Just((3, 2)),
+            Just((8, 3)),
+            Just((12, 4)),
+            Just((16, 4)),
+        ],
         rate in prop_oneof![Just(0.0), Just(0.08)],
         replicas in 0usize..2,
     ) {
@@ -281,6 +290,8 @@ fn put_stream_holds_at_most_two_windows() {
         };
         let window = PUT_WINDOW_BYTES.max(config.durability.transfer_workers * 4 * chunk);
         let d = distributor(6, config);
+        let tel = d.enable_telemetry();
+        let reg = tel.registry().expect("enabled");
         let data = body(4, len);
         let receipt = put(&d, Entry::Stream, "big", &data, PutOptions::new());
         assert!(
@@ -289,9 +300,18 @@ fn put_stream_holds_at_most_two_windows() {
             receipt.peak_buffer_bytes
         );
         assert!(receipt.peak_buffer_bytes < len);
-        // The buffered entry point reports its resident whole-file copy.
+        // The registry carries the receipt's peak for the streaming put.
+        let peak = reg.histogram("put_stream_peak_buffer_bytes", "");
+        assert_eq!(
+            (peak.count(), peak.sum()),
+            (1, receipt.peak_buffer_bytes as u64)
+        );
+        // The buffered entry point reports its resident whole-file copy,
+        // and counts as no streaming put.
         let receipt = put(&d, Entry::File, "copy", &data, PutOptions::new());
         assert_eq!(receipt.peak_buffer_bytes, len);
+        assert_eq!(reg.counter_total("puts_streaming"), 1);
+        assert_eq!(peak.count(), 1);
     }
 }
 

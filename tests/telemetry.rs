@@ -142,6 +142,27 @@ fn mid_read_provider_death_shows_up_in_counters() {
     let victim_name = fleet[victims[0]].name().to_string();
     let snap = reg.snapshot();
     assert!(snap.counter("provider_rejected_total", &victim_name) > 0);
+
+    // Repair around the dead provider, then scrub: the session's Chrome
+    // trace holds one complete event per span, every verb by name.
+    assert!(d.try_repair().unwrap().is_complete());
+    assert!(d.scrub().is_healthy());
+    let doc = json::parse(&session.export_trace().unwrap()).expect("trace is JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(json::Value::as_array)
+        .unwrap();
+    let names: Vec<&str> = events
+        .iter()
+        .filter_map(|e| e.get("name").and_then(json::Value::as_str))
+        .collect();
+    for verb in ["put", "get", "repair", "scrub"] {
+        assert!(names.contains(&verb), "no {verb} span in {names:?}");
+    }
+    for e in events {
+        assert_eq!(e.get("ph").and_then(json::Value::as_str), Some("X"));
+        assert!(e.get("ts").is_some() && e.get("dur").is_some());
+    }
     assert!(reg.spans_balanced());
 }
 
