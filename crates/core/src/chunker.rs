@@ -35,8 +35,8 @@ pub fn split(data: &[u8], pl: PrivacyLevel, schedule: &ChunkSizeSchedule) -> Vec
 /// into `data` with **no per-chunk copies or allocations** beyond the outer
 /// vector.
 ///
-/// No longer called by the put pipeline (which stripes through
-/// [`StripeFeeder`]); kept `pub` only because the `fragperf` replay still
+/// Not called by the put pipeline, which reads its source into owned
+/// stripe blocks; kept `pub` only because the `fragperf` replay still
 /// times it, until a benchmark change drops that row.
 ///
 /// An empty file yields one empty slice, mirroring [`split`].
@@ -56,10 +56,9 @@ pub fn split_borrowed<'a>(
 /// Shared-buffer variant of [`split`]: each chunk is a cheap ref-counted
 /// [`Bytes`] slice of the one shared file buffer.
 ///
-/// No longer called by the put pipeline ([`StripeFeeder::shared`] yields
-/// the same slices a stripe at a time); kept `pub` only because the
-/// `fragperf` replay still times it, until a benchmark change drops that
-/// row.
+/// Not called by the put pipeline, which reads its source into owned
+/// stripe blocks; kept `pub` only because the `fragperf` replay still
+/// times it, until a benchmark change drops that row.
 ///
 /// An empty file yields one empty chunk, mirroring [`split`].
 pub fn split_shared(data: &Bytes, pl: PrivacyLevel, schedule: &ChunkSizeSchedule) -> Vec<Bytes> {
@@ -77,27 +76,21 @@ pub fn split_shared(data: &Bytes, pl: PrivacyLevel, schedule: &ChunkSizeSchedule
     out
 }
 
-/// Where a [`StripeFeeder`] takes its bytes from.
-enum Source<R> {
-    /// Pulled from a reader, one stripe-sized block per stripe.
-    Reader(R),
-    /// One shared in-memory copy of the whole file, sliced by reference.
-    Shared(Bytes),
-}
-
-/// The put pipeline's stripe source: yields one stripe of up to `stripe_k`
-/// chunks (each `chunk_size` bytes, the final chunk possibly short) per
-/// call, as ref-counted [`Bytes`] slices that can move onto transfer-pool
-/// workers without copying. Over a [`Read`] it holds one stripe-sized
-/// block at a time, so multi-GB files upload at bounded memory; over a
-/// shared buffer ([`StripeFeeder::shared`]) it copies nothing at all.
+/// A reader's stripe source: yields one stripe of up to `stripe_k` chunks
+/// (each `chunk_size` bytes, the final chunk possibly short) per call, as
+/// ref-counted [`Bytes`] slices of one stripe-sized block, so multi-GB
+/// sources chunk at bounded memory.
+///
+/// Not called by the put pipeline, which cuts the same boundaries from its
+/// own recycled stripe blocks; kept `pub` only because the `fragperf`
+/// replay still times it, until a benchmark change drops that row.
 ///
 /// Chunk boundaries are **identical** to [`split`] over the concatenated
 /// source bytes — including the empty-source case, which yields exactly one
 /// stripe containing one empty chunk so every file keeps at least one
 /// addressable serial.
 pub struct StripeFeeder<R> {
-    source: Source<R>,
+    reader: R,
     chunk_size: usize,
     stripe_k: usize,
     bytes_read: u64,
@@ -108,18 +101,8 @@ pub struct StripeFeeder<R> {
 impl<R: Read> StripeFeeder<R> {
     /// Wraps `reader`; `chunk_size` and `stripe_k` are clamped to ≥ 1.
     pub fn new(reader: R, chunk_size: usize, stripe_k: usize) -> Self {
-        Self::over(Source::Reader(reader), chunk_size, stripe_k)
-    }
-
-    /// Stripes an in-memory file: every chunk is a slice of `data`'s one
-    /// allocation. `chunk_size` and `stripe_k` are clamped to ≥ 1.
-    pub fn shared(data: Bytes, chunk_size: usize, stripe_k: usize) -> Self {
-        Self::over(Source::Shared(data), chunk_size, stripe_k)
-    }
-
-    fn over(source: Source<R>, chunk_size: usize, stripe_k: usize) -> Self {
         StripeFeeder {
-            source,
+            reader,
             chunk_size: chunk_size.max(1),
             stripe_k: stripe_k.max(1),
             bytes_read: 0,
@@ -139,20 +122,15 @@ impl<R: Read> StripeFeeder<R> {
             return Ok(None);
         }
         // The stripe's bytes as one block, short only at the source's end.
+        // `take` + `read_to_end` retries short reads until the block is
+        // full or the source ends, without zeroing the buffer.
         let want = self.stripe_k.saturating_mul(self.chunk_size);
-        let block = match &mut self.source {
-            Source::Reader(reader) => {
-                // `take` + `read_to_end` retries short reads until the block
-                // is full or the source ends, without zeroing the buffer.
-                let mut block = Vec::with_capacity(want);
-                reader.by_ref().take(want as u64).read_to_end(&mut block)?;
-                Bytes::from(block)
-            }
-            Source::Shared(data) => {
-                let start = (self.bytes_read as usize).min(data.len());
-                data.slice(start..data.len().min(start.saturating_add(want)))
-            }
-        };
+        let mut block = Vec::with_capacity(want);
+        self.reader
+            .by_ref()
+            .take(want as u64)
+            .read_to_end(&mut block)?;
+        let block = Bytes::from(block);
         self.bytes_read += block.len() as u64;
         self.eof = block.len() < want;
         if block.is_empty() {
@@ -327,18 +305,11 @@ mod tests {
             for pl in PrivacyLevel::ALL {
                 for k in [1usize, 2, 3, 5] {
                     let expect = split(&data, pl, &s);
-                    let mut reader = StripeFeeder::new(&data[..], s.size_for(pl), k);
-                    let mut shared = StripeFeeder::<&[u8]>::shared(
-                        Bytes::copy_from_slice(&data),
-                        s.size_for(pl),
-                        k,
-                    );
-                    for feeder in [&mut reader, &mut shared] {
-                        assert_eq!(drain(feeder, k), expect, "n={n} pl={pl} k={k}");
-                        assert_eq!(feeder.bytes_read(), n as u64);
-                        // Exhausted feeder stays exhausted.
-                        assert!(feeder.next_stripe().expect("eof").is_none());
-                    }
+                    let mut feeder = StripeFeeder::new(&data[..], s.size_for(pl), k);
+                    assert_eq!(drain(&mut feeder, k), expect, "n={n} pl={pl} k={k}");
+                    assert_eq!(feeder.bytes_read(), n as u64);
+                    // Exhausted feeder stays exhausted.
+                    assert!(feeder.next_stripe().expect("eof").is_none());
                 }
             }
         }
@@ -363,22 +334,6 @@ mod tests {
         let data: Vec<u8> = (0..25).map(|i| i as u8).collect();
         let mut feeder = StripeFeeder::new(OneByte(&data), s.size_for(PrivacyLevel::Low), 2);
         assert_eq!(drain(&mut feeder, 2), split(&data, PrivacyLevel::Low, &s));
-    }
-
-    #[test]
-    fn shared_feeder_slices_one_buffer() {
-        // Pointer identity: every chunk lies inside the one shared buffer.
-        let s = sched();
-        let buf = Bytes::from((0..37).map(|i| i as u8).collect::<Vec<u8>>());
-        let base = buf.as_ptr() as usize;
-        let mut feeder =
-            StripeFeeder::<&[u8]>::shared(buf.clone(), s.size_for(PrivacyLevel::Low), 3);
-        while let Some(stripe) = feeder.next_stripe().expect("in-memory") {
-            for c in &stripe {
-                let p = c.as_ptr() as usize;
-                assert!((base..base + buf.len()).contains(&p), "chunk was copied");
-            }
-        }
     }
 
     #[test]

@@ -45,6 +45,8 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashSet};
+use std::io::Read;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -117,10 +119,10 @@ pub struct PutReceipt {
     /// Simulated distribution time (per-provider serialization, cross-
     /// provider parallelism).
     pub sim_time: Duration,
-    /// Peak bytes of logical-chunk buffers the distributor held at once.
-    /// The buffered path reports the file length (the caller's buffer is
-    /// resident throughout); the streaming path reports the measured
-    /// in-flight window — bounded regardless of file size.
+    /// Peak bytes of source the distributor held at once (read into its
+    /// own stripe blocks but not yet stored): the measured in-flight
+    /// window, bounded regardless of file size for both entry points. The
+    /// caller's own buffer of a `put_file` is not counted.
     pub peak_buffer_bytes: usize,
 }
 
@@ -152,10 +154,31 @@ pub const PUT_WINDOW_BYTES: usize = 1 << 20;
 
 /// Where the put pipeline reads a file from.
 enum PutSource<'a> {
-    /// The caller's whole-file buffer (`put_file`).
+    /// The caller's whole-file buffer (`put_file`), shrinking from the
+    /// front as stripes are read.
     Buffer(&'a [u8]),
     /// A reader of declared length (`put_stream`).
-    Stream(&'a mut dyn std::io::Read),
+    Stream(&'a mut dyn Read),
+}
+
+impl PutSource<'_> {
+    /// Appends the source's next `want` bytes to `block` — fewer only at
+    /// its end. A buffer copies exactly those bytes; a reader retries short
+    /// reads (`take` + `read_to_end`) without zeroing the block.
+    fn read_into(&mut self, block: &mut Vec<u8>, want: usize) -> std::io::Result<()> {
+        match self {
+            PutSource::Buffer(data) => {
+                let (head, rest) = data.split_at(want.min(data.len()));
+                block.extend_from_slice(head);
+                *data = rest;
+            }
+            PutSource::Stream(reader) => {
+                block.reserve(want);
+                reader.take(want as u64).read_to_end(block)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Deferred parity writes computed by `plan_parity`.
@@ -264,6 +287,8 @@ pub struct CloudDataDistributor {
 /// [`CloudDataDistributor::encode_stripe_group`] either inline (a
 /// single-stripe put) or on a transfer-pool worker.
 struct EncodedGroup {
+    /// The stripe's source block, handed back for a later stripe to reuse.
+    block: Vec<u8>,
     /// Per data chunk: its filled upload buffer, mislead positions,
     /// logical length.
     chunks: Vec<(ShardBuf, Arc<[usize]>, usize)>,
@@ -708,8 +733,8 @@ impl CloudDataDistributor {
     ///
     /// Provider state is a function of the inputs alone, whatever the
     /// source, the worker count or the order encodes finish in: virtual
-    /// ids are allocated upfront from the declared chunk count,
-    /// [`chunker::StripeFeeder`] reproduces [`chunker::split`]'s boundaries,
+    /// ids are allocated upfront from the declared chunk count, each
+    /// stripe block is cut at [`chunker::split`]'s boundaries,
     /// stripe encode is a pure function of ⟨chunk, rate, seed ⊕ vid⟩, and
     /// stores run in stripe order on this thread (placement rng draws and
     /// parity/replica vid allocations therefore interleave identically).
@@ -780,21 +805,16 @@ impl CloudDataDistributor {
         tel.add("put_bytes", len as u64);
         tel.add("put_chunks", chunk_count as u64);
         tel.observe_micros("put_sim_us", sim_time);
-        // A buffered put keeps its shared copy of the whole file resident;
-        // a streaming put only ever holds the measured window.
-        let peak_buffer_bytes = if streaming {
+        if streaming {
             tel.incr("puts_streaming");
             tel.observe("put_stream_peak_buffer_bytes", peak_in_flight_bytes as u64);
-            peak_in_flight_bytes
-        } else {
-            len
-        };
+        }
         Ok(PutReceipt {
             chunk_count,
             stripe_count,
             bytes_stored: progress.bytes_stored,
             sim_time,
-            peak_buffer_bytes,
+            peak_buffer_bytes: peak_in_flight_bytes,
         })
     }
 
@@ -835,7 +855,7 @@ impl CloudDataDistributor {
     fn execute_put(
         &self,
         progress: &mut PutProgress<'_>,
-        source: PutSource<'_>,
+        mut source: PutSource<'_>,
         len: usize,
         chunk_count: usize,
     ) -> Result<usize> {
@@ -868,8 +888,9 @@ impl CloudDataDistributor {
 
         // Explicit buffer accounting: a stripe's logical bytes are in
         // flight from its read-from-source to the completion of its store.
-        // This brackets the lifetime of both the raw chunk buffers and the
-        // encoded copies derived from them.
+        // This brackets the lifetime of both the source block and the
+        // encoded copies derived from it.
+        let mut read_bytes = 0usize;
         let mut stored_logical_bytes = 0usize;
         let mut peak_in_flight_bytes = 0usize;
         let mut submitted = 0usize;
@@ -879,56 +900,58 @@ impl CloudDataDistributor {
         // Resolved once per put, at the first stripe's width: every full
         // stripe encodes on its tables.
         let codec = StripeCodec::new(chunk_count.clamp(1, k_max), progress.raid)?;
-        let encode = move |group, scratch, tel: &TelemetryHandle| {
+        let encode = move |block, group, scratch, tel: &TelemetryHandle| {
             tel.time("stripe_encode_ns", || {
-                Self::encode_stripe_group(group, rate, seed, &codec, scratch)
+                Self::encode_stripe_group(block, group, rate, seed, &codec, scratch)
             })
         };
         // A single stripe is encoded inline; anything longer overlaps
         // encode of stripe N+1.. with the store of stripe N on the pool.
         // Stored stripes send their parity buffers back for later encode
-        // tasks to reuse.
+        // tasks to reuse, and keep their source blocks here for later reads.
         let pool = (n_groups > 1).then(|| self.transfer_pool());
         let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Result<EncodedGroup>)>();
         let (recycle_tx, recycle_rx) = crossbeam::channel::unbounded::<Vec<Vec<u8>>>();
-
-        let mut feeder = match source {
-            // One shared copy of the caller's buffer; every chunk crosses
-            // to the workers as a ref-counted slice of it.
-            PutSource::Buffer(data) => {
-                chunker::StripeFeeder::shared(Bytes::copy_from_slice(data), chunk_size, k_max)
-            }
-            PutSource::Stream(reader) => chunker::StripeFeeder::new(reader, chunk_size, k_max),
-        };
+        let mut spare_blocks: Vec<Vec<u8>> = Vec::new();
 
         for next in 0..n_groups {
             // Refill the window (primes it on the first iteration). Reads
             // and submissions happen on this thread, interleaved with the
             // in-order stores.
             while submitted < n_groups && submitted < next + window {
-                let stripe = feeder
-                    .next_stripe()
-                    .map_err(io_err)?
-                    .ok_or_else(|| mismatch(feeder.bytes_read()))?;
+                // The stripe's bytes as one owned block, short only at the
+                // source's end; an empty block is the empty file's one
+                // empty chunk, and a source that ended early otherwise.
+                let mut block = spare_blocks.pop().unwrap_or_default();
+                block.clear();
+                source.read_into(&mut block, stripe_bytes).map_err(io_err)?;
+                read_bytes += block.len();
+                if block.is_empty() && submitted > 0 {
+                    return Err(mismatch(read_bytes as u64));
+                }
                 // Every stripe before the source's last is full, so stripe
                 // `submitted` starts at chunk `submitted * k_max`.
                 let first = submitted * k_max;
+                let n_chunks = block.len().div_ceil(chunk_size).max(1);
                 let vids = data_vids
-                    .get(first..first + stripe.len())
-                    .ok_or_else(|| mismatch(feeder.bytes_read()))?;
-                let in_flight_bytes = feeder.bytes_read() as usize - stored_logical_bytes;
-                peak_in_flight_bytes = peak_in_flight_bytes.max(in_flight_bytes);
+                    .get(first..first + n_chunks)
+                    .ok_or_else(|| mismatch(read_bytes as u64))?;
+                peak_in_flight_bytes = peak_in_flight_bytes.max(read_bytes - stored_logical_bytes);
                 // Each data shard's upload buffer is allocated here, on the
-                // storing thread; the encode fills it.
-                let group: Vec<(ShardBuf, Bytes)> = vids
+                // storing thread; the encode fills it from its span of the
+                // block.
+                let group: Vec<(ShardBuf, Range<usize>)> = vids
                     .iter()
-                    .zip(stripe)
-                    .map(|(&vid, logical)| (ShardBuf::for_chunk(vid, logical.len(), rate), logical))
+                    .enumerate()
+                    .map(|(i, &vid)| {
+                        let span = i * chunk_size..block.len().min((i + 1) * chunk_size);
+                        (ShardBuf::for_chunk(vid, span.len(), rate), span)
+                    })
                     .collect();
                 let stripe_no = submitted;
                 match pool {
                     None => {
-                        pending.insert(stripe_no, encode(group, Vec::new(), tel));
+                        pending.insert(stripe_no, encode(block, group, Vec::new(), tel));
                     }
                     Some(pool) => {
                         let (res_tx, recycle_rx) = (res_tx.clone(), recycle_rx.clone());
@@ -941,7 +964,7 @@ impl CloudDataDistributor {
                             let enc =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     let scratch = recycle_rx.try_recv().unwrap_or_default();
-                                    encode(group, scratch, &wtel)
+                                    encode(block, group, scratch, &wtel)
                                 }))
                                 .unwrap_or(Err(CoreError::EncodeTaskPanicked));
                             let _ = res_tx.send((stripe_no, enc));
@@ -964,17 +987,24 @@ impl CloudDataDistributor {
             if progress.raid != RaidLevel::None {
                 tel.incr("stripe_encodes");
             }
-            let logical_bytes: usize = enc.chunks.iter().map(|c| c.2).sum();
-            let recycled =
+            let (block, parity) =
                 tel.time("stripe_store_ns", || self.store_stripe(progress, next, enc))?;
-            let _ = recycle_tx.send(recycled);
-            stored_logical_bytes += logical_bytes;
+            let _ = recycle_tx.send(parity);
+            stored_logical_bytes += block.len();
+            // Kept to the end of the put even once no later stripe reads
+            // into it: freed mid-put, its memory is carved up by the put's
+            // later allocations, and the next put's blocks land on fresh
+            // pages that fault in on the read path.
+            spare_blocks.push(block);
         }
 
         // The source must be exactly `len` bytes, drained in full (no
-        // trailing stripe).
-        if feeder.bytes_read() != len as u64 || feeder.next_stripe().map_err(io_err)?.is_some() {
-            return Err(mismatch(feeder.bytes_read()));
+        // trailing byte).
+        let mut trailing = Vec::new();
+        source.read_into(&mut trailing, 1).map_err(io_err)?;
+        read_bytes += trailing.len();
+        if read_bytes != len {
+            return Err(mismatch(read_bytes as u64));
         }
         Ok(peak_in_flight_bytes)
     }
@@ -1030,11 +1060,15 @@ impl CloudDataDistributor {
     /// allocated in chunk order by the caller, and the stored form is a
     /// pure function of ⟨chunk, rate, seed ⊕ vid⟩.
     ///
-    /// `scratch` recycles parity buffers from already-stored stripes
-    /// (popped as needed; missing entries just allocate). `codec` is
-    /// resolved once per put; a short final stripe resolves its own.
+    /// `group` pairs each data shard's buffer with its chunk's span of
+    /// `block`, the stripe's source bytes; the block comes back in the
+    /// result for the pipeline to reuse. `scratch` recycles parity buffers
+    /// from already-stored stripes (popped as needed; missing entries just
+    /// allocate). `codec` is resolved once per put; a short final stripe
+    /// resolves its own.
     fn encode_stripe_group(
-        group: Vec<(ShardBuf, Bytes)>,
+        block: Vec<u8>,
+        group: Vec<(ShardBuf, Range<usize>)>,
         rate: f64,
         seed: u64,
         codec: &StripeCodec,
@@ -1042,9 +1076,9 @@ impl CloudDataDistributor {
     ) -> Result<EncodedGroup> {
         let chunks: Vec<(ShardBuf, Arc<[usize]>, usize)> = group
             .into_iter()
-            .map(|(mut shard, logical)| {
-                let positions = shard.fill_stored(&logical, rate, seed ^ shard.vid().0);
-                (shard, positions, logical.len())
+            .map(|(mut shard, span)| {
+                let positions = shard.fill_stored(&block[span.clone()], rate, seed ^ shard.vid().0);
+                (shard, positions, span.len())
             })
             .collect();
         let refs: Vec<&[u8]> = chunks.iter().map(|(s, _, _)| s.payload()).collect();
@@ -1061,6 +1095,7 @@ impl CloudDataDistributor {
             .collect();
         codec.parity_padded_into(&refs, width, &mut parity)?;
         Ok(EncodedGroup {
+            block,
             chunks,
             width,
             parity,
@@ -1072,16 +1107,17 @@ impl CloudDataDistributor {
     /// caller thread only (it draws from the placement rng, allocates vids
     /// and drives provider I/O), in stripe order, with no table in reach.
     ///
-    /// Returns the stripe's parity buffers so the pipeline can recycle
-    /// them into later encode tasks.
+    /// Returns the stripe's source block and parity buffers so the
+    /// pipeline can recycle them into later reads and encode tasks.
     fn store_stripe(
         &self,
         progress: &mut PutProgress<'_>,
         stripe_no: usize,
         enc: EncodedGroup,
-    ) -> Result<Vec<Vec<u8>>> {
+    ) -> Result<(Vec<u8>, Vec<Vec<u8>>)> {
         let (pl, raid, ctx) = (progress.pl, progress.raid, progress.ctx);
         let EncodedGroup {
+            block,
             chunks: group,
             width,
             parity: parity_blobs,
@@ -1232,7 +1268,7 @@ impl CloudDataDistributor {
             shard_width: width,
             degraded: slots.missing > 0,
         });
-        Ok(recycled)
+        Ok((block, recycled))
     }
 
     /// Stores one stripe member (data or parity) into its slot: a crash
