@@ -40,20 +40,40 @@ const DISTRIBUTOR_SHAPES: [(&str, usize, f64); 2] = [
     ("64KiB_x_0.02", 64 << 10, 0.02),
 ];
 
+/// Distinct (chunk, seed) pairs each shape cycles through. A distributor
+/// never strips the same position set twice in a row; one repeated chunk
+/// lets the branch predictor learn its runs and flatters a branchy kernel
+/// about twofold.
+const DISTINCT: usize = 256;
+
 fn bench_distributor_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("mislead_chunk");
     for (name, len, rate) in DISTRIBUTOR_SHAPES {
-        let data: Vec<u8> = (0..len).map(|i| (i * 131 + 17) as u8).collect();
-        let (stored, positions) = mislead::inject(&data, rate, 7);
+        let inputs: Vec<(Vec<u8>, u64)> = (0..DISTINCT)
+            .map(|k| {
+                let data = (0..len).map(|i| (i * 131 + k * 29 + 17) as u8).collect();
+                (data, 7 ^ k as u64)
+            })
+            .collect();
+        let injected: Vec<(Vec<u8>, Vec<usize>)> = inputs
+            .iter()
+            .map(|(data, seed)| mislead::inject(data, rate, *seed))
+            .collect();
         group.throughput(Throughput::Bytes(len as u64));
-        group.bench_with_input(BenchmarkId::new("inject", name), &data, |b, d| {
-            b.iter(|| mislead::inject(d, rate, 7))
+        group.bench_with_input(BenchmarkId::new("inject", name), &inputs, |b, inputs| {
+            let mut next = inputs.iter().cycle();
+            b.iter(|| {
+                let (data, seed) = next.next().expect("cycle never ends");
+                mislead::inject(data, rate, *seed)
+            })
         });
-        group.bench_with_input(
-            BenchmarkId::new("strip", name),
-            &(stored, positions),
-            |b, (stored, positions)| b.iter(|| mislead::strip(stored, positions)),
-        );
+        group.bench_with_input(BenchmarkId::new("strip", name), &injected, |b, injected| {
+            let mut next = injected.iter().cycle();
+            b.iter(|| {
+                let (stored, positions) = next.next().expect("cycle never ends");
+                mislead::strip(stored, positions)
+            })
+        });
     }
     group.finish();
 }

@@ -93,9 +93,9 @@ fn assert_mislead_matches_oracle(data: &[u8], rate: f64, seed: u64) {
     );
 }
 
-/// The lengths where the 16-byte block copy switches on and off (a run or
-/// the buffer tail shorter than, equal to, or just past one block) and the
-/// two chunk sizes the distributor runs, at the rates' extremes.
+/// The lengths where the 16- and 32-byte block copies switch on and off (a
+/// run or the buffer tail shorter than, equal to, or just past one block)
+/// and the two chunk sizes the distributor runs, at the rates' extremes.
 #[test]
 fn mislead_matches_oracle_at_block_copy_edges() {
     for len in [
@@ -175,8 +175,17 @@ fn arb_pl() -> impl Strategy<Value = PrivacyLevel> {
     (0u8..4).prop_map(|v| PrivacyLevel::from_u8(v).expect("0..4"))
 }
 
+/// Cases per property: `PROPTEST_CASES` when set (CI widens the mislead
+/// properties with it), 64 otherwise.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// split ∘ join = id for any payload and privacy level.
     #[test]
