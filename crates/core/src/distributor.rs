@@ -31,7 +31,7 @@ use crate::mutation::{Doomed, OpCtx, Reclaimer};
 use crate::objectio::{Boundary, Framed, ShardBuf, StripeReadSet, StripeRows};
 use crate::persist;
 use crate::policy;
-use crate::pool::TransferPool;
+use crate::pool::{Offer, TransferPool};
 use crate::tables::{
     self, ChunkEntry, ChunkRole, Directory, FileEntry, StripeInfo, StripeRef, Tables,
 };
@@ -44,7 +44,7 @@ use fragcloud_telemetry::{span, TelemetryHandle};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{HashSet, VecDeque};
 use std::io::Read;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -284,8 +284,8 @@ pub struct CloudDataDistributor {
 }
 
 /// One stripe's worth of encoded shards, produced by
-/// [`CloudDataDistributor::encode_stripe_group`] either inline (a
-/// single-stripe put) or on a transfer-pool worker.
+/// [`CloudDataDistributor::encode_stripe_group`] on the storing thread or
+/// on a transfer-pool worker, whichever claimed it.
 struct EncodedGroup {
     /// The stripe's source block, handed back for a later stripe to reuse.
     block: Vec<u8>,
@@ -527,8 +527,8 @@ impl CloudDataDistributor {
 
     /// The shared transfer pool, created on first use with
     /// [`DurabilityConfig::transfer_workers`] worker threads. Multi-stripe
-    /// puts run their stripe encodes here instead of spawning fresh
-    /// threads per call.
+    /// puts offer their stripe encodes here, and large gets their
+    /// segments, instead of spawning fresh threads per call.
     ///
     /// [`DurabilityConfig::transfer_workers`]: crate::config::DurabilityConfig::transfer_workers
     pub fn transfer_pool(&self) -> &TransferPool {
@@ -722,8 +722,8 @@ impl CloudDataDistributor {
     ///    name and reserve ⟨client, filename⟩ ([`Self::plan_put`]).
     /// 2. **Execute**, with no guard in scope: allocate and journal the
     ///    data vids, then one windowed loop — refill the window from the
-    ///    stripe source, encode on the transfer pool, consume in stripe
-    ///    order, store — landing owned rows ([`Self::execute_put`]).
+    ///    stripe source, offering each encode to the transfer pool, join
+    ///    in stripe order, store — landing owned rows ([`Self::execute_put`]).
     /// 3. **Commit**, under the write lock again: insert the file row,
     ///    push the rows, release the name ([`Self::commit_put`]), and append
     ///    the commit record before the lock drops (`commit_under`).
@@ -849,9 +849,9 @@ impl CloudDataDistributor {
     /// Execute, with no shard guard in scope: allocates every data vid
     /// upfront, in chunk order, and hands them to `journal_alloc` — the
     /// op's rollback set, and a durable lease before any provider sees a
-    /// byte — then reads the source a window ahead, encodes on
-    /// the pool and stores stripe by stripe in order. Returns the peak
-    /// source bytes in flight.
+    /// byte — then reads the source a window ahead, offers each stripe's
+    /// encode to the pool and stores stripe by stripe in order. Returns
+    /// the peak source bytes in flight.
     fn execute_put(
         &self,
         progress: &mut PutProgress<'_>,
@@ -893,32 +893,27 @@ impl CloudDataDistributor {
         let mut read_bytes = 0usize;
         let mut stored_logical_bytes = 0usize;
         let mut peak_in_flight_bytes = 0usize;
-        let mut submitted = 0usize;
-        let mut pending: BTreeMap<usize, Result<EncodedGroup>> = BTreeMap::new();
 
         let seed = self.config.seed;
         // Resolved once per put, at the first stripe's width: every full
         // stripe encodes on its tables.
         let codec = StripeCodec::new(chunk_count.clamp(1, k_max), progress.raid)?;
-        let encode = move |block, group, scratch, tel: &TelemetryHandle| {
-            tel.time("stripe_encode_ns", || {
-                Self::encode_stripe_group(block, group, rate, seed, &codec, scratch)
-            })
-        };
-        // A single stripe is encoded inline; anything longer overlaps
-        // encode of stripe N+1.. with the store of stripe N on the pool.
-        // Stored stripes send their parity buffers back for later encode
-        // tasks to reuse, and keep their source blocks here for later reads.
+        // A single stripe is encoded inline; anything longer offers each
+        // stripe's encode to the pool and joins them in order, so encodes
+        // overlap stores and this thread encodes any stripe no worker has
+        // started. A stored stripe's block and parity buffers are kept on
+        // local spare lists for the stripes read after it.
         let pool = (n_groups > 1).then(|| self.transfer_pool());
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Result<EncodedGroup>)>();
-        let (recycle_tx, recycle_rx) = crossbeam::channel::unbounded::<Vec<Vec<u8>>>();
+        let mut offers: VecDeque<Offer<Result<EncodedGroup>>> = VecDeque::new();
         let mut spare_blocks: Vec<Vec<u8>> = Vec::new();
+        let mut spare_parity: Vec<Vec<Vec<u8>>> = Vec::new();
 
         for next in 0..n_groups {
             // Refill the window (primes it on the first iteration). Reads
-            // and submissions happen on this thread, interleaved with the
+            // and offers happen on this thread, interleaved with the
             // in-order stores.
-            while submitted < n_groups && submitted < next + window {
+            while offers.len() < window && next + offers.len() < n_groups {
+                let stripe = next + offers.len();
                 // The stripe's bytes as one owned block, short only at the
                 // source's end; an empty block is the empty file's one
                 // empty chunk, and a source that ended early otherwise.
@@ -926,12 +921,12 @@ impl CloudDataDistributor {
                 block.clear();
                 source.read_into(&mut block, stripe_bytes).map_err(io_err)?;
                 read_bytes += block.len();
-                if block.is_empty() && submitted > 0 {
+                if block.is_empty() && stripe > 0 {
                     return Err(mismatch(read_bytes as u64));
                 }
                 // Every stripe before the source's last is full, so stripe
-                // `submitted` starts at chunk `submitted * k_max`.
-                let first = submitted * k_max;
+                // `stripe` starts at chunk `stripe * k_max`.
+                let first = stripe * k_max;
                 let n_chunks = block.len().div_ceil(chunk_size).max(1);
                 let vids = data_vids
                     .get(first..first + n_chunks)
@@ -948,48 +943,27 @@ impl CloudDataDistributor {
                         (ShardBuf::for_chunk(vid, span.len(), rate), span)
                     })
                     .collect();
-                let stripe_no = submitted;
-                match pool {
-                    None => {
-                        pending.insert(stripe_no, encode(block, group, Vec::new(), tel));
-                    }
-                    Some(pool) => {
-                        let (res_tx, recycle_rx) = (res_tx.clone(), recycle_rx.clone());
-                        let encode = encode.clone();
-                        let wtel = tel.clone();
-                        pool.submit_observed(tel, move || {
-                            // A panicking encode must still send — the
-                            // caller holds a sender of its own, so channel
-                            // disconnect cannot signal it.
-                            let enc =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let scratch = recycle_rx.try_recv().unwrap_or_default();
-                                    encode(block, group, scratch, &wtel)
-                                }))
-                                .unwrap_or(Err(CoreError::EncodeTaskPanicked));
-                            let _ = res_tx.send((stripe_no, enc));
-                        });
-                    }
-                }
-                submitted += 1;
+                let scratch = spare_parity.pop().unwrap_or_default();
+                let (codec, wtel) = (codec.clone(), tel.clone());
+                let job = move || {
+                    wtel.time("stripe_encode_ns", || {
+                        Self::encode_stripe_group(block, group, rate, seed, &codec, scratch)
+                    })
+                };
+                offers.push_back(match pool {
+                    Some(pool) => pool.offer(tel, job),
+                    None => Offer::inline(job),
+                });
             }
 
-            // Consume stripe `next`; workers finish in any order, so
-            // buffer out-of-order arrivals. (An inline encode is already
-            // pending, so only pool results are ever waited for.)
-            let enc = loop {
-                if let Some(e) = pending.remove(&next) {
-                    break e;
-                }
-                let (no, e) = res_rx.recv().map_err(|_| CoreError::EncodeTaskPanicked)?;
-                pending.insert(no, e);
-            }?;
+            let enc = (offers.pop_front().and_then(Offer::join))
+                .unwrap_or(Err(CoreError::EncodeTaskPanicked))?;
             if progress.raid != RaidLevel::None {
                 tel.incr("stripe_encodes");
             }
             let (block, parity) =
                 tel.time("stripe_store_ns", || self.store_stripe(progress, next, enc))?;
-            let _ = recycle_tx.send(parity);
+            spare_parity.push(parity);
             stored_logical_bytes += block.len();
             // Kept to the end of the put even once no later stripe reads
             // into it: freed mid-put, its memory is carved up by the put's
@@ -1108,7 +1082,7 @@ impl CloudDataDistributor {
     /// and drives provider I/O), in stripe order, with no table in reach.
     ///
     /// Returns the stripe's source block and parity buffers so the
-    /// pipeline can recycle them into later reads and encode tasks.
+    /// pipeline can recycle them into later reads and encodes.
     fn store_stripe(
         &self,
         progress: &mut PutProgress<'_>,

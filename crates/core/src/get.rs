@@ -14,15 +14,15 @@
 //! is the smallest of the host's available parallelism, one more than
 //! `transfer_workers`, the file's stripe runs and `total_len /`
 //! [`GET_SEGMENT_BYTES`], and at least one. The caller reads segment 0;
-//! every other segment is submitted to the transfer pool behind a claim
-//! (its output buffer, taken by whoever gets to it first), and when the
-//! caller is done with its own it runs every segment no worker has
-//! claimed. So a get never waits on a queued task: a pool saturated by a
-//! put's encodes, or parked, cannot stall it. Each segment reads its
-//! chunks in order through its own stripe read set; a stripe never spans
-//! two segments, so no member is read twice. The caller stitches the
-//! segments' bytes in order and sums their receipts. A panicking segment
-//! is [`CoreError::ReadTaskPanicked`] on the caller.
+//! every other segment is offered to the transfer pool and joined in
+//! order, so the caller runs every segment no worker has started. A get
+//! never waits on a queued task: a pool saturated by a put's encodes, or
+//! parked, cannot stall it. Each segment reads its chunks in order
+//! through its own stripe read set; a stripe never spans two segments, so
+//! no member is read twice. The caller stitches the segments' bytes in
+//! order and sums their receipts. A panicking segment is
+//! [`CoreError::ReadTaskPanicked`] on the caller, and once a segment has
+//! failed the rest are withdrawn.
 //!
 //! The shard read guard is held until every segment has joined: a commit
 //! that dooms an object the plan names only queues it for the reclaimer,
@@ -34,16 +34,14 @@ use crate::access;
 use crate::distributor::{CloudDataDistributor, GetReceipt};
 use crate::mislead;
 use crate::objectio::{Boundary, Member, MemberRow, StripeReadSet, StripeRows};
-use crate::pool::TransferPool;
+use crate::pool::Offer;
 use crate::tables::Tables;
 use crate::{CoreError, Result};
 use bytes::Bytes;
 use fragcloud_raid::{RaidError, RaidLevel};
 use fragcloud_sim::VirtualId;
 use fragcloud_telemetry::{span, TelemetryHandle};
-use parking_lot::Mutex;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -169,8 +167,8 @@ impl ReadPlan {
     }
 
     /// Cuts the plan into at most `n` contiguous segments of about equal
-    /// stripe runs, never between two chunks of one stripe — or into none
-    /// when fewer than two segments would result.
+    /// stripe runs, never between two chunks of one stripe — or into one
+    /// when fewer than two would result.
     fn segments(&self, n: usize) -> Vec<Range<usize>> {
         let stripe_of = |i: usize| self.chunks[i].stripe.map(|(s, _)| s);
         let starts: Vec<usize> = (0..self.chunks.len())
@@ -178,7 +176,7 @@ impl ReadPlan {
             .collect();
         let n = n.min(starts.len());
         if n < 2 {
-            return Vec::new();
+            return std::iter::once(0..self.chunks.len()).collect();
         }
         let bound = |j: usize| match j {
             _ if j == n => self.chunks.len(),
@@ -216,22 +214,6 @@ impl ReadPlan {
             mislead::strip_into(&fetch.stored, &chunk.mislead, out);
         }
         Ok(tally)
-    }
-
-    /// [`read_segment`](Self::read_segment) into `out`, a panic turned
-    /// into [`CoreError::ReadTaskPanicked`].
-    fn read_caught(
-        &self,
-        io: &Boundary,
-        chunks: Range<usize>,
-        mut out: Vec<u8>,
-        tel: &TelemetryHandle,
-    ) -> SegmentRead {
-        catch_unwind(AssertUnwindSafe(|| {
-            let tally = self.read_segment(io, chunks, &mut out, tel)?;
-            Ok((out, tally))
-        }))
-        .unwrap_or(Err(CoreError::ReadTaskPanicked))
     }
 
     /// Fetches a chunk's stored bytes through the degraded-mode read path:
@@ -456,92 +438,49 @@ fn read_repair(io: &Boundary, idx: usize, vid: VirtualId, stored: &[u8], tel: &T
     }
 }
 
-/// A segment's claim: the buffer its bytes go into, taken by whichever of
-/// the caller and a pool worker gets to it first. The caller allocates
-/// every buffer, so a segment read on a worker grows no worker's
-/// allocator arena.
-type Claim = Mutex<Option<Vec<u8>>>;
-
-/// Reads `segments` of `plan`: segment 0 on the caller, the rest offered
-/// to `pool`, then run by the caller unless a worker has claimed them.
-/// Returns when every claimed segment has returned; skips what is
-/// unclaimed once a segment has failed. The first error in segment order
-/// wins.
-fn read_fanned(
-    plan: &Arc<ReadPlan>,
-    io: &Arc<Boundary>,
-    pool: &TransferPool,
-    segments: &[Range<usize>],
-    tel: &TelemetryHandle,
-) -> SegmentRead {
-    tel.incr("gets_fanned_out");
-    // Segment 0 is the caller's from the start.
-    let claims: Arc<[Claim]> = (segments.iter().enumerate())
-        .map(|(i, chunks)| {
-            Mutex::new((i > 0).then(|| Vec::with_capacity(plan.logical_len(chunks))))
-        })
-        .collect();
-    let mut replies = Vec::with_capacity(segments.len());
-    for (i, chunks) in segments.iter().enumerate().skip(1) {
-        let (tx, rx) = crossbeam::channel::bounded::<SegmentRead>(1);
-        replies.push((i, rx));
-        let (plan, io, claims) = (Arc::clone(plan), Arc::clone(io), Arc::clone(&claims));
-        let (chunks, wtel) = (chunks.clone(), tel.clone());
-        pool.submit(move || {
-            let Some(out) = claims[i].lock().take() else {
-                return;
-            };
-            wtel.incr("get_segments_pooled");
-            let _ = tx.send(plan.read_caught(&io, chunks, out, &wtel));
-        });
-    }
-
-    // Segment 0's buffer is the output: the others are appended to it.
-    let out = Vec::with_capacity(plan.total_len);
-    let first = plan.read_caught(io, segments[0].clone(), out, tel);
-    let mut failed = first.is_err();
-    let mut parts: Vec<Option<SegmentRead>> = segments.iter().map(|_| None).collect();
-    let mut pooled = Vec::new();
-    for (i, rx) in replies {
-        match claims[i].lock().take() {
-            None => pooled.push((i, rx)),
-            Some(out) if !failed => {
-                let part = plan.read_caught(io, segments[i].clone(), out, tel);
-                failed = part.is_err();
-                parts[i] = Some(part);
-            }
-            Some(_) => {}
-        }
-    }
-    // Join: a claimed segment always replies — its panic is caught — and
-    // a sender dropped without a reply still ends the wait.
-    for (i, rx) in pooled {
-        parts[i] = Some(rx.recv().unwrap_or(Err(CoreError::ReadTaskPanicked)));
-    }
-
-    let (mut out, mut tally) = first?;
-    // A segment is skipped only after an earlier one failed, so the
-    // first `None` lies past the first error.
-    for part in parts.into_iter().flatten() {
-        let (bytes, t) = part?;
-        out.extend_from_slice(&bytes);
-        tally.absorb(t);
-    }
-    Ok((out, tally))
-}
-
 impl CloudDataDistributor {
-    /// How many segments a get of `plan` reads in, and the pool when it is
-    /// more than one (see the module doc).
-    fn fan_out(&self, plan: &ReadPlan) -> Option<(&TransferPool, Vec<Range<usize>>)> {
+    /// Reads every chunk of `plan` in stripe-aligned segments (see the
+    /// module doc): segment 0 on the caller, the rest offered to the pool.
+    /// The first error in segment order wins; the segments after it are
+    /// withdrawn, so none outlives the caller's guard.
+    fn read_plan(&self, plan: ReadPlan, tel: &TelemetryHandle) -> SegmentRead {
         let width =
             (plan.total_len / GET_SEGMENT_BYTES).min(self.config().durability.transfer_workers + 1);
-        if width < 2 {
-            return None;
+        let pool = (width > 1).then(|| self.transfer_pool());
+        let segments = plan.segments(pool.map_or(1, |p| width.min(p.host_parallelism())));
+        if segments.len() > 1 {
+            tel.incr("gets_fanned_out");
         }
-        let pool = self.transfer_pool();
-        let segments = plan.segments(width.min(pool.host_parallelism()));
-        (segments.len() > 1).then_some((pool, segments))
+        let plan = Arc::new(plan);
+        let offers: Vec<Offer<SegmentRead>> = (segments.into_iter().enumerate())
+            .map(|(i, chunks)| {
+                // The caller allocates every segment's buffer, so a segment
+                // read on a worker grows no worker's allocator arena.
+                // Segment 0's is the output: the others are appended to it.
+                let mut out = Vec::with_capacity(match i {
+                    0 => plan.total_len,
+                    _ => plan.logical_len(&chunks),
+                });
+                let (plan, io, wtel) = (Arc::clone(&plan), Arc::clone(self.io()), tel.clone());
+                let job = move || {
+                    let tally = plan.read_segment(&io, chunks, &mut out, &wtel)?;
+                    Ok((out, tally))
+                };
+                match pool {
+                    Some(pool) if i > 0 => pool.offer(tel, job),
+                    _ => Offer::inline(job),
+                }
+            })
+            .collect();
+        let mut parts = (offers.into_iter())
+            .map(|offer| offer.join().unwrap_or(Err(CoreError::ReadTaskPanicked)));
+        let (mut out, mut tally) = parts.next().unwrap_or(Err(CoreError::ReadTaskPanicked))?;
+        for part in parts {
+            let (bytes, t) = part?;
+            out.extend_from_slice(&bytes);
+            tally.absorb(t);
+        }
+        Ok((out, tally))
     }
 
     pub(crate) fn get_chunk_impl(
@@ -559,9 +498,7 @@ impl CloudDataDistributor {
         access::check(level, st.chunks[chunk_idx].pl)?;
         let plan = ReadPlan::of_chunks(&st, filename, [(serial, chunk_idx)])?;
         tel.incr("chunk_gets_total");
-        let mut out = Vec::with_capacity(plan.total_len);
-        plan.read_segment(self.io(), 0..1, &mut out, &tel)?;
-        Ok(out)
+        Ok(self.read_plan(plan, &tel)?.0)
     }
 
     pub(crate) fn get_file_impl(
@@ -579,16 +516,7 @@ impl CloudDataDistributor {
         let chunks = (0u32..).zip(file.chunk_indices.iter().copied());
         let plan = ReadPlan::of_chunks(&st, filename, chunks)?;
 
-        let (data, tally) = match self.fan_out(&plan) {
-            Some((pool, segments)) => {
-                read_fanned(&Arc::new(plan), self.io(), pool, &segments, &tel)
-            }
-            None => {
-                let mut out = Vec::with_capacity(plan.total_len);
-                (plan.read_segment(self.io(), 0..plan.chunks.len(), &mut out, &tel))
-                    .map(|tally| (out, tally))
-            }
-        }?;
+        let (data, tally) = self.read_plan(plan, &tel)?;
         // Every segment has joined: only now may a commit that dooms an
         // object the plan names take the shard.
         drop(st);

@@ -28,8 +28,8 @@
 //! - [`get`] — the get path: an owned read plan of the file's rows, read
 //!   in stripe-aligned segments on the caller and the transfer pool;
 //! - [`pool`] — the persistent bounded transfer pool shared by sessions:
-//!   the put pipeline's stripe encodes and a get's segments run on its
-//!   workers;
+//!   the put pipeline's stripe encodes and a get's segments are offered
+//!   to it and run by a worker or their caller, whichever claims first;
 //! - [`multi`] — multiple distributors, primary/secondary (§IV-C, Fig. 2);
 //! - [`persist`] — versioned text snapshots of the table state, so a
 //!   restarted (or newly promoted) distributor can rehydrate against the
@@ -223,10 +223,10 @@ pub enum CoreError {
         /// `Clone + PartialEq`).
         why: String,
     },
-    /// A stripe-encode task of the put pipeline panicked on its
-    /// transfer-pool worker. The put fails (and is rolled back by the
-    /// journal like any other failed operation) instead of re-raising the
-    /// panic on the caller's thread.
+    /// A stripe encode of the put pipeline panicked, on a transfer-pool
+    /// worker or on the caller's thread. The put fails (and is rolled back
+    /// by the journal like any other failed operation) instead of
+    /// re-raising the panic.
     EncodeTaskPanicked,
     /// A segment of a get panicked, on a transfer-pool worker or on the
     /// caller's thread. The get fails typed once every segment has

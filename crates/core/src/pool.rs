@@ -1,43 +1,175 @@
-//! Persistent bounded transfer pool.
+//! Persistent bounded transfer pool, and the one way work is handed to it.
 //!
-//! A [`TransferPool`] owns a fixed set of worker threads fed from one MPMC
-//! channel (the vendored `crossbeam::channel`). The distributor creates it
-//! lazily on first use and shares it across every
-//! [`Session`](crate::Session): the put pipeline submits its stripe
-//! encodes here, and a get of a large file its segments (`core::get`),
-//! instead of spawning fresh threads per call, which is what keeps the
-//! hot I/O path free of thread-creation cost. The host's available
-//! parallelism is read once, here, for the get's fan-out rule.
+//! A [`TransferPool`] is a fixed set of worker threads draining a queue it
+//! owns (a `Mutex<VecDeque>` and a `Condvar`), created lazily by the
+//! distributor and shared by every [`Session`](crate::Session). A put's
+//! stripe encodes and a get's segments are [offered](TransferPool::offer):
+//! whoever claims a job first runs it, a worker or the caller, so a parked
+//! or saturated pool delays a verb by nothing but the work itself.
 //!
 //! **Invariant: no pool job takes a table lock or waits on another pool
-//! job.** A job may hold what it was given (an `Arc` of a plan or of the
-//! provider boundary) and send one result; it never blocks on a shard
-//! guard, the client directory or a sibling task. A job that did could
-//! deadlock against a caller that holds a guard while it waits on the
-//! pool. The submitter, in turn, never waits on a job that has not
-//! started: a get runs its own unclaimed segments, so a parked or
-//! saturated pool delays it by nothing but the work itself.
-//!
-//! Panics inside a task are caught per task, so one poisoned job can never
-//! wedge the queue or kill a worker. Dropping the pool closes the channel
-//! and joins all workers.
+//! job.** One that did could deadlock against a caller that joins it while
+//! holding a guard. A job's panic is caught here, once: an offer's is
+//! `None` from `join`, which each verb maps to its typed error.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{self, Sender};
 use fragcloud_telemetry::{clock, TelemetryHandle};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A queued job; `false` when what it ran panicked.
+type Job = Box<dyn FnOnce() -> bool + Send + 'static>;
+type Task<T> = Box<dyn FnOnce() -> T + Send + 'static>;
 
-/// A fixed-size worker pool consuming boxed closures from a shared queue.
+fn caught<T>(job: impl FnOnce() -> T) -> Option<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).ok()
+}
+
+/// Each critical section here only moves values: poison leaves nothing torn.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+#[derive(Default)]
+struct Shared {
+    /// The jobs, and whether the pool has dropped.
+    queue: Mutex<(VecDeque<Job>, bool)>,
+    ready: Condvar,
+    panicked: AtomicUsize,
+}
+
+impl Shared {
+    /// Queues `job`, wakes a worker and returns the queue's length.
+    fn push(&self, job: Job) -> usize {
+        let depth = {
+            let mut queue = lock(&self.queue);
+            queue.0.push_back(job);
+            queue.0.len()
+        };
+        self.ready.notify_one();
+        depth
+    }
+
+    /// A worker: jobs in order until the pool drops and the queue empties.
+    fn work(&self) {
+        let mut queue = lock(&self.queue);
+        loop {
+            if let Some(job) = queue.0.pop_front() {
+                drop(queue);
+                if !job() {
+                    self.panicked.fetch_add(1, Ordering::Relaxed);
+                }
+                queue = lock(&self.queue);
+            } else if queue.1 {
+                return;
+            } else {
+                queue = wait(&self.ready, queue);
+            }
+        }
+    }
+}
+
+/// Where an offered job waits to be claimed, and its result to be joined.
+struct Slot<T> {
+    claim: Mutex<Claim<T>>,
+    done: Condvar,
+}
+
+enum Claim<T> {
+    Open(Task<T>),
+    /// A worker has claimed it.
+    Running,
+    /// A worker has run it: `None` if it panicked, or once the owner has
+    /// run it, dropped it or taken its result.
+    Done(Option<T>),
+}
+
+impl<T> Slot<T> {
+    fn run_on_worker(&self, tel: &TelemetryHandle) -> bool {
+        let task = {
+            let mut claim = lock(&self.claim);
+            match std::mem::replace(&mut *claim, Claim::Running) {
+                Claim::Open(task) => task,
+                done => {
+                    *claim = done;
+                    return true;
+                }
+            }
+        };
+        tel.incr("pool_tasks_on_workers");
+        let out = caught(task);
+        let ran = out.is_some();
+        *lock(&self.claim) = Claim::Done(out);
+        self.done.notify_one();
+        ran
+    }
+
+    /// The owner's claim: runs the job here (`run`) or drops it if nobody
+    /// has started it, else waits for the worker's result.
+    fn settle(&self, run: bool) -> Option<T> {
+        let mut claim = lock(&self.claim);
+        loop {
+            match std::mem::replace(&mut *claim, Claim::Done(None)) {
+                Claim::Open(task) => {
+                    drop(claim);
+                    return if run { caught(task) } else { None };
+                }
+                Claim::Running => {
+                    *claim = Claim::Running;
+                    claim = wait(&self.done, claim);
+                }
+                Claim::Done(out) => return out,
+            }
+        }
+    }
+}
+
+/// A job offered to the pool, run by whichever of a worker and its owner
+/// claims it first. Dropping an offer withdraws it.
+#[must_use = "an offer is joined or withdrawn"]
+pub struct Offer<T> {
+    slot: Arc<Slot<T>>,
+}
+
+impl<T> Offer<T> {
+    /// An offer no worker can claim: [`join`](Self::join) runs it on the
+    /// caller, under the same panic rule.
+    pub fn inline(job: impl FnOnce() -> T + Send + 'static) -> Self {
+        let claim = Mutex::new(Claim::Open(Box::new(job)));
+        Offer {
+            slot: Arc::new(Slot {
+                claim,
+                done: Condvar::new(),
+            }),
+        }
+    }
+
+    /// The job's result, run here if no worker has started it; `None` if
+    /// it panicked.
+    pub fn join(self) -> Option<T> {
+        self.slot.settle(true)
+    }
+
+    /// Drops the job if nobody has started it, else waits for the worker.
+    pub fn withdraw(self) {}
+}
+
+impl<T> Drop for Offer<T> {
+    fn drop(&mut self) {
+        self.slot.settle(false);
+    }
+}
+
+/// A fixed-size worker pool draining one shared queue.
 pub struct TransferPool {
-    tx: Sender<Job>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    depth: Arc<AtomicUsize>,
-    panicked: Arc<AtomicUsize>,
     parallelism: usize,
 }
 
@@ -45,72 +177,49 @@ impl TransferPool {
     /// Spawns `workers` threads (clamped to at least one) draining one
     /// shared queue.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = channel::unbounded::<Job>();
-        let depth = Arc::new(AtomicUsize::new(0));
-        let panicked = Arc::new(AtomicUsize::new(0));
-        let handles = (0..workers)
+        let shared = Arc::new(Shared::default());
+        let handles = (0..workers.max(1))
             .map(|i| {
-                let rx = rx.clone();
-                let depth = Arc::clone(&depth);
-                let panicked = Arc::clone(&panicked);
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("fragcloud-xfer-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            depth.fetch_sub(1, Ordering::Relaxed);
-                            // A panicking task must not take the worker
-                            // down with it: swallow the payload, count it,
-                            // keep draining.
-                            if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                                panicked.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    })
-                    // fraglint: allow(no-unwrap-in-lib) — a failed worker
-                    // spawn at pool construction leaves nothing to fall
-                    // back to, and `OnceLock::get_or_init` (the shared-pool
-                    // path) cannot thread a Result out.
+                    .spawn(move || shared.work())
+                    // fraglint: allow(no-unwrap-in-lib) — a failed spawn
+                    // leaves nothing to fall back to, and the shared pool's
+                    // `OnceLock::get_or_init` cannot thread a Result out.
                     .expect("spawn transfer-pool worker")
             })
             .collect();
         TransferPool {
-            tx,
+            shared,
             workers: handles,
-            depth,
-            panicked,
             parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
-    /// Enqueues a task. Tasks start in submission order but complete in
-    /// any order; callers needing results thread their own channel through
-    /// the closure.
+    /// Queues a job with no result; a panic is counted and swallowed.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        let sent = self.tx.send(Box::new(job)).is_ok();
-        assert!(sent, "workers outlive the sender");
+        self.shared.push(Box::new(move || caught(job).is_some()));
     }
 
-    /// [`submit`](Self::submit) plus telemetry: bumps `pool_tasks_total`,
-    /// records the post-submit queue depth into the
-    /// `pool_queue_depth_count` histogram (a gauge-style sample of
-    /// backlog at submission time), and observes how long the task sat
-    /// queued before a worker picked it up into `pool_queue_dwell_us`.
-    pub fn submit_observed(&self, tel: &TelemetryHandle, job: impl FnOnce() + Send + 'static) {
-        let enqueued = clock::monotonic_now();
-        let dwell_tel = tel.clone();
-        self.submit(move || {
-            dwell_tel.observe_micros("pool_queue_dwell_us", enqueued.elapsed());
-            job();
+    /// Offers `job`. Counts `pool_tasks_total`, `pool_queue_depth_count`,
+    /// `pool_queue_dwell_us` (offer to claim) and `pool_tasks_on_workers`.
+    pub fn offer<T: Send + 'static>(
+        &self,
+        tel: &TelemetryHandle,
+        job: impl FnOnce() -> T + Send + 'static,
+    ) -> Offer<T> {
+        let (offered, dwell) = (clock::monotonic_now(), tel.clone());
+        let offer = Offer::inline(move || {
+            dwell.observe_micros("pool_queue_dwell_us", offered.elapsed());
+            job()
         });
+        let (slot, wtel) = (Arc::clone(&offer.slot), tel.clone());
+        let job = Box::new(move || slot.run_on_worker(&wtel));
+        let depth = self.shared.push(job);
         tel.incr("pool_tasks_total");
-        tel.observe("pool_queue_depth_count", self.queue_depth() as u64);
-    }
-
-    /// Tasks submitted but not yet started (snapshot; racy by nature).
-    pub fn queue_depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
+        tel.observe("pool_queue_depth_count", depth as u64);
+        offer
     }
 
     /// Number of worker threads.
@@ -123,37 +232,43 @@ impl TransferPool {
         self.parallelism
     }
 
-    /// Tasks that terminated by panicking (swallowed, workers kept).
+    /// Jobs a worker ran that panicked (swallowed, the worker kept).
     pub fn panicked_tasks(&self) -> usize {
-        self.panicked.load(Ordering::Relaxed)
+        self.shared.panicked.load(Ordering::Relaxed)
     }
 }
 
 impl Drop for TransferPool {
     fn drop(&mut self) {
-        // Disconnect the queue so workers drain what's left and exit: the
-        // pool's sender gives way to one whose receiver is already gone.
-        drop(std::mem::replace(&mut self.tx, channel::unbounded().0));
+        lock(&self.shared.queue).1 = true;
+        self.shared.ready.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-impl std::fmt::Debug for TransferPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TransferPool")
-            .field("workers", &self.workers.len())
-            .field("queue_depth", &self.queue_depth())
-            .field("panicked_tasks", &self.panicked_tasks())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
+    use std::time::Duration;
+
+    const WAIT: Duration = Duration::from_secs(10);
+
+    /// Parks `pool`'s one worker on a job until the returned sender is
+    /// dropped or sent to.
+    fn park(pool: &TransferPool) -> mpsc::Sender<()> {
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        pool.submit(move || {
+            started_tx.send(()).expect("test alive");
+            let _ = release_rx.recv();
+        });
+        started_rx.recv_timeout(WAIT).expect("the worker parked");
+        release_tx
+    }
 
     #[test]
     fn tasks_run_and_drop_joins() {
@@ -188,35 +303,91 @@ mod tests {
         let tx2 = tx.clone();
         pool.submit(move || tx2.send("after panic").expect("receiver alive"));
         assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_secs(10))
-                .expect("queue survived the panic"),
+            rx.recv_timeout(WAIT).expect("queue survived the panic"),
             "after panic"
         );
         assert_eq!(pool.panicked_tasks(), 1);
         // And the worker still accepts more work.
         pool.submit(move || tx.send("still alive").expect("receiver alive"));
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_secs(10))
-                .expect("worker alive"),
-            "still alive"
-        );
+        assert_eq!(rx.recv_timeout(WAIT).expect("worker alive"), "still alive");
     }
 
     #[test]
-    fn observed_submit_records_counters() {
+    fn a_panicking_offer_is_none_whoever_ran_it() {
+        let tel = TelemetryHandle::disabled();
+        let pool = TransferPool::new(1);
+        // A worker runs it: the offer is joined only once its panic counted.
+        let offer = pool.offer(&tel, || -> u8 { panic!("worker-side boom") });
+        let start = clock::monotonic_now();
+        while pool.panicked_tasks() == 0 {
+            assert!(start.elapsed() < WAIT, "the worker never ran the offer");
+            std::thread::yield_now();
+        }
+        assert_eq!(offer.join(), None);
+        // The caller runs it: the one worker is parked.
+        let release = park(&pool);
+        let offer = pool.offer(&tel, || -> u8 { panic!("caller-side boom") });
+        assert_eq!(offer.join(), None);
+        assert_eq!(
+            Offer::inline(|| -> u8 { panic!("inline boom") }).join(),
+            None
+        );
+        drop(release);
+        assert_eq!(
+            pool.panicked_tasks(),
+            1,
+            "only the worker's panic is counted"
+        );
+        // Both sides still run the next job.
+        assert_eq!(pool.offer(&tel, || 3u8).join(), Some(3));
+    }
+
+    #[test]
+    fn a_withdrawn_offer_nobody_started_never_runs() {
+        let pool = TransferPool::new(1);
+        let release = park(&pool);
+        let ran = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&ran);
+        let offer = pool.offer(&TelemetryHandle::disabled(), move || {
+            flag.store(true, Ordering::SeqCst)
+        });
+        offer.withdraw();
+        drop(release);
+        drop(pool); // the workers drain the queue before they exit
+        assert!(!ran.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn withdraw_waits_for_a_started_offer() {
+        let pool = TransferPool::new(1);
+        let (started_tx, started_rx) = mpsc::channel();
+        let done = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&done);
+        let offer = pool.offer(&TelemetryHandle::disabled(), move || {
+            started_tx.send(()).expect("test alive");
+            std::thread::sleep(Duration::from_millis(50));
+            flag.store(true, Ordering::SeqCst);
+        });
+        started_rx.recv_timeout(WAIT).expect("a worker started it");
+        offer.withdraw();
+        assert!(done.load(Ordering::SeqCst), "withdraw returned mid-job");
+    }
+
+    #[test]
+    fn offers_join_in_order_and_record_counters() {
         let tel = TelemetryHandle::enabled();
         let pool = TransferPool::new(2);
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..5 {
-            let tx = tx.clone();
-            pool.submit_observed(&tel, move || tx.send(()).expect("receiver alive"));
-        }
-        drop(tx);
-        assert_eq!(rx.iter().count(), 5);
+        let offers: Vec<_> = (0..5u32)
+            .map(|i| pool.offer(&tel, move || i * 10))
+            .collect();
+        let got: Vec<_> = offers.into_iter().map(Offer::join).collect();
+        assert_eq!(got, (0..5).map(|i| Some(i * 10)).collect::<Vec<_>>());
         let reg = tel.registry().expect("enabled");
         assert_eq!(reg.counter_total("pool_tasks_total"), 5);
         assert_eq!(reg.histogram("pool_queue_depth_count", "").count(), 5);
-        // Every task that ran also reported how long it sat queued.
+        // Every offer was claimed, by a worker or by its owner, and
+        // reported how long it waited.
         assert_eq!(reg.histogram("pool_queue_dwell_us", "").count(), 5);
+        assert!(reg.counter_total("pool_tasks_on_workers") <= 5);
     }
 }

@@ -487,6 +487,40 @@ fn a_parked_pool_cannot_stall_a_get() {
     });
 }
 
+/// A put never waits on a pool task that has not started: with the one
+/// worker parked on a job of its own, a five-stripe PL3 put encodes every
+/// stripe no worker has claimed on the caller and lands before the job is
+/// released.
+#[test]
+fn a_parked_pool_cannot_stall_a_put() {
+    let d = distributor(8, private_config(1));
+    let data = body(9, (64 << 10) + 100);
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    d.transfer_pool().submit(move || {
+        started_tx.send(()).expect("test alive");
+        let _ = release_rx.recv();
+    });
+    started_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker took the parking job");
+
+    let (put_tx, put_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let session = d.session("c", "pw").expect("valid pair");
+            let receipt = session.put_file("f", &data, PrivacyLevel::High, PutOptions::new());
+            put_tx.send(receipt).expect("test alive");
+        });
+        let put = put_rx.recv_timeout(Duration::from_secs(30));
+        release_tx.send(()).expect("worker parked");
+        let put = put.expect("the put returned while the pool was parked");
+        assert_eq!(put.expect("upload").stripe_count, 5);
+    });
+    let got = d.session("c", "pw").expect("valid pair").get_file("f");
+    assert_eq!(got.expect("read").data, data);
+}
+
 /// Fan-out changes no count: a healthy 8 MiB PL3 get costs exactly one
 /// provider read per data chunk, and a degraded RS(8,3) get — two
 /// providers offline, one rotting bits at rest — returns the same bytes
