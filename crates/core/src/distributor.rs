@@ -983,12 +983,13 @@ impl CloudDataDistributor {
         Ok(peak_in_flight_bytes)
     }
 
-    /// Commit, under the shard write lock: inserts the file row, then
-    /// pushes the put's rows. Nothing here can fail: the put authorized
-    /// at plan, and the client directory is append-only. Arena indices are assigned
-    /// here, in the order the execute phase landed them, so a sequential
-    /// run numbers them as a put holding the lock throughout would. Every
-    /// row is marked for the op's delta.
+    /// Commit, under the shard write lock: moves the put's rows to the
+    /// lowest free slots ([`tables::fill`]), remapping stripe refs and
+    /// members, then inserts the file row. Nothing here can fail: the put
+    /// authorized at plan, and the client directory is append-only. Slots
+    /// are assigned in the order the execute phase landed the rows, so a
+    /// sequential run numbers them as a put holding the lock throughout
+    /// would. Every row is marked for the op's delta.
     fn commit_put(
         &self,
         st: &mut Tables,
@@ -998,30 +999,29 @@ impl CloudDataDistributor {
         progress: &mut PutProgress<'_>,
     ) {
         let ctx = progress.ctx;
-        let (chunk_base, stripe_base) = (st.chunks.len(), st.stripes.len());
+        let chunk_slots = tables::fill(&mut st.chunks, &mut st.free_chunks, &mut progress.chunks);
+        for m in progress.stripes.iter_mut().flat_map(|s| &mut s.members) {
+            *m = chunk_slots[*m];
+        }
+        let stripe_ids = tables::fill(&mut st.stripes, &mut st.free_stripes, &mut progress.stripes);
+        for &c in &chunk_slots {
+            if let Some(at) = &mut st.chunks[c].stripe {
+                at.stripe_id = stripe_ids[at.stripe_id];
+            }
+            self.touch_chunk(ctx, c);
+        }
+        for &j in &stripe_ids {
+            self.touch_stripe(ctx, j);
+        }
         let file = FileEntry {
             pl: progress.pl,
-            chunk_indices: progress.data_rows.iter().map(|i| i + chunk_base).collect(),
-            stripe_ids: (stripe_base..stripe_base + progress.stripes.len()).collect(),
+            chunk_indices: progress.data_rows.iter().map(|&i| chunk_slots[i]).collect(),
+            stripe_ids,
             total_len: len,
         };
         let files = st.files.entry(client.to_string()).or_default();
         files.insert(filename.to_string(), file);
         self.touch_file(ctx, client, filename);
-        for mut e in progress.chunks.drain(..) {
-            if let Some(at) = &mut e.stripe {
-                at.stripe_id += stripe_base;
-            }
-            self.touch_chunk(ctx, st.chunks.len());
-            st.chunks.push(e);
-        }
-        for mut s in progress.stripes.drain(..) {
-            for m in &mut s.members {
-                *m += chunk_base;
-            }
-            self.touch_stripe(ctx, st.stripes.len());
-            st.stripes.push(s);
-        }
     }
 
     /// Encodes one stripe group: fills each data shard's upload buffer with
@@ -1631,8 +1631,12 @@ impl CloudDataDistributor {
             // a crash from here rolls it back, and the file reads as before.
             self.crash_point()?;
 
-            for m in st.drop_file(client, filename)? {
+            let (chunks, stripes) = st.drop_file(client, filename)?;
+            for m in chunks {
                 self.touch_chunk(ctx, m);
+            }
+            for j in stripes {
+                self.touch_stripe(ctx, j);
             }
             self.touch_file(ctx, client, filename);
             self.commit_under(ctx, shard, &st);

@@ -941,8 +941,7 @@ mod tests {
         let (seq, _) = j.commit_prepare(b, "vids|6\n".to_string());
         assert_eq!(j.compact(), 2);
         assert_eq!(j.record_len(), 1, "b still open");
-        // The gap below the aborted op's chunk reads as a placeholder
-        // tombstone.
+        // The gap below the aborted op's chunk reads as a free slot.
         let checkpoint = j.checkpoint();
         assert!(checkpoint.contains("vids|5\n"));
         assert!(checkpoint.contains(&format!(

@@ -50,6 +50,9 @@
 //! stripe geometry. Its second, `check_links`, checks once per shard at
 //! import how rows name each other: stripe slots both ways, roles, and a
 //! file's chunks as its stripes' data members in serial order.
+//! A removed file's slots, and an arena gap a fold fills, hold the free
+//! row (`ChunkEntry::free` / `StripeInfo::free`), which passes the gate
+//! exactly when no row names it; import rebuilds the free sets from them.
 
 use crate::distributor::CloudDataDistributor;
 use crate::tables::{
@@ -287,15 +290,6 @@ fn row(write: impl FnOnce(&mut String)) -> String {
     out
 }
 
-/// The row an arena slot reads as until a delta claims it (the op that
-/// owns the lower index closed later): a tombstone that names no object —
-/// vid `u64::MAX`, provider 0, no stripe, `removed`.
-const PLACEHOLDER_CHUNK_ROW: &str = "18446744073709551615|0|0|-|||0|0|-|d0|removed";
-
-/// The stripe counterpart: `k` 0 and no members, so nothing references it
-/// until a row claims the slot.
-const PLACEHOLDER_STRIPE_ROW: &str = "0|none|0||healthy";
-
 /// Appends one counted section of a shard: `<tag>s|<n>`, then a
 /// `<tag>|<row>` line per row.
 fn section<'a>(out: &mut String, tag: &str, rows: impl ExactSizeIterator<Item = &'a String>) {
@@ -380,7 +374,7 @@ impl StateImage {
     /// Copies one journal delta line over the row it names — the one delta
     /// applier, behind both checkpoint compaction and recovery's replay.
     /// A `chunk` / `stripe` / `file` row replaces (or adds) its row, an
-    /// arena index past the end fills the gap with placeholder rows,
+    /// arena index past the end fills the gap with free slots,
     /// `filedel` removes, `client` rewrites one directory entry, `vids`
     /// keeps the maximum. Returns `None`, changing nothing, for a line
     /// that names no row of this image: unknown tag, shard out of range, a
@@ -394,17 +388,23 @@ impl StateImage {
                 let (idx, payload) = rest.split_once('|')?;
                 let idx: usize = idx.parse().ok()?;
                 let sh = &mut self.shards[shard];
-                let (arena, filler) = if tag == "chunk" {
-                    (&mut sh.chunks, PLACEHOLDER_CHUNK_ROW)
+                // A slot past the arena reads as free until a delta claims
+                // it (the op that owns the lower index closed later).
+                let (arena, free): (_, fn(&mut String)) = if tag == "chunk" {
+                    (&mut sh.chunks, |out| {
+                        chunk_row_into(out, &ChunkEntry::free())
+                    })
                 } else {
-                    (&mut sh.stripes, PLACEHOLDER_STRIPE_ROW)
+                    (&mut sh.stripes, |out| {
+                        stripe_row_into(out, &StripeInfo::free())
+                    })
                 };
                 (idx < arena.len().saturating_add(MAX_ARENA_GAP)).then_some(())?;
                 if let Some(row) = arena.get_mut(idx) {
                     row.clear();
                     row.push_str(payload);
                 } else {
-                    arena.resize(idx, filler.to_string());
+                    arena.resize(idx, row(free));
                     arena.push(payload.to_string());
                 }
             }
@@ -880,8 +880,7 @@ pub(crate) fn import_image(
             .map(|(n, (key, row))| Ok((key, gate.file(row, first[2] + n)?)))
             .collect::<Result<Vec<_>>>()?;
         check_links(&chunks, &stripes, files.iter().map(|(_, fe)| fe), first)?;
-        let mut tables = Tables::default();
-        (tables.chunks, tables.stripes) = (chunks, stripes);
+        let mut tables = Tables::with_rows(chunks, stripes);
         for ((cname, fname), fe) in files {
             let client = tables.files.entry(cname.clone()).or_default();
             client.insert(fname.clone(), fe);
@@ -1099,19 +1098,24 @@ mod tests {
         ] {
             assert!(image.fold_line(line).is_some(), "{line}");
         }
-        let filler = PLACEHOLDER_CHUNK_ROW;
+        // A gap's free slots, byte for byte as older journals and the
+        // fixtures hold them.
+        let filler = row(|out| chunk_row_into(out, &ChunkEntry::free()));
+        let free_stripe = row(|out| stripe_row_into(out, &StripeInfo::free()));
+        assert_eq!(filler, "18446744073709551615|0|0|-|||0|0|-|d0|removed");
+        assert_eq!(free_stripe, "0|none|0||healthy");
         let want = format!(
             "fragcloud-state|v2\nvids|9\nshards|2\nproviders|1\nprovider|cp0\n\
              clients|2\nclient|c%7C1\nclient|late\npassword|p,w%7C|2\npassword|q|0\n\
              shard|0\nchunks|3\nchunk|{filler}\nchunk|{filler}\n\
              chunk|8|2|0|-|||4|4|1:0|d0|live\n\
-             stripes|2\nstripe|{PLACEHOLDER_STRIPE_ROW}\nstripe|1|none|4|2|degraded\n\
+             stripes|2\nstripe|{free_stripe}\nstripe|1|none|4|2|degraded\n\
              files|1\nfile|c%7C1|g%7Ch|2|4|2|1\n\
              shard|1\nchunks|1\nchunk|7|1|0|-|||0|0|-|d0|removed\nstripes|0\nfiles|0\nend\n"
         );
         assert_eq!(image.render(), want);
-        // What the fold leaves imports: placeholders pass the row gate,
-        // and its links, as long as no row names them.
+        // What the fold leaves imports: free slots pass the row gate, and
+        // its links, as long as no row names them.
         let d = import_image(&image, fleet(), config()).unwrap();
         assert_eq!(export_state(&d), want);
         assert!(d.session("late", "p,w|").is_ok());
@@ -1464,6 +1468,98 @@ mod tests {
         assert_eq!(s1, s2);
         assert!(s1.starts_with("fragcloud-state|v2\n"));
         assert!(s1.ends_with("end\n"));
+    }
+
+    /// A removed file's rows are free slots, and the next put takes the
+    /// lowest of them, on the live distributor and on its import alike:
+    /// the free set is read off the rows, so it needs no field of its own.
+    #[test]
+    fn a_put_reuses_the_slots_a_removed_file_freed() {
+        let mut config = DistributorConfig {
+            // Placement by name, so both distributors place alike.
+            placement: crate::config::PlacementStrategy::Chord,
+            ..config()
+        };
+        config.durability.table_shards = 1;
+        let d = CloudDataDistributor::try_new(fleet(), config).expect("valid config");
+        d.register_client("c").unwrap();
+        d.add_password("c", "p", PrivacyLevel::High).unwrap();
+        let s = d.session("c", "p").unwrap();
+        for name in ["a", "b", "c"] {
+            s.put_file(name, &body(300), PrivacyLevel::High, PutOptions::default())
+                .unwrap();
+        }
+        let slots = |d: &CloudDataDistributor, name: &str| {
+            let shards = d.lock_all_read();
+            let file = shards[0].file("c", name).unwrap();
+            (shards[0].file_members(file), file.stripe_ids.clone())
+        };
+        let (arena, b) = (d.lock_all_read()[0].chunks.len(), slots(&d, "b"));
+        s.remove_file("b").unwrap();
+        let d2 = import_state(&export_state(&d), fleet(), config).unwrap();
+        for d in [&d, &d2] {
+            let s = d.session("c", "p").unwrap();
+            s.put_file("d", &body(300), PrivacyLevel::High, PutOptions::default())
+                .unwrap();
+            assert_eq!(slots(d, "d"), b);
+            assert_eq!(d.lock_all_read()[0].chunks.len(), arena);
+            assert_eq!(s.get_file("d").unwrap().data, body(300));
+        }
+        assert_eq!(export_state(&d), export_state(&d2));
+    }
+
+    /// Put-and-remove cycles leave the state as one cycle left it: only
+    /// the `vids|` watermark moves, in the export and in the journal's
+    /// compacted checkpoint, and the fleet holds what the rows name.
+    #[test]
+    fn put_remove_cycles_leave_the_state_bounded() {
+        let mut config = DistributorConfig {
+            mislead_rate: 0.08,
+            ..DistributorConfig::default()
+        };
+        config.durability.table_shards = 2;
+        let providers = fleet();
+        let d = CloudDataDistributor::try_new(providers.clone(), config).expect("valid config");
+        d.register_client("c").unwrap();
+        d.add_password("c", "p", PrivacyLevel::High).unwrap();
+        let journal = Arc::new(crate::Journal::new());
+        d.attach_journal(Arc::clone(&journal));
+        let s = d.session("c", "p").unwrap();
+        s.put_file(
+            "kept",
+            &body(5_000),
+            PrivacyLevel::High,
+            PutOptions::default(),
+        )
+        .unwrap();
+        let without_vids = |text: &str| {
+            text.lines()
+                .filter(|l| !l.starts_with("vids|"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let keys = || -> HashSet<VirtualId> {
+            providers.iter().flat_map(|p| p.virtual_id_list()).collect()
+        };
+        let mut after_one = String::new();
+        for cycle in 1..=1_000 {
+            s.put_file(
+                "cycled",
+                &body(64_000),
+                PrivacyLevel::High,
+                PutOptions::default(),
+            )
+            .unwrap();
+            s.remove_file("cycled").unwrap();
+            if cycle == 1 {
+                after_one = without_vids(&export_state(&d));
+            }
+            assert_eq!(keys(), d.referenced_vids(), "cycle {cycle}");
+        }
+        assert_eq!(without_vids(&export_state(&d)), after_one);
+        journal.compact();
+        assert_eq!(without_vids(&journal.checkpoint()), after_one);
+        assert_eq!(s.get_file("kept").unwrap().data, body(5_000));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::{CoreError, Result};
 use fragcloud_raid::RaidLevel;
 use fragcloud_sim::{CloudProvider, PrivacyLevel, VirtualId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Role of a chunk within its stripe.
@@ -40,7 +40,7 @@ pub struct StripeRef {
 }
 
 /// One row of the Chunk Table (Table III) plus RAID bookkeeping.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkEntry {
     /// Opaque id under which the chunk is stored at providers.
     pub vid: VirtualId,
@@ -78,8 +78,29 @@ pub struct ChunkEntry {
 }
 
 impl ChunkEntry {
-    /// Turns the row into a tombstone — the one definition of a dead
-    /// chunk row. It names nothing that still exists: no replica or
+    /// The free slot — the one definition of a chunk row no file owns,
+    /// which `Tables::drop_file` leaves and the next put claims: removed,
+    /// in no stripe, naming no object (vid `u64::MAX` is never allocated).
+    pub fn free() -> ChunkEntry {
+        ChunkEntry {
+            vid: VirtualId(u64::MAX),
+            pl: PrivacyLevel::Public,
+            provider_idx: 0,
+            snapshot_provider_idx: None,
+            snapshot_vid: None,
+            snapshot_mislead: Arc::default(),
+            mislead_positions: Arc::default(),
+            stored_len: 0,
+            logical_len: 0,
+            stripe: None,
+            role: ChunkRole::Data { serial: 0 },
+            removed: true,
+            replicas: Vec::new(),
+        }
+    }
+
+    /// Turns the row into a tombstone — `remove_chunk`'s dead row of a
+    /// live file. It names nothing that still exists: no replica or
     /// snapshot id (either would read as referenced), no lengths, and no
     /// position lists (they would be rewritten into every checkpoint).
     /// `vid`, `provider_idx`, `stripe` and `role` stay: the stripe still
@@ -109,7 +130,7 @@ impl ChunkEntry {
 }
 
 /// Geometry and membership of one RAID stripe.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StripeInfo {
     /// Number of data shards.
     pub k: usize,
@@ -123,6 +144,19 @@ pub struct StripeInfo {
     /// skipped a dead provider, or a scrub found the object missing) and a
     /// repair pass has not yet re-materialized it.
     pub degraded: bool,
+}
+
+impl StripeInfo {
+    /// [`ChunkEntry::free`]'s counterpart: `k` 0, no members.
+    pub fn free() -> StripeInfo {
+        StripeInfo {
+            k: 0,
+            level: RaidLevel::None,
+            members: Vec::new(),
+            shard_width: 0,
+            degraded: false,
+        }
+    }
 }
 
 /// One file's metadata inside a client entry.
@@ -168,9 +202,25 @@ pub struct Tables {
     /// the name is taken, though no file row exists yet. Neither persisted
     /// nor journaled — a crashed put's claim dies with the process.
     pub(crate) reserved: HashSet<(String, String)>,
+    /// The slots holding [`ChunkEntry::free`] / [`StripeInfo::free`]: a
+    /// function of the rows, never persisted ([`Tables::with_rows`]).
+    pub(crate) free_chunks: BTreeSet<usize>,
+    pub(crate) free_stripes: BTreeSet<usize>,
 }
 
 impl Tables {
+    /// Tables of these arenas, every free-form row a free slot (import).
+    pub(crate) fn with_rows(chunks: Vec<ChunkEntry>, stripes: Vec<StripeInfo>) -> Tables {
+        let (c, s) = (ChunkEntry::free(), StripeInfo::free());
+        Tables {
+            free_chunks: (0..chunks.len()).filter(|&i| chunks[i] == c).collect(),
+            free_stripes: (0..stripes.len()).filter(|&j| stripes[j] == s).collect(),
+            chunks,
+            stripes,
+            ..Tables::default()
+        }
+    }
+
     /// Looks up a client's file in this shard or fails. Whether the client
     /// exists is the directory's question, asked first.
     pub fn file(&self, client: &str, filename: &str) -> Result<&FileEntry> {
@@ -219,19 +269,25 @@ impl Tables {
             .collect()
     }
 
-    /// Removes a file at the table level — the file entry goes, every
-    /// member of its stripes becomes a tombstone — and returns the rows it
-    /// tombstoned. `remove_file` runs it under its shard guard; the file's
-    /// objects are the caller's to delete.
-    pub fn drop_file(&mut self, client: &str, filename: &str) -> Result<Vec<usize>> {
-        let members = self.file_members(self.file(client, filename)?);
+    /// Removes a file at the table level — the file entry goes, its
+    /// stripes and their members become free slots — and returns the chunk
+    /// and stripe rows it freed. `remove_file` runs it under its shard
+    /// guard; the file's objects are the caller's to delete.
+    pub fn drop_file(&mut self, client: &str, filename: &str) -> Result<(Vec<usize>, Vec<usize>)> {
+        let file = self.file(client, filename)?;
+        let (members, stripe_ids) = (self.file_members(file), file.stripe_ids.clone());
         if let Some(files) = self.files.get_mut(client) {
             files.remove(filename);
         }
         for &m in &members {
-            self.chunks[m].tombstone();
+            self.chunks[m] = ChunkEntry::free();
         }
-        Ok(members)
+        for &s in &stripe_ids {
+            self.stripes[s] = StripeInfo::free();
+        }
+        self.free_chunks.extend(&members);
+        self.free_stripes.extend(&stripe_ids);
+        Ok((members, stripe_ids))
     }
 
     /// Every provider object the tables still reference
@@ -272,10 +328,11 @@ impl Tables {
         out
     }
 
-    /// Renders the Chunk Table like the paper's Table III.
+    /// Renders the Chunk Table like the paper's Table III (no free slot).
     pub fn render_chunk_table(&self) -> String {
         let mut out = String::from("virtual id | PL | CP index | SP index | M\n");
-        for ch in &self.chunks {
+        let free = ChunkEntry::free();
+        for ch in self.chunks.iter().filter(|&ch| *ch != free) {
             let sp = ch
                 .snapshot_provider_idx
                 .map(|i| i.to_string())
@@ -303,6 +360,24 @@ impl Tables {
         }
         out
     }
+}
+
+/// Moves `rows` to the lowest `free` slots of `arena`, the rest past its
+/// end, and returns their slots in order: how a put's commit places rows.
+pub(crate) fn fill<T>(
+    arena: &mut Vec<T>,
+    free: &mut BTreeSet<usize>,
+    rows: &mut Vec<T>,
+) -> Vec<usize> {
+    let n = rows.len();
+    let mut slots: Vec<usize> = std::iter::from_fn(|| free.pop_first()).take(n).collect();
+    let fresh = rows.drain(slots.len()..);
+    slots.extend(arena.len()..arena.len() + fresh.len());
+    arena.extend(fresh);
+    for (row, &slot) in rows.drain(..).zip(&slots) {
+        arena[slot] = row;
+    }
+    slots
 }
 
 /// Renders the Cloud Provider Table like the paper's Table I.

@@ -541,3 +541,77 @@ proptest! {
         }
     }
 }
+
+/// A freed slot names nothing, so a live row that names one is damage:
+/// a file's chunk or stripe list, or a live stripe's member list,
+/// rewritten onto a slot `remove_file` freed fails the import typed.
+#[test]
+fn a_live_row_naming_a_freed_slot_fails_the_import() {
+    const FREE_CHUNK: &str = "18446744073709551615|0|0|-|||0|0|-|d0|removed";
+    const FREE_STRIPE: &str = "0|none|0||healthy";
+    let (fleet, d, _) = seeded();
+    let text = persist::export_state(&d);
+    drop(d);
+    let lines: Vec<&str> = text.lines().collect();
+    // Per shard: its free chunk and stripe slots, and its live file and
+    // stripe rows by line number.
+    let mut shards: Vec<(Vec<usize>, Vec<usize>, Vec<usize>)> = Vec::new();
+    let (mut chunk, mut stripe) = (0, 0);
+    for (n, line) in lines.iter().enumerate() {
+        if line.starts_with("shard|") {
+            shards.push(Default::default());
+            (chunk, stripe) = (0, 0);
+        } else if let Some(row) = line.strip_prefix("chunk|") {
+            if row == FREE_CHUNK {
+                shards.last_mut().unwrap().0.push(chunk);
+            }
+            chunk += 1;
+        } else if let Some(row) = line.strip_prefix("stripe|") {
+            if row == FREE_STRIPE {
+                shards.last_mut().unwrap().1.push(stripe);
+            } else {
+                shards.last_mut().unwrap().2.push(n);
+            }
+            stripe += 1;
+        } else if line.starts_with("file|") {
+            shards.last_mut().unwrap().2.push(n);
+        }
+    }
+    // Field `field` of row line `n`: its first index set to `slot`.
+    let damaged = |n: usize, field: usize, slot: usize| {
+        let mut f: Vec<String> = lines[n].split('|').map(str::to_string).collect();
+        let mut list: Vec<&str> = f[field].split(',').collect();
+        let slot = slot.to_string();
+        list[0] = &slot;
+        f[field] = list.join(",");
+        let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        out[n] = f.join("|");
+        out.join("\n") + "\n"
+    };
+    let mut cases = 0;
+    for (free_chunks, free_stripes, live) in &shards {
+        for &n in live {
+            // A file's chunk and stripe lists, a stripe's member list.
+            let targets = if lines[n].starts_with("file|") {
+                vec![(5, free_chunks.first()), (6, free_stripes.first())]
+            } else {
+                vec![(4, free_chunks.first())]
+            };
+            for (field, slot) in targets {
+                let Some(&slot) = slot else { continue };
+                let snapshot = damaged(n, field, slot);
+                let imported = catch_unwind(AssertUnwindSafe(|| {
+                    persist::import_state(&snapshot, fleet.clone(), config())
+                }))
+                .unwrap_or_else(|_| panic!("import panicked on {:?}", snapshot.lines().nth(n)));
+                assert!(
+                    matches!(imported, Err(fragcloud::CoreError::CorruptState { .. })),
+                    "{:?} imported",
+                    snapshot.lines().nth(n)
+                );
+                cases += 1;
+            }
+        }
+    }
+    assert!(cases >= 3, "the seeded run freed no slot beside a live row");
+}

@@ -9,7 +9,7 @@
 
 use fragcloud::core::config::{ChunkSizeSchedule, DistributorConfig};
 use fragcloud::core::{
-    recover, CloudDataDistributor, CoreError, Journal, PrivacyLevel, PutOptions,
+    persist, recover, CloudDataDistributor, CoreError, Journal, PrivacyLevel, PutOptions,
 };
 use fragcloud::raid::RaidLevel;
 use fragcloud::sim::{CloudProvider, CostLevel, ObjectStore, ProviderProfile};
@@ -52,6 +52,39 @@ fn fleet() -> Vec<Arc<CloudProvider>> {
             )))
         })
         .collect()
+}
+
+/// The `chunk|` and `stripe|` lines of a snapshot that are not a free
+/// slot and belong to no stripe a `file|` line of their shard lists.
+fn rows_outliving_their_file(text: &str) -> Vec<String> {
+    const FREE: [&str; 2] = [
+        "chunk|18446744073709551615|0|0|-|||0|0|-|d0|removed",
+        "stripe|0|none|0||healthy",
+    ];
+    let mut outliving = Vec::new();
+    for shard in text.split("\nshard|").skip(1) {
+        let lines = || shard.lines().skip(1);
+        let stripes: Vec<&str> = lines().filter(|l| l.starts_with("stripe|")).collect();
+        let mut owned_stripes = HashSet::new();
+        for file in lines().filter_map(|l| l.strip_prefix("file|")) {
+            let ids = file.rsplit('|').next().unwrap_or("");
+            owned_stripes.extend(ids.split(',').filter_map(|s| s.parse::<usize>().ok()));
+        }
+        let mut owned_chunks = HashSet::new();
+        for &j in &owned_stripes {
+            let members = stripes
+                .get(j)
+                .and_then(|s| s.split('|').nth(4))
+                .unwrap_or("");
+            owned_chunks.extend(members.split(',').filter_map(|m| m.parse::<usize>().ok()));
+        }
+        let arena = |tag: &'static str| lines().filter(move |l| l.starts_with(tag)).enumerate();
+        for (tag, owned) in [("chunk|", &owned_chunks), ("stripe|", &owned_stripes)] {
+            let dead = arena(tag).filter(|(i, l)| !owned.contains(i) && !FREE.contains(l));
+            outliving.extend(dead.map(|(_, l)| l.to_string()));
+        }
+    }
+    outliving
 }
 
 fn payload(tag: u64, size: usize) -> Vec<u8> {
@@ -259,6 +292,9 @@ proptest! {
         for file in (0u8..4).filter(|f| !model.contains_key(f)) {
             prop_assert!(session.get_file(&format!("f{file}")).is_err());
         }
+        // No row outlives its file: a removed file's rows are free slots.
+        let orphan_rows = rows_outliving_their_file(&persist::export_state(&recovered));
+        prop_assert!(orphan_rows.is_empty(), "rows of no file: {:?}", orphan_rows);
         // Write-once objects: no provider ever stored different bytes under
         // a key it already held.
         for p in &providers {
